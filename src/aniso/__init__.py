@@ -9,11 +9,11 @@ Submodules:
 - csa       symbol algebras, reduced norms, differential-operator algebras
 - quadform  quadratic forms, Arf normal form, Pfister-form isometry groups
 - bounds    Minkowski-style divisibility bounds and order checks
-- cli       command line front end (`aniso`)
+- cli       command line front end (`aniso`), not imported by the package
 """
 
-from . import (bounds, csa, cli, fieldmatrix, lattice, pairing, quadform,
-               replay, scalars, torus)
+from . import (bounds, csa, fieldmatrix, lattice, pairing, quadform, replay,
+               scalars, torus)
 
 __all__ = ["scalars", "fieldmatrix", "lattice", "torus", "pairing", "csa",
            "quadform", "bounds", "replay", "cli"]

@@ -14,7 +14,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError
-from .scalars import Field, FieldDescriptor
+from .lattice import closure
+from .scalars import (Field, FieldDescriptor, _primes_upto, _split_prime_power,
+                      least_power)
 
 
 class BoundsError(AnisoError):
@@ -41,17 +43,6 @@ class HypothesisFails(BoundsError):
 # integer matrix group bounds
 
 _MAX_ORDER_TABLE = {1: 2, 2: 12, 3: 48}
-
-
-def _primes_upto(n: int) -> list[int]:
-    sieve = [True] * (n + 1)
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for k in range(p * p, n + 1, p):
-                sieve[k] = False
-    return out
 
 
 @dataclass(frozen=True)
@@ -165,26 +156,13 @@ class FiniteMatrixGroup:
     @classmethod
     def from_generators(cls, descriptor: FieldDescriptor, generators,
                         cap: int = 100000) -> "FiniteMatrixGroup":
-        fld = Field(descriptor)
         if not generators:
             raise BoundsError("need at least one generator")
-        n = len(generators[0])
-        ident = fieldmatrix.identity(fld, n)
-        elements = [ident]
-        seen = {ident}
-        queue = [ident]
+        ident = fieldmatrix.identity(Field(descriptor), len(generators[0]))
         gens = [fieldmatrix.mat_from_rows([list(r) for r in g])
                 for g in generators]
-        while queue:
-            current = queue.pop(0)
-            for g in gens:
-                nxt = fieldmatrix.mat_mul(current, g)
-                if nxt not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"closure exceeded cap {cap}")
-                    seen.add(nxt)
-                    elements.append(nxt)
-                    queue.append(nxt)
+        elements = closure(ident, gens, fieldmatrix.mat_mul, lambda m: m, cap,
+                           GroupTooLarge(f"closure exceeded cap {cap}"))
         return cls(descriptor, elements)
 
     @property
@@ -193,21 +171,18 @@ class FiniteMatrixGroup:
 
     def element_order(self, m) -> int:
         ident = fieldmatrix.identity(self.field, self.degree)
-        power = m
-        for k in range(1, self.order + 1):
-            if fieldmatrix.mat_eq(power, ident):
-                return k
-            power = fieldmatrix.mat_mul(power, m)
-        raise BoundsError("element order exceeds the group order")
+        found = least_power(m, fieldmatrix.mat_mul,
+                            lambda a: fieldmatrix.mat_eq(a, ident), self.order)
+        if found is None:
+            raise BoundsError("element order exceeds the group order")
+        return found[0]
 
 
 def coprime_part(value: int, p: int) -> int:
     """Largest factor of value not divisible by p; value itself when p = 0."""
     if p <= 0:
         return value
-    while value % p == 0:
-        value //= p
-    return value
+    return _split_prime_power(value, p)[0]
 
 
 @dataclass(frozen=True)
@@ -365,9 +340,4 @@ def pi1_order_split(order_and_p: tuple[int, int]) -> tuple[int, int]:
         raise BoundsError("order must be positive")
     if p < 2:
         raise BoundsError("p must be a prime")
-    m = 0
-    l = order
-    while l % p == 0:
-        l //= p
-        m += 1
-    return l, m
+    return _split_prime_power(order, p)

@@ -168,7 +168,7 @@ def _cmd_pairing_isotropic(args) -> tuple[dict, int]:
     check = pairing.validate_pairing(pr)
     if not check:
         raise pairing.InvalidPairing(check.message)
-    sub = pairing.isotropic_subgroup(pr, enum_cap=args.cap or 4096)
+    sub = pairing.isotropic_subgroup(pr)
     total = pr.group.order
     return {
         "group_order": str(total),

@@ -11,7 +11,9 @@ place of n.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -19,8 +21,8 @@ from typing import Optional, Sequence
 from .errors import AnisoError
 from . import fieldmatrix
 from .scalars import (Field, FieldDescriptor, FieldElement, MinimalPolynomial,
-                      finite_field, function_field, is_kth_power,
-                      minimal_polynomial_power_relation, prime_field)
+                      _fp_is_irreducible, _is_prime, binary_power, function_field,
+                      is_kth_power, least_power, minimal_polynomial_power_relation, prime_field)
 
 
 class AlgebraError(AnisoError):
@@ -47,7 +49,38 @@ class NotScalarPower(AlgebraError):
     pass
 
 
-class SymbolAlgebraSpec:
+class AlgebraSpec:
+    """Members both algebra families share; subclasses set base, field and degree."""
+
+    @property
+    def zero(self) -> "AlgebraElement":
+        return AlgebraElement(self, {})
+
+    @property
+    def one(self) -> "AlgebraElement":
+        return self.scalar(self.field.one)
+
+    @property
+    def u(self) -> "AlgebraElement":
+        return AlgebraElement(self, {(1, 0): self.field.one})
+
+    @property
+    def v(self) -> "AlgebraElement":
+        return AlgebraElement(self, {(0, 1): self.field.one})
+
+    def scalar(self, c) -> "AlgebraElement":
+        c = self._coerce(c)
+        return AlgebraElement(self, {(0, 0): c} if not c.is_zero else {})
+
+    def _coerce(self, c) -> FieldElement:
+        if isinstance(c, FieldElement):
+            if c.descriptor != self.base:
+                raise SpecMismatch("scalar from a different field")
+            return c
+        return self.field(c)
+
+
+class SymbolAlgebraSpec(AlgebraSpec):
     """u^n = a, v^n = b, vu = z uv over a base containing z = zeta_n."""
 
     kind = "symbol"
@@ -79,41 +112,14 @@ class SymbolAlgebraSpec:
     def __hash__(self):
         return hash((self.base, self.degree, self.a, self.b))
 
-    @property
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
 
-    @property
-    def one(self) -> "AlgebraElement":
-        return self.scalar(self.field.one)
-
-    @property
-    def u(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(1, 0): self.field.one})
-
-    @property
-    def v(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(0, 1): self.field.one})
-
-    def scalar(self, c) -> "AlgebraElement":
-        c = self._coerce(c)
-        return AlgebraElement(self, {(0, 0): c} if not c.is_zero else {})
-
-    def _coerce(self, c) -> FieldElement:
-        if isinstance(c, FieldElement):
-            if c.descriptor != self.base:
-                raise SpecMismatch("scalar from a different field")
-            return c
-        return self.field(c)
-
-
-class WeylModPSpec:
+class WeylModPSpec(AlgebraSpec):
     """v^p = x, u^p = y, vu - uv = 1 over F_p(x, y)."""
 
     kind = "weyl"
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, p)):
+        if not _is_prime(p):
             raise AlgebraError("p must be prime")
         self.p = p
         self.degree = p
@@ -130,33 +136,6 @@ class WeylModPSpec:
 
     def __hash__(self):
         return hash(("WeylModPSpec", self.p))
-
-    @property
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, {})
-
-    @property
-    def one(self) -> "AlgebraElement":
-        return self.scalar(self.field.one)
-
-    @property
-    def u(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(1, 0): self.field.one})
-
-    @property
-    def v(self) -> "AlgebraElement":
-        return AlgebraElement(self, {(0, 1): self.field.one})
-
-    def scalar(self, c) -> "AlgebraElement":
-        c = self._coerce(c)
-        return AlgebraElement(self, {(0, 0): c} if not c.is_zero else {})
-
-    def _coerce(self, c) -> FieldElement:
-        if isinstance(c, FieldElement):
-            if c.descriptor != self.base:
-                raise SpecMismatch("scalar from a different field")
-            return c
-        return self.field(c)
 
     def v_polynomial(self, coeffs: Sequence[int]) -> "AlgebraElement":
         """Element sum coeffs[j] v^j from prime-field integer coefficients."""
@@ -215,14 +194,7 @@ class AlgebraElement:
     def __pow__(self, e: int):
         if e < 0:
             return algebra_inverse(self) ** (-e)
-        out = self.spec.one
-        acc = self
-        while e:
-            if e & 1:
-                out = out * acc
-            acc = acc * acc
-            e >>= 1
-        return out
+        return binary_power(self, e, self.spec.one, operator.mul)
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement) and self.spec == other.spec
@@ -446,7 +418,6 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
 
 
 def _permutations_signed(n: int):
-    import itertools
     for perm in itertools.permutations(range(n)):
         inv = sum(1 for i in range(n) for j in range(i + 1, n)
                   if perm[i] > perm[j])
@@ -511,16 +482,15 @@ def finite_order_in_projective_units(x: AlgebraElement,
         raise NotInvertible("zero is not a unit")
     if bound is None:
         bound = spec.degree ** 2
-    acc = x
-    for k in range(1, bound + 1):
-        s = acc.scalar_part()
-        if s is not None:
-            if s.is_zero:
-                raise NotInvertible("power collapsed to zero; not a unit")
-            divides = spec.degree % k == 0 if division_assumed else None
-            return ProjectiveOrderReport(True, k, s, divides)
-        acc = acc * x
-    return ProjectiveOrderReport(False, None, None, None)
+    found = least_power(x, operator.mul, lambda a: a.is_scalar, bound)
+    if found is None:
+        return ProjectiveOrderReport(False, None, None, None)
+    k, power = found
+    s = power.scalar_part()
+    if s.is_zero:
+        raise NotInvertible("power collapsed to zero; not a unit")
+    divides = spec.degree % k == 0 if division_assumed else None
+    return ProjectiveOrderReport(True, k, s, divides)
 
 
 def heisenberg_subgroup_elements(spec: SymbolAlgebraSpec) -> list[AlgebraElement]:
@@ -640,12 +610,7 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
                            "for the rank computation to make sense")
     m = len(gens)
     scalar_count = 0
-    for code in range(p ** m):
-        e = []
-        c = code
-        for _ in range(m):
-            e.append(c % p)
-            c //= p
+    for e in itertools.product(range(p), repeat=m):
         prod = spec.one
         for g, ei in zip(gens, e):
             if ei:
@@ -670,51 +635,15 @@ def distinct_irreducible_family(spec: WeylModPSpec, m: int) -> list[AlgebraEleme
     found: list[tuple[int, ...]] = []
     degree = 1
     while len(found) < m:
-        for code in range(p ** degree):
-            coeffs = []
-            c = code
-            for _ in range(degree):
-                coeffs.append(c % p)
-                c //= p
-            poly = tuple(coeffs) + (1,)
-            if _poly_irreducible_mod_p(poly, p):
+        # constant term varying fastest
+        for high_first in itertools.product(range(p), repeat=degree):
+            poly = high_first[::-1] + (1,)
+            if _fp_is_irreducible(list(poly), p):
                 found.append(poly)
                 if len(found) == m:
                     break
         degree += 1
     return [spec.v_polynomial(f) for f in found]
-
-
-def _poly_irreducible_mod_p(coeffs: tuple[int, ...], p: int) -> bool:
-    """Monic irreducibility over the prime field by trial division."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for code in range(p ** d):
-            div = []
-            c = code
-            for _ in range(d):
-                div.append(c % p)
-                c //= p
-            if _poly_divides_mod_p(div + [1], list(coeffs), p):
-                return False
-    return True
-
-
-def _poly_divides_mod_p(div: list[int], target: list[int], p: int) -> bool:
-    rem = [c % p for c in target]
-    dd = len(div) - 1
-    while rem and rem[-1] == 0:
-        rem.pop()
-    while len(rem) - 1 >= dd:
-        lead = rem[-1]  # divisor is monic
-        shift = len(rem) - 1 - dd
-        for i, c in enumerate(div):
-            rem[shift + i] = (rem[shift + i] - lead * c) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return not rem
 
 
 # ---------------------------------------------------------------------------

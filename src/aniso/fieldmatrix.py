@@ -1,14 +1,14 @@
 """Dense matrices over the exact fields of :mod:`aniso.scalars`.
 
 Matrices are tuples of tuples of FieldElement, all sharing one descriptor.
-Everything here is plain Gaussian elimination; fields are exact so there is
-no pivoting subtlety beyond skipping zeros.
+All elimination goes through one Gauss-Jordan routine; fields are exact
+so there is no pivoting subtlety beyond skipping zeros.
 """
 
 from __future__ import annotations
 
 from .errors import AnisoError
-from .scalars import Field, FieldDescriptor, FieldElement
+from .scalars import Field, FieldDescriptor, FieldElement, binary_power
 
 
 class MatrixError(AnisoError):
@@ -84,59 +84,53 @@ def mat_pow(a: Matrix, e: int) -> Matrix:
     F = Field(mat_descriptor(a))
     if e < 0:
         return mat_pow(mat_inverse(a), -e)
-    out = identity(F, len(a))
-    acc = a
-    while e:
-        if e & 1:
-            out = mat_mul(out, acc)
-        acc = mat_mul(acc, acc)
-        e >>= 1
-    return out
+    return binary_power(a, e, identity(F, len(a)), mat_mul)
+
+
+def _gauss_jordan(m: list[list], ncols: int) -> tuple[list[int], FieldElement]:
+    """Reduce the rows m in place to reduced echelon form on the first ncols columns.
+
+    Pivot rule: in each column, the first row at or below the current rank
+    with a nonzero entry. Pivot rows are scaled to a leading one, and each
+    row operation touches only the columns from the pivot on (the entries
+    before it are already zero). Returns the pivot columns and the product
+    of the pivots signed by the row swaps, which is the determinant when
+    the first ncols columns are square and nonsingular.
+    """
+    det = Field(m[0][0].descriptor).one
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det = det * m[rank][col]
+        inv = m[rank][col].inverse()
+        tail = [x * inv for x in m[rank][col:]]
+        m[rank][col:] = tail
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != rank and not f.is_zero:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots, det
 
 
 def mat_det(a: Matrix) -> FieldElement:
     n = len(a)
     if len(a[0]) != n:
         raise MatrixError("determinant of a non-square matrix")
-    F = Field(mat_descriptor(a))
-    m = [list(row) for row in a]
-    det = F.one
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero), None)
-        if piv is None:
-            return F.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = -det
-        det = det * m[col][col]
-        inv = m[col][col].inverse()
-        for r in range(col + 1, n):
-            if not m[r][col].is_zero:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] = m[r][c] - f * m[col][c]
-    return det
+    pivots, det = _gauss_jordan([list(row) for row in a], n)
+    return det if len(pivots) == n else Field(mat_descriptor(a)).zero
 
 
 def mat_rank(a: Matrix) -> int:
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if not m[r][col].is_zero), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        for r in range(rows):
-            if r != rank and not m[r][col].is_zero:
-                f = m[r][col] * inv
-                for c in range(col, cols):
-                    m[r][c] = m[r][c] - f * m[rank][c]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+    return len(_gauss_jordan([list(row) for row in a], len(a[0]))[0])
 
 
 def mat_inverse(a: Matrix) -> Matrix:
@@ -145,47 +139,41 @@ def mat_inverse(a: Matrix) -> Matrix:
         raise MatrixError("inverse of a non-square matrix")
     F = Field(mat_descriptor(a))
     m = [list(row) + list(idr) for row, idr in zip(a, identity(F, n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not m[r][col].is_zero), None)
-        if piv is None:
-            raise NotInvertibleMatrix("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col].inverse()
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and not m[r][col].is_zero:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+    if len(_gauss_jordan(m, n)[0]) < n:
+        raise NotInvertibleMatrix("singular matrix")
     return tuple(tuple(row[n:]) for row in m)
 
 
 def solve_right(a: Matrix, b) -> tuple | None:
     """One solution x of a @ x = b, or None. a need not be square."""
     F = Field(mat_descriptor(a))
-    rows, cols = len(a), len(a[0])
+    cols = len(a[0])
     m = [list(row) + [bv] for row, bv in zip(a, b)]
-    piv_of_col = {}
-    rank = 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, rows) if not m[r][col].is_zero), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(rows):
-            if r != rank and not m[r][col].is_zero:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        piv_of_col[col] = rank
-        rank += 1
-    for r in range(rank, rows):
-        if not m[r][cols].is_zero:
-            return None
+    pivots, _ = _gauss_jordan(m, cols)
+    if any(not row[cols].is_zero for row in m[len(pivots):]):
+        return None
     x = [F.zero] * cols
-    for col, r in piv_of_col.items():
-        x[col] = m[r][cols]
+    for row, col in zip(m, pivots):
+        x[col] = row[cols]
     return tuple(x)
+
+
+def nullspace(a: Matrix) -> list[tuple]:
+    """Basis of the right kernel {x : a @ x = 0}, one vector per free column."""
+    F = Field(mat_descriptor(a))
+    cols = len(a[0])
+    m = [list(row) for row in a]
+    pivots, _ = _gauss_jordan(m, cols)
+    basis = []
+    for free in range(cols):
+        if free in pivots:
+            continue
+        vec = [F.zero] * cols
+        vec[free] = F.one
+        for row, col in zip(m, pivots):
+            vec[col] = -row[free]
+        basis.append(tuple(vec))
+    return basis
 
 
 def scalar_of(a: Matrix) -> FieldElement | None:

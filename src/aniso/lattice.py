@@ -17,10 +17,10 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AnisoError
+from .scalars import binary_power
 
 
 class LatticeError(AnisoError):
@@ -121,37 +121,13 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise LatticeError("determinant of a non-square matrix")
-        m = [[Fraction(x) for x in row] for row in self.entries]
-        n = self.rows
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if m[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                m[col], m[piv] = m[piv], m[col]
-                det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, n):
-                if m[r][col]:
-                    f = m[r][col] * inv
-                    for c in range(col, n):
-                        m[r][c] -= f * m[col][c]
-        assert det.denominator == 1
-        return int(det)
+        pivots, det = _bareiss([list(row) for row in self.entries], self.cols)
+        return det if len(pivots) == self.rows else 0
 
     def power(self, e: int) -> "IntMatrix":
         if e < 0:
             return int_inverse(self).power(-e)
-        out = IntMatrix.identity(self.rows)
-        acc = self
-        while e:
-            if e & 1:
-                out = out @ acc
-            acc = acc @ acc
-            e >>= 1
-        return out
+        return binary_power(self, e, IntMatrix.identity(self.rows), IntMatrix.__matmul__)
 
     def to_json(self) -> dict:
         return {"rows": str(self.rows), "cols": str(self.cols),
@@ -172,26 +148,51 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
     if m.rows != m.cols:
         raise NotUnimodular("non-square matrix")
     n = m.rows
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+    a = [list(row) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(m.entries)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
+    pivots, det = _bareiss(a, n)
+    if len(pivots) < n:
+        raise NotUnimodular("singular matrix")
+    if abs(det) != 1:
+        raise NotUnimodular("inverse is not integral")
+    # every pivot entry equals +-1 = its own inverse
+    return IntMatrix(tuple(tuple(row[i] * x for x in row[n:])
+                           for i, row in enumerate(a)))
+
+
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows a, in place.
+
+    Pivot rule: in each of the first ncols columns, the first row at or
+    below the current rank with a nonzero entry. Every division is exact,
+    since each entry stays a minor of the input. Afterwards every pivot row
+    holds the same value at its pivot column and zero in the other pivot
+    columns, and the rows past the rank vanish on the first ncols columns.
+    Returns the pivot columns and that common value signed by the row
+    swaps, which is the determinant when the first ncols columns are
+    square and nonsingular.
+    """
+    pivots: list[int] = []
+    prev, sign = 1, 1
+    for col in range(ncols):
+        k = len(pivots)
+        if k == len(a):
+            break
+        piv = next((r for r in range(k, len(a)) if a[r][col]), None)
         if piv is None:
-            raise NotUnimodular("singular matrix")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = []
-    for row in a:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise NotUnimodular("inverse is not integral")
-        out.append(tuple(int(v) for v in vals))
-    return IntMatrix(tuple(out))
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        top = a[k]
+        p = top[col]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != k and (f or p != prev):
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        pivots.append(col)
+        prev = p
+    return pivots, sign * prev
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +402,28 @@ def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
 # ---------------------------------------------------------------------------
 # group closure
 
+def closure(identity, generators: Sequence, mul: Callable, key: Callable,
+            cap: int, error: Exception) -> list:
+    """Elements generated from identity, breadth first, identity first.
+
+    Each element found is multiplied on the right by the generators in the
+    given order; key maps an element to the hashable value that tells
+    elements apart. Raises error when a new element would exceed cap.
+    """
+    seen = {key(identity)}
+    elements = [identity]
+    for x in elements:  # the list grows while it is walked: a FIFO queue
+        for g in generators:
+            y = mul(x, g)
+            k = key(y)
+            if k not in seen:
+                if len(elements) >= cap:
+                    raise error
+                seen.add(k)
+                elements.append(y)
+    return elements
+
+
 def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> list[IntMatrix]:
     """BFS closure of the generated matrix group, identity first.
 
@@ -411,22 +434,9 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
     cap = closure_cap(cap)
     if not generators:
         raise LatticeError("need at least one generator")
-    n = generators[0].rows
-    ident = IntMatrix.identity(n)
-    seen = {ident.entries: ident}
-    queue = [ident]
-    while queue:
-        nxt = []
-        for m in queue:
-            for g in generators:
-                prod = m @ g
-                if prod.entries not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapExceeded(f"closure exceeded cap {cap}")
-                    seen[prod.entries] = prod
-                    nxt.append(prod)
-        queue = nxt
-    return list(seen.values())
+    return closure(IntMatrix.identity(generators[0].rows), generators,
+                   IntMatrix.__matmul__, lambda m: m.entries, cap,
+                   ClosureCapExceeded(f"closure exceeded cap {cap}"))
 
 
 # ---------------------------------------------------------------------------
@@ -501,15 +511,15 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
     r = len(num)
     if not den:
         return (AbelianGroupStructure((), free_rank=r), [], list(num))
-    # express denominator rows in the numerator basis (exact rational solve)
-    bt = [[Fraction(num[i][k]) for i in range(r)] for k in range(ambient)]
-    coeff_rows = []
-    for drow in den:
-        aug = [row[:] + [Fraction(dv)] for row, dv in zip(bt, drow)]
-        sol = _solve_exact(aug, r)
-        if sol is None:
-            raise LatticeError("denominator lattice not contained in numerator lattice")
-        coeff_rows.append(tuple(int(x) for x in sol))
+    # express the denominator rows in the numerator basis: one fraction-free
+    # elimination of [num^T | den^T]; num is independent, so pivots are 0..r-1
+    aug = [[row[k] for row in num] + [row[k] for row in den] for k in range(ambient)]
+    _bareiss(aug, r)
+    scale = aug[0][0]
+    if (any(x for row in aug[r:] for x in row[r:])
+            or any(x % scale for row in aug[:r] for x in row[r:])):
+        raise LatticeError("denominator lattice not contained in numerator lattice")
+    coeff_rows = [tuple(aug[i][r + t] // scale for i in range(r)) for t in range(len(den))]
     c = IntMatrix.from_rows(coeff_rows)
     snf = smith_normal_form(c)
     vinv = int_inverse(snf.V)
@@ -530,71 +540,21 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
     return structure, torsion, free
 
 
-def _solve_exact(aug, ncols):
-    # Gaussian elimination on an augmented Fraction system; unique or None
-    rows = len(aug)
-    rank = 0
-    piv_cols = []
-    for col in range(ncols):
-        piv = next((rr for rr in range(rank, rows) if aug[rr][col]), None)
-        if piv is None:
-            continue
-        aug[rank], aug[piv] = aug[piv], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for rr in range(rows):
-            if rr != rank and aug[rr][col]:
-                f = aug[rr][col]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[rank])]
-        piv_cols.append(col)
-        rank += 1
-    for rr in range(rank, rows):
-        if aug[rr][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for col, rr in zip(piv_cols, range(rank)):
-        x[col] = aug[rr][ncols]
-    if any(v.denominator != 1 for v in x):
-        return None
-    return x
-
-
 def h1_of_theta_module(generators: Sequence[IntMatrix],
                        cap: Optional[int] = None) -> AbelianGroupStructure:
-    """First cohomology of the generated finite group acting on Z^n.
+    """First cohomology of the generated finite group Θ acting on L = Z^n.
 
-    Cocycles are maps c with c(gh) = c(g) + g c(h), computed from the full
-    multiplication table; coboundaries are v - g v. The result is finite
-    for a finite acting group, and the free rank is asserted to vanish.
+    With N = |Θ|, multiplication by N on 0 -> L -> L -> L/NL -> 0 and
+    N·H¹ = 0 give H¹(Θ, L) ≅ (L/NL)^Θ / (L^Θ/NL^Θ): the classes fixed mod
+    N modulo the fixed vectors. Only the generators enter, so the result
+    is finite by construction.
     """
-    elements = group_closure(generators, cap)
-    n = elements[0].rows
-    index = {m.entries: i for i, m in enumerate(elements)}
-    k = len(elements)
-    nvars = k * n
-    eq_rows = []
-    for gi, g in enumerate(elements):
-        for hi, h in enumerate(elements):
-            prod = index[(g @ h).entries]
-            for r in range(n):
-                row = [0] * nvars
-                row[prod * n + r] += 1
-                row[gi * n + r] -= 1
-                for s in range(n):
-                    row[hi * n + s] -= g.entries[r][s]
-                if any(row):
-                    eq_rows.append(tuple(row))
-    if eq_rows:
-        cocycles = integer_kernel(IntMatrix.from_rows(eq_rows))
-    else:
-        cocycles = [tuple(1 if i == j else 0 for j in range(nvars)) for i in range(nvars)]
-    coboundaries = []
-    for bidx in range(n):
-        vec = []
-        for g in elements:
-            col = g.col(bidx)
-            vec.extend(x - (1 if r == bidx else 0) for r, x in enumerate(col))
-        coboundaries.append(tuple(vec))
-    structure, _, _ = abelian_quotient(cocycles, coboundaries, nvars)
-    assert structure.free_rank == 0, "H^1 of a finite group on Z^n must be finite"
+    order = len(group_closure(generators, cap))
+    if order == 1:
+        return AbelianGroupStructure(())
+    n = generators[0].cols
+    _, witnesses = kernel_mod_d(generators, order)
+    multiples = [tuple(order if i == j else 0 for j in range(n)) for i in range(n)]
+    structure, _, _ = abelian_quotient(witnesses + multiples,
+                                       fixed_sublattice(generators) + multiples, n)
     return structure

@@ -17,8 +17,9 @@ from typing import Callable, Optional, Sequence
 
 from .errors import AnisoError
 from . import fieldmatrix
-from .lattice import IntMatrix, abelian_quotient, integer_kernel, solve_left
-from .scalars import FieldElement, root_of_unity_log
+from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
+from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
+                      root_of_unity_log)
 
 
 class PairingError(AnisoError):
@@ -95,20 +96,8 @@ class FiniteAbelianGroup:
     def subgroup_elements(self, generators: Sequence[Sequence[int]],
                           cap: int = 4096) -> frozenset:
         gens = [self.reduce(g) for g in generators]
-        seen = {self.zero}
-        queue = [self.zero]
-        while queue:
-            nxt = []
-            for x in queue:
-                for g in gens:
-                    y = self.add(x, g)
-                    if y not in seen:
-                        if len(seen) >= cap:
-                            raise GroupTooLarge(f"subgroup exceeded cap {cap}")
-                        seen.add(y)
-                        nxt.append(y)
-            queue = nxt
-        return frozenset(seen)
+        return frozenset(closure(self.zero, gens, self.add, lambda x: x, cap,
+                                 GroupTooLarge(f"subgroup exceeded cap {cap}")))
 
     def __repr__(self):
         return "FiniteAbelianGroup" + repr(self.invariant_factors)
@@ -219,13 +208,14 @@ class IsotropicSubgroup:
     order: int
 
 
-def isotropic_subgroup(p: AlternatingPairing, enum_cap: int = 4096) -> IsotropicSubgroup:
+def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
     """Subgroup on which the pairing vanishes, with |group| dividing order².
 
     Splits the group into its prime-power parts, and in each part repeats:
     take the lexicographically smallest element g of maximal order, restrict
     to the kernel of pairing against g, split off g as a direct factor, and
-    recurse on the complement. The per-part element enumeration is capped.
+    recurse on the complement. No element is enumerated: the invariant
+    factors of a part ascend, so g is always (0, ..., 0, 1).
     """
     check = validate_pairing(p)
     if not check:
@@ -235,21 +225,21 @@ def isotropic_subgroup(p: AlternatingPairing, enum_cap: int = 4096) -> Isotropic
         return IsotropicSubgroup((), (), 1)
     gens_out: list[tuple[int, ...]] = []
     orders_out: list[int] = []
-    for ell in sorted(_prime_factors(group.exponent)):
+    for ell in sorted(set(_prime_factors(group.exponent))):
         part_factors = []
         embed = []  # embedding of the part's generators into the full group
         for j, d in enumerate(group.invariant_factors):
-            v = _prime_valuation(d, ell)
+            rest, v = _split_prime_power(d, ell)
             if v:
-                part_factors.append(ell ** v)
+                part_factors.append(d // rest)
                 vec = [0] * group.ngens
-                vec[j] = d // ell ** v
+                vec[j] = rest
                 embed.append(tuple(vec))
         k = len(part_factors)
         # gram of the part through the embedding
         part_gram = [[p.value(embed[a], embed[b]) for b in range(k)]
                      for a in range(k)]
-        part_gens = _isotropic_primary(ell, part_factors, part_gram, enum_cap)
+        part_gens = _isotropic_primary(ell, part_factors, part_gram)
         for coeffs, order in part_gens:
             vec = group.zero
             for c, e in zip(coeffs, embed):
@@ -266,43 +256,19 @@ def isotropic_subgroup(p: AlternatingPairing, enum_cap: int = 4096) -> Isotropic
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _prime_valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-def _isotropic_primary(ell: int, factors: list[int], gram: list[list[Fraction]],
-                       enum_cap: int) -> list[tuple[tuple[int, ...], int]]:
+def _isotropic_primary(ell: int, factors: list[int],
+                       gram: list[list[Fraction]]) -> list[tuple[tuple[int, ...], int]]:
     """Recursion for one prime-power part; returns (coefficient vector, order)
     pairs relative to the current generator basis."""
     k = len(factors)
     if k == 0:
         return []
     group = FiniteAbelianGroup(factors)
-    if group.order > enum_cap:
-        raise GroupTooLarge(
-            f"primary part of order {group.order} exceeds enumeration cap {enum_cap}")
     pairing = AlternatingPairing(group, gram)
     big = group.exponent  # = ell^r, maximal element order
-
-    g = next(x for x in group.elements() if group.element_order(x) == big)
+    # the lexicographically first element of order big: only zero precedes
+    # it, and the last invariant factor is the largest
+    g = (0,) * (k - 1) + (1,)
 
     # kernel of pairing against g inside the part, as a sublattice of Z^k
     coeffs = [pairing.value(g, tuple(1 if i == j else 0 for j in range(k)))
@@ -335,7 +301,7 @@ def _isotropic_primary(ell: int, factors: list[int], gram: list[list[Fraction]],
     rest_orders = [ms[i] for i in range(len(hs)) if i != split]
     if rest:
         sub_gram = [[pairing.value(a, b) for b in rest] for a in rest]
-        sub = _isotropic_primary(ell, rest_orders, sub_gram, enum_cap)
+        sub = _isotropic_primary(ell, rest_orders, sub_gram)
     else:
         sub = []
 
@@ -449,17 +415,11 @@ def commutator_pairing_from_central_extension(
         raise PairingError("need at least one lift")
     orders = []
     for x in lifts:
-        order = None
-        acc = x
-        for k in range(1, order_bound + 1):
-            if scalar_part(acc) is not None:
-                order = k
-                break
-            acc = mul(acc, x)
-        if order is None:
+        found = least_power(x, mul, lambda a: scalar_part(a) is not None, order_bound)
+        if found is None:
             raise NotProjectivelyFinite(
                 f"no power up to {order_bound} is scalar")
-        orders.append(order)
+        orders.append(found[0])
     invs = [inv(x) for x in lifts]
     raw = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):

@@ -17,6 +17,7 @@ from typing import Iterator, Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError
+from .lattice import closure
 from .scalars import (
     Field,
     FieldDescriptor,
@@ -28,6 +29,7 @@ from .scalars import (
     element_from_json,
     element_to_json,
     function_field,
+    least_power,
     rationals,
 )
 
@@ -308,37 +310,6 @@ def _block_value(gamma1, gamma2, c, field) -> FieldElement:
             + c3 * c3 + c3 * c4 + gamma2 * c4 * c4)
 
 
-def _nullspace(rows, field, ncols):
-    """Basis of the right kernel of the matrix given by rows."""
-    m = [list(r) for r in rows]
-    pivots = {}
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m))
-                    if not m[r][col].is_zero), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = m[rank][col].inverse()
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and not m[r][col].is_zero:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots[col] = rank
-        rank += 1
-    basis = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec = [field.zero] * ncols
-        vec[free] = field.one
-        for col, r in pivots.items():
-            vec[col] = -m[r][free]
-        basis.append(tuple(vec))
-    return basis
-
-
 def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
     """Carry q over F_{2^m} to the canonical even-dimensional shape.
 
@@ -429,7 +400,7 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
         comp_rows = [pair_row,
                      [sum((mate[i] * g4[i][j] for i in range(4)), field.zero)
                       for j in range(4)]]
-        comp = _nullspace(comp_rows, field, 4)
+        comp = fieldmatrix.nullspace(comp_rows)
         if len(comp) != 2:
             raise ConsistencyAlarm("orthogonal complement has wrong rank")
         z1, z2 = comp
@@ -653,23 +624,14 @@ def involution_check(g, q: QuadraticForm,
     n = q.dim
     ident = fieldmatrix.identity(field, n)
 
-    proj_order = None
-    power = g
-    for k in range(1, order_bound + 1):
-        if fieldmatrix.scalar_of(power) is not None:
-            proj_order = k
-            break
-        power = fieldmatrix.mat_mul(power, g)
-    if proj_order is None:
+    found = least_power(g, fieldmatrix.mat_mul,
+                        lambda a: fieldmatrix.scalar_of(a) is not None, order_bound)
+    if found is None:
         raise OrderExceedsBound(f"no power up to {order_bound} is scalar")
-
-    lift_order = None
-    power = g
-    for k in range(1, order_bound + 1):
-        if fieldmatrix.mat_eq(power, ident):
-            lift_order = k
-            break
-        power = fieldmatrix.mat_mul(power, g)
+    proj_order = found[0]
+    found = least_power(g, fieldmatrix.mat_mul,
+                        lambda a: fieldmatrix.mat_eq(a, ident), order_bound)
+    lift_order = found[0] if found else None
     squares = fieldmatrix.mat_eq(fieldmatrix.mat_pow(g, 2), ident)
 
     diagonalizable: Optional[bool] = None
@@ -815,25 +777,15 @@ def pfister_group_closure(k: int, cap: int = 4096) -> PfisterGroup:
     ident = fieldmatrix.identity(data.field, data.n)
     gens = [fieldmatrix.projective_normalize(data.sigma),
             fieldmatrix.projective_normalize(data.tau)]
-    elements = [ident]
-    index = {ident: 0}
-    queue = [ident]
-    while queue:
-        current = queue.pop(0)
-        for gen in gens:
-            nxt = fieldmatrix.projective_normalize(
-                fieldmatrix.mat_mul(current, gen))
-            if nxt not in index:
-                if len(elements) >= cap:
-                    raise QuadFormError(f"closure exceeded the cap {cap}")
-                index[nxt] = len(elements)
-                elements.append(nxt)
-                queue.append(nxt)
+
+    def mul(a, b):
+        return fieldmatrix.projective_normalize(fieldmatrix.mat_mul(a, b))
+
+    elements = closure(ident, gens, mul, lambda m: m, cap,
+                       QuadFormError(f"closure exceeded the cap {cap}"))
+    index = {m: i for i, m in enumerate(elements)}
     size = len(elements)
-    table = tuple(
-        tuple(index[fieldmatrix.projective_normalize(
-            fieldmatrix.mat_mul(a, b))] for b in elements)
-        for a in elements)
+    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
     sigma_index = index[gens[0]]
     tau_index = index[gens[1]]
     iota_index = 0

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -129,6 +130,9 @@ def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
     return FieldDescriptor("function_field", base=base, variables=tuple(variables))
 
 
+# ---------------------------------------------------------------------------
+# integer helpers: primality, factorisation, prime-power parts, power orders
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -136,6 +140,65 @@ def _is_prime(n: int) -> bool:
         if n % q == 0:
             return False
     return True
+
+
+def _primes_upto(n: int) -> list[int]:
+    sieve = [True] * (n + 1)
+    out = []
+    for p in range(2, n + 1):
+        if sieve[p]:
+            out.append(p)
+            for k in range(p * p, n + 1, p):
+                sieve[k] = False
+    return out
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Prime factors of n >= 1 in ascending order, with multiplicity."""
+    out = []
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out.append(d)
+            n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _split_prime_power(n: int, p: int) -> tuple[int, int]:
+    """(m, e) with n = m * p**e and p not dividing m; n nonzero, p >= 2."""
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return n, e
+
+
+def binary_power(x, e: int, one, mul):
+    """x**e for e >= 0 by square and multiply, starting from one."""
+    out = one
+    while e:
+        if e & 1:
+            out = mul(out, x)
+        x = mul(x, x)
+        e >>= 1
+    return out
+
+
+def least_power(x, mul, test, bound: int):
+    """(k, x**k) for the least k in 1..bound with test(x**k), else None.
+
+    Powers are built by repeated right multiplication with mul, so x may
+    be a field element, a matrix or an algebra element.
+    """
+    acc = x
+    for k in range(1, bound + 1):
+        if test(acc):
+            return k, acc
+        acc = mul(acc, x)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -274,14 +337,8 @@ def _fp_rem(a, f, p):
 
 
 def _fp_powmod(a, e, f, p):
-    result = [1]
-    base = _fp_rem(a, f, p)
-    while e:
-        if e & 1:
-            result = _fp_rem(_fp_mul(result, base, p), f, p)
-        base = _fp_rem(_fp_mul(base, base, p), f, p)
-        e >>= 1
-    return result
+    return binary_power(_fp_rem(a, f, p), e, [1],
+                        lambda x, y: _fp_rem(_fp_mul(x, y, p), f, p))
 
 
 def _fp_gcd(a, b, p):
@@ -304,19 +361,6 @@ def _fp_is_irreducible(f, p):
         if len(_fp_gcd(g, f, p)) > 1:
             return False
     return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 @lru_cache(maxsize=None)
@@ -764,14 +808,8 @@ class FieldElement:
         if e < 0:
             base = self.inverse()
             e = -e
-        result = FieldElement(self.descriptor, _kone(self.descriptor))
-        acc = base
-        while e:
-            if e & 1:
-                result = result * acc
-            acc = acc * acc
-            e >>= 1
-        return result
+        return binary_power(base, e, FieldElement(self.descriptor, _kone(self.descriptor)),
+                            operator.mul)
 
     def inverse(self) -> "FieldElement":
         return FieldElement(self.descriptor, _kinv(self.descriptor, self.payload))
@@ -960,7 +998,7 @@ class Field:
             for x in self.elements():
                 if x.is_zero:
                     continue
-                if _mult_order(x, order) == order:
+                if _has_order(x, order):
                     return x
             raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
         if d.kind == "rationals":
@@ -1024,13 +1062,9 @@ class Field:
             return e
 
 
-def _mult_order(x: FieldElement, cap: int) -> Optional[int]:
-    acc = x
-    for k in range(1, cap + 1):
-        if acc.is_one:
-            return k
-        acc = acc * x
-    return None
+def _has_order(x: FieldElement, order: int) -> bool:
+    found = least_power(x, operator.mul, lambda a: a.is_one, order)
+    return found is not None and found[0] == order
 
 
 # ---------------------------------------------------------------------------
@@ -1070,7 +1104,7 @@ def root_of_unity_log(elt: FieldElement) -> Optional[Fraction]:
             raise FieldTooLarge("discrete log capped at 65536 elements")
         gen = None
         for x in F.elements():
-            if not x.is_zero and _mult_order(x, q - 1) == q - 1:
+            if not x.is_zero and _has_order(x, q - 1):
                 gen = x
                 break
         acc = F.one
@@ -1098,11 +1132,16 @@ def _int_kth_root(x: int, k: int) -> Optional[int]:
         return None
     if x in (0, 1):
         return x
-    r = max(1, int(round(x ** (1.0 / k))))
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
+    if k == 2:
+        r = math.isqrt(x)
+    else:
+        # integer Newton iteration from above; it decreases to floor(x^(1/k))
+        r = 1 << -(-x.bit_length() // k)
+        while True:
+            s = ((k - 1) * r + x // r ** (k - 1)) // k
+            if s >= r:
+                break
+            r = s
     return r if r ** k == x else None
 
 
@@ -1426,9 +1465,11 @@ def _payload_from_json(d, obj):
     if d.kind == "prime_field":
         return int(obj) % d.p
     if d.kind == "finite_field":
+        if len(obj) > d.m:
+            raise ScalarError(f"{d!r} element has {len(obj)} coefficients, "
+                              f"at most {d.m} allowed")
         vals = [int(c) % d.p for c in obj]
-        vals += [0] * (d.m - len(vals))
-        return tuple(vals[:d.m])
+        return tuple(vals + [0] * (d.m - len(vals)))
     nv = len(d.variables)
 
     def poly(o):
@@ -1446,8 +1487,6 @@ def _payload_from_json(d, obj):
         return _kfrom_int(d, int(obj))
     num = poly(obj["num"])
     den = poly(obj["den"]) if "den" in obj else _one_poly_dict(d)
-    if not den:
-        den = _one_poly_dict(d)
     return _ff_normalize(d, num, den)
 
 

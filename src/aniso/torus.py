@@ -9,13 +9,15 @@ to exact integer linear algebra.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import AnisoError
-from .lattice import (AbelianGroupStructure, IntMatrix, fixed_sublattice,
-                      group_closure, kernel_mod_d)
+from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
+                      closure, closure_cap, fixed_sublattice, group_closure,
+                      kernel_mod_d)
 
 
 class TorusError(AnisoError):
@@ -145,14 +147,9 @@ def enumerate_invariant_cosets(t: TorusModel, d: int,
     if d ** t.rank > cap:
         raise EnumerationTooLarge(f"{d}^{t.rank} exceeds cap {cap}")
     out = []
-    total = d ** t.rank
-    for code in range(total):
-        v = []
-        c = code
-        for _ in range(t.rank):
-            v.append(c % d)
-            c //= d
-        v = tuple(v)
+    # first coordinate varying fastest
+    for high_first in itertools.product(range(d), repeat=t.rank):
+        v = high_first[::-1]
         if all(tuple(x % d for x in g.apply(v)) == v for g in t.theta_generators):
             out.append(v)
     return out
@@ -244,7 +241,6 @@ def symmetric_table(k: int) -> list[list[int]]:
     Elements are ordered lexicographically as tuples; composition is
     (s*t)(i) = s(t(i)).
     """
-    import itertools
     perms = sorted(itertools.permutations(range(k)))
     index = {p: i for i, p in enumerate(perms)}
     return [[index[tuple(s[t[i]] for i in range(k))] for t in perms] for s in perms]
@@ -264,37 +260,25 @@ def table_from_permutation_generators(generators: Sequence[Sequence[int]],
     for g in gens:
         if sorted(g) != list(range(m)):
             raise BadGroupTable("generator is not a permutation")
-    from .lattice import closure_cap, ClosureCapExceeded
     limit = closure_cap(cap)
-    ident = tuple(range(m))
-    seen = {ident: 0}
-    order_list = [ident]
-    queue = [ident]
-    while queue:
-        nxt = []
-        for s in queue:
-            for g in gens:
-                prod = tuple(s[g[i]] for i in range(m))
-                if prod not in seen:
-                    if len(seen) >= limit:
-                        raise ClosureCapExceeded(f"group exceeded cap {limit}")
-                    seen[prod] = len(order_list)
-                    order_list.append(prod)
-                    nxt.append(prod)
-        queue = nxt
-    idx = {p: i for i, p in enumerate(order_list)}
-    return [[idx[tuple(s[t[i]] for i in range(m))] for t in order_list]
-            for s in order_list]
+
+    def compose(s, t):
+        return tuple(s[t[i]] for i in range(m))
+
+    elements = closure(tuple(range(m)), gens, compose, lambda s: s, limit,
+                       ClosureCapExceeded(f"group exceeded cap {limit}"))
+    idx = {s: i for i, s in enumerate(elements)}
+    return [[idx[compose(s, t)] for t in elements] for s in elements]
 
 
 def norm_quotient_torus(table: Sequence[Sequence[int]],
                         label: str = "") -> TorusModel:
     """Torus of norm-one directions for the regular action of a finite group.
 
-    The lattice is the group ring of G modulo the all-ones vector, of rank
-    |G| - 1, with basis the classes of (g - identity) for g != identity.
-    Left multiplication by s sends that basis class to the class of
-    (sg - identity) minus the class of (s - identity).
+    The lattice is the augmentation ideal of Z[G] (the elements whose
+    coefficients sum to zero), of rank |G| - 1, with basis the differences
+    (g - identity) for g != identity. Left multiplication by s sends that
+    basis vector to (sg - identity) minus (s - identity).
     """
     validate_group_table(table)
     n = len(table)

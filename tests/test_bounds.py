@@ -75,6 +75,17 @@ def test_finite_matrix_group_closure():
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
+def test_finite_matrix_group_breadth_first_order():
+    f5 = Field(prime_field(5))
+    o, z = f5.one, f5.zero
+    group = FiniteMatrixGroup.from_generators(
+        prime_field(5), [((z, -o), (o, z)), ((o, o), (z, o))])
+    assert group.order == 120  # SL_2(F_5)
+    first = [tuple(tuple(x.payload for x in row) for row in m) for m in group.elements[:6]]
+    assert first == [((1, 0), (0, 1)), ((0, 4), (1, 0)), ((1, 1), (0, 1)),
+                     ((4, 0), (0, 4)), ((0, 4), (1, 1)), ((1, 4), (1, 0))]
+
+
 def test_finite_matrix_group_cap():
     field = Field(rationals())
     shear = mat_from_rows([[field.one, field.one], [field.zero, field.one]])

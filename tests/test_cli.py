@@ -220,3 +220,22 @@ def test_installed_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["divisor_bound"] == "9"
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    # the package must not import the CLI module before `-m aniso.cli` runs it
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "aniso.cli", "--help"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_pairing_isotropic_beyond_former_cap():
+    payload = {"invariant_factors": ["128", "128"],
+               "gram": [["0", "1/128"], ["127/128", "0"]]}
+    code, out = run_cli(["pairing", "isotropic", "--input", "-", "--cap", "16"],
+                        stdin=json.dumps(payload))
+    obj = json.loads(out)
+    assert code == 0
+    assert obj["isotropic_order"] == "128"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        norm_residue_injectivity_check, reduced_norm,
                        separability_check, weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
-from aniso.scalars import Field, cyclotomic, function_field, rationals
+from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
+                           rationals)
 
 
 def generic_symbol(n):
@@ -213,6 +215,35 @@ def test_distinct_irreducible_family_ranks():
             rep = inseparable_torsion_subgroup(spec, family)
             assert rep.rank == m
             assert rep.group_order == p ** m
+
+
+def _irreducible_by_trial_division(coeffs, p):
+    """Oracle: a monic polynomial over F_p with no monic factor of degree
+    1..deg/2, found by dividing by every candidate."""
+    deg = len(coeffs) - 1
+    for d in range(1, deg // 2 + 1):
+        for tail in itertools.product(range(p), repeat=d):
+            rem = list(coeffs)
+            while len(rem) - 1 >= d:
+                lead, shift = rem[-1], len(rem) - 1 - d
+                for i, c in enumerate(tail + (1,)):
+                    rem[shift + i] = (rem[shift + i] - lead * c) % p
+                rem.pop()
+            if not any(rem):
+                return False
+    return True
+
+
+def test_irreducibility_test_matches_trial_division():
+    # the family above is drawn with Rabin's test from the scalar layer
+    for p in (2, 3, 5):
+        for degree in (1, 2, 3, 4):
+            if p ** degree > 700:
+                continue
+            for high_first in itertools.product(range(p), repeat=degree):
+                poly = high_first[::-1] + (1,)
+                assert _fp_is_irreducible(list(poly), p) == \
+                    _irreducible_by_trial_division(poly, p), (p, poly)
 
 
 def test_separability():

@@ -1,5 +1,6 @@
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,8 @@ from aniso.lattice import (AbelianGroupStructure, ClosureCapExceeded,
                            IntMatrix, LatticeError, NotUnimodular,
                            abelian_quotient, fixed_sublattice, group_closure,
                            h1_of_theta_module, int_inverse, integer_kernel,
-                           kernel_mod_d, smith_normal_form, solve_left)
+                           kernel_mod_d, row_basis, smith_normal_form,
+                           solve_left)
 
 
 def test_intmatrix_basics():
@@ -151,3 +153,239 @@ def test_h1_cyclic_four_rotation():
     rot = IntMatrix.from_rows([[0, -1], [1, 0]])
     structure = h1_of_theta_module([rot])
     assert structure.order == 2
+
+
+# ---------------------------------------------------------------------------
+# Fraction-elimination references for the fraction-free integer routine
+
+def _fraction_rref(rows, ncols):
+    """Reduced echelon form over Q on the first ncols columns: (rows, pivots, det)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    pivots = []
+    for col in range(ncols):
+        r0 = len(pivots)
+        piv = next((r for r in range(r0, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        if piv != r0:
+            m[r0], m[piv] = m[piv], m[r0]
+            det = -det
+        det *= m[r0][col]
+        inv = 1 / m[r0][col]
+        m[r0] = [x * inv for x in m[r0]]
+        for r in range(len(m)):
+            if r != r0 and m[r][col]:
+                f = m[r][col]
+                m[r] = [x - f * y for x, y in zip(m[r], m[r0])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def _fraction_det(m: IntMatrix) -> int:
+    _, pivots, det = _fraction_rref(m.entries, m.cols)
+    return int(det) if len(pivots) == m.rows else 0
+
+
+def _fraction_inverse(m: IntMatrix):
+    """Rational inverse rows, or None when singular."""
+    n = m.rows
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m.entries)]
+    red, pivots, _ = _fraction_rref(aug, n)
+    return [row[n:] for row in red] if len(pivots) == n else None
+
+
+def _random_unimodular(rng, n, steps=12):
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            rows[i] = [-x for x in rows[i]]
+        else:
+            q = rng.randint(-3, 3)
+            rows[i] = [x + q * y for x, y in zip(rows[i], rows[j])]
+    return IntMatrix.from_rows(rows)
+
+
+def _seeded_square_matrices():
+    from aniso.torus import cyclic_table, norm_quotient_torus, symmetric_table
+    rng = random.Random(2024)
+    out = []
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        out.append(IntMatrix.from_rows([[rng.randint(-6, 6) for _ in range(n)]
+                                        for _ in range(n)]))
+    for _ in range(60):
+        out.append(_random_unimodular(rng, rng.randint(1, 7)))
+    for _ in range(10):  # singular: a repeated combination of rows
+        n = rng.randint(2, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n - 1)]
+        rows.append([a - 2 * b for a, b in zip(rows[0], rows[-1])])
+        out.append(IntMatrix.from_rows(rows))
+    # U and V of the Smith forms of norm-quotient tori (stacked matrices)
+    for table in (cyclic_table(4), symmetric_table(3), cyclic_table(6)):
+        t = norm_quotient_torus(table)
+        ident = IntMatrix.identity(t.rank)
+        stacked = IntMatrix.from_rows([r for g in t.theta_generators
+                                       for r in (g - ident).entries])
+        snf = smith_normal_form(stacked)
+        out.extend([snf.U, snf.V])
+    return out
+
+
+def test_integer_det_and_inverse_match_fraction_reference():
+    matrices = _seeded_square_matrices()
+    assert len(matrices) >= 200
+    for m in matrices:
+        det = m.det()
+        assert det == _fraction_det(m)
+        reference = _fraction_inverse(m)
+        if reference is None:
+            with pytest.raises(NotUnimodular, match="singular matrix"):
+                int_inverse(m)
+        elif any(x.denominator != 1 for row in reference for x in row):
+            assert abs(det) > 1
+            with pytest.raises(NotUnimodular, match="inverse is not integral"):
+                int_inverse(m)
+        else:
+            inv = int_inverse(m)
+            assert [list(row) for row in inv.entries] == reference
+            assert m @ inv == IntMatrix.identity(m.rows)
+
+
+def test_norm_quotient_smith_certificate_is_unimodular():
+    from aniso.torus import norm_quotient_torus, symmetric_table
+    t = norm_quotient_torus(symmetric_table(3))
+    ident = IntMatrix.identity(t.rank)
+    stacked = IntMatrix.from_rows([r for g in t.theta_generators
+                                   for r in (g - ident).entries])
+    snf = smith_normal_form(stacked)
+    assert abs(snf.U.det()) == 1 and abs(_fraction_det(snf.U)) == 1
+    assert snf.verify(stacked)
+
+
+def _reference_quotient(numerator_rows, denominator_rows, ambient):
+    """Invariants of span(num)/span(den), the denominator written in the
+    numerator basis one row at a time by Fraction elimination."""
+    num = row_basis(numerator_rows, ambient)
+    den = [tuple(r) for r in denominator_rows if any(r)]
+    coeff_rows = []
+    for drow in den:
+        aug = [[row[k] for row in num] + [drow[k]] for k in range(ambient)]
+        red, pivots, _ = _fraction_rref(aug, len(num))
+        if any(row[-1] for row in red[len(pivots):]):
+            return None
+        sol = [row[-1] for row in red[:len(pivots)]]
+        if any(x.denominator != 1 for x in sol):
+            return None
+        coeff_rows.append([int(x) for x in sol])
+    if not den:
+        return (), len(num)
+    diag = list(smith_normal_form(IntMatrix.from_rows(coeff_rows)).diagonal)
+    diag += [0] * (len(num) - len(diag))
+    return tuple(s for s in diag if s > 1), sum(1 for s in diag if s == 0)
+
+
+def test_quotient_solve_matches_fraction_reference():
+    rng = random.Random(99)
+    contained = not_contained = 0
+    for _ in range(220):
+        ambient = rng.randint(1, 5)
+        num = [[rng.randint(-5, 5) for _ in range(ambient)]
+               for _ in range(rng.randint(1, 5))]
+        den = []
+        for _ in range(rng.randint(1, 4)):
+            coeffs = [rng.randint(-3, 3) for _ in num]
+            den.append([sum(c * row[k] for c, row in zip(coeffs, num))
+                        for k in range(ambient)])
+        if rng.random() < 0.25:  # usually leaves the numerator lattice
+            den.append([rng.randint(-5, 5) for _ in range(ambient)])
+        expected = _reference_quotient(num, den, ambient)
+        if expected is None:
+            not_contained += 1
+            with pytest.raises(LatticeError, match="not contained"):
+                abelian_quotient(num, den, ambient)
+            continue
+        contained += 1
+        structure, torsion, free = abelian_quotient(num, den, ambient)
+        assert (structure.invariant_factors, structure.free_rank) == expected
+        assert len(torsion) == len(structure.invariant_factors)
+        assert len(free) == structure.free_rank
+    assert contained > 100 and not_contained > 10
+
+
+# ---------------------------------------------------------------------------
+# the cocycle system H^1 used to be computed from, kept as an oracle
+
+def _h1_cocycle_oracle(generators):
+    """H^1 as cocycles modulo coboundaries over the full multiplication
+    table: |Θ|^2 * n equations in |Θ| * n unknowns."""
+    elements = group_closure(generators)
+    n = elements[0].rows
+    index = {m.entries: i for i, m in enumerate(elements)}
+    nvars = len(elements) * n
+    eq_rows = []
+    for gi, g in enumerate(elements):
+        for hi, h in enumerate(elements):
+            prod = index[(g @ h).entries]
+            for r in range(n):
+                row = [0] * nvars
+                row[prod * n + r] += 1
+                row[gi * n + r] -= 1
+                for s in range(n):
+                    row[hi * n + s] -= g.entries[r][s]
+                if any(row):
+                    eq_rows.append(tuple(row))
+    if eq_rows:
+        cocycles = integer_kernel(IntMatrix.from_rows(eq_rows))
+    else:
+        cocycles = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    coboundaries = []
+    for b in range(n):
+        vec = []
+        for g in elements:
+            vec.extend(x - int(r == b) for r, x in enumerate(g.col(b)))
+        coboundaries.append(tuple(vec))
+    structure, _, _ = abelian_quotient(cocycles, coboundaries, nvars)
+    assert structure.free_rank == 0
+    return structure
+
+
+def _h1_test_actions():
+    from aniso.torus import (cyclic_table, norm_quotient_torus, symmetric_table,
+                             table_from_permutation_generators)
+
+    def perm_matrix(perm, sign=1):
+        m = len(perm)
+        return IntMatrix.from_rows([[sign if perm[j] == i else 0 for j in range(m)]
+                                    for i in range(m)])
+
+    klein = table_from_permutation_generators([(1, 0, 3, 2), (2, 3, 0, 1)])
+    actions = [[IntMatrix.identity(2)], [IntMatrix.from_rows([[-1]])],
+               [IntMatrix.from_rows([[0, -1], [1, 0]])],
+               [IntMatrix.from_rows([[0, -1], [1, -1]])],
+               [IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[-1, 0], [0, -1]])]]
+    for table in (cyclic_table(2), cyclic_table(3), cyclic_table(4), cyclic_table(5),
+                  cyclic_table(6), klein, symmetric_table(3)):
+        actions.append(list(norm_quotient_torus(table).theta_generators))
+    for m in (2, 3, 4, 5, 6):  # cyclic permutation and sign-permutation lattices
+        shift = tuple((j + 1) % m for j in range(m))
+        actions.append([perm_matrix(shift)])
+        if m != 5:  # -shift has order 10 on Z^5
+            actions.append([perm_matrix(shift, -1)])
+    actions.append([IntMatrix.from_rows([[0, -1], [1, -1]]),
+                    IntMatrix.from_rows([[0, 1], [1, 0]])])  # S_3 on its root lattice
+    actions.append([IntMatrix.from_rows([[-1, 0], [0, 1]]),
+                    IntMatrix.from_rows([[1, 0], [0, -1]])])  # V_4 by signs on Z^2
+    actions.append([perm_matrix((1, 0, 2)), perm_matrix((0, 2, 1))])  # S_3 on Z^3
+    actions.append([perm_matrix((1, 0, 2), -1), perm_matrix((0, 2, 1), -1)])
+    actions.append([perm_matrix((1, 0, 3, 2)), perm_matrix((2, 3, 0, 1))])  # V_4 on Z^4
+    return actions
+
+
+def test_h1_from_generators_matches_cocycle_oracle():
+    actions = _h1_test_actions()
+    assert len(actions) >= 25
+    for gens in actions:
+        assert len(group_closure(gens)) <= 6
+        assert h1_of_theta_module(gens) == _h1_cocycle_oracle(gens)

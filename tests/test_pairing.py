@@ -157,3 +157,38 @@ def test_gram_shape_validation():
     group = FiniteAbelianGroup([2, 2])
     with pytest.raises(InvalidPairing):
         AlternatingPairing(group, [[0]])
+
+
+def _pairing_from_entries(factors, entries):
+    k = len(factors)
+    gram = [[Fraction(0)] * k for _ in range(k)]
+    for i, j, v in entries:
+        gram[i][j] = Fraction(v)
+        gram[j][i] = -Fraction(v)
+    return AlternatingPairing(FiniteAbelianGroup(factors), gram)
+
+
+@pytest.mark.parametrize("factors, entries, expected", [
+    ((128, 128), [(0, 1, "1/128")], (((0, 1),), (128,), 128)),
+    ((3, 9, 27, 27), [(0, 1, "1/3"), (2, 3, "1/27")],
+     (((0, 0, 0, 1), (0, 1, 0, 0)), (27, 9), 243)),
+])
+def test_isotropic_subgroup_of_primary_parts_past_4096(factors, entries, expected):
+    # primary parts of 16384 and 19683 elements: no enumeration, no cap
+    p = _pairing_from_entries(factors, entries)
+    sub = isotropic_subgroup(p)
+    assert (sub.generators, sub.generator_orders, sub.order) == expected
+    for g in sub.generators:
+        for h in sub.generators:
+            assert p.value(g, h) == 0
+    assert (sub.order ** 2) % p.group.order == 0
+
+
+def test_last_basis_vector_is_first_of_maximal_order():
+    # the closed form isotropic_subgroup relies on, checked by enumeration
+    for factors in ([2], [4], [2, 2], [2, 8], [3, 9], [9, 9], [2, 4, 4],
+                    [3, 3, 27], [5, 25], [2, 2, 2, 16]):
+        group = FiniteAbelianGroup(factors)
+        first = next(x for x in group.elements()
+                     if group.element_order(x) == group.exponent)
+        assert first == (0,) * (len(factors) - 1) + (1,)

@@ -348,3 +348,14 @@ def test_form_json_roundtrip():
     assert QuadraticForm.from_json(q.to_json()) == q
     data = pfister_build(2)
     assert QuadraticForm.from_json(data.form.to_json()) == data.form
+
+
+def test_pfister_closure_breadth_first_indices():
+    # identity, sigma, tau, then products in breadth-first order
+    k2, k3 = pfister_group_closure(2), pfister_group_closure(3)
+    assert (k2.sigma_index, k2.tau_index, k2.iota_index) == (1, 2, 0)
+    assert k2.projective_orders == (1, 2, 2, 2)
+    assert (k3.sigma_index, k3.tau_index, k3.iota_index) == (1, 2, 7)
+    assert k3.projective_orders == (1, 2, 2, 4, 4, 2, 2, 2)
+    with pytest.raises(QuadFormError, match="closure exceeded the cap 5"):
+        pfister_group_closure(3, cap=5)

@@ -1,17 +1,18 @@
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
-                           FieldTooLarge, RootOfUnityMissing,
-                           artin_schreier_image, cyclotomic,
-                           cyclotomic_polynomial, descriptor_from_json,
-                           descriptor_to_json, element_from_json,
-                           element_to_json, finite_field, function_field,
-                           is_kth_power, kth_root,
-                           minimal_polynomial_of_constant, prime_field,
-                           rationals, root_of_unity_log)
+                           FieldTooLarge, RootOfUnityMissing, ScalarError,
+                           _int_kth_root, artin_schreier_image, binary_power,
+                           cyclotomic, cyclotomic_polynomial,
+                           descriptor_from_json, descriptor_to_json,
+                           element_from_json, element_to_json, finite_field,
+                           function_field, is_kth_power, kth_root,
+                           least_power, minimal_polynomial_of_constant,
+                           prime_field, rationals, root_of_unity_log)
 
 
 ALL_FIELDS = [
@@ -186,3 +187,51 @@ def test_finite_field_elements_order_is_stable():
     first = list(field.elements())
     second = list(field.elements())
     assert first == second
+
+
+def test_kth_root_of_huge_integers_is_exact():
+    field = Field(rationals())
+    big = field(10 ** 400)
+    assert kth_root(big, 2) == field(10 ** 200)
+    assert kth_root(field(10 ** 400 + 1), 2) is None
+    assert kth_root(field(Fraction(3 ** 301, 2 ** 700)), 7) == field(Fraction(3 ** 43, 2 ** 100))
+    assert kth_root(field(3 ** 301 + 1), 7) is None
+    for k in (2, 3, 5, 11):
+        for r in (2, 3, 10 ** 40 + 7, 2 ** 333 - 1):
+            assert _int_kth_root(r ** k, k) == r
+            assert _int_kth_root(r ** k - 1, k) is None
+            assert _int_kth_root(r ** k + 1, k) is None
+
+
+@pytest.mark.parametrize("descriptor", [
+    rationals(), cyclotomic(5), prime_field(7), finite_field(2, 3),
+    function_field(prime_field(3), ("x", "y"))])
+def test_payload_json_roundtrip_is_exact(descriptor):
+    # every field kind: JSON -> element -> JSON reproduces the JSON exactly
+    field = Field(descriptor)
+    rng = random.Random(23)
+    for _ in range(20):
+        text = element_to_json(field.random_element(rng))["value"]
+        assert element_to_json(element_from_json(text, descriptor))["value"] == text
+
+
+def test_payload_from_json_rejects_lossy_inputs():
+    f4 = finite_field(2, 2)
+    assert element_from_json(["1"], f4).payload == (1, 0)  # short lists pad
+    with pytest.raises(ScalarError, match="coefficients"):
+        element_from_json(["0", "0", "1"], f4)
+    rational_functions = function_field(rationals(), ("t",))
+    with pytest.raises(DivisionByZero):
+        element_from_json({"num": {"1": "1"}, "den": {}}, rational_functions)
+    assert element_from_json({"num": {"1": "1"}}, rational_functions) == \
+        Field(rational_functions).var("t")
+
+
+def test_power_helpers():
+    f7 = Field(prime_field(7))
+    three = f7(3)
+    assert least_power(three, operator.mul, lambda a: a.is_one, 6) == (6, f7.one)
+    assert least_power(three, operator.mul, lambda a: a.is_one, 5) is None
+    assert least_power(f7(2), operator.mul, lambda a: a == f7(4), 6) == (2, f7(4))
+    assert binary_power(three, 0, f7.one, operator.mul) == f7.one
+    assert binary_power(three, 13, f7.one, operator.mul) == three ** 13 == f7(3 ** 13)

@@ -81,6 +81,11 @@ def test_table_from_permutation_generators():
     table = table_from_permutation_generators([(1, 2, 0)], 3)
     assert len(table) == 3
     validate_group_table(table)
+    # S_4 from a 4-cycle and a transposition: breadth-first element order
+    s4 = table_from_permutation_generators([(1, 2, 3, 0), (1, 0, 2, 3)])
+    assert len(s4) == 24
+    assert s4[1][:12] == [1, 3, 4, 6, 7, 8, 0, 11, 12, 13, 14, 2]
+    assert s4[5][:12] == [5, 9, 10, 14, 15, 11, 2, 8, 20, 16, 6, 0]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
