@@ -15,8 +15,8 @@ from typing import Iterable, Optional, Sequence
 from . import fieldmatrix
 from .errors import AnisoError
 from .lattice import closure
-from .scalars import (Field, FieldDescriptor, _primes_upto, _split_prime_power,
-                      least_power)
+from .scalars import (Field, FieldDescriptor, _is_prime, _primes_upto,
+                      _split_prime_power, least_power)
 
 
 class BoundsError(AnisoError):
@@ -182,6 +182,10 @@ def coprime_part(value: int, p: int) -> int:
     """Largest factor of value not divisible by p; value itself when p = 0."""
     if p <= 0:
         return value
+    if p == 1:
+        raise BoundsError("every integer is divisible by p = 1")
+    if value == 0:
+        raise BoundsError("0 is divisible by every power of p")
     return _split_prime_power(value, p)[0]
 
 
@@ -301,6 +305,8 @@ def bound_calculator(query: BoundQuery) -> BoundResult:
                            f"characteristic divides {r}*{um}^{big_n}")
     if kind == "semisimple_char_p":
         n, r, big_n, p, m = _need(query, "n", "r", "N", "p", "m")
+        if not _is_prime(p):
+            raise BoundsError(f"parameter 'p' must be prime, got {p}")
         um = minkowski_values(n).upsilon_m
         return BoundResult(query, r * um ** big_n,
                            f"subgroups split as a normal part of order "

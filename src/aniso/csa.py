@@ -11,6 +11,7 @@ place of n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -347,24 +348,22 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
 # ---------------------------------------------------------------------------
 # reduced norm through the regular representation over K[u]/(u^n - a)
 
-def _upoly_mul(spec, f: list, g: list) -> list:
-    """Multiply in K[u]/(u^n - a); inputs are length-n coefficient lists."""
+def _upoly_dot(spec, fs, gs) -> list:
+    """sum_i f_i g_i in K[u]/(u^n - a), for length-n coefficient lists in u.
+
+    Terms past u^(n-1) are collected first and multiplied by a once per
+    coefficient.
+    """
     n = spec.degree
-    field = spec.field
-    out = [field.zero] * n
-    for i, ci in enumerate(f):
-        if ci.is_zero:
-            continue
-        for j, cj in enumerate(g):
-            if cj.is_zero:
+    out = [spec.field.zero] * (2 * n - 1)
+    for f, g in zip(fs, gs):
+        for i, ci in enumerate(f):
+            if ci.is_zero:
                 continue
-            k = i + j
-            c = ci * cj
-            if k >= n:
-                k -= n
-                c = c * spec.a
-            out[k] = out[k] + c
-    return out
+            for j, cj in enumerate(g):
+                if not cj.is_zero:
+                    out[i + j] = out[i + j] + ci * cj
+    return [out[k] + out[k + n] * spec.a for k in range(n - 1)] + [out[n - 1]]
 
 
 def regular_representation(x: AlgebraElement) -> list[list[list[FieldElement]]]:
@@ -396,32 +395,43 @@ def regular_representation(x: AlgebraElement) -> list[list[list[FieldElement]]]:
 
 
 def reduced_norm(x: AlgebraElement) -> FieldElement:
-    """Determinant of the regular representation; lands in the base field."""
+    """Determinant of the regular representation; lands in the base field.
+
+    The n x n matrix has entries in R = K[u]/(u^n - a). Its determinant is
+    the constant term of det(t - M) from Berkowitz's division-free
+    recurrence (Inf. Process. Lett. 18 (1984) 147-150), which grows the
+    characteristic polynomial one leading principal block at a time:
+    O(n^4) products in R of O(n^2) field products each, so polynomial in
+    the degree. Nothing is divided, so the result is exact also when
+    u^n - a is reducible and R has zero divisors.
+    """
     spec = x.spec
     if spec.kind != "symbol":
         raise AlgebraError("reduced norm implemented for symbol algebras")
     n = spec.degree
-    field = spec.field
     mat = regular_representation(x)
-    total = [field.zero] * n
-    for perm, sign in _permutations_signed(n):
-        term = [field.zero] * n
-        term[0] = field.one
-        for r in range(n):
-            term = _upoly_mul(spec, term, mat[r][perm[r]])
-        if sign < 0:
-            term = [-c for c in term]
-        total = [s + t for s, t in zip(total, term)]
+    one = [spec.field.one] + [spec.field.zero] * (n - 1)
+    # coefficients of det(t - M_k), highest power of t first, where M_k is
+    # the leading k x k block; M_{k+1} = [[M_k, col], [row, corner]]
+    charpoly = [one, [-c for c in mat[0][0]]]
+    for k in range(1, n):
+        row = mat[k][:k]
+        col = [mat[r][k] for r in range(k)]
+        # first column of the Toeplitz factor:
+        # 1, -corner, -row col, -row M_k col, ..., -row M_k^(k-1) col
+        toeplitz = [one, mat[k][k]]
+        for step in range(k):
+            if step:
+                col = [_upoly_dot(spec, mat[r][:k], col) for r in range(k)]
+            toeplitz.append(_upoly_dot(spec, row, col))
+        toeplitz[1:] = [[-c for c in f] for f in toeplitz[1:]]
+        # the last block needs only the constant term det(-M)
+        charpoly = [_upoly_dot(spec, toeplitz[i::-1], charpoly)
+                    for i in (range(k + 2) if k < n - 1 else [n])]
+    total = charpoly[-1] if n % 2 == 0 else [-c for c in charpoly[-1]]
     assert all(c.is_zero for c in total[1:]), \
         "reduced norm must be scalar in the u-subfield"
     return total[0]
-
-
-def _permutations_signed(n: int):
-    for perm in itertools.permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                  if perm[i] > perm[j])
-        yield perm, -1 if inv % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -592,8 +602,15 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
     """Verify that polynomial-in-v classes form an elementary abelian
     p-subgroup of the projective units and compute its rank exactly.
 
-    The rank is found by enumerating all products with exponents below p
-    and counting how many are scalar; that count is p^(m - rank).
+    Polynomials in v make up the field F_p(y)(v), v^p = x, on which d/dv
+    kills exactly the scalars F_p(x, y). As (fg)'/(fg) = f'/f + g'/g, the
+    product of the g_i^(e_i) is scalar exactly when sum e_i g_i'/g_i = 0,
+    so the rank is the F_p-rank of N_i = g_i' * prod_{j != i} g_j (the
+    logarithmic derivative times the unit prod g_j). That rank comes from
+    elimination mod p on the F_p-coefficients of the N_i once their
+    coefficient denominators are cleared: O(m^2) algebra products and one
+    small elimination, not the p^m products of an enumeration. Each kernel
+    vector is certified by checking that its product is scalar.
     """
     p = spec.p
     gens = list(generators)
@@ -608,24 +625,51 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
     if not orders_ok or not commute:
         raise AlgebraError("classes must commute and have order dividing p "
                            "for the rank computation to make sense")
-    m = len(gens)
-    scalar_count = 0
-    for e in itertools.product(range(p), repeat=m):
+    logs = [functools.reduce(operator.mul, gens[:i] + gens[i + 1:], _v_derivative(g))
+            for i, g in enumerate(gens)]
+    kernel = _fp_kernel(spec, logs)
+    for e in kernel:
         prod = spec.one
         for g, ei in zip(gens, e):
-            if ei:
-                prod = prod * g ** ei
-        if prod.scalar_part() is not None:
-            scalar_count += 1
-    rank = m
-    count = scalar_count
-    while count > 1:
-        if count % p:
-            raise AlgebraError("scalar-product count is not a p-power; "
-                               "generators do not span an elementary abelian group")
-        count //= p
-        rank -= 1
-    return InseparableTorsionReport(p, tuple(gens), orders_ok, commute, rank)
+            prod = prod * g ** ei
+        if prod.scalar_part() is None:
+            raise AlgebraError("a product with zero logarithmic derivative "
+                               "is not scalar")
+    return InseparableTorsionReport(p, tuple(gens), orders_ok, commute,
+                                    len(gens) - len(kernel))
+
+
+def _v_derivative(g: AlgebraElement) -> AlgebraElement:
+    """d/dv of a polynomial in v; it kills the base field F_p(x, y)."""
+    field = g.spec.field
+    return AlgebraElement(g.spec, {(0, j - 1): c * field.from_int(j)
+                                   for (_, j), c in g.coefficients.items() if j})
+
+
+def _fp_kernel(spec: WeylModPSpec, elements: Sequence[AlgebraElement]) -> list[list[int]]:
+    """Basis of {e in F_p^m : sum e_i elements_i = 0}, entries in range(p).
+
+    Multiplying every coefficient by one common denominator keeps the
+    F_p-relations and leaves polynomials in x, y whose F_p-coefficients,
+    keyed by power of v and monomial, are the rows eliminated mod p.
+    """
+    m = len(elements)
+    if not m:
+        return []
+    one = spec.field.one
+    common = one
+    for den in {c.payload[1] for g in elements for c in g.coefficients.values()}:
+        common = common * FieldElement(spec.base, (den, one.payload[1]))
+    fp = Field(prime_field(spec.p))
+    rows: dict = {}
+    for i, g in enumerate(elements):
+        for (_, j), c in g.coefficients.items():
+            num, den = (c * common).payload
+            assert den == one.payload[1], "denominators must clear"
+            for monomial, coeff in num:
+                rows.setdefault((j, monomial), [fp.zero] * m)[i] = fp.from_int(coeff)
+    mat = fieldmatrix.mat_from_rows(list(rows.values()) or [[fp.zero] * m])
+    return [[c.payload for c in vec] for vec in fieldmatrix.nullspace(mat)]
 
 
 def distinct_irreducible_family(spec: WeylModPSpec, m: int) -> list[AlgebraElement]:

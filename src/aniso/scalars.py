@@ -251,13 +251,20 @@ def _cy_reduce(n: int, cs: list[Fraction]) -> tuple[Fraction, ...]:
 
 
 def _cy_mul(n, x, y):
-    out = [Fraction(0)] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
+    # integer numerators over one denominator per factor; Phi_n is monic
+    # with integer coefficients, so _cy_reduce keeps them integers
+    dx = math.lcm(*(c.denominator for c in x))
+    dy = math.lcm(*(c.denominator for c in y))
+    xs = [c.numerator * (dx // c.denominator) for c in x]
+    ys = [c.numerator * (dy // c.denominator) for c in y]
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, xi in enumerate(xs):
         if xi:
-            for j, yj in enumerate(y):
+            for j, yj in enumerate(ys):
                 if yj:
                     out[i + j] += xi * yj
-    return _cy_reduce(n, out)
+    den = dx * dy
+    return tuple(Fraction(c, den) for c in _cy_reduce(n, out))
 
 
 def _qpoly_trim(a):

@@ -91,15 +91,22 @@ class TorusModel:
         return f"TorusModel({tag!r}, rank={self.rank}, theta order {self.theta_order})"
 
     def to_json(self) -> dict:
-        return {"rank": str(self.rank),
-                "theta_generators": [g.to_json() for g in self.theta_generators],
-                "label": self.label}
+        out = {"rank": str(self.rank),
+               "theta_generators": [g.to_json() for g in self.theta_generators],
+               "label": self.label}
+        if self.characteristic:
+            out["characteristic"] = str(self.characteristic)
+        if self.norm_group_order is not None:
+            out["norm_group_order"] = str(self.norm_group_order)
+        return out
 
     @staticmethod
     def from_json(obj: dict) -> "TorusModel":
         gens = [IntMatrix.from_json(g) for g in obj["theta_generators"]]
+        order = obj.get("norm_group_order")
         return TorusModel(int(obj["rank"]), gens, obj.get("label", ""),
-                          characteristic=int(obj.get("characteristic", 0)))
+                          characteristic=int(obj.get("characteristic", 0)),
+                          norm_group_order=None if order is None else int(order))
 
 
 def is_anisotropic(t: TorusModel) -> bool:

@@ -59,6 +59,14 @@ def test_coprime_part():
     assert coprime_part(1, 2) == 1
 
 
+def test_coprime_part_rejects_unbounded_inputs():
+    # p = 1 and value = 0 have no largest factor prime to p
+    with pytest.raises(BoundsError):
+        coprime_part(12, 1)
+    with pytest.raises(BoundsError):
+        coprime_part(0, 2)
+
+
 def s3_matrices():
     field = Field(rationals())
     # order-3 rotation and a transposition in the standard 2-dim model
@@ -168,6 +176,14 @@ def test_bound_calculator_missing_parameters():
         bound_calculator(BoundQuery("reductive_perfect", n=2))
     with pytest.raises(BoundsError):
         bound_calculator(BoundQuery("torus", n=0))
+
+
+def test_bound_calculator_semisimple_char_p_needs_prime():
+    for p in (1, 4, 9):
+        with pytest.raises(BoundsError, match="prime"):
+            bound_calculator(BoundQuery("semisimple_char_p", n=2, r=1, N=2, p=p, m=1))
+    assert bound_calculator(BoundQuery("semisimple_char_p", n=2, r=1, N=2, p=7,
+                                       m=1)).divisor_bound == 576
 
 
 def test_bound_calculator_meanings_mention_divisor():

@@ -45,6 +45,14 @@ def test_bounds_missing_parameter_is_structured():
     assert obj["error"]["type"] == "MissingParameter"
 
 
+def test_bounds_semisimple_char_p_rejects_composite_p():
+    for p in ("1", "4"):
+        code, out = run_cli(["bounds", "--kind", "semisimple_char_p", "--n", "2",
+                             "--r", "1", "--N", "2", "--p", p, "--m", "1"])
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "BoundsError"
+
+
 def test_all_integers_are_strings():
     code, out = run_cli(["bounds", "--kind", "reductive_perfect",
                          "--n", "2", "--r", "2", "--N", "3"])

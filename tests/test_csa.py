@@ -12,10 +12,11 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        heisenberg_subgroup_elements,
                        inseparable_torsion_subgroup, norm_residue_class,
                        norm_residue_injectivity_check, reduced_norm,
-                       separability_check, weyl_split_verification)
+                       regular_representation, separability_check,
+                       weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
 from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
-                           rationals)
+                           prime_field, rationals)
 
 
 def generic_symbol(n):
@@ -80,6 +81,86 @@ def test_norm_of_generators():
     spec = generic_symbol(3)
     assert reduced_norm(spec.u) == spec.a
     assert reduced_norm(spec.v) == spec.b
+
+
+def _ring_mul(spec, f, g):
+    """Product in K[u]/(u^n - a), written out independently of the package."""
+    n = spec.degree
+    out = [spec.field.zero] * n
+    for i in range(n):
+        for j in range(n):
+            if f[i].is_zero or g[j].is_zero:
+                continue
+            c = f[i] * g[j]
+            out[(i + j) % n] = out[(i + j) % n] + (c * spec.a if i + j >= n else c)
+    return out
+
+
+def _reduced_norm_by_leibniz(x):
+    """Oracle: the n!-term Leibniz expansion of the regular representation's
+    determinant over K[u]/(u^n - a)."""
+    spec = x.spec
+    n = spec.degree
+    mat = regular_representation(x)
+    total = [spec.field.zero] * n
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n)
+                         if perm[i] > perm[j])
+        term = [spec.field.one] + [spec.field.zero] * (n - 1)
+        for r in range(n):
+            term = _ring_mul(spec, term, mat[r][perm[r]])
+        if inversions % 2:
+            term = [-c for c in term]
+        total = [s + t for s, t in zip(total, term)]
+    assert all(c.is_zero for c in total[1:])
+    return total[0]
+
+
+def _norm_oracle_specs():
+    """(spec, label) pairs over every base the norm is used on, n <= 5."""
+    out = []
+    for n in (2, 3, 4, 5):
+        out.append((generic_symbol(n), f"Q(z{n})(a,b) n={n}"))
+    out.append((rational_quaternions(), "Q n=2"))
+    q2 = Field(rationals())
+    out.append((SymbolAlgebraSpec(rationals(), 2, q2(3), q2(-5)), "Q n=2 (3,-5)"))
+    for n in (3, 4, 5):
+        f = Field(cyclotomic(n))
+        out.append((SymbolAlgebraSpec(cyclotomic(n), n, f(2) + f.generator(), f(-3)),
+                    f"Q(z{n}) n={n}"))
+    f7 = Field(prime_field(7))
+    out.append((SymbolAlgebraSpec(prime_field(7), 3, f7(3), f7(5)), "F_7 n=3"))
+    f11 = Field(prime_field(11))
+    out.append((SymbolAlgebraSpec(prime_field(11), 5, f11(2), f11(7)), "F_11 n=5"))
+    # a = 2^3 and a = 3^5: u^n - a is reducible, so K[u]/(u^n - a) has zero divisors
+    f3 = Field(cyclotomic(3))
+    out.append((SymbolAlgebraSpec(cyclotomic(3), 3, f3(8), f3.generator()), "Q(z3) a=2^3"))
+    out.append((SymbolAlgebraSpec(prime_field(11), 5, f11(3) ** 5, f11(2)), "F_11 a=3^5"))
+    return out
+
+
+def test_norm_matches_leibniz_oracle():
+    rng = random.Random(41)
+    for spec, label in _norm_oracle_specs():
+        n = spec.degree
+        for trial in range(3 if n < 5 else 2):
+            if trial == 0:  # every coefficient nonzero and constant in a, b
+                keys, degree = [(i, j) for i in range(n) for j in range(n)], 0
+            else:
+                keys = {(rng.randrange(n), rng.randrange(n)) for _ in range(n + 1)}
+                degree = 1
+            x = AlgebraElement(spec, {k: spec.field.random_element(
+                rng, height=3, degree=degree, terms=2, nonzero=True) for k in keys})
+            assert reduced_norm(x) == _reduced_norm_by_leibniz(x), (label, trial)
+
+
+def test_norm_zero_on_zero_divisors():
+    # u^3 = 8 makes u - 2 a zero divisor: its norm must vanish exactly
+    f3 = Field(cyclotomic(3))
+    spec = SymbolAlgebraSpec(cyclotomic(3), 3, f3(8), f3.generator())
+    x = spec.u - spec.scalar(2)
+    assert reduced_norm(x).is_zero
+    assert reduced_norm(x + spec.v) == _reduced_norm_by_leibniz(x + spec.v)
 
 
 def test_inverse_random():
@@ -199,6 +280,63 @@ def test_inseparable_torsion_ranks():
     assert rep.rank == 2
     assert rep.group_order == 9
     assert rep.orders_divide_p and rep.commute
+
+
+def _rank_by_enumeration(spec, gens):
+    """Oracle: multiply out all p^m products g_1^e_1 ... g_m^e_m with
+    exponents below p; p^(m - rank) of them are scalar."""
+    p = spec.p
+    scalar_count = 0
+    for e in itertools.product(range(p), repeat=len(gens)):
+        prod = spec.one
+        for g, ei in zip(gens, e):
+            if ei:
+                prod = prod * g ** ei
+        if prod.is_scalar:
+            scalar_count += 1
+    rank = len(gens)
+    while scalar_count > 1:
+        assert scalar_count % p == 0
+        scalar_count //= p
+        rank -= 1
+    return rank
+
+
+def _random_v_polynomial(spec, rng):
+    """c_0 + c_1 v + ... + c_d v^d with 1 <= d < p, c_j in F_p(x, y), c_d != 0."""
+    degree = rng.randrange(1, spec.p)
+    coeffs = {(0, j): spec.field.random_element(rng, height=spec.p, degree=1, terms=2,
+                                                nonzero=j == degree)
+              for j in range(degree + 1)}
+    return AlgebraElement(spec, coeffs)
+
+
+def test_torsion_rank_matches_enumeration_oracle():
+    rng = random.Random(29)
+    for p, max_m in ((2, 6), (3, 4), (5, 2)):
+        spec = WeylModPSpec(p)
+        for m in range(1, max_m + 1):
+            for _ in range(2):
+                gens = [_random_v_polynomial(spec, rng) for _ in range(m)]
+                if m >= 2:
+                    # a dependent generator: another one times a scalar of
+                    # F_p(x, y), or a product of the others
+                    i, j = rng.sample(range(m), 2)
+                    k = rng.randrange(m)
+                    gens[j] = gens[i] * (gens[k] if k != j else
+                                         spec.scalar(spec.field.var("x") + 1))
+                if rng.random() < 0.2:
+                    gens[rng.randrange(m)] = spec.scalar(spec.field.var("y"))
+                rep = inseparable_torsion_subgroup(spec, gens)
+                assert rep.rank == _rank_by_enumeration(spec, gens), (p, gens)
+                assert rep.group_order == p ** rep.rank
+    # all p^m products of the first irreducible family, p^m <= 625
+    for p, m in ((2, 4), (3, 4), (5, 4)):
+        spec = WeylModPSpec(p)
+        family = distinct_irreducible_family(spec, m)
+        assert _rank_by_enumeration(spec, family) == m
+        family.append(family[0] * family[-1] ** 2)
+        assert inseparable_torsion_subgroup(spec, family).rank == m
 
 
 def test_inseparable_torsion_rejects_zero():

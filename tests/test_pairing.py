@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -43,6 +44,57 @@ def test_validate_pairing():
     not_alt = AlternatingPairing(group, [[Fraction(1, 4), 0],
                                          [0, 0]])
     assert not validate_pairing(not_alt)
+
+
+def _valid_by_enumeration(p):
+    """Oracle: q(x, x) = 0 for every element x, and q on representatives does
+    not move when a coordinate moves by its factor order (q(f_i e_i, x) = 0
+    = q(x, f_i e_i) for every x)."""
+    factors = p.group.invariant_factors
+    k = len(factors)
+
+    def raw(x, y):  # the bilinear form on integer vectors, before reduction
+        total = sum(x[i] * y[j] * p.gram[i][j] for i in range(k) for j in range(k))
+        return total - (total.numerator // total.denominator)
+
+    for x in p.group.elements():
+        if raw(x, x) != 0:
+            return False
+        for i, f in enumerate(factors):
+            step = tuple(f if t == i else 0 for t in range(k))
+            if raw(step, x) != 0 or raw(x, step) != 0:
+                return False
+    return True
+
+
+def test_generator_criterion_matches_enumeration():
+    rng = random.Random(7)
+    kinds = {"valid": 0, "diagonal": 0, "antisymmetry": 0, "order": 0}
+    for _ in range(60):
+        p = random_pairing(rng, max_order=144)
+        factors = p.group.invariant_factors
+        k = len(factors)
+        gram = [list(row) for row in p.gram]
+        kind = rng.choice(list(kinds) if k >= 2 else ["valid", "diagonal"])
+        i, j = rng.sample(range(k), 2) if k >= 2 else (0, 0)
+        if kind == "diagonal":
+            gram[i][i] = Fraction(rng.randrange(1, factors[i]), factors[i])
+        elif kind == "antisymmetry":
+            # still killed by both factor orders, but no longer cancels
+            g = math.gcd(factors[i], factors[j])
+            if g == 1:
+                continue
+            gram[i][j] += Fraction(rng.randrange(1, g), g)
+        elif kind == "order":
+            # antisymmetric, but not killed by the factor orders
+            bad = Fraction(1, 7 * factors[i] * factors[j])
+            gram[i][j] += bad
+            gram[j][i] -= bad
+        q = AlternatingPairing(p.group, gram)
+        assert bool(validate_pairing(q)) == _valid_by_enumeration(q) == (kind == "valid"), \
+            (kind, factors, gram)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 5, kinds
 
 
 def test_pairing_values():

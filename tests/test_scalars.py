@@ -6,7 +6,7 @@ import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
-                           _int_kth_root, artin_schreier_image, binary_power,
+                           _cy_mul, _cy_reduce, _int_kth_root, artin_schreier_image, binary_power,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
                            element_from_json, element_to_json, finite_field,
@@ -85,6 +85,27 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(4) == (1, 0, 1)
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
+
+
+def _cy_mul_by_fractions(n, x, y):
+    """Oracle: the power-basis product with Fraction arithmetic throughout,
+    reduced modulo Phi_n."""
+    out = [Fraction(0)] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    return _cy_reduce(n, out)
+
+
+def test_cyclotomic_product_matches_fraction_reference():
+    rng = random.Random(13)
+    for n in (1, 3, 4, 5, 7, 9, 12):
+        d = len(cyclotomic_polynomial(n)) - 1
+        for _ in range(40):
+            x, y = (tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+                          if rng.random() < 0.8 else Fraction(0) for _ in range(d))
+                    for _ in range(2))
+            assert _cy_mul(n, x, y) == _cy_mul_by_fractions(n, x, y), (n, x, y)
 
 
 def test_finite_field_enumeration_and_generator():

@@ -153,6 +153,20 @@ def test_json_roundtrip():
     assert back.rank == t.rank
     assert back.theta_generators == t.theta_generators
     assert back.label == "Z/3"
+    assert back.norm_group_order == 3
+    assert back.characteristic == 0
+    assert back.to_json() == t.to_json()
+
+
+def test_json_roundtrip_keeps_characteristic():
+    t = TorusModel(1, [IntMatrix.from_rows([[-1]])], "char 5", characteristic=5)
+    back = TorusModel.from_json(t.to_json())
+    assert back.characteristic == 5
+    assert back.norm_group_order is None
+    assert back.to_json() == t.to_json()
+    # the characteristic still filters torsion orders after the round trip
+    with pytest.raises(CharDividesOrder):
+        torsion_points(back, 5)
 
 
 def test_rotation_order_four_torsion():
