@@ -3,6 +3,12 @@
 Matrices are tuples of tuples of FieldElement, all sharing one descriptor.
 All elimination goes through one Gauss-Jordan routine; fields are exact
 so there is no pivoting subtlety beyond skipping zeros.
+
+Products skip zero entries: a row-by-column sum multiplies and adds only
+the pairs in which both entries are nonzero, so the cost of ``mat_mul``,
+``mat_pow`` and ``mat_vec`` is the number of nonzero entry pairs, and a
+monomial or companion matrix costs O(n) field products per row.
+Payloads are canonical, so the skipped terms change no output.
 """
 
 from __future__ import annotations
@@ -54,10 +60,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _dot(u, v):
-    acc = u[0] * v[0]
-    for x, y in zip(u[1:], v[1:]):
-        acc = acc + x * y
-    return acc
+    """Sum of u[i] * v[i] over the pairs with both factors nonzero.
+
+    With no such pair the result is u[0] * v[0]: a zero of the right
+    field, and a DescriptorMismatch when u and v come from two fields.
+    """
+    acc = None
+    for x, y in zip(u, v):
+        if x.is_zero or y.is_zero:
+            continue
+        acc = x * y if acc is None else acc + x * y
+    return u[0] * v[0] if acc is None else acc
 
 
 def mat_vec(a: Matrix, v) -> tuple:

@@ -310,6 +310,78 @@ def _block_value(gamma1, gamma2, c, field) -> FieldElement:
             + c3 * c3 + c3 * c4 + gamma2 * c4 * c4)
 
 
+def _char2_bits(x: FieldElement) -> int:
+    """The coefficients of x in F_{2^m} as an m-bit integer, the constant
+    coefficient highest, so that integer order is the element order of
+    Field.elements()."""
+    coeffs = x.payload if isinstance(x.payload, tuple) else (x.payload,)
+    return int("".join(str(b) for b in coeffs), 2)
+
+
+def _char2_element(bits: int, field: Field) -> FieldElement:
+    """The inverse of _char2_bits."""
+    d = field.descriptor
+    if d.kind == "prime_field":
+        return FieldElement(d, bits)
+    return FieldElement(d, tuple(bits >> (d.m - 1 - i) & 1 for i in range(d.m)))
+
+
+def _artin_schreier_reduce(gamma: FieldElement, field: Field) -> tuple:
+    """(r, c): r is the first element of gamma + {c^2 + c} in element
+    order, and c the first element with gamma + c^2 + c = r.
+
+    c -> c^2 + c is F_2-linear with kernel {0, 1}. An xor basis of its image
+    in the _char2_bits encoding, with distinct leading bits and each vector
+    kept with a preimage, clears every leading bit that gamma can lose when
+    applied from the highest lead down; what is left is the smallest
+    element of the coset. The cost is m field products and O(m^2) word
+    operations, not a scan of the field.
+    """
+    d = field.descriptor
+    m = d.m if d.kind == "finite_field" else 1
+    basis = {}
+    for b in range(m):
+        e = _char2_element(1 << b, field)
+        img, pre = _char2_bits(e * e + e), 1 << b
+        while img and img.bit_length() in basis:
+            b_img, b_pre = basis[img.bit_length()]
+            img, pre = img ^ b_img, pre ^ b_pre
+        if img:
+            basis[img.bit_length()] = (img, pre)
+    r, c = _char2_bits(gamma), 0
+    for lead in sorted(basis, reverse=True):
+        if r >> (lead - 1) & 1:
+            b_img, b_pre = basis[lead]
+            r, c = r ^ b_img, c ^ b_pre
+    # c and c + 1 reach the same r; 1 (the highest bit) is in the kernel, so
+    # no basis preimage uses it and c is the smaller of the two
+    return _char2_element(r, field), _char2_element(c, field)
+
+
+def _first_isotropic(g1, g2, field: Field) -> tuple:
+    """The first nonzero zero of the block form x1^2 + x1 x2 + g1 x2^2
+    + x3^2 + x3 x4 + g2 x4^2 (g1, g2 nonzero) in the order of
+    itertools.product(field.elements(), repeat=4).
+
+    With e1 the first nonzero element: the vectors (0, 0, c3, c4) come
+    first; (0, 0, 0, c4) is never a zero, and any zero of the second plane
+    scales to one with c3 = e1, so the second plane is isotropic exactly
+    when some (0, 0, e1, c4) is a zero. Writing c4 = e1 z / g2, that is
+    z^2 + z = g2, solved by _artin_schreier_reduce; the two roots z and
+    z + 1 give the two candidates for c4. Otherwise that plane is
+    anisotropic and, over a finite field, represents g1 e1^2; the first
+    zero then has c1 = 0, c2 = e1, c3 = 0 and g2 c4^2 = g1 e1^2, so
+    c4 = e1 sqrt(g1/g2).
+    """
+    e1 = _char2_element(1, field)
+    zero = field.zero
+    r, z = _artin_schreier_reduce(g2, field)
+    if r.is_zero:
+        c4 = min(e1 * z / g2, e1 * (z + field.one) / g2, key=_char2_bits)
+        return (zero, zero, e1, c4)
+    return (zero, e1, zero, e1 * _sqrt_char2(g1 / g2, field.descriptor))
+
+
 def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
     """Carry q over F_{2^m} to the canonical even-dimensional shape.
 
@@ -379,15 +451,8 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
         t1, t2 = hot[0], hot[1]
         u1, w1, g1 = blocks[t1]
         u2, w2, g2 = blocks[t2]
-        size = field.size()
-        if size ** 4 > 65536:
-            raise FieldTooLarge("isotropic search space exceeds 2^16")
         span = (u1, w1, u2, w2)
-        iso = next((c for c in itertools.product(field.elements(), repeat=4)
-                    if any(not x.is_zero for x in c)
-                    and _block_value(g1, g2, c, field).is_zero), None)
-        if iso is None:
-            raise ConsistencyAlarm("no isotropic vector in a rank-4 block")
+        iso = _first_isotropic(g1, g2, field)
         g4 = [[field.zero] * 4 for _ in range(4)]
         g4[0][1] = g4[1][0] = g4[2][3] = g4[3][2] = field.one
         pair_row = [sum((iso[i] * g4[i][j] for i in range(4)), field.zero)
@@ -445,16 +510,8 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
     if hot:
         t = hot[0]
         u, w, gamma = blocks[t]
-        size = field.size()
-        if size <= 256:
-            best = None
-            for c in field.elements():
-                shifted = gamma + c * c + c
-                key = shifted.payload
-                if best is None or key < best[0]:
-                    best = (key, c, shifted)
-            _, c, gamma = best
-            w = tuple(a + c * b for a, b in zip(w, u))
+        gamma, c = _artin_schreier_reduce(gamma, field)
+        w = tuple(a + c * b for a, b in zip(w, u))
         blocks[t] = (u, w, gamma)
         blocks.insert(0, blocks.pop(t))
         arf = gamma
@@ -683,6 +740,13 @@ def _subset_coefficient(avars, mask: int, field: Field) -> FieldElement:
     return c
 
 
+def _pfister_descriptor(k: int) -> FieldDescriptor:
+    """Q(a1, ..., ak), the field of the k-fold multiplier form."""
+    if not 1 <= k <= 5:
+        raise KTooLarge("supported range is 1 <= k <= 5")
+    return function_field(rationals(), tuple(f"a{i}" for i in range(1, k + 1)))
+
+
 class PfisterData:
     """Diagonal form sum a_I x_I^2 on coordinates indexed by subset bitmask.
 
@@ -691,12 +755,9 @@ class PfisterData:
     """
 
     def __init__(self, k: int):
-        if not 1 <= k <= 5:
-            raise KTooLarge("supported range is 1 <= k <= 5")
         self.k = k
         self.n = 2 ** k
-        self.descriptor = function_field(
-            rationals(), tuple(f"a{i}" for i in range(1, k + 1)))
+        self.descriptor = _pfister_descriptor(k)
         self.field = Field(self.descriptor)
         avars = self.field.vars()
         coeffs = {(j, j): _subset_coefficient(avars, j, self.field)
@@ -900,12 +961,11 @@ def pfister_refute_point(k: int, candidate,
 
 def random_candidate(k: int, rng, degree: int = 3, terms: int = 2) -> tuple:
     """A seeded not-all-zero polynomial candidate tuple for refutation runs."""
-    data = PfisterData(k)
-    field = data.field
+    field = Field(_pfister_descriptor(k))
     avars = field.vars()
     while True:
         out = []
-        for _ in range(data.n):
+        for _ in range(2 ** k):
             total = field.zero
             for _ in range(rng.randint(1, terms)):
                 coeff = field.from_int(rng.randint(-4, 4))

@@ -374,7 +374,9 @@ def _fp_is_irreducible(f, p):
 def modulus_polynomial(p: int, m: int) -> tuple[int, ...]:
     """Fixed modulus for F_{p^m}: first monic irreducible of degree m in lex
     order on (c_0, ..., c_{m-1}). Ascending coefficients including lead 1."""
-    for tail in itertools.product(range(p), repeat=m):
+    # for m > 1 a zero c_0 makes t a factor, so the search starts at c_0 = 1
+    first = range(p) if m == 1 else range(1, p)
+    for tail in itertools.product(first, *[range(p)] * (m - 1)):
         f = list(tail) + [1]
         if _fp_is_irreducible(f, p):
             return tuple(f)
@@ -425,7 +427,7 @@ def _kzero(d):
         return 0
     if d.kind == "finite_field":
         return (0,) * d.m
-    return ((), _p_to_tuple({(0,) * len(d.variables): _kone(d.base)}))
+    return ((), _ff_one(d))
 
 
 def _kone(d):
@@ -437,8 +439,7 @@ def _kone(d):
         return 1
     if d.kind == "finite_field":
         return tuple([1] + [0] * (d.m - 1))
-    one = _p_to_tuple({(0,) * len(d.variables): _kone(d.base)})
-    return (one, one)
+    return (_ff_one(d), _ff_one(d))
 
 
 def _kfrom_int(d, k: int):
@@ -453,7 +454,7 @@ def _kfrom_int(d, k: int):
     c = _kfrom_int(d.base, k)
     nv = len(d.variables)
     num = {} if _kis_zero(d.base, c) else {(0,) * nv: c}
-    return (_p_to_tuple(num), _p_to_tuple({(0,) * nv: _kone(d.base)}))
+    return (_p_to_tuple(num), _ff_one(d))
 
 
 def _kis_zero(d, x) -> bool:
@@ -699,7 +700,7 @@ def _ff_normalize(d, num: dict, den: dict):
     if not den:
         raise DivisionByZero(f"zero denominator in {d!r}")
     if not num:
-        return ((), _p_to_tuple({(0,) * nv: _kone(bd)}))
+        return ((), _ff_one(d))
     if not (len(den) == 1 and max(den) == (0,) * nv and
             _kis_zero(bd, _ksub(bd, den[(0,) * nv], _kone(bd)))):
         g = _p_gcd(bd, num, den, nv)
@@ -714,32 +715,32 @@ def _ff_normalize(d, num: dict, den: dict):
     return (_p_to_tuple(num), _p_to_tuple(den))
 
 
+@lru_cache(maxsize=None)
+def _ff_one(d):
+    """The canonical denominator 1 of a function field: the constant polynomial."""
+    return _p_to_tuple({(0,) * len(d.variables): _kone(d.base)})
+
+
 def _ff_add(d, x, y):
     bd = d.base
     n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
     n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
     if x[1] == y[1]:
         num = _p_add(bd, n1, n2)
-        if d1 == _one_poly_dict(d):
+        if x[1] == _ff_one(d):
             return (_p_to_tuple(num), x[1])
         return _ff_normalize(d, num, d1)
     num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
     return _ff_normalize(d, num, _p_mul(bd, d1, d2))
 
 
-def _one_poly_dict(d):
-    return {(0,) * len(d.variables): _kone(d.base)}
-
-
 def _ff_mul(d, x, y):
     bd = d.base
-    n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
-    n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
-    num = _p_mul(bd, n1, n2)
-    one = _one_poly_dict(d)
-    if d1 == one and d2 == one:
-        return (_p_to_tuple(num), x[1])
-    return _ff_normalize(d, num, _p_mul(bd, d1, d2))
+    num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
+    one = _ff_one(d)
+    if x[1] == one and y[1] == one:
+        return (_p_to_tuple(num), one)
+    return _ff_normalize(d, num, _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +860,7 @@ def _render(d, payload) -> str:
         return _render_uni(payload, "t")
     num, den = payload
     ns = _render_poly(d, _p_from_tuple(num))
-    if den == _p_to_tuple(_one_poly_dict(d)):
+    if den == _ff_one(d):
         return ns
     ds = _render_poly(d, _p_from_tuple(den))
     return f"({ns})/({ds})"
@@ -935,7 +936,7 @@ class Field:
         i = d.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(d.variables)))
         num = _p_to_tuple({e: _kone(d.base)})
-        return FieldElement(d, (num, _p_to_tuple(_one_poly_dict(d))))
+        return FieldElement(d, (num, _ff_one(d)))
 
     def vars(self) -> tuple[FieldElement, ...]:
         return tuple(self.var(n) for n in self.descriptor.variables)
@@ -949,7 +950,7 @@ class Field:
             raise DescriptorMismatch(f"{elt.descriptor!r} is not the base of {d!r}")
         nv = len(d.variables)
         num = {} if elt.is_zero else {(0,) * nv: elt.payload}
-        return FieldElement(d, (_p_to_tuple(num), _p_to_tuple(_one_poly_dict(d))))
+        return FieldElement(d, (_p_to_tuple(num), _ff_one(d)))
 
     def generator(self) -> FieldElement:
         """Class of the defining generator (z for cyclotomic, t for F_{p^m})."""
@@ -1057,9 +1058,9 @@ class Field:
                     return out
 
                 num = rand_poly(terms)
-                den = rand_poly(max(1, terms - 1)) or _one_poly_dict(d)
+                den = rand_poly(max(1, terms - 1)) or dict(_ff_one(d))
                 if rng.random() < 0.5:
-                    den = _one_poly_dict(d)
+                    den = dict(_ff_one(d))
                 try:
                     e = FieldElement(d, _ff_normalize(d, num, den))
                 except DivisionByZero:
@@ -1123,7 +1124,7 @@ def root_of_unity_log(elt: FieldElement) -> Optional[Fraction]:
     # function field: only constants can be roots of unity
     num, den = elt.payload
     nv = len(d.variables)
-    if den != _p_to_tuple(_one_poly_dict(d)) or len(num) != 1 or num[0][0] != (0,) * nv:
+    if den != _ff_one(d) or len(num) != 1 or num[0][0] != (0,) * nv:
         return None
     return root_of_unity_log(FieldElement(d.base, num[0][1]))
 
@@ -1493,7 +1494,7 @@ def _payload_from_json(d, obj):
     if isinstance(obj, (int, str)):
         return _kfrom_int(d, int(obj))
     num = poly(obj["num"])
-    den = poly(obj["den"]) if "den" in obj else _one_poly_dict(d)
+    den = poly(obj["den"]) if "den" in obj else dict(_ff_one(d))
     return _ff_normalize(d, num, den)
 
 

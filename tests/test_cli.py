@@ -6,7 +6,10 @@ import sys
 import pytest
 
 from aniso.cli import main
+from aniso.quadform import QuadraticForm, canonical_char2_form
 from aniso.replay import UnknownExampleId, replay_ids, run_replay
+from aniso.scalars import (Field, descriptor_from_json, element_from_json,
+                           element_to_json)
 
 
 def run_cli(argv, stdin=None):
@@ -151,6 +154,45 @@ def test_quad_arf_roundtrip():
     obj = json.loads(out)
     assert code == 0
     assert obj["arf_repr"] == "1"
+
+
+def _trace(x, m):
+    total, y = x, x
+    for _ in range(m - 1):
+        y = y * y
+        total = total + y
+    return total
+
+
+def test_quad_arf_two_anisotropic_planes_over_large_fields():
+    # x1^2 + x1 x2 + a x2^2 + x3^2 + x3 x4 + a x4^2 with Tr(a) = 1: each
+    # plane is anisotropic and the sum is hyperbolic, Arf class 0; a form
+    # x1^2 + x1 x2 + (t^2 + t) x2^2 is split and reduces to 0 as well
+    for m in (5, 8, 9, 40):
+        field = {"kind": "finite_field", "p": "2", "m": str(m)}
+        descriptor = descriptor_from_json(field)
+        gen = Field(descriptor).generator()
+        a = next(gen ** k for k in range(m) if _trace(gen ** k, m).is_one)
+        one = ["1"] + ["0"] * (m - 1)
+        a = element_to_json(a)["value"]
+        split = [str(int(i in (1, 2))) for i in range(m)]
+        payloads = [
+            {"field": field, "dim": "4",
+             "coeffs": {"0,0": one, "0,1": one, "1,1": a,
+                        "2,2": one, "2,3": one, "3,3": a}},
+            {"field": field, "dim": "2",
+             "coeffs": {"0,0": one, "0,1": one, "1,1": split}}]
+        for payload in payloads:
+            dim = int(payload["dim"])
+            code, out = run_cli(["quad", "arf", "--input", "-", "--json"],
+                                stdin=json.dumps(payload))
+            obj = json.loads(out)
+            assert code == 0, obj
+            assert obj["arf_repr"] == "0"
+            change = [[element_from_json(x, descriptor) for x in row]
+                      for row in obj["change_of_basis"]]
+            assert (QuadraticForm.from_json(payload).transform(change)
+                    == canonical_char2_form(descriptor, dim, 0))
 
 
 def test_quad_extract_isotropic():

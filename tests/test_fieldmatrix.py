@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, mat_det,
-                               mat_from_rows, mat_inverse, mat_mul, mat_pow,
-                               mat_rank, mat_vec, nullspace, solve_right)
-from aniso.scalars import Field, prime_field, rationals
+from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
+                               mat_det, mat_from_rows, mat_inverse, mat_mul,
+                               mat_pow, mat_rank, mat_scale, mat_vec, nullspace,
+                               solve_right)
+from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
+                           function_field, prime_field, rationals)
 
 
 def _fraction_reduce(rows, ncols):
@@ -133,3 +135,96 @@ def test_shape_errors():
         mat_det(wide)
     with pytest.raises(MatrixError, match="non-square"):
         mat_inverse(wide)
+
+
+def _dense_dot(u, v):
+    """Oracle: the row-by-column sum over every pair, zeros included."""
+    acc = u[0] * v[0]
+    for x, y in zip(u[1:], v[1:]):
+        acc = acc + x * y
+    return acc
+
+
+def _dense_mul(a, b):
+    return tuple(tuple(_dense_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def _dense_pow(a, e):
+    out = identity(Field(a[0][0].descriptor), len(a))
+    for _ in range(e):
+        out = _dense_mul(out, a)
+    return out
+
+
+SPARSE_FIELDS = [
+    rationals(),
+    cyclotomic(5),
+    prime_field(7),
+    finite_field(2, 4),
+    function_field(rationals(), ("a1", "a2", "a3")),
+    function_field(prime_field(5), ("x", "y")),
+]
+SHAPES = ("monomial", "companion", "sparse", "dense", "zero-row", "zero-column", "zero")
+
+
+def _shaped_matrix(rng, field, shape, rows, cols):
+    def nonzero():
+        return field.random_element(rng, nonzero=True)
+
+    if shape == "monomial":
+        perm = rng.sample(range(max(rows, cols)), rows)
+        m = [[nonzero() if perm[i] == j else field.zero for j in range(cols)]
+             for i in range(rows)]
+    elif shape == "companion":
+        m = [[field.one if i == j + 1 else field.zero for j in range(cols)]
+             for i in range(rows)]
+        for i in range(rows):
+            m[i][cols - 1] = field.random_element(rng)
+    elif shape == "sparse":
+        m = [[field.zero if rng.random() < 0.7 else nonzero() for _ in range(cols)]
+             for _ in range(rows)]
+    else:
+        m = [[field.zero if shape == "zero" else nonzero() for _ in range(cols)]
+             for _ in range(rows)]
+        if shape == "zero-row":
+            m[rng.randrange(rows)] = [field.zero] * cols
+        elif shape == "zero-column":
+            j = rng.randrange(cols)
+            for row in m:
+                row[j] = field.zero
+    return mat_from_rows(m)
+
+
+@pytest.mark.parametrize("descriptor", SPARSE_FIELDS)
+def test_sparse_products_match_dense_oracle(descriptor):
+    field = Field(descriptor)
+    rng = random.Random(23)
+    for trial, (sa, sb) in enumerate(itertools.product(SHAPES, repeat=2)):
+        n = rng.randint(1, 4)
+        a = _shaped_matrix(rng, field, sa, n, n)
+        b = _shaped_matrix(rng, field, sb, n, n)
+        assert mat_mul(a, b) == _dense_mul(a, b)
+        assert mat_vec(a, b[0]) == tuple(_dense_dot(row, b[0]) for row in a)
+        if trial % 3 == 0:
+            m = rng.randint(1, 3)
+            c = _shaped_matrix(rng, field, sb, n, m)
+            assert mat_mul(a, c) == _dense_mul(a, c)
+    for shape in SHAPES:
+        a = _shaped_matrix(rng, field, shape, 3, 3)
+        for e in range(4 if descriptor.kind == "function_field" else 6):
+            assert mat_pow(a, e) == _dense_pow(a, e)
+
+
+def test_products_over_two_fields_raise_descriptor_mismatch():
+    q, f7 = Field(rationals()), Field(prime_field(7))
+    for a, b in ((identity(q, 2), identity(f7, 2)),
+                 (mat_from_rows([[q.zero] * 2] * 2), identity(f7, 2)),
+                 (identity(q, 2), mat_from_rows([[f7.zero] * 2] * 2)),
+                 (mat_from_rows([[q.zero] * 2] * 2), mat_from_rows([[f7.zero] * 2] * 2))):
+        with pytest.raises(DescriptorMismatch):
+            mat_mul(a, b)
+        with pytest.raises(DescriptorMismatch):
+            mat_vec(a, b[0])
+        with pytest.raises(DescriptorMismatch):
+            mat_scale(a, f7.one)
+    assert mat_scale(mat_from_rows([[q.zero, q(2)]]), q(3)) == ((q.zero, q(6)),)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             KTooLarge, NotIsometry, NotOrderP,
                             OrderExceedsBound, PfisterData, QuadFormError,
                             QuadraticForm, WrongCharacteristic,
+                            _artin_schreier_reduce, _block_value,
+                            _first_isotropic,
                             arf_invariant_class, arf_normal_form,
                             associated_bilinear, canonical_char2_form,
                             descent_step, diagonalize,
@@ -359,3 +362,123 @@ def test_pfister_closure_breadth_first_indices():
     assert k3.projective_orders == (1, 2, 2, 4, 4, 2, 2, 2)
     with pytest.raises(QuadFormError, match="closure exceeded the cap 5"):
         pfister_group_closure(3, cap=5)
+
+
+def _first_isotropic_by_scan(g1, g2, field):
+    """Oracle: the first nonzero zero of the block form among all q^4 vectors."""
+    return next(c for c in itertools.product(field.elements(), repeat=4)
+                if any(not x.is_zero for x in c)
+                and _block_value(g1, g2, c, field).is_zero)
+
+
+def test_first_isotropic_matches_scan():
+    for descriptor in (F2, F4, finite_field(2, 3)):
+        field = Field(descriptor)
+        nonzero = [x for x in field.elements() if not x.is_zero]
+        for g1, g2 in itertools.product(nonzero, repeat=2):
+            assert (_first_isotropic(g1, g2, field)
+                    == _first_isotropic_by_scan(g1, g2, field))
+    field = Field(finite_field(2, 4))
+    nonzero = [x for x in field.elements() if not x.is_zero]
+    rng = random.Random(16)
+    for _ in range(40):
+        g1, g2 = rng.choice(nonzero), rng.choice(nonzero)
+        assert (_first_isotropic(g1, g2, field)
+                == _first_isotropic_by_scan(g1, g2, field))
+
+
+def _artin_schreier_reduce_by_scan(gamma, field):
+    """Oracle: the smallest gamma + c^2 + c over all q elements c in
+    element order, and the first c reaching it."""
+    best = None
+    for c in field.elements():
+        shifted = gamma + c * c + c
+        if best is None or shifted.payload < best[0].payload:
+            best = (shifted, c)
+    return best
+
+
+def _trace(x, m):
+    total, y = x, x
+    for _ in range(m - 1):
+        y = y * y
+        total = total + y
+    return total
+
+
+def test_artin_schreier_reduce_matches_scan():
+    for descriptor in [F2] + [finite_field(2, m) for m in range(1, 7)]:
+        field = Field(descriptor)
+        for gamma in field.elements():
+            assert (_artin_schreier_reduce(gamma, field)
+                    == _artin_schreier_reduce_by_scan(gamma, field))
+    field = Field(finite_field(2, 8))
+    elements = list(field.elements())
+    for gamma in random.Random(256).sample(elements, 30):
+        assert (_artin_schreier_reduce(gamma, field)
+                == _artin_schreier_reduce_by_scan(gamma, field))
+
+
+def test_arf_normal_form_reduces_over_f512():
+    # past the size the old reduction scanned: a split parameter reduces to
+    # 0 and a non-split one to the first element of trace 1
+    descriptor = finite_field(2, 9)
+    field = Field(descriptor)
+    elements = list(field.elements())
+    first_odd = next(x for x in elements if _trace(x, 9) == field.one)
+    t = field.generator()
+    for a in (t ** 5 + t ** 7, t + t * t, t ** 100, t ** 3, field.one):
+        want = field.zero if _trace(a, 9).is_zero else first_odd
+        for dim in (2, 4):
+            res = arf_normal_form(canonical_char2_form(descriptor, dim, a))
+            assert res.arf == want
+            assert (canonical_char2_form(descriptor, dim, a)
+                    .transform(res.change_of_basis) == res.canonical_form)
+    # the merged block's isotropic vector is still the first of the q^4
+    # vectors: the first c4 with (0, 0, e1, c4) a zero, when there is one
+    nonzero = elements[1:]
+    rng = random.Random(512)
+    for _ in range(12):
+        g1, g2 = rng.choice(nonzero), rng.choice(nonzero)
+        iso = _first_isotropic(g1, g2, field)
+        assert _block_value(g1, g2, iso, field).is_zero
+        e1 = nonzero[0]
+        c4 = next((c for c in elements if _block_value(
+            g1, g2, (field.zero, field.zero, e1, c), field).is_zero), None)
+        if c4 is None:
+            assert iso[:3] == (field.zero, e1, field.zero)
+        else:
+            assert iso == (field.zero, field.zero, e1, c4)
+
+
+def _random_candidate_via_pfister_data(k, rng, degree=3, terms=2):
+    """The construction random_candidate used before: the field of a full
+    PfisterData(k)."""
+    data = PfisterData(k)
+    field = data.field
+    avars = field.vars()
+    while True:
+        out = []
+        for _ in range(data.n):
+            total = field.zero
+            for _ in range(rng.randint(1, terms)):
+                mono = field.from_int(rng.randint(-4, 4))
+                for a in avars:
+                    mono = mono * a ** rng.randint(0, degree)
+                total = total + mono
+            out.append(total)
+        if any(not x.is_zero for x in out):
+            return tuple(out)
+
+
+def test_random_candidate_matches_pfister_data_construction():
+    for k in range(1, 6):
+        for seed in range(3):
+            rng_new, rng_old = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                assert (random_candidate(k, rng_new)
+                        == _random_candidate_via_pfister_data(k, rng_old))
+            assert rng_new.random() == rng_old.random()
+    for k in (0, 6):
+        with pytest.raises(KTooLarge):
+            random_candidate(k, random.Random(0))

@@ -6,7 +6,9 @@ import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
-                           _cy_mul, _cy_reduce, _int_kth_root, artin_schreier_image, binary_power,
+                           _cy_mul, _cy_reduce, _ff_add, _ff_mul, _ff_normalize,
+                           _int_kth_root, _p_add, _p_from_tuple, _p_mul,
+                           artin_schreier_image, binary_power,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
                            element_from_json, element_to_json, finite_field,
@@ -256,3 +258,41 @@ def test_power_helpers():
     assert least_power(f7(2), operator.mul, lambda a: a == f7(4), 6) == (2, f7(4))
     assert binary_power(three, 0, f7.one, operator.mul) == f7.one
     assert binary_power(three, 13, f7.one, operator.mul) == three ** 13 == f7(3 ** 13)
+
+
+def _ff_add_generic(d, x, y):
+    """Sum of function-field payloads by the general rule n1/d1 + n2/d2."""
+    bd = d.base
+    n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
+    n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
+    num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
+    return _ff_normalize(d, num, _p_mul(bd, d1, d2))
+
+
+def _ff_mul_generic(d, x, y):
+    """Product of function-field payloads by the general rule n1 n2/(d1 d2)."""
+    bd = d.base
+    num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
+    den = _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1]))
+    return _ff_normalize(d, num, den)
+
+
+@pytest.mark.parametrize("descriptor", [
+    function_field(rationals(), ("a1", "a2", "a3")),
+    function_field(prime_field(5), ("x", "y")),
+    function_field(cyclotomic(5), ("a", "b")),
+])
+def test_function_field_add_mul_match_generic_rule(descriptor):
+    rng = random.Random(41)
+    field = Field(descriptor)
+    elements = [field.zero, field.one, -field.one]
+    elements += [field.random_element(rng, terms=3) for _ in range(14)]
+    assert any(e.payload[1] != field.one.payload[1] for e in elements)
+    assert sum(e.is_zero for e in elements) >= 1
+    for x in elements:
+        for y in elements:
+            assert _ff_add(descriptor, x.payload, y.payload) == \
+                _ff_add_generic(descriptor, x.payload, y.payload)
+            assert _ff_mul(descriptor, x.payload, y.payload) == \
+                _ff_mul_generic(descriptor, x.payload, y.payload)
+    assert field.zero.payload == ((), field.one.payload[1])
