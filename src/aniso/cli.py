@@ -66,10 +66,6 @@ def _load_payload(source: Optional[str], path: str = "$") -> dict:
     return _expect(obj, path, dict, "a JSON object")
 
 
-def _fraction_str(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations, each returning (report dict, exit status)
 
@@ -216,7 +212,10 @@ def _cmd_csa_norm(args) -> tuple[dict, int]:
                               "keys must look like \"i,j\"")
         for part in parts:
             _expect_int(part, f"$.element[{key!r}]")
-    element = csa.AlgebraElement.from_json(spec, element_obj)
+    try:
+        element = csa.AlgebraElement.from_json(spec, element_obj)
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        raise SchemaError("$.element", f"bad algebra element: {exc}") from None
     norm = csa.reduced_norm(element)
     return {"degree": str(degree), "reduced_norm": element_to_json(norm),
             "norm_repr": repr(norm)}, 0
@@ -263,7 +262,7 @@ def _parse_form(obj: dict, path: str = "$") -> quadform.QuadraticForm:
             _expect_int(part, f"{path}.coeffs[{key!r}]")
     try:
         return quadform.QuadraticForm.from_json(obj)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
         raise SchemaError(path, f"bad quadratic form: {exc}") from None
 
 
@@ -318,7 +317,7 @@ def _cmd_quad_extract(args) -> tuple[dict, int]:
         for j, entry in enumerate(row):
             try:
                 parsed.append(element_from_json(entry, q.descriptor))
-            except (AnisoError, ValueError, TypeError, KeyError) as exc:
+            except (AnisoError, ValueError, TypeError, KeyError, AttributeError) as exc:
                 raise SchemaError(f"$.matrix[{i}][{j}]",
                                   f"bad field element: {exc}") from None
         rows.append(tuple(parsed))

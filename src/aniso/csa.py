@@ -46,10 +46,6 @@ class ZeroPolynomial(AlgebraError):
     pass
 
 
-class NotScalarPower(AlgebraError):
-    pass
-
-
 class AlgebraSpec:
     """Members both algebra families share; subclasses set base, field and degree."""
 

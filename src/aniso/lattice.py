@@ -115,9 +115,6 @@ class IntMatrix:
             raise LatticeError("vector length mismatch")
         return tuple(sum(x * y for x, y in zip(row, v)) for row in self.entries)
 
-    def is_identity(self) -> bool:
-        return self == IntMatrix.identity(self.rows) if self.rows == self.cols else False
-
     def det(self) -> int:
         if self.rows != self.cols:
             raise LatticeError("determinant of a non-square matrix")

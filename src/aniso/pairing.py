@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import AnisoError
 from . import fieldmatrix
-from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
+from .lattice import IntMatrix, abelian_quotient, integer_kernel, solve_left
 from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
                       root_of_unity_log)
 
@@ -92,12 +92,6 @@ class FiniteAbelianGroup:
     def elements(self):
         """All elements in lexicographic coordinate order."""
         return itertools.product(*(range(d) for d in self.invariant_factors))
-
-    def subgroup_elements(self, generators: Sequence[Sequence[int]],
-                          cap: int = 4096) -> frozenset:
-        gens = [self.reduce(g) for g in generators]
-        return frozenset(closure(self.zero, gens, self.add, lambda x: x, cap,
-                                 GroupTooLarge(f"subgroup exceeded cap {cap}")))
 
     def __repr__(self):
         return "FiniteAbelianGroup" + repr(self.invariant_factors)

@@ -293,8 +293,7 @@ def _finite_char2(descriptor: FieldDescriptor) -> bool:
 
 def _sqrt_char2(x: FieldElement, descriptor: FieldDescriptor) -> FieldElement:
     # Frobenius is bijective on F_{2^m}; the square root is x^(2^(m-1))
-    m = descriptor.m if descriptor.kind == "finite_field" else 1
-    return x ** (2 ** (m - 1))
+    return x ** (2 ** (descriptor.m - 1))
 
 
 @dataclass(frozen=True)
@@ -337,10 +336,8 @@ def _artin_schreier_reduce(gamma: FieldElement, field: Field) -> tuple:
     element of the coset. The cost is m field products and O(m^2) word
     operations, not a scan of the field.
     """
-    d = field.descriptor
-    m = d.m if d.kind == "finite_field" else 1
     basis = {}
-    for b in range(m):
+    for b in range(field.descriptor.m):
         e = _char2_element(1 << b, field)
         img, pre = _char2_bits(e * e + e), 1 << b
         while img and img.bit_length() in basis:
@@ -382,6 +379,28 @@ def _first_isotropic(g1, g2, field: Field) -> tuple:
     return (zero, e1, zero, e1 * _sqrt_char2(g1 / g2, field.descriptor))
 
 
+def _plane_block(q: QuadraticForm, u, w) -> tuple:
+    """Normalize the plane spanned by u and w, with b(u, w) = 1, to a block.
+
+    If q(u) or q(w) is zero the plane is hyperbolic and the block is
+    (u, w, None) with q(u) = q(w) = 0, so q = x y on it. Otherwise u is
+    scaled to q(u) = 1 (w by the inverse, keeping b(u, w) = 1) and the
+    block is (u, w, g) with q = x^2 + x y + g y^2.
+    """
+    alpha, beta = q.evaluate(u), q.evaluate(w)
+    if not alpha.is_zero and beta.is_zero:
+        u, w, alpha, beta = w, u, beta, alpha
+    if alpha.is_zero:
+        if not beta.is_zero:
+            # q(w + beta u) = beta + beta b(w, u) = 0 in characteristic 2
+            w = tuple(a + beta * b for a, b in zip(w, u))
+        return (u, w, None)
+    c = _sqrt_char2(alpha.inverse(), q.descriptor)
+    u = tuple(c * x for x in u)
+    w = tuple(x / c for x in w)
+    return (u, w, q.evaluate(w))
+
+
 def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
     """Carry q over F_{2^m} to the canonical even-dimensional shape.
 
@@ -421,27 +440,7 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
         remaining = cleaned
         pairs.append([u, w])
 
-    # per-pair normalization: hyperbolic (q = x y), or q = x^2 + x y + g y^2
-    blocks = []
-    for u, w in pairs:
-        alpha = q.evaluate(u)
-        beta = q.evaluate(w)
-        if alpha.is_zero and not beta.is_zero:
-            w = tuple(a + beta * b for a, b in zip(w, u))
-            beta = field.zero
-        elif not alpha.is_zero and beta.is_zero:
-            u, w = w, u
-            alpha, beta = beta, alpha
-            w = tuple(a + beta * b for a, b in zip(w, u))
-            alpha = q.evaluate(u)
-            beta = field.zero
-        if alpha.is_zero:
-            blocks.append((u, w, None))
-            continue
-        c = _sqrt_char2(alpha.inverse(), descriptor)
-        u = tuple(c * x for x in u)
-        w = tuple(x / c for x in w)
-        blocks.append((u, w, q.evaluate(w)))
+    blocks = [_plane_block(q, u, w) for u, w in pairs]
 
     # merge pairs of non-split blocks through an explicit isotropic vector
     while True:
@@ -483,27 +482,8 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
                 vec = [a + c * b for a, b in zip(vec, base_vec)]
             return tuple(vec)
 
-        hyp_u, hyp_w = to_ambient(iso), to_ambient(mate)
-        zz1, zz2 = to_ambient(z1), to_ambient(z2)
-        alpha = q.evaluate(zz1)
-        beta = q.evaluate(zz2)
-        if alpha.is_zero and not beta.is_zero:
-            zz2 = tuple(a + beta * b for a, b in zip(zz2, zz1))
-        elif not alpha.is_zero and beta.is_zero:
-            zz1, zz2 = zz2, zz1
-            alpha = q.evaluate(zz1)
-            zz2 = tuple(a + alpha * b for a, b in zip(zz2, zz1))
-            alpha = field.zero
-        alpha = q.evaluate(zz1)
-        if alpha.is_zero:
-            new_block = (zz1, zz2, None)
-        else:
-            c = _sqrt_char2(alpha.inverse(), descriptor)
-            zz1 = tuple(c * x for x in zz1)
-            zz2 = tuple(x / c for x in zz2)
-            new_block = (zz1, zz2, q.evaluate(zz2))
-        blocks[t1] = (hyp_u, hyp_w, None)
-        blocks[t2] = new_block
+        blocks[t1] = (to_ambient(iso), to_ambient(mate), None)
+        blocks[t2] = _plane_block(q, to_ambient(z1), to_ambient(z2))
 
     # reduce the surviving parameter to its smallest coset representative
     hot = [t for t, blk in enumerate(blocks) if blk[2] is not None]
@@ -787,10 +767,6 @@ class PfisterData:
         for j in range(self.n):
             rows[j][full ^ j] = _subset_coefficient(avars, full ^ j, field)
         return fieldmatrix.mat_from_rows(rows)
-
-    @property
-    def sigma_scaling(self) -> FieldElement:
-        return self.field.one
 
     @property
     def tau_scaling(self) -> FieldElement:

@@ -17,6 +17,10 @@ that ``==`` on elements is plain representation equality:
                               gcd(num, den) = 1, denominator monic under lex
                               monomial order in the declared variable order
 
+Each kind is one frozen FieldDescriptor subclass that owns the rules for
+its payloads (the raw values a FieldElement wraps), so a descriptor is
+also the ops object for its field.
+
 Zero always has a unique encoding, so equality and hashing never need
 normalization at comparison time.
 """
@@ -28,8 +32,8 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterator, Optional, Union
+from functools import cached_property, lru_cache
+from typing import ClassVar, Iterator, Optional, Union
 
 from .errors import AnisoError
 
@@ -62,82 +66,38 @@ class UndecidedPower(ScalarError):
     """k-th power recognition fell outside the decidable fragment."""
 
 
-_KINDS = ("rationals", "cyclotomic", "prime_field", "finite_field", "function_field")
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
-    kind: str
-    n: int = 0
-    p: int = 0
-    m: int = 0
-    base: Optional["FieldDescriptor"] = None
-    variables: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ScalarError(f"unknown field kind {self.kind!r}")
-        if self.kind == "cyclotomic" and self.n < 1:
-            raise ScalarError("cyclotomic order must be >= 1")
-        if self.kind in ("prime_field", "finite_field"):
-            if self.p < 2 or not _is_prime(self.p):
-                raise ScalarError(f"{self.p} is not prime")
-        if self.kind == "finite_field" and self.m < 1:
-            raise ScalarError("finite field degree must be >= 1")
-        if self.kind == "function_field":
-            if self.base is None or not self.variables:
-                raise ScalarError("function field needs a base and variables")
-            if len(set(self.variables)) != len(self.variables):
-                raise ScalarError("function field variables must be distinct")
-
-    @property
-    def characteristic(self) -> int:
-        if self.kind in ("prime_field", "finite_field"):
-            return self.p
-        if self.kind == "function_field":
-            return self.base.characteristic
-        return 0
-
-    def __repr__(self):
-        if self.kind == "rationals":
-            return "Q"
-        if self.kind == "cyclotomic":
-            return f"Q(z{self.n})"
-        if self.kind == "prime_field":
-            return f"F_{self.p}"
-        if self.kind == "finite_field":
-            return f"F_{self.p ** self.m}"
-        return f"{self.base!r}({', '.join(self.variables)})"
-
-
-def rationals() -> FieldDescriptor:
-    return FieldDescriptor("rationals")
-
-
-def cyclotomic(n: int) -> FieldDescriptor:
-    return FieldDescriptor("cyclotomic", n=n)
-
-
-def prime_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor("prime_field", p=p)
-
-
-def finite_field(p: int, m: int) -> FieldDescriptor:
-    return FieldDescriptor("finite_field", p=p, m=m)
-
-
-def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
-    return FieldDescriptor("function_field", base=base, variables=tuple(variables))
-
-
 # ---------------------------------------------------------------------------
 # integer helpers: primality, factorisation, prime-power parts, power orders
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13: the least strong pseudoprime to all of _MR_BASES
+_MR_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin with the first 13 primes as bases.
+
+    Exact for n < psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and
+    Webster, Math. Comp. 86 (2017)); larger n raise FieldTooLarge. Costs
+    13 modular powers, so it is polynomial in the bit length of n.
+    """
     if n < 2:
         return False
-    for q in range(2, math.isqrt(n) + 1):
+    if n >= _MR_LIMIT:
+        raise FieldTooLarge(f"primality is decided only below {_MR_LIMIT}")
+    for q in _MR_BASES:
         if n % q == 0:
+            return n == q
+    d, s = _split_prime_power(n - 1, 2)
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
@@ -267,49 +227,6 @@ def _cy_mul(n, x, y):
     return tuple(Fraction(c, den) for c in _cy_reduce(n, out))
 
 
-def _qpoly_trim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _qpoly_divmod(a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = 1 / b[-1]
-    q = [Fraction(0)] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        c = a[-1] * inv_lead
-        k = len(a) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] -= c * b[j]
-        _qpoly_trim(a)
-        if not a:
-            break
-    return q, a
-
-
-def _cy_inv(n, x):
-    if not any(x):
-        raise DivisionByZero("cyclotomic inverse of zero")
-    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
-    # extended Euclid: s*x + t*phi = gcd (constant since Phi_n is irreducible)
-    r0, r1 = phi, _qpoly_trim(list(x))
-    s0, s1 = [], [Fraction(1)]
-    while r1:
-        q, r = _qpoly_divmod(r0, r1)
-        s = list(s0)
-        s += [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s))
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    s[i + j] -= qi * sj
-        r0, s0, r1, s1 = r1, s1, _qpoly_trim(r), _qpoly_trim(s)
-    c = 1 / r0[0]
-    return _cy_reduce(n, [ci * c for ci in s0])
-
-
 # ---------------------------------------------------------------------------
 # F_p[t] helpers and the fixed irreducible-modulus table
 
@@ -348,13 +265,6 @@ def _fp_powmod(a, e, f, p):
                         lambda x, y: _fp_rem(_fp_mul(x, y, p), f, p))
 
 
-def _fp_gcd(a, b, p):
-    a, b = _fp_trim(list(a)), _fp_trim(list(b))
-    while b:
-        a, b = b, _fp_rem(a, b, p)
-    return a
-
-
 def _fp_is_irreducible(f, p):
     m = len(f) - 1
     if m == 1:
@@ -362,10 +272,11 @@ def _fp_is_irreducible(f, p):
     x = [0, 1]
     if _fp_powmod(x, p ** m, f, p) != x:
         return False
+    fp = prime_field(p)
     for q in set(_prime_factors(m)):
         g = _fp_powmod(x, p ** (m // q), f, p)
         g = _fp_trim([(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)])
-        if len(_fp_gcd(g, f, p)) > 1:
+        if len(_u_gcd(fp, g, f)) > 1:
             return False
     return True
 
@@ -383,154 +294,597 @@ def modulus_polynomial(p: int, m: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")
 
 
-def _gf_inv(x, p, m):
-    if not any(x):
-        raise DivisionByZero("finite field inverse of zero")
-    f = list(modulus_polynomial(p, m))
-    r0, r1 = f, _fp_trim(list(x))
-    s0, s1 = [], [1]
+# ---------------------------------------------------------------------------
+# univariate polynomials over any field: ascending lists of payloads of d
+
+def _u_trim(d, a: list) -> list:
+    while a and d.is_zero(a[-1]):
+        a.pop()
+    return a
+
+
+def _u_divmod(d, a, b):
+    """(quotient, remainder) of a by b; b trimmed and nonzero."""
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = d.inv(b[-1])
+    q = [d.zero()] * max(0, len(a) - db)
+    while a and len(a) - 1 >= db:
+        c = d.mul(a[-1], inv_lead)
+        k = len(a) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] = d.sub(a[k + j], d.mul(c, b[j]))
+        _u_trim(d, a)
+    return q, a
+
+
+def _u_gcd(d, a, b) -> list:
+    """The monic gcd of a and b ([] when both are zero)."""
+    a, b = _u_trim(d, list(a)), _u_trim(d, list(b))
+    while b:
+        a, b = b, _u_divmod(d, a, b)[1]
+    if a:
+        inv = d.inv(a[-1])
+        a = [d.mul(c, inv) for c in a]
+    return a
+
+
+def _u_inverse(d, x, f) -> list:
+    """s with s x = 1 modulo f and deg s < deg f, by extended Euclid; x is
+    nonzero and prime to f (f irreducible and deg x < deg f suffice)."""
+    r0, r1 = list(f), _u_trim(d, list(x))
+    s0, s1 = [], [d.one()]
     while r1:
-        # division step of extended Euclid over F_p
-        q = []
-        a, b = list(r0), r1
-        db = len(b) - 1
-        inv_lead = pow(b[-1], p - 2, p)
-        q = [0] * max(0, len(a) - db)
-        while len(a) - 1 >= db and a:
-            c = (a[-1] * inv_lead) % p
-            k = len(a) - 1 - db
-            q[k] = c
-            for j in range(db + 1):
-                a[k + j] = (a[k + j] - c * b[j]) % p
-            _fp_trim(a)
-        s = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        q, r = _u_divmod(d, r0, r1)
+        s = s0 + [d.zero()] * max(0, len(q) + len(s1) - 1 - len(s0))
         for i, qi in enumerate(q):
-            if qi:
+            if not d.is_zero(qi):
                 for j, sj in enumerate(s1):
-                    s[i + j] = (s[i + j] - qi * sj) % p
-        r0, s0, r1, s1 = r1, s1, _fp_trim(a), _fp_trim(s)
-    c = pow(r0[0], p - 2, p)
-    out = [(si * c) % p for si in s0]
-    out += [0] * (m - len(out))
-    return tuple(out[:m])
+                    s[i + j] = d.sub(s[i + j], d.mul(qi, sj))
+        r0, s0, r1, s1 = r1, s1, r, _u_trim(d, s)
+    c = d.inv(r0[0])
+    return [d.mul(si, c) for si in s0]
 
 
 # ---------------------------------------------------------------------------
-# base-kind dispatch on raw payloads
+# field descriptors: one class per kind, owning its payload rules
 
-def _kzero(d):
-    if d.kind == "rationals":
-        return Fraction(0)
-    if d.kind == "cyclotomic":
-        return (Fraction(0),) * _cyclo_degree(d.n)
-    if d.kind == "prime_field":
+_UNKNOWN = object()
+
+
+@dataclass(frozen=True, repr=False)
+class FieldDescriptor:
+    """A field; each subclass is one kind.
+
+    A subclass defines from_int, is_zero, add, neg, mul, _inv, render,
+    to_json, payload_to_json, payload_from_json, random_payload, zeta,
+    root_of_unity_log and _kth_root on raw payloads; zero and one default
+    to from_int. Payloads are canonical, so == on them is field equality.
+    """
+
+    kind: ClassVar[str]
+
+    @property
+    def characteristic(self) -> int:
         return 0
-    if d.kind == "finite_field":
-        return (0,) * d.m
-    return ((), _ff_one(d))
+
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def inv(self, x):
+        if self.is_zero(x):
+            raise DivisionByZero(f"inverse of zero in {self!r}")
+        return self._inv(x)
+
+    def div(self, x, y):
+        return self.mul(x, self.inv(y))
+
+    def power(self, x, e: int):
+        return binary_power(x, e, self.one(), self.mul)
+
+    def kth_root(self, x, k: int):
+        """A payload r with r^k == x, None if provably absent, or _UNKNOWN
+        when outside the decidable fragment."""
+        if k == 1 or self.is_zero(x):
+            return x
+        return self._kth_root(x, k)
+
+    def size(self) -> Optional[int]:
+        return None
+
+    def payloads(self) -> Iterator:
+        raise FieldTooLarge(f"{self!r} is not finite")
+
+    def generator(self):
+        raise ScalarError(f"{self!r} has no distinguished generator")
 
 
-def _kone(d):
-    if d.kind == "rationals":
-        return Fraction(1)
-    if d.kind == "cyclotomic":
-        return _cy_reduce(d.n, [Fraction(1)])
-    if d.kind == "prime_field":
-        return 1
-    if d.kind == "finite_field":
-        return tuple([1] + [0] * (d.m - 1))
-    return (_ff_one(d), _ff_one(d))
+@dataclass(frozen=True, repr=False)
+class _Rationals(FieldDescriptor):
+    kind = "rationals"
 
+    def __repr__(self):
+        return "Q"
 
-def _kfrom_int(d, k: int):
-    if d.kind == "rationals":
+    def to_json(self) -> dict:
+        return {"kind": "rationals"}
+
+    def from_int(self, k: int):
         return Fraction(k)
-    if d.kind == "cyclotomic":
-        return _cy_reduce(d.n, [Fraction(k)])
-    if d.kind == "prime_field":
-        return k % d.p
-    if d.kind == "finite_field":
-        return tuple([k % d.p] + [0] * (d.m - 1))
-    c = _kfrom_int(d.base, k)
-    nv = len(d.variables)
-    num = {} if _kis_zero(d.base, c) else {(0,) * nv: c}
-    return (_p_to_tuple(num), _ff_one(d))
 
-
-def _kis_zero(d, x) -> bool:
-    if d.kind == "rationals":
+    def is_zero(self, x) -> bool:
         return x == 0
-    if d.kind == "cyclotomic":
-        return not any(x)
-    if d.kind == "prime_field":
-        return x == 0
-    if d.kind == "finite_field":
-        return not any(x)
-    return not x[0]
 
-
-def _kadd(d, x, y):
-    if d.kind == "rationals":
+    def add(self, x, y):
         return x + y
-    if d.kind == "cyclotomic":
-        return tuple(a + b for a, b in zip(x, y))
-    if d.kind == "prime_field":
-        return (x + y) % d.p
-    if d.kind == "finite_field":
-        return tuple((a + b) % d.p for a, b in zip(x, y))
-    return _ff_add(d, x, y)
 
-
-def _kneg(d, x):
-    if d.kind == "rationals":
+    def neg(self, x):
         return -x
-    if d.kind == "cyclotomic":
-        return tuple(-a for a in x)
-    if d.kind == "prime_field":
-        return (-x) % d.p
-    if d.kind == "finite_field":
-        return tuple((-a) % d.p for a in x)
-    num, den = x
-    bd = d.base
-    return (tuple((e, _kneg(bd, c)) for e, c in num), den)
 
-
-def _ksub(d, x, y):
-    return _kadd(d, x, _kneg(d, y))
-
-
-def _kmul(d, x, y):
-    if d.kind == "rationals":
+    def mul(self, x, y):
         return x * y
-    if d.kind == "cyclotomic":
-        return _cy_mul(d.n, x, y)
-    if d.kind == "prime_field":
-        return (x * y) % d.p
-    if d.kind == "finite_field":
-        prod = _fp_mul(list(x), list(y), d.p)
-        red = _fp_rem(prod, list(modulus_polynomial(d.p, d.m)), d.p)
-        red += [0] * (d.m - len(red))
-        return tuple(red[:d.m])
-    return _ff_mul(d, x, y)
 
-
-def _kinv(d, x):
-    if _kis_zero(d, x):
-        raise DivisionByZero(f"inverse of zero in {d!r}")
-    if d.kind == "rationals":
+    def _inv(self, x):
         return 1 / x
-    if d.kind == "cyclotomic":
-        return _cy_inv(d.n, x)
-    if d.kind == "prime_field":
-        return pow(x, d.p - 2, d.p)
-    if d.kind == "finite_field":
-        return _gf_inv(x, d.p, d.m)
-    num, den = x
-    return _ff_normalize(d, _p_from_tuple(den), _p_from_tuple(num))
+
+    def render(self, x) -> str:
+        return str(x)
+
+    payload_to_json = render
+
+    def payload_from_json(self, obj):
+        return Fraction(obj)
+
+    def random_payload(self, rng, height, degree, terms):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def zeta(self, order: int):
+        if order == 2:
+            return self.from_int(-1)
+        raise RootOfUnityMissing(f"Q has no primitive {order}-th root")
+
+    def root_of_unity_log(self, x) -> Optional[Fraction]:
+        if x == 1:
+            return Fraction(0)
+        if x == -1:
+            return Fraction(1, 2)
+        return None
+
+    def _kth_root(self, x, k: int):
+        return _fraction_kth_root(x, k)
 
 
-def _kdiv(d, x, y):
-    return _kmul(d, x, _kinv(d, y))
+@dataclass(frozen=True, repr=False)
+class _Cyclotomic(FieldDescriptor):
+    n: int
+    kind = "cyclotomic"
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ScalarError("cyclotomic order must be >= 1")
+
+    def __repr__(self):
+        return f"Q(z{self.n})"
+
+    def to_json(self) -> dict:
+        return {"kind": "cyclotomic", "n": str(self.n)}
+
+    def from_int(self, k: int):
+        return _cy_reduce(self.n, [Fraction(k)])
+
+    def is_zero(self, x) -> bool:
+        return not any(x)
+
+    def add(self, x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    def neg(self, x):
+        return tuple(-a for a in x)
+
+    def mul(self, x, y):
+        return _cy_mul(self.n, x, y)
+
+    def _inv(self, x):
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        return _cy_reduce(self.n, _u_inverse(rationals(), x, phi))
+
+    def generator(self):
+        return _cy_reduce(self.n, [Fraction(0), Fraction(1)])
+
+    def render(self, x) -> str:
+        return _render_uni(x, f"z{self.n}")
+
+    def payload_to_json(self, x):
+        return [str(c) for c in x]
+
+    def payload_from_json(self, obj):
+        return _cy_reduce(self.n, [Fraction(c) for c in obj])
+
+    def random_payload(self, rng, height, degree, terms):
+        return tuple(Fraction(rng.randint(-height, height))
+                     for _ in range(_cyclo_degree(self.n)))
+
+    def zeta(self, order: int):
+        n, z = self.n, self.generator()
+        if n % order == 0:
+            return self.power(z, n // order)
+        if order == 2:
+            return self.from_int(-1)
+        e = order // 2
+        if n % 2 == 1 and order % 2 == 0 and e > 1 and n % e == 0:
+            # e divides the odd n, so e is odd and -w^((e+1)/2) has order 2e
+            return self.neg(self.power(self.power(z, n // e), (e + 1) // 2))
+        raise RootOfUnityMissing(f"{self!r} has no primitive {order}-th root")
+
+    def root_of_unity_log(self, x) -> Optional[Fraction]:
+        z, acc = self.generator(), self.one()
+        for j in range(self.n):
+            if x == acc:
+                return Fraction(j, self.n) % 1
+            if x == self.neg(acc):
+                return (Fraction(1, 2) + Fraction(j, self.n)) % 1
+            acc = self.mul(acc, z)
+        return None
+
+    def _kth_root(self, x, k: int):
+        if _cyclo_degree(self.n) == 1:
+            # Q(z1) and Q(z2) are Q itself
+            r = _fraction_kth_root(x[0], k)
+            return (r,) if r is not None else None
+        m_order = self.n if self.n % 2 == 0 else 2 * self.n
+        z, acc = self.zeta(m_order), self.one()
+        for _ in range(m_order):
+            quo = self.div(x, self.power(acc, k))
+            if not any(quo[1:]):
+                s = _fraction_kth_root(quo[0], k)
+                if s is not None:
+                    return tuple(c * s for c in acc)
+            acc = self.mul(acc, z)
+        # roots outside the unit*rational family are undecidable here
+        return _UNKNOWN
+
+
+@dataclass(frozen=True, repr=False)
+class _FiniteField(FieldDescriptor):
+    p: int
+    m: int
+    kind = "finite_field"
+
+    def __post_init__(self):
+        if self.p < 2 or not _is_prime(self.p):
+            raise ScalarError(f"{self.p} is not prime")
+        if self.m < 1:
+            raise ScalarError("finite field degree must be >= 1")
+
+    @property
+    def characteristic(self) -> int:
+        return self.p
+
+    def __repr__(self):
+        return f"F_{self.p ** self.m}"
+
+    def to_json(self) -> dict:
+        return {"kind": "finite_field", "p": str(self.p), "m": str(self.m)}
+
+    def _reduce(self, poly: list):
+        """The payload of an F_p[t] coefficient list modulo the fixed modulus."""
+        red = _fp_rem(poly, list(modulus_polynomial(self.p, self.m)), self.p)
+        return tuple(red + [0] * (self.m - len(red)))
+
+    def from_int(self, k: int):
+        return tuple([k % self.p] + [0] * (self.m - 1))
+
+    def is_zero(self, x) -> bool:
+        return not any(x)
+
+    def add(self, x, y):
+        return tuple((a + b) % self.p for a, b in zip(x, y))
+
+    def neg(self, x):
+        return tuple((-a) % self.p for a in x)
+
+    def mul(self, x, y):
+        return self._reduce(_fp_mul(list(x), list(y), self.p))
+
+    def _inv(self, x):
+        return self._reduce(_u_inverse(prime_field(self.p), x,
+                                       modulus_polynomial(self.p, self.m)))
+
+    def generator(self):
+        return self._reduce([0, 1])
+
+    def size(self) -> Optional[int]:
+        return self.p ** self.m
+
+    def payloads(self) -> Iterator:
+        return itertools.product(range(self.p), repeat=self.m)
+
+    def render(self, x) -> str:
+        return _render_uni(x, "t")
+
+    def payload_to_json(self, x):
+        return [str(c) for c in x]
+
+    def payload_from_json(self, obj):
+        if len(obj) > self.m:
+            raise ScalarError(f"{self!r} element has {len(obj)} coefficients, "
+                              f"at most {self.m} allowed")
+        vals = [int(c) % self.p for c in obj]
+        return tuple(vals + [0] * (self.m - len(vals)))
+
+    def random_payload(self, rng, height, degree, terms):
+        return tuple(rng.randrange(self.p) for _ in range(self.m))
+
+    def zeta(self, order: int):
+        """The first element of the given order in element order."""
+        if (self.size() - 1) % order:
+            raise RootOfUnityMissing(f"{self!r} has no element of order {order}")
+        one = self.one()
+        for x in self.payloads():
+            found = not self.is_zero(x) and least_power(x, self.mul, lambda a: a == one, order)
+            if found and found[0] == order:
+                return x
+        raise RootOfUnityMissing(f"{self!r} has no element of order {order}")
+
+    def root_of_unity_log(self, x) -> Optional[Fraction]:
+        q = self.size()
+        if q > 65536:
+            raise FieldTooLarge("discrete log capped at 65536 elements")
+        gen, acc = self.zeta(q - 1), self.one()
+        for t in range(q - 1):
+            if x == acc:
+                return Fraction(t, q - 1) % 1
+            acc = self.mul(acc, gen)
+        return None
+
+    def _kth_root(self, x, k: int):
+        if self.size() > 4096:
+            return _UNKNOWN
+        for r in self.payloads():
+            if self.power(r, k) == x:
+                return r
+        return None
+
+
+class _PrimeField(_FiniteField):
+    """F_p: the finite field with m = 1 and bare int payloads."""
+
+    kind = "prime_field"
+
+    def to_json(self) -> dict:
+        return {"kind": "prime_field", "p": str(self.p)}
+
+    def from_int(self, k: int):
+        return k % self.p
+
+    def is_zero(self, x) -> bool:
+        return x == 0
+
+    def add(self, x, y):
+        return (x + y) % self.p
+
+    def neg(self, x):
+        return (-x) % self.p
+
+    def mul(self, x, y):
+        return (x * y) % self.p
+
+    def _inv(self, x):
+        return pow(x, self.p - 2, self.p)
+
+    generator = FieldDescriptor.generator
+
+    def payloads(self) -> Iterator:
+        return iter(range(self.p))
+
+    def render(self, x) -> str:
+        return str(x)
+
+    payload_to_json = render
+
+    def payload_from_json(self, obj):
+        return int(obj) % self.p
+
+    def random_payload(self, rng, height, degree, terms):
+        return rng.randrange(self.p)
+
+
+@dataclass(frozen=True, repr=False)
+class _FunctionField(FieldDescriptor):
+    base: FieldDescriptor
+    variables: tuple[str, ...]
+    kind = "function_field"
+
+    def __post_init__(self):
+        if self.base is None or not self.variables:
+            raise ScalarError("function field needs a base and variables")
+        if len(set(self.variables)) != len(self.variables):
+            raise ScalarError("function field variables must be distinct")
+
+    @cached_property
+    def _unit_den(self):
+        """The canonical denominator 1: the constant polynomial."""
+        return _p_to_tuple({(0,) * len(self.variables): self.base.one()})
+
+    @property
+    def characteristic(self) -> int:
+        return self.base.characteristic
+
+    def __repr__(self):
+        return f"{self.base!r}({', '.join(self.variables)})"
+
+    def to_json(self) -> dict:
+        return {"kind": "function_field", "base": self.base.to_json(),
+                "variables": list(self.variables)}
+
+    def constant(self, c):
+        """The payload of the constant function c, a base payload."""
+        num = {} if self.base.is_zero(c) else {(0,) * len(self.variables): c}
+        return (_p_to_tuple(num), self._unit_den)
+
+    def zero(self):
+        return ((), self._unit_den)
+
+    def one(self):
+        return (self._unit_den, self._unit_den)
+
+    def from_int(self, k: int):
+        return self.constant(self.base.from_int(k))
+
+    def is_zero(self, x) -> bool:
+        return not x[0]
+
+    def add(self, x, y):
+        bd = self.base
+        n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
+        n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
+        if x[1] == y[1]:
+            num = _p_add(bd, n1, n2)
+            if x[1] == self._unit_den:
+                return (_p_to_tuple(num), x[1])
+            return self.normalize(num, d1)
+        num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
+        return self.normalize(num, _p_mul(bd, d1, d2))
+
+    def neg(self, x):
+        num, den = x
+        return (tuple((e, self.base.neg(c)) for e, c in num), den)
+
+    def mul(self, x, y):
+        bd = self.base
+        num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
+        one = self._unit_den
+        if x[1] == one and y[1] == one:
+            return (_p_to_tuple(num), one)
+        return self.normalize(num, _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1])))
+
+    def _inv(self, x):
+        num, den = x
+        return self.normalize(_p_from_tuple(den), _p_from_tuple(num))
+
+    def normalize(self, num: dict, den: dict):
+        """The canonical payload of num/den: common factors cancelled and
+        the denominator monic."""
+        bd, nv = self.base, len(self.variables)
+        if not den:
+            raise DivisionByZero(f"zero denominator in {self!r}")
+        if not num:
+            return ((), self._unit_den)
+        if den != {(0,) * nv: bd.one()}:
+            g = _p_gcd(bd, num, den, nv)
+            if len(g) > 1 or max(g) != (0,) * nv:
+                num = _p_exact_div(bd, num, g)
+                den = _p_exact_div(bd, den, g)
+        _, lc = _p_lead(den)
+        if lc != bd.one():
+            inv = bd.inv(lc)
+            num = _p_scale(bd, num, inv)
+            den = _p_scale(bd, den, inv)
+        return (_p_to_tuple(num), _p_to_tuple(den))
+
+    def render(self, x) -> str:
+        num, den = x
+        ns = _render_poly(self, _p_from_tuple(num))
+        if den == self._unit_den:
+            return ns
+        ds = _render_poly(self, _p_from_tuple(den))
+        return f"({ns})/({ds})"
+
+    def payload_to_json(self, x):
+        num, den = x
+
+        def poly(t):
+            return {",".join(str(e) for e in exps): self.base.payload_to_json(c)
+                    for exps, c in t}
+
+        return {"num": poly(num), "den": poly(den)}
+
+    def payload_from_json(self, obj):
+        if isinstance(obj, (int, str)):
+            return self.from_int(int(obj))
+        nv = len(self.variables)
+
+        def poly(o):
+            out = {}
+            for key, c in o.items():
+                exps = tuple(int(x) for x in key.split(","))
+                if len(exps) != nv:
+                    raise ScalarError(f"exponent key {key!r} has wrong arity")
+                cp = self.base.payload_from_json(c)
+                if not self.base.is_zero(cp):
+                    out[exps] = cp
+            return out
+
+        num = poly(obj["num"])
+        den = poly(obj["den"]) if "den" in obj else _p_from_tuple(self._unit_den)
+        return self.normalize(num, den)
+
+    def random_payload(self, rng, height, degree, terms):
+        bd, nv = self.base, len(self.variables)
+
+        def rand_poly(tmax):
+            out = {}
+            for _ in range(rng.randint(1, tmax)):
+                exp = tuple(rng.randint(0, degree) for _ in range(nv))
+                c = bd.random_payload(rng, height, degree, terms)
+                if not bd.is_zero(c):
+                    out[exp] = c
+            return out
+
+        num = rand_poly(terms)
+        den = rand_poly(max(1, terms - 1)) or _p_from_tuple(self._unit_den)
+        if rng.random() < 0.5:
+            den = _p_from_tuple(self._unit_den)
+        return self.normalize(num, den)
+
+    def zeta(self, order: int):
+        return self.constant(self.base.zeta(order))
+
+    def root_of_unity_log(self, x) -> Optional[Fraction]:
+        # only constants can be roots of unity
+        num, den = x
+        if den != self._unit_den or len(num) != 1 or num[0][0] != (0,) * len(self.variables):
+            return None
+        return self.base.root_of_unity_log(num[0][1])
+
+    def _kth_root(self, x, k: int):
+        bd, nv = self.base, len(self.variables)
+        char = self.characteristic
+        num, den = _p_from_tuple(x[0]), _p_from_tuple(x[1])
+        rn = _poly_root_or_status(bd, num, k, nv, char)
+        if rn is None or rn is _UNKNOWN:
+            return rn
+        rd = _poly_root_or_status(bd, den, k, nv, char)
+        if rd is None or rd is _UNKNOWN:
+            return rd
+        return self.normalize(rn, rd)
+
+
+def rationals() -> FieldDescriptor:
+    return _Rationals()
+
+
+def cyclotomic(n: int) -> FieldDescriptor:
+    return _Cyclotomic(n)
+
+
+def prime_field(p: int) -> FieldDescriptor:
+    return _PrimeField(p, 1)
+
+
+def finite_field(p: int, m: int) -> FieldDescriptor:
+    return _FiniteField(p, m)
+
+
+def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
+    return _FunctionField(base, tuple(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +903,8 @@ def _p_add(bd, A, B):
     out = dict(A)
     for e, c in B.items():
         if e in out:
-            s = _kadd(bd, out[e], c)
-            if _kis_zero(bd, s):
+            s = bd.add(out[e], c)
+            if bd.is_zero(s):
                 del out[e]
             else:
                 out[e] = s
@@ -560,7 +914,7 @@ def _p_add(bd, A, B):
 
 
 def _p_neg(bd, A):
-    return {e: _kneg(bd, c) for e, c in A.items()}
+    return {e: bd.neg(c) for e, c in A.items()}
 
 
 def _p_sub(bd, A, B):
@@ -572,10 +926,10 @@ def _p_mul(bd, A, B):
     for ea, ca in A.items():
         for eb, cb in B.items():
             e = tuple(i + j for i, j in zip(ea, eb))
-            c = _kmul(bd, ca, cb)
+            c = bd.mul(ca, cb)
             if e in out:
-                c = _kadd(bd, out[e], c)
-            if _kis_zero(bd, c):
+                c = bd.add(out[e], c)
+            if bd.is_zero(c):
                 out.pop(e, None)
             else:
                 out[e] = c
@@ -583,9 +937,9 @@ def _p_mul(bd, A, B):
 
 
 def _p_scale(bd, A, c):
-    if _kis_zero(bd, c):
+    if bd.is_zero(c):
         return {}
-    return {e: _kmul(bd, a, c) for e, a in A.items()}
+    return {e: bd.mul(a, c) for e, a in A.items()}
 
 
 def _p_deg(A, i) -> int:
@@ -601,9 +955,9 @@ def _p_monic(bd, A):
     if not A:
         return A
     _, c = _p_lead(A)
-    if _kis_zero(bd, _ksub(bd, c, _kone(bd))):
+    if c == bd.one():
         return A
-    return _p_scale(bd, A, _kinv(bd, c))
+    return _p_scale(bd, A, bd.inv(c))
 
 
 def _p_exact_div(bd, A, B):
@@ -611,7 +965,7 @@ def _p_exact_div(bd, A, B):
     if not B:
         raise DivisionByZero("polynomial division by zero")
     eb, cb = _p_lead(B)
-    inv_cb = _kinv(bd, cb)
+    inv_cb = bd.inv(cb)
     R = dict(A)
     Q = {}
     while R:
@@ -619,7 +973,7 @@ def _p_exact_div(bd, A, B):
         de = tuple(i - j for i, j in zip(e, eb))
         if any(i < 0 for i in de):
             raise ArithmeticError("polynomial division not exact")
-        qc = _kmul(bd, c, inv_cb)
+        qc = bd.mul(c, inv_cb)
         Q[de] = qc
         R = _p_sub(bd, R, _p_mul(bd, {de: qc}, B))
     return Q
@@ -656,7 +1010,7 @@ def _p_prem(bd, A, B, i):
         dR = _p_deg(R, i)
         lcR = {e[:i] + (0,) + e[i + 1:]: c for e, c in R.items() if e[i] == dR}
         shift = (0,) * i + (dR - dB,) + (0,) * (nv - i - 1)
-        R = _p_sub(bd, _p_mul(bd, lcB, R), _p_mul(bd, _p_mul(bd, lcR, {shift: _kone(bd)}), B))
+        R = _p_sub(bd, _p_mul(bd, lcB, R), _p_mul(bd, _p_mul(bd, lcR, {shift: bd.one()}), B))
     return R
 
 
@@ -675,10 +1029,10 @@ def _p_gcd(bd, A, B, nv):
         mins = None
         for e in itertools.chain(A, B):
             mins = e if mins is None else tuple(map(min, mins, e))
-        return {mins: _kone(bd)}
+        return {mins: bd.one()}
     main = next((i for i in range(nv) if _p_deg(A, i) or _p_deg(B, i)), None)
     if main is None:
-        return {(0,) * nv: _kone(bd)}
+        return {(0,) * nv: bd.one()}
     contA, ppA = _p_content_pp(bd, A, main, nv)
     contB, ppB = _p_content_pp(bd, B, main, nv)
     contG = _p_gcd(bd, contA, contB, nv)
@@ -693,54 +1047,6 @@ def _p_gcd(bd, A, B, nv):
     if _p_deg(R0, main) > 0:
         R0 = _p_content_pp(bd, R0, main, nv)[1]
     return _p_monic(bd, _p_mul(bd, contG, R0))
-
-
-def _ff_normalize(d, num: dict, den: dict):
-    bd, nv = d.base, len(d.variables)
-    if not den:
-        raise DivisionByZero(f"zero denominator in {d!r}")
-    if not num:
-        return ((), _ff_one(d))
-    if not (len(den) == 1 and max(den) == (0,) * nv and
-            _kis_zero(bd, _ksub(bd, den[(0,) * nv], _kone(bd)))):
-        g = _p_gcd(bd, num, den, nv)
-        if len(g) > 1 or max(g) != (0,) * nv:
-            num = _p_exact_div(bd, num, g)
-            den = _p_exact_div(bd, den, g)
-    _, lc = _p_lead(den)
-    if not _kis_zero(bd, _ksub(bd, lc, _kone(bd))):
-        inv = _kinv(bd, lc)
-        num = _p_scale(bd, num, inv)
-        den = _p_scale(bd, den, inv)
-    return (_p_to_tuple(num), _p_to_tuple(den))
-
-
-@lru_cache(maxsize=None)
-def _ff_one(d):
-    """The canonical denominator 1 of a function field: the constant polynomial."""
-    return _p_to_tuple({(0,) * len(d.variables): _kone(d.base)})
-
-
-def _ff_add(d, x, y):
-    bd = d.base
-    n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
-    n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
-    if x[1] == y[1]:
-        num = _p_add(bd, n1, n2)
-        if x[1] == _ff_one(d):
-            return (_p_to_tuple(num), x[1])
-        return _ff_normalize(d, num, d1)
-    num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
-    return _ff_normalize(d, num, _p_mul(bd, d1, d2))
-
-
-def _ff_mul(d, x, y):
-    bd = d.base
-    num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
-    one = _ff_one(d)
-    if x[1] == one and y[1] == one:
-        return (_p_to_tuple(num), one)
-    return _ff_normalize(d, num, _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -759,32 +1065,33 @@ class FieldElement:
         self.payload = payload
 
     def _coerce(self, other) -> "FieldElement":
+        d = self.descriptor
         if isinstance(other, FieldElement):
-            if other.descriptor != self.descriptor:
-                raise DescriptorMismatch(
-                    f"{other.descriptor!r} vs {self.descriptor!r}")
+            if other.descriptor != d:
+                raise DescriptorMismatch(f"{other.descriptor!r} vs {d!r}")
             return other
         if isinstance(other, int):
-            return FieldElement(self.descriptor, _kfrom_int(self.descriptor, other))
-        if isinstance(other, Fraction) and self.descriptor.characteristic == 0:
-            num = FieldElement(self.descriptor, _kfrom_int(self.descriptor, other.numerator))
-            den = FieldElement(self.descriptor, _kfrom_int(self.descriptor, other.denominator))
+            return FieldElement(d, d.from_int(other))
+        if isinstance(other, Fraction) and d.characteristic == 0:
+            num = FieldElement(d, d.from_int(other.numerator))
+            den = FieldElement(d, d.from_int(other.denominator))
             return num / den
         return NotImplemented
 
-    def _binary(self, other, op):
+    def _binary(self, other, op: str):
         rhs = self._coerce(other)
         if rhs is NotImplemented:
             return NotImplemented
-        return FieldElement(self.descriptor, op(self.descriptor, self.payload, rhs.payload))
+        d = self.descriptor
+        return FieldElement(d, getattr(d, op)(self.payload, rhs.payload))
 
     def __add__(self, other):
-        return self._binary(other, _kadd)
+        return self._binary(other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, _ksub)
+        return self._binary(other, "sub")
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
@@ -793,12 +1100,12 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
-        return self._binary(other, _kmul)
+        return self._binary(other, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return self._binary(other, _kdiv)
+        return self._binary(other, "div")
 
     def __rtruediv__(self, other):
         rhs = self._coerce(other)
@@ -807,7 +1114,7 @@ class FieldElement:
         return rhs / self
 
     def __neg__(self):
-        return FieldElement(self.descriptor, _kneg(self.descriptor, self.payload))
+        return FieldElement(self.descriptor, self.descriptor.neg(self.payload))
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
@@ -816,19 +1123,19 @@ class FieldElement:
         if e < 0:
             base = self.inverse()
             e = -e
-        return binary_power(base, e, FieldElement(self.descriptor, _kone(self.descriptor)),
+        return binary_power(base, e, FieldElement(self.descriptor, self.descriptor.one()),
                             operator.mul)
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.descriptor, _kinv(self.descriptor, self.payload))
+        return FieldElement(self.descriptor, self.descriptor.inv(self.payload))
 
     @property
     def is_zero(self) -> bool:
-        return _kis_zero(self.descriptor, self.payload)
+        return self.descriptor.is_zero(self.payload)
 
     @property
     def is_one(self) -> bool:
-        return self.payload == _kone(self.descriptor)
+        return self.payload == self.descriptor.one()
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -846,24 +1153,7 @@ class FieldElement:
         return not self.is_zero
 
     def __repr__(self):
-        return _render(self.descriptor, self.payload)
-
-
-def _render(d, payload) -> str:
-    if d.kind == "rationals":
-        return str(payload)
-    if d.kind == "prime_field":
-        return str(payload)
-    if d.kind == "cyclotomic":
-        return _render_uni(payload, f"z{d.n}")
-    if d.kind == "finite_field":
-        return _render_uni(payload, "t")
-    num, den = payload
-    ns = _render_poly(d, _p_from_tuple(num))
-    if den == _ff_one(d):
-        return ns
-    ds = _render_poly(d, _p_from_tuple(den))
-    return f"({ns})/({ds})"
+        return self.descriptor.render(self.payload)
 
 
 def _render_uni(coeffs, var) -> str:
@@ -888,7 +1178,7 @@ def _render_poly(d, A) -> str:
         mon = "*".join(
             n + (f"**{k}" if k > 1 else "")
             for n, k in zip(names, e) if k)
-        cs = _render(d.base, c)
+        cs = d.base.render(c)
         if mon:
             if cs == "1":
                 parts.append(mon)
@@ -911,77 +1201,57 @@ class Field:
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self.descriptor, _kzero(self.descriptor))
+        return FieldElement(self.descriptor, self.descriptor.zero())
 
     @property
     def one(self) -> FieldElement:
-        return FieldElement(self.descriptor, _kone(self.descriptor))
+        return FieldElement(self.descriptor, self.descriptor.one())
 
     @property
     def characteristic(self) -> int:
         return self.descriptor.characteristic
 
     def from_int(self, k: int) -> FieldElement:
-        return FieldElement(self.descriptor, _kfrom_int(self.descriptor, k))
+        return FieldElement(self.descriptor, self.descriptor.from_int(k))
 
     def __call__(self, value: _Coercible) -> FieldElement:
         return self.one._coerce(value)
 
     def var(self, name: str) -> FieldElement:
         d = self.descriptor
-        if d.kind != "function_field":
+        if not isinstance(d, _FunctionField):
             raise ScalarError(f"{d!r} has no variables")
         if name not in d.variables:
             raise ScalarError(f"unknown variable {name!r} in {d!r}")
         i = d.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(d.variables)))
-        num = _p_to_tuple({e: _kone(d.base)})
-        return FieldElement(d, (num, _ff_one(d)))
+        num = _p_to_tuple({e: d.base.one()})
+        return FieldElement(d, (num, d._unit_den))
 
     def vars(self) -> tuple[FieldElement, ...]:
-        return tuple(self.var(n) for n in self.descriptor.variables)
+        return tuple(self.var(n) for n in getattr(self.descriptor, "variables", ()))
 
     def lift(self, elt: FieldElement) -> FieldElement:
         """Embed a base-field element as a constant rational function."""
         d = self.descriptor
-        if d.kind != "function_field":
+        if not isinstance(d, _FunctionField):
             raise ScalarError(f"{d!r} is not a function field")
         if elt.descriptor != d.base:
             raise DescriptorMismatch(f"{elt.descriptor!r} is not the base of {d!r}")
-        nv = len(d.variables)
-        num = {} if elt.is_zero else {(0,) * nv: elt.payload}
-        return FieldElement(d, (_p_to_tuple(num), _ff_one(d)))
+        return FieldElement(d, d.constant(elt.payload))
 
     def generator(self) -> FieldElement:
         """Class of the defining generator (z for cyclotomic, t for F_{p^m})."""
-        d = self.descriptor
-        if d.kind == "cyclotomic":
-            return FieldElement(d, _cy_reduce(d.n, [Fraction(0), Fraction(1)]))
-        if d.kind == "finite_field":
-            red = _fp_rem([0, 1], list(modulus_polynomial(d.p, d.m)), d.p)
-            red += [0] * (d.m - len(red))
-            return FieldElement(d, tuple(red[:d.m]))
-        raise ScalarError(f"{d!r} has no distinguished generator")
+        return FieldElement(self.descriptor, self.descriptor.generator())
 
     def size(self) -> Optional[int]:
-        d = self.descriptor
-        if d.kind == "prime_field":
-            return d.p
-        if d.kind == "finite_field":
-            return d.p ** d.m
-        return None
+        return self.descriptor.size()
 
     def elements(self) -> Iterator[FieldElement]:
         """All elements of a finite field, in a fixed deterministic order."""
         d = self.descriptor
-        if d.kind == "prime_field":
-            for v in range(d.p):
-                yield FieldElement(d, v)
-        elif d.kind == "finite_field":
-            for tup in itertools.product(range(d.p), repeat=d.m):
-                yield FieldElement(d, tup)
-        else:
-            raise FieldTooLarge(f"{d!r} is not finite")
+        for x in d.payloads():
+            yield FieldElement(d, x)
 
     def zeta(self, order: int) -> FieldElement:
         """A primitive root of unity of the given order, or RootOfUnityMissing.
@@ -995,84 +1265,18 @@ class Field:
         if order == 1:
             return self.one
         p = d.characteristic
-        if p:
-            if order % p == 0:
-                raise RootOfUnityMissing(f"no {order}-th roots in characteristic {p}")
-            if d.kind == "function_field":
-                return self.lift(Field(d.base).zeta(order))
-            q = self.size()
-            if (q - 1) % order:
-                raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
-            for x in self.elements():
-                if x.is_zero:
-                    continue
-                if _has_order(x, order):
-                    return x
-            raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
-        if d.kind == "rationals":
-            if order == 2:
-                return self.from_int(-1)
-            raise RootOfUnityMissing(f"Q has no primitive {order}-th root")
-        if d.kind == "cyclotomic":
-            if d.n % order == 0:
-                return self.generator() ** (d.n // order)
-            if order == 2:
-                return self.from_int(-1)
-            if d.n % 2 == 1 and order % 2 == 0 and order // 2 > 1 and d.n % (order // 2) == 0:
-                e = order // 2
-                if e % 2 == 1:
-                    w = self.generator() ** (d.n // e)
-                    return -(w ** ((e + 1) // 2))
-            raise RootOfUnityMissing(f"{d!r} has no primitive {order}-th root")
-        # char-0 function field
-        return self.lift(Field(d.base).zeta(order))
+        if p and order % p == 0:
+            raise RootOfUnityMissing(f"no {order}-th roots in characteristic {p}")
+        return FieldElement(d, d.zeta(order))
 
     def random_element(self, rng, *, height: int = 9, degree: int = 2,
                        terms: int = 2, nonzero: bool = False) -> FieldElement:
         """Seeded random element for property tests; exact, never floats."""
         d = self.descriptor
         while True:
-            if d.kind == "rationals":
-                e = FieldElement(d, Fraction(rng.randint(-height, height),
-                                             rng.randint(1, height)))
-            elif d.kind == "cyclotomic":
-                deg = _cyclo_degree(d.n)
-                e = FieldElement(d, tuple(Fraction(rng.randint(-height, height))
-                                          for _ in range(deg)))
-            elif d.kind == "prime_field":
-                e = FieldElement(d, rng.randrange(d.p))
-            elif d.kind == "finite_field":
-                e = FieldElement(d, tuple(rng.randrange(d.p) for _ in range(d.m)))
-            else:
-                base = Field(d.base)
-                nv = len(d.variables)
-
-                def rand_poly(tmax):
-                    out = {}
-                    for _ in range(rng.randint(1, tmax)):
-                        exp = tuple(rng.randint(0, degree) for _ in range(nv))
-                        c = base.random_element(rng, height=height, degree=degree,
-                                                terms=terms)
-                        if not c.is_zero:
-                            out[exp] = c.payload
-                    return out
-
-                num = rand_poly(terms)
-                den = rand_poly(max(1, terms - 1)) or dict(_ff_one(d))
-                if rng.random() < 0.5:
-                    den = dict(_ff_one(d))
-                try:
-                    e = FieldElement(d, _ff_normalize(d, num, den))
-                except DivisionByZero:
-                    continue
-            if nonzero and e.is_zero:
-                continue
-            return e
-
-
-def _has_order(x: FieldElement, order: int) -> bool:
-    found = least_power(x, operator.mul, lambda a: a.is_one, order)
-    return found is not None and found[0] == order
+            e = FieldElement(d, d.random_payload(rng, height, degree, terms))
+            if not (nonzero and e.is_zero):
+                return e
 
 
 # ---------------------------------------------------------------------------
@@ -1086,54 +1290,13 @@ def root_of_unity_log(elt: FieldElement) -> Optional[Fraction]:
     of a finite field maps through its first primitive element in element
     order; in Q and char-0 function-field constants only +-1 qualify.
     """
-    d = elt.descriptor
-    F = Field(d)
     if elt.is_zero:
         return None
-    if d.kind == "rationals":
-        if elt.is_one:
-            return Fraction(0)
-        if elt == -1:
-            return Fraction(1, 2)
-        return None
-    if d.kind == "cyclotomic":
-        z = F.generator()
-        acc = F.one
-        for j in range(d.n):
-            if elt == acc:
-                return Fraction(j, d.n) % 1
-            if elt == -acc:
-                return (Fraction(1, 2) + Fraction(j, d.n)) % 1
-            acc = acc * z
-        return None
-    if d.kind in ("prime_field", "finite_field"):
-        q = F.size()
-        if q > 65536:
-            raise FieldTooLarge("discrete log capped at 65536 elements")
-        gen = None
-        for x in F.elements():
-            if not x.is_zero and _has_order(x, q - 1):
-                gen = x
-                break
-        acc = F.one
-        for t in range(q - 1):
-            if elt == acc:
-                return Fraction(t, q - 1) % 1
-            acc = acc * gen
-        return None
-    # function field: only constants can be roots of unity
-    num, den = elt.payload
-    nv = len(d.variables)
-    if den != _ff_one(d) or len(num) != 1 or num[0][0] != (0,) * nv:
-        return None
-    return root_of_unity_log(FieldElement(d.base, num[0][1]))
+    return elt.descriptor.root_of_unity_log(elt.payload)
 
 
 # ---------------------------------------------------------------------------
 # k-th power recognition (decidable fragment) and k-th roots
-
-_UNKNOWN = object()
-
 
 def _int_kth_root(x: int, k: int) -> Optional[int]:
     if x < 0:
@@ -1166,64 +1329,21 @@ def _fraction_kth_root(x: Fraction, k: int) -> Optional[Fraction]:
     return -r if neg else r
 
 
-def _kth_root_payload(d, payload, k: int):
-    """Return a payload r with r^k == payload, None if provably absent,
-    or _UNKNOWN when outside the decidable fragment."""
-    if k == 1:
-        return payload
-    if _kis_zero(d, payload):
-        return payload
-    if d.kind == "rationals":
-        r = _fraction_kth_root(payload, k)
-        return r if r is not None else None
-    if d.kind in ("prime_field", "finite_field"):
-        F = Field(d)
-        q = F.size()
-        if q > 4096:
-            return _UNKNOWN
-        target = FieldElement(d, payload)
-        for x in F.elements():
-            if x ** k == target:
-                return x.payload
-        return None
-    if d.kind == "cyclotomic":
-        deg = _cyclo_degree(d.n)
-        if deg == 1:
-            # Q(z1) and Q(z2) are Q itself
-            r = _fraction_kth_root(payload[0], k)
-            return (r,) if r is not None else None
-        F = Field(d)
-        target = FieldElement(d, payload)
-        m_order = d.n if d.n % 2 == 0 else 2 * d.n
-        z = F.zeta(m_order)
-        acc = F.one
-        for _ in range(m_order):
-            quo = target * (acc ** (-k))
-            if all(c == 0 for c in quo.payload[1:]):
-                s = _fraction_kth_root(quo.payload[0], k)
-                if s is not None:
-                    return (acc * s).payload
-            acc = acc * z
-        # roots outside the unit*rational family are undecidable here
-        return _UNKNOWN
-    return _ff_kth_root(d, payload, k)
-
-
 def _p_kth_root(bd, A: dict, k: int, nv: int):
     """k-th root of a polynomial, char coprime to k. Greedy on lex terms."""
     le, lc = _p_lead(A)
     if any(e % k for e in le):
         return None
-    rc = _kth_root_payload(bd, lc, k)
+    rc = bd.kth_root(lc, k)
     if rc is None or rc is _UNKNOWN:
         return rc
     ge = tuple(e // k for e in le)
     G = {ge: rc}
-    k_elem = _kfrom_int(bd, k)
-    if _kis_zero(bd, k_elem):
+    k_elem = bd.from_int(k)
+    if bd.is_zero(k_elem):
         raise AssertionError("characteristic divides k in coprime branch")
     he = tuple(e * (k - 1) for e in ge)
-    hc = _kmul(bd, k_elem, _kmul_pow(bd, rc, k - 1))
+    hc = bd.mul(k_elem, bd.power(rc, k - 1))
     for _ in range(4096):
         Gpow = G
         for _ in range(k - 1):
@@ -1236,15 +1356,8 @@ def _p_kth_root(bd, A: dict, k: int, nv: int):
         te = tuple(a - b for a, b in zip(de, he))
         if any(t < 0 for t in te) or te >= ge:
             return None
-        G[te] = _kdiv(bd, dc, hc)
+        G[te] = bd.div(dc, hc)
     return None
-
-
-def _kmul_pow(bd, c, e):
-    out = _kone(bd)
-    for _ in range(e):
-        out = _kmul(bd, out, c)
-    return out
 
 
 def _poly_root_or_status(bd, A, k, nv, char):
@@ -1256,7 +1369,7 @@ def _poly_root_or_status(bd, A, k, nv, char):
             return None
         root = {}
         for e, c in A.items():
-            rc = _kth_root_payload(bd, c, char)
+            rc = bd.kth_root(c, char)
             if rc is None or rc is _UNKNOWN:
                 return rc
             root[tuple(x // char for x in e)] = rc
@@ -1266,25 +1379,12 @@ def _poly_root_or_status(bd, A, k, nv, char):
     return _p_kth_root(bd, A, k, nv)
 
 
-def _ff_kth_root(d, payload, k):
-    bd, nv = d.base, len(d.variables)
-    char = d.characteristic
-    num, den = _p_from_tuple(payload[0]), _p_from_tuple(payload[1])
-    rn = _poly_root_or_status(bd, num, k, nv, char)
-    if rn is None or rn is _UNKNOWN:
-        return rn
-    rd = _poly_root_or_status(bd, den, k, nv, char)
-    if rd is None or rd is _UNKNOWN:
-        return rd
-    return _ff_normalize(d, rn, rd)
-
-
 def kth_root(elt: FieldElement, k: int) -> Optional[FieldElement]:
     """Exact k-th root, None if provably none exists, UndecidedPower if the
     question falls outside the decidable fragment (general cyclotomic units)."""
     if k < 1:
         raise ScalarError("root index must be >= 1")
-    r = _kth_root_payload(elt.descriptor, elt.payload, k)
+    r = elt.descriptor.kth_root(elt.payload, k)
     if r is _UNKNOWN:
         raise UndecidedPower(f"{k}-th power recognition undecided for {elt!r}")
     if r is None:
@@ -1302,49 +1402,6 @@ def is_kth_power(elt: FieldElement, k: int) -> Optional[bool]:
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over a field (lists of FieldElements, ascending)
-
-def uni_trim(coeffs: list[FieldElement]) -> list[FieldElement]:
-    while coeffs and coeffs[-1].is_zero:
-        coeffs.pop()
-    return coeffs
-
-
-def uni_divmod(a: list[FieldElement], b: list[FieldElement]):
-    if not b:
-        raise DivisionByZero("univariate division by zero polynomial")
-    F = Field(b[0].descriptor)
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = b[-1].inverse()
-    q = [F.zero] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = a[-1] * inv_lead
-        k = len(a) - 1 - db
-        q[k] = c
-        for j in range(db + 1):
-            a[k + j] = a[k + j] - c * b[j]
-        uni_trim(a)
-    return q, a
-
-
-def uni_gcd(a, b) -> list[FieldElement]:
-    a, b = uni_trim(list(a)), uni_trim(list(b))
-    while b:
-        a, b = b, uni_divmod(a, b)[1]
-    if a:
-        inv = a[-1].inverse()
-        a = [c * inv for c in a]
-    return a
-
-
-def uni_derivative(a: list[FieldElement]) -> list[FieldElement]:
-    if len(a) <= 1:
-        return []
-    return uni_trim([a[i] * i for i in range(1, len(a))])
-
-
-# ---------------------------------------------------------------------------
 # minimal polynomials for the algebraic-element specs we support
 
 @dataclass(frozen=True)
@@ -1358,8 +1415,10 @@ class MinimalPolynomial:
 
 
 def _separable_flag(coeffs) -> bool:
-    g = uni_gcd(list(coeffs), uni_derivative(list(coeffs)))
-    return len(g) == 1
+    d = coeffs[0].descriptor
+    a = [c.payload for c in coeffs]
+    derivative = [d.mul(a[i], d.from_int(i)) for i in range(1, len(a))]
+    return len(_u_gcd(d, a, derivative)) == 1
 
 
 def minimal_polynomial_of_constant(c: FieldElement) -> MinimalPolynomial:
@@ -1400,7 +1459,7 @@ def artin_schreier_image(field: Field, max_size: int = 16) -> list[FieldElement]
     """The set {c^2 - c : c in F} for F of characteristic 2, sorted in the
     canonical element order. Enumeration is capped (default 16 elements)."""
     d = field.descriptor
-    if d.characteristic != 2 or d.kind not in ("prime_field", "finite_field"):
+    if d.characteristic != 2 or not isinstance(d, _FiniteField):
         raise ScalarError("Artin-Schreier image needs a finite field of characteristic 2")
     q = field.size()
     if q > max_size:
@@ -1417,16 +1476,7 @@ def artin_schreier_image(field: Field, max_size: int = 16) -> list[FieldElement]
 # JSON forms
 
 def descriptor_to_json(d: FieldDescriptor) -> dict:
-    if d.kind == "rationals":
-        return {"kind": "rationals"}
-    if d.kind == "cyclotomic":
-        return {"kind": "cyclotomic", "n": str(d.n)}
-    if d.kind == "prime_field":
-        return {"kind": "prime_field", "p": str(d.p)}
-    if d.kind == "finite_field":
-        return {"kind": "finite_field", "p": str(d.p), "m": str(d.m)}
-    return {"kind": "function_field", "base": descriptor_to_json(d.base),
-            "variables": list(d.variables)}
+    return d.to_json()
 
 
 def descriptor_from_json(obj) -> FieldDescriptor:
@@ -1446,61 +1496,9 @@ def descriptor_from_json(obj) -> FieldDescriptor:
     raise ScalarError(f"unknown field kind {kind!r}")
 
 
-def _payload_to_json(d, payload):
-    if d.kind == "rationals":
-        return str(payload)
-    if d.kind == "cyclotomic":
-        return [str(c) for c in payload]
-    if d.kind == "prime_field":
-        return str(payload)
-    if d.kind == "finite_field":
-        return [str(c) for c in payload]
-    num, den = payload
-
-    def poly(t):
-        return {",".join(str(e) for e in exps): _payload_to_json(d.base, c)
-                for exps, c in t}
-
-    return {"num": poly(num), "den": poly(den)}
-
-
-def _payload_from_json(d, obj):
-    if d.kind == "rationals":
-        return Fraction(obj)
-    if d.kind == "cyclotomic":
-        vals = [Fraction(c) for c in obj]
-        return _cy_reduce(d.n, vals)
-    if d.kind == "prime_field":
-        return int(obj) % d.p
-    if d.kind == "finite_field":
-        if len(obj) > d.m:
-            raise ScalarError(f"{d!r} element has {len(obj)} coefficients, "
-                              f"at most {d.m} allowed")
-        vals = [int(c) % d.p for c in obj]
-        return tuple(vals + [0] * (d.m - len(vals)))
-    nv = len(d.variables)
-
-    def poly(o):
-        out = {}
-        for key, c in o.items():
-            exps = tuple(int(x) for x in key.split(","))
-            if len(exps) != nv:
-                raise ScalarError(f"exponent key {key!r} has wrong arity")
-            cp = _payload_from_json(d.base, c)
-            if not _kis_zero(d.base, cp):
-                out[exps] = cp
-        return out
-
-    if isinstance(obj, (int, str)):
-        return _kfrom_int(d, int(obj))
-    num = poly(obj["num"])
-    den = poly(obj["den"]) if "den" in obj else dict(_ff_one(d))
-    return _ff_normalize(d, num, den)
-
-
 def element_to_json(e: FieldElement) -> dict:
     return {"descriptor": descriptor_to_json(e.descriptor),
-            "value": _payload_to_json(e.descriptor, e.payload)}
+            "value": e.descriptor.payload_to_json(e.payload)}
 
 
 def element_from_json(obj, descriptor: Optional[FieldDescriptor] = None) -> FieldElement:
@@ -1508,9 +1506,7 @@ def element_from_json(obj, descriptor: Optional[FieldDescriptor] = None) -> Fiel
         d = descriptor_from_json(obj["descriptor"])
         if descriptor is not None and d != descriptor:
             raise DescriptorMismatch("descriptor in payload disagrees with context")
-        return FieldElement(d, _payload_from_json(d, obj["value"]))
+        return FieldElement(d, d.payload_from_json(obj["value"]))
     if descriptor is None:
         raise ScalarError("element JSON without descriptor context")
-    if isinstance(obj, (int, str)) and descriptor.kind == "function_field":
-        return FieldElement(descriptor, _kfrom_int(descriptor, int(obj)))
-    return FieldElement(descriptor, _payload_from_json(descriptor, obj))
+    return FieldElement(descriptor, descriptor.payload_from_json(obj))

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -130,6 +131,41 @@ def test_csa_norm_of_u():
     obj = json.loads(out)
     assert code == 0
     assert obj["norm_repr"] == "a"
+
+
+def test_csa_norm_bad_coefficients_are_schema_errors():
+    # a coefficient that is no number, an int where the Q(z2) list belongs,
+    # and a list where the polynomial object belongs
+    for value in ({"num": {"0,0": ["abc"]}}, {"num": {"0,0": 5}}, {"num": ["1"]}):
+        payload = {"degree": "2", "element": {"0,0": value}}
+        code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(payload))
+        obj = json.loads(out)
+        assert code == 2, obj
+        assert obj["error"]["type"] == "SchemaError"
+        assert obj["error"]["path"] == "$.element"
+    form = {"field": {"kind": "function_field", "base": {"kind": "rationals"},
+                      "variables": ["t"]},
+            "dim": "2", "coeffs": {"0,1": {"num": ["1"]}}}
+    code, out = run_cli(["quad", "arf", "--input", "-"], stdin=json.dumps(form))
+    assert code == 2 and json.loads(out)["error"]["type"] == "SchemaError"
+
+
+def test_huge_primes_are_decided_fast():
+    p = str(2 ** 61 - 1)
+    form = {"field": {"kind": "prime_field", "p": p}, "dim": "2",
+            "coeffs": {"0,0": "1", "0,1": "1"}}
+    start = time.perf_counter()
+    code, out = run_cli(["quad", "arf", "--input", "-"], stdin=json.dumps(form))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and json.loads(out)["error"]["type"] == "WrongCharacteristic"
+
+    argv = ["bounds", "--kind", "semisimple_char_p", "--n", "2", "--r", "1",
+            "--N", "2", "--m", "1", "--p"]
+    code, out = run_cli(argv + [p])
+    assert code == 0 and json.loads(out)["p"] == p
+    # psi_13, beyond the range where the primality test is exact
+    code, out = run_cli(argv + ["3317044064679887385961981"])
+    assert code == 2 and json.loads(out)["error"]["type"] == "FieldTooLarge"
 
 
 def test_csa_verify_weyl():

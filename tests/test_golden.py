@@ -27,6 +27,9 @@ CASES = {
     "quad-arf-f16-dim4": ["quad", "arf", "--input", "-", "--json"],
     "quad-extract-isotropic-p5": ["quad", "extract-isotropic", "--input", "-", "--json"],
     "csa-norm-dense-n4": ["csa", "norm", "--input", "-", "--json"],
+    "quad-arf-f256-dim4": ["quad", "arf", "--input", "-", "--json"],
+    "csa-torsion-p3-m3": ["csa", "torsion", "--p", "3", "--m", "3", "--json"],
+    "csa-norm-cyclotomic3-fractional": ["csa", "norm", "--input", "-", "--json"],
 }
 
 

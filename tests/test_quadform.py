@@ -9,8 +9,8 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             KTooLarge, NotIsometry, NotOrderP,
                             OrderExceedsBound, PfisterData, QuadFormError,
                             QuadraticForm, WrongCharacteristic,
-                            _artin_schreier_reduce, _block_value,
-                            _first_isotropic,
+                            _artin_schreier_reduce, _bil, _block_value,
+                            _first_isotropic, _plane_block,
                             arf_invariant_class, arf_normal_form,
                             associated_bilinear, canonical_char2_form,
                             descent_step, diagonalize,
@@ -119,6 +119,35 @@ def test_arf_normal_form_oracles():
     res = arf_normal_form(form(F2, 4, {(0, 1): 1, (2, 3): 1}))
     assert res.arf.is_zero
     assert res.canonical_form == canonical_char2_form(F2, 4, res.arf)
+
+
+def test_plane_block_normalizes_every_branch():
+    # over F_16 on a plane spanned by e1, e2 of a dimension-4 form; b(e1, e2)
+    # is the x1 x2 coefficient, 1 here
+    d = finite_field(2, 4)
+    field = Field(d)
+    t = field.generator()
+    e1 = (field.one, field.zero, field.zero, field.zero)
+    e2 = (field.zero, field.one, field.zero, field.zero)
+    one, zero = field.one, field.zero
+    cases = [(t, zero), (zero, t + one), (zero, zero), (t, t ** 3)]
+    for a11, a22 in cases:
+        q = QuadraticForm(d, 4, {(0, 0): a11, (0, 1): one, (1, 1): a22,
+                                 (2, 3): one})
+        gram = associated_bilinear(q)
+        u, w, g = _plane_block(q, e1, e2)
+        assert _bil(gram, u, w, field) == one
+        if a11.is_zero or a22.is_zero:
+            # hyperbolic: both vectors isotropic, pairing 1; with q(e1) != 0
+            # and q(e2) = 0 this is the branch that swaps e1 and e2
+            assert g is None
+            assert q.evaluate(u).is_zero and q.evaluate(w).is_zero
+        else:
+            assert q.evaluate(u) == one and q.evaluate(w) == g
+    # the swap branch itself: u is the old w, and w the old u moved by q(e1) u
+    u, w, g = _plane_block(QuadraticForm(d, 4, {(0, 0): t, (0, 1): one, (2, 3): one}),
+                           e1, e2)
+    assert (u, w, g) == (e2, (one, t, zero, zero), None)
 
 
 def test_arf_normal_form_verified_random():

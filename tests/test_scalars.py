@@ -1,3 +1,4 @@
+import itertools
 import operator
 import random
 from fractions import Fraction
@@ -6,8 +7,9 @@ import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
-                           _cy_mul, _cy_reduce, _ff_add, _ff_mul, _ff_normalize,
-                           _int_kth_root, _p_add, _p_from_tuple, _p_mul,
+                           _cy_mul, _cy_reduce, _fp_trim,
+                           _int_kth_root, _is_prime, _p_add, _p_from_tuple,
+                           _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
                            artin_schreier_image, binary_power,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
@@ -17,18 +19,66 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            prime_field, rationals, root_of_unity_log)
 
 
-ALL_FIELDS = [
-    rationals(),
-    cyclotomic(4),
-    cyclotomic(5),
-    prime_field(2),
-    prime_field(7),
-    finite_field(2, 3),
-    finite_field(3, 2),
-    function_field(rationals(), ("t",)),
-    function_field(prime_field(2), ("x", "y")),
-    function_field(cyclotomic(3), ("a", "b")),
+def _all_fields():
+    return [
+        rationals(),
+        cyclotomic(4),
+        cyclotomic(5),
+        prime_field(2),
+        prime_field(7),
+        finite_field(2, 3),
+        finite_field(3, 2),
+        function_field(rationals(), ("t",)),
+        function_field(prime_field(2), ("x", "y")),
+        function_field(cyclotomic(3), ("a", "b")),
+    ]
+
+
+ALL_FIELDS = _all_fields()
+
+# repr, kind, characteristic and JSON of each entry of ALL_FIELDS
+CONTRACT = [
+    ("Q", "rationals", 0, {"kind": "rationals"}),
+    ("Q(z4)", "cyclotomic", 0, {"kind": "cyclotomic", "n": "4"}),
+    ("Q(z5)", "cyclotomic", 0, {"kind": "cyclotomic", "n": "5"}),
+    ("F_2", "prime_field", 2, {"kind": "prime_field", "p": "2"}),
+    ("F_7", "prime_field", 7, {"kind": "prime_field", "p": "7"}),
+    ("F_8", "finite_field", 2, {"kind": "finite_field", "p": "2", "m": "3"}),
+    ("F_9", "finite_field", 3, {"kind": "finite_field", "p": "3", "m": "2"}),
+    ("Q(t)", "function_field", 0,
+     {"kind": "function_field", "base": {"kind": "rationals"}, "variables": ["t"]}),
+    ("F_2(x, y)", "function_field", 2,
+     {"kind": "function_field", "base": {"kind": "prime_field", "p": "2"},
+      "variables": ["x", "y"]}),
+    ("Q(z3)(a, b)", "function_field", 0,
+     {"kind": "function_field", "base": {"kind": "cyclotomic", "n": "3"},
+      "variables": ["a", "b"]}),
 ]
+
+
+@pytest.mark.parametrize("index", range(len(ALL_FIELDS)))
+def test_descriptor_contract(index):
+    descriptor, again = ALL_FIELDS[index], _all_fields()[index]
+    text, kind, characteristic, obj = CONTRACT[index]
+    assert repr(descriptor) == text
+    assert descriptor.kind == kind
+    assert descriptor.characteristic == characteristic == Field(descriptor).characteristic
+    # key order too: reports serialize these dicts as they are
+    assert list(descriptor_to_json(descriptor).items()) == list(obj.items())
+    assert descriptor_from_json(obj) == descriptor
+    assert again == descriptor and hash(again) == hash(descriptor)
+    assert again is not descriptor
+    others = ALL_FIELDS[:index] + ALL_FIELDS[index + 1:]
+    assert all(other != descriptor for other in others)
+
+
+def test_same_parameters_different_kinds_are_unequal():
+    kinds = [prime_field(7), finite_field(7, 1), cyclotomic(7)]
+    for a, b in itertools.combinations(kinds, 2):
+        assert a != b and b != a
+    assert Field(prime_field(7)).one != Field(finite_field(7, 1)).one
+    with pytest.raises(DescriptorMismatch):
+        Field(prime_field(7)).one + Field(finite_field(7, 1)).one
 
 
 @pytest.mark.parametrize("descriptor", ALL_FIELDS)
@@ -266,7 +316,7 @@ def _ff_add_generic(d, x, y):
     n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
     n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
     num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
-    return _ff_normalize(d, num, _p_mul(bd, d1, d2))
+    return d.normalize(num, _p_mul(bd, d1, d2))
 
 
 def _ff_mul_generic(d, x, y):
@@ -274,7 +324,7 @@ def _ff_mul_generic(d, x, y):
     bd = d.base
     num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
     den = _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1]))
-    return _ff_normalize(d, num, den)
+    return d.normalize(num, den)
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -291,8 +341,212 @@ def test_function_field_add_mul_match_generic_rule(descriptor):
     assert sum(e.is_zero for e in elements) >= 1
     for x in elements:
         for y in elements:
-            assert _ff_add(descriptor, x.payload, y.payload) == \
+            assert descriptor.add(x.payload, y.payload) == \
                 _ff_add_generic(descriptor, x.payload, y.payload)
-            assert _ff_mul(descriptor, x.payload, y.payload) == \
+            assert descriptor.mul(x.payload, y.payload) == \
                 _ff_mul_generic(descriptor, x.payload, y.payload)
     assert field.zero.payload == ((), field.one.payload[1])
+
+
+def _is_prime_by_trial_division(n):
+    """Oracle: trial division by 2 and the odd numbers up to sqrt(n)."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    q = 3
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 2
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(200_000) if _is_prime(n)] == \
+        [n for n in range(200_000) if _is_prime_by_trial_division(n)]
+
+
+def test_is_prime_on_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n), n
+    for n in (2 ** 31 - 1, 2 ** 61 - 1, 1_000_000_007):
+        assert _is_prime(n), n
+    assert not _is_prime((2 ** 31 - 1) * 1_000_000_007)
+    # psi_13, the first strong pseudoprime to the first 13 prime bases
+    with pytest.raises(FieldTooLarge):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(FieldTooLarge):
+        prime_field(3317044064679887385961981 + 2)
+
+
+# ---------------------------------------------------------------------------
+# the three univariate Euclids that _u_divmod, _u_gcd and _u_inverse
+# replaced, kept as oracles
+
+def _qpoly_trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _qpoly_divmod(a, b):
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = 1 / b[-1]
+    q = [Fraction(0)] * max(0, len(a) - db)
+    while len(a) - 1 >= db and a:
+        c = a[-1] * inv_lead
+        k = len(a) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] -= c * b[j]
+        _qpoly_trim(a)
+        if not a:
+            break
+    return q, a
+
+
+def _cy_inv(n, x):
+    """Oracle: the Q(zeta_n) inverse by extended Euclid over Fractions."""
+    if not any(x):
+        raise DivisionByZero("cyclotomic inverse of zero")
+    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    r0, r1 = phi, _qpoly_trim(list(x))
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _qpoly_divmod(r0, r1)
+        s = list(s0)
+        s += [Fraction(0)] * max(0, len(q) + len(s1) - 1 - len(s))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] -= qi * sj
+        r0, s0, r1, s1 = r1, s1, _qpoly_trim(r), _qpoly_trim(s)
+    c = 1 / r0[0]
+    return _cy_reduce(n, [ci * c for ci in s0])
+
+
+def _gf_inv(x, p, m):
+    """Oracle: the F_{p^m} inverse by extended Euclid over F_p, with its
+    own division loop."""
+    if not any(x):
+        raise DivisionByZero("finite field inverse of zero")
+    f = list(modulus_polynomial(p, m))
+    r0, r1 = f, _fp_trim(list(x))
+    s0, s1 = [], [1]
+    while r1:
+        a, b = list(r0), r1
+        db = len(b) - 1
+        inv_lead = pow(b[-1], p - 2, p)
+        q = [0] * max(0, len(a) - db)
+        while len(a) - 1 >= db and a:
+            c = (a[-1] * inv_lead) % p
+            k = len(a) - 1 - db
+            q[k] = c
+            for j in range(db + 1):
+                a[k + j] = (a[k + j] - c * b[j]) % p
+            _fp_trim(a)
+        s = list(s0) + [0] * max(0, len(q) + len(s1) - 1 - len(s0))
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    s[i + j] = (s[i + j] - qi * sj) % p
+        r0, s0, r1, s1 = r1, s1, _fp_trim(a), _fp_trim(s)
+    c = pow(r0[0], p - 2, p)
+    out = [(si * c) % p for si in s0]
+    out += [0] * (m - len(out))
+    return tuple(out[:m])
+
+
+def uni_trim(coeffs):
+    while coeffs and coeffs[-1].is_zero:
+        coeffs.pop()
+    return coeffs
+
+
+def uni_divmod(a, b):
+    F = Field(b[0].descriptor)
+    a = list(a)
+    db = len(b) - 1
+    inv_lead = b[-1].inverse()
+    q = [F.zero] * max(0, len(a) - db)
+    while a and len(a) - 1 >= db:
+        c = a[-1] * inv_lead
+        k = len(a) - 1 - db
+        q[k] = c
+        for j in range(db + 1):
+            a[k + j] = a[k + j] - c * b[j]
+        uni_trim(a)
+    return q, a
+
+
+def uni_gcd(a, b):
+    """Oracle: the monic gcd of two lists of FieldElements."""
+    a, b = uni_trim(list(a)), uni_trim(list(b))
+    while b:
+        a, b = b, uni_divmod(a, b)[1]
+    if a:
+        inv = a[-1].inverse()
+        a = [c * inv for c in a]
+    return a
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 3)])
+def test_finite_field_inverse_matches_old_euclid(p, m):
+    d = finite_field(p, m)
+    f = modulus_polynomial(p, m)
+    for x in d.payloads():
+        if not any(x):
+            continue
+        expected = _gf_inv(x, p, m)
+        s = _u_inverse(prime_field(p), x, f)
+        assert len(s) < len(f) and tuple(s + [0] * (m - len(s))) == expected, x
+        assert d.inv(x) == expected
+        assert d.mul(x, expected) == d.one()
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
+def test_cyclotomic_inverse_matches_old_euclid(n):
+    d = cyclotomic(n)
+    phi = [Fraction(c) for c in cyclotomic_polynomial(n)]
+    rng = random.Random(300 + n)
+    field = Field(d)
+    elements = [field.random_element(rng, nonzero=True) for _ in range(25)]
+    elements += [field.generator(), field.one, field.from_int(-3)]
+    for e in elements:
+        x = tuple(c / rng.randint(1, 6) for c in e.payload)
+        expected = _cy_inv(n, x)
+        assert _cy_reduce(n, _u_inverse(rationals(), x, phi)) == expected, x
+        assert d.inv(x) == expected
+        assert d.mul(x, expected) == d.one()
+
+
+@pytest.mark.parametrize("descriptor", [rationals(), prime_field(5), finite_field(2, 3),
+                                        cyclotomic(3), function_field(prime_field(3), ("t",))])
+def test_u_gcd_matches_old_euclid(descriptor):
+    field = Field(descriptor)
+    rng = random.Random(17)
+
+    def poly(degree):
+        return [field.random_element(rng) for _ in range(degree)] + \
+            [field.random_element(rng, nonzero=True)]
+
+    for _ in range(12):
+        common = poly(rng.randint(0, 2))
+        a = _times(poly(rng.randint(0, 3)), common, field)
+        b = _times(poly(rng.randint(0, 3)), common, field)
+        expected = uni_gcd(a, b)
+        got = _u_gcd(descriptor, [c.payload for c in a], [c.payload for c in b])
+        assert got == [c.payload for c in expected]
+        assert len(got) >= len(common)
+    assert _u_gcd(descriptor, [], []) == []
+
+
+def _times(a, b, field):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
