@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from .errors import AnisoError
 from . import fieldmatrix
-from .lattice import IntMatrix, abelian_quotient, integer_kernel, solve_left
+from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
 from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
                       root_of_unity_log)
 
@@ -173,18 +173,66 @@ def validate_pairing(p: AlternatingPairing) -> ValidationResult:
     return ValidationResult(True, "valid alternating pairing")
 
 
-def pairing_radical(p: AlternatingPairing, cap: int = 4096) -> list[tuple[int, ...]]:
-    """All elements pairing trivially with the whole group (exhaustive)."""
-    if p.group.order > cap:
-        raise GroupTooLarge(f"group order {p.group.order} exceeds cap {cap}")
-    gens = [tuple(1 if i == j else 0 for j in range(p.group.ngens))
-            for i in range(p.group.ngens)]
-    return [x for x in p.group.elements()
-            if all(p.value(x, e) == 0 for e in gens)]
+def _require_valid(p: AlternatingPairing) -> None:
+    check = validate_pairing(p)
+    if not check:
+        raise InvalidPairing(check.message)
 
 
-def is_perfect(p: AlternatingPairing, cap: int = 4096) -> bool:
-    return len(pairing_radical(p, cap)) == 1
+def _units(k: int) -> list[tuple[int, ...]]:
+    return [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
+def _orthogonal(p: AlternatingPairing,
+                vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of the lattice {y in Z^k : p(v, y) = 0 for every v in vectors}.
+
+    Vector j gives the row [p(v_j, e_i) * E for each i] with E, the group
+    exponent, in its own slack column k + j; the first k coordinates of the
+    integer kernel of these rows are the lattice, since the slack entries
+    only absorb integer parts. One Smith form of a len(vectors) x
+    (k + len(vectors)) matrix; no element is enumerated.
+    """
+    k = p.group.ngens
+    big = p.group.exponent
+    units = _units(k)
+    rows = [[int(p.value(v, e) * big) for e in units]
+            + [big if col == j else 0 for col in range(len(vectors))]
+            for j, v in enumerate(vectors)]
+    return [row[:k] for row in integer_kernel(IntMatrix.from_rows(rows))]
+
+
+def _radical_generators(p: AlternatingPairing) -> list[tuple[int, ...]]:
+    _require_valid(p)
+    group = p.group
+    if not group.ngens:
+        return []  # the trivial group is its own radical
+    return [group.reduce(y) for y in _orthogonal(p, _units(group.ngens))]
+
+
+def is_perfect(p: AlternatingPairing) -> bool:
+    """Whether only zero pairs trivially with the whole group.
+
+    The radical is the lattice orthogonal to the k generators, taken modulo
+    the group's relations, so the pairing is perfect when every basis
+    vector of that lattice reduces to zero: one Smith form of a k x 2k
+    integer matrix, whatever the group order.
+    """
+    return not any(any(y) for y in _radical_generators(p))
+
+
+def pairing_radical(p: AlternatingPairing) -> list[tuple[int, ...]]:
+    """All elements pairing trivially with the whole group, in
+    lexicographic order.
+
+    The generators come from is_perfect's Smith form; only the radical
+    itself is listed, by closure, at k group additions per element. Raises
+    GroupTooLarge when the radical has more than 4096 elements.
+    """
+    group = p.group
+    return sorted(closure(group.zero, _radical_generators(p), group.add,
+                          lambda x: x, 4096,
+                          GroupTooLarge("radical exceeds 4096 elements")))
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +254,7 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
     recurse on the complement. No element is enumerated: the invariant
     factors of a part ascend, so g is always (0, ..., 0, 1).
     """
-    check = validate_pairing(p)
-    if not check:
-        raise InvalidPairing(check.message)
+    _require_valid(p)
     group = p.group
     if not group.invariant_factors:
         return IsotropicSubgroup((), (), 1)
@@ -260,10 +306,7 @@ def _isotropic_primary(ell: int, factors: list[int],
     g = (0,) * (k - 1) + (1,)
 
     # kernel of pairing against g inside the part, as a sublattice of Z^k
-    coeffs = [pairing.value(g, tuple(1 if i == j else 0 for j in range(k)))
-              for i in range(k)]
-    arow = [int(c * big) for c in coeffs] + [big]
-    kernel_rows = [row[:-1] for row in integer_kernel(IntMatrix.from_rows([arow]))]
+    kernel_rows = _orthogonal(pairing, [g])
     den_rows = [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
     structure, torsion_gens, free_gens = abelian_quotient(kernel_rows, den_rows, k)
     assert not free_gens, "kernel quotient must be finite"
@@ -306,38 +349,54 @@ def _isotropic_primary(ell: int, factors: list[int],
 # ---------------------------------------------------------------------------
 # brute-force oracle
 
+def _lex_sums(parts: Sequence[Sequence[int]]) -> list[int]:
+    """For every element x in lexicographic order, sum_i parts[i][x_i]."""
+    sums = [0]
+    for part in parts:
+        sums = [s + c for s in sums for c in part]
+    return sums
+
+
 def brute_force_isotropic_max(p: AlternatingPairing, order_cap: int = 4096,
                               work_cap: int = 200000):
     """(max order, witness subgroup elements) by closing isotropic subgroups.
 
     Walks the poset of isotropic subgroups upward from cyclic ones; every
     isotropic subgroup is reached since all its intermediate joins stay
-    inside it. Pairing values are tabulated as integers once so the walk is
-    pure table lookups; work_cap bounds the number of join attempts and a
+    inside it. work_cap bounds the number of join attempts and a
     GroupTooLarge signals the exact answer was not reached.
+
+    Elements are their lexicographic indices, so x + y has the mixed-radix
+    index sum_i ((x_i + y_i) mod d_i) * stride_i, and one table row per
+    element is built from per-coordinate digit lists. The elements
+    orthogonal to x form a bitmask built from the single row x * gram, so
+    a subgroup joins x only if its own bitmask lies inside that of x.
     """
     group = p.group
-    check = validate_pairing(p)
-    if not check:
-        raise InvalidPairing(check.message)
+    _require_valid(p)
     if group.order > order_cap:
         raise GroupTooLarge(f"group order {group.order} exceeds cap {order_cap}")
+    factors = group.invariant_factors
     elems = list(group.elements())
-    index = {x: i for i, x in enumerate(elems)}
     size = len(elems)
     expo = group.exponent
-    # pairing values as integers mod the exponent; 0 means orthogonal
-    k = group.ngens
-    gi = [[int(p.gram[i][j] * expo) for j in range(k)] for i in range(k)]
-    val = [[sum(x[i] * y[j] * gi[i][j] for i in range(k) for j in range(k)) % expo
-            for y in elems] for x in elems]
-    add = [[index[group.add(x, y)] for y in elems] for x in elems]
+    strides = [math.prod(factors[i + 1:]) for i in range(group.ngens)]
+    add = [_lex_sums([[(a + xi) % d * stride for a in range(d)]
+                      for xi, d, stride in zip(x, factors, strides)]) for x in elems]
+    # bit y of orth[x] is set when x pairs to zero with y; values are kept
+    # as integers mod the exponent
+    gi = [[int(v * expo) for v in row] for row in p.gram]
+    orth = []
+    for x in elems:
+        row = [sum(xi * g[j] for xi, g in zip(x, gi)) for j in range(group.ngens)]
+        values = _lex_sums([[w * a for a in range(d)] for w, d in zip(row, factors)])
+        orth.append(int("".join("0" if v % expo else "1" for v in reversed(values)), 2))
     # one candidate per isotropic cyclic subgroup (B(x,x)=0 makes the whole
     # cyclic subgroup isotropic by bilinearity), smallest generator index
     candidates = []
     seen_cyclic = set()
     for i in range(1, size):
-        if val[i][i]:
+        if not orth[i] >> i & 1:
             continue
         cyc = [0]
         j = i
@@ -350,26 +409,33 @@ def brute_force_isotropic_max(p: AlternatingPairing, order_cap: int = 4096,
             candidates.append((i, cyc))
     start = frozenset([0])
     seen = {start}
-    queue = [start]
+    queue = [(1, start)]  # (bitmask, members) of each subgroup
     best = (1, start)
     work = 0
     while queue:
         nxt = []
-        for sub in queue:
+        for mask, sub in queue:
             for x, cyc in candidates:
-                if x in sub:
+                if mask >> x & 1:
                     continue
                 work += 1
                 if work > work_cap:
                     raise GroupTooLarge(f"join attempts exceeded cap {work_cap}")
-                row = val[x]
-                if any(row[s] for s in sub):
+                if mask & ~orth[x]:
                     continue
-                joined = frozenset(add[s][t] for s in sub for t in cyc)
+                # sub + <x> is the union of the cosets sub + t for the
+                # multiples t of x up to the first one inside sub
+                members = list(sub)
+                for t in cyc[1:]:
+                    if mask >> t & 1:
+                        break
+                    row = add[t]
+                    members.extend(row[s] for s in sub)
+                joined = frozenset(members)
                 if joined in seen:
                     continue
                 seen.add(joined)
-                nxt.append(joined)
+                nxt.append((sum(1 << s for s in joined), joined))
                 if len(joined) > best[0]:
                     best = (len(joined), joined)
         queue = nxt

@@ -11,9 +11,8 @@ finite isometry groups of pointless quadrics in dimension 2^k.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError
@@ -22,8 +21,6 @@ from .scalars import (
     Field,
     FieldDescriptor,
     FieldElement,
-    FieldTooLarge,
-    artin_schreier_image,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,
@@ -512,70 +509,17 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
                          canonical_form=canonical)
 
 
-def arf_invariant_class(a, a_prime, field: Field, max_size: int = 256) -> bool:
-    """Whether two Arf parameters agree modulo the image of c -> c^2 - c."""
+def arf_invariant_class(a, a_prime, field: Field) -> bool:
+    """Whether two Arf parameters agree modulo the image of c -> c^2 - c.
+
+    The difference lies in that image exactly when its smallest coset
+    representative is zero, so this is one _artin_schreier_reduce: a cost
+    polynomial in m over any F_{2^m}, with no scan of the field.
+    """
     if not _finite_char2(field.descriptor):
         raise WrongCharacteristic("Arf classes live over finite fields of "
                                   "characteristic 2")
-    image = artin_schreier_image(field, max_size=max_size)
-    return (field(a) - field(a_prime)) in image
-
-
-def represents_zero_exhaustive(q: QuadraticForm,
-                               cap: int = 65536) -> Optional[tuple]:
-    """A nonzero vector with q = 0, or None; scans the whole space."""
-    size = q.field.size()
-    if size is None:
-        raise FieldTooLarge("exhaustive search needs a finite field")
-    if size ** q.dim > cap:
-        raise FieldTooLarge(f"{size}^{q.dim} vectors exceed the cap {cap}")
-    for vec in itertools.product(q.field.elements(), repeat=q.dim):
-        if all(x.is_zero for x in vec):
-            continue
-        if q.evaluate(vec).is_zero:
-            return vec
-    return None
-
-
-def enumerate_nondegenerate_forms(descriptor: FieldDescriptor, dim: int,
-                                  cap: int = 65536) -> Iterator[QuadraticForm]:
-    """All nondegenerate forms of the given dimension, fixed order."""
-    field = Field(descriptor)
-    size = field.size()
-    if size is None:
-        raise FieldTooLarge("enumeration needs a finite field")
-    slots = [(i, j) for i in range(dim) for j in range(i, dim)]
-    if size ** len(slots) > cap:
-        raise FieldTooLarge("form space exceeds the cap")
-    for values in itertools.product(field.elements(), repeat=len(slots)):
-        q = QuadraticForm(descriptor, dim, dict(zip(slots, values)))
-        if is_nondegenerate(q):
-            yield q
-
-
-def invertible_matrices(descriptor: FieldDescriptor, dim: int,
-                        cap: int = 65536) -> Iterator[tuple]:
-    """All invertible dim x dim matrices over a finite field, fixed order."""
-    field = Field(descriptor)
-    size = field.size()
-    if size is None or size ** (dim * dim) > cap:
-        raise FieldTooLarge("matrix space exceeds the cap")
-    for values in itertools.product(field.elements(), repeat=dim * dim):
-        rows = [values[r * dim:(r + 1) * dim] for r in range(dim)]
-        m = fieldmatrix.mat_from_rows(rows)
-        if not fieldmatrix.mat_det(m).is_zero:
-            yield m
-
-
-def forms_equivalent_bruteforce(q1: QuadraticForm, q2: QuadraticForm,
-                                cap: int = 65536) -> bool:
-    """Equivalence test by scanning every invertible change of basis."""
-    if q1.descriptor != q2.descriptor or q1.dim != q2.dim:
-        return False
-    for m in invertible_matrices(q1.descriptor, q1.dim, cap):
-        if q1.transform(m) == q2:
-            return True
-    return False
+    return _artin_schreier_reduce(field(a) - field(a_prime), field)[0].is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -1453,26 +1453,6 @@ def minimal_polynomial_power_relation(field: Field, k: int,
 
 
 # ---------------------------------------------------------------------------
-# Artin-Schreier image of a small field of characteristic 2
-
-def artin_schreier_image(field: Field, max_size: int = 16) -> list[FieldElement]:
-    """The set {c^2 - c : c in F} for F of characteristic 2, sorted in the
-    canonical element order. Enumeration is capped (default 16 elements)."""
-    d = field.descriptor
-    if d.characteristic != 2 or not isinstance(d, _FiniteField):
-        raise ScalarError("Artin-Schreier image needs a finite field of characteristic 2")
-    q = field.size()
-    if q > max_size:
-        raise FieldTooLarge(f"field has {q} elements, cap is {max_size}")
-    seen = []
-    for c in field.elements():
-        v = c * c - c
-        if v not in seen:
-            seen.append(v)
-    return sorted(seen, key=lambda e: e.payload)
-
-
-# ---------------------------------------------------------------------------
 # JSON forms
 
 def descriptor_to_json(d: FieldDescriptor) -> dict:

@@ -44,10 +44,6 @@ class CharDividesOrder(TorusError):
     pass
 
 
-class EnumerationTooLarge(TorusError):
-    pass
-
-
 class BadGroupTable(TorusError):
     pass
 
@@ -144,22 +140,6 @@ def coset_order(vbar: Sequence[int], d: int) -> int:
     """Order of the class of vbar in (Z/d)^n."""
     g = math.gcd(d, math.gcd(*[int(x) for x in vbar]) if any(vbar) else d)
     return d // g
-
-
-def enumerate_invariant_cosets(t: TorusModel, d: int,
-                               cap: int = 10 ** 6) -> list[tuple[int, ...]]:
-    """All vectors in (Z/d)^n fixed mod d by every generator, zero included."""
-    if d < 2:
-        raise TorusError("modulus must be >= 2")
-    if d ** t.rank > cap:
-        raise EnumerationTooLarge(f"{d}^{t.rank} exceeds cap {cap}")
-    out = []
-    # first coordinate varying fastest
-    for high_first in itertools.product(range(d), repeat=t.rank):
-        v = high_first[::-1]
-        if all(tuple(x % d for x in g.apply(v)) == v for g in t.theta_generators):
-            out.append(v)
-    return out
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,14 @@ from aniso.pairing import (GroupTooLarge, brute_force_isotropic_max,
                            validate_pairing)
 from aniso.quadform import (QuadraticForm, arf_invariant_class,
                             arf_normal_form, extract_isotropic_from_order_p,
-                            enumerate_nondegenerate_forms,
-                            invertible_matrices, pfister_build,
-                            pfister_group_closure, pfister_refute_point,
-                            random_candidate, represents_zero_exhaustive)
+                            pfister_build, pfister_group_closure,
+                            pfister_refute_point, random_candidate)
 from aniso.scalars import (Field, cyclotomic, finite_field, function_field,
                            prime_field, rationals)
 from aniso.torus import (TorusModel, cyclic_table, exponent_bound_check,
                          norm_quotient_torus, symmetric_table, torsion_points)
+from oracles import (enumerate_nondegenerate_forms, invertible_matrices,
+                     represents_zero_exhaustive)
 
 
 def _report(num, ok, text):

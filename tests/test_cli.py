@@ -133,6 +133,26 @@ def test_csa_norm_of_u():
     assert obj["norm_repr"] == "a"
 
 
+def test_bad_ij_keys_are_schema_errors():
+    # one bad-key rule for `csa norm` element keys and `quad arf` coeff keys
+    cases = [(["csa", "norm"], {"degree": "2", "element": {"1": "1"}},
+              "$.element['1']", "keys must look like \"i,j\""),
+             (["csa", "norm"], {"degree": "2", "element": {"0,x": "1"}},
+              "$.element['0,x']", "not a decimal integer: 'x'"),
+             (["quad", "arf"], {"field": {"kind": "prime_field", "p": "2"}, "dim": "2",
+                                "coeffs": {"0": "1"}},
+              "$.coeffs['0']", "keys must look like \"i,j\""),
+             (["quad", "arf"], {"field": {"kind": "prime_field", "p": "2"}, "dim": "2",
+                                "coeffs": {"0,1,1": "1"}},
+              "$.coeffs['0,1,1']", "keys must look like \"i,j\"")]
+    for argv, payload, path, message in cases:
+        code, out = run_cli(argv + ["--input", "-"], stdin=json.dumps(payload))
+        error = json.loads(out)["error"]
+        assert code == 2
+        assert error == {"type": "SchemaError", "path": path,
+                         "message": f"{path}: {message}"}
+
+
 def test_csa_norm_bad_coefficients_are_schema_errors():
     # a coefficient that is no number, an int where the Q(z2) list belongs,
     # and a list where the polynomial object belongs
@@ -158,6 +178,15 @@ def test_huge_primes_are_decided_fast():
     code, out = run_cli(["quad", "arf", "--input", "-"], stdin=json.dumps(form))
     assert time.perf_counter() - start < 2
     assert code == 2 and json.loads(out)["error"]["type"] == "WrongCharacteristic"
+
+    # 131 is the first prime past the `csa torsion` cap of 127
+    for big in (p, "131"):
+        start = time.perf_counter()
+        code, out = run_cli(["csa", "torsion", "--p", big, "--m", "4"])
+        assert time.perf_counter() - start < 2
+        assert code == 2 and json.loads(out)["error"]["type"] == "PrimeTooLarge"
+    code, out = run_cli(["csa", "torsion", "--p", "127", "--m", "1"])
+    assert code == 0 and json.loads(out)["rank"] == "1"
 
     argv = ["bounds", "--kind", "semisimple_char_p", "--n", "2", "--r", "1",
             "--N", "2", "--m", "1", "--p"]

@@ -1,14 +1,17 @@
-"""Byte-identity of CLI reports against checked-in golden outputs.
+"""Byte-identity of CLI reports and demo output against checked-in goldens.
 
 Each case runs one `aniso` command in-process and compares its stdout, byte
 for byte, with `tests/golden/<name>.out.json`. Inputs read from stdin live
-in `tests/golden/<name>.in.json`. A change that is meant to alter one of
-these reports rewrites its golden file with
+in `tests/golden/<name>.in.json`. Each `demo-<script>` case runs
+`demos/<script>.py` and compares its stdout with
+`tests/golden/demo-<script>.out.txt`. A change that is meant to alter one of
+these outputs rewrites its golden file with
 
     PYTHONPATH=src python tests/test_golden.py <name> ...
 """
 
 import io
+import runpy
 import sys
 from pathlib import Path
 
@@ -17,6 +20,7 @@ import pytest
 from aniso.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parent.parent / "demos"
 
 CASES = {
     "replay-all": ["replay", "--json"],
@@ -31,6 +35,7 @@ CASES = {
     "csa-torsion-p3-m3": ["csa", "torsion", "--p", "3", "--m", "3", "--json"],
     "csa-norm-cyclotomic3-fractional": ["csa", "norm", "--input", "-", "--json"],
 }
+DEMO_CASES = sorted(f"demo-{path.stem}" for path in DEMOS.glob("*.py"))
 
 
 def run_case(name: str) -> tuple[int, str]:
@@ -46,6 +51,17 @@ def run_case(name: str) -> tuple[int, str]:
         sys.stdin, sys.stdout = old_in, old_out
 
 
+def run_demo(name: str) -> str:
+    old_out = sys.stdout
+    sys.stdout = io.StringIO()
+    try:
+        runpy.run_path(str(DEMOS / f"{name.removeprefix('demo-')}.py"),
+                       run_name="__main__")
+        return sys.stdout.getvalue()
+    finally:
+        sys.stdout = old_out
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name):
     code, out = run_case(name)
@@ -53,8 +69,21 @@ def test_report_matches_golden(name):
     assert out == (GOLDEN / f"{name}.out.json").read_text()
 
 
+def test_every_demo_has_a_golden():
+    assert DEMO_CASES == sorted(path.name.removesuffix(".out.txt")
+                                for path in GOLDEN.glob("demo-*.out.txt"))
+
+
+@pytest.mark.parametrize("name", DEMO_CASES)
+def test_demo_matches_golden(name):
+    assert run_demo(name) == (GOLDEN / f"{name}.out.txt").read_text()
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:]:
+        if name in DEMO_CASES:
+            (GOLDEN / f"{name}.out.txt").write_text(run_demo(name))
+            continue
         code, out = run_case(name)
         if code != 0:
             raise SystemExit(f"{name}: exit code {code}")

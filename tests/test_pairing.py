@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from aniso.pairing import (AlternatingPairing, CommutatorNotScalar,
                            matrix_commutator_pairing, pairing_radical,
                            random_pairing, validate_pairing)
 from aniso.scalars import Field, cyclotomic
+from oracles import pairing_radical_by_enumeration
 
 
 def symplectic_z4():
@@ -113,6 +115,44 @@ def test_perfect_and_radical():
     degenerate = AlternatingPairing(group, [[0, 0], [0, 0]])
     assert not is_perfect(degenerate)
     assert len(pairing_radical(degenerate)) == 4
+
+
+def test_radical_matches_enumeration_oracle():
+    rng = random.Random(11)
+    pairings = [random_pairing(rng, max_order=256) for _ in range(300)]
+    for factors in ((2, 2), (4, 8), (3, 9, 27), (2, 4, 8, 16)):
+        k = len(factors)
+        pairings.append(AlternatingPairing(FiniteAbelianGroup(factors),
+                                           [[0] * k for _ in range(k)]))
+    pairings.append(AlternatingPairing(FiniteAbelianGroup(()), []))
+    perfect = 0
+    for p in pairings:
+        expected = pairing_radical_by_enumeration(p)
+        assert pairing_radical(p) == expected, p.to_json()
+        assert is_perfect(p) == (len(expected) == 1), p.to_json()
+        perfect += is_perfect(p)
+    assert 0 < perfect < len(pairings)
+    assert pairing_radical(pairings[-1]) == [()]
+    assert len(pairing_radical(pairings[-2])) == 2 * 4 * 8 * 16
+
+
+def test_radical_is_not_enumerated():
+    n = 2 ** 20
+    group = FiniteAbelianGroup([n, n])
+    start = time.perf_counter()
+    assert is_perfect(AlternatingPairing(group, [[0, Fraction(1, n)],
+                                                 [Fraction(-1, n), 0]]))
+    assert time.perf_counter() - start < 0.01
+    # the cap counts the radical's elements, not the group's
+    half = AlternatingPairing(group, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    assert not is_perfect(half)
+    with pytest.raises(GroupTooLarge):
+        pairing_radical(half)  # the radical 2Z/n x 2Z/n has 2^38 elements
+    zero64 = AlternatingPairing(FiniteAbelianGroup([64, 64]), [[0, 0], [0, 0]])
+    assert len(pairing_radical(zero64)) == 4096
+    with pytest.raises(InvalidPairing):
+        is_perfect(AlternatingPairing(FiniteAbelianGroup([2, 2]),
+                                      [[0, Fraction(1, 3)], [Fraction(2, 3), 0]]))
 
 
 def test_isotropic_subgroup_z4_oracle():

@@ -14,14 +14,14 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             arf_invariant_class, arf_normal_form,
                             associated_bilinear, canonical_char2_form,
                             descent_step, diagonalize,
-                            enumerate_nondegenerate_forms,
-                            extract_isotropic_from_order_p,
-                            forms_equivalent_bruteforce, involution_check,
+                            extract_isotropic_from_order_p, involution_check,
                             is_nondegenerate, pfister_build,
                             pfister_group_closure, pfister_refute_point,
-                            random_candidate, represents_zero_exhaustive)
+                            random_candidate)
 from aniso.scalars import (Field, FieldTooLarge, cyclotomic, finite_field,
                            prime_field, rationals)
+from oracles import (artin_schreier_image, enumerate_nondegenerate_forms,
+                     forms_equivalent_bruteforce, represents_zero_exhaustive)
 
 
 Q = rationals()
@@ -179,6 +179,38 @@ def test_arf_classes_f2():
     field = Field(F2)
     assert arf_invariant_class(field.zero, field.zero, field)
     assert not arf_invariant_class(field.zero, field.one, field)
+
+
+def test_arf_class_matches_artin_schreier_image():
+    for m in range(1, 9):
+        field = Field(F2 if m == 1 else finite_field(2, m))
+        image = artin_schreier_image(field, max_size=256)
+        elements = list(field.elements())
+        shift = elements[-1]
+        for a in elements:
+            assert arf_invariant_class(a, field.zero, field) == (a in image)
+            assert arf_invariant_class(a, shift, field) == (a - shift in image)
+
+
+def _trace_f2m(e, m):
+    """Tr(e) = e + e^2 + ... + e^(2^(m-1)) over F_{2^m}."""
+    total = power = e
+    for _ in range(m - 1):
+        power = power * power
+        total = total + power
+    return total
+
+
+def test_arf_class_past_the_enumeration_range():
+    rng = random.Random(9)
+    for m in (9, 40):
+        field = Field(finite_field(2, m))
+        # the image of c -> c^2 + c is exactly the kernel of the trace
+        for _ in range(5):
+            a, c = field.random_element(rng), field.random_element(rng)
+            assert arf_invariant_class(a + c * c + c, a, field)
+            assert arf_invariant_class(a, c, field) == _trace_f2m(a - c, m).is_zero
+        assert arf_invariant_class(field.one, field.zero, field) == (m % 2 == 0)
 
 
 def test_exhaustive_dim2_classification_f2():

@@ -10,13 +10,14 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            _cy_mul, _cy_reduce, _fp_trim,
                            _int_kth_root, _is_prime, _p_add, _p_from_tuple,
                            _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
-                           artin_schreier_image, binary_power,
+                           binary_power,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
                            element_from_json, element_to_json, finite_field,
                            function_field, is_kth_power, kth_root,
                            least_power, minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
+from oracles import artin_schreier_image
 
 
 def _all_fields():

@@ -7,10 +7,11 @@ from aniso.torus import (AveragingCertificate, BadGroupTable,
                          CharDividesOrder, NotAnisotropic, NotInvariant,
                          OrderMismatch, TorusError, TorusModel,
                          averaging_certificate, coset_order, cyclic_table,
-                         enumerate_invariant_cosets, exponent_bound_check,
+                         exponent_bound_check,
                          is_anisotropic, norm_quotient_torus, symmetric_table,
                          table_from_permutation_generators, torsion_points,
                          validate_group_table)
+from oracles import enumerate_invariant_cosets
 
 
 def rank_one_nonsplit():
