@@ -17,8 +17,8 @@ from typing import Optional
 
 from . import bounds, csa, pairing, quadform, replay, torus
 from .errors import AnisoError
-from .scalars import (Field, cyclotomic, element_from_json, element_to_json,
-                      function_field)
+from .scalars import (Field, _exact_json, cyclotomic, element_from_json,
+                      element_to_json, function_field)
 
 
 class SchemaError(AnisoError):
@@ -161,7 +161,7 @@ def _parse_pairing(obj: dict) -> pairing.AlternatingPairing:
         _expect(row, f"$.gram[{i}]", list, "a list")
         for j, v in enumerate(row):
             try:
-                Fraction(v)
+                Fraction(_exact_json(v))
             except (ValueError, TypeError, ZeroDivisionError):
                 raise SchemaError(f"$.gram[{i}][{j}]",
                                   f"not a rational: {v!r}") from None
@@ -286,7 +286,8 @@ def _cmd_quad_arf(args) -> tuple[dict, int]:
 
 def _cmd_quad_pfister(args) -> tuple[dict, int]:
     data = quadform.pfister_build(args.k)
-    group = quadform.pfister_group_closure(args.k, cap=args.cap or 4096)
+    cap = 4096 if args.cap is None else args.cap
+    group = quadform.pfister_group_closure(args.k, cap=cap)
     rng = random.Random(args.seed)
     refuted = 0
     for _ in range(args.trials):

@@ -22,8 +22,9 @@ from typing import Optional, Sequence
 from .errors import AnisoError
 from . import fieldmatrix
 from .scalars import (Field, FieldDescriptor, FieldElement, MinimalPolynomial,
-                      _fp_is_irreducible, _is_prime, binary_power, function_field,
-                      is_kth_power, least_power, minimal_polynomial_power_relation, prime_field)
+                      _fp_is_irreducible, _is_prime, binary_power, element_from_json,
+                      element_to_json, function_field, is_kth_power, least_power,
+                      minimal_polynomial_power_relation, prime_field)
 
 
 class AlgebraError(AnisoError):
@@ -47,7 +48,8 @@ class ZeroPolynomial(AlgebraError):
 
 
 class AlgebraSpec:
-    """Members both algebra families share; subclasses set base, field and degree."""
+    """Members both algebra families share; subclasses set base, field,
+    degree, a = u^n and b = v^n, and define reorder(j, k)."""
 
     @property
     def zero(self) -> "AlgebraElement":
@@ -80,8 +82,6 @@ class AlgebraSpec:
 class SymbolAlgebraSpec(AlgebraSpec):
     """u^n = a, v^n = b, vu = z uv over a base containing z = zeta_n."""
 
-    kind = "symbol"
-
     def __init__(self, base: FieldDescriptor, degree: int,
                  a: FieldElement, b: FieldElement):
         if degree < 2:
@@ -91,6 +91,9 @@ class SymbolAlgebraSpec(AlgebraSpec):
         self.field = field
         self.degree = degree
         self.zeta = field.zeta(degree)  # raises RootOfUnityMissing if absent
+        self.zeta_powers = [field.one]
+        for _ in range(degree - 1):
+            self.zeta_powers.append(self.zeta_powers[-1] * self.zeta)
         if a.descriptor != base or b.descriptor != base:
             raise SpecMismatch("parameters must live in the base field")
         if a.is_zero or b.is_zero:
@@ -109,11 +112,13 @@ class SymbolAlgebraSpec(AlgebraSpec):
     def __hash__(self):
         return hash((self.base, self.degree, self.a, self.b))
 
+    def reorder(self, j: int, k: int) -> tuple:
+        """v^j u^k = z^(jk) u^k v^j, as the single term (t, factor) = (0, z^(jk))."""
+        return ((0, self.zeta_powers[j * k % self.degree]),)
+
 
 class WeylModPSpec(AlgebraSpec):
     """v^p = x, u^p = y, vu - uv = 1 over F_p(x, y)."""
-
-    kind = "weyl"
 
     def __init__(self, p: int):
         if not _is_prime(p):
@@ -133,6 +138,12 @@ class WeylModPSpec(AlgebraSpec):
 
     def __hash__(self):
         return hash(("WeylModPSpec", self.p))
+
+    def reorder(self, j: int, k: int) -> tuple:
+        """v^j u^k = sum_t j!/(j-t)! C(k,t) u^(k-t) v^(j-t), as the terms
+        (t, factor); for j, k < p no factor is divisible by p."""
+        return tuple((t, self.field.from_int(math.perm(j, t) * math.comb(k, t)))
+                     for t in range(min(j, k) + 1))
 
     def v_polynomial(self, coeffs: Sequence[int]) -> "AlgebraElement":
         """Element sum coeffs[j] v^j from prime-field integer coefficients."""
@@ -237,13 +248,11 @@ class AlgebraElement:
         return " + ".join(bits)
 
     def to_json(self) -> dict:
-        from .scalars import element_to_json
         return {f"{i},{j}": element_to_json(c)
                 for (i, j), c in sorted(self.coefficients.items())}
 
     @staticmethod
     def from_json(spec, obj: dict) -> "AlgebraElement":
-        from .scalars import element_from_json
         out = {}
         for key, val in obj.items():
             i, j = (int(t) for t in key.split(","))
@@ -252,58 +261,25 @@ class AlgebraElement:
 
 
 def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Product in normal form; the reordering rule depends on the algebra kind."""
+    """Product in normal form: u^i (v^j u^k) v^l, with v^j u^k reordered by
+    spec.reorder and powers past the box reduced through u^n = a, v^n = b."""
     spec = x.spec
     if spec != y.spec:
         raise SpecMismatch("elements from different algebras")
     n = spec.degree
-    field = spec.field
     out: dict = {}
-
-    def accumulate(i, j, c):
-        if c.is_zero:
-            return
-        # reduce u and v powers past the box through the defining scalars
-        if i >= n:
-            c = c * spec.a
-            i -= n
-        if j >= n:
-            c = c * spec.b
-            j -= n
-        key = (i, j)
-        s = out.get(key)
-        total = c if s is None else s + c
-        out[key] = total
-
-    if spec.kind == "symbol":
-        zpow = [field.one]
-        for _ in range(2 * n):
-            zpow.append(zpow[-1] * spec.zeta)
-        for (i, j), c in x.coefficients.items():
-            for (k, l), d in y.coefficients.items():
-                # v^j u^k = z^{jk} u^k v^j
-                accumulate(i + k, j + l, c * d * zpow[(j * k) % n])
-    else:
-        binom = _binomial_table(2 * n)
-        for (i, j), c in x.coefficients.items():
-            for (k, l), d in y.coefficients.items():
-                cd = c * d
-                # v^j u^k = sum_t C(j,t) C(k,t) t! u^{k-t} v^{j-t}
-                for t in range(min(j, k) + 1):
-                    factor = binom[j][t] * binom[k][t] * math.factorial(t)
-                    if factor % spec.p == 0:
-                        continue
-                    accumulate(i + k - t, j + l - t,
-                               cd * field.from_int(factor))
+    for (i, j), c in x.coefficients.items():
+        for (k, l), d in y.coefficients.items():
+            cd = c * d
+            for t, factor in spec.reorder(j, k):
+                e, a, b = cd * factor, i + k - t, j + l - t
+                if a >= n:
+                    e, a = e * spec.a, a - n
+                if b >= n:
+                    e, b = e * spec.b, b - n
+                s = out.get((a, b))
+                out[(a, b)] = e if s is None else s + e
     return AlgebraElement(spec, out)
-
-
-def _binomial_table(n: int) -> list[list[int]]:
-    rows = [[1]]
-    for i in range(1, n + 1):
-        prev = rows[-1]
-        rows.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
-    return rows
 
 
 def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
@@ -369,13 +345,10 @@ def regular_representation(x: AlgebraElement) -> list[list[list[FieldElement]]]:
     sum_r v^r * (entry polynomial in u), using u^i v^t = z^{-it} v^t u^i.
     """
     spec = x.spec
-    if spec.kind != "symbol":
+    if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("regular representation is for symbol algebras")
     n = spec.degree
     field = spec.field
-    zpows = [field.one]
-    for _ in range(n - 1):
-        zpows.append(zpows[-1] * spec.zeta)
     mat = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
     for (i, m), c in x.coefficients.items():
         for col in range(n):
@@ -385,7 +358,7 @@ def regular_representation(x: AlgebraElement) -> list[list[list[FieldElement]]]:
                 t -= n
                 coeff = coeff * spec.b
             # u^i v^t = z^{-i t} v^t u^i
-            coeff = coeff * zpows[(-i * t) % n]
+            coeff = coeff * spec.zeta_powers[(-i * t) % n]
             mat[t][col][i] = mat[t][col][i] + coeff
     return mat
 
@@ -402,7 +375,7 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
     u^n - a is reducible and R has zero divisors.
     """
     spec = x.spec
-    if spec.kind != "symbol":
+    if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")
     n = spec.degree
     mat = regular_representation(x)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AnisoError
-from .scalars import binary_power
+from .scalars import _exact_json, binary_power
 
 
 class LatticeError(AnisoError):
@@ -132,10 +132,10 @@ class IntMatrix:
 
     @staticmethod
     def from_json(obj) -> "IntMatrix":
-        if isinstance(obj, list):
-            return IntMatrix.from_rows(obj)
-        m = IntMatrix.from_rows(obj["entries"])
-        if "rows" in obj and (m.rows != int(obj["rows"]) or m.cols != int(obj["cols"])):
+        rows = obj if isinstance(obj, list) else obj["entries"]
+        m = IntMatrix.from_rows([_exact_json(x) for x in r] for r in rows)
+        if (isinstance(obj, dict) and "rows" in obj
+                and (m.rows != int(obj["rows"]) or m.cols != int(obj["cols"]))):
             raise LatticeError("declared shape disagrees with entries")
         return m
 

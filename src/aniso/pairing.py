@@ -463,7 +463,8 @@ def commutator_pairing_from_central_extension(
     Each lift is raised to powers until it becomes a scalar (its projective
     order); pairwise commutators must be scalars, and are converted to
     fractions via discrete logarithms of roots of unity. The resulting
-    group is presented with invariant factors in a divisibility chain.
+    group is presented with invariant factors in a divisibility chain; a
+    scalar lift (order 1) is the trivial element and drops out.
     """
     n = len(lifts)
     if n == 0:
@@ -496,24 +497,16 @@ def commutator_pairing_from_central_extension(
                 raise InvalidPairing(
                     "commutator value not killed by the projective order")
 
-    chain = all(orders[i + 1] % orders[i] == 0 for i in range(n - 1))
-    if chain:
-        group = FiniteAbelianGroup(orders)
-        pairing = AlternatingPairing(group, raw)
-        basis = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        result = CommutatorPairingResult(pairing, tuple(orders), basis)
-    else:
-        ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        rel = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
-        structure, torsion_gens, free_gens = abelian_quotient(ident, rel, n)
-        assert not free_gens
-        group = FiniteAbelianGroup(structure.invariant_factors)
-        gram = [[_mod1(sum((Fraction(a[i] * b[j]) * raw[i][j]
-                            for i in range(n) for j in range(n)), Fraction(0)))
-                 for b in torsion_gens] for a in torsion_gens]
-        pairing = AlternatingPairing(group, gram)
-        result = CommutatorPairingResult(pairing, tuple(orders),
-                                         tuple(tuple(t) for t in torsion_gens))
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    rel = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    structure, torsion_gens, free_gens = abelian_quotient(ident, rel, n)
+    assert not free_gens
+    group = FiniteAbelianGroup(structure.invariant_factors)
+    gram = [[_mod1(sum((Fraction(a[i] * b[j]) * raw[i][j]
+                        for i in range(n) for j in range(n)), Fraction(0)))
+             for b in torsion_gens] for a in torsion_gens]
+    result = CommutatorPairingResult(AlternatingPairing(group, gram), tuple(orders),
+                                     tuple(tuple(t) for t in torsion_gens))
     check = validate_pairing(result.pairing)
     if not check:
         raise InvalidPairing(f"induced pairing invalid: {check.message}")

@@ -66,6 +66,14 @@ class UndecidedPower(ScalarError):
     """k-th power recognition fell outside the decidable fragment."""
 
 
+def _exact_json(obj):
+    """obj itself, unless it is a JSON float or boolean: those are refused,
+    so parsing never rounds or reinterprets an input."""
+    if isinstance(obj, (bool, float)):
+        raise TypeError(f"expected an integer or a string, got {obj!r}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # integer helpers: primality, factorisation, prime-power parts, power orders
 
@@ -161,32 +169,16 @@ def least_power(x, mul, test, bound: int):
     return None
 
 
-# ---------------------------------------------------------------------------
-# integer univariate helpers (cyclotomic polynomial table)
-
-def _int_poly_exact_div(a: list[int], b) -> list[int]:
-    # b monic; division over Z must be exact
-    a = list(a)
-    db, da = len(b) - 1, len(a) - 1
-    out = [0] * (da - db + 1)
-    for k in range(da, db - 1, -1):
-        c = a[k]
-        if c:
-            out[k - db] = c
-            for j in range(db + 1):
-                a[k - db + j] -= c * b[j]
-    if any(a):
-        raise AssertionError("division not exact")
-    return out
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Ascending coefficients of the n-th cyclotomic polynomial."""
+    """Ascending coefficients of the n-th cyclotomic polynomial:
+    x^n - 1 divided by Phi_d for every proper divisor d of n."""
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            poly = _int_poly_exact_div(poly, cyclotomic_polynomial(d))
+            poly, rem = _u_divmod(rationals(), poly, cyclotomic_polynomial(d))
+            assert not rem, "cyclotomic division must be exact"
+            poly = [int(c) for c in poly]
     return tuple(poly)
 
 
@@ -304,13 +296,17 @@ def _u_trim(d, a: list) -> list:
 
 
 def _u_divmod(d, a, b):
-    """(quotient, remainder) of a by b; b trimmed and nonzero."""
+    """(quotient, remainder) of a by b; b trimmed and nonzero.
+
+    A monic b needs no inverse, so over Q integer payloads stay integers.
+    """
     a = list(a)
     db = len(b) - 1
-    inv_lead = d.inv(b[-1])
+    monic = b[-1] == d.one()
+    inv_lead = None if monic else d.inv(b[-1])
     q = [d.zero()] * max(0, len(a) - db)
     while a and len(a) - 1 >= db:
-        c = d.mul(a[-1], inv_lead)
+        c = a[-1] if monic else d.mul(a[-1], inv_lead)
         k = len(a) - 1 - db
         q[k] = c
         for j in range(db + 1):
@@ -425,6 +421,9 @@ class _Rationals(FieldDescriptor):
     def add(self, x, y):
         return x + y
 
+    def sub(self, x, y):
+        return x - y
+
     def neg(self, x):
         return -x
 
@@ -440,7 +439,7 @@ class _Rationals(FieldDescriptor):
     payload_to_json = render
 
     def payload_from_json(self, obj):
-        return Fraction(obj)
+        return Fraction(_exact_json(obj))
 
     def random_payload(self, rng, height, degree, terms):
         return Fraction(rng.randint(-height, height), rng.randint(1, height))
@@ -505,7 +504,7 @@ class _Cyclotomic(FieldDescriptor):
         return [str(c) for c in x]
 
     def payload_from_json(self, obj):
-        return _cy_reduce(self.n, [Fraction(c) for c in obj])
+        return _cy_reduce(self.n, [Fraction(_exact_json(c)) for c in obj])
 
     def random_payload(self, rng, height, degree, terms):
         return tuple(Fraction(rng.randint(-height, height))
@@ -616,7 +615,7 @@ class _FiniteField(FieldDescriptor):
         if len(obj) > self.m:
             raise ScalarError(f"{self!r} element has {len(obj)} coefficients, "
                               f"at most {self.m} allowed")
-        vals = [int(c) % self.p for c in obj]
+        vals = [int(_exact_json(c)) % self.p for c in obj]
         return tuple(vals + [0] * (self.m - len(vals)))
 
     def random_payload(self, rng, height, degree, terms):
@@ -690,7 +689,7 @@ class _PrimeField(_FiniteField):
     payload_to_json = render
 
     def payload_from_json(self, obj):
-        return int(obj) % self.p
+        return int(_exact_json(obj)) % self.p
 
     def random_payload(self, rng, height, degree, terms):
         return rng.randrange(self.p)
@@ -807,7 +806,7 @@ class _FunctionField(FieldDescriptor):
         return {"num": poly(num), "den": poly(den)}
 
     def payload_from_json(self, obj):
-        if isinstance(obj, (int, str)):
+        if isinstance(_exact_json(obj), (int, str)):
             return self.from_int(int(obj))
         nv = len(self.variables)
 
@@ -1042,7 +1041,8 @@ def _p_gcd(bd, A, B, nv):
     while R1:
         R = _p_prem(bd, R0, R1, main)
         if R:
-            R = _p_content_pp(bd, R, main, nv)[1]
+            # a monic primitive part keeps base-field coefficients bounded
+            R = _p_monic(bd, _p_content_pp(bd, R, main, nv)[1])
         R0, R1 = R1, R
     if _p_deg(R0, main) > 0:
         R0 = _p_content_pp(bd, R0, main, nv)[1]

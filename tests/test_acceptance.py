@@ -192,12 +192,12 @@ def test_criterion_7_char2_classification():
         forms, orbits = _orbit_count(descriptor)
         if len(orbits) != 2:
             ok = False
-        for q1 in forms:
-            for q2 in forms:
+        arfs = [arf_normal_form(q).arf for q in forms]
+        for q1, arf1 in zip(forms, arfs):
+            for q2, arf2 in zip(forms, arfs):
                 same_orbit = any(q1 in orbit and q2 in orbit
                                  for orbit in orbits)
-                same_arf = arf_invariant_class(arf_normal_form(q1).arf,
-                                               arf_normal_form(q2).arf, field)
+                same_arf = arf_invariant_class(arf1, arf2, field)
                 if same_orbit != same_arf:
                     ok = False
     four_dim = 0

@@ -79,6 +79,19 @@ def test_torus_analyze_stdin():
     assert exponents == {"2": "2", "3": "1", "4": "2", "5": "1", "6": "2"}
 
 
+def test_torus_analyze_refuses_float_and_boolean_entries():
+    # reading -1.7 as -1 or true as 1 would change the input
+    for entry in (-1.7, True):
+        model = {"rank": "1",
+                 "theta_generators": [{"rows": "1", "cols": "1", "entries": [[entry]]}]}
+        code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3"],
+                            stdin=json.dumps(model))
+        error = json.loads(out)["error"]
+        assert code == 2
+        assert error["type"] == "SchemaError" and error["path"] == "$"
+        assert repr(entry) in error["message"]
+
+
 def test_malformed_json_is_schema_error():
     code, out = run_cli(["torus", "analyze", "--input", "-"], stdin="{oops")
     obj = json.loads(out)
@@ -114,6 +127,17 @@ def test_pairing_bad_gram_entry_path():
     obj = json.loads(out)
     assert code == 2
     assert obj["error"]["path"] == "$.gram[0][0]"
+
+
+def test_pairing_isotropic_refuses_float_and_boolean_gram_entries():
+    # a float gram entry is refused even where it is exact, as 0.25 is
+    for entry in (0.25, False):
+        payload = {"invariant_factors": ["4", "4"], "gram": [["0", entry], ["3/4", "0"]]}
+        code, out = run_cli(["pairing", "isotropic", "--input", "-"],
+                            stdin=json.dumps(payload))
+        error = json.loads(out)["error"]
+        assert code == 2
+        assert error["type"] == "SchemaError" and error["path"] == "$.gram[0][1]"
 
 
 def test_pairing_fuzz_is_seeded_and_deterministic():
@@ -229,6 +253,18 @@ def _trace(x, m):
     return total
 
 
+def test_quad_arf_refuses_float_and_boolean_coefficients():
+    # over F_2, int() would read both 1.9 and true as 1
+    for coeff in (1.9, True):
+        form = {"field": {"kind": "prime_field", "p": "2"}, "dim": "2",
+                "coeffs": {"0,0": coeff, "0,1": "1"}}
+        code, out = run_cli(["quad", "arf", "--input", "-"], stdin=json.dumps(form))
+        error = json.loads(out)["error"]
+        assert code == 2
+        assert error["type"] == "SchemaError" and error["path"] == "$"
+        assert repr(coeff) in error["message"]
+
+
 def test_quad_arf_two_anisotropic_planes_over_large_fields():
     # x1^2 + x1 x2 + a x2^2 + x3^2 + x3 x4 + a x4^2 with Tr(a) = 1: each
     # plane is anisotropic and the sum is hyperbolic, Arf class 0; a form
@@ -288,6 +324,14 @@ def test_quad_pfister_subcommand():
     assert obj["closure_order"] == "8"
     assert obj["closure_nonabelian"] is True
     assert obj["candidates_refuted"] == "5"
+
+
+def test_quad_pfister_cap_zero_is_a_cap_error():
+    # a cap of 0 is a cap, not a request for the default of 4096
+    code, out = run_cli(["quad", "pfister", "--k", "3", "--trials", "1", "--cap", "0"])
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "QuadFormError",
+                                        "message": "closure exceeded the cap 0"}
 
 
 def test_replay_ids_registry():

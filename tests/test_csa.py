@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -180,6 +181,65 @@ def test_inverse_of_zero_raises():
     spec = rational_quaternions()
     with pytest.raises(NotInvertible):
         algebra_inverse(spec.zero)
+
+
+def algebra_multiply_two_loops(x, y):
+    """Oracle: the product with one loop per algebra kind, symbol algebras
+    through a table of z powers and Weyl algebras through binomials."""
+    spec = x.spec
+    n = spec.degree
+    field = spec.field
+    out = {}
+
+    def accumulate(i, j, c):
+        if c.is_zero:
+            return
+        if i >= n:
+            c = c * spec.a
+            i -= n
+        if j >= n:
+            c = c * spec.b
+            j -= n
+        s = out.get((i, j))
+        out[(i, j)] = c if s is None else s + c
+
+    if isinstance(spec, SymbolAlgebraSpec):
+        zpow = [field.one]
+        for _ in range(2 * n):
+            zpow.append(zpow[-1] * spec.zeta)
+        for (i, j), c in x.coefficients.items():
+            for (k, l), d in y.coefficients.items():
+                accumulate(i + k, j + l, c * d * zpow[(j * k) % n])
+    else:
+        binom = [[1]]
+        for i in range(1, 2 * n + 1):
+            prev = binom[-1]
+            binom.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
+        for (i, j), c in x.coefficients.items():
+            for (k, l), d in y.coefficients.items():
+                cd = c * d
+                for t in range(min(j, k) + 1):
+                    factor = binom[j][t] * binom[k][t] * math.factorial(t)
+                    if factor % spec.p == 0:
+                        continue
+                    accumulate(i + k - t, j + l - t, cd * field.from_int(factor))
+    return AlgebraElement(spec, out)
+
+
+def test_product_matches_two_loop_oracle():
+    specs = [generic_symbol(n) for n in range(2, 7)] + [WeylModPSpec(p) for p in (2, 3, 5, 7)]
+    for spec in specs:
+        rng = random.Random(40 + spec.degree)
+        n = spec.degree
+        for _ in range(8):
+            x, y = (AlgebraElement(spec, {(rng.randrange(n), rng.randrange(n)):
+                                          spec.field.random_element(rng, nonzero=True,
+                                                                    height=5, degree=1)
+                                          for _ in range(rng.randint(1, 5))})
+                    for _ in range(2))
+            got, expected = x * y, algebra_multiply_two_loops(x, y)
+            assert got == expected, (spec, x, y)
+            assert list(got.coefficients) == list(expected.coefficients)
 
 
 def test_associativity_fuzz():

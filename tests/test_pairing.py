@@ -229,6 +229,25 @@ def test_matrix_commutator_pairing_heisenberg():
     assert Fraction(1, 3) in values or Fraction(2, 3) in values
 
 
+def test_matrix_commutator_pairing_drops_scalar_lift():
+    # a scalar lift has projective order 1: the trivial element, not a factor 1
+    field = Field(cyclotomic(3))
+    z = field.zeta(3)
+    zero, one = field.zero, field.one
+    ident = mat_from_rows([[one, zero, zero], [zero, one, zero], [zero, zero, one]])
+    shift = mat_from_rows([[zero, zero, one], [one, zero, zero], [zero, one, zero]])
+    clock = mat_from_rows([[one, zero, zero], [zero, z, zero], [zero, zero, z * z]])
+    plain = matrix_commutator_pairing([shift, clock])
+    padded = matrix_commutator_pairing([ident, shift, clock])
+    assert plain.basis_change == ((1, 0), (0, 1))
+    assert padded.basis_change == ((0, 1, 0), (0, 0, 1))
+    assert padded.generator_orders == (1, 3, 3)
+    assert padded.pairing.group.invariant_factors == (3, 3)
+    assert padded.pairing.gram == plain.pairing.gram
+    alone = matrix_commutator_pairing([ident])
+    assert alone.pairing.group.invariant_factors == () and alone.basis_change == ()
+
+
 def test_matrix_commutator_rejects_nonscalar_commutator():
     field = Field(cyclotomic(4))
     zero, one = field.zero, field.one

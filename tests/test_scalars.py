@@ -1,6 +1,8 @@
 import itertools
 import operator
 import random
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -140,6 +142,32 @@ def test_cyclotomic_polynomial_values():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def _int_poly_exact_div(a, b):
+    """Oracle: a / b over Z for a monic b that divides a exactly."""
+    a = list(a)
+    db, da = len(b) - 1, len(a) - 1
+    out = [0] * (da - db + 1)
+    for k in range(da, db - 1, -1):
+        c = a[k]
+        if c:
+            out[k - db] = c
+            for j in range(db + 1):
+                a[k - db + j] -= c * b[j]
+    assert not any(a), "division not exact"
+    return out
+
+
+def test_cyclotomic_polynomial_matches_integer_division():
+    table = {}
+    for n in range(1, 500):
+        poly = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                poly = _int_poly_exact_div(poly, table[d])
+        table[n] = tuple(poly)
+        assert cyclotomic_polynomial(n) == table[n], n
+
+
 def _cy_mul_by_fractions(n, x, y):
     """Oracle: the power-basis product with Fraction arithmetic throughout,
     reduced modulo Phi_n."""
@@ -197,6 +225,35 @@ def test_function_field_two_vars_cancellation():
     assert expr == x ** 3 + y ** 3  # freshman's dream mod 3
     with pytest.raises(DivisionByZero):
         x / (y - y)
+
+
+def test_function_field_gcd_terminates_over_cyclotomic_base():
+    # unless the gcd's pseudo-remainders are kept monic, their base-field
+    # coefficients grow and squaring this element of Q(z3)(a, b) takes minutes
+    field = Field(function_field(cyclotomic(3), ("a", "b")))
+    a, b = field.vars()
+    z = field.zeta(3)
+
+    def c(p, q):
+        return field(Fraction(p, 109)) + field(Fraction(q, 109)) * z
+
+    x = (c(136, 43) * a ** 2 * b + c(9, 87) * a + c(-10, -24) * b ** 2) \
+        / (a ** 2 * b ** 2 + c(68, 76) * a)
+
+    def give_up(signum, frame):
+        raise TimeoutError("squaring did not finish in 10 s")
+
+    # the failure mode is a run without end, so stop it rather than hang the suite
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        start = time.perf_counter()
+        square = x * x
+        assert time.perf_counter() - start < 1.0
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert square / x == x
 
 
 def test_lift_into_function_field():
@@ -299,6 +356,12 @@ def test_payload_from_json_rejects_lossy_inputs():
         element_from_json({"num": {"1": "1"}, "den": {}}, rational_functions)
     assert element_from_json({"num": {"1": "1"}}, rational_functions) == \
         Field(rational_functions).var("t")
+    # JSON floats and booleans would be rounded or read as 0/1: every kind refuses them
+    for descriptor, obj in [(rationals(), 0.5), (rationals(), True), (cyclotomic(3), ["1", 2.0]),
+                            (prime_field(2), 1.9), (prime_field(2), True), (f4, [False]),
+                            (rational_functions, True), (rational_functions, {"num": {"1": 1.5}})]:
+        with pytest.raises(TypeError, match="expected an integer or a string"):
+            element_from_json(obj, descriptor)
 
 
 def test_power_helpers():
