@@ -9,6 +9,7 @@ invocation produces byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -117,7 +118,10 @@ def _cmd_bounds(args) -> tuple[dict, int]:
 
 
 def _parse_torus_model(obj: dict) -> torus.TorusModel:
-    rank = _expect_int(_expect_key(obj, "$", "rank"), "$.rank")
+    _expect_int(_expect_key(obj, "$", "rank"), "$.rank")
+    for key in ("characteristic", "norm_group_order"):
+        if obj.get(key) is not None:
+            _expect_int(obj[key], f"$.{key}")
     gens_obj = _expect(_expect_key(obj, "$", "theta_generators"),
                        "$.theta_generators", list, "a list of matrices")
     for idx, g in enumerate(gens_obj):
@@ -237,18 +241,24 @@ def _cmd_csa_verify_weyl(args) -> tuple[dict, int]:
 
 # the largest p for which `csa torsion --m 4` takes about a second
 TORSION_MAX_P = 127
+# the largest m for which `csa torsion --p 127` stays under about 2 s
+TORSION_MAX_M = 8
 
 
 def _cmd_csa_torsion(args) -> tuple[dict, int]:
-    """Rank of the first m irreducible polynomials in v, for p <= 127.
+    """Rank of the first m irreducible polynomials in v, for p <= 127, m <= 8.
 
     The cost grows as O(m p^2 log p) base-field products: checking that
     each generator's p-th power is scalar takes O(log p) products of
-    polynomials in v of degree below p. A larger p raises PrimeTooLarge
-    before any algebra is built.
+    polynomials in v of degree below p. At p = 127 that is about 0.2 s
+    per generator: 0.65 s for m = 4 and 1.6 s for m = 8. A larger p
+    raises PrimeTooLarge and a larger m RankTooLarge, both before any
+    algebra is built.
     """
     if args.p > TORSION_MAX_P:
         raise csa.PrimeTooLarge(f"csa torsion is capped at p = {TORSION_MAX_P}")
+    if args.m > TORSION_MAX_M:
+        raise csa.RankTooLarge(f"csa torsion is capped at m = {TORSION_MAX_M}")
     spec = csa.WeylModPSpec(args.p)
     family = csa.distinct_irreducible_family(spec, args.m)
     report = csa.inseparable_torsion_subgroup(spec, family)
@@ -456,9 +466,15 @@ def _emit(obj, compact: bool) -> None:
     sys.stdout.write(text + "\n")
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call: argparse keeps no
+    state between parse_args calls, so one parser serves every request."""
+    return build_parser()
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         report, status = args.func(args)
     except SchemaError as exc:

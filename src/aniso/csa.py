@@ -43,6 +43,10 @@ class PrimeTooLarge(AlgebraError):
     pass
 
 
+class RankTooLarge(AlgebraError):
+    pass
+
+
 class ZeroPolynomial(AlgebraError):
     pass
 

@@ -38,7 +38,8 @@ def mat_from_rows(rows) -> Matrix:
         if len(r) != width:
             raise MatrixError("ragged rows")
         for e in r:
-            if not isinstance(e, FieldElement) or e.descriptor != d:
+            if not (isinstance(e, FieldElement)
+                    and (e.descriptor is d or e.descriptor == d)):
                 raise MatrixError("entries must share one field descriptor")
     return rows
 

@@ -135,7 +135,8 @@ class IntMatrix:
         rows = obj if isinstance(obj, list) else obj["entries"]
         m = IntMatrix.from_rows([_exact_json(x) for x in r] for r in rows)
         if (isinstance(obj, dict) and "rows" in obj
-                and (m.rows != int(obj["rows"]) or m.cols != int(obj["cols"]))):
+                and (m.rows != int(_exact_json(obj["rows"]))
+                     or m.cols != int(_exact_json(obj["cols"])))):
             raise LatticeError("declared shape disagrees with entries")
         return m
 

@@ -18,8 +18,8 @@ from typing import Callable, Optional, Sequence
 from .errors import AnisoError
 from . import fieldmatrix
 from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
-from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
-                      root_of_unity_log)
+from .scalars import (FieldElement, _exact_json, _prime_factors, _split_prime_power,
+                      least_power, root_of_unity_log)
 
 
 class PairingError(AnisoError):
@@ -136,8 +136,8 @@ class AlternatingPairing:
 
     @staticmethod
     def from_json(obj: dict) -> "AlternatingPairing":
-        group = FiniteAbelianGroup([int(d) for d in obj["invariant_factors"]])
-        gram = [[Fraction(v) for v in row] for row in obj["gram"]]
+        group = FiniteAbelianGroup([int(_exact_json(d)) for d in obj["invariant_factors"]])
+        gram = [[Fraction(_exact_json(v)) for v in row] for row in obj["gram"]]
         return AlternatingPairing(group, gram)
 
 

@@ -19,7 +19,11 @@ that ``==`` on elements is plain representation equality:
 
 Each kind is one frozen FieldDescriptor subclass that owns the rules for
 its payloads (the raw values a FieldElement wraps), so a descriptor is
-also the ops object for its field.
+also the ops object for its field. The five factories and
+``descriptor_from_json`` intern their results: one shared instance per
+descriptor, so identity decides the common case of equality. Each
+descriptor computes its hash once; descriptors built directly still
+compare and hash by value.
 
 Zero always has a unique encoding, so equality and hashing never need
 normalization at comparison time.
@@ -349,7 +353,23 @@ def _u_inverse(d, x, f) -> list:
 _UNKNOWN = object()
 
 
-@dataclass(frozen=True, repr=False)
+def _descriptor_class(cls):
+    """A frozen dataclass that computes its field hash once per instance;
+    the cached value is the dataclass hash itself."""
+    cls = dataclass(frozen=True, repr=False)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = field_hash(self)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_descriptor_class
 class FieldDescriptor:
     """A field; each subclass is one kind.
 
@@ -402,7 +422,7 @@ class FieldDescriptor:
         raise ScalarError(f"{self!r} has no distinguished generator")
 
 
-@dataclass(frozen=True, repr=False)
+@_descriptor_class
 class _Rationals(FieldDescriptor):
     kind = "rationals"
 
@@ -460,7 +480,7 @@ class _Rationals(FieldDescriptor):
         return _fraction_kth_root(x, k)
 
 
-@dataclass(frozen=True, repr=False)
+@_descriptor_class
 class _Cyclotomic(FieldDescriptor):
     n: int
     kind = "cyclotomic"
@@ -550,7 +570,7 @@ class _Cyclotomic(FieldDescriptor):
         return _UNKNOWN
 
 
-@dataclass(frozen=True, repr=False)
+@_descriptor_class
 class _FiniteField(FieldDescriptor):
     p: int
     m: int
@@ -695,7 +715,7 @@ class _PrimeField(_FiniteField):
         return rng.randrange(self.p)
 
 
-@dataclass(frozen=True, repr=False)
+@_descriptor_class
 class _FunctionField(FieldDescriptor):
     base: FieldDescriptor
     variables: tuple[str, ...]
@@ -866,24 +886,36 @@ class _FunctionField(FieldDescriptor):
         return self.normalize(rn, rd)
 
 
+_INTERNED: dict = {}
+
+
+def _interned(cls, *fields) -> FieldDescriptor:
+    """The one shared instance of cls(*fields)."""
+    key = (cls, *fields)
+    d = _INTERNED.get(key)
+    if d is None:
+        d = _INTERNED[key] = cls(*fields)
+    return d
+
+
 def rationals() -> FieldDescriptor:
-    return _Rationals()
+    return _interned(_Rationals)
 
 
 def cyclotomic(n: int) -> FieldDescriptor:
-    return _Cyclotomic(n)
+    return _interned(_Cyclotomic, n)
 
 
 def prime_field(p: int) -> FieldDescriptor:
-    return _PrimeField(p, 1)
+    return _interned(_PrimeField, p, 1)
 
 
 def finite_field(p: int, m: int) -> FieldDescriptor:
-    return _FiniteField(p, m)
+    return _interned(_FiniteField, p, m)
 
 
 def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
-    return _FunctionField(base, tuple(variables))
+    return _interned(_FunctionField, base, tuple(variables))
 
 
 # ---------------------------------------------------------------------------
@@ -1067,7 +1099,7 @@ class FieldElement:
     def _coerce(self, other) -> "FieldElement":
         d = self.descriptor
         if isinstance(other, FieldElement):
-            if other.descriptor != d:
+            if other.descriptor is not d and other.descriptor != d:
                 raise DescriptorMismatch(f"{other.descriptor!r} vs {d!r}")
             return other
         if isinstance(other, int):
@@ -1144,7 +1176,8 @@ class FieldElement:
                 return NotImplemented
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.descriptor == other.descriptor and self.payload == other.payload
+        d, e = self.descriptor, other.descriptor
+        return (d is e or d == e) and self.payload == other.payload
 
     def __hash__(self):
         return hash((self.descriptor, self.payload))

@@ -18,6 +18,7 @@ from .errors import AnisoError
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
                       closure, closure_cap, fixed_sublattice, group_closure,
                       kernel_mod_d)
+from .scalars import _exact_json
 
 
 class TorusError(AnisoError):
@@ -100,9 +101,10 @@ class TorusModel:
     def from_json(obj: dict) -> "TorusModel":
         gens = [IntMatrix.from_json(g) for g in obj["theta_generators"]]
         order = obj.get("norm_group_order")
-        return TorusModel(int(obj["rank"]), gens, obj.get("label", ""),
-                          characteristic=int(obj.get("characteristic", 0)),
-                          norm_group_order=None if order is None else int(order))
+        return TorusModel(
+            int(_exact_json(obj["rank"])), gens, obj.get("label", ""),
+            characteristic=int(_exact_json(obj.get("characteristic", 0))),
+            norm_group_order=None if order is None else int(_exact_json(order)))
 
 
 def is_anisotropic(t: TorusModel) -> bool:

@@ -9,10 +9,11 @@ import itertools
 from typing import Iterator, Optional
 
 from aniso import fieldmatrix
+from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.pairing import AlternatingPairing, GroupTooLarge
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
-                           ScalarError, _FiniteField)
+                           ScalarError, _FiniteField, least_power)
 from aniso.torus import TorusError, TorusModel
 
 
@@ -132,3 +133,28 @@ def pairing_radical_by_enumeration(p: AlternatingPairing,
             for i in range(p.group.ngens)]
     return [x for x in p.group.elements()
             if all(p.value(x, e) == 0 for e in gens)]
+
+
+# ---------------------------------------------------------------------------
+# finite matrix groups
+
+def closed_under_all_products(elements, cap: int = 2000) -> bool:
+    """Whether every product a @ b of two listed matrices is listed, by
+    all |G|^2 products."""
+    if len(elements) > cap:
+        raise BoundsError(f"{len(elements)} elements exceed the cap {cap}")
+    index = set(elements)
+    return all(fieldmatrix.mat_mul(a, b) in index
+               for a in elements for b in elements)
+
+
+def element_orders_by_least_power(group: FiniteMatrixGroup) -> list[int]:
+    """The order of each element in list order, one power scan each."""
+    ident = fieldmatrix.identity(group.field, group.degree)
+    orders = []
+    for m in group.elements:
+        found = least_power(m, fieldmatrix.mat_mul, lambda a: a == ident, group.order)
+        if found is None:
+            raise BoundsError("element order exceeds the group order")
+        orders.append(found[0])
+    return orders

@@ -1,5 +1,10 @@
+import itertools
+import math
+import random
+
 import pytest
 
+from aniso import fieldmatrix
 from aniso.bounds import (BoundQuery, BoundsError, FiniteMatrixGroup, GroupTooLarge,
                           HypothesisFails, MissingParameter, UnknownType,
                           bound_calculator, burnside_divisibility_check,
@@ -7,6 +12,8 @@ from aniso.bounds import (BoundQuery, BoundsError, FiniteMatrixGroup, GroupTooLa
                           torsion_primes)
 from aniso.fieldmatrix import mat_from_rows
 from aniso.scalars import Field, cyclotomic, prime_field, rationals
+from oracles import (closed_under_all_products, element_orders_by_least_power,
+                     invertible_matrices)
 
 
 def test_minkowski_table():
@@ -144,6 +151,104 @@ def test_burnside_hypothesis_failure_reported():
     assert 4 in report.violating_orders
     with pytest.raises(HypothesisFails):
         burnside_divisibility_check(group, 2, strict=True)
+
+
+def _monomial_matrices(descriptor, n, entries):
+    """Every n x n matrix with one nonzero entry per row and column, taken
+    from entries."""
+    field = Field(descriptor)
+    out = []
+    for perm in itertools.permutations(range(n)):
+        for values in itertools.product(entries, repeat=n):
+            out.append(mat_from_rows([[values[i] if perm[i] == j else field.zero
+                                       for j in range(n)] for i in range(n)]))
+    return out
+
+
+def _ambient_groups():
+    """Finite matrix groups to draw seeded subgroups from: signed 3 x 3
+    permutations over Q (order 48), 2 x 2 monomials in the powers of z5
+    over Q(z5) (order 50) and GL_2(F_3) (order 48)."""
+    q, z5 = Field(rationals()), Field(cyclotomic(5))
+    return {
+        "Q": (rationals(), _monomial_matrices(rationals(), 3, [q.one, -q.one])),
+        "Q(z5)": (cyclotomic(5), _monomial_matrices(
+            cyclotomic(5), 2, [z5.zeta(5) ** k for k in range(5)])),
+        "F_3": (prime_field(3), list(invertible_matrices(prime_field(3), 2))),
+    }
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(z5)", "F_3"])
+def test_closure_certificate_matches_all_products_oracle(name):
+    descriptor, ambient = _ambient_groups()[name]
+    ident = fieldmatrix.identity(Field(descriptor), len(ambient[0]))
+    rng = random.Random(811)
+    rejected = 0
+    for _ in range(6):
+        group = FiniteMatrixGroup.from_generators(
+            descriptor, rng.sample(ambient, rng.randint(1, 2)))
+        elements = list(group.elements)
+        rng.shuffle(elements)  # the certificate must not rely on BFS order
+        cases = [elements]
+        others = [m for m in elements if m != ident]
+        if others:
+            gone = rng.choice(others)
+            cases.append([m for m in elements if m != gone])
+        members = set(elements)
+        outside = [m for m in ambient if m not in members]
+        if outside:
+            foreign = list(elements)
+            foreign.insert(rng.randrange(len(foreign) + 1), rng.choice(outside))
+            cases.append(foreign)
+        # the product set A B of two subgroups, A listed first: closed
+        # exactly when A B = B A
+        other = FiniteMatrixGroup.from_generators(descriptor, [rng.choice(ambient)])
+        cases.append(list(dict.fromkeys(fieldmatrix.mat_mul(a, b)
+                                        for b in other.elements
+                                        for a in group.elements)))
+        for case in cases:
+            if closed_under_all_products(case):
+                assert FiniteMatrixGroup(descriptor, case).order == len(case)
+            else:
+                rejected += 1
+                with pytest.raises(BoundsError) as info:
+                    FiniteMatrixGroup(descriptor, case)
+                assert str(info.value) == ("element list is not closed "
+                                           "under multiplication")
+        shuffled = FiniteMatrixGroup(descriptor, elements)
+        for g in (group, shuffled):
+            assert g.element_orders() == element_orders_by_least_power(g)
+    assert rejected >= 6
+
+
+def test_closure_certificate_costs_g_log_g_products(monkeypatch):
+    f5 = Field(prime_field(5))
+    o, z = f5.one, f5.zero
+    elements = FiniteMatrixGroup.from_generators(
+        prime_field(5), [((z, -o), (o, z)), ((o, o), (z, o))]).elements
+    products = []
+    mat_mul = fieldmatrix.mat_mul
+
+    def counting(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(fieldmatrix, "mat_mul", counting)
+    group = FiniteMatrixGroup(prime_field(5), elements)
+    # SL_2(F_5): 120 elements, at most log2(120) generators, not 120^2 products
+    assert group.order == 120
+    assert len(products) <= 120 * math.floor(math.log2(120))
+    monkeypatch.undo()
+    assert group.element_orders() == element_orders_by_least_power(group)
+
+
+def test_element_orders_reject_an_element_of_infinite_order():
+    # {1, 0} is closed under multiplication, but 0 has no order
+    field = Field(rationals())
+    group = FiniteMatrixGroup(rationals(), [((field.one,),), ((field.zero,),)])
+    for orders in (group.element_orders, lambda: element_orders_by_least_power(group)):
+        with pytest.raises(BoundsError, match="element order exceeds the group order"):
+            orders()
 
 
 def test_bound_calculator_examples():

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from aniso import cli
 from aniso.cli import main
 from aniso.quadform import QuadraticForm, canonical_char2_form
 from aniso.replay import UnknownExampleId, replay_ids, run_replay
@@ -90,6 +91,23 @@ def test_torus_analyze_refuses_float_and_boolean_entries():
         assert code == 2
         assert error["type"] == "SchemaError" and error["path"] == "$"
         assert repr(entry) in error["message"]
+
+
+def test_torus_analyze_refuses_float_and_boolean_scalars():
+    # 2.5 used to be read as characteristic 2, which skipped the d = 2 row
+    base = {"rank": "1",
+            "theta_generators": [{"rows": "1", "cols": "1", "entries": [["-1"]]}]}
+    for key, bad in (("characteristic", 2.5), ("characteristic", True),
+                     ("norm_group_order", 2.0)):
+        code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3"],
+                            stdin=json.dumps({**base, key: bad}))
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "SchemaError", "path": f"$.{key}",
+            "message": f"$.{key}: expected an integer or a decimal string"}
+    code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3"],
+                        stdin=json.dumps({**base, "characteristic": "3"}))
+    assert code == 0 and [row["d"] for row in json.loads(out)["torsion"]] == ["2"]
 
 
 def test_malformed_json_is_schema_error():
@@ -219,6 +237,17 @@ def test_huge_primes_are_decided_fast():
     # psi_13, beyond the range where the primality test is exact
     code, out = run_cli(argv + ["3317044064679887385961981"])
     assert code == 2 and json.loads(out)["error"]["type"] == "FieldTooLarge"
+
+
+def test_csa_torsion_rank_is_capped():
+    m = cli.TORSION_MAX_M
+    start = time.perf_counter()
+    code, out = run_cli(["csa", "torsion", "--p", "127", "--m", str(m + 1)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "RankTooLarge", "message": f"csa torsion is capped at m = {m}"}
+    code, out = run_cli(["csa", "torsion", "--p", "2", "--m", str(m)])
+    assert code == 0 and json.loads(out)["rank"] == str(m)
 
 
 def test_csa_verify_weyl():
@@ -398,3 +427,27 @@ def test_pairing_isotropic_beyond_former_cap():
     obj = json.loads(out)
     assert code == 0
     assert obj["isotropic_order"] == "128"
+
+
+def test_goldens_in_one_process_forward_and_reverse():
+    # main reuses one parser; no request may leave state for the next
+    from test_golden import CASES, GOLDEN, run_case
+    for name in sorted(CASES) + sorted(CASES, reverse=True):
+        code, out = run_case(name)
+        assert code == 0
+        assert out == (GOLDEN / f"{name}.out.json").read_text(), name
+
+
+def test_help_and_unknown_subcommand_exit_the_same_twice(capsys):
+    def exits(argv, parse):
+        with pytest.raises(SystemExit) as info:
+            parse(argv)
+        out, err = capsys.readouterr()
+        return info.value.code, out, err
+
+    for argv in (["--help"], ["frobnicate"], ["csa", "torsion", "--p", "x"]):
+        fresh = exits(argv, lambda a: cli.build_parser().parse_args(a))
+        cli._shared_parser.cache_clear()  # a first call, then a second
+        assert exits(argv, main) == fresh
+        assert exits(argv, main) == fresh
+    assert fresh[0] == 2 and exits(["--help"], main)[0] == 0

@@ -29,6 +29,14 @@ def test_intmatrix_json_roundtrip():
     assert IntMatrix.from_json(obj) == a
 
 
+def test_intmatrix_json_refuses_float_and_boolean_shapes():
+    obj = IntMatrix.from_rows([[1, 2]]).to_json()
+    for key, bad in (("rows", 1.0), ("rows", True), ("cols", 2.0)):
+        with pytest.raises(TypeError):
+            IntMatrix.from_json({**obj, key: bad})
+    assert IntMatrix.from_json({**obj, "rows": 1, "cols": "2"}).cols == 2
+
+
 def test_int_inverse_unimodular():
     a = IntMatrix.from_rows([[2, 1], [1, 1]])
     inv = int_inverse(a)

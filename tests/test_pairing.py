@@ -264,6 +264,20 @@ def test_json_roundtrip():
     assert back.gram == p.gram
 
 
+def test_from_json_refuses_float_and_boolean_entries():
+    # int(4.7) or Fraction(0.25) would silently change the pairing
+    obj = {"invariant_factors": ["4", "4"], "gram": [["0", "1/4"], ["3/4", "0"]]}
+    bad_inputs = [{**obj, "invariant_factors": [4.7, "4"]},
+                  {**obj, "invariant_factors": [True, "4"]},
+                  {**obj, "gram": [["0", 0.25], ["3/4", "0"]]},
+                  {**obj, "gram": [["0", "1/4"], ["3/4", False]]}]
+    for bad in bad_inputs:
+        with pytest.raises(TypeError):
+            AlternatingPairing.from_json(bad)
+    back = AlternatingPairing.from_json({**obj, "invariant_factors": [4, "4"]})
+    assert back.gram == ((0, Fraction(1, 4)), (Fraction(3, 4), 0))
+
+
 def test_gram_shape_validation():
     group = FiniteAbelianGroup([2, 2])
     with pytest.raises(InvalidPairing):

@@ -9,6 +9,8 @@ import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
+                           _Cyclotomic, _FiniteField, _FunctionField,
+                           _PrimeField, _Rationals,
                            _cy_mul, _cy_reduce, _fp_trim,
                            _int_kth_root, _is_prime, _p_add, _p_from_tuple,
                            _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
@@ -37,6 +39,22 @@ def _all_fields():
     ]
 
 
+def _built_directly():
+    """ALL_FIELDS again, built past the factories' interning."""
+    return [
+        _Rationals(),
+        _Cyclotomic(4),
+        _Cyclotomic(5),
+        _PrimeField(2, 1),
+        _PrimeField(7, 1),
+        _FiniteField(2, 3),
+        _FiniteField(3, 2),
+        _FunctionField(_Rationals(), ("t",)),
+        _FunctionField(_PrimeField(2, 1), ("x", "y")),
+        _FunctionField(_Cyclotomic(3), ("a", "b")),
+    ]
+
+
 ALL_FIELDS = _all_fields()
 
 # repr, kind, characteristic and JSON of each entry of ALL_FIELDS
@@ -61,14 +79,17 @@ CONTRACT = [
 
 @pytest.mark.parametrize("index", range(len(ALL_FIELDS)))
 def test_descriptor_contract(index):
-    descriptor, again = ALL_FIELDS[index], _all_fields()[index]
+    descriptor, again = ALL_FIELDS[index], _built_directly()[index]
     text, kind, characteristic, obj = CONTRACT[index]
-    assert repr(descriptor) == text
+    assert repr(descriptor) == text == repr(again)
     assert descriptor.kind == kind
     assert descriptor.characteristic == characteristic == Field(descriptor).characteristic
     # key order too: reports serialize these dicts as they are
     assert list(descriptor_to_json(descriptor).items()) == list(obj.items())
-    assert descriptor_from_json(obj) == descriptor
+    # the factories and the JSON reader intern: one instance per descriptor
+    assert _all_fields()[index] is descriptor
+    assert descriptor_from_json(obj) is descriptor
+    # a descriptor built directly still compares and hashes by value
     assert again == descriptor and hash(again) == hash(descriptor)
     assert again is not descriptor
     others = ALL_FIELDS[:index] + ALL_FIELDS[index + 1:]

@@ -170,6 +170,17 @@ def test_json_roundtrip_keeps_characteristic():
         torsion_points(back, 5)
 
 
+def test_from_json_refuses_float_and_boolean_scalars():
+    # reading 2.5 or true as 2 or 1 would change the model
+    obj = TorusModel(1, [IntMatrix.from_rows([[-1]])], "char 5",
+                     characteristic=5, norm_group_order=2).to_json()
+    for key in ("rank", "characteristic", "norm_group_order"):
+        for bad in (2.5, True, 1.0):
+            with pytest.raises(TypeError):
+                TorusModel.from_json({**obj, key: bad})
+    assert TorusModel.from_json({**obj, "characteristic": "5"}).characteristic == 5
+
+
 def test_rotation_order_four_torsion():
     # rank-2 torus with theta of order 4: mod 2 the rotation is the swap,
     # so the invariant classes are the diagonal, a single Z/2
