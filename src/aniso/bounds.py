@@ -17,7 +17,7 @@ from . import fieldmatrix
 from .errors import AnisoError
 from .lattice import closure
 from .scalars import (Field, FieldDescriptor, _is_prime, _primes_upto,
-                      _split_prime_power, least_power)
+                      _split_prime_power)
 
 
 class BoundsError(AnisoError):
@@ -130,13 +130,17 @@ class FiniteMatrixGroup:
     """An explicit finite group of invertible matrices over an exact field.
 
     The element list is certified closed (for lists up to 2000 elements)
-    with O(|G| log |G|) matrix products, not |G|^2: walking the list, an
-    element becomes a generator only when the closure of the generators
-    so far does not reach it, so each one at least doubles the subgroup
-    and there are at most log2 |G| of them. The last closure holds every
-    listed element, so it fits within the length of the list exactly
-    when it is the list: then the list is the group they generate, and
-    closed under multiplication.
+    with at most 2|G| k matrix products, k <= log2 |G|, not |G|^2: walking
+    the list, an element becomes a generator only when the closure of the
+    generators so far does not reach it, and a singular generator is
+    refused. A finite closure of invertible matrices is a group, so by
+    Lagrange's theorem each generator at least doubles it, and the i-th
+    closure, of at most |G| / 2^(k-i) elements, costs i products per
+    element. The last closure holds every listed element, so it fits
+    within the length of the list exactly when it is the list: then the
+    list is the group they generate, and closed under multiplication.
+    Every listed matrix that is not a generator lies in a closure of
+    invertible ones, so a list holding a singular matrix is refused.
     """
 
     def __init__(self, descriptor: FieldDescriptor, elements: Sequence):
@@ -161,6 +165,8 @@ class FiniteMatrixGroup:
             gens, reached = [], {ident}
             for m in self.elements:
                 if m not in reached:
+                    if fieldmatrix.mat_rank(m) < n:
+                        raise BoundsError("singular matrix in group list")
                     gens.append(m)
                     reached = set(closure(
                         ident, gens, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
@@ -181,14 +187,6 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def element_order(self, m) -> int:
-        ident = fieldmatrix.identity(self.field, self.degree)
-        found = least_power(m, fieldmatrix.mat_mul,
-                            lambda a: fieldmatrix.mat_eq(a, ident), self.order)
-        if found is None:
-            raise BoundsError("element order exceeds the group order")
-        return found[0]
 
     def element_orders(self) -> list[int]:
         """The order of every element, in list order.

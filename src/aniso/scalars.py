@@ -21,9 +21,8 @@ Each kind is one frozen FieldDescriptor subclass that owns the rules for
 its payloads (the raw values a FieldElement wraps), so a descriptor is
 also the ops object for its field. The five factories and
 ``descriptor_from_json`` intern their results: one shared instance per
-descriptor, so identity decides the common case of equality. Each
-descriptor computes its hash once; descriptors built directly still
-compare and hash by value.
+descriptor, so identity decides the common case of equality;
+descriptors built directly still compare and hash by value.
 
 Zero always has a unique encoding, so equality and hashing never need
 normalization at comparison time.
@@ -353,23 +352,7 @@ def _u_inverse(d, x, f) -> list:
 _UNKNOWN = object()
 
 
-def _descriptor_class(cls):
-    """A frozen dataclass that computes its field hash once per instance;
-    the cached value is the dataclass hash itself."""
-    cls = dataclass(frozen=True, repr=False)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = self.__dict__["_hash"] = field_hash(self)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_descriptor_class
+@dataclass(frozen=True, repr=False)
 class FieldDescriptor:
     """A field; each subclass is one kind.
 
@@ -422,7 +405,7 @@ class FieldDescriptor:
         raise ScalarError(f"{self!r} has no distinguished generator")
 
 
-@_descriptor_class
+@dataclass(frozen=True, repr=False)
 class _Rationals(FieldDescriptor):
     kind = "rationals"
 
@@ -480,7 +463,7 @@ class _Rationals(FieldDescriptor):
         return _fraction_kth_root(x, k)
 
 
-@_descriptor_class
+@dataclass(frozen=True, repr=False)
 class _Cyclotomic(FieldDescriptor):
     n: int
     kind = "cyclotomic"
@@ -570,7 +553,7 @@ class _Cyclotomic(FieldDescriptor):
         return _UNKNOWN
 
 
-@_descriptor_class
+@dataclass(frozen=True, repr=False)
 class _FiniteField(FieldDescriptor):
     p: int
     m: int
@@ -715,7 +698,7 @@ class _PrimeField(_FiniteField):
         return rng.randrange(self.p)
 
 
-@_descriptor_class
+@dataclass(frozen=True, repr=False)
 class _FunctionField(FieldDescriptor):
     base: FieldDescriptor
     variables: tuple[str, ...]

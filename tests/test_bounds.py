@@ -86,7 +86,7 @@ def test_finite_matrix_group_closure():
     r, t = s3_matrices()
     group = FiniteMatrixGroup.from_generators(rationals(), [r, t])
     assert group.order == 6
-    orders = sorted(group.element_order(m) for m in group.elements)
+    orders = sorted(group.element_orders())
     assert orders == [1, 2, 2, 2, 3, 3]
 
 
@@ -242,10 +242,26 @@ def test_closure_certificate_costs_g_log_g_products(monkeypatch):
     assert group.element_orders() == element_orders_by_least_power(group)
 
 
+def test_closed_lists_of_singular_matrices_are_refused():
+    # I and the idempotents e_i = [[1, 0], [i, 0]] (e_i e_j = e_i): closed
+    # under multiplication but not a group, so every e_i would become a
+    # generator and the closures would cost about |G|^3 / 3 products
+    q = Field(rationals())
+    for count in (2, 20, 1999):
+        idempotents = [((q.one, q.zero), (q(i), q.zero)) for i in range(1, count + 1)]
+        elements = [fieldmatrix.identity(q, 2)] + idempotents
+        if count <= 20:
+            assert closed_under_all_products(elements)
+        with pytest.raises(BoundsError, match="singular matrix in group list"):
+            FiniteMatrixGroup(rationals(), elements)
+    with pytest.raises(BoundsError, match="singular matrix in group list"):
+        FiniteMatrixGroup(rationals(), [((q.one,),), ((q.zero,),)])
+
+
 def test_element_orders_reject_an_element_of_infinite_order():
-    # {1, 0} is closed under multiplication, but 0 has no order
-    field = Field(rationals())
-    group = FiniteMatrixGroup(rationals(), [((field.one,),), ((field.zero,),)])
+    # past 2000 elements the list is not certified, and 2 has no order
+    q = Field(rationals())
+    group = FiniteMatrixGroup(rationals(), [((q(i),),) for i in range(1, 2002)])
     for orders in (group.element_orders, lambda: element_orders_by_least_power(group)):
         with pytest.raises(BoundsError, match="element order exceeds the group order"):
             orders()
