@@ -129,18 +129,18 @@ def torsion_primes(type_list: Iterable[tuple[str, int]]) -> frozenset:
 class FiniteMatrixGroup:
     """An explicit finite group of invertible matrices over an exact field.
 
-    The element list is certified closed (for lists up to 2000 elements)
-    with at most 2|G| k matrix products, k <= log2 |G|, not |G|^2: walking
-    the list, an element becomes a generator only when the closure of the
-    generators so far does not reach it, and a singular generator is
-    refused. A finite closure of invertible matrices is a group, so by
-    Lagrange's theorem each generator at least doubles it, and the i-th
-    closure, of at most |G| / 2^(k-i) elements, costs i products per
-    element. The last closure holds every listed element, so it fits
-    within the length of the list exactly when it is the list: then the
-    list is the group they generate, and closed under multiplication.
-    Every listed matrix that is not a generator lies in a closure of
-    invertible ones, so a list holding a singular matrix is refused.
+    The element list is certified closed with at most 2|G| k matrix
+    products, k <= log2 |G|, not |G|^2: walking the list, an element
+    becomes a generator only when the closure of the generators so far
+    does not reach it, and a singular generator is refused. A finite
+    closure of invertible matrices is a group, so by Lagrange's theorem
+    each generator at least doubles it, and the i-th closure, of at most
+    |G| / 2^(k-i) elements, costs i products per element. The last closure
+    holds every listed element, so it fits within the length of the list
+    exactly when it is the list: then the list is the group they generate,
+    and closed under multiplication. Every listed matrix that is not a
+    generator lies in a closure of invertible ones, so a list holding a
+    singular matrix is refused.
     """
 
     def __init__(self, descriptor: FieldDescriptor, elements: Sequence):
@@ -161,16 +161,15 @@ class FiniteMatrixGroup:
             index[m] = True
         if ident not in index:
             raise BoundsError("identity matrix missing")
-        if len(self.elements) <= 2000:
-            gens, reached = [], {ident}
-            for m in self.elements:
-                if m not in reached:
-                    if fieldmatrix.mat_rank(m) < n:
-                        raise BoundsError("singular matrix in group list")
-                    gens.append(m)
-                    reached = set(closure(
-                        ident, gens, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
-                        BoundsError("element list is not closed under multiplication")))
+        gens, reached = [], {ident}
+        for m in self.elements:
+            if m not in reached:
+                if fieldmatrix.mat_rank(m) < n:
+                    raise BoundsError("singular matrix in group list")
+                gens.append(m)
+                reached = set(closure(
+                    ident, gens, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
+                    BoundsError("element list is not closed under multiplication")))
 
     @classmethod
     def from_generators(cls, descriptor: FieldDescriptor, generators,

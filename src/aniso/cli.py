@@ -253,8 +253,10 @@ def _cmd_csa_torsion(args) -> tuple[dict, int]:
     polynomials in v of degree below p. At p = 127 that is about 0.2 s
     per generator: 0.65 s for m = 4 and 1.6 s for m = 8. A larger p
     raises PrimeTooLarge and a larger m RankTooLarge, both before any
-    algebra is built.
+    algebra is built, and so does a negative m, as a SchemaError.
     """
+    if args.m < 0:
+        raise SchemaError("$.m", f"--m must be >= 0, got {args.m}")
     if args.p > TORSION_MAX_P:
         raise csa.PrimeTooLarge(f"csa torsion is capped at p = {TORSION_MAX_P}")
     if args.m > TORSION_MAX_M:

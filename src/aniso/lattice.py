@@ -10,10 +10,31 @@ Conventions used throughout the package:
 Pivot rule for the Smith reduction: the nonzero entry of smallest absolute
 value in the working submatrix, ties broken by lowest row index then lowest
 column index. This makes every decomposition reproducible bit for bit.
+
+There is one Smith elimination. It acts on the working matrix and V, and
+logs each row operation instead of carrying the m x m matrix U. The pivot
+rule reads only the working matrix, so D and V are the same whether U is
+built or not. smith_normal_form replays the log on the identity to build U
+and keeps the full check U @ M @ V = D. The kernels, quotients and solves
+here read only D, V and U's first r rows U_r (r the rank), so they never
+build U. U_r comes from pushing I_r backwards through the log. The
+certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
+
+- V is unimodular (an n x n Bareiss determinant);
+- the diagonal of D is nonnegative and a divisibility chain;
+- every row of M @ V lies in the row lattice of D: column j is divisible
+  by d_j, and the columns from r on are zero;
+- U_r @ (M @ V) = D_r, the first r rows of D.
+
+The third check puts the row lattice of M @ V inside that of D. The fourth
+writes each basis row of D's row lattice as an integer combination of rows
+of M @ V. So the two row lattices are equal, and some unimodular U has
+U @ M @ V = D.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -211,39 +232,53 @@ class SNFResult:
             return False
         if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
             return False
-        diag = self.diagonal
         for i in range(self.D.rows):
             for j in range(self.D.cols):
                 if i != j and self.D.entries[i][j]:
                     return False
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a and b % a:
-                return False
-        return all(x >= 0 for x in diag)
+        return _is_chain(self.diagonal)
 
 
-def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """U @ m @ V = D with the documented pivot rule and divisibility chain."""
+def _is_chain(diag: Sequence[int]) -> bool:
+    """Nonnegative, zeros last, and each nonzero entry divides the next."""
+    return all(s >= 0 for s in diag) and not any(
+        (a == 0 and b) or (a and b % a) for a, b in zip(diag, diag[1:]))
+
+
+def _apply_row_op(rows: list[list[int]], op: tuple[int, ...]) -> None:
+    """Apply one logged row operation in place: (i, j, q) subtracts q times
+    row j from row i, (i, j) swaps rows i and j, (i,) negates row i."""
+    if len(op) == 3:
+        i, j, q = op
+        rows[i] = [x - q * y for x, y in zip(rows[i], rows[j])]
+    elif len(op) == 2:
+        i, j = op
+        rows[i], rows[j] = rows[j], rows[i]
+    else:
+        rows[op[0]] = [-x for x in rows[op[0]]]
+
+
+def _smith_reduce(m: IntMatrix):
+    """The Smith elimination of m under the documented pivot rule.
+
+    Returns the reduced matrix D = U @ m @ V and V, both as lists of rows,
+    and the log of row operations whose product, in order, is U. The pivot
+    rule reads only the working matrix, so D and V do not depend on
+    whether U is ever built.
+    """
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
-    u = [list(row) for row in IntMatrix.identity(rows).entries]
-    v = [list(row) for row in IntMatrix.identity(cols).entries]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    log: list[tuple[int, ...]] = []
 
-    def row_op(i, j, q):  # row_i -= q * row_j
-        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+    def row_op(op):
+        log.append(op)
+        _apply_row_op(a, op)
 
     def col_op(i, j, q):  # col_i -= q * col_j
-        for r in range(rows):
-            a[r][i] -= q * a[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        for row in itertools.chain(a, v):
+            if row[j]:
+                row[i] -= q * row[j]
 
     def swap_cols(i, j):
         for r in range(rows):
@@ -255,26 +290,29 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     limit = min(rows, cols)
     while t < limit:
         # re-select the smallest-|value| pivot every round; this keeps
-        # coefficients from compounding across euclidean passes
-        pivot = None
+        # coefficients from compounding across euclidean passes. The scan
+        # is row-major and keeps the first strict minimum, which is the
+        # lowest (row, column) among ties; no entry beats an entry of 1.
+        best = 0
         for i in range(t, rows):
+            row = a[i]
             for j in range(t, cols):
-                if a[i][j]:
-                    key = (abs(a[i][j]), i, j)
-                    if pivot is None or key < pivot:
-                        pivot = key
-        if pivot is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+            if best == 1:
+                break
+        if not best:
             break
-        _, pi, pj = pivot
         if pi != t:
-            swap_rows(pi, t)
+            row_op((pi, t))
         if pj != t:
             swap_cols(pj, t)
         p = a[t][t]
         reduced = False
         for i in range(t + 1, rows):
             if a[i][t]:
-                row_op(i, t, a[i][t] // p)
+                row_op((i, t, a[i][t] // p))
                 reduced = True
         for j in range(t + 1, cols):
             if a[t][j]:
@@ -292,17 +330,89 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
             if bad is not None:
                 break
         if bad is not None:
-            a[t] = [x + y for x, y in zip(a[t], a[bad])]
-            u[t] = [x + y for x, y in zip(u[t], u[bad])]
+            row_op((t, bad, -1))
             continue
         if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-            u[t] = [-x for x in u[t]]
+            row_op((t,))
         t += 1
+    return a, v, log
+
+
+def smith_normal_form(m: IntMatrix) -> SNFResult:
+    """U @ m @ V = D with the documented pivot rule and divisibility chain.
+
+    U is the elimination's log of row operations replayed on the identity.
+    """
+    a, v, log = _smith_reduce(m)
+    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
+    for op in log:
+        _apply_row_op(u, op)
     result = SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a),
                        IntMatrix.from_rows(v))
     assert result.verify(m), "internal SNF inconsistency"
     return result
+
+
+def _pivot_rows(log: list[tuple[int, ...]], r: int, rows: int) -> list[tuple[int, ...]]:
+    """The first r rows of U, the product of the logged row operations.
+
+    U_r = [I_r | 0] @ E_k @ ... @ E_1, so I_r is pushed backwards through
+    the log; right multiplication by each E is a column operation, done on
+    the transpose as the transposed row operation: O(r) per logged step.
+    """
+    cols = [[int(i == c) for i in range(r)] for c in range(rows)]
+    for op in reversed(log):
+        _apply_row_op(cols, (op[1], op[0], op[2]) if len(op) == 3 else op)
+    return [tuple(col[i] for col in cols) for i in range(r)]
+
+
+def _vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
+    """The row vector x @ rows, skipping the zeros of x."""
+    out = [0] * width
+    for c, row in zip(x, rows):
+        if c:
+            out = [o + c * y for o, y in zip(out, row)]
+    return out
+
+
+def _certify_smith(m: IntMatrix, diag: Sequence[int], v: IntMatrix,
+                   u_r: Sequence[Sequence[int]]) -> None:
+    """Raise LatticeError unless some unimodular U has U @ m @ V = D.
+
+    D is the matrix of m's shape with the given diagonal, and u_r stands
+    for U's first r rows, r the number of nonzero diagonal entries. The
+    checks, and why they suffice, are in the module docstring.
+    """
+    n = m.cols
+    if abs(v.det()) != 1:
+        raise LatticeError("Smith certificate: V is not unimodular")
+    if len(diag) != min(m.rows, n) or not _is_chain(diag):
+        raise LatticeError("Smith certificate: D is not a divisibility chain")
+    r = sum(1 for s in diag if s)
+    mv = [_vec_mat(row, v.entries, n) for row in m.entries]
+    for row in mv:
+        if any(x % diag[j] if j < r else x for j, x in enumerate(row)):
+            raise LatticeError("Smith certificate: a row of m @ V is not in D's row lattice")
+    if len(u_r) != r or any(
+            len(urow) != m.rows
+            or _vec_mat(urow, mv, n) != [diag[i] if j == i else 0 for j in range(n)]
+            for i, urow in enumerate(u_r)):
+        raise LatticeError("Smith certificate: U's pivot rows do not map m @ V onto D")
+
+
+def _smith_dv(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, list[tuple[int, ...]]]:
+    """Diagonal, V and U's first r rows of m's Smith form, certified.
+
+    The same elimination as smith_normal_form, so the same diagonal and V,
+    but the m x m matrix U is never built: the certificate needs only its
+    pivot rows, and so does every caller in this package.
+    """
+    a, v, log = _smith_reduce(m)
+    diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+    u_r = _pivot_rows(log, sum(1 for s in diag if s), m.rows)
+    vm = IntMatrix.from_rows(v)
+    _certify_smith(m, diag, vm, u_r)
+    return diag, vm, u_r
 
 
 # ---------------------------------------------------------------------------
@@ -310,10 +420,9 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis (as rows) of {v : m @ v = 0}."""
-    snf = smith_normal_form(m)
-    diag = snf.diagonal
+    diag, v, _ = _smith_dv(m)
     rank = sum(1 for d in diag if d)
-    return [snf.V.col(i) for i in range(rank, m.cols)]
+    return [v.col(i) for i in range(rank, m.cols)]
 
 
 def _stack_shifted(generators: Sequence[IntMatrix]) -> IntMatrix:
@@ -382,8 +491,8 @@ def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
         raise InvalidModulus(f"modulus must be >= 2, got {d}")
     stacked = _stack_shifted(generators)
     n = stacked.cols
-    snf = smith_normal_form(stacked)
-    diag = list(snf.diagonal) + [0] * (n - len(snf.diagonal))
+    diag, v, _ = _smith_dv(stacked)
+    diag = list(diag) + [0] * (n - len(diag))
     factors = []
     witnesses = []
     for i in range(n):
@@ -391,7 +500,7 @@ def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
         order = math.gcd(s, d) if s else d
         if order > 1:
             factors.append(order)
-            vec = tuple((x * (d // order)) % d for x in snf.V.col(i))
+            vec = tuple((x * (d // order)) % d for x in v.col(i))
             witnesses.append(vec)
     structure = AbelianGroupStructure(tuple(factors))
     return structure, witnesses
@@ -448,10 +557,10 @@ def row_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ..
     m = IntMatrix.from_rows(rows)
     if m.cols != ambient:
         raise LatticeError("ambient dimension mismatch")
-    snf = smith_normal_form(m)
-    vinv = int_inverse(snf.V)
+    diag, v, _ = _smith_dv(m)
+    vinv = int_inverse(v)
     out = []
-    for i, s in enumerate(snf.diagonal):
+    for i, s in enumerate(diag):
         if s:
             out.append(tuple(s * x for x in vinv.row(i)))
     return out
@@ -461,22 +570,15 @@ def solve_left(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
     """One integer solution x of x @ a = b, or None."""
     if len(b) != a.cols:
         raise LatticeError("vector length mismatch")
-    snf = smith_normal_form(a)
-    c = tuple(sum(bj * snf.V.entries[j][i] for j, bj in enumerate(b))
-              for i in range(a.cols))
-    diag = list(snf.diagonal) + [0] * (a.cols - len(snf.diagonal))
-    y = [0] * a.rows
-    for i in range(a.cols):
-        s = diag[i]
-        if s:
-            if c[i] % s:
-                return None
-            if i < a.rows:
-                y[i] = c[i] // s
-        elif c[i]:
-            return None
-    return tuple(sum(y[j] * snf.U.entries[j][i] for j in range(a.rows))
-                 for i in range(a.rows))
+    # with y = x @ U^-1, x @ a = b reads y @ D = b @ V = c: solvable iff
+    # d_i | c_i below the rank r and c_i = 0 from r on; taking y_i = 0
+    # from r on, x = y @ U needs only U's first r rows
+    diag, v, u_r = _smith_dv(a)
+    c = _vec_mat(b, v.entries, a.cols)
+    r = len(u_r)
+    if any(c[i] % diag[i] for i in range(r)) or any(c[r:]):
+        return None
+    return tuple(_vec_mat([c[i] // diag[i] for i in range(r)], u_r, a.rows))
 
 
 def _reduce_mod_rows(v: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, ...]:
@@ -519,9 +621,9 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
         raise LatticeError("denominator lattice not contained in numerator lattice")
     coeff_rows = [tuple(aug[i][r + t] // scale for i in range(r)) for t in range(len(den))]
     c = IntMatrix.from_rows(coeff_rows)
-    snf = smith_normal_form(c)
-    vinv = int_inverse(snf.V)
-    diag = list(snf.diagonal) + [0] * (r - len(snf.diagonal))
+    diag, v, _ = _smith_dv(c)
+    vinv = int_inverse(v)
+    diag = list(diag) + [0] * (r - len(diag))
     torsion, free = [], []
     factors = []
     den_basis = row_basis(den, ambient)

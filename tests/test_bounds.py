@@ -258,10 +258,20 @@ def test_closed_lists_of_singular_matrices_are_refused():
         FiniteMatrixGroup(rationals(), [((q.one,),), ((q.zero,),)])
 
 
-def test_element_orders_reject_an_element_of_infinite_order():
-    # past 2000 elements the list is not certified, and 2 has no order
+def test_long_lists_are_certified_closed():
+    # [[2]] generates powers of 2 without end: the closure outgrows the list
     q = Field(rationals())
-    group = FiniteMatrixGroup(rationals(), [((q(i),),) for i in range(1, 2002)])
+    with pytest.raises(BoundsError, match="element list is not closed under multiplication"):
+        FiniteMatrixGroup(rationals(), [((q(i),),) for i in range(1, 2002)])
+
+
+def test_element_orders_reject_an_element_of_infinite_order():
+    # the constructor refuses this list, so build the object around it:
+    # 2 has no order, and the power chain must not run forever
+    q = Field(rationals())
+    group = object.__new__(FiniteMatrixGroup)
+    group.descriptor, group.field, group.degree = rationals(), q, 1
+    group.elements = [((q(i),),) for i in range(1, 2002)]
     for orders in (group.element_orders, lambda: element_orders_by_least_power(group)):
         with pytest.raises(BoundsError, match="element order exceeds the group order"):
             orders()

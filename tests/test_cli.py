@@ -250,6 +250,18 @@ def test_csa_torsion_rank_is_capped():
     assert code == 0 and json.loads(out)["rank"] == str(m)
 
 
+def test_csa_torsion_refuses_a_negative_rank(monkeypatch):
+    with monkeypatch.context() as patch:  # refused before any algebra is built
+        patch.setattr(cli.csa, "WeylModPSpec", None)
+        code, out = run_cli(["csa", "torsion", "--p", "3", "--m", "-3"])
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "SchemaError", "path": "$.m", "message": "$.m: --m must be >= 0, got -3"}
+    code, out = run_cli(["csa", "torsion", "--p", "3", "--m", "0"])
+    assert code == 0 and json.loads(out) == {
+        "commute": True, "generators": [], "group_order": "1", "orders_divide_p": True,
+        "p": "3", "rank": "0", "requested_rank": "0"}
+
+
 def test_csa_verify_weyl():
     code, out = run_cli(["csa", "verify-weyl", "--p", "3"])
     obj = json.loads(out)

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from aniso import lattice
 from aniso.lattice import (AbelianGroupStructure, ClosureCapExceeded,
                            IntMatrix, LatticeError, NotUnimodular,
+                           _certify_smith, _smith_dv, _stack_shifted,
                            abelian_quotient, fixed_sublattice, group_closure,
                            h1_of_theta_module, int_inverse, integer_kernel,
                            kernel_mod_d, row_basis, smith_normal_form,
@@ -397,3 +399,178 @@ def test_h1_from_generators_matches_cocycle_oracle():
     for gens in actions:
         assert len(group_closure(gens)) <= 6
         assert h1_of_theta_module(gens) == _h1_cocycle_oracle(gens)
+
+
+# ---------------------------------------------------------------------------
+# the U-free Smith form against the full one, its certificate, and its callers
+
+def _random_smith_inputs(rng, count):
+    """Seeded matrices of 1..9 rows and 1..7 columns: dense, with zero rows
+    or zero columns, and rank deficient."""
+    out = []
+    for k in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 7)
+        a = [[rng.randint(-9, 9) if rng.random() < 0.6 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        if k % 4 == 1:
+            a[rng.randrange(rows)] = [0] * cols
+        elif k % 4 == 2:
+            j = rng.randrange(cols)
+            for row in a:
+                row[j] = 0
+        elif k % 4 == 3 and rows > 1:
+            i, j = rng.sample(range(rows), 2)
+            c = rng.randint(-3, 3)
+            a[i] = [c * x for x in a[j]]
+        out.append(IntMatrix.from_rows(a))
+    return out
+
+
+def _augmentation_matrix(perm):
+    # a permutation of {0..m-1} acting on the lattice of e_i - e_0, i >= 1
+    m = len(perm)
+    cols = []
+    for i in range(1, m):
+        col = [0] * (m - 1)
+        if perm[i]:
+            col[perm[i] - 1] += 1
+        if perm[0]:
+            col[perm[0] - 1] -= 1
+        cols.append(col)
+    return IntMatrix.from_rows(list(zip(*cols)))
+
+
+def _torus_torsion_stacks():
+    """Stacked matrices of the perfbench torus-torsion models: norm quotients
+    of the groups of order 2..8, each also relabelled, and small transitive
+    actions on augmentation lattices."""
+    from aniso.torus import norm_quotient_torus, table_from_permutation_generators
+
+    def cycle(m, points):
+        perm = list(range(m))
+        for a, b in zip(points, points[1:] + points[:1]):
+            perm[a] = b
+        return tuple(perm)
+
+    groups = [[cycle(n, list(range(n)))] for n in range(2, 9)]
+    groups += [[(1, 0, 3, 2), (2, 3, 0, 1)],                      # V_4
+               [(1, 0, 2), (1, 2, 0)],                            # S_3
+               [(1, 2, 3, 0), (0, 3, 2, 1)],                      # D_4
+               [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)],  # Q_8
+               [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]]          # Z_2 x Z_4
+    rng = random.Random(31)
+    models = []
+    for gens in groups:
+        table = table_from_permutation_generators(gens)
+        n = len(table)
+        pi = [0] + rng.sample(range(1, n), n - 1)
+        relabelled = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                relabelled[pi[i]][pi[j]] = pi[table[i][j]]
+        models += [norm_quotient_torus(table), norm_quotient_torus(relabelled)]
+    assert sorted({m.theta_order for m in models}) == list(range(2, 9))
+    stacks = [_stack_shifted(m.theta_generators) for m in models]
+    for m in range(3, 10):
+        full = cycle(m, list(range(m)))
+        actions = [[full, cycle(m, [0, 1])], [full, tuple((-i) % m for i in range(m))],
+                   [full]]
+        if m % 2 == 0:
+            actions.append([cycle(m, [0, 1, 2]), cycle(m, list(range(1, m)))])
+        else:
+            actions.append([cycle(m, [0, 1, 2]), full])
+        for gens in actions:
+            stacks.append(_stack_shifted([_augmentation_matrix(g) for g in gens]))
+    return stacks
+
+
+def _assert_u_free_matches_full(m):
+    full = smith_normal_form(m)
+    diag, v, u_r = _smith_dv(m)
+    r = sum(1 for s in diag if s)
+    assert diag == full.diagonal and v == full.V
+    assert u_r == list(full.U.entries[:r])
+
+
+def test_u_free_smith_form_matches_the_full_one():
+    matrices = _random_smith_inputs(random.Random(4242), 2000)
+    shapes = {(m.rows, m.cols) for m in matrices}
+    assert shapes == {(r, c) for r in range(1, 10) for c in range(1, 8)}
+    ranks = [sum(1 for s in smith_normal_form(m).diagonal if s) for m in matrices]
+    assert sum(r < min(m.rows, m.cols) for r, m in zip(ranks, matrices)) > 300
+    assert any(r == 0 for r in ranks)
+    for m in matrices:
+        _assert_u_free_matches_full(m)
+    stacks = _torus_torsion_stacks()
+    assert len(stacks) >= 50
+    for m in stacks:
+        _assert_u_free_matches_full(m)
+
+
+def test_u_free_smith_form_matches_on_the_s4_stack():
+    from aniso.torus import norm_quotient_torus, symmetric_table
+    stacked = _stack_shifted(norm_quotient_torus(symmetric_table(4)).theta_generators)
+    assert (stacked.rows, stacked.cols) == (529, 23)
+    _assert_u_free_matches_full(stacked)
+
+
+def test_smith_certificate_refuses_each_broken_part():
+    # rank 3 of 4 rows: the last row is twice the first; D = diag(2, 6, 12)
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [4, 8, 8]])
+    diag, v, u_r = _smith_dv(m)
+    assert diag == (2, 6, 12)
+    _certify_smith(m, diag, v, u_r)
+    rows = [list(row) for row in v.entries]
+    doubled = IntMatrix.from_rows([[2 * row[0]] + row[1:] for row in rows])
+    sheared = IntMatrix.from_rows([[row[0] + row[2]] + row[1:] for row in rows])
+    assert abs(doubled.det()) == 2 and abs(sheared.det()) == 1
+    missing = [list(row) for row in u_r]
+    missing[0][0] += 1  # row 0 of m, so of m @ V, is nonzero
+    cases = [
+        (m, diag, doubled, u_r, "V is not unimodular"),
+        (m, diag, sheared, u_r, "pivot rows"),
+        (m, (2, 7, 12), v, u_r, "divisibility chain"),
+        (m, (2, 6, 24), v, u_r, "row lattice"),
+        (m, (2, 6, 0), v, u_r[:2], "row lattice"),
+        (m, diag, v, missing, "pivot rows"),
+    ]
+    for args in cases:
+        with pytest.raises(LatticeError, match="Smith certificate: .*" + args[-1]):
+            _certify_smith(*args[:-1])
+
+
+def _pairing_fields(result):
+    p = result.pairing
+    return (p.group.invariant_factors, p.gram, result.generator_orders,
+            result.basis_change)
+
+
+def test_no_caller_builds_the_full_smith_form(monkeypatch):
+    from aniso import pairing, torus
+    from aniso.fieldmatrix import mat_from_rows
+    from aniso.scalars import Field, cyclotomic
+    field = Field(cyclotomic(3))
+    z, zero, one = field.zeta(3), field.zero, field.one
+    clock = mat_from_rows([[one, zero, zero], [zero, z, zero], [zero, zero, z * z]])
+    shift = mat_from_rows([[zero, zero, one], [one, zero, zero], [zero, one, zero]])
+    s3 = torus.norm_quotient_torus(torus.symmetric_table(3))
+    c6 = torus.norm_quotient_torus(torus.cyclic_table(6))
+    m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [4, 8, 8]])
+    calls = [
+        lambda: [torus.torsion_points(t, d) for t in (s3, c6) for d in range(2, 13)],
+        lambda: [torus.is_anisotropic(t) for t in (s3, c6)],
+        lambda: [torus.exponent_bound_check(t, 30) for t in (s3, c6)],
+        lambda: [h1_of_theta_module(gens) for gens in _h1_test_actions()],
+        lambda: (integer_kernel(m), integer_kernel(m.transpose())),
+        lambda: row_basis(m.entries, 3),
+        lambda: abelian_quotient(m.entries, [(4, 8, 8), (0, 12, 24)], 3),
+        lambda: (solve_left(m, (8, 16, 16)), solve_left(m, (1, 0, 0))),
+        lambda: _pairing_fields(pairing.matrix_commutator_pairing([clock, shift])),
+    ]
+    expected = [repr(call()) for call in calls]
+
+    def refuse(_):
+        raise AssertionError("the full Smith form was built")
+
+    monkeypatch.setattr(lattice, "smith_normal_form", refuse)
+    assert [repr(call()) for call in calls] == expected
