@@ -90,10 +90,6 @@ def mat_scale(a: Matrix, c: FieldElement) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a))
-
-
 def mat_pow(a: Matrix, e: int) -> Matrix:
     F = Field(mat_descriptor(a))
     if e < 0:

@@ -14,10 +14,10 @@ column index. This makes every decomposition reproducible bit for bit.
 There is one Smith elimination. It acts on the working matrix and V, and
 logs each row operation instead of carrying the m x m matrix U. The pivot
 rule reads only the working matrix, so D and V are the same whether U is
-built or not. smith_normal_form replays the log on the identity to build U
-and keeps the full check U @ M @ V = D. The kernels, quotients and solves
-here read only D, V and U's first r rows U_r (r the rank), so they never
-build U. U_r comes from pushing I_r backwards through the log. The
+built or not. U's rows come from pushing the identity's rows backwards
+through the log: smith_normal_form pushes all m of them and keeps the full
+check U @ M @ V = D. The kernels, quotients and solves here read only D, V
+and U's first r rows U_r (r the rank), so they never build U. The
 certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
 
 - V is unimodular (an n x n Bareiss determinant);
@@ -29,7 +29,8 @@ certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
 The third check puts the row lattice of M @ V inside that of D. The fourth
 writes each basis row of D's row lattice as an integer combination of rows
 of M @ V. So the two row lattices are equal, and some unimodular U has
-U @ M @ V = D.
+U @ M @ V = D. Kernels, row bases, solves, torsion and H¹ are read off
+that one certified form; only abelian_quotient's generators invert a V.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import AnisoError
-from .scalars import _exact_json, binary_power
+from .scalars import _exact_json
 
 
 class LatticeError(AnisoError):
@@ -91,10 +92,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n))
                                for i in range(n)))
 
-    @staticmethod
-    def zeros(r: int, c: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * c for _ in range(r)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -120,16 +117,9 @@ class IntMatrix:
             tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
             for row in self.entries))
 
-    def __add__(self, other):
-        return IntMatrix(tuple(tuple(x + y for x, y in zip(a, b))
-                               for a, b in zip(self.entries, other.entries)))
-
     def __sub__(self, other):
         return IntMatrix(tuple(tuple(x - y for x, y in zip(a, b))
                                for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self):
-        return IntMatrix(tuple(tuple(-x for x in r) for r in self.entries))
 
     def apply(self, v: Sequence[int]) -> tuple[int, ...]:
         if len(v) != self.cols:
@@ -141,11 +131,6 @@ class IntMatrix:
             raise LatticeError("determinant of a non-square matrix")
         pivots, det = _bareiss([list(row) for row in self.entries], self.cols)
         return det if len(pivots) == self.rows else 0
-
-    def power(self, e: int) -> "IntMatrix":
-        if e < 0:
-            return int_inverse(self).power(-e)
-        return binary_power(self, e, IntMatrix.identity(self.rows), IntMatrix.__matmul__)
 
     def to_json(self) -> dict:
         return {"rows": str(self.rows), "cols": str(self.cols),
@@ -341,13 +326,12 @@ def _smith_reduce(m: IntMatrix):
 def smith_normal_form(m: IntMatrix) -> SNFResult:
     """U @ m @ V = D with the documented pivot rule and divisibility chain.
 
-    U is the elimination's log of row operations replayed on the identity.
+    U is the product of the elimination's logged row operations, all m of
+    its rows pushed backwards through the log as _pivot_rows does for r.
     """
     a, v, log = _smith_reduce(m)
-    u = [[int(i == j) for j in range(m.rows)] for i in range(m.rows)]
-    for op in log:
-        _apply_row_op(u, op)
-    result = SNFResult(IntMatrix.from_rows(u), IntMatrix.from_rows(a),
+    result = SNFResult(IntMatrix.from_rows(_pivot_rows(log, m.rows, m.rows)),
+                       IntMatrix.from_rows(a),
                        IntMatrix.from_rows(v))
     assert result.verify(m), "internal SNF inconsistency"
     return result
@@ -438,13 +422,21 @@ def _stack_shifted(generators: Sequence[IntMatrix]) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def fixed_sublattice(generators: Sequence[IntMatrix]) -> list[tuple[int, ...]]:
-    """Basis rows of the common fixed sublattice of the generated group.
+def _stack_smith(generators: Sequence[IntMatrix]) -> tuple[tuple[int, ...], IntMatrix]:
+    """Diagonal s_1 | ... | s_n and V of the Smith form of the stacked g - 1.
 
-    A vector fixed by every generator is fixed by every word in them, so
-    only generators are stacked.
+    With v = V w, v is fixed by every generator, so by every word in them,
+    iff every s_i w_i = 0, and fixed mod d iff every s_i w_i ≡ 0 (mod d).
     """
-    return integer_kernel(_stack_shifted(generators))
+    diag, v, _ = _smith_dv(_stack_shifted(generators))
+    return diag, v
+
+
+def fixed_sublattice(generators: Sequence[IntMatrix]) -> list[tuple[int, ...]]:
+    """Basis rows of the common fixed sublattice of the generated group:
+    the columns of V at the zero diagonal entries."""
+    diag, v = _stack_smith(generators)
+    return [v.col(i) for i, s in enumerate(diag) if not s]
 
 
 @dataclass(frozen=True)
@@ -475,10 +467,6 @@ class AbelianGroupStructure:
             return None
         return self.invariant_factors[-1] if self.invariant_factors else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return not self.invariant_factors and not self.free_rank
-
 
 def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
     """Structure and generators of {v in (Z/d)^n : g v = v for all g}.
@@ -489,15 +477,11 @@ def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
     """
     if d < 2:
         raise InvalidModulus(f"modulus must be >= 2, got {d}")
-    stacked = _stack_shifted(generators)
-    n = stacked.cols
-    diag, v, _ = _smith_dv(stacked)
-    diag = list(diag) + [0] * (n - len(diag))
+    diag, v = _stack_smith(generators)
     factors = []
     witnesses = []
-    for i in range(n):
-        s = diag[i]
-        order = math.gcd(s, d) if s else d
+    for i, s in enumerate(diag):
+        order = math.gcd(s, d)
         if order > 1:
             factors.append(order)
             vec = tuple((x * (d // order)) % d for x in v.col(i))
@@ -549,21 +533,23 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
 # ---------------------------------------------------------------------------
 # quotients of lattices and first cohomology
 
-def row_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ...]]:
-    """Basis rows of the lattice spanned by the given rows of Z^ambient."""
+def _row_smith(rows: Sequence[Sequence[int]], ambient: int):
+    """Nonzero diagonal s_1 | ... | s_r, V and the basis U_r @ M of the
+    lattice spanned by the rows M. U_r @ M = D_r @ V^-1, so a row x =
+    c @ basis has x @ V = (s_1 c_1, ..., s_r c_r, 0, ..., 0)."""
     rows = [tuple(int(x) for x in r) for r in rows if any(r)]
     if not rows:
-        return []
+        return (), None, []
     m = IntMatrix.from_rows(rows)
     if m.cols != ambient:
         raise LatticeError("ambient dimension mismatch")
-    diag, v, _ = _smith_dv(m)
-    vinv = int_inverse(v)
-    out = []
-    for i, s in enumerate(diag):
-        if s:
-            out.append(tuple(s * x for x in vinv.row(i)))
-    return out
+    diag, v, u_r = _smith_dv(m)
+    return diag[:len(u_r)], v, [tuple(_vec_mat(u, rows, ambient)) for u in u_r]
+
+
+def row_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ...]]:
+    """Basis rows of the lattice spanned by the given rows of Z^ambient."""
+    return _row_smith(rows, ambient)[2]
 
 
 def solve_left(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
@@ -604,22 +590,22 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
     (AbelianGroupStructure, torsion_generators, free_generators) with
     generator vectors in Z^ambient matching the invariant factor order.
     """
-    num = row_basis(numerator_rows, ambient)
+    num_diag, num_v, num = _row_smith(numerator_rows, ambient)
     den = [tuple(int(x) for x in r) for r in denominator_rows if any(r)]
     if not num:
         return AbelianGroupStructure(()), [], []
     r = len(num)
     if not den:
         return (AbelianGroupStructure((), free_rank=r), [], list(num))
-    # express the denominator rows in the numerator basis: one fraction-free
-    # elimination of [num^T | den^T]; num is independent, so pivots are 0..r-1
-    aug = [[row[k] for row in num] + [row[k] for row in den] for k in range(ambient)]
-    _bareiss(aug, r)
-    scale = aug[0][0]
-    if (any(x for row in aug[r:] for x in row[r:])
-            or any(x % scale for row in aug[:r] for x in row[r:])):
-        raise LatticeError("denominator lattice not contained in numerator lattice")
-    coeff_rows = [tuple(aug[i][r + t] // scale for i in range(r)) for t in range(len(den))]
+    # the coordinates of a denominator row x in the numerator basis are
+    # (x @ V)_i / s_i, and x lies in the numerator lattice iff they are
+    # integers and (x @ V)_i = 0 from r on
+    coeff_rows = []
+    for x in den:
+        xv = _vec_mat(x, num_v.entries, ambient)
+        if any(xv[r:]) or any(xv[i] % num_diag[i] for i in range(r)):
+            raise LatticeError("denominator lattice not contained in numerator lattice")
+        coeff_rows.append(tuple(xv[i] // num_diag[i] for i in range(r)))
     c = IntMatrix.from_rows(coeff_rows)
     diag, v, _ = _smith_dv(c)
     vinv = int_inverse(v)
@@ -642,19 +628,19 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
 
 def h1_of_theta_module(generators: Sequence[IntMatrix],
                        cap: Optional[int] = None) -> AbelianGroupStructure:
-    """First cohomology of the generated finite group Θ acting on L = Z^n.
+    """First cohomology of the generated finite group Θ acting on L = Z^n:
 
-    With N = |Θ|, multiplication by N on 0 -> L -> L -> L/NL -> 0 and
-    N·H¹ = 0 give H¹(Θ, L) ≅ (L/NL)^Θ / (L^Θ/NL^Θ): the classes fixed mod
-    N modulo the fixed vectors. Only the generators enter, so the result
-    is finite by construction.
+        H¹(Θ, L) = ⊕ Z/gcd(s_i, N) over the nonzero s_i,
+
+    with N = |Θ| and s_1 | ... | s_n the Smith diagonal of the stacked
+    g - 1 (one Smith form). Proof: N kills H¹, so the sequence
+    0 -> L -N-> L -> L/NL -> 0 gives H¹ ≅ (L/NL)^Θ / (L^Θ/NL^Θ), the
+    classes fixed mod N modulo the fixed vectors. With v = V w, v is fixed
+    mod N iff s_i w_i ≡ 0 (mod N) for every i, a subgroup Z/gcd(s_i, N) of
+    the i-th coordinate mod N, and L^Θ is exactly the w with w_i = 0 where
+    s_i ≠ 0, so it fills the coordinates with s_i = 0.
     """
     order = len(group_closure(generators, cap))
-    if order == 1:
-        return AbelianGroupStructure(())
-    n = generators[0].cols
-    _, witnesses = kernel_mod_d(generators, order)
-    multiples = [tuple(order if i == j else 0 for j in range(n)) for i in range(n)]
-    structure, _, _ = abelian_quotient(witnesses + multiples,
-                                       fixed_sublattice(generators) + multiples, n)
-    return structure
+    diag, _ = _stack_smith(generators)
+    return AbelianGroupStructure(tuple(
+        g for g in (math.gcd(s, order) for s in diag if s) if g > 1))

@@ -21,6 +21,7 @@ from .scalars import (
     Field,
     FieldDescriptor,
     FieldElement,
+    _exact_json,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,
@@ -173,7 +174,7 @@ class QuadraticForm:
         for key, val in obj["coeffs"].items():
             i, j = (int(part) for part in key.split(","))
             coeffs[(i, j)] = element_from_json(val, descriptor)
-        return cls(descriptor, int(obj["dim"]), coeffs)
+        return cls(descriptor, int(_exact_json(obj["dim"])), coeffs)
 
 
 def associated_bilinear(q: QuadraticForm):

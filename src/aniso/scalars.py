@@ -77,6 +77,13 @@ def _exact_json(obj):
     return obj
 
 
+def _json_list(obj) -> list:
+    """obj itself if it is a JSON list: a string is refused, not iterated."""
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a list, got {obj!r}")
+    return obj
+
+
 # ---------------------------------------------------------------------------
 # integer helpers: primality, factorisation, prime-power parts, power orders
 
@@ -349,9 +356,6 @@ def _u_inverse(d, x, f) -> list:
 # ---------------------------------------------------------------------------
 # field descriptors: one class per kind, owning its payload rules
 
-_UNKNOWN = object()
-
-
 @dataclass(frozen=True, repr=False)
 class FieldDescriptor:
     """A field; each subclass is one kind.
@@ -389,8 +393,8 @@ class FieldDescriptor:
         return binary_power(x, e, self.one(), self.mul)
 
     def kth_root(self, x, k: int):
-        """A payload r with r^k == x, None if provably absent, or _UNKNOWN
-        when outside the decidable fragment."""
+        """A payload r with r^k == x, or None if provably absent; raises
+        UndecidedPower outside the decidable fragment."""
         if k == 1 or self.is_zero(x):
             return x
         return self._kth_root(x, k)
@@ -507,7 +511,7 @@ class _Cyclotomic(FieldDescriptor):
         return [str(c) for c in x]
 
     def payload_from_json(self, obj):
-        return _cy_reduce(self.n, [Fraction(_exact_json(c)) for c in obj])
+        return _cy_reduce(self.n, [Fraction(_exact_json(c)) for c in _json_list(obj)])
 
     def random_payload(self, rng, height, degree, terms):
         return tuple(Fraction(rng.randint(-height, height))
@@ -549,8 +553,7 @@ class _Cyclotomic(FieldDescriptor):
                 if s is not None:
                     return tuple(c * s for c in acc)
             acc = self.mul(acc, z)
-        # roots outside the unit*rational family are undecidable here
-        return _UNKNOWN
+        raise UndecidedPower(f"{k}-th roots in {self!r} beyond roots of unity times rationals")
 
 
 @dataclass(frozen=True, repr=False)
@@ -615,7 +618,7 @@ class _FiniteField(FieldDescriptor):
         return [str(c) for c in x]
 
     def payload_from_json(self, obj):
-        if len(obj) > self.m:
+        if len(_json_list(obj)) > self.m:
             raise ScalarError(f"{self!r} element has {len(obj)} coefficients, "
                               f"at most {self.m} allowed")
         vals = [int(_exact_json(c)) % self.p for c in obj]
@@ -648,7 +651,7 @@ class _FiniteField(FieldDescriptor):
 
     def _kth_root(self, x, k: int):
         if self.size() > 4096:
-            return _UNKNOWN
+            raise UndecidedPower(f"{k}-th roots in {self!r} are searched only up to 4096 elements")
         for r in self.payloads():
             if self.power(r, k) == x:
                 return r
@@ -817,12 +820,11 @@ class _FunctionField(FieldDescriptor):
             out = {}
             for key, c in o.items():
                 exps = tuple(int(x) for x in key.split(","))
-                if len(exps) != nv:
-                    raise ScalarError(f"exponent key {key!r} has wrong arity")
-                cp = self.base.payload_from_json(c)
-                if not self.base.is_zero(cp):
-                    out[exps] = cp
-            return out
+                if len(exps) != nv or min(exps) < 0 or exps in out:
+                    raise ScalarError(f"exponent key {key!r}: expected {nv} nonnegative "
+                                      "exponents, each monomial once")
+                out[exps] = self.base.payload_from_json(c)
+            return {e: c for e, c in out.items() if not self.base.is_zero(c)}
 
         num = poly(obj["num"])
         den = poly(obj["den"]) if "den" in obj else _p_from_tuple(self._unit_den)
@@ -860,13 +862,9 @@ class _FunctionField(FieldDescriptor):
         bd, nv = self.base, len(self.variables)
         char = self.characteristic
         num, den = _p_from_tuple(x[0]), _p_from_tuple(x[1])
-        rn = _poly_root_or_status(bd, num, k, nv, char)
-        if rn is None or rn is _UNKNOWN:
-            return rn
-        rd = _poly_root_or_status(bd, den, k, nv, char)
-        if rd is None or rd is _UNKNOWN:
-            return rd
-        return self.normalize(rn, rd)
+        rn = _poly_kth_root(bd, num, k, nv, char)
+        rd = None if rn is None else _poly_kth_root(bd, den, k, nv, char)
+        return None if rd is None else self.normalize(rn, rd)
 
 
 _INTERNED: dict = {}
@@ -1346,13 +1344,20 @@ def _fraction_kth_root(x: Fraction, k: int) -> Optional[Fraction]:
 
 
 def _p_kth_root(bd, A: dict, k: int, nv: int):
-    """k-th root of a polynomial, char coprime to k. Greedy on lex terms."""
+    """k-th root of a polynomial, char coprime to k, or None if there is none.
+
+    Greedy on lex terms: each step cancels the leading term of A - G^k, so
+    the terms come strictly lex-decreasing. If a root R leading with rc
+    exists (roots differ by units), they are R's terms, which lie in the
+    finite Newton box deg_{x_i} <= deg_{x_i}(A)/k. So a term outside the
+    box proves that there is no root, and the loop ends inside it.
+    """
     le, lc = _p_lead(A)
     if any(e % k for e in le):
         return None
     rc = bd.kth_root(lc, k)
-    if rc is None or rc is _UNKNOWN:
-        return rc
+    if rc is None:
+        return None
     ge = tuple(e // k for e in le)
     G = {ge: rc}
     k_elem = bd.from_int(k)
@@ -1360,7 +1365,8 @@ def _p_kth_root(bd, A: dict, k: int, nv: int):
         raise AssertionError("characteristic divides k in coprime branch")
     he = tuple(e * (k - 1) for e in ge)
     hc = bd.mul(k_elem, bd.power(rc, k - 1))
-    for _ in range(4096):
+    box = [max(e[i] for e in A) // k for i in range(nv)]
+    while True:
         Gpow = G
         for _ in range(k - 1):
             Gpow = _p_mul(bd, Gpow, G)
@@ -1370,13 +1376,12 @@ def _p_kth_root(bd, A: dict, k: int, nv: int):
         de, dc = _p_lead(diff)
         # next term t satisfies lt(diff) = k * lt(G)^(k-1) * t
         te = tuple(a - b for a, b in zip(de, he))
-        if any(t < 0 for t in te) or te >= ge:
+        if any(not 0 <= t <= b for t, b in zip(te, box)):
             return None
         G[te] = bd.div(dc, hc)
-    return None
 
 
-def _poly_root_or_status(bd, A, k, nv, char):
+def _poly_kth_root(bd, A, k, nv, char):
     if not A:
         return {}
     if char and k % char == 0:
@@ -1386,12 +1391,12 @@ def _poly_root_or_status(bd, A, k, nv, char):
         root = {}
         for e, c in A.items():
             rc = bd.kth_root(c, char)
-            if rc is None or rc is _UNKNOWN:
-                return rc
+            if rc is None:
+                return None
             root[tuple(x // char for x in e)] = rc
         if k == char:
             return root
-        return _poly_root_or_status(bd, root, k // char, nv, char)
+        return _poly_kth_root(bd, root, k // char, nv, char)
     return _p_kth_root(bd, A, k, nv)
 
 
@@ -1401,11 +1406,7 @@ def kth_root(elt: FieldElement, k: int) -> Optional[FieldElement]:
     if k < 1:
         raise ScalarError("root index must be >= 1")
     r = elt.descriptor.kth_root(elt.payload, k)
-    if r is _UNKNOWN:
-        raise UndecidedPower(f"{k}-th power recognition undecided for {elt!r}")
-    if r is None:
-        return None
-    return FieldElement(elt.descriptor, r)
+    return None if r is None else FieldElement(elt.descriptor, r)
 
 
 def is_kth_power(elt: FieldElement, k: int) -> Optional[bool]:
@@ -1482,13 +1483,16 @@ def descriptor_from_json(obj) -> FieldDescriptor:
     if kind == "rationals":
         return rationals()
     if kind == "cyclotomic":
-        return cyclotomic(int(obj["n"]))
+        return cyclotomic(int(_exact_json(obj["n"])))
     if kind == "prime_field":
-        return prime_field(int(obj["p"]))
+        return prime_field(int(_exact_json(obj["p"])))
     if kind == "finite_field":
-        return finite_field(int(obj["p"]), int(obj["m"]))
+        return finite_field(int(_exact_json(obj["p"])), int(_exact_json(obj["m"])))
     if kind == "function_field":
-        return function_field(descriptor_from_json(obj["base"]), obj["variables"])
+        variables = _json_list(obj["variables"])
+        if not all(isinstance(v, str) for v in variables):
+            raise TypeError(f"function field variables must be strings, got {variables!r}")
+        return function_field(descriptor_from_json(obj["base"]), variables)
     raise ScalarError(f"unknown field kind {kind!r}")
 
 

@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      closure, closure_cap, fixed_sublattice, group_closure,
-                      kernel_mod_d)
+                      _stack_smith, closure, closure_cap, fixed_sublattice,
+                      group_closure, kernel_mod_d)
 from .scalars import _exact_json
 
 
@@ -305,16 +305,23 @@ class ExponentBoundReport:
 
 def exponent_bound_check(t: TorusModel, d_range: int) -> ExponentBoundReport:
     """Check for every d up to d_range that the d-torsion exponent divides
-    the acting group's order (and the norm group order when present)."""
-    if not is_anisotropic(t):
+    the acting group's order (and the norm group order when present).
+
+    One Smith form of the stacked g - 1, with diagonal s_1 | ... | s_n,
+    answers every d: the torus is anisotropic iff every s_i ≠ 0, and then
+    the d-torsion exponent is gcd(s_n, d). Proof: the invariant d-torsion
+    is ⊕ Z/gcd(s_i, d) (see kernel_mod_d); s_i | s_n makes each gcd(s_i, d)
+    divide gcd(s_n, d), so the largest order, the exponent, is gcd(s_n, d).
+    """
+    diag, _ = _stack_smith(t.theta_generators)
+    if not all(diag):
         raise NotAnisotropic("exponent bounds only hold for anisotropic tori")
     rows = []
     ok = True
     for d in range(2, d_range + 1):
         if t.characteristic and d % t.characteristic == 0:
             continue
-        rep = torsion_points(t, d)
-        e = rep.group.exponent
+        e = math.gcd(diag[-1], d)
         rows.append((d, e))
         if t.theta_order % e:
             ok = False

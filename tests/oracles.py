@@ -1,7 +1,10 @@
-"""Brute-force reference routines that the tests compare the library against.
+"""Reference routines that the tests compare the library against.
 
-Each one enumerates a whole finite space, so each keeps its own cap and
-raises before it starts a scan past it. None of them is part of the
+Most enumerate a whole finite space, so each of those keeps its own cap and
+raises before it starts a scan past it. The rest are the longer
+derivations that the library replaced by reading one Smith form: a Smith
+form per d, H¹ through a lattice quotient, row bases through V^-1 and
+quotients through a second elimination. None of them is part of the
 library: the library answers the same questions in closed form.
 """
 
@@ -10,11 +13,15 @@ from typing import Iterator, Optional
 
 from aniso import fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
+from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bareiss,
+                           _reduce_mod_rows, _smith_dv, fixed_sublattice, group_closure,
+                           int_inverse, kernel_mod_d)
 from aniso.pairing import AlternatingPairing, GroupTooLarge
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
                            ScalarError, _FiniteField, least_power)
-from aniso.torus import TorusError, TorusModel
+from aniso.torus import (ExponentBoundReport, NotAnisotropic, TorusError, TorusModel,
+                         is_anisotropic, torsion_points)
 
 
 class EnumerationTooLarge(TorusError):
@@ -39,6 +46,34 @@ def artin_schreier_image(field: Field, max_size: int = 16) -> list[FieldElement]
         if v not in seen:
             seen.append(v)
     return sorted(seen, key=lambda e: e.payload)
+
+
+def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[FieldElement]:
+    """Every r with r^k = elt among the polynomials whose exponent of each
+    variable x_i is at most deg_{x_i}(elt)/k, by a scan of all their
+    coefficient vectors over the finite base field. elt is a nonzero
+    polynomial in a function field over a finite field."""
+    d = elt.descriptor
+    field = Field(d)
+    num, den = elt.payload
+    if den != field.one.payload[1] or not num:
+        raise ScalarError("the Newton box scan needs a nonzero polynomial")
+    box = [max(e[i] for e, _ in num) // k for i in range(len(d.variables))]
+    monomials = []
+    for exps in itertools.product(*(range(b + 1) for b in box)):
+        m = field.one
+        for x, e in zip(field.vars(), exps):
+            m = m * x ** e
+        monomials.append(m)
+    constants = [field.lift(c) for c in Field(d.base).elements()]
+    if len(constants) ** len(monomials) > cap:
+        raise FieldTooLarge(f"{len(constants)}^{len(monomials)} candidates exceed the cap {cap}")
+    roots = []
+    for coeffs in itertools.product(constants, repeat=len(monomials)):
+        r = sum((c * m for c, m in zip(coeffs, monomials)), field.zero)
+        if r ** k == elt:
+            roots.append(r)
+    return roots
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +153,100 @@ def enumerate_invariant_cosets(t: TorusModel, d: int,
         if all(tuple(x % d for x in g.apply(v)) == v for g in t.theta_generators):
             out.append(v)
     return out
+
+
+def exponent_bound_check_per_d(t: TorusModel, d_range: int) -> ExponentBoundReport:
+    """exponent_bound_check by one torsion_points call, so one Smith form,
+    per d."""
+    if not is_anisotropic(t):
+        raise NotAnisotropic("exponent bounds only hold for anisotropic tori")
+    rows = []
+    ok = True
+    for d in range(2, d_range + 1):
+        if t.characteristic and d % t.characteristic == 0:
+            continue
+        rep = torsion_points(t, d)
+        e = rep.group.exponent
+        rows.append((d, e))
+        if t.theta_order % e:
+            ok = False
+        if t.norm_group_order is not None and t.norm_group_order % e:
+            ok = False
+    return ExponentBoundReport(d_range, t.theta_order, t.norm_group_order,
+                               tuple(rows), ok)
+
+
+# ---------------------------------------------------------------------------
+# lattices
+
+def row_basis_by_inverse(rows, ambient: int) -> list[tuple[int, ...]]:
+    """row_basis as s_i times row i of V^-1, with V inverted."""
+    rows = [tuple(int(x) for x in r) for r in rows if any(r)]
+    if not rows:
+        return []
+    m = IntMatrix.from_rows(rows)
+    if m.cols != ambient:
+        raise LatticeError("ambient dimension mismatch")
+    diag, v, _ = _smith_dv(m)
+    vinv = int_inverse(v)
+    out = []
+    for i, s in enumerate(diag):
+        if s:
+            out.append(tuple(s * x for x in vinv.row(i)))
+    return out
+
+
+def abelian_quotient_by_bareiss(numerator_rows, denominator_rows, ambient: int):
+    """abelian_quotient with the denominator rows written in the numerator
+    basis by one fraction-free elimination of [num^T | den^T]."""
+    num = row_basis_by_inverse(numerator_rows, ambient)
+    den = [tuple(int(x) for x in r) for r in denominator_rows if any(r)]
+    if not num:
+        return AbelianGroupStructure(()), [], []
+    r = len(num)
+    if not den:
+        return (AbelianGroupStructure((), free_rank=r), [], list(num))
+    # num is independent, so the pivots are 0..r-1
+    aug = [[row[k] for row in num] + [row[k] for row in den] for k in range(ambient)]
+    _bareiss(aug, r)
+    scale = aug[0][0]
+    if (any(x for row in aug[r:] for x in row[r:])
+            or any(x % scale for row in aug[:r] for x in row[r:])):
+        raise LatticeError("denominator lattice not contained in numerator lattice")
+    coeff_rows = [tuple(aug[i][r + t] // scale for i in range(r)) for t in range(len(den))]
+    c = IntMatrix.from_rows(coeff_rows)
+    diag, v, _ = _smith_dv(c)
+    vinv = int_inverse(v)
+    diag = list(diag) + [0] * (r - len(diag))
+    torsion, free = [], []
+    factors = []
+    den_basis = row_basis_by_inverse(den, ambient)
+    for i in range(r):
+        w = vinv.row(i)
+        gen = tuple(sum(w[j] * num[j][k] for j in range(r)) for k in range(ambient))
+        s = diag[i]
+        if s == 0:
+            free.append(gen)
+        elif s > 1:
+            factors.append(s)
+            torsion.append(_reduce_mod_rows(gen, den_basis))
+    structure = AbelianGroupStructure(tuple(factors), free_rank=len(free))
+    return structure, torsion, free
+
+
+def h1_through_quotient(generators, cap: Optional[int] = None) -> AbelianGroupStructure:
+    """H¹(Θ, Z^n) as (L/NL)^Θ / (L^Θ/NL^Θ), N = |Θ|: the witnesses of the
+    N-torsion and the fixed sublattice, each with N Z^n added, and their
+    quotient, in five Smith forms."""
+    order = len(group_closure(generators, cap))
+    if order == 1:
+        return AbelianGroupStructure(())
+    n = generators[0].cols
+    _, witnesses = kernel_mod_d(generators, order)
+    multiples = [tuple(order if i == j else 0 for j in range(n)) for i in range(n)]
+    structure, _, _ = abelian_quotient_by_bareiss(witnesses + multiples,
+                                                  fixed_sublattice(generators) + multiples, n)
+    return structure
 
 
 # ---------------------------------------------------------------------------

@@ -212,6 +212,32 @@ def test_csa_norm_bad_coefficients_are_schema_errors():
     assert code == 2 and json.loads(out)["error"]["type"] == "SchemaError"
 
 
+def test_field_descriptors_and_coefficient_lists_are_read_exactly():
+    # int() would read m = 2.9 as 2 (F_4) and p = 2.5 as 2 (F_2), and a
+    # string where a coefficient list belongs would be iterated digit by
+    # digit: "12" as 1 + 2 z3
+    form = {"dim": "2", "coeffs": {"0,0": ["1"], "0,1": ["1"], "1,1": ["0", "1"]}}
+    for field, bad in (({"kind": "finite_field", "p": "2", "m": 2.9}, "2.9"),
+                       ({"kind": "finite_field", "p": 2.5, "m": "2"}, "2.5"),
+                       ({"kind": "finite_field", "p": "2", "m": True}, "True")):
+        code, out = run_cli(["quad", "arf", "--input", "-"],
+                            stdin=json.dumps({**form, "field": field}))
+        error = json.loads(out)["error"]
+        assert code == 2 and error["type"] == "SchemaError" and bad in error["message"]
+    code, out = run_cli(["quad", "arf", "--input", "-"], stdin=json.dumps(
+        {**form, "field": {"kind": "finite_field", "p": "2", "m": "2"}}))
+    assert code == 0
+    for coeff in ("12", ["12"]):
+        payload = {"degree": "3", "element": {"0,0": {"num": {"0,0": coeff}}}}
+        code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(payload))
+        obj = json.loads(out)
+        if isinstance(coeff, str):
+            assert code == 2 and obj["error"]["type"] == "SchemaError"
+            assert obj["error"]["path"] == "$.element"
+        else:
+            assert code == 0 and obj["norm_repr"] == "1728"
+
+
 def test_huge_primes_are_decided_fast():
     p = str(2 ** 61 - 1)
     form = {"field": {"kind": "prime_field", "p": p}, "dim": "2",

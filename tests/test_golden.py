@@ -34,6 +34,12 @@ CASES = {
     "quad-arf-f256-dim4": ["quad", "arf", "--input", "-", "--json"],
     "csa-torsion-p3-m3": ["csa", "torsion", "--p", "3", "--m", "3", "--json"],
     "csa-norm-cyclotomic3-fractional": ["csa", "norm", "--input", "-", "--json"],
+    "torus-analyze-s4-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
+    "torus-analyze-c6-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
+    "torus-analyze-swap-d12": ["torus", "analyze", "--input", "-", "--d-max", "12",
+                               "--json"],
+    "pairing-isotropic-12-36": ["pairing", "isotropic", "--input", "-", "--json"],
+    "pairing-isotropic-12-12-12": ["pairing", "isotropic", "--input", "-", "--json"],
 }
 DEMO_CASES = sorted(f"demo-{path.stem}" for path in DEMOS.glob("*.py"))
 

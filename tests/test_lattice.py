@@ -574,3 +574,122 @@ def test_no_caller_builds_the_full_smith_form(monkeypatch):
 
     monkeypatch.setattr(lattice, "smith_normal_form", refuse)
     assert [repr(call()) for call in calls] == expected
+
+
+# ---------------------------------------------------------------------------
+# answers read off one Smith form, against the derivations they replaced
+
+def _outcome(call):
+    """The repr of call's answer, or its exception type and message."""
+    try:
+        return repr(call())
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _seeded_rows(rng, count, ncols, height):
+    return [[rng.randint(-height, height) if rng.random() < 0.7 else 0
+             for _ in range(ncols)] for _ in range(count)]
+
+
+def test_row_basis_and_quotient_match_the_inverse_and_bareiss_oracles():
+    from oracles import abelian_quotient_by_bareiss, row_basis_by_inverse
+    rng = random.Random(1010)
+    errors = set()
+    for _ in range(1000):
+        n = rng.randint(1, 6)
+        rows = _seeded_rows(rng, rng.randint(0, 7), n, rng.choice([1, 3, 9, 40]))
+        if rows and rng.random() < 0.1:  # a dependent row
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        ambient = n if rng.random() < 0.95 else n + 1
+        got = _outcome(lambda: row_basis(rows, ambient))
+        assert got == _outcome(lambda: row_basis_by_inverse(rows, ambient))
+        errors.add(got.split(":")[0] if "Error" in got else None)
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        num = _seeded_rows(rng, rng.randint(0, 6), n, rng.choice([1, 3, 9]))
+        mode = rng.random()
+        if mode < 0.6 and num:  # inside the numerator lattice
+            den = [[sum(rng.randint(-4, 4) * row[k] for row in num) for k in range(n)]
+                   for _ in range(rng.randint(0, 6))]
+        elif mode < 0.75:  # a diagonal lattice inside Z^n
+            den = [[rng.randint(1, 12) * (i == j) for j in range(n)] for i in range(n)]
+            num = num + [[int(i == j) for j in range(n)] for i in range(n)]
+        else:  # usually not contained
+            den = _seeded_rows(rng, rng.randint(0, 4), n, 5)
+        ambient = n if rng.random() < 0.97 else n + 1
+        got = _outcome(lambda: abelian_quotient(num, den, ambient))
+        assert got == _outcome(lambda: abelian_quotient_by_bareiss(num, den, ambient))
+        errors.add(got.split(":")[0] if "Error" in got else None)
+    assert errors == {None, "LatticeError"}
+
+
+def _seeded_actions(rng, count):
+    """Finite groups acting on Z^1..Z^4: signed permutations conjugated by a
+    seeded unimodular matrix, and norm quotients of small groups with some
+    of their generators."""
+    from aniso.torus import cyclic_table, norm_quotient_torus, symmetric_table
+    tables = [cyclic_table(k) for k in range(2, 9)] + [symmetric_table(3)]
+
+    def signed_permutation(n):
+        perm = rng.sample(range(n), n)
+        return IntMatrix.from_rows([[rng.choice([1, -1]) if perm[i] == j else 0
+                                     for j in range(n)] for i in range(n)])
+
+    actions = []
+    for _ in range(count):
+        if rng.random() < 0.2:
+            gens = list(norm_quotient_torus(rng.choice(tables)).theta_generators)
+            actions.append(rng.sample(gens, rng.randint(1, len(gens))))
+            continue
+        n = rng.randint(1, 4)
+        p = _random_unimodular(rng, n, steps=rng.randint(0, 4))
+        pinv = int_inverse(p)
+        actions.append([p @ signed_permutation(n) @ pinv
+                        for _ in range(rng.randint(1, 3))])
+    return actions
+
+
+def test_h1_and_exponent_check_match_the_per_d_oracles():
+    from aniso.torus import TorusModel, exponent_bound_check
+    from oracles import exponent_bound_check_per_d, h1_through_quotient
+    rng = random.Random(2020)
+    outcomes = set()
+    for gens in _seeded_actions(rng, 300):
+        cap = rng.choice([None, None, None, 4])
+        got = _outcome(lambda: h1_of_theta_module(gens, cap))
+        assert got == _outcome(lambda: h1_through_quotient(gens, cap))
+        model = TorusModel(gens[0].rows, gens, "seeded",
+                           characteristic=rng.choice([0, 0, 0, 2, 3, 5]),
+                           norm_group_order=rng.choice([None, None, 2, 6, 12, 24, 48]))
+        d_range = rng.randint(1, 20)
+        checked = _outcome(lambda: exponent_bound_check(model, d_range))
+        assert checked == _outcome(lambda: exponent_bound_check_per_d(model, d_range))
+        outcomes |= {got.split("(")[0].split(":")[0], checked.split("(")[0].split(":")[0]}
+        if "ExponentBoundReport" in checked:
+            outcomes.add(("all_pass", "all_pass=True" in checked))
+    assert outcomes == {"AbelianGroupStructure", "ClosureCapExceeded", "ExponentBoundReport",
+                        "NotAnisotropic", ("all_pass", True), ("all_pass", False)}
+
+
+def test_h1_and_the_s4_exponent_check_each_run_one_smith_elimination(monkeypatch):
+    import time
+    from aniso.torus import exponent_bound_check, norm_quotient_torus, symmetric_table
+    s4 = norm_quotient_torus(symmetric_table(4))
+    calls = []
+    reduce = lattice._smith_reduce
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return reduce(m)
+
+    monkeypatch.setattr(lattice, "_smith_reduce", counted)
+    start = time.perf_counter()
+    report = exponent_bound_check(s4, 30)
+    elapsed = time.perf_counter() - start
+    assert calls == [(529, 23)] and report.all_pass
+    assert elapsed < 1.0  # about 0.04 s; a Smith form per d took 1.4 s
+    for gens in _h1_test_actions():
+        calls.clear()
+        h1_of_theta_module(gens)
+        assert calls == [(len(gens) * gens[0].rows, gens[0].rows)]

@@ -9,6 +9,7 @@ import pytest
 
 from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
+                           UndecidedPower,
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
                            _cy_mul, _cy_reduce, _fp_trim,
@@ -21,7 +22,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            function_field, is_kth_power, kth_root,
                            least_power, minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
-from oracles import artin_schreier_image
+from oracles import artin_schreier_image, kth_roots_in_newton_box
 
 
 def _all_fields():
@@ -303,6 +304,102 @@ def test_kth_root_and_power_detection():
     assert sum(1 for a in f7.elements() if is_kth_power(a, 2)) == len(squares)
 
 
+def test_polynomial_kth_roots_match_a_newton_box_scan():
+    # every exponent of a k-th root of A is at most deg_{x_i}(A)/k, so a scan
+    # of that box decides whether a root exists
+    rng = random.Random(77)
+    found = refused = 0
+    for p, names, k, degree in ((5, ("x",), 2, 2), (5, ("x",), 3, 1), (7, ("x",), 2, 2),
+                                (3, ("x", "y"), 2, 1)):
+        field = Field(function_field(prime_field(p), names))
+        monomials = [field.one]
+        for exps in itertools.product(range(degree + 1), repeat=len(names)):
+            m = field.one
+            for x, e in zip(field.vars(), exps):
+                m = m * x ** e
+            monomials.append(m)
+        for trial in range(12):
+            r = field.zero
+            while r.is_zero:
+                r = sum((field(rng.randrange(p)) * m for m in monomials), field.zero)
+            a = r ** k
+            if trial % 2:
+                a = a + field(rng.randrange(1, p)) * rng.choice(monomials)
+            if a.is_zero:
+                continue
+            roots = kth_roots_in_newton_box(a, k)
+            got = kth_root(a, k)
+            if roots:
+                found += 1
+                assert got in roots
+            else:
+                refused += 1
+                assert got is None
+    assert found >= 20 and refused >= 10
+
+
+def test_undecided_powers_raise_one_error():
+    z3 = Field(cyclotomic(3))
+    w = (z3(2) + z3.generator()) ** 2  # a square, but not of a root of unity times a rational
+    with pytest.raises(UndecidedPower):
+        kth_root(w, 2)
+    assert is_kth_power(w, 2) is None
+    over = Field(function_field(cyclotomic(3), ("t",)))
+    with pytest.raises(UndecidedPower):
+        kth_root(over.lift(w) * over.var("t") ** 2, 2)
+    big = Field(finite_field(2, 13))
+    with pytest.raises(UndecidedPower):
+        kth_root(big.generator(), 3)
+    assert is_kth_power(big.generator(), 3) is None
+
+
+def test_cyclotomic_kth_roots_of_unit_times_rational():
+    # the scan over roots of unity when phi(n) > 1: x = (zeta * r)^k has a
+    # root, and the one found differs from zeta * r by a k-th root of unity
+    for n in (3, 4, 5, 8):
+        field = Field(cyclotomic(n))
+        z = field.generator()
+        for k in (2, 3):
+            for j in range(2 * n):
+                for r in (Fraction(2, 3), Fraction(-5), Fraction(7, 4)):
+                    base = (-z if j % 2 else z) ** (j // 2) * field(r)
+                    x = base ** k
+                    root = kth_root(x, k)
+                    assert root is not None and root ** k == x
+                    assert root_of_unity_log(root / base) is not None
+                    assert is_kth_power(x, k) is True
+
+
+def test_rational_roots_of_unity_log():
+    q = Field(rationals())
+    assert root_of_unity_log(q.one) == 0
+    assert root_of_unity_log(q(-1)) == Fraction(1, 2)
+    for x in (q(2), q(Fraction(1, 2)), q(-2), q.zero):
+        assert root_of_unity_log(x) is None
+    functions = Field(function_field(rationals(), ("t",)))
+    assert root_of_unity_log(functions(-1)) == Fraction(1, 2)
+    assert root_of_unity_log(functions.var("t")) is None
+
+
+def test_finite_field_roots_of_unity_log_matches_a_power_walk():
+    # the log base is the first element of order q - 1 in element order
+    for descriptor in (prime_field(7), prime_field(11), finite_field(2, 2), finite_field(2, 3),
+                       finite_field(3, 2), finite_field(2, 4), finite_field(5, 2)):
+        field = Field(descriptor)
+        q = field.size()
+        generator = next(x for x in field.elements()
+                         if not x.is_zero and len({x ** t for t in range(q - 1)}) == q - 1)
+        logs, acc = {}, field.one
+        for t in range(q - 1):
+            logs[acc] = Fraction(t, q - 1)
+            acc = acc * generator
+        assert len(logs) == q - 1
+        for x in field.elements():
+            assert root_of_unity_log(x) == logs.get(x)
+    with pytest.raises(FieldTooLarge):
+        root_of_unity_log(Field(finite_field(2, 17)).generator())
+
+
 def test_artin_schreier_image_f2():
     field = Field(prime_field(2))
     image = artin_schreier_image(field)
@@ -383,6 +480,37 @@ def test_payload_from_json_rejects_lossy_inputs():
                             (rational_functions, True), (rational_functions, {"num": {"1": 1.5}})]:
         with pytest.raises(TypeError, match="expected an integer or a string"):
             element_from_json(obj, descriptor)
+
+
+def test_descriptor_and_list_json_refuse_what_int_and_iteration_would_reinterpret():
+    # bare int() read a JSON true as 1 and 2.9 as 2; iterating a string read
+    # it as a list of one-character coefficients
+    for obj in ({"kind": "cyclotomic", "n": True}, {"kind": "cyclotomic", "n": 3.0},
+                {"kind": "prime_field", "p": 2.5}, {"kind": "finite_field", "p": 2, "m": 2.9},
+                {"kind": "function_field", "base": {"kind": "rationals"}, "variables": "ab"},
+                {"kind": "function_field", "base": {"kind": "rationals"}, "variables": ["a", 1]}):
+        with pytest.raises(TypeError):
+            descriptor_from_json(obj)
+    assert descriptor_from_json({"kind": "finite_field", "p": "2", "m": 2}) is finite_field(2, 2)
+    q_ab = {"kind": "function_field", "base": {"kind": "rationals"}, "variables": ["a", "b"]}
+    assert descriptor_from_json(q_ab) is function_field(rationals(), ("a", "b"))
+    for descriptor in (cyclotomic(3), finite_field(2, 3)):
+        with pytest.raises(TypeError, match="expected a list"):
+            element_from_json("11", descriptor)
+        assert element_from_json(["1", "1"], descriptor) == \
+            Field(descriptor).one + Field(descriptor).generator()
+    # t^-1 rendered as t, and "1" and "01" both naming t with one value lost
+    functions = function_field(rationals(), ("t",))
+    for poly in ({"-1": "1"}, {"1": "1", "01": "2"}, {"1": "0", "01": "2"}, {"0,1": "1"}):
+        with pytest.raises(ScalarError, match="exponent key"):
+            element_from_json({"num": poly}, functions)
+    assert element_from_json({"num": {"1": "0", "0": "2"}}, functions) == Field(functions)(2)
+    from aniso.quadform import QuadraticForm
+    form = {"field": {"kind": "prime_field", "p": "3"}, "dim": "2", "coeffs": {"0,0": "1"}}
+    assert QuadraticForm.from_json(form).dim == 2
+    for dim in (2.0, True):
+        with pytest.raises(TypeError):
+            QuadraticForm.from_json({**form, "dim": dim})
 
 
 def test_power_helpers():
