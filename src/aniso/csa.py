@@ -47,6 +47,10 @@ class RankTooLarge(AlgebraError):
     pass
 
 
+class DegreeTooLarge(AlgebraError):
+    pass
+
+
 class ZeroPolynomial(AlgebraError):
     pass
 
@@ -325,21 +329,27 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
 # reduced norm through the regular representation over K[u]/(u^n - a)
 
 def _upoly_dot(spec, fs, gs) -> list:
-    """sum_i f_i g_i in K[u]/(u^n - a), for length-n coefficient lists in u.
+    """sum_i f_i g_i in K[u]/(u^n - a), for length-n lists in u of payloads
+    of spec.base.
 
     Terms past u^(n-1) are collected first and multiplied by a once per
     coefficient.
     """
-    n = spec.degree
-    out = [spec.field.zero] * (2 * n - 1)
+    d, n = spec.base, spec.degree
+    add, mul, is_zero = d.add, d.mul, d.is_zero
+    out = [None] * (2 * n - 1)  # None: no term yet
     for f, g in zip(fs, gs):
         for i, ci in enumerate(f):
-            if ci.is_zero:
+            if is_zero(ci):
                 continue
             for j, cj in enumerate(g):
-                if not cj.is_zero:
-                    out[i + j] = out[i + j] + ci * cj
-    return [out[k] + out[k + n] * spec.a for k in range(n - 1)] + [out[n - 1]]
+                if not is_zero(cj):
+                    term, acc = mul(ci, cj), out[i + j]
+                    out[i + j] = term if acc is None else add(acc, term)
+    zero, a = d.zero(), spec.a.payload
+    out = [zero if c is None else c for c in out]
+    return [out[k] if is_zero(out[k + n]) else add(out[k], mul(out[k + n], a))
+            for k in range(n - 1)] + [out[n - 1]]
 
 
 def regular_representation(x: AlgebraElement) -> list[list[list[FieldElement]]]:
@@ -381,12 +391,16 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
     spec = x.spec
     if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")
-    n = spec.degree
-    mat = regular_representation(x)
-    one = [spec.field.one] + [spec.field.zero] * (n - 1)
+    n, d = spec.degree, spec.base
+    # the recurrence runs on payloads: every entry of the representation
+    # lies in spec.base, so no descriptor check is needed past this point
+    mat = [[[c.payload for c in entry] for entry in row]
+           for row in regular_representation(x)]
+    neg = d.neg
+    one = [d.one()] + [d.zero()] * (n - 1)
     # coefficients of det(t - M_k), highest power of t first, where M_k is
     # the leading k x k block; M_{k+1} = [[M_k, col], [row, corner]]
-    charpoly = [one, [-c for c in mat[0][0]]]
+    charpoly = [one, [neg(c) for c in mat[0][0]]]
     for k in range(1, n):
         row = mat[k][:k]
         col = [mat[r][k] for r in range(k)]
@@ -397,14 +411,14 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
             if step:
                 col = [_upoly_dot(spec, mat[r][:k], col) for r in range(k)]
             toeplitz.append(_upoly_dot(spec, row, col))
-        toeplitz[1:] = [[-c for c in f] for f in toeplitz[1:]]
+        toeplitz[1:] = [[neg(c) for c in f] for f in toeplitz[1:]]
         # the last block needs only the constant term det(-M)
         charpoly = [_upoly_dot(spec, toeplitz[i::-1], charpoly)
                     for i in (range(k + 2) if k < n - 1 else [n])]
-    total = charpoly[-1] if n % 2 == 0 else [-c for c in charpoly[-1]]
-    assert all(c.is_zero for c in total[1:]), \
+    total = charpoly[-1] if n % 2 == 0 else [neg(c) for c in charpoly[-1]]
+    assert all(d.is_zero(c) for c in total[1:]), \
         "reduced norm must be scalar in the u-subfield"
-    return total[0]
+    return FieldElement(d, total[0])
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Five kinds of coefficient fields, each with a canonical representation so
 that ``==`` on elements is plain representation equality:
 
 - ``rationals()``             stdlib Fraction
-- ``cyclotomic(n)``           Q(z), z a primitive n-th root of unity; tuples
-                              of Fractions reduced mod the n-th cyclotomic
-                              polynomial
+- ``cyclotomic(n)``           Q(z), z a primitive n-th root of unity;
+                              (numerators, denominator): integers over one
+                              positive integer in lowest terms, reduced mod
+                              the n-th cyclotomic polynomial
 - ``prime_field(p)``          integers mod p
 - ``finite_field(p, m)``      F_p[t] mod a fixed irreducible polynomial: the
                               first monic irreducible of degree m in lex
@@ -192,41 +193,51 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _cyclo_degree(n: int) -> int:
-    return len(cyclotomic_polynomial(n)) - 1
-
-
 # ---------------------------------------------------------------------------
-# cyclotomic payloads: tuples of Fractions, length deg(Phi_n)
+# cyclotomic payloads: (nums, den), integer coefficients of the power basis
+# of length deg(Phi_n) over one denominator den >= 1, gcd(den, *nums) = 1
 
-def _cy_reduce(n: int, cs: list[Fraction]) -> tuple[Fraction, ...]:
+def _cy_normal(nums: tuple, den: int) -> tuple:
+    """The payload nums/den in lowest terms."""
+    g = math.gcd(den, *nums)
+    if g == 1:
+        return (nums, den)
+    return (tuple(c // g for c in nums), den // g)
+
+
+def _cy_from_fractions(n: int, cs) -> tuple:
+    """The payload of the power-basis polynomial with Fraction coefficients
+    cs, of any length."""
+    den = math.lcm(*(c.denominator for c in cs))
+    nums = [c.numerator * (den // c.denominator) for c in cs]
+    return _cy_normal(_cy_reduce_ints(n, nums), den)
+
+
+@lru_cache(maxsize=None)
+def _cy_reduction(n: int) -> tuple[int, tuple]:
+    """deg(Phi_n), and the (j, c) with c the nonzero coefficient of x^j in
+    Phi_n for j < deg(Phi_n)."""
     phi = cyclotomic_polynomial(n)
     d = len(phi) - 1
-    cs = list(cs) + [Fraction(0)] * max(0, d - len(cs))
-    for k in range(len(cs) - 1, d - 1, -1):
+    return d, tuple((j, c) for j, c in enumerate(phi[:d]) if c)
+
+
+def _cy_reduce_ints(n: int, cs: list) -> tuple:
+    """The integer list cs, modified in place, reduced mod Phi_n: a tuple
+    of length deg(Phi_n). Phi_n divides x^n - 1, so x^k folds onto
+    x^(k - n) first; Phi_n is monic with integer coefficients, so the
+    division that follows stays in the integers."""
+    d, terms = _cy_reduction(n)
+    for k in range(len(cs) - 1, n - 1, -1):
+        cs[k - n] += cs[k]
+    for k in range(min(len(cs), n) - 1, d - 1, -1):
         c = cs[k]
         if c:
-            for j in range(d):
-                cs[k - d + j] -= c * phi[j]
-            cs[k] = Fraction(0)
+            for j, pj in terms:
+                cs[k - d + j] -= c * pj
+    if len(cs) < d:
+        return tuple(cs) + (0,) * (d - len(cs))
     return tuple(cs[:d])
-
-
-def _cy_mul(n, x, y):
-    # integer numerators over one denominator per factor; Phi_n is monic
-    # with integer coefficients, so _cy_reduce keeps them integers
-    dx = math.lcm(*(c.denominator for c in x))
-    dy = math.lcm(*(c.denominator for c in y))
-    xs = [c.numerator * (dx // c.denominator) for c in x]
-    ys = [c.numerator * (dy // c.denominator) for c in y]
-    out = [0] * (len(xs) + len(ys) - 1)
-    for i, xi in enumerate(xs):
-        if xi:
-            for j, yj in enumerate(ys):
-                if yj:
-                    out[i + j] += xi * yj
-    den = dx * dy
-    return tuple(Fraction(c, den) for c in _cy_reduce(n, out))
 
 
 # ---------------------------------------------------------------------------
@@ -482,40 +493,68 @@ class _Cyclotomic(FieldDescriptor):
     def to_json(self) -> dict:
         return {"kind": "cyclotomic", "n": str(self.n)}
 
+    @property
+    def _degree(self) -> int:
+        return _cy_reduction(self.n)[0]
+
+    def _payload(self, cs: list) -> tuple:
+        """The payload of integer power-basis coefficients cs."""
+        return (_cy_reduce_ints(self.n, cs), 1)
+
+    def fractions(self, x) -> tuple[Fraction, ...]:
+        """The power-basis coefficients of x as reduced Fractions."""
+        nums, den = x
+        return tuple(Fraction(c, den) for c in nums)
+
     def from_int(self, k: int):
-        return _cy_reduce(self.n, [Fraction(k)])
+        return self._payload([k])
 
     def is_zero(self, x) -> bool:
-        return not any(x)
+        return not any(x[0])
 
     def add(self, x, y):
-        return tuple(a + b for a, b in zip(x, y))
+        (xs, dx), (ys, dy) = x, y
+        if dx == dy:
+            s = tuple(map(operator.add, xs, ys))
+            return (s, 1) if dx == 1 else _cy_normal(s, dx)
+        g = math.gcd(dx, dy)
+        mx, my = dy // g, dx // g
+        s = tuple(a * mx + b * my for a, b in zip(xs, ys))
+        # x and y are in lowest terms, so a prime that divides dx * mx and
+        # every entry of s divides g (Knuth, TAOCP 2, 4.5.1)
+        return (s, dx * mx) if g == 1 else _cy_normal(s, dx * mx)
 
     def neg(self, x):
-        return tuple(-a for a in x)
+        return (tuple(-c for c in x[0]), x[1])
 
     def mul(self, x, y):
-        return _cy_mul(self.n, x, y)
+        (xs, dx), (ys, dy) = x, y
+        out = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for k, b in enumerate(ys, i):
+                    out[k] += a * b
+        nums, den = _cy_reduce_ints(self.n, out), dx * dy
+        return (nums, 1) if den == 1 else _cy_normal(nums, den)
 
     def _inv(self, x):
         phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        return _cy_reduce(self.n, _u_inverse(rationals(), x, phi))
+        return _cy_from_fractions(self.n, _u_inverse(rationals(), self.fractions(x), phi))
 
     def generator(self):
-        return _cy_reduce(self.n, [Fraction(0), Fraction(1)])
+        return self._payload([0, 1])
 
     def render(self, x) -> str:
-        return _render_uni(x, f"z{self.n}")
+        return _render_uni(self.fractions(x), f"z{self.n}")
 
     def payload_to_json(self, x):
-        return [str(c) for c in x]
+        return [str(c) for c in self.fractions(x)]
 
     def payload_from_json(self, obj):
-        return _cy_reduce(self.n, [Fraction(_exact_json(c)) for c in _json_list(obj)])
+        return _cy_from_fractions(self.n, [Fraction(_exact_json(c)) for c in _json_list(obj)])
 
     def random_payload(self, rng, height, degree, terms):
-        return tuple(Fraction(rng.randint(-height, height))
-                     for _ in range(_cyclo_degree(self.n)))
+        return (tuple(rng.randint(-height, height) for _ in range(self._degree)), 1)
 
     def zeta(self, order: int):
         n, z = self.n, self.generator()
@@ -539,19 +578,22 @@ class _Cyclotomic(FieldDescriptor):
             acc = self.mul(acc, z)
         return None
 
+    def _rational(self, r: Fraction):
+        return ((r.numerator,) + (0,) * (self._degree - 1), r.denominator)
+
     def _kth_root(self, x, k: int):
-        if _cyclo_degree(self.n) == 1:
+        if self._degree == 1:
             # Q(z1) and Q(z2) are Q itself
-            r = _fraction_kth_root(x[0], k)
-            return (r,) if r is not None else None
+            r = _fraction_kth_root(self.fractions(x)[0], k)
+            return self._rational(r) if r is not None else None
         m_order = self.n if self.n % 2 == 0 else 2 * self.n
         z, acc = self.zeta(m_order), self.one()
         for _ in range(m_order):
             quo = self.div(x, self.power(acc, k))
-            if not any(quo[1:]):
-                s = _fraction_kth_root(quo[0], k)
+            if not any(quo[0][1:]):
+                s = _fraction_kth_root(self.fractions(quo)[0], k)
                 if s is not None:
-                    return tuple(c * s for c in acc)
+                    return self.mul(acc, self._rational(s))
             acc = self.mul(acc, z)
         raise UndecidedPower(f"{k}-th roots in {self!r} beyond roots of unity times rationals")
 
@@ -934,14 +976,15 @@ def _p_sub(bd, A, B):
 
 
 def _p_mul(bd, A, B):
+    mul, add, is_zero = bd.mul, bd.add, bd.is_zero
     out = {}
     for ea, ca in A.items():
         for eb, cb in B.items():
-            e = tuple(i + j for i, j in zip(ea, eb))
-            c = bd.mul(ca, cb)
+            e = tuple(map(operator.add, ea, eb))
+            c = mul(ca, cb)
             if e in out:
-                c = bd.add(out[e], c)
-            if bd.is_zero(c):
+                c = add(out[e], c)
+            if is_zero(c):
                 out.pop(e, None)
             else:
                 out[e] = c

@@ -1,25 +1,32 @@
 """Reference routines that the tests compare the library against.
 
 Most enumerate a whole finite space, so each of those keeps its own cap and
-raises before it starts a scan past it. The rest are the longer
-derivations that the library replaced by reading one Smith form: a Smith
-form per d, H¹ through a lattice quotient, row bases through V^-1 and
-quotients through a second elimination. None of them is part of the
-library: the library answers the same questions in closed form.
+raises before it starts a scan past it. Some are the longer derivations
+that the library replaced by reading one Smith form: a Smith form per d,
+H¹ through a lattice quotient, row bases through V^-1 and quotients
+through a second elimination. None of them is part of the library: the
+library answers the same questions in closed form. The rest are the
+library's former arithmetic: Q(zeta_n) with one Fraction per coefficient,
+and the reduced norm on FieldElements.
 """
 
 import itertools
+import math
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from aniso import fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
+from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bareiss,
                            _reduce_mod_rows, _smith_dv, fixed_sublattice, group_closure,
                            int_inverse, kernel_mod_d)
 from aniso.pairing import AlternatingPairing, GroupTooLarge
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
-                           ScalarError, _FiniteField, least_power)
+                           ScalarError, _FiniteField, _exact_json, _json_list,
+                           _render_uni, _u_inverse, binary_power,
+                           cyclotomic_polynomial, least_power, rationals)
 from aniso.torus import (ExponentBoundReport, NotAnisotropic, TorusError, TorusModel,
                          is_anisotropic, torsion_points)
 
@@ -74,6 +81,141 @@ def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[
         if r ** k == elt:
             roots.append(r)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# Q(zeta_n) payloads as tuples of Fractions, length deg(Phi_n)
+
+def cy_reduce(n: int, cs: list[Fraction]) -> tuple[Fraction, ...]:
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    cs = list(cs) + [Fraction(0)] * max(0, d - len(cs))
+    for k in range(len(cs) - 1, d - 1, -1):
+        c = cs[k]
+        if c:
+            for j in range(d):
+                cs[k - d + j] -= c * phi[j]
+            cs[k] = Fraction(0)
+    return tuple(cs[:d])
+
+
+def cy_mul(n, x, y):
+    # integer numerators over one denominator per factor; Phi_n is monic
+    # with integer coefficients, so cy_reduce keeps them integers
+    dx = math.lcm(*(c.denominator for c in x))
+    dy = math.lcm(*(c.denominator for c in y))
+    xs = [c.numerator * (dx // c.denominator) for c in x]
+    ys = [c.numerator * (dy // c.denominator) for c in y]
+    out = [0] * (len(xs) + len(ys) - 1)
+    for i, xi in enumerate(xs):
+        if xi:
+            for j, yj in enumerate(ys):
+                if yj:
+                    out[i + j] += xi * yj
+    den = dx * dy
+    return tuple(Fraction(c, den) for c in cy_reduce(n, out))
+
+
+class FractionCyclotomic:
+    """Q(zeta_n) on tuples of Fractions: the payload rules the cyclotomic
+    descriptor had before it kept integer numerators over one
+    denominator."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def from_int(self, k: int):
+        return cy_reduce(self.n, [Fraction(k)])
+
+    def one(self):
+        return self.from_int(1)
+
+    def add(self, x, y):
+        return tuple(a + b for a, b in zip(x, y))
+
+    def neg(self, x):
+        return tuple(-a for a in x)
+
+    def sub(self, x, y):
+        return self.add(x, self.neg(y))
+
+    def mul(self, x, y):
+        return cy_mul(self.n, x, y)
+
+    def inv(self, x):
+        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
+        return cy_reduce(self.n, _u_inverse(rationals(), x, phi))
+
+    def div(self, x, y):
+        return self.mul(x, self.inv(y))
+
+    def power(self, x, e: int):
+        return binary_power(x, e, self.one(), self.mul)
+
+    def render(self, x) -> str:
+        return _render_uni(x, f"z{self.n}")
+
+    def payload_to_json(self, x):
+        return [str(c) for c in x]
+
+    def payload_from_json(self, obj):
+        return cy_reduce(self.n, [Fraction(_exact_json(c)) for c in _json_list(obj)])
+
+    def random_payload(self, rng, height, degree, terms):
+        return tuple(Fraction(rng.randint(-height, height))
+                     for _ in range(len(cyclotomic_polynomial(self.n)) - 1))
+
+
+# ---------------------------------------------------------------------------
+# reduced norms on FieldElements
+
+def _upoly_dot_by_elements(spec, fs, gs) -> list:
+    """sum_i f_i g_i in K[u]/(u^n - a), for length-n coefficient lists in u.
+
+    Terms past u^(n-1) are collected first and multiplied by a once per
+    coefficient.
+    """
+    n = spec.degree
+    out = [spec.field.zero] * (2 * n - 1)
+    for f, g in zip(fs, gs):
+        for i, ci in enumerate(f):
+            if ci.is_zero:
+                continue
+            for j, cj in enumerate(g):
+                if not cj.is_zero:
+                    out[i + j] = out[i + j] + ci * cj
+    return [out[k] + out[k + n] * spec.a for k in range(n - 1)] + [out[n - 1]]
+
+
+def reduced_norm_by_elements(x) -> FieldElement:
+    """The Berkowitz reduced norm of csa.reduced_norm, run on FieldElements."""
+    spec = x.spec
+    if not isinstance(spec, SymbolAlgebraSpec):
+        raise AlgebraError("reduced norm implemented for symbol algebras")
+    n = spec.degree
+    mat = regular_representation(x)
+    one = [spec.field.one] + [spec.field.zero] * (n - 1)
+    # coefficients of det(t - M_k), highest power of t first, where M_k is
+    # the leading k x k block; M_{k+1} = [[M_k, col], [row, corner]]
+    charpoly = [one, [-c for c in mat[0][0]]]
+    for k in range(1, n):
+        row = mat[k][:k]
+        col = [mat[r][k] for r in range(k)]
+        # first column of the Toeplitz factor:
+        # 1, -corner, -row col, -row M_k col, ..., -row M_k^(k-1) col
+        toeplitz = [one, mat[k][k]]
+        for step in range(k):
+            if step:
+                col = [_upoly_dot_by_elements(spec, mat[r][:k], col) for r in range(k)]
+            toeplitz.append(_upoly_dot_by_elements(spec, row, col))
+        toeplitz[1:] = [[-c for c in f] for f in toeplitz[1:]]
+        # the last block needs only the constant term det(-M)
+        charpoly = [_upoly_dot_by_elements(spec, toeplitz[i::-1], charpoly)
+                    for i in (range(k + 2) if k < n - 1 else [n])]
+    total = charpoly[-1] if n % 2 == 0 else [-c for c in charpoly[-1]]
+    assert all(c.is_zero for c in total[1:]), \
+        "reduced norm must be scalar in the u-subfield"
+    return total[0]
 
 
 # ---------------------------------------------------------------------------

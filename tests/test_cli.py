@@ -110,6 +110,21 @@ def test_torus_analyze_refuses_float_and_boolean_scalars():
     assert code == 0 and [row["d"] for row in json.loads(out)["torsion"]] == ["2"]
 
 
+def test_torus_analyze_refuses_d_max_below_2(monkeypatch):
+    with monkeypatch.context() as patch:  # refused before the payload is read
+        patch.setattr(cli, "_load_payload", None)
+        for d_max in ("-3", "0", "1"):
+            code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", d_max])
+            assert code == 2 and json.loads(out)["error"] == {
+                "type": "SchemaError", "path": "$.d_max",
+                "message": f"$.d_max: --d-max must be >= 2, got {d_max}"}
+    model = {"rank": "1",
+             "theta_generators": [{"rows": "1", "cols": "1", "entries": [["-1"]]}]}
+    code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "2"],
+                        stdin=json.dumps(model))
+    assert code == 0 and [row["d"] for row in json.loads(out)["torsion"]] == ["2"]
+
+
 def test_malformed_json_is_schema_error():
     code, out = run_cli(["torus", "analyze", "--input", "-"], stdin="{oops")
     obj = json.loads(out)
@@ -173,6 +188,20 @@ def test_csa_norm_of_u():
     obj = json.loads(out)
     assert code == 0
     assert obj["norm_repr"] == "a"
+
+
+def test_csa_norm_degree_is_capped():
+    cap = cli.NORM_MAX_DEGREE
+    for degree in (cap + 1, 5000):
+        payload = {"degree": str(degree), "element": {"0,0": "1"}}
+        start = time.perf_counter()
+        code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(payload))
+        assert time.perf_counter() - start < 1
+        assert code == 2 and json.loads(out)["error"] == {
+            "type": "DegreeTooLarge", "message": f"csa norm is capped at degree {cap}"}
+    payload = {"degree": str(cap), "element": {"1,0": "1"}}
+    code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(payload))
+    assert code == 0 and json.loads(out)["norm_repr"] == "a"
 
 
 def test_bad_ij_keys_are_schema_errors():
@@ -469,10 +498,10 @@ def test_pairing_isotropic_beyond_former_cap():
 
 def test_goldens_in_one_process_forward_and_reverse():
     # main reuses one parser; no request may leave state for the next
-    from test_golden import CASES, GOLDEN, run_case
+    from test_golden import CASES, EXIT_CODES, GOLDEN, run_case
     for name in sorted(CASES) + sorted(CASES, reverse=True):
         code, out = run_case(name)
-        assert code == 0
+        assert code == EXIT_CODES.get(name, 0), name
         assert out == (GOLDEN / f"{name}.out.json").read_text(), name
 
 

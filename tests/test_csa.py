@@ -18,6 +18,7 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
 from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
                            prime_field, rationals)
+from oracles import reduced_norm_by_elements
 
 
 def generic_symbol(n):
@@ -153,6 +154,29 @@ def test_norm_matches_leibniz_oracle():
             x = AlgebraElement(spec, {k: spec.field.random_element(
                 rng, height=3, degree=degree, terms=2, nonzero=True) for k in keys})
             assert reduced_norm(x) == _reduced_norm_by_leibniz(x), (label, trial)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_norm_matches_element_level_oracle(n):
+    """The payload-level recurrence against the same recurrence on
+    FieldElements, with fractional Q(zeta_n) coefficients and coefficients
+    whose denominators in a, b are not 1."""
+    spec = generic_symbol(n)
+    field, base = spec.field, Field(cyclotomic(n))
+    a, b = field.vars()
+    z = field.lift(base.generator())
+    rng = random.Random(880 + n)
+    density = {2: 1, 3: 1, 4: 0.8, 5: 0.5, 6: 0.25}[n]
+    coeffs = {}
+    for key in itertools.product(range(n), repeat=2):
+        if rng.random() < density:
+            c = base.random_element(rng, nonzero=True) / rng.randint(1, 6)
+            coeffs[key] = field.lift(c)
+    coeffs[(rng.randrange(n), rng.randrange(n))] = (a + 1) / (b * Fraction(3, 2))
+    if n <= 3:  # a gcd over Q(zeta_n)[a, b] per addition: kept to small n
+        coeffs[(rng.randrange(n), rng.randrange(n))] = a * Fraction(2, 3) / (b + z)
+    x = AlgebraElement(spec, coeffs)
+    assert reduced_norm(x) == reduced_norm_by_elements(x)
 
 
 def test_norm_zero_on_zero_divisors():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import operator
 import random
 import signal
@@ -12,7 +13,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            UndecidedPower,
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
-                           _cy_mul, _cy_reduce, _fp_trim,
+                           _fp_trim,
                            _int_kth_root, _is_prime, _p_add, _p_from_tuple,
                            _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
                            binary_power,
@@ -22,7 +23,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            function_field, is_kth_power, kth_root,
                            least_power, minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
-from oracles import artin_schreier_image, kth_roots_in_newton_box
+from oracles import (FractionCyclotomic, artin_schreier_image, cy_mul, cy_reduce,
+                     kth_roots_in_newton_box)
 
 
 def _all_fields():
@@ -197,18 +199,91 @@ def _cy_mul_by_fractions(n, x, y):
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             out[i + j] += xi * yj
-    return _cy_reduce(n, out)
+    return cy_reduce(n, out)
 
 
 def test_cyclotomic_product_matches_fraction_reference():
     rng = random.Random(13)
     for n in (1, 3, 4, 5, 7, 9, 12):
         d = len(cyclotomic_polynomial(n)) - 1
+        descriptor = cyclotomic(n)
         for _ in range(40):
             x, y = (tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 12))
                           if rng.random() < 0.8 else Fraction(0) for _ in range(d))
                     for _ in range(2))
-            assert _cy_mul(n, x, y) == _cy_mul_by_fractions(n, x, y), (n, x, y)
+            expected = _cy_mul_by_fractions(n, x, y)
+            assert cy_mul(n, x, y) == expected, (n, x, y)
+            got = descriptor.mul(descriptor.payload_from_json([str(c) for c in x]),
+                                 descriptor.payload_from_json([str(c) for c in y]))
+            assert descriptor.fractions(got) == expected, (n, x, y)
+
+
+def _cyclotomic_samples(n, rng):
+    """Fraction tuples for Q(zeta_n): zero, one, z, seeded elements with
+    mixed denominators, and pairs whose sum cancels to a smaller
+    denominator."""
+    d = len(cyclotomic_polynomial(n)) - 1
+
+    def fractional():
+        return tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 9, 10, 35)))
+                     if rng.random() < 0.8 else Fraction(0) for _ in range(d))
+
+    oracle = FractionCyclotomic(n)
+    out = [oracle.from_int(0), oracle.from_int(1), oracle.from_int(-7),
+           cy_reduce(n, [Fraction(0), Fraction(1)])]
+    for _ in range(10):
+        x = fractional()
+        # x + y has every denominator dividing 2
+        y = tuple(Fraction(rng.randint(-3, 3), 2) - c for c in x)
+        out += [x, y]
+    return out
+
+
+def _is_canonical(descriptor, x):
+    nums, den = x
+    return (len(nums) == len(cyclotomic_polynomial(descriptor.n)) - 1
+            and all(isinstance(c, int) for c in nums) and isinstance(den, int)
+            and den >= 1 and math.gcd(den, *nums) == 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 12])
+def test_cyclotomic_payloads_match_fraction_oracle(n):
+    """Integer numerators over one denominator agree with Fraction tuples
+    at the boundary, for every operation and every rendering."""
+    descriptor, oracle = cyclotomic(n), FractionCyclotomic(n)
+    rng = random.Random(7100 + n)
+    samples = _cyclotomic_samples(n, rng)
+    payloads = [descriptor.payload_from_json(oracle.payload_to_json(x)) for x in samples]
+    for x, px in zip(samples, payloads):
+        assert _is_canonical(descriptor, px)
+        assert descriptor.fractions(px) == x
+        assert descriptor.payload_to_json(px) == oracle.payload_to_json(x)
+        assert descriptor.render(px) == oracle.render(x)
+        assert descriptor.is_zero(px) == (not any(x))
+        assert descriptor.fractions(descriptor.neg(px)) == oracle.neg(x)
+        for e in range(4):
+            assert descriptor.fractions(descriptor.power(px, e)) == oracle.power(x, e)
+        if any(x):
+            assert descriptor.fractions(descriptor.inv(px)) == oracle.inv(x)
+    pairs = list(zip(samples, payloads))
+    for (x, px), (y, py) in itertools.product(pairs, repeat=2):
+        for op in ("add", "sub", "mul"):
+            got = getattr(descriptor, op)(px, py)
+            assert _is_canonical(descriptor, got), (op, x, y)
+            assert descriptor.fractions(got) == getattr(oracle, op)(x, y), (op, x, y)
+        if any(y):
+            assert descriptor.fractions(descriptor.div(px, py)) == oracle.div(x, y)
+        assert (px == py) == (x == y)
+    # the cancelling sums land on denominators dividing 2
+    for px, py in zip(payloads[4::2], payloads[5::2]):
+        assert 2 % descriptor.add(px, py)[1] == 0
+    for seed in range(5):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for height in (1, 9, 100):
+            got = descriptor.random_payload(ours, height, 2, 2)
+            assert _is_canonical(descriptor, got)
+            assert descriptor.fractions(got) == oracle.random_payload(theirs, height, 2, 2)
+        assert ours.getstate() == theirs.getstate()
 
 
 def test_finite_field_enumeration_and_generator():
@@ -638,7 +713,7 @@ def _cy_inv(n, x):
                     s[i + j] -= qi * sj
         r0, s0, r1, s1 = r1, s1, _qpoly_trim(r), _qpoly_trim(s)
     c = 1 / r0[0]
-    return _cy_reduce(n, [ci * c for ci in s0])
+    return cy_reduce(n, [ci * c for ci in s0])
 
 
 def _gf_inv(x, p, m):
@@ -729,11 +804,12 @@ def test_cyclotomic_inverse_matches_old_euclid(n):
     elements = [field.random_element(rng, nonzero=True) for _ in range(25)]
     elements += [field.generator(), field.one, field.from_int(-3)]
     for e in elements:
-        x = tuple(c / rng.randint(1, 6) for c in e.payload)
+        x = tuple(c / rng.randint(1, 6) for c in d.fractions(e.payload))
         expected = _cy_inv(n, x)
-        assert _cy_reduce(n, _u_inverse(rationals(), x, phi)) == expected, x
-        assert d.inv(x) == expected
-        assert d.mul(x, expected) == d.one()
+        assert cy_reduce(n, _u_inverse(rationals(), x, phi)) == expected, x
+        px = d.payload_from_json([str(c) for c in x])
+        assert d.fractions(d.inv(px)) == expected
+        assert d.mul(px, d.inv(px)) == d.one()
 
 
 @pytest.mark.parametrize("descriptor", [rationals(), prime_field(5), finite_field(2, 3),
