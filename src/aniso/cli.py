@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds, csa, pairing, quadform, replay, torus
-from .errors import AnisoError
-from .scalars import (Field, _exact_json, cyclotomic, element_from_json,
-                      element_to_json, function_field)
+from .errors import AnisoError, _exact_json
+from .scalars import (Field, cyclotomic, element_from_json, element_to_json,
+                      function_field)
 
 
 class SchemaError(AnisoError):
@@ -29,6 +29,10 @@ class SchemaError(AnisoError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+class DRangeTooLarge(AnisoError):
+    """torus analyze was asked for more rows than TORUS_MAX_D allows."""
 
 
 def _expect(obj, path: str, kind, what: str):
@@ -136,10 +140,17 @@ def _parse_torus_model(obj: dict) -> torus.TorusModel:
 
 
 def _cmd_torus_analyze(args) -> tuple[dict, int]:
-    """Torsion rows for d = 2, ..., --d-max; a --d-max below 2 would ask
-    for no row, so it is a SchemaError before the payload is read."""
+    """Torsion rows for d = 2, ..., --d-max.
+
+    The cost is one Smith form of the stacked g - 1 of the model, plus
+    O(n^2) per d to read the row off its diagonal and V. Before the payload
+    is read, a --d-max below 2, which would ask for no row, is a
+    SchemaError, and one above TORUS_MAX_D raises DRangeTooLarge.
+    """
     if args.d_max < 2:
         raise SchemaError("$.d_max", f"--d-max must be >= 2, got {args.d_max}")
+    if args.d_max > TORUS_MAX_D:
+        raise DRangeTooLarge(f"torus analyze is capped at --d-max {TORUS_MAX_D}")
     model = _parse_torus_model(_load_payload(args.input))
     aniso = torus.is_anisotropic(model)
     rows = []
@@ -209,6 +220,9 @@ def _cmd_pairing_fuzz(args) -> tuple[dict, int]:
 
 # the largest degree for which a dense `csa norm` finishes in about 20 s
 NORM_MAX_DEGREE = 9
+# the largest --d-max for which `torus analyze` on the S_4 norm quotient
+# finishes in about 1.8 s in-process and prints about 8.6 MiB
+TORUS_MAX_D = 100000
 # the largest p for which `csa torsion --m 4` takes about a second
 TORSION_MAX_P = 127
 # the largest m for which `csa torsion --p 127` stays under about 2 s

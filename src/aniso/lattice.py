@@ -41,8 +41,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import AnisoError
-from .scalars import _exact_json
+from .errors import AnisoError, _exact_json
 
 
 class LatticeError(AnisoError):
@@ -110,12 +109,13 @@ class IntMatrix:
         return IntMatrix(tuple(zip(*self.entries)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row i of the product is row i of self times other, skipping the
+        zeros of that row: permutation and norm-quotient matrices have at
+        most two nonzeros per column, so their products cost O(n^2)."""
         if self.cols != other.rows:
             raise LatticeError("shape mismatch")
-        bt = tuple(zip(*other.entries))
-        return IntMatrix(tuple(
-            tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
-            for row in self.entries))
+        return IntMatrix(tuple(tuple(_vec_mat(row, other.entries, other.cols))
+                               for row in self.entries))
 
     def __sub__(self, other):
         return IntMatrix(tuple(tuple(x - y for x, y in zip(a, b))
@@ -475,9 +475,15 @@ def kernel_mod_d(generators: Sequence[IntMatrix], d: int):
     generators with entries reduced into [0, d), one per invariant factor,
     matching the factor order.
     """
+    return _kernel_from_smith(*_stack_smith(generators), d)
+
+
+def _kernel_from_smith(diag: Sequence[int], v: IntMatrix, d: int):
+    """kernel_mod_d read off the diagonal and V of _stack_smith in O(n^2):
+    the i-th coordinate of w gives Z/gcd(s_i, d), generated by
+    d / gcd(s_i, d) times column i of V."""
     if d < 2:
         raise InvalidModulus(f"modulus must be >= 2, got {d}")
-    diag, v = _stack_smith(generators)
     factors = []
     witnesses = []
     for i, s in enumerate(diag):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import AnisoError
+from .errors import AnisoError, _exact_json
 from . import fieldmatrix
 from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
-from .scalars import (FieldElement, _exact_json, _prime_factors, _split_prime_power,
-                      least_power, root_of_unity_log)
+from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
+                      root_of_unity_log)
 
 
 class PairingError(AnisoError):

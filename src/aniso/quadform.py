@@ -15,13 +15,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import fieldmatrix
-from .errors import AnisoError
+from .errors import AnisoError, _exact_json
 from .lattice import closure
 from .scalars import (
     Field,
     FieldDescriptor,
     FieldElement,
-    _exact_json,
     descriptor_from_json,
     descriptor_to_json,
     element_from_json,

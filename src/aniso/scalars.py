@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Optional, Union
 
-from .errors import AnisoError
+from .errors import AnisoError, _exact_json
 
 
 class ScalarError(AnisoError):
@@ -68,14 +68,6 @@ class NotAlgebraic(ScalarError):
 
 class UndecidedPower(ScalarError):
     """k-th power recognition fell outside the decidable fragment."""
-
-
-def _exact_json(obj):
-    """obj itself, unless it is a JSON float or boolean: those are refused,
-    so parsing never rounds or reinterprets an input."""
-    if isinstance(obj, (bool, float)):
-        raise TypeError(f"expected an integer or a string, got {obj!r}")
-    return obj
 
 
 def _json_list(obj) -> list:

@@ -4,21 +4,27 @@ A torus over a field with enough roots of unity is captured, for every
 purpose of this package, by its rank-n lattice of one-parameter subgroups
 together with the finite group of integer matrices acting on it. The field
 never appears: all questions (anisotropy, torsion, exponent bounds) reduce
-to exact integer linear algebra.
+to exact integer linear algebra, and this module imports no field
+arithmetic.
+
+Each model caches the one certified Smith form of its stacked g - 1 (Cohen,
+GTM 138, §2.4). Its diagonal s_1 | ... | s_n and V answer every question
+here for every modulus: anisotropy is "every s_i ≠ 0", and the d-torsion
+is read off in O(n^2) per d.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import AnisoError
+from .errors import AnisoError, _exact_json
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      _stack_smith, closure, closure_cap, fixed_sublattice,
-                      group_closure, kernel_mod_d)
-from .scalars import _exact_json
+                      _kernel_from_smith, _stack_smith, closure, closure_cap,
+                      group_closure)
 
 
 class TorusError(AnisoError):
@@ -55,7 +61,8 @@ class TorusModel:
     characteristic is the characteristic of the intended base field
     scenario (0 if none); torsion orders are required to be coprime to it.
     norm_group_order is set by norm_quotient_torus and tightens the
-    exponent bound that exponent_bound_check verifies.
+    exponent bound that exponent_bound_check verifies. The Smith form of
+    the stacked g - 1 is computed on first use and kept (stack_smith).
     """
 
     def __init__(self, rank: int, theta_generators: Sequence[IntMatrix],
@@ -83,6 +90,13 @@ class TorusModel:
     def theta_order(self) -> int:
         return len(self.theta_elements)
 
+    @functools.cached_property
+    def stack_smith(self) -> tuple[tuple[int, ...], IntMatrix]:
+        """Diagonal s_1 | ... | s_n and V of the certified Smith form of the
+        given generators' stacked g - 1; the stack has at least n rows, so
+        the diagonal has length n."""
+        return _stack_smith(self.theta_generators)
+
     def __repr__(self):
         tag = self.label or "torus"
         return f"TorusModel({tag!r}, rank={self.rank}, theta order {self.theta_order})"
@@ -108,8 +122,9 @@ class TorusModel:
 
 
 def is_anisotropic(t: TorusModel) -> bool:
-    """True iff no nonzero lattice vector is fixed by the whole action."""
-    return not fixed_sublattice(t.theta_generators)
+    """True iff no nonzero lattice vector is fixed by the whole action: the
+    fixed vectors are V's columns at the zero diagonal entries."""
+    return all(t.stack_smith[0])
 
 
 @dataclass(frozen=True)
@@ -132,7 +147,7 @@ def torsion_points(t: TorusModel, d: int) -> TorsionReport:
     if t.characteristic and d % t.characteristic == 0:
         raise CharDividesOrder(
             f"torsion order {d} not coprime to characteristic {t.characteristic}")
-    structure, witnesses = kernel_mod_d(t.theta_generators, d)
+    structure, witnesses = _kernel_from_smith(*t.stack_smith, d)
     exponent = structure.exponent
     check = exponent is not None and t.theta_order % exponent == 0
     return TorsionReport(d, structure, tuple(witnesses), check)
@@ -313,7 +328,7 @@ def exponent_bound_check(t: TorusModel, d_range: int) -> ExponentBoundReport:
     is ⊕ Z/gcd(s_i, d) (see kernel_mod_d); s_i | s_n makes each gcd(s_i, d)
     divide gcd(s_n, d), so the largest order, the exponent, is gcd(s_n, d).
     """
-    diag, _ = _stack_smith(t.theta_generators)
+    diag, _ = t.stack_smith
     if not all(diag):
         raise NotAnisotropic("exponent bounds only hold for anisotropic tori")
     rows = []

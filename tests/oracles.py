@@ -2,12 +2,13 @@
 
 Most enumerate a whole finite space, so each of those keeps its own cap and
 raises before it starts a scan past it. Some are the longer derivations
-that the library replaced by reading one Smith form: a Smith form per d,
-H¹ through a lattice quotient, row bases through V^-1 and quotients
-through a second elimination. None of them is part of the library: the
-library answers the same questions in closed form. The rest are the
-library's former arithmetic: Q(zeta_n) with one Fraction per coefficient,
-and the reduced norm on FieldElements.
+that the library replaced by reading one Smith form: a Smith form per d
+and per query instead of one per torus model, H¹ through a lattice
+quotient, row bases through V^-1 and quotients through a second
+elimination. None of them is part of the library: the library answers the
+same questions in closed form. The rest are the library's former
+arithmetic: Q(zeta_n) with one Fraction per coefficient, the reduced norm
+on FieldElements, and dense integer matrix products.
 """
 
 import itertools
@@ -18,17 +19,18 @@ from typing import Iterator, Optional
 from aniso import fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
+from aniso.errors import _exact_json
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bareiss,
                            _reduce_mod_rows, _smith_dv, fixed_sublattice, group_closure,
                            int_inverse, kernel_mod_d)
 from aniso.pairing import AlternatingPairing, GroupTooLarge
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
-                           ScalarError, _FiniteField, _exact_json, _json_list,
+                           ScalarError, _FiniteField, _json_list,
                            _render_uni, _u_inverse, binary_power,
                            cyclotomic_polynomial, least_power, rationals)
-from aniso.torus import (ExponentBoundReport, NotAnisotropic, TorusError, TorusModel,
-                         is_anisotropic, torsion_points)
+from aniso.torus import (CharDividesOrder, ExponentBoundReport, NotAnisotropic,
+                         TorsionReport, TorusError, TorusModel)
 
 
 class EnumerationTooLarge(TorusError):
@@ -297,17 +299,29 @@ def enumerate_invariant_cosets(t: TorusModel, d: int,
     return out
 
 
+def torsion_points_per_call(t: TorusModel, d: int) -> TorsionReport:
+    """torsion_points with a Smith form of the given stack on every call,
+    instead of the one the model caches."""
+    if t.characteristic and d % t.characteristic == 0:
+        raise CharDividesOrder(
+            f"torsion order {d} not coprime to characteristic {t.characteristic}")
+    structure, witnesses = kernel_mod_d(t.theta_generators, d)
+    exponent = structure.exponent
+    check = exponent is not None and t.theta_order % exponent == 0
+    return TorsionReport(d, structure, tuple(witnesses), check)
+
+
 def exponent_bound_check_per_d(t: TorusModel, d_range: int) -> ExponentBoundReport:
-    """exponent_bound_check by one torsion_points call, so one Smith form,
-    per d."""
-    if not is_anisotropic(t):
+    """exponent_bound_check by one Smith form per d and one for the
+    anisotropy test, none of them the model's cached one."""
+    if fixed_sublattice(t.theta_generators):
         raise NotAnisotropic("exponent bounds only hold for anisotropic tori")
     rows = []
     ok = True
     for d in range(2, d_range + 1):
         if t.characteristic and d % t.characteristic == 0:
             continue
-        rep = torsion_points(t, d)
+        rep = torsion_points_per_call(t, d)
         e = rep.group.exponent
         rows.append((d, e))
         if t.theta_order % e:
@@ -320,6 +334,15 @@ def exponent_bound_check_per_d(t: TorusModel, d_range: int) -> ExponentBoundRepo
 
 # ---------------------------------------------------------------------------
 # lattices
+
+def int_matmul_dense(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a @ b as the dense sum over every row of a and column of b."""
+    if a.cols != b.rows:
+        raise LatticeError("shape mismatch")
+    bt = tuple(zip(*b.entries))
+    return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
+                           for row in a.entries))
+
 
 def row_basis_by_inverse(rows, ambient: int) -> list[tuple[int, ...]]:
     """row_basis as s_i times row i of V^-1, with V inverted."""

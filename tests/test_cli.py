@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -123,6 +124,28 @@ def test_torus_analyze_refuses_d_max_below_2(monkeypatch):
     code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "2"],
                         stdin=json.dumps(model))
     assert code == 0 and [row["d"] for row in json.loads(out)["torsion"]] == ["2"]
+
+
+def test_torus_analyze_caps_d_max(monkeypatch):
+    cap = cli.TORUS_MAX_D
+    with monkeypatch.context() as patch:  # refused before the payload is read
+        patch.setattr(cli, "_load_payload", None)
+        for d_max in (cap + 1, 10 ** 12):
+            code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", str(d_max)])
+            assert code == 2 and json.loads(out)["error"] == {
+                "type": "DRangeTooLarge",
+                "message": f"torus analyze is capped at --d-max {cap}"}
+    golden = Path(__file__).parent / "golden"
+    start = time.perf_counter()
+    code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", str(cap)],
+                        stdin=(golden / "torus-analyze-c6-d30.in.json").read_text())
+    elapsed = time.perf_counter() - start
+    rows = json.loads(out)["torsion"]
+    first = json.loads((golden / "torus-analyze-c6-d30.out.json").read_text())["torsion"]
+    assert code == 0 and len(rows) == cap - 1 and rows[:29] == first
+    assert rows[-1] == {"d": str(cap), "invariant_factors": ["2"], "exponent": "2",
+                        "exponent_divides_theta_order": True}
+    assert elapsed < 10  # about 1.1 s: one Smith form, then O(n^2) per d
 
 
 def test_malformed_json_is_schema_error():

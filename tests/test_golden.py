@@ -41,11 +41,12 @@ CASES = {
     "torus-analyze-c6-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
     "torus-analyze-swap-d12": ["torus", "analyze", "--input", "-", "--d-max", "12",
                                "--json"],
+    "torus-analyze-d-max-cap": ["torus", "analyze", "--d-max", "100001", "--json"],
     "pairing-isotropic-12-36": ["pairing", "isotropic", "--input", "-", "--json"],
     "pairing-isotropic-12-12-12": ["pairing", "isotropic", "--input", "-", "--json"],
 }
 # the exit status of each case that reports an error; every other case exits 0
-EXIT_CODES = {"csa-norm-degree-cap": 2}
+EXIT_CODES = {"csa-norm-degree-cap": 2, "torus-analyze-d-max-cap": 2}
 DEMO_CASES = sorted(f"demo-{path.stem}" for path in DEMOS.glob("*.py"))
 
 

@@ -24,6 +24,25 @@ def test_intmatrix_basics():
     assert a.apply((1, 0)) == (1, 3)
 
 
+def test_sparse_product_matches_the_dense_oracle():
+    from aniso.torus import norm_quotient_torus, symmetric_table
+    from oracles import int_matmul_dense
+    rng = random.Random(4040)
+    for _ in range(500):
+        n, k, m = (rng.randint(1, 6) for _ in range(3))
+        density = rng.choice([0.0, 0.2, 0.5, 1.0])
+        a, b = (IntMatrix.from_rows(
+            [[rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(c)]
+             for _ in range(r)]) for r, c in ((n, k), (k, m)))
+        assert a @ b == int_matmul_dense(a, b)
+    gens = norm_quotient_torus(symmetric_table(3)).theta_generators
+    for g in gens:
+        for h in gens:
+            assert g @ h == int_matmul_dense(g, h)
+    with pytest.raises(LatticeError):
+        IntMatrix.identity(2) @ IntMatrix.identity(3)
+
+
 def test_intmatrix_json_roundtrip():
     a = IntMatrix.from_rows([[10 ** 30, -1], [0, 7]])
     obj = a.to_json()
@@ -670,6 +689,57 @@ def test_h1_and_exponent_check_match_the_per_d_oracles():
             outcomes.add(("all_pass", "all_pass=True" in checked))
     assert outcomes == {"AbelianGroupStructure", "ClosureCapExceeded", "ExponentBoundReport",
                         "NotAnisotropic", ("all_pass", True), ("all_pass", False)}
+
+
+def _torus_models(rng, count):
+    """Seeded actions with seeded characteristics, then the S_3, S_4 and C_6
+    norm quotients and rank-1 models, split and nonsplit."""
+    from aniso.torus import TorusModel, cyclic_table, norm_quotient_torus, symmetric_table
+    for gens in _seeded_actions(rng, count):
+        yield TorusModel(gens[0].rows, gens, "seeded",
+                         characteristic=rng.choice([0, 0, 0, 2, 3, 5]))
+    for table in (symmetric_table(3), symmetric_table(4), cyclic_table(6)):
+        yield norm_quotient_torus(table)
+    for entry, characteristic in ((-1, 0), (-1, 3), (1, 0)):
+        yield TorusModel(1, [IntMatrix.from_rows([[entry]])], "rank-1",
+                         characteristic=characteristic)
+
+
+def test_cached_smith_form_matches_the_per_call_path():
+    from aniso.torus import exponent_bound_check, is_anisotropic, torsion_points
+    from oracles import exponent_bound_check_per_d, torsion_points_per_call
+    rng = random.Random(3030)
+    outcomes = set()
+    for model in _torus_models(rng, 40):
+        assert is_anisotropic(model) == (not fixed_sublattice(model.theta_generators))
+        for d in range(2, 61):
+            got = _outcome(lambda: torsion_points(model, d))
+            assert got == _outcome(lambda: torsion_points_per_call(model, d))
+            outcomes.add(got.split("(")[0].split(":")[0])
+        checked = _outcome(lambda: exponent_bound_check(model, 60))
+        assert checked == _outcome(lambda: exponent_bound_check_per_d(model, 60))
+        outcomes.add(checked.split("(")[0].split(":")[0])
+    assert outcomes == {"TorsionReport", "CharDividesOrder", "ExponentBoundReport",
+                        "NotAnisotropic"}
+
+
+def test_a_torus_model_runs_one_smith_elimination(monkeypatch):
+    from aniso.torus import (averaging_certificate, exponent_bound_check, is_anisotropic,
+                             norm_quotient_torus, symmetric_table, torsion_points)
+    calls = []
+    reduce = lattice._smith_reduce
+
+    def counted(m):
+        calls.append((m.rows, m.cols))
+        return reduce(m)
+
+    monkeypatch.setattr(lattice, "_smith_reduce", counted)
+    model = norm_quotient_torus(symmetric_table(3))
+    assert is_anisotropic(model)
+    reports = [torsion_points(model, d) for d in range(2, 31)]
+    assert averaging_certificate(model, 6, reports[4].witnesses[-1]).holds
+    assert exponent_bound_check(model, 30).all_pass
+    assert calls == [(25, 5)]
 
 
 def test_h1_and_the_s4_exponent_check_each_run_one_smith_elimination(monkeypatch):

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,3 +195,19 @@ def test_rotation_order_four_torsion():
     assert rep.divisibility_check
     report = exponent_bound_check(rot, 30)
     assert report.all_pass
+
+
+def test_the_torus_path_loads_no_field_layer():
+    code = """
+import sys
+from aniso import lattice, torus, replay
+assert [r["status"] for r in replay.run_replay(["example-2.5", "example-2.6"])] == ["pass"] * 2
+field = ("scalars", "csa", "quadform", "fieldmatrix", "bounds", "pairing")
+print([name for name in field if "aniso." + name in sys.modules])
+import aniso
+print(aniso.csa.SymbolAlgebraSpec.__name__, hasattr(aniso, "no_such_module"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.splitlines() == ["[]", "SymbolAlgebraSpec False"]
