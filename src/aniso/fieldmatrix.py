@@ -4,11 +4,10 @@ Matrices are tuples of tuples of FieldElement, all sharing one descriptor.
 All elimination goes through one Gauss-Jordan routine; fields are exact
 so there is no pivoting subtlety beyond skipping zeros.
 
-Products skip zero entries: a row-by-column sum multiplies and adds only
-the pairs in which both entries are nonzero, so the cost of ``mat_mul``,
-``mat_pow`` and ``mat_vec`` is the number of nonzero entry pairs, and a
-monomial or companion matrix costs O(n) field products per row.
-Payloads are canonical, so the skipped terms change no output.
+Products skip zeros: the nonzero entries of each row are listed once, so
+``mat_mul``, ``mat_pow`` and ``mat_vec`` cost O(n²) zero tests plus one
+field product per pair of nonzero factors (O(n²) in all for a monomial
+matrix). Payloads are canonical, so the skipped terms change no output.
 """
 
 from __future__ import annotations
@@ -56,26 +55,30 @@ def identity(field: Field, n: int) -> Matrix:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if len(a[0]) != len(b):
         raise MatrixError("shape mismatch")
-    bt = tuple(zip(*b))
-    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+    return _products(a, b)
 
 
-def _dot(u, v):
-    """Sum of u[i] * v[i] over the pairs with both factors nonzero.
-
-    With no such pair the result is u[0] * v[0]: a zero of the right
-    field, and a DescriptorMismatch when u and v come from two fields.
-    """
-    acc = None
-    for x, y in zip(u, v):
-        if x.is_zero or y.is_zero:
-            continue
-        acc = x * y if acc is None else acc + x * y
-    return u[0] * v[0] if acc is None else acc
+def _products(a, b) -> Matrix:
+    """a @ b: each row of a adds x * b[k][j] into entry j for each nonzero
+    x = row[k] and nonzero b[k][j], in increasing k, so an entry sums the
+    nonzero pairs in row-by-column order. An entry with no such pair is
+    row[0] * b[0][j]: a zero of the right field, and a DescriptorMismatch
+    when the two come from two fields."""
+    supports = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
+    first = b[0]
+    out = []
+    for row in a:
+        acc = {}
+        for x, support in zip(row, supports):
+            if not x.is_zero:
+                for j, y in support:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple(acc[j] if j in acc else row[0] * first[j] for j in range(len(first))))
+    return tuple(out)
 
 
 def mat_vec(a: Matrix, v) -> tuple:
-    return tuple(_dot(row, tuple(v)) for row in a)
+    return tuple(row[0] for row in _products(a, tuple((y,) for y in v)))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

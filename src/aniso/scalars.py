@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Optional, Union
@@ -371,6 +371,15 @@ class FieldDescriptor:
 
     kind: ClassVar[str]
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the fields, computed once: each subclass names
+        # this __hash__, or its decorator would rehash the whole base tower
+        return hash(tuple(getattr(self, f.name) for f in fields(self)))
+
     @property
     def characteristic(self) -> int:
         return 0
@@ -415,6 +424,7 @@ class FieldDescriptor:
 @dataclass(frozen=True, repr=False)
 class _Rationals(FieldDescriptor):
     kind = "rationals"
+    __hash__ = FieldDescriptor.__hash__
 
     def __repr__(self):
         return "Q"
@@ -474,6 +484,7 @@ class _Rationals(FieldDescriptor):
 class _Cyclotomic(FieldDescriptor):
     n: int
     kind = "cyclotomic"
+    __hash__ = FieldDescriptor.__hash__
 
     def __post_init__(self):
         if self.n < 1:
@@ -595,6 +606,7 @@ class _FiniteField(FieldDescriptor):
     p: int
     m: int
     kind = "finite_field"
+    __hash__ = FieldDescriptor.__hash__
 
     def __post_init__(self):
         if self.p < 2 or not _is_prime(self.p):
@@ -740,6 +752,7 @@ class _FunctionField(FieldDescriptor):
     base: FieldDescriptor
     variables: tuple[str, ...]
     kind = "function_field"
+    __hash__ = FieldDescriptor.__hash__
 
     def __post_init__(self):
         if self.base is None or not self.variables:
@@ -781,32 +794,36 @@ class _FunctionField(FieldDescriptor):
         return not x[0]
 
     def add(self, x, y):
+        (n1, d1), (n2, d2) = x, y
+        if not n1 or not n2:
+            return x if n1 else y
         bd = self.base
-        n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
-        n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
-        if x[1] == y[1]:
-            num = _p_add(bd, n1, n2)
-            if x[1] == self._unit_den:
-                return (_p_to_tuple(num), x[1])
-            return self.normalize(num, d1)
-        num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
-        return self.normalize(num, _p_mul(bd, d1, d2))
+        if d1 == d2:
+            num = _t_add(bd, n1, n2)
+            if d1 == self._unit_den:
+                return (num, d1)
+            return self.normalize(dict(num), dict(d1))
+        num = _t_add(bd, _t_mul(bd, n1, d2), _t_mul(bd, n2, d1))
+        return self.normalize(dict(num), dict(_t_mul(bd, d1, d2)))
 
     def neg(self, x):
         num, den = x
         return (tuple((e, self.base.neg(c)) for e, c in num), den)
 
     def mul(self, x, y):
-        bd = self.base
-        num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
+        (n1, d1), (n2, d2) = x, y
         one = self._unit_den
-        if x[1] == one and y[1] == one:
-            return (_p_to_tuple(num), one)
-        return self.normalize(num, _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1])))
+        if not n1 or not n2:
+            return ((), one)
+        bd = self.base
+        num = _t_mul(bd, n1, n2)
+        if d1 == one and d2 == one:
+            return (num, one)
+        return self.normalize(dict(num), dict(_t_mul(bd, d1, d2)))
 
     def _inv(self, x):
         num, den = x
-        return self.normalize(_p_from_tuple(den), _p_from_tuple(num))
+        return self.normalize(dict(den), dict(num))
 
     def normalize(self, num: dict, den: dict):
         """The canonical payload of num/den: common factors cancelled and
@@ -830,10 +847,10 @@ class _FunctionField(FieldDescriptor):
 
     def render(self, x) -> str:
         num, den = x
-        ns = _render_poly(self, _p_from_tuple(num))
+        ns = _render_poly(self, num)
         if den == self._unit_den:
             return ns
-        ds = _render_poly(self, _p_from_tuple(den))
+        ds = _render_poly(self, den)
         return f"({ns})/({ds})"
 
     def payload_to_json(self, x):
@@ -861,7 +878,7 @@ class _FunctionField(FieldDescriptor):
             return {e: c for e, c in out.items() if not self.base.is_zero(c)}
 
         num = poly(obj["num"])
-        den = poly(obj["den"]) if "den" in obj else _p_from_tuple(self._unit_den)
+        den = poly(obj["den"]) if "den" in obj else dict(self._unit_den)
         return self.normalize(num, den)
 
     def random_payload(self, rng, height, degree, terms):
@@ -877,9 +894,9 @@ class _FunctionField(FieldDescriptor):
             return out
 
         num = rand_poly(terms)
-        den = rand_poly(max(1, terms - 1)) or _p_from_tuple(self._unit_den)
+        den = rand_poly(max(1, terms - 1)) or dict(self._unit_den)
         if rng.random() < 0.5:
-            den = _p_from_tuple(self._unit_den)
+            den = dict(self._unit_den)
         return self.normalize(num, den)
 
     def zeta(self, order: int):
@@ -895,7 +912,7 @@ class _FunctionField(FieldDescriptor):
     def _kth_root(self, x, k: int):
         bd, nv = self.base, len(self.variables)
         char = self.characteristic
-        num, den = _p_from_tuple(x[0]), _p_from_tuple(x[1])
+        num, den = dict(x[0]), dict(x[1])
         rn = _poly_kth_root(bd, num, k, nv, char)
         rd = None if rn is None else _poly_kth_root(bd, den, k, nv, char)
         return None if rd is None else self.normalize(rn, rd)
@@ -934,15 +951,45 @@ def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials as dicts {exponent tuple: nonzero base payload};
-# canonical stored form is a tuple of items sorted descending by exponent
-# (lex order = componentwise tuple comparison in the declared variable order)
+# multivariate polynomials. Stored form (_t_*): a tuple of (exponent tuple,
+# nonzero base payload) in descending lex order, the declared variable order;
+# sums and products work on it. Dicts (_p_*) serve normalize and the gcd.
 
 def _p_to_tuple(A: dict) -> tuple:
     return tuple(sorted(A.items(), reverse=True))
 
-def _p_from_tuple(t) -> dict:
-    return dict(t)
+
+def _t_add(bd, A, B) -> tuple:
+    """A + B on stored polynomials: one merge of the two descending lists,
+    O(s + t) base operations for s and t terms."""
+    add, is_zero = bd.add, bd.is_zero
+    out, i, j = [], 0, 0
+    while i < len(A) and j < len(B):
+        ea, eb = A[i][0], B[j][0]
+        if ea > eb:
+            out.append(A[i])
+            i += 1
+        elif ea < eb:
+            out.append(B[j])
+            j += 1
+        else:
+            c = add(A[i][1], B[j][1])
+            if not is_zero(c):
+                out.append((ea, c))
+            i, j = i + 1, j + 1
+    return tuple(out) + A[i:] + B[j:]
+
+
+def _t_mul(bd, A, B) -> tuple:
+    """A B on stored polynomials, sorted once. A one-term factor shifts the
+    exponents of the other in O(t) with no sort: adding a fixed exponent
+    vector keeps lex order, and nonzero base payloads have a nonzero product."""
+    if len(B) == 1:
+        A, B = B, A
+    if len(A) == 1:
+        (ea, ca), = A
+        return tuple([(tuple(map(operator.add, ea, eb)), bd.mul(ca, cb)) for eb, cb in B])
+    return _p_to_tuple(_p_mul_terms(bd, A, B))
 
 
 def _p_add(bd, A, B):
@@ -959,19 +1006,20 @@ def _p_add(bd, A, B):
     return out
 
 
-def _p_neg(bd, A):
-    return {e: bd.neg(c) for e, c in A.items()}
-
-
 def _p_sub(bd, A, B):
-    return _p_add(bd, A, _p_neg(bd, B))
+    return _p_add(bd, A, {e: bd.neg(c) for e, c in B.items()})
 
 
 def _p_mul(bd, A, B):
+    return _p_mul_terms(bd, A.items(), B.items())
+
+
+def _p_mul_terms(bd, A, B) -> dict:
+    """The product of two polynomials given as (exponent, payload) pairs."""
     mul, add, is_zero = bd.mul, bd.add, bd.is_zero
     out = {}
-    for ea, ca in A.items():
-        for eb, cb in B.items():
+    for ea, ca in A:
+        for eb, cb in B:
             e = tuple(map(operator.add, ea, eb))
             c = mul(ca, cb)
             if e in out:
@@ -1061,17 +1109,13 @@ def _p_prem(bd, A, B, i):
     return R
 
 
-def _p_is_monomial(A) -> bool:
-    return len(A) == 1
-
-
 def _p_gcd(bd, A, B, nv):
     """gcd in base[x1..xnv], normalized with leading coefficient 1."""
     if not A:
         return _p_monic(bd, dict(B))
     if not B:
         return _p_monic(bd, dict(A))
-    if _p_is_monomial(A) or _p_is_monomial(B):
+    if len(A) == 1 or len(B) == 1:
         # gcd with a monomial: componentwise min over every exponent present
         mins = None
         for e in itertools.chain(A, B):
@@ -1133,12 +1177,19 @@ class FieldElement:
         d = self.descriptor
         return FieldElement(d, getattr(d, op)(self.payload, rhs.payload))
 
+    # the common case first: two elements sharing one (interned) descriptor
     def __add__(self, other):
+        d = self.descriptor
+        if other.__class__ is FieldElement and other.descriptor is d:
+            return FieldElement(d, d.add(self.payload, other.payload))
         return self._binary(other, "add")
 
     __radd__ = __add__
 
     def __sub__(self, other):
+        d = self.descriptor
+        if other.__class__ is FieldElement and other.descriptor is d:
+            return FieldElement(d, d.sub(self.payload, other.payload))
         return self._binary(other, "sub")
 
     def __rsub__(self, other):
@@ -1148,6 +1199,9 @@ class FieldElement:
         return rhs - self
 
     def __mul__(self, other):
+        d = self.descriptor
+        if other.__class__ is FieldElement and other.descriptor is d:
+            return FieldElement(d, d.mul(self.payload, other.payload))
         return self._binary(other, "mul")
 
     __rmul__ = __mul__
@@ -1219,11 +1273,12 @@ def _render_uni(coeffs, var) -> str:
 
 
 def _render_poly(d, A) -> str:
+    """A stored polynomial as text, terms in its descending lex order."""
     if not A:
         return "0"
     names = d.variables
     parts = []
-    for e, c in sorted(A.items(), reverse=True):
+    for e, c in A:
         mon = "*".join(
             n + (f"**{k}" if k > 1 else "")
             for n, k in zip(names, e) if k)

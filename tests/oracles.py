@@ -7,8 +7,9 @@ and per query instead of one per torus model, H¹ through a lattice
 quotient, row bases through V^-1 and quotients through a second
 elimination. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
-arithmetic: Q(zeta_n) with one Fraction per coefficient, the reduced norm
-on FieldElements, and dense integer matrix products.
+arithmetic: Q(zeta_n) with one Fraction per coefficient, function-field
+sums and products through dicts, the reduced norm on FieldElements, and
+dense integer and field matrix products.
 """
 
 import itertools
@@ -26,8 +27,8 @@ from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bare
 from aniso.pairing import AlternatingPairing, GroupTooLarge
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
-                           ScalarError, _FiniteField, _json_list,
-                           _render_uni, _u_inverse, binary_power,
+                           ScalarError, _FiniteField, _json_list, _p_add, _p_mul,
+                           _p_to_tuple, _render_uni, _u_inverse, binary_power,
                            cyclotomic_polynomial, least_power, rationals)
 from aniso.torus import (CharDividesOrder, ExponentBoundReport, NotAnisotropic,
                          TorsionReport, TorusError, TorusModel)
@@ -83,6 +84,35 @@ def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[
         if r ** k == elt:
             roots.append(r)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# function-field payloads through dicts
+
+def function_field_add_by_dicts(d, x, y):
+    """x + y for payloads of the function field d, with both stored tuples
+    turned into dicts and the sum sorted back into a tuple."""
+    bd = d.base
+    n1, d1 = dict(x[0]), dict(x[1])
+    n2, d2 = dict(y[0]), dict(y[1])
+    if x[1] == y[1]:
+        num = _p_add(bd, n1, n2)
+        if x[1] == d.one()[1]:
+            return (_p_to_tuple(num), x[1])
+        return d.normalize(num, d1)
+    num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
+    return d.normalize(num, _p_mul(bd, d1, d2))
+
+
+def function_field_mul_by_dicts(d, x, y):
+    """x * y for payloads of the function field d, through dicts and one
+    sort, zero operands included."""
+    bd = d.base
+    num = _p_mul(bd, dict(x[0]), dict(y[0]))
+    one = d.one()[1]
+    if x[1] == one and y[1] == one:
+        return (_p_to_tuple(num), one)
+    return d.normalize(num, _p_mul(bd, dict(x[1]), dict(y[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +360,33 @@ def exponent_bound_check_per_d(t: TorusModel, d_range: int) -> ExponentBoundRepo
             ok = False
     return ExponentBoundReport(d_range, t.theta_order, t.norm_group_order,
                                tuple(rows), ok)
+
+
+# ---------------------------------------------------------------------------
+# field matrices
+
+def _dot(u, v):
+    """Sum of u[i] * v[i] over the pairs with both factors nonzero, each
+    pair tested; u[0] * v[0] when there is none."""
+    acc = None
+    for x, y in zip(u, v):
+        if x.is_zero or y.is_zero:
+            continue
+        acc = x * y if acc is None else acc + x * y
+    return u[0] * v[0] if acc is None else acc
+
+
+def mat_mul_dense(a, b):
+    """a @ b with every one of the n³ entry pairs tested for zero."""
+    if len(a[0]) != len(b):
+        raise fieldmatrix.MatrixError("shape mismatch")
+    bt = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in bt) for row in a)
+
+
+def mat_vec_dense(a, v) -> tuple:
+    """a @ v with every entry pair tested for zero."""
+    return tuple(_dot(row, tuple(v)) for row in a)
 
 
 # ---------------------------------------------------------------------------

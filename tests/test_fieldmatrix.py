@@ -8,8 +8,10 @@ from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
                                mat_det, mat_from_rows, mat_inverse, mat_mul,
                                mat_pow, mat_rank, mat_scale, mat_vec, nullspace,
                                solve_right)
+from aniso.quadform import PfisterData
 from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
                            function_field, prime_field, rationals)
+from oracles import mat_mul_dense, mat_vec_dense
 
 
 def _fraction_reduce(rows, ncols):
@@ -135,6 +137,11 @@ def test_shape_errors():
         mat_det(wide)
     with pytest.raises(MatrixError, match="non-square"):
         mat_inverse(wide)
+    for a, b in ((identity(F, 2), identity(F, 3)), (wide, identity(F, 3)),
+                 (identity(Field(prime_field(7)), 1), mat_from_rows([[F.one], [F.one]]))):
+        for product in (mat_mul, mat_mul_dense):  # the former product raises alike
+            with pytest.raises(MatrixError, match="shape mismatch"):
+                product(a, b)
 
 
 def _dense_dot(u, v):
@@ -220,11 +227,36 @@ def test_products_over_two_fields_raise_descriptor_mismatch():
     for a, b in ((identity(q, 2), identity(f7, 2)),
                  (mat_from_rows([[q.zero] * 2] * 2), identity(f7, 2)),
                  (identity(q, 2), mat_from_rows([[f7.zero] * 2] * 2)),
-                 (mat_from_rows([[q.zero] * 2] * 2), mat_from_rows([[f7.zero] * 2] * 2))):
-        with pytest.raises(DescriptorMismatch):
-            mat_mul(a, b)
-        with pytest.raises(DescriptorMismatch):
-            mat_vec(a, b[0])
+                 (mat_from_rows([[q.zero] * 2] * 2), mat_from_rows([[f7.zero] * 2] * 2)),
+                 (identity(q, 3), mat_from_rows([[f7.zero] * 2] * 3)),
+                 (mat_from_rows([[q.zero, q.one]]), mat_from_rows([[f7.one], [f7.zero]]))):
+        # the former product raises the same error
+        for product, vec_product in ((mat_mul, mat_vec), (mat_mul_dense, mat_vec_dense)):
+            with pytest.raises(DescriptorMismatch):
+                product(a, b)
+            with pytest.raises(DescriptorMismatch):
+                vec_product(a, [row[0] for row in b])
         with pytest.raises(DescriptorMismatch):
             mat_scale(a, f7.one)
     assert mat_scale(mat_from_rows([[q.zero, q(2)]]), q(3)) == ((q.zero, q(6)),)
+
+
+def test_sparse_mat_mul_matches_the_former_product():
+    rng = random.Random(1313)
+    for descriptor in SPARSE_FIELDS:
+        field = Field(descriptor)
+        for sa, sb in itertools.product(("dense", "monomial", "zero-row", "zero-column",
+                                         "zero"), repeat=2):
+            rows, inner, cols = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+            for r, m, c in ((1, 1, 1), (rows, inner, cols), (inner, inner, inner)):
+                a = _shaped_matrix(rng, field, sa, r, m)
+                b = _shaped_matrix(rng, field, sb, m, c)
+                assert mat_mul(a, b) == mat_mul_dense(a, b)
+                assert mat_vec(a, [row[0] for row in b]) == mat_vec_dense(a, [row[0] for row in b])
+    for k in (2, 3):  # the monomial maps of the Pfister closure
+        data = PfisterData(k)
+        dense = _shaped_matrix(rng, data.field, "dense", data.n, data.n)
+        for a, b in itertools.product((data.sigma, data.tau, dense), repeat=2):
+            assert mat_mul(a, b) == mat_mul_dense(a, b)
+            assert mat_vec(a, b[-1]) == mat_vec_dense(a, b[-1])
+

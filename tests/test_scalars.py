@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import operator
 import random
@@ -8,13 +10,13 @@ from fractions import Fraction
 
 import pytest
 
-from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
+from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldElement,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
                            UndecidedPower,
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
                            _fp_trim,
-                           _int_kth_root, _is_prime, _p_add, _p_from_tuple,
+                           _int_kth_root, _is_prime, _p_add,
                            _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
                            binary_power,
                            cyclotomic, cyclotomic_polynomial,
@@ -24,6 +26,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field,
                            least_power, minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
 from oracles import (FractionCyclotomic, artin_schreier_image, cy_mul, cy_reduce,
+                     function_field_add_by_dicts, function_field_mul_by_dicts,
                      kth_roots_in_newton_box)
 
 
@@ -601,8 +604,8 @@ def test_power_helpers():
 def _ff_add_generic(d, x, y):
     """Sum of function-field payloads by the general rule n1/d1 + n2/d2."""
     bd = d.base
-    n1, d1 = _p_from_tuple(x[0]), _p_from_tuple(x[1])
-    n2, d2 = _p_from_tuple(y[0]), _p_from_tuple(y[1])
+    n1, d1 = dict(x[0]), dict(x[1])
+    n2, d2 = dict(y[0]), dict(y[1])
     num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
     return d.normalize(num, _p_mul(bd, d1, d2))
 
@@ -610,8 +613,8 @@ def _ff_add_generic(d, x, y):
 def _ff_mul_generic(d, x, y):
     """Product of function-field payloads by the general rule n1 n2/(d1 d2)."""
     bd = d.base
-    num = _p_mul(bd, _p_from_tuple(x[0]), _p_from_tuple(y[0]))
-    den = _p_mul(bd, _p_from_tuple(x[1]), _p_from_tuple(y[1]))
+    num = _p_mul(bd, dict(x[0]), dict(y[0]))
+    den = _p_mul(bd, dict(x[1]), dict(y[1]))
     return d.normalize(num, den)
 
 
@@ -634,6 +637,145 @@ def test_function_field_add_mul_match_generic_rule(descriptor):
             assert descriptor.mul(x.payload, y.payload) == \
                 _ff_mul_generic(descriptor, x.payload, y.payload)
     assert field.zero.payload == ((), field.one.payload[1])
+
+
+KERNEL_BASES = [rationals(), cyclotomic(3), cyclotomic(5), prime_field(7), finite_field(2, 2)]
+
+
+def _kernel_operands(descriptor, rng):
+    """Payloads of the function field: zero and one, random elements with unit
+    and non-unit denominators, one-term numerators over both kinds of
+    denominator, each operand's negative, and partners y with x + y a
+    monomial, so that whole runs of terms cancel."""
+    field, bd = Field(descriptor), descriptor.base
+    nv = len(descriptor.variables)
+    unit = field.one.payload[1]
+
+    def monomial():
+        e = tuple(rng.randint(0, 2) for _ in range(nv))
+        return ((e, Field(bd).random_element(rng, nonzero=True).payload),)
+
+    xs = [field.zero.payload, field.one.payload]
+    # degree 1 in three variables: a sum over two denominators takes a
+    # multivariate gcd, which over Q(z5)(v0, v1, v2) runs for seconds at degree 2
+    degree = 2 if nv < 3 else 1
+    xs += [field.random_element(rng, degree=degree, terms=3).payload for _ in range(5)]
+    xs += [(monomial(), unit) for _ in range(3)]
+    # v0 + c, with c a nonzero constant, and the denominators drawn above
+    den = {(1,) + (0,) * (nv - 1): bd.one(),
+           (0,) * nv: Field(bd).random_element(rng, nonzero=True).payload}
+    xs.append(descriptor.normalize(dict(xs[2][0]) or {(0,) * nv: bd.one()}, den))
+    dens = [x[1] for x in xs if x[1] != unit]
+    xs += [descriptor.normalize(dict(monomial()), dict(d)) for d in dens[-2:]]
+    xs += [descriptor.neg(x) for x in xs[2:6]]
+    xs += [function_field_add_by_dicts(descriptor, (monomial(), unit), descriptor.neg(x))
+           for x in xs[2:5]]
+    if descriptor.characteristic:
+        # p copies of x sum to zero: one more addition after p - 1
+        x = xs[3]
+        acc = x
+        for _ in range(descriptor.characteristic - 2):
+            acc = function_field_add_by_dicts(descriptor, acc, x)
+        xs.append(acc)
+    return xs
+
+
+@pytest.mark.parametrize("nv", [1, 2, 3])
+@pytest.mark.parametrize("base", KERNEL_BASES, ids=repr)
+def test_stored_tuple_kernels_match_dict_oracles(base, nv):
+    descriptor = function_field(base, [f"v{i}" for i in range(nv)])
+    rng = random.Random(1300 + 10 * KERNEL_BASES.index(base) + nv)
+    xs = _kernel_operands(descriptor, rng)
+    unit = descriptor.one()[1]
+    assert any(x[1] != unit for x in xs) and any(len(x[0]) == 1 for x in xs)
+    zeros = 0
+    for x in xs:
+        for y in xs:
+            for kernel, oracle in ((descriptor.add, function_field_add_by_dicts),
+                                   (descriptor.mul, function_field_mul_by_dicts)):
+                got, want = kernel(x, y), oracle(descriptor, x, y)
+                assert got == want
+                assert descriptor.render(got) == descriptor.render(want)
+                assert got[0] == tuple(sorted(got[0], reverse=True))
+                assert all(not base.is_zero(c) for _, c in got[0])
+                zeros += kernel == descriptor.add and not got[0]
+    # each operand against its negative, at least, and char p's p-fold sums
+    assert zeros >= 4 + bool(descriptor.characteristic)
+
+
+FINGERPRINT_FIELDS = (
+    rationals(),
+    cyclotomic(3),
+    cyclotomic(5),
+    cyclotomic(12),
+    prime_field(2),
+    prime_field(7),
+    finite_field(2, 2),
+    finite_field(3, 2),
+    function_field(rationals(), ("a1", "a2", "a3")),
+    function_field(cyclotomic(3), ("a", "b")),
+    function_field(cyclotomic(5), ("a",)),
+    function_field(prime_field(7), ("x", "y")),
+    function_field(finite_field(2, 2), ("x", "y", "z")),
+    function_field(prime_field(2), ("s",)),
+)
+# sha256 of _scalar_fingerprint_text(), taken before function-field sums and
+# products ran on stored tuples; any change to a rendered or JSON byte moves it
+SCALAR_FINGERPRINT = "05c170e998922ebc12e74e0820adc40d327c21e36f1c13d78d8d55c9a4e875f8"
+
+
+def _scalar_fingerprint_text(steps=60) -> str:
+    """A seeded stream of sums, differences, products, inverses and element
+    JSON over every field kind, one rendered line per step. Every tenth step
+    feeds a sum or product back into the operand pool."""
+    lines = []
+    for index, d in enumerate(FINGERPRINT_FIELDS):
+        field, rng = Field(d), random.Random(1300 + index)
+        pool = [field.zero, field.one, -field.one]
+        pool += [field.random_element(rng, terms=3) for _ in range(9)]
+        if d.kind == "function_field":
+            pool.append(field.vars()[0])
+        elif d.kind in ("cyclotomic", "finite_field"):
+            pool.append(field.generator())
+        for step in range(steps):
+            x, y = rng.choice(pool), rng.choice(pool)
+            s, p = x + y, x * y
+            row = [repr(d), repr(s), repr(p), repr(x - y),
+                   json.dumps(element_to_json(p), sort_keys=True)]
+            if not y.is_zero:
+                row.append(repr(y.inverse()))
+            lines.append(" | ".join(row))
+            if step % 10 == 9:
+                pool[rng.randrange(3, len(pool))] = s if rng.random() < 0.5 else p
+    return "\n".join(lines) + "\n"
+
+
+def test_scalar_output_fingerprint():
+    start = time.perf_counter()
+    text = _scalar_fingerprint_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == SCALAR_FINGERPRINT
+    assert time.perf_counter() - start < 2
+
+
+def test_equal_descriptors_built_apart_hash_and_compare_equal():
+    f5x = _FunctionField(_PrimeField(5, 1), ("x",))
+    # (built directly, interned, the tuple of fields whose hash it keeps)
+    cases = [(_Rationals(), rationals(), ()),
+             (_Cyclotomic(5), cyclotomic(5), (5,)),
+             (_PrimeField(7, 1), prime_field(7), (7, 1)),
+             (_FiniteField(2, 3), finite_field(2, 3), (2, 3)),
+             (_FunctionField(_Cyclotomic(3), ("a", "b")), function_field(cyclotomic(3), ["a", "b"]),
+              (cyclotomic(3), ("a", "b"))),
+             (_FunctionField(f5x, ("y",)), function_field(function_field(prime_field(5), ("x",)),
+                                                          ("y",)), (f5x, ("y",)))]
+    for built, interned, fields in cases:
+        assert built is not interned
+        for _ in range(2):  # the second hash reads the cached value
+            assert built == interned and hash(built) == hash(interned) == hash(fields)
+        assert FieldElement(built, interned.one()) == FieldElement(interned, interned.one())
+        assert len({FieldElement(built, built.one()), FieldElement(interned, interned.one())}) == 1
+    assert cyclotomic(5) != _Cyclotomic(7) and prime_field(7) != finite_field(7, 2)
+    assert function_field(rationals(), ("a",)) != function_field(rationals(), ("b",))
 
 
 def _is_prime_by_trial_division(n):
