@@ -202,6 +202,15 @@ def _cmd_pairing_isotropic(args) -> tuple[dict, int]:
 
 
 def _cmd_pairing_fuzz(args) -> tuple[dict, int]:
+    """Isotropic-subgroup property trials on seeded random pairings.
+
+    Before any work, a --max-order below 2, which no group with a
+    generator fits, is a SchemaError, and so is a negative --trials.
+    """
+    if args.max_order < 2:
+        raise SchemaError("$.max_order", f"--max-order must be >= 2, got {args.max_order}")
+    if args.trials < 0:
+        raise SchemaError("$.trials", f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):

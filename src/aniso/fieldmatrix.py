@@ -78,6 +78,8 @@ def _products(a, b) -> Matrix:
 
 
 def mat_vec(a: Matrix, v) -> tuple:
+    if len(a[0]) != len(v):
+        raise MatrixError("shape mismatch")
     return tuple(row[0] for row in _products(a, tuple((y,) for y in v)))
 
 

@@ -16,7 +16,7 @@ logs each row operation instead of carrying the m x m matrix U. The pivot
 rule reads only the working matrix, so D and V are the same whether U is
 built or not. U's rows come from pushing the identity's rows backwards
 through the log: smith_normal_form pushes all m of them and keeps the full
-check U @ M @ V = D. The kernels, quotients and solves here read only D, V
+check U @ M @ V = D. The kernels and quotients here read only D, V
 and U's first r rows U_r (r the rank), so they never build U. The
 certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
 
@@ -29,8 +29,9 @@ certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
 The third check puts the row lattice of M @ V inside that of D. The fourth
 writes each basis row of D's row lattice as an integer combination of rows
 of M @ V. So the two row lattices are equal, and some unimodular U has
-U @ M @ V = D. Kernels, row bases, solves, torsion and H¹ are read off
-that one certified form; only abelian_quotient's generators invert a V.
+U @ M @ V = D. Kernels, row bases, torsion and H¹ are read off that one
+certified form; only the quotient generators (_quotient, behind
+abelian_quotient and the isotropic step of pairing) invert a V.
 """
 
 from __future__ import annotations
@@ -558,21 +559,6 @@ def row_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ..
     return _row_smith(rows, ambient)[2]
 
 
-def solve_left(a: IntMatrix, b: Sequence[int]) -> Optional[tuple[int, ...]]:
-    """One integer solution x of x @ a = b, or None."""
-    if len(b) != a.cols:
-        raise LatticeError("vector length mismatch")
-    # with y = x @ U^-1, x @ a = b reads y @ D = b @ V = c: solvable iff
-    # d_i | c_i below the rank r and c_i = 0 from r on; taking y_i = 0
-    # from r on, x = y @ U needs only U's first r rows
-    diag, v, u_r = _smith_dv(a)
-    c = _vec_mat(b, v.entries, a.cols)
-    r = len(u_r)
-    if any(c[i] % diag[i] for i in range(r)) or any(c[r:]):
-        return None
-    return tuple(_vec_mat([c[i] // diag[i] for i in range(r)], u_r, a.rows))
-
-
 def _reduce_mod_rows(v: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, ...]:
     # bring v into a box modulo the row lattice using echelonized basis rows
     v = list(v)
@@ -587,6 +573,68 @@ def _reduce_mod_rows(v: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[in
     return tuple(v)
 
 
+def _quotient(numerator_rows: Sequence[Sequence[int]],
+              denominator_rows: Sequence[Sequence[int]], ambient: int):
+    """abelian_quotient before its torsion generators are reduced.
+
+    With num the numerator basis and s_1 | ... | s_r its diagonal, a
+    vector x of the numerator lattice is c @ num with c_i = (x @ V_num)_i
+    / s_i. The denominator rows give the coefficient matrix C, and
+    U_c @ C @ V_c = D_c; then x is (c @ V_c) @ (V_c^-1 @ num), so the
+    generators are the rows of V_c^-1 @ num and coordinate i of c @ V_c is
+    unique mod the i-th diagonal entry of D_c. Returns (structure, torsion, free, coordinates), where
+    coordinates(x) gives the torsion coordinates of x, each reduced mod
+    its invariant factor, or None when x is not in the numerator lattice;
+    coordinates itself is None when the numerator or the denominator is
+    zero. Two Smith forms: the numerator's and C's.
+    """
+    num_diag, num_v, num = _row_smith(numerator_rows, ambient)
+    den = [tuple(int(x) for x in r) for r in denominator_rows if any(r)]
+    if not num:
+        return AbelianGroupStructure(()), [], [], None
+    r = len(num)
+    if not den:
+        return AbelianGroupStructure((), free_rank=r), [], list(num), None
+
+    def num_coords(x):
+        # x lies in the numerator lattice iff every (x @ V)_i / s_i is an
+        # integer and (x @ V)_i = 0 from r on
+        xv = _vec_mat(x, num_v.entries, ambient)
+        if any(xv[r:]) or any(xv[i] % num_diag[i] for i in range(r)):
+            return None
+        return [xv[i] // num_diag[i] for i in range(r)]
+
+    coeff_rows = []
+    for x in den:
+        c = num_coords(x)
+        if c is None:
+            raise LatticeError("denominator lattice not contained in numerator lattice")
+        coeff_rows.append(c)
+    diag, v, _ = _smith_dv(IntMatrix.from_rows(coeff_rows))
+    vinv = int_inverse(v)
+    diag = list(diag) + [0] * (r - len(diag))
+    torsion, free, factors, torsion_at = [], [], [], []
+    for i in range(r):
+        gen = tuple(_vec_mat(vinv.row(i), num, ambient))
+        s = diag[i]
+        if s == 0:
+            free.append(gen)
+        elif s > 1:
+            factors.append(s)
+            torsion_at.append(i)
+            torsion.append(gen)
+
+    def coordinates(x):
+        c = num_coords(x)
+        if c is None:
+            return None
+        y = _vec_mat(c, v.entries, r)
+        return [y[i] % diag[i] for i in torsion_at]
+
+    structure = AbelianGroupStructure(tuple(factors), free_rank=len(free))
+    return structure, torsion, free, coordinates
+
+
 def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
                      denominator_rows: Sequence[Sequence[int]],
                      ambient: int):
@@ -594,41 +642,14 @@ def abelian_quotient(numerator_rows: Sequence[Sequence[int]],
 
     The denominator must be contained in the numerator span. Returns
     (AbelianGroupStructure, torsion_generators, free_generators) with
-    generator vectors in Z^ambient matching the invariant factor order.
+    generator vectors in Z^ambient matching the invariant factor order;
+    each torsion generator is reduced modulo the denominator's row basis.
     """
-    num_diag, num_v, num = _row_smith(numerator_rows, ambient)
-    den = [tuple(int(x) for x in r) for r in denominator_rows if any(r)]
-    if not num:
-        return AbelianGroupStructure(()), [], []
-    r = len(num)
-    if not den:
-        return (AbelianGroupStructure((), free_rank=r), [], list(num))
-    # the coordinates of a denominator row x in the numerator basis are
-    # (x @ V)_i / s_i, and x lies in the numerator lattice iff they are
-    # integers and (x @ V)_i = 0 from r on
-    coeff_rows = []
-    for x in den:
-        xv = _vec_mat(x, num_v.entries, ambient)
-        if any(xv[r:]) or any(xv[i] % num_diag[i] for i in range(r)):
-            raise LatticeError("denominator lattice not contained in numerator lattice")
-        coeff_rows.append(tuple(xv[i] // num_diag[i] for i in range(r)))
-    c = IntMatrix.from_rows(coeff_rows)
-    diag, v, _ = _smith_dv(c)
-    vinv = int_inverse(v)
-    diag = list(diag) + [0] * (r - len(diag))
-    torsion, free = [], []
-    factors = []
-    den_basis = row_basis(den, ambient)
-    for i in range(r):
-        w = vinv.row(i)
-        gen = tuple(sum(w[j] * num[j][k] for j in range(r)) for k in range(ambient))
-        s = diag[i]
-        if s == 0:
-            free.append(gen)
-        elif s > 1:
-            factors.append(s)
-            torsion.append(_reduce_mod_rows(gen, den_basis))
-    structure = AbelianGroupStructure(tuple(factors), free_rank=len(free))
+    structure, torsion, free, coordinates = _quotient(numerator_rows, denominator_rows,
+                                                      ambient)
+    if coordinates is not None:  # a nonzero numerator and denominator
+        den_basis = row_basis(denominator_rows, ambient)
+        torsion = [_reduce_mod_rows(gen, den_basis) for gen in torsion]
     return structure, torsion, free
 
 

@@ -1,6 +1,10 @@
 """Alternating fraction-valued pairings on finite abelian groups.
 
-Values live in Q/Z, stored as Fractions in [0, 1). The headline operation
+Values live in Q/Z. A pairing keeps its gram as reduced Fractions in
+[0, 1) for JSON and display, and as integer numerators over one common
+denominator for work: a value is one integer bilinear sum taken mod that
+denominator, validation runs as integer congruences, and the isotropic
+recursion passes integer grams from level to level. The headline operation
 finds a subgroup on which the pairing vanishes whose order squared is a
 multiple of the group order, by the splitting construction: work one prime
 at a time, pick an element of maximal order, pass to its kernel, split the
@@ -17,7 +21,8 @@ from typing import Callable, Optional, Sequence
 
 from .errors import AnisoError, _exact_json
 from . import fieldmatrix
-from .lattice import IntMatrix, abelian_quotient, closure, integer_kernel, solve_left
+from .lattice import (IntMatrix, _quotient, _vec_mat, abelian_quotient, closure,
+                      integer_kernel)
 from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
                       root_of_unity_log)
 
@@ -67,17 +72,25 @@ class FiniteAbelianGroup:
     def ngens(self) -> int:
         return len(self.invariant_factors)
 
+    def _fit(self, x) -> tuple[int, ...]:
+        """The factors, once x has one coordinate per factor."""
+        if len(x) != len(self.invariant_factors):
+            raise PairingError(f"element has {len(x)} coordinates, "
+                               f"the group has {len(self.invariant_factors)} factors")
+        return self.invariant_factors
+
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(v) % d for v, d in zip(x, self.invariant_factors))
+        return tuple(int(v) % d for v, d in zip(x, self._fit(x)))
 
     def add(self, x, y) -> tuple[int, ...]:
-        return tuple((a + b) % d for a, b, d in zip(x, y, self.invariant_factors))
+        self._fit(y)
+        return tuple((a + b) % d for a, b, d in zip(x, y, self._fit(x)))
 
     def neg(self, x) -> tuple[int, ...]:
-        return tuple((-a) % d for a, d in zip(x, self.invariant_factors))
+        return tuple((-a) % d for a, d in zip(x, self._fit(x)))
 
     def scale(self, k: int, x) -> tuple[int, ...]:
-        return tuple((k * a) % d for a, d in zip(x, self.invariant_factors))
+        return tuple((k * a) % d for a, d in zip(x, self._fit(x)))
 
     @property
     def zero(self) -> tuple[int, ...]:
@@ -85,7 +98,7 @@ class FiniteAbelianGroup:
 
     def element_order(self, x) -> int:
         out = 1
-        for a, d in zip(x, self.invariant_factors):
+        for a, d in zip(x, self._fit(x)):
             out = math.lcm(out, d // math.gcd(d, a % d))
         return out
 
@@ -104,30 +117,33 @@ class FiniteAbelianGroup:
         return hash(("FiniteAbelianGroup", self.invariant_factors))
 
 
-def _mod1(q: Fraction) -> Fraction:
-    return q - Fraction(q.numerator // q.denominator)
+def _pair(gram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
+    """sum_ij x_i gram_ij y_j: the numerator of the value on x and y."""
+    return sum(a * b for a, b in zip(_vec_mat(x, gram, len(y)), y))
 
 
 class AlternatingPairing:
-    """gram[i][j] = value of the pairing on the i-th and j-th generators."""
+    """gram[i][j] = value of the pairing on the i-th and j-th generators.
+
+    The same values are kept as integer numerators _num over the common
+    denominator _den, the lcm of the gram's denominators, each in
+    [0, _den): gram[i][j] = _num[i][j] / _den.
+    """
 
     def __init__(self, group: FiniteAbelianGroup, gram: Sequence[Sequence]):
         k = group.ngens
         if len(gram) != k or any(len(row) != k for row in gram):
             raise InvalidPairing("gram shape does not match the generator count")
         self.group = group
-        self.gram = tuple(tuple(_mod1(Fraction(v)) for v in row) for row in gram)
+        self.gram = tuple(tuple(Fraction(v) % 1 for v in row) for row in gram)
+        self._den = math.lcm(*(v.denominator for row in self.gram for v in row))
+        self._num = tuple(tuple(v.numerator * (self._den // v.denominator) for v in row)
+                          for row in self.gram)
 
     def value(self, x, y) -> Fraction:
         x = self.group.reduce(x)
         y = self.group.reduce(y)
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj and self.gram[i][j]:
-                        total += xi * yj * self.gram[i][j]
-        return _mod1(total)
+        return Fraction(_pair(self._num, x, y) % self._den, self._den)
 
     def to_json(self) -> dict:
         return {"invariant_factors": [str(d) for d in self.group.invariant_factors],
@@ -155,20 +171,19 @@ def validate_pairing(p: AlternatingPairing) -> ValidationResult:
 
     Checked on the generators: a zero diagonal, antisymmetry and entries
     killed by the factor orders. By bilinearity this forces q(x, x) = 0 for
-    every element x, so no element is enumerated.
+    every element x, so no element is enumerated. Each test is an integer
+    congruence on the numerators, mod their common denominator.
     """
-    group = p.group
-    factors = group.invariant_factors
-    k = group.ngens
-    for i in range(k):
-        if p.gram[i][i] != 0:
+    factors = p.group.invariant_factors
+    num, den = p._num, p._den
+    for i, row in enumerate(num):
+        if row[i]:
             return ValidationResult(False, f"generator {i} pairs nontrivially with itself")
-        for j in range(k):
-            v = p.gram[i][j]
-            if _mod1(factors[i] * v) != 0 or _mod1(factors[j] * v) != 0:
+        for j, v in enumerate(row):
+            if factors[i] * v % den or factors[j] * v % den:
                 return ValidationResult(
                     False, f"entry ({i},{j}) is not killed by the factor orders")
-            if _mod1(v + p.gram[j][i]) != 0:
+            if (v + num[j][i]) % den:
                 return ValidationResult(False, f"entries ({i},{j}) and ({j},{i}) do not cancel")
     return ValidationResult(True, "valid alternating pairing")
 
@@ -183,20 +198,20 @@ def _units(k: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
 
-def _orthogonal(p: AlternatingPairing,
+def _orthogonal(gram: Sequence[Sequence[int]], den: int, big: int,
                 vectors: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Basis of the lattice {y in Z^k : p(v, y) = 0 for every v in vectors}.
+    """Basis of the lattice {y in Z^k : p(v, y) = 0 for every v in vectors},
+    for the pairing p with numerators gram over den, killed by big.
 
-    Vector j gives the row [p(v_j, e_i) * E for each i] with E, the group
-    exponent, in its own slack column k + j; the first k coordinates of the
-    integer kernel of these rows are the lattice, since the slack entries
-    only absorb integer parts. One Smith form of a len(vectors) x
-    (k + len(vectors)) matrix; no element is enumerated.
+    Vector j gives the row [p(v_j, e_i) * big for each i] with big, the
+    group exponent, in its own slack column k + j; the first k coordinates
+    of the integer kernel of these rows are the lattice, since the slack
+    entries only absorb integer parts. p(v_j, e_i) * big is the integer
+    (t mod den) * big / den, t = (v_j @ gram)_i. One Smith form of a
+    len(vectors) x (k + len(vectors)) matrix; no element is enumerated.
     """
-    k = p.group.ngens
-    big = p.group.exponent
-    units = _units(k)
-    rows = [[int(p.value(v, e) * big) for e in units]
+    k = len(gram)
+    rows = [[t % den * big // den for t in _vec_mat(v, gram, k)]
             + [big if col == j else 0 for col in range(len(vectors))]
             for j, v in enumerate(vectors)]
     return [row[:k] for row in integer_kernel(IntMatrix.from_rows(rows))]
@@ -207,7 +222,8 @@ def _radical_generators(p: AlternatingPairing) -> list[tuple[int, ...]]:
     group = p.group
     if not group.ngens:
         return []  # the trivial group is its own radical
-    return [group.reduce(y) for y in _orthogonal(p, _units(group.ngens))]
+    return [group.reduce(y)
+            for y in _orthogonal(p._num, p._den, group.exponent, _units(group.ngens))]
 
 
 def is_perfect(p: AlternatingPairing) -> bool:
@@ -270,11 +286,13 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
                 vec = [0] * group.ngens
                 vec[j] = rest
                 embed.append(tuple(vec))
-        k = len(part_factors)
-        # gram of the part through the embedding
-        part_gram = [[p.value(embed[a], embed[b]) for b in range(k)]
-                     for a in range(k)]
-        part_gens = _isotropic_primary(ell, part_factors, part_gram)
+        # gram of the part through the embedding, as numerators over the
+        # part's exponent big: each value is killed by big, so value * big
+        # is the integer (t mod den) * big / den
+        big = part_factors[-1]
+        part_gram = [[_pair(p._num, a, b) % p._den * big // p._den for b in embed]
+                     for a in embed]
+        part_gens = _isotropic_primary(ell, part_factors, part_gram, big)
         for coeffs, order in part_gens:
             vec = group.zero
             for c, e in zip(coeffs, embed):
@@ -285,30 +303,36 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
     result = IsotropicSubgroup(tuple(gens_out), tuple(orders_out), total)
     for a in result.generators:
         for b in result.generators:
-            assert p.value(a, b) == 0, "constructed subgroup is not isotropic"
+            assert _pair(p._num, a, b) % p._den == 0, "constructed subgroup is not isotropic"
     assert (result.order * result.order) % group.order == 0, \
         "order-squared divisibility failed"
     return result
 
 
-def _isotropic_primary(ell: int, factors: list[int],
-                       gram: list[list[Fraction]]) -> list[tuple[tuple[int, ...], int]]:
-    """Recursion for one prime-power part; returns (coefficient vector, order)
-    pairs relative to the current generator basis."""
+def _isotropic_primary(ell: int, factors: list[int], gram: list[list[int]],
+                       den: int) -> list[tuple[tuple[int, ...], int]]:
+    """Recursion for one prime-power part, with gram[i][j] / den the value
+    on the i-th and j-th generators; returns (coefficient vector, order)
+    pairs relative to the current generator basis.
+
+    Three Smith forms per level: one for the kernel of pairing against g,
+    and the quotient's two. The relations diag(f_1 | ... | f_k), f_i >= 2,
+    need none: the pivot rule does no operation on them, so they are their
+    own row basis, and reducing modulo them is group.reduce.
+    """
     k = len(factors)
     if k == 0:
         return []
     group = FiniteAbelianGroup(factors)
-    pairing = AlternatingPairing(group, gram)
     big = group.exponent  # = ell^r, maximal element order
     # the lexicographically first element of order big: only zero precedes
     # it, and the last invariant factor is the largest
     g = (0,) * (k - 1) + (1,)
 
     # kernel of pairing against g inside the part, as a sublattice of Z^k
-    kernel_rows = _orthogonal(pairing, [g])
-    den_rows = [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
-    structure, torsion_gens, free_gens = abelian_quotient(kernel_rows, den_rows, k)
+    kernel_rows = _orthogonal(gram, den, big, [g])
+    relations = [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
+    structure, torsion_gens, free_gens, coordinates = _quotient(kernel_rows, relations, k)
     assert not free_gens, "kernel quotient must be finite"
     hs = [group.reduce(h) for h in torsion_gens]
     ms = list(structure.invariant_factors)
@@ -316,11 +340,9 @@ def _isotropic_primary(ell: int, factors: list[int],
     if not hs:
         return []
 
-    # write g in terms of the kernel generators
-    rows = [list(h) for h in hs] + den_rows
-    sol = solve_left(IntMatrix.from_rows(rows), list(g))
-    assert sol is not None, "maximal-order element must lie in its own kernel"
-    gamma = [sol[i] % ms[i] for i in range(len(hs))]
+    # g in terms of the kernel generators, unique mod each m_i
+    gamma = coordinates(g)
+    assert gamma is not None, "maximal-order element must lie in its own kernel"
 
     split = None
     for i in range(len(hs) - 1, -1, -1):
@@ -331,11 +353,8 @@ def _isotropic_primary(ell: int, factors: list[int],
 
     rest = [hs[i] for i in range(len(hs)) if i != split]
     rest_orders = [ms[i] for i in range(len(hs)) if i != split]
-    if rest:
-        sub_gram = [[pairing.value(a, b) for b in rest] for a in rest]
-        sub = _isotropic_primary(ell, rest_orders, sub_gram)
-    else:
-        sub = []
+    sub_gram = [[_pair(gram, a, b) % den for b in rest] for a in rest]
+    sub = _isotropic_primary(ell, rest_orders, sub_gram, den)
 
     out = [(tuple(g), big)]
     for coeffs_sub, order in sub:
@@ -488,12 +507,12 @@ def commutator_pairing_from_central_extension(
                 raise CommutatorNotScalar(
                     f"commutator of lifts {i} and {j} is not scalar")
             log = root_of_unity_log(s)
-            raw[i][j] = _mod1(log)
+            raw[i][j] = log % 1
     for i in range(n):
         for j in range(n):
-            if _mod1(raw[i][j] + raw[j][i]) != 0:
+            if (raw[i][j] + raw[j][i]) % 1:
                 raise InvalidPairing("commutator values are not antisymmetric")
-            if _mod1(orders[i] * raw[i][j]) != 0:
+            if orders[i] * raw[i][j] % 1:
                 raise InvalidPairing(
                     "commutator value not killed by the projective order")
 
@@ -502,8 +521,8 @@ def commutator_pairing_from_central_extension(
     structure, torsion_gens, free_gens = abelian_quotient(ident, rel, n)
     assert not free_gens
     group = FiniteAbelianGroup(structure.invariant_factors)
-    gram = [[_mod1(sum((Fraction(a[i] * b[j]) * raw[i][j]
-                        for i in range(n) for j in range(n)), Fraction(0)))
+    gram = [[sum((Fraction(a[i] * b[j]) * raw[i][j] for i in range(n) for j in range(n)),
+                 Fraction(0))
              for b in torsion_gens] for a in torsion_gens]
     result = CommutatorPairingResult(AlternatingPairing(group, gram), tuple(orders),
                                      tuple(tuple(t) for t in torsion_gens))
@@ -528,6 +547,8 @@ def matrix_commutator_pairing(matrices: Sequence, order_bound: int = 64) -> Comm
 
 def random_pairing(rng, max_order: int = 256, max_gens: int = 4) -> AlternatingPairing:
     """Seeded random valid pairing on a group of bounded order."""
+    if max_order < 2:  # every draw has a factor >= 2, so none would fit
+        raise PairingError(f"max_order must be >= 2, got {max_order}")
     while True:
         k = rng.randrange(1, max_gens + 1)
         factors = []
@@ -545,5 +566,5 @@ def random_pairing(rng, max_order: int = 256, max_gens: int = 4) -> AlternatingP
             d = math.gcd(factors[i], factors[j])
             num = rng.randrange(d)
             gram[i][j] = Fraction(num, d)
-            gram[j][i] = _mod1(-gram[i][j])
+            gram[j][i] = -gram[i][j] % 1
     return AlternatingPairing(group, gram)

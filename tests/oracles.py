@@ -8,8 +8,9 @@ quotient, row bases through V^-1 and quotients through a second
 elimination. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
 arithmetic: Q(zeta_n) with one Fraction per coefficient, function-field
-sums and products through dicts, the reduced norm on FieldElements, and
-dense integer and field matrix products.
+sums and products through dicts, the reduced norm on FieldElements,
+dense integer and field matrix products, and pairing values, validation
+and the isotropic recursion over Fractions, with a solve per level.
 """
 
 import itertools
@@ -22,9 +23,12 @@ from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
 from aniso.errors import _exact_json
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bareiss,
-                           _reduce_mod_rows, _smith_dv, fixed_sublattice, group_closure,
-                           int_inverse, kernel_mod_d)
-from aniso.pairing import AlternatingPairing, GroupTooLarge
+                           _reduce_mod_rows, _smith_dv, _vec_mat, abelian_quotient,
+                           fixed_sublattice, group_closure, int_inverse, integer_kernel,
+                           kernel_mod_d)
+from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
+                           InvalidPairing, IsotropicSubgroup, ValidationResult)
+from aniso.scalars import _prime_factors, _split_prime_power
 from aniso.quadform import QuadraticForm, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
                            ScalarError, _FiniteField, _json_list, _p_add, _p_mul,
@@ -418,6 +422,21 @@ def row_basis_by_inverse(rows, ambient: int) -> list[tuple[int, ...]]:
     return out
 
 
+def solve_left(a: IntMatrix, b) -> Optional[tuple[int, ...]]:
+    """One integer solution x of x @ a = b, or None."""
+    if len(b) != a.cols:
+        raise LatticeError("vector length mismatch")
+    # with y = x @ U^-1, x @ a = b reads y @ D = b @ V = c: solvable iff
+    # d_i | c_i below the rank r and c_i = 0 from r on; taking y_i = 0
+    # from r on, x = y @ U needs only U's first r rows
+    diag, v, u_r = _smith_dv(a)
+    c = _vec_mat(b, v.entries, a.cols)
+    r = len(u_r)
+    if any(c[i] % diag[i] for i in range(r)) or any(c[r:]):
+        return None
+    return tuple(_vec_mat([c[i] // diag[i] for i in range(r)], u_r, a.rows))
+
+
 def abelian_quotient_by_bareiss(numerator_rows, denominator_rows, ambient: int):
     """abelian_quotient with the denominator rows written in the numerator
     basis by one fraction-free elimination of [num^T | den^T]."""
@@ -484,6 +503,115 @@ def pairing_radical_by_enumeration(p: AlternatingPairing,
             for i in range(p.group.ngens)]
     return [x for x in p.group.elements()
             if all(p.value(x, e) == 0 for e in gens)]
+
+
+def _mod1(q: Fraction) -> Fraction:
+    return q - Fraction(q.numerator // q.denominator)
+
+
+def _value_on(group: FiniteAbelianGroup, gram, x, y) -> Fraction:
+    x = group.reduce(x)
+    y = group.reduce(y)
+    total = Fraction(0)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj and gram[i][j]:
+                    total += xi * yj * gram[i][j]
+    return _mod1(total)
+
+
+def value_by_fractions(p: AlternatingPairing, x, y) -> Fraction:
+    """The pairing's value as a sum of Fractions over its reduced gram."""
+    return _value_on(p.group, p.gram, x, y)
+
+
+def validate_pairing_by_fractions(p: AlternatingPairing) -> ValidationResult:
+    """validate_pairing's three tests, in its order, on the Fraction gram."""
+    factors = p.group.invariant_factors
+    k = p.group.ngens
+    for i in range(k):
+        if p.gram[i][i] != 0:
+            return ValidationResult(False, f"generator {i} pairs nontrivially with itself")
+        for j in range(k):
+            v = p.gram[i][j]
+            if _mod1(factors[i] * v) != 0 or _mod1(factors[j] * v) != 0:
+                return ValidationResult(
+                    False, f"entry ({i},{j}) is not killed by the factor orders")
+            if _mod1(v + p.gram[j][i]) != 0:
+                return ValidationResult(False, f"entries ({i},{j}) and ({j},{i}) do not cancel")
+    return ValidationResult(True, "valid alternating pairing")
+
+
+def _orthogonal_by_fractions(group: FiniteAbelianGroup, gram, vectors):
+    k = group.ngens
+    big = group.exponent
+    units = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    rows = [[int(_value_on(group, gram, v, e) * big) for e in units]
+            + [big if col == j else 0 for col in range(len(vectors))]
+            for j, v in enumerate(vectors)]
+    return [row[:k] for row in integer_kernel(IntMatrix.from_rows(rows))]
+
+
+def isotropic_subgroup_by_solve(p: AlternatingPairing) -> IsotropicSubgroup:
+    """isotropic_subgroup with Fraction values, and per level the kernel,
+    abelian_quotient with its reduced generators, and a solve_left for the
+    coordinates of g: five Smith forms per level."""
+    check = validate_pairing_by_fractions(p)
+    if not check:
+        raise InvalidPairing(check.message)
+    group = p.group
+    if not group.invariant_factors:
+        return IsotropicSubgroup((), (), 1)
+    gens_out, orders_out = [], []
+    for ell in sorted(set(_prime_factors(group.exponent))):
+        part_factors, embed = [], []
+        for j, d in enumerate(group.invariant_factors):
+            rest, v = _split_prime_power(d, ell)
+            if v:
+                part_factors.append(d // rest)
+                vec = [0] * group.ngens
+                vec[j] = rest
+                embed.append(tuple(vec))
+        part_gram = [[value_by_fractions(p, a, b) for b in embed] for a in embed]
+        for coeffs, order in _isotropic_primary_by_solve(ell, part_factors, part_gram):
+            vec = group.zero
+            for c, e in zip(coeffs, embed):
+                vec = group.add(vec, group.scale(c, e))
+            gens_out.append(vec)
+            orders_out.append(order)
+    return IsotropicSubgroup(tuple(gens_out), tuple(orders_out), math.prod(orders_out))
+
+
+def _isotropic_primary_by_solve(ell, factors, gram):
+    k = len(factors)
+    if k == 0:
+        return []
+    group = FiniteAbelianGroup(factors)
+    big = group.exponent
+    g = (0,) * (k - 1) + (1,)
+    kernel_rows = _orthogonal_by_fractions(group, gram, [g])
+    den_rows = [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
+    structure, torsion_gens, free_gens = abelian_quotient(kernel_rows, den_rows, k)
+    assert not free_gens
+    hs = [group.reduce(h) for h in torsion_gens]
+    ms = list(structure.invariant_factors)
+    if not hs:
+        return []
+    sol = solve_left(IntMatrix.from_rows([list(h) for h in hs] + den_rows), list(g))
+    assert sol is not None
+    gamma = [sol[i] % ms[i] for i in range(len(hs))]
+    split = next(i for i in range(len(hs) - 1, -1, -1) if ms[i] == big and gamma[i] % ell)
+    rest = [hs[i] for i in range(len(hs)) if i != split]
+    rest_orders = [ms[i] for i in range(len(hs)) if i != split]
+    sub_gram = [[_value_on(group, gram, a, b) for b in rest] for a in rest]
+    out = [(g, big)]
+    for coeffs_sub, order in _isotropic_primary_by_solve(ell, rest_orders, sub_gram):
+        vec = group.zero
+        for c, h in zip(coeffs_sub, rest):
+            vec = group.add(vec, group.scale(c, h))
+        out.append((vec, order))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,26 @@ def test_pairing_fuzz_is_seeded_and_deterministic():
     assert code == 0 and json.loads(out)["all_pass"] is True
 
 
+def test_pairing_fuzz_refuses_max_order_below_2_and_negative_trials(monkeypatch):
+    # refused before any trial: no group of order below 2 has a generator,
+    # so random_pairing would draw forever
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.pairing, "random_pairing", None)
+        for args, path, message in (
+                (["--max-order", "1"], "$.max_order", "--max-order must be >= 2, got 1"),
+                (["--max-order", "-5"], "$.max_order", "--max-order must be >= 2, got -5"),
+                (["--trials", "-3"], "$.trials", "--trials must be >= 0, got -3"),
+                (["--max-order", "0", "--trials", "-1"], "$.max_order",
+                 "--max-order must be >= 2, got 0")):
+            code, out = run_cli(["pairing", "fuzz", *args])
+            assert code == 2 and json.loads(out)["error"] == {
+                "type": "SchemaError", "path": path, "message": f"{path}: {message}"}
+    code, out = run_cli(["pairing", "fuzz", "--max-order", "2", "--trials", "0"])
+    assert code == 0 and json.loads(out)["trials"] == "0"
+    code, out = run_cli(["pairing", "fuzz", "--max-order", "2", "--trials", "3"])
+    assert code == 0 and json.loads(out)["all_pass"] is True
+
+
 def test_csa_norm_of_u():
     payload = {"degree": "3", "element": {"1,0": "1"}}
     code, out = run_cli(["csa", "norm", "--input", "-"],

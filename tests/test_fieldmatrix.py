@@ -144,6 +144,15 @@ def test_shape_errors():
                 product(a, b)
 
 
+def test_mat_vec_refuses_a_vector_of_the_wrong_length():
+    F = Field(rationals())
+    for a, v in ((identity(F, 2), [1, 2, 3]), (identity(F, 3), [F(1), F(2)]),
+                 (mat_from_rows([[F(1), F(2)]]), [F(1)])):
+        with pytest.raises(MatrixError, match="shape mismatch"):
+            mat_vec(a, v)
+    assert mat_vec(mat_from_rows([[F(1), F(2)]]), [F(3), F(4)]) == (F(11),)
+
+
 def _dense_dot(u, v):
     """Oracle: the row-by-column sum over every pair, zeros included."""
     acc = u[0] * v[0]

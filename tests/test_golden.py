@@ -44,9 +44,12 @@ CASES = {
     "torus-analyze-d-max-cap": ["torus", "analyze", "--d-max", "100001", "--json"],
     "pairing-isotropic-12-36": ["pairing", "isotropic", "--input", "-", "--json"],
     "pairing-isotropic-12-12-12": ["pairing", "isotropic", "--input", "-", "--json"],
+    "pairing-fuzz-defaults": ["pairing", "fuzz", "--json"],
+    "pairing-fuzz-max-order-1": ["pairing", "fuzz", "--max-order", "1", "--json"],
 }
 # the exit status of each case that reports an error; every other case exits 0
-EXIT_CODES = {"csa-norm-degree-cap": 2, "torus-analyze-d-max-cap": 2}
+EXIT_CODES = {"csa-norm-degree-cap": 2, "torus-analyze-d-max-cap": 2,
+              "pairing-fuzz-max-order-1": 2}
 DEMO_CASES = sorted(f"demo-{path.stem}" for path in DEMOS.glob("*.py"))
 
 

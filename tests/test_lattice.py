@@ -10,8 +10,8 @@ from aniso.lattice import (AbelianGroupStructure, ClosureCapExceeded,
                            _certify_smith, _smith_dv, _stack_shifted,
                            abelian_quotient, fixed_sublattice, group_closure,
                            h1_of_theta_module, int_inverse, integer_kernel,
-                           kernel_mod_d, row_basis, smith_normal_form,
-                           solve_left)
+                           kernel_mod_d, row_basis, smith_normal_form)
+from oracles import solve_left
 
 
 def test_intmatrix_basics():

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -13,7 +14,8 @@ from aniso.pairing import (AlternatingPairing, CommutatorNotScalar,
                            matrix_commutator_pairing, pairing_radical,
                            random_pairing, validate_pairing)
 from aniso.scalars import Field, cyclotomic
-from oracles import pairing_radical_by_enumeration
+from oracles import (isotropic_subgroup_by_solve, pairing_radical_by_enumeration,
+                     validate_pairing_by_fractions, value_by_fractions)
 
 
 def symplectic_z4():
@@ -30,11 +32,29 @@ def test_group_element_arithmetic():
     assert len(list(g.elements())) == 8
 
 
+def test_elements_of_the_wrong_length_are_refused():
+    # zip would drop the extra coordinates or the missing ones silently
+    g = FiniteAbelianGroup([2, 4])
+    p = AlternatingPairing(g, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    for call in (lambda: p.value((1, 1, 5), (1,)), lambda: p.value((1, 1), (1,)),
+                 lambda: g.reduce((1, 2, 3)), lambda: g.reduce((1,)),
+                 lambda: g.add((1, 2), (1, 2, 3)), lambda: g.add((1,), (1, 2)),
+                 lambda: g.neg((1, 2, 3)), lambda: g.scale(3, (1,)),
+                 lambda: g.element_order((1, 2, 3))):
+        with pytest.raises(PairingError, match="coordinates"):
+            call()
+    assert p.value((1, 1), (0, 1)) == Fraction(1, 2)
+    assert g.reduce((1, 6)) == (1, 2) and g.neg((1, 1)) == (1, 3)
+    assert g.scale(3, (1, 1)) == (1, 3) and g.element_order((1, 2)) == 2
+
+
 def test_group_validation():
     with pytest.raises(PairingError):
         FiniteAbelianGroup([4, 2])  # not a divisibility chain
     with pytest.raises(PairingError):
         FiniteAbelianGroup([1])
+    with pytest.raises(PairingError, match="max_order must be >= 2"):
+        random_pairing(random.Random(0), max_order=1)  # would draw forever
 
 
 def test_validate_pairing():
@@ -317,3 +337,71 @@ def test_last_basis_vector_is_first_of_maximal_order():
         first = next(x for x in group.elements()
                      if group.element_order(x) == group.exponent)
         assert first == (0,) * (len(factors) - 1) + (1,)
+
+
+def _perturbed(rng, p):
+    """p, or with probability 1/5 a gram entry moved so that one of the
+    three validation tests fails."""
+    k = p.group.ngens
+    if not k or rng.random() < 0.8:
+        return p
+    gram = [list(row) for row in p.gram]
+    i, j = rng.randrange(k), rng.randrange(k)
+    gram[i][j] += Fraction(1, rng.choice([2, 3, 4, 5, 8, 9, 64]))
+    return AlternatingPairing(p.group, gram)
+
+
+def test_integer_path_matches_the_fraction_oracle():
+    # generators, orders, values and validation messages against the
+    # former Fraction path with abelian_quotient and solve_left per level
+    rng = random.Random(1414)
+    seen = {"valid": 0, "invalid": 0, "orders": set(), "gens": set()}
+    for _ in range(1200):
+        p = _perturbed(rng, random_pairing(rng, max_order=rng.choice([16, 256, 4096, 100000]),
+                                           max_gens=rng.randint(1, 6)))
+        k = p.group.ngens
+        check = validate_pairing(p)
+        oracle = validate_pairing_by_fractions(p)
+        assert (check.ok, check.message) == (oracle.ok, oracle.message)
+        for _ in range(3):
+            x = [rng.randint(-60, 60) for _ in range(k)]
+            y = [rng.randint(-60, 60) for _ in range(k)]
+            assert p.value(x, y) == value_by_fractions(p, x, y)
+        if not check:
+            seen["invalid"] += 1
+            with pytest.raises(InvalidPairing, match=re.escape(oracle.message)):
+                isotropic_subgroup(p)
+            continue
+        seen["valid"] += 1
+        seen["orders"].add(p.group.order)
+        seen["gens"].add(k)
+        got, want = isotropic_subgroup(p), isotropic_subgroup_by_solve(p)
+        assert (got.generators, got.generator_orders, got.order) == \
+            (want.generators, want.generator_orders, want.order), p.to_json()
+    assert seen["valid"] >= 900 and seen["invalid"] >= 100
+    assert seen["gens"] == {1, 2, 3, 4, 5, 6} and max(seen["orders"]) > 4096
+
+
+def test_three_smith_forms_per_level(monkeypatch):
+    from aniso import lattice, pairing
+    counts = {"reductions": 0, "levels": 0}
+    reduce, primary = lattice._smith_reduce, pairing._isotropic_primary
+
+    def counted_reduce(m):
+        counts["reductions"] += 1
+        return reduce(m)
+
+    def counted_primary(ell, factors, gram, den):
+        counts["levels"] += bool(factors)
+        return primary(ell, factors, gram, den)
+
+    monkeypatch.setattr(lattice, "_smith_reduce", counted_reduce)
+    monkeypatch.setattr(pairing, "_isotropic_primary", counted_primary)
+    rng = random.Random(2121)
+    for _ in range(100):
+        p = random_pairing(rng, max_order=4096, max_gens=5)
+        counts["reductions"] = counts["levels"] = 0
+        sub = isotropic_subgroup(p)
+        # each level splits off exactly one generator
+        assert counts["levels"] == len(sub.generators) >= 1
+        assert counts["reductions"] == 3 * counts["levels"]
