@@ -2,6 +2,7 @@
 
 Submodules:
 
+- integers  factorisation, prime-power parts, powers under any product
 - scalars   exact field towers (Q, cyclotomic, finite, rational functions)
 - lattice   integer matrices, Smith form, group closure, cohomology
 - torus     torsion of anisotropic tori through lattice actions
@@ -12,13 +13,13 @@ Submodules:
 - cli       command line front end (`aniso`)
 
 Importing the package imports no submodule: `aniso.csa` imports csa on
-first use, so the integer layers (lattice, torus) never load the field
-arithmetic they do not call.
+first use, so the integer layers (lattice, torus, pairing) never load the
+field arithmetic they do not call.
 """
 
 import importlib
 
-__all__ = ["scalars", "fieldmatrix", "lattice", "torus", "pairing", "csa",
+__all__ = ["integers", "scalars", "fieldmatrix", "lattice", "torus", "pairing", "csa",
            "quadform", "bounds", "replay", "cli"]
 __version__ = "0.1.0"
 

@@ -15,9 +15,9 @@ from typing import Iterable, Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError
+from .integers import _split_prime_power
 from .lattice import closure
-from .scalars import (Field, FieldDescriptor, _is_prime, _primes_upto,
-                      _split_prime_power)
+from .scalars import Field, FieldDescriptor, _is_prime, _primes_upto
 
 
 class BoundsError(AnisoError):

@@ -21,10 +21,11 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError
 from . import fieldmatrix
+from .integers import binary_power, least_power
 from .scalars import (Field, FieldDescriptor, FieldElement, MinimalPolynomial,
-                      _fp_is_irreducible, _is_prime, binary_power, element_from_json,
-                      element_to_json, function_field, is_kth_power, least_power,
-                      minimal_polynomial_power_relation, prime_field)
+                      _fp_is_irreducible, _is_prime, element_from_json, element_to_json,
+                      function_field, is_kth_power, minimal_polynomial_power_relation,
+                      prime_field)
 
 
 class AlgebraError(AnisoError):

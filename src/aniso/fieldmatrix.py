@@ -4,16 +4,19 @@ Matrices are tuples of tuples of FieldElement, all sharing one descriptor.
 All elimination goes through one Gauss-Jordan routine; fields are exact
 so there is no pivoting subtlety beyond skipping zeros.
 
-Products skip zeros: the nonzero entries of each row are listed once, so
-``mat_mul``, ``mat_pow`` and ``mat_vec`` cost O(n²) zero tests plus one
-field product per pair of nonzero factors (O(n²) in all for a monomial
-matrix). Payloads are canonical, so the skipped terms change no output.
+Products and scalings check descriptors once per matrix and run on
+payload rows with the descriptor's own arithmetic. Products skip zeros:
+the nonzero entries of each row are listed once, so ``mat_mul``,
+``mat_pow`` and ``mat_vec`` cost O(n²) zero tests plus one field product
+per pair of nonzero factors (O(n²) in all for a monomial matrix).
+Payloads are canonical, so the skipped terms change no output.
 """
 
 from __future__ import annotations
 
 from .errors import AnisoError
-from .scalars import Field, FieldDescriptor, FieldElement, binary_power
+from .integers import binary_power
+from .scalars import DescriptorMismatch, Field, FieldDescriptor, FieldElement
 
 
 class MatrixError(AnisoError):
@@ -58,22 +61,30 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return _products(a, b)
 
 
+def _payload_rows(a: Matrix, d: FieldDescriptor) -> list[list]:
+    """The payloads of a by rows; DescriptorMismatch unless all lie in d."""
+    if any(x.descriptor is not d and x.descriptor != d for row in a for x in row):
+        raise DescriptorMismatch(f"matrix entries outside {d!r}")
+    return [[x.payload for x in row] for row in a]
+
+
 def _products(a, b) -> Matrix:
-    """a @ b: each row of a adds x * b[k][j] into entry j for each nonzero
-    x = row[k] and nonzero b[k][j], in increasing k, so an entry sums the
-    nonzero pairs in row-by-column order. An entry with no such pair is
-    row[0] * b[0][j]: a zero of the right field, and a DescriptorMismatch
-    when the two come from two fields."""
-    supports = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
-    first = b[0]
+    """a @ b on payloads: each row of a adds x * b[k][j] into entry j for
+    each nonzero x = row[k] and nonzero b[k][j], in increasing k, so an
+    entry sums the nonzero pairs in row-by-column order, or is zero."""
+    d = a[0][0].descriptor
+    pa, pb = _payload_rows(a, d), _payload_rows(b, d)
+    mul, add, is_zero = d.mul, d.add, d.is_zero
+    supports = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in pb]
+    zero, width = FieldElement(d, d.zero()), len(pb[0])
     out = []
-    for row in a:
+    for row in pa:
         acc = {}
         for x, support in zip(row, supports):
-            if not x.is_zero:
+            if not is_zero(x):
                 for j, y in support:
-                    acc[j] = acc[j] + x * y if j in acc else x * y
-        out.append(tuple(acc[j] if j in acc else row[0] * first[j] for j in range(len(first))))
+                    acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
+        out.append(tuple(FieldElement(d, acc[j]) if j in acc else zero for j in range(width)))
     return tuple(out)
 
 
@@ -92,7 +103,11 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_scale(a: Matrix, c: FieldElement) -> Matrix:
-    return tuple(tuple(c * x for x in row) for row in a)
+    """c * a on payloads; zero entries are kept as they are."""
+    d = c.descriptor
+    mul, is_zero, cp = d.mul, d.is_zero, c.payload
+    return tuple(tuple(x if is_zero(y) else FieldElement(d, mul(cp, y)) for x, y in zip(row, prow))
+                 for row, prow in zip(a, _payload_rows(a, d)))
 
 
 def mat_pow(a: Matrix, e: int) -> Matrix:

@@ -15,16 +15,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import AnisoError, _exact_json
-from . import fieldmatrix
+from .integers import _prime_factors, _split_prime_power, least_power
 from .lattice import (IntMatrix, _quotient, _vec_mat, abelian_quotient, closure,
                       integer_kernel)
-from .scalars import (FieldElement, _prime_factors, _split_prime_power, least_power,
-                      root_of_unity_log)
+
+if TYPE_CHECKING:
+    from .scalars import FieldElement
 
 
 class PairingError(AnisoError):
@@ -80,7 +82,11 @@ class FiniteAbelianGroup:
         return self.invariant_factors
 
     def reduce(self, x: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(v) % d for v, d in zip(x, self._fit(x)))
+        factors = self._fit(x)
+        try:
+            return tuple(operator.index(v) % d for v, d in zip(x, factors))
+        except TypeError:
+            raise PairingError(f"element coordinates must be integers, got {tuple(x)!r}") from None
 
     def add(self, x, y) -> tuple[int, ...]:
         self._fit(y)
@@ -506,7 +512,7 @@ def commutator_pairing_from_central_extension(
             if s is None:
                 raise CommutatorNotScalar(
                     f"commutator of lifts {i} and {j} is not scalar")
-            log = root_of_unity_log(s)
+            log = s.descriptor.root_of_unity_log(s.payload)
             raw[i][j] = log % 1
     for i in range(n):
         for j in range(n):
@@ -534,6 +540,7 @@ def commutator_pairing_from_central_extension(
 
 def matrix_commutator_pairing(matrices: Sequence, order_bound: int = 64) -> CommutatorPairingResult:
     """Commutator pairing for lifts given as square matrices over one field."""
+    from . import fieldmatrix  # only here: the integer paths load no field layer
     return commutator_pairing_from_central_extension(
         list(matrices),
         mul=fieldmatrix.mat_mul,

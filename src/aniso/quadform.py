@@ -12,10 +12,12 @@ finite isometry groups of pointless quadrics in dimension 2^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError, _exact_json
+from .integers import least_power
 from .lattice import closure
 from .scalars import (
     Field,
@@ -26,7 +28,6 @@ from .scalars import (
     element_from_json,
     element_to_json,
     function_field,
-    least_power,
     rationals,
 )
 
@@ -829,7 +830,7 @@ def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
                   if exp[k - 1] == top}
         total = small_field.zero
         for exp, coeff in pieces.items():
-            term = FieldElement(field.descriptor.base, coeff)
+            term = FieldElement(field.descriptor.base, Fraction(coeff))  # may be an int
             if small is None:
                 total = total + small_field(term)
             else:
@@ -880,19 +881,20 @@ def pfister_refute_point(k: int, candidate,
 
 
 def random_candidate(k: int, rng, degree: int = 3, terms: int = 2) -> tuple:
-    """A seeded not-all-zero polynomial candidate tuple for refutation runs."""
-    field = Field(_pfister_descriptor(k))
-    avars = field.vars()
+    """A seeded not-all-zero polynomial candidate tuple for refutation runs:
+    each entry sums 1..terms monomials c * a1^e1 * ... * ak^ek, drawing c in
+    -4..4 and then each e_i in 0..degree, built directly as its payload."""
+    d = _pfister_descriptor(k)
+    unit = d.one()[1]
     while True:
         out = []
         for _ in range(2 ** k):
-            total = field.zero
+            poly: dict = {}
             for _ in range(rng.randint(1, terms)):
-                coeff = field.from_int(rng.randint(-4, 4))
-                mono = coeff
-                for a in avars:
-                    mono = mono * a ** rng.randint(0, degree)
-                total = total + mono
-            out.append(total)
+                c = rng.randint(-4, 4)
+                e = tuple(rng.randint(0, degree) for _ in range(k))
+                poly[e] = poly.get(e, 0) + c
+            num = tuple(sorted(((e, c) for e, c in poly.items() if c), reverse=True))
+            out.append(FieldElement(d, (num, unit)))
         if any(not x.is_zero for x in out):
             return tuple(out)

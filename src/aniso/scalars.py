@@ -3,7 +3,9 @@
 Five kinds of coefficient fields, each with a canonical representation so
 that ``==`` on elements is plain representation equality:
 
-- ``rationals()``             stdlib Fraction
+- ``rationals()``             stdlib Fraction; inside function fields over Q
+                              a coefficient is an int when it is integral
+                              and a reduced Fraction otherwise
 - ``cyclotomic(n)``           Q(z), z a primitive n-th root of unity;
                               (numerators, denominator): integers over one
                               positive integer in lowest terms, reduced mod
@@ -40,6 +42,7 @@ from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Optional, Union
 
 from .errors import AnisoError, _exact_json
+from .integers import _prime_factors, _split_prime_power, binary_power, least_power
 
 
 class ScalarError(AnisoError):
@@ -78,7 +81,8 @@ def _json_list(obj) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer helpers: primality, factorisation, prime-power parts, power orders
+# primality and a prime sieve; factorisations, prime-power parts and powers
+# live in aniso.integers
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13: the least strong pseudoprime to all of _MR_BASES
@@ -122,54 +126,6 @@ def _primes_upto(n: int) -> list[int]:
             for k in range(p * p, n + 1, p):
                 sieve[k] = False
     return out
-
-
-def _prime_factors(n: int) -> list[int]:
-    """Prime factors of n >= 1 in ascending order, with multiplicity."""
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _split_prime_power(n: int, p: int) -> tuple[int, int]:
-    """(m, e) with n = m * p**e and p not dividing m; n nonzero, p >= 2."""
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return n, e
-
-
-def binary_power(x, e: int, one, mul):
-    """x**e for e >= 0 by square and multiply, starting from one."""
-    out = one
-    while e:
-        if e & 1:
-            out = mul(out, x)
-        x = mul(x, x)
-        e >>= 1
-    return out
-
-
-def least_power(x, mul, test, bound: int):
-    """(k, x**k) for the least k in 1..bound with test(x**k), else None.
-
-    Powers are built by repeated right multiplication with mul, so x may
-    be a field element, a matrix or an algebra element.
-    """
-    acc = x
-    for k in range(1, bound + 1):
-        if test(acc):
-            return k, acc
-        acc = mul(acc, x)
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -451,7 +407,8 @@ class _Rationals(FieldDescriptor):
         return x * y
 
     def _inv(self, x):
-        return 1 / x
+        # 1 / x on an int payload would be a float
+        return Fraction(1) / x
 
     def render(self, x) -> str:
         return str(x)
@@ -478,6 +435,41 @@ class _Rationals(FieldDescriptor):
 
     def _kth_root(self, x, k: int):
         return _fraction_kth_root(x, k)
+
+
+def _integral(x):
+    """x, an int or a Fraction, as an int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
+class _IntegralRationals(_Rationals):
+    """Coefficient ops of function fields over Q, never an element's
+    descriptor: an int when integral, else a reduced Fraction. The two agree
+    on ==, hash and str, so payloads, keys and text are those of Q."""
+
+    sub = FieldDescriptor.sub
+
+    def from_int(self, k: int):
+        return k
+
+    def add(self, x, y):
+        return _integral(x + y)
+
+    def mul(self, x, y):
+        return _integral(x * y)
+
+    def _inv(self, x):
+        return _integral(Fraction(1) / x)
+
+    def payload_from_json(self, obj):
+        return _integral(super().payload_from_json(obj))
+
+    def random_payload(self, rng, height, degree, terms):
+        return _integral(super().random_payload(rng, height, degree, terms))
+
+    def _kth_root(self, x, k: int):
+        r = _fraction_kth_root(x, k)
+        return None if r is None else _integral(r)
 
 
 @dataclass(frozen=True, repr=False)
@@ -761,9 +753,15 @@ class _FunctionField(FieldDescriptor):
             raise ScalarError("function field variables must be distinct")
 
     @cached_property
+    def _ops(self) -> FieldDescriptor:
+        """The ops on stored coefficients: the base, or over Q the integral
+        rationals, which keep integral coefficients as ints."""
+        return _IntegralRationals() if type(self.base) is _Rationals else self.base
+
+    @cached_property
     def _unit_den(self):
         """The canonical denominator 1: the constant polynomial."""
-        return _p_to_tuple({(0,) * len(self.variables): self.base.one()})
+        return _p_to_tuple({(0,) * len(self.variables): self._ops.one()})
 
     @property
     def characteristic(self) -> int:
@@ -778,6 +776,8 @@ class _FunctionField(FieldDescriptor):
 
     def constant(self, c):
         """The payload of the constant function c, a base payload."""
+        if self._ops is not self.base:
+            c = _integral(c)
         num = {} if self.base.is_zero(c) else {(0,) * len(self.variables): c}
         return (_p_to_tuple(num), self._unit_den)
 
@@ -788,7 +788,7 @@ class _FunctionField(FieldDescriptor):
         return (self._unit_den, self._unit_den)
 
     def from_int(self, k: int):
-        return self.constant(self.base.from_int(k))
+        return self.constant(self._ops.from_int(k))
 
     def is_zero(self, x) -> bool:
         return not x[0]
@@ -797,7 +797,7 @@ class _FunctionField(FieldDescriptor):
         (n1, d1), (n2, d2) = x, y
         if not n1 or not n2:
             return x if n1 else y
-        bd = self.base
+        bd = self._ops
         if d1 == d2:
             num = _t_add(bd, n1, n2)
             if d1 == self._unit_den:
@@ -808,14 +808,14 @@ class _FunctionField(FieldDescriptor):
 
     def neg(self, x):
         num, den = x
-        return (tuple((e, self.base.neg(c)) for e, c in num), den)
+        return (tuple((e, self._ops.neg(c)) for e, c in num), den)
 
     def mul(self, x, y):
         (n1, d1), (n2, d2) = x, y
         one = self._unit_den
         if not n1 or not n2:
             return ((), one)
-        bd = self.base
+        bd = self._ops
         num = _t_mul(bd, n1, n2)
         if d1 == one and d2 == one:
             return (num, one)
@@ -828,7 +828,7 @@ class _FunctionField(FieldDescriptor):
     def normalize(self, num: dict, den: dict):
         """The canonical payload of num/den: common factors cancelled and
         the denominator monic."""
-        bd, nv = self.base, len(self.variables)
+        bd, nv = self._ops, len(self.variables)
         if not den:
             raise DivisionByZero(f"zero denominator in {self!r}")
         if not num:
@@ -874,15 +874,15 @@ class _FunctionField(FieldDescriptor):
                 if len(exps) != nv or min(exps) < 0 or exps in out:
                     raise ScalarError(f"exponent key {key!r}: expected {nv} nonnegative "
                                       "exponents, each monomial once")
-                out[exps] = self.base.payload_from_json(c)
-            return {e: c for e, c in out.items() if not self.base.is_zero(c)}
+                out[exps] = self._ops.payload_from_json(c)
+            return {e: c for e, c in out.items() if not self._ops.is_zero(c)}
 
         num = poly(obj["num"])
         den = poly(obj["den"]) if "den" in obj else dict(self._unit_den)
         return self.normalize(num, den)
 
     def random_payload(self, rng, height, degree, terms):
-        bd, nv = self.base, len(self.variables)
+        bd, nv = self._ops, len(self.variables)
 
         def rand_poly(tmax):
             out = {}
@@ -910,7 +910,7 @@ class _FunctionField(FieldDescriptor):
         return self.base.root_of_unity_log(num[0][1])
 
     def _kth_root(self, x, k: int):
-        bd, nv = self.base, len(self.variables)
+        bd, nv = self._ops, len(self.variables)
         char = self.characteristic
         num, den = dict(x[0]), dict(x[1])
         rn = _poly_kth_root(bd, num, k, nv, char)
@@ -1329,7 +1329,7 @@ class Field:
             raise ScalarError(f"unknown variable {name!r} in {d!r}")
         i = d.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(d.variables)))
-        num = _p_to_tuple({e: d.base.one()})
+        num = _p_to_tuple({e: d._ops.one()})
         return FieldElement(d, (num, d._unit_den))
 
     def vars(self) -> tuple[FieldElement, ...]:

@@ -9,8 +9,10 @@ elimination. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
 arithmetic: Q(zeta_n) with one Fraction per coefficient, function-field
 sums and products through dicts, the reduced norm on FieldElements,
-dense integer and field matrix products, and pairing values, validation
-and the isotropic recursion over Fractions, with a solve per level.
+dense integer and field matrix products, field matrix products and
+Pfister candidates built from FieldElements, and pairing values,
+validation and the isotropic recursion over Fractions, with a solve per
+level.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bare
 from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
 from aniso.scalars import _prime_factors, _split_prime_power
-from aniso.quadform import QuadraticForm, is_nondegenerate
+from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
 from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
                            ScalarError, _FiniteField, _json_list, _p_add, _p_mul,
                            _p_to_tuple, _render_uni, _u_inverse, binary_power,
@@ -391,6 +393,51 @@ def mat_mul_dense(a, b):
 def mat_vec_dense(a, v) -> tuple:
     """a @ v with every entry pair tested for zero."""
     return tuple(_dot(row, tuple(v)) for row in a)
+
+
+def products_by_elements(a, b):
+    """a @ b on FieldElements, nonzero pairs in row-by-column order; an
+    entry with no such pair is row[0] * b[0][j], so a product across two
+    fields raises DescriptorMismatch through the element arithmetic."""
+    supports = [[(j, y) for j, y in enumerate(row) if not y.is_zero] for row in b]
+    first = b[0]
+    out = []
+    for row in a:
+        acc = {}
+        for x, support in zip(row, supports):
+            if not x.is_zero:
+                for j, y in support:
+                    acc[j] = acc[j] + x * y if j in acc else x * y
+        out.append(tuple(acc[j] if j in acc else row[0] * first[j] for j in range(len(first))))
+    return tuple(out)
+
+
+def mat_scale_by_elements(a, c):
+    """c * a, one element product per entry."""
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+# ---------------------------------------------------------------------------
+# Pfister candidates
+
+def random_candidate_by_elements(k: int, rng, degree: int = 3, terms: int = 2) -> tuple:
+    """A Pfister candidate tuple built by element arithmetic: each entry a
+    sum of products of a coefficient and powers of the variables, drawing
+    from rng in the library's order."""
+    field = Field(_pfister_descriptor(k))
+    avars = field.vars()
+    while True:
+        out = []
+        for _ in range(2 ** k):
+            total = field.zero
+            for _ in range(rng.randint(1, terms)):
+                mono = field.from_int(rng.randint(-4, 4))
+                for a in avars:
+                    mono = mono * a ** rng.randint(0, degree)
+                total = total + mono
+            out.append(total)
+        if any(not x.is_zero for x in out):
+            return tuple(out)
 
 
 # ---------------------------------------------------------------------------

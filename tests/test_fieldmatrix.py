@@ -11,7 +11,7 @@ from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
 from aniso.quadform import PfisterData
 from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
                            function_field, prime_field, rationals)
-from oracles import mat_mul_dense, mat_vec_dense
+from oracles import mat_mul_dense, mat_scale_by_elements, mat_vec_dense, products_by_elements
 
 
 def _fraction_reduce(rows, ncols):
@@ -180,6 +180,8 @@ SPARSE_FIELDS = [
     function_field(rationals(), ("a1", "a2", "a3")),
     function_field(prime_field(5), ("x", "y")),
 ]
+PAYLOAD_FIELDS = [rationals(), finite_field(2, 4), cyclotomic(5),
+                  function_field(rationals(), ("a1", "a2"))]
 SHAPES = ("monomial", "companion", "sparse", "dense", "zero-row", "zero-column", "zero")
 
 
@@ -248,6 +250,16 @@ def test_products_over_two_fields_raise_descriptor_mismatch():
         with pytest.raises(DescriptorMismatch):
             mat_scale(a, f7.one)
     assert mat_scale(mat_from_rows([[q.zero, q(2)]]), q(3)) == ((q.zero, q(6)),)
+    rng = random.Random(1717)
+    for d1, d2 in itertools.permutations(PAYLOAD_FIELDS, 2):
+        f1, f2 = Field(d1), Field(d2)
+        for sa, sb in (("dense", "dense"), ("zero", "monomial"), ("monomial", "zero"),
+                       ("zero", "zero")):
+            a, b = _shaped_matrix(rng, f1, sa, 2, 3), _shaped_matrix(rng, f2, sb, 3, 2)
+            for call in (lambda: mat_mul(a, b), lambda: products_by_elements(a, b),
+                         lambda: mat_scale(a, f2.one), lambda: mat_scale_by_elements(a, f2.one)):
+                with pytest.raises(DescriptorMismatch):
+                    call()
 
 
 def test_sparse_mat_mul_matches_the_former_product():
@@ -269,3 +281,17 @@ def test_sparse_mat_mul_matches_the_former_product():
             assert mat_mul(a, b) == mat_mul_dense(a, b)
             assert mat_vec(a, b[-1]) == mat_vec_dense(a, b[-1])
 
+
+@pytest.mark.parametrize("descriptor", PAYLOAD_FIELDS)
+def test_payload_products_match_the_element_products(descriptor):
+    field = Field(descriptor)
+    rng = random.Random(1616)
+    for sa, sb in itertools.product(SHAPES, repeat=2):
+        r, m, c = rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)
+        a = _shaped_matrix(rng, field, sa, r, m)
+        b = _shaped_matrix(rng, field, sb, m, c)
+        got = mat_mul(a, b)
+        assert got == products_by_elements(a, b)
+        assert all(x.descriptor is descriptor for row in got for x in row)
+        scalar = field.random_element(rng)
+        assert mat_scale(a, scalar) == mat_scale_by_elements(a, scalar)

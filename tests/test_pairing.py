@@ -1,8 +1,12 @@
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +50,34 @@ def test_elements_of_the_wrong_length_are_refused():
     assert p.value((1, 1), (0, 1)) == Fraction(1, 2)
     assert g.reduce((1, 6)) == (1, 2) and g.neg((1, 1)) == (1, 3)
     assert g.scale(3, (1, 1)) == (1, 3) and g.element_order((1, 2)) == 2
+
+
+def test_coordinates_must_be_integers():
+    # int() would truncate 1.5 to 1 and 2.9 to 2
+    g = FiniteAbelianGroup([2, 4])
+    p = AlternatingPairing(g, [[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
+    for call in (lambda: g.reduce((1.5, 2.9)), lambda: g.reduce((Fraction(1), 2)),
+                 lambda: g.reduce((1, "2")), lambda: p.value((1.5, 1), (0, 1)),
+                 lambda: p.value((1, 1), (0, 1.0))):
+        with pytest.raises(PairingError, match="integers"):
+            call()
+    assert g.reduce((3, -1)) == (1, 3) and g.reduce((True, 7)) == (1, 3)
+
+
+def test_the_pairing_path_loads_no_field_layer():
+    code = """
+import sys
+from fractions import Fraction
+import aniso.pairing as pairing
+group = pairing.FiniteAbelianGroup([4, 4])
+p = pairing.AlternatingPairing(group, [[0, Fraction(1, 4)], [Fraction(3, 4), 0]])
+print(pairing.isotropic_subgroup(p).order)
+print([name for name in ("scalars", "fieldmatrix") if "aniso." + name in sys.modules])
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+    assert out.stdout.splitlines() == ["4", "[]"]
 
 
 def test_group_validation():

@@ -7,7 +7,7 @@ import pytest
 from aniso import fieldmatrix
 from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             KTooLarge, NotIsometry, NotOrderP,
-                            OrderExceedsBound, PfisterData, QuadFormError,
+                            OrderExceedsBound, QuadFormError,
                             QuadraticForm, WrongCharacteristic,
                             _artin_schreier_reduce, _bil, _block_value,
                             _first_isotropic, _plane_block,
@@ -21,7 +21,8 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
 from aniso.scalars import (Field, FieldTooLarge, cyclotomic, finite_field,
                            prime_field, rationals)
 from oracles import (artin_schreier_image, enumerate_nondegenerate_forms,
-                     forms_equivalent_bruteforce, represents_zero_exhaustive)
+                     forms_equivalent_bruteforce, random_candidate_by_elements,
+                     represents_zero_exhaustive)
 
 
 Q = rationals()
@@ -512,34 +513,18 @@ def test_arf_normal_form_reduces_over_f512():
             assert iso == (field.zero, field.zero, e1, c4)
 
 
-def _random_candidate_via_pfister_data(k, rng, degree=3, terms=2):
-    """The construction random_candidate used before: the field of a full
-    PfisterData(k)."""
-    data = PfisterData(k)
-    field = data.field
-    avars = field.vars()
-    while True:
-        out = []
-        for _ in range(data.n):
-            total = field.zero
-            for _ in range(rng.randint(1, terms)):
-                mono = field.from_int(rng.randint(-4, 4))
-                for a in avars:
-                    mono = mono * a ** rng.randint(0, degree)
-                total = total + mono
-            out.append(total)
-        if any(not x.is_zero for x in out):
-            return tuple(out)
-
-
 def test_random_candidate_matches_pfister_data_construction():
+    # the payload construction against the element one: equal payloads and
+    # the same rng draws, call by call
     for k in range(1, 6):
-        for seed in range(3):
+        for seed in range(4):
             rng_new, rng_old = random.Random(seed), random.Random(seed)
-            for _ in range(2):
-                assert (random_candidate(k, rng_new)
-                        == _random_candidate_via_pfister_data(k, rng_old))
-            assert rng_new.random() == rng_old.random()
+            for degree, terms in ((3, 2), (3, 2), (1, 4), (0, 3)):
+                new = random_candidate(k, rng_new, degree, terms)
+                old = random_candidate_by_elements(k, rng_old, degree, terms)
+                assert [x.payload for x in new] == [x.payload for x in old]
+                assert [repr(x) for x in new] == [repr(x) for x in old]
+                assert rng_new.getstate() == rng_old.getstate()
     for k in (0, 6):
         with pytest.raises(KTooLarge):
             random_candidate(k, random.Random(0))

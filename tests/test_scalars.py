@@ -757,6 +757,81 @@ def test_scalar_output_fingerprint():
     assert time.perf_counter() - start < 2
 
 
+def _fraction_coefficients(x):
+    """The function-field payload x with every coefficient a Fraction."""
+    return tuple(tuple((e, Fraction(c)) for e, c in poly) for poly in x)
+
+
+def _coefficients(x):
+    return [c for poly in x for _, c in poly]
+
+
+def _is_canonical_coefficient(c):
+    """An int when integral, a reduced non-integral Fraction otherwise."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_integral_coefficient_ops_match_fraction_ops():
+    # the same kernels with Q's own Fraction ops as the coefficient ops: the
+    # payloads and their text agree, the Fraction twin makes only Fractions
+    d = function_field(rationals(), ("a1", "a2", "a3"))
+    twin = _FunctionField(d.base, d.variables)
+    twin.__dict__["_ops"] = rationals()
+    rng = random.Random(1616)
+    pool = [d.random_payload(rng, 5, 2, 2) for _ in range(14)]
+    pool += [d.one(), d.from_int(-3), Field(d)(Fraction(5, 2)).payload]
+    assert any(x[1] != d.one()[1] for x in pool)
+    assert any(type(c) is Fraction for x in pool for c in _coefficients(x))
+    for x in pool:
+        assert all(_is_canonical_coefficient(c) for c in _coefficients(x))
+
+    def agree(got, want):
+        assert got == want and d.render(got) == twin.render(want)
+        assert all(_is_canonical_coefficient(c) for c in _coefficients(got))
+        assert all(type(c) is Fraction for c in _coefficients(want))
+
+    for x, y in itertools.product(pool[:9], pool[5:]):
+        fx, fy = _fraction_coefficients(x), _fraction_coefficients(y)
+        agree(d.add(x, y), twin.add(fx, fy))
+        agree(d.sub(x, y), twin.sub(fx, fy))
+        agree(d.mul(x, y), twin.mul(fx, fy))
+        if not d.is_zero(y):
+            agree(d.inv(y), twin.inv(fy))
+            agree(d.normalize(dict(x[0]), dict(y[0])),
+                  twin.normalize(dict(fx[0]), dict(fy[0])))
+
+
+def test_integral_coefficients_are_ints_and_q_payloads_stay_fractions():
+    d = function_field(rationals(), ("a1", "a2"))
+    F, q = Field(d), Field(rationals())
+    a1, a2 = F.vars()
+    rng = random.Random(7)
+    made = [F.zero, F.one, F.from_int(6), F(4), F(Fraction(6, 3)), F(Fraction(3, 2)),
+            a1, F.lift(q(5)), F.lift(q(Fraction(1, 3))), F.zeta(2),
+            element_from_json(element_to_json((a1 + 2) / (a2 - 1)), d),
+            element_from_json({"num": {"1,0": "4/2", "0,0": "1/2"}}, d),
+            F.random_element(rng), F.random_element(rng, terms=3)]
+    made += [x * y for x in made[5:9] for y in made[9:]]
+    made += [x + y for x in made[5:9] for y in made[9:]]
+    made += [(a1 * 2 + 4) ** 3, (a1 + a2) ** -2, made[5] / made[6], -made[10],
+             kth_root((a1 + 2) ** 2 * 9, 2), kth_root(F(Fraction(9, 4)) * a2 ** 4, 2)]
+    for x in made:
+        assert x.descriptor is d
+        assert all(_is_canonical_coefficient(c) for c in _coefficients(x.payload)), x
+    assert any(type(c) is int for x in made for c in _coefficients(x.payload))
+    qs = [q.zero, q.one, q.from_int(3), q(4), q(Fraction(4, 2)), q(2) * q(3), q(3) + q(1),
+          q(2).inverse(), q.zeta(2), element_from_json("4", rationals()),
+          q.random_element(rng), kth_root(q(9), 2), q(Fraction(1, 3)) * 3]
+    assert all(type(x.payload) is Fraction for x in qs)
+
+
+def test_rational_inverses_are_never_floats():
+    # an int payload is not canonical for Q, but it must not turn into a float
+    for x in (3, -1, 1, Fraction(2, 3), Fraction(-5)):
+        r = FieldElement(rationals(), x).inverse().payload
+        assert type(r) is Fraction and r * x == 1
+
+
 def test_equal_descriptors_built_apart_hash_and_compare_equal():
     f5x = _FunctionField(_PrimeField(5, 1), ("x",))
     # (built directly, interned, the tuple of fields whose hash it keeps)
