@@ -129,18 +129,8 @@ def torsion_primes(type_list: Iterable[tuple[str, int]]) -> frozenset:
 class FiniteMatrixGroup:
     """An explicit finite group of invertible matrices over an exact field.
 
-    The element list is certified closed with at most 2|G| k matrix
-    products, k <= log2 |G|, not |G|^2: walking the list, an element
-    becomes a generator only when the closure of the generators so far
-    does not reach it, and a singular generator is refused. A finite
-    closure of invertible matrices is a group, so by Lagrange's theorem
-    each generator at least doubles it, and the i-th closure, of at most
-    |G| / 2^(k-i) elements, costs i products per element. The last closure
-    holds every listed element, so it fits within the length of the list
-    exactly when it is the list: then the list is the group they generate,
-    and closed under multiplication. Every listed matrix that is not a
-    generator lies in a closure of invertible ones, so a list holding a
-    singular matrix is refused.
+    One lattice.closure over the list, refusing singular generators, reaches
+    every element; it fits in len(elements) exactly when the list is a group.
     """
 
     def __init__(self, descriptor: FieldDescriptor, elements: Sequence):
@@ -149,8 +139,7 @@ class FiniteMatrixGroup:
         self.descriptor = descriptor
         self.field = Field(descriptor)
         self.elements = list(elements)
-        n = len(self.elements[0])
-        self.degree = n
+        self.degree = n = len(self.elements[0])
         ident = fieldmatrix.identity(self.field, n)
         index = {}
         for m in self.elements:
@@ -161,15 +150,9 @@ class FiniteMatrixGroup:
             index[m] = True
         if ident not in index:
             raise BoundsError("identity matrix missing")
-        gens, reached = [], {ident}
-        for m in self.elements:
-            if m not in reached:
-                if fieldmatrix.mat_rank(m) < n:
-                    raise BoundsError("singular matrix in group list")
-                gens.append(m)
-                reached = set(closure(
-                    ident, gens, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
-                    BoundsError("element list is not closed under multiplication")))
+        closure(ident, self.elements, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
+                BoundsError("element list is not closed under multiplication"),
+                _refuse_singular)
 
     @classmethod
     def from_generators(cls, descriptor: FieldDescriptor, generators,
@@ -181,7 +164,12 @@ class FiniteMatrixGroup:
                 for g in generators]
         elements = closure(ident, gens, fieldmatrix.mat_mul, lambda m: m, cap,
                            GroupTooLarge(f"closure exceeded cap {cap}"))
-        return cls(descriptor, elements)
+        for g in gens:  # a closure is closed: only a singular generator is refused
+            _refuse_singular(g)
+        group = object.__new__(cls)
+        group.descriptor, group.field, group.elements, group.degree = (
+            descriptor, Field(descriptor), elements, len(ident))
+        return group
 
     @property
     def order(self) -> int:
@@ -208,6 +196,11 @@ class FiniteMatrixGroup:
             for j, power in enumerate(chain, 1):
                 orders[power] = k // math.gcd(j, k)
         return [orders[m] for m in self.elements]
+
+
+def _refuse_singular(m) -> None:
+    if fieldmatrix.mat_rank(m) < len(m):
+        raise BoundsError("singular matrix in group list")
 
 
 def coprime_part(value: int, p: int) -> int:

@@ -68,7 +68,10 @@ CLOSURE_CAP_ENV = "ANISO_CLOSURE_CAP"
 def closure_cap(explicit: Optional[int] = None) -> int:
     if explicit is not None:
         return explicit
-    return int(os.environ.get(CLOSURE_CAP_ENV, DEFAULT_CLOSURE_CAP))
+    raw = os.environ.get(CLOSURE_CAP_ENV, str(DEFAULT_CLOSURE_CAP))
+    if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+        raise LatticeError(f"{CLOSURE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 @dataclass(frozen=True)
@@ -501,40 +504,53 @@ def _kernel_from_smith(diag: Sequence[int], v: IntMatrix, d: int):
 # group closure
 
 def closure(identity, generators: Sequence, mul: Callable, key: Callable,
-            cap: int, error: Exception) -> list:
+            cap: int, error: Exception, admit: Callable = lambda g: None) -> list:
     """Elements generated from identity, breadth first, identity first.
 
-    Each element found is multiplied on the right by the generators in the
-    given order; key maps an element to the hashable value that tells
-    elements apart. Raises error when a new element would exceed cap.
+    A generator is kept when the closure of those kept before it misses it
+    and admit(g) does not raise; the closure then restarts from identity,
+    multiplying each element found on the right by the kept generators in
+    order. key tells elements apart; error is raised when a new element
+    would exceed cap. When it skips only the identity and repeats, the list
+    is the breadth-first closure over all the generators, element for element.
+
+    Lagrange's theorem bounds the cost: a finite closure of invertible
+    elements is a group, so each kept generator at least doubles it, and
+    with k <= log2 |G| kept the i-th closure has at most |G| / 2^(k-i)
+    elements at i products each, at most 2 |G| k products in all.
     """
-    seen = {key(identity)}
-    elements = [identity]
-    for x in elements:  # the list grows while it is walked: a FIFO queue
-        for g in generators:
-            y = mul(x, g)
-            k = key(y)
-            if k not in seen:
-                if len(elements) >= cap:
-                    raise error
-                seen.add(k)
-                elements.append(y)
+    kept, seen, elements = [], {key(identity)}, [identity]
+    for g in generators:
+        if key(g) in seen:
+            continue
+        admit(g)
+        kept.append(g)
+        seen, elements = {key(identity)}, [identity]
+        for x in elements:  # the list grows while it is walked: a FIFO queue
+            for h in kept:
+                y = mul(x, h)
+                k = key(y)
+                if k not in seen:
+                    if len(elements) >= cap:
+                        raise error
+                    seen.add(k)
+                    elements.append(y)
     return elements
 
 
 def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> list[IntMatrix]:
-    """BFS closure of the generated matrix group, identity first.
+    """Closure of the generated matrix group, identity first (see closure).
 
-    Deterministic order: breadth first, multiplying by generators in the
-    given order on the right. Raises ClosureCapExceeded past the cap
-    (default 10000, override with the ANISO_CLOSURE_CAP variable).
+    A kept generator that is not unimodular raises NotUnimodular (from
+    int_inverse). Raises ClosureCapExceeded past the cap (default 10000,
+    override with the ANISO_CLOSURE_CAP variable).
     """
     cap = closure_cap(cap)
     if not generators:
         raise LatticeError("need at least one generator")
     return closure(IntMatrix.identity(generators[0].rows), generators,
                    IntMatrix.__matmul__, lambda m: m.entries, cap,
-                   ClosureCapExceeded(f"closure exceeded cap {cap}"))
+                   ClosureCapExceeded(f"closure exceeded cap {cap}"), int_inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def pairing_radical(p: AlternatingPairing) -> list[tuple[int, ...]]:
     lexicographic order.
 
     The generators come from is_perfect's Smith form; only the radical
-    itself is listed, by closure, at k group additions per element. Raises
+    itself is listed, by closure, at most 2k group additions per element. Raises
     GroupTooLarge when the radical has more than 4096 elements.
     """
     group = p.group

@@ -12,7 +12,8 @@ sums and products through dicts, the reduced norm on FieldElements,
 dense integer and field matrix products, field matrix products and
 Pfister candidates built from FieldElements, and pairing values,
 validation and the isotropic recursion over Fractions, with a solve per
-level.
+level, and the breadth-first closure over every given generator with the
+generator walk that certified finite matrix groups on top of it.
 """
 
 import itertools
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from aniso import fieldmatrix
+from aniso import bounds, fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
 from aniso.errors import _exact_json
@@ -663,6 +664,68 @@ def _isotropic_primary_by_solve(ell, factors, gram):
 
 # ---------------------------------------------------------------------------
 # finite matrix groups
+
+def closure_over_all_generators(identity, generators, mul, key, cap: int,
+                                error: Exception) -> list:
+    """Breadth-first closure from identity, multiplying each element found
+    on the right by every given generator in order: |G| m products for m
+    generators. Raises error when a new element would exceed cap."""
+    seen = {key(identity)}
+    elements = [identity]
+    for x in elements:
+        for g in generators:
+            y = mul(x, g)
+            k = key(y)
+            if k not in seen:
+                if len(elements) >= cap:
+                    raise error
+                seen.add(k)
+                elements.append(y)
+    return elements
+
+
+def group_order_by_walk(descriptor: FieldDescriptor, elements) -> int:
+    """The order of the matrix group listed in elements, certified by the
+    generator walk over the list: a listed matrix becomes a generator when
+    the closure of the generators so far misses it, a singular one is
+    refused, and each closure must fit within the list."""
+    if not elements:
+        raise BoundsError("a group needs at least the identity")
+    n = len(elements[0])
+    ident = fieldmatrix.identity(Field(descriptor), n)
+    index = {}
+    for m in elements:
+        if len(m) != n or any(len(row) != n for row in m):
+            raise BoundsError("mixed matrix shapes in one group")
+        if m in index:
+            raise BoundsError("duplicate element in group list")
+        index[m] = True
+    if ident not in index:
+        raise BoundsError("identity matrix missing")
+    gens, reached = [], {ident}
+    for m in elements:
+        if m not in reached:
+            if fieldmatrix.mat_rank(m) < n:
+                raise BoundsError("singular matrix in group list")
+            gens.append(m)
+            reached = set(closure_over_all_generators(
+                ident, gens, fieldmatrix.mat_mul, lambda x: x, len(elements),
+                BoundsError("element list is not closed under multiplication")))
+    return len(elements)
+
+
+def group_order_by_closure_and_walk(descriptor: FieldDescriptor, generators,
+                                    cap: int = 100000) -> int:
+    """The order of the group the generators make: their breadth-first
+    closure, certified again by group_order_by_walk."""
+    if not generators:
+        raise BoundsError("need at least one generator")
+    ident = fieldmatrix.identity(Field(descriptor), len(generators[0]))
+    gens = [fieldmatrix.mat_from_rows([list(r) for r in g]) for g in generators]
+    elements = closure_over_all_generators(ident, gens, fieldmatrix.mat_mul, lambda m: m,
+                                           cap, bounds.GroupTooLarge(f"closure exceeded cap {cap}"))
+    return group_order_by_walk(descriptor, elements)
+
 
 def closed_under_all_products(elements, cap: int = 2000) -> bool:
     """Whether every product a @ b of two listed matrices is listed, by

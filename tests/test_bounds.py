@@ -12,7 +12,9 @@ from aniso.bounds import (BoundQuery, BoundsError, FiniteMatrixGroup, GroupTooLa
                           torsion_primes)
 from aniso.fieldmatrix import mat_from_rows
 from aniso.scalars import Field, cyclotomic, prime_field, rationals
+from aniso.errors import AnisoError
 from oracles import (closed_under_all_products, element_orders_by_least_power,
+                     group_order_by_closure_and_walk, group_order_by_walk,
                      invertible_matrices)
 
 
@@ -240,6 +242,76 @@ def test_closure_certificate_costs_g_log_g_products(monkeypatch):
     assert len(products) <= 120 * math.floor(math.log2(120))
     monkeypatch.undo()
     assert group.element_orders() == element_orders_by_least_power(group)
+
+
+def test_from_generators_closes_once(monkeypatch):
+    # the companion matrix of Φ_12 = x^4 - x^2 + 1 has order 12: one
+    # product per element, and no second pass over the closed list
+    q = Field(rationals())
+    rows = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    companion = mat_from_rows([[q(x) for x in row] for row in rows])
+    products = []
+    mat_mul = fieldmatrix.mat_mul
+
+    def counting(a, b):
+        products.append(1)
+        return mat_mul(a, b)
+
+    monkeypatch.setattr(fieldmatrix, "mat_mul", counting)
+    assert FiniteMatrixGroup.from_generators(rationals(), [companion]).order == 12
+    assert len(products) == 12
+
+
+def _outcome(build):
+    try:
+        return build()
+    except AnisoError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ["Q", "Q(z5)", "F_3"])
+def test_group_certificates_match_the_walk_oracle(name):
+    descriptor, ambient = _ambient_groups()[name]
+    field = Field(descriptor)
+    n = len(ambient[0])
+    ident = fieldmatrix.identity(field, n)
+
+    def unit(i, j):
+        return mat_from_rows([[field.one if (a, b) == (i, j) else field.zero
+                               for b in range(n)] for a in range(n)])
+
+    zero = mat_from_rows([[field.zero] * n for _ in range(n)])
+    singular = [unit(0, 0), unit(0, 1), zero]  # an idempotent, a nilpotent, 0
+    rng = random.Random(2929)
+    outcomes = set()
+    for _ in range(6):
+        gens = rng.sample(ambient, rng.randint(1, 3))
+        for extra in (rng.choice(singular), ident, rng.choice(gens)):
+            if rng.random() < 0.4:
+                gens.insert(rng.randrange(len(gens) + 1), extra)
+        for cap in (100000, 10):
+            got = _outcome(lambda: FiniteMatrixGroup.from_generators(descriptor, gens, cap).order)
+            assert got == _outcome(lambda: group_order_by_closure_and_walk(descriptor, gens, cap))
+            outcomes.add(got if isinstance(got, tuple) else "group")
+        elements = list(FiniteMatrixGroup.from_generators(
+            descriptor, [g for g in gens if g not in singular]).elements)
+        rng.shuffle(elements)
+        others = [m for m in elements if m != ident]
+        members = set(elements)
+        outside = [m for m in ambient if m not in members]
+        cases = [elements, elements + [zero], elements + [rng.choice(singular)],
+                 elements + elements[:1], [m for m in elements if m != ident]]
+        if others:
+            cases.append([m for m in elements if m != rng.choice(others)])
+        if outside:
+            cases.append(elements + [rng.choice(outside)])
+        for case in cases:
+            got = _outcome(lambda: FiniteMatrixGroup(descriptor, case).order)
+            assert got == _outcome(lambda: group_order_by_walk(descriptor, case))
+            outcomes.add(got if isinstance(got, tuple) else "group")
+    assert {"group", (GroupTooLarge, "closure exceeded cap 10"),
+            (BoundsError, "singular matrix in group list"),
+            (BoundsError, "element list is not closed under multiplication")} <= outcomes
 
 
 def test_closed_lists_of_singular_matrices_are_refused():

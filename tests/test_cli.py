@@ -81,6 +81,19 @@ def test_torus_analyze_stdin():
     assert exponents == {"2": "2", "3": "1", "4": "2", "5": "1", "6": "2"}
 
 
+def test_torus_analyze_refuses_a_malformed_env_cap(monkeypatch):
+    model = json.dumps({"rank": "1", "theta_generators": [
+        {"rows": "1", "cols": "1", "entries": [["-1"]]}]})
+    for raw in ("abc", "1.5", "-3", "0"):
+        monkeypatch.setenv("ANISO_CLOSURE_CAP", raw)
+        code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3", "--json"],
+                            stdin=model)
+        assert code == 2
+        assert json.loads(out) == {"error": {
+            "type": "LatticeError",
+            "message": f"ANISO_CLOSURE_CAP must be a positive integer, got {raw!r}"}}
+
+
 def test_torus_analyze_refuses_float_and_boolean_entries():
     # reading -1.7 as -1 or true as 1 would change the input
     for entry in (-1.7, True):

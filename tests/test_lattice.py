@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 from fractions import Fraction
@@ -133,6 +134,94 @@ def test_group_closure_env_cap(monkeypatch):
         group_closure([rot])
     monkeypatch.setenv("ANISO_CLOSURE_CAP", "100")
     assert len(group_closure([rot])) == 4
+
+
+def test_malformed_env_cap_is_refused(monkeypatch):
+    rot = IntMatrix.from_rows([[0, -1], [1, 0]])
+    for raw in ("abc", "1.5", "-3", "0", "", " 4", "1e3"):
+        monkeypatch.setenv("ANISO_CLOSURE_CAP", raw)
+        with pytest.raises(LatticeError, match="ANISO_CLOSURE_CAP must be a positive integer"):
+            group_closure([rot])
+        assert group_closure([rot], cap=4)[-1] == rot @ rot @ rot  # an explicit cap wins
+
+
+def test_non_groups_are_refused_before_closing():
+    # {1, 0} and {I, e11} are closed monoids, not groups; [[2]] never closes
+    for rows in ([[0]], [[1, 0], [0, 0]], [[2]]):
+        with pytest.raises(NotUnimodular):
+            h1_of_theta_module([IntMatrix.from_rows(rows)])
+        with pytest.raises(NotUnimodular):
+            group_closure([IntMatrix.identity(len(rows)), IntMatrix.from_rows(rows)])
+
+
+def _signed_permutations(n):
+    return [IntMatrix.from_rows([[signs[i] if perm[i] == j else 0 for j in range(n)]
+                                 for i in range(n)])
+            for perm in itertools.permutations(range(n))
+            for signs in itertools.product((1, -1), repeat=n)]
+
+
+def _random_unimodular(rng, n, steps=6):
+    m = IntMatrix.identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2)
+        e = [[int(a == b) for b in range(n)] for a in range(n)]
+        e[i][j] = rng.choice((-2, -1, 1, 2))
+        m = m @ IntMatrix.from_rows(e)
+    return m
+
+
+def test_closure_keeps_only_needed_generators():
+    from oracles import closure_over_all_generators
+    rng = random.Random(1717)
+    ambient = {n: _signed_permutations(n) for n in (3, 4)}
+    key = lambda m: m.entries
+    identical = reordered = 0
+    for trial in range(40):
+        n = rng.choice((3, 4))
+        ident = IntMatrix.identity(n)
+        gens = rng.sample(ambient[n], rng.randint(1, 3))
+        if trial % 2:  # a unimodular conjugate of a signed-permutation group
+            p = _random_unimodular(rng, n)
+            p_inv = int_inverse(p)
+            gens = [p @ g @ p_inv for g in gens]
+        for _ in range(rng.randint(1, 3)):  # products, repeats and the identity
+            extra = rng.choice([rng.choice(gens) @ rng.choice(gens), rng.choice(gens), ident])
+            gens.insert(rng.randrange(len(gens) + 1), extra)
+        products, admitted = [], []
+
+        def mul(a, b):
+            products.append(1)
+            return a @ b
+
+        got = lattice.closure(ident, gens, mul, key, 10 ** 6, ClosureCapExceeded(),
+                              admitted.append)
+        expected = closure_over_all_generators(ident, gens, IntMatrix.__matmul__, key,
+                                               10 ** 6, ClosureCapExceeded())
+        order = len(expected)
+        assert len(got) == order and set(map(key, got)) == set(map(key, expected))
+        # a generator is kept exactly when the ones before it miss it
+        reached = [set(map(key, closure_over_all_generators(
+            ident, gens[:i], IntMatrix.__matmul__, key, 10 ** 6, ClosureCapExceeded())))
+            for i in range(len(gens))]
+        kept = [g for i, g in enumerate(gens) if key(g) not in reached[i]]
+        assert admitted == kept and 2 ** len(kept) <= order
+        assert len(products) <= 2 * order * len(kept)
+        if all(g == ident or g in gens[:i]
+               for i, g in enumerate(gens) if key(g) in reached[i]):
+            identical += 1
+            assert got == expected
+        else:
+            reordered += got != expected
+        if order > 1:
+            for closing in (lambda c: lattice.closure(ident, gens, IntMatrix.__matmul__, key, c,
+                                                      ClosureCapExceeded()),
+                            lambda c: closure_over_all_generators(
+                                ident, gens, IntMatrix.__matmul__, key, c, ClosureCapExceeded())):
+                assert len(closing(order)) == order
+                with pytest.raises(ClosureCapExceeded):
+                    closing(order - 1)
+    assert identical >= 10 and reordered >= 1
 
 
 def test_abelian_quotient():

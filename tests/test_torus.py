@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -118,6 +119,25 @@ def test_norm_quotient_torsion_realizes_group_order():
     t = norm_quotient_torus(cyclic_table(3))
     rep = torsion_points(t, 3)
     assert rep.group.exponent == 3
+
+
+def test_theta_closure_products(monkeypatch):
+    # Θ is closed over the generators it needs: 86 products for S_4 (23
+    # generators, |Θ| = 24) and 8 for Z_8 (7 generators), within
+    # 2 |Θ| log2 |Θ|, where one product per element and given generator
+    # would be 552 and 56
+    products = []
+    matmul = IntMatrix.__matmul__
+
+    def counting(a, b):
+        products.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
+    for table, order, count in ((symmetric_table(4), 24, 86), (cyclic_table(8), 8, 8)):
+        products.clear()
+        assert norm_quotient_torus(table).theta_order == order
+        assert len(products) == count <= 2 * order * math.floor(math.log2(order))
 
 
 def test_averaging_certificate_rank_one():
