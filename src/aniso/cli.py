@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import bounds, csa, pairing, quadform, replay, torus
-from .errors import AnisoError, _exact_json
+from .errors import AnisoError, _exact_int, _exact_json
 from .scalars import (Field, cyclotomic, element_from_json, element_to_json,
                       function_field)
 
@@ -48,10 +48,10 @@ def _expect_key(obj: dict, path: str, key: str):
 
 
 def _expect_int(obj, path: str) -> int:
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise SchemaError(path, "expected an integer or a decimal string")
     try:
-        return int(obj)
+        return _exact_int(obj)
+    except TypeError:
+        raise SchemaError(path, "expected an integer or a decimal string") from None
     except ValueError:
         raise SchemaError(path, f"not a decimal integer: {obj!r}") from None
 
@@ -104,7 +104,7 @@ def _cmd_bounds(args) -> tuple[dict, int]:
                 raise SchemaError("$.types", f"bad component {chunk!r}, "
                                   "expected LETTER:RANK")
             letter, _, rank = chunk.partition(":")
-            type_list.append((letter.strip(), _expect_int(rank, "$.types")))
+            type_list.append((letter.strip(), _expect_int(rank.strip(), "$.types")))
         primes = bounds.torsion_primes(type_list)
         return {"kind": "torsion",
                 "types": [f"{l}:{r}" for l, r in type_list],

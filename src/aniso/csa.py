@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import AnisoError
+from .errors import AnisoError, _exact_int
 from . import fieldmatrix
 from .integers import binary_power, least_power
 from .scalars import (Field, FieldDescriptor, FieldElement, MinimalPolynomial,
@@ -264,7 +264,7 @@ class AlgebraElement:
     def from_json(spec, obj: dict) -> "AlgebraElement":
         out = {}
         for key, val in obj.items():
-            i, j = (int(t) for t in key.split(","))
+            i, j = (_exact_int(t) for t in key.split(","))
             out[(i, j)] = element_from_json(val, spec.base)
         return AlgebraElement(spec, out)
 

@@ -1,5 +1,5 @@
 """Shared exception base so callers can catch everything from one root, and
-the one reader of JSON scalars that every payload parser shares."""
+the readers of JSON scalars that every payload parser shares."""
 
 
 class AnisoError(Exception):
@@ -12,3 +12,18 @@ def _exact_json(obj):
     if isinstance(obj, (bool, float)):
         raise TypeError(f"expected an integer or a string, got {obj!r}")
     return obj
+
+
+def _exact_int(obj) -> int:
+    """obj as an int: a JSON integer, or an ASCII string of decimal digits
+    with an optional leading minus. Anything else raises TypeError or
+    ValueError, so "1_0", " 1", "+1" and non-ASCII digits are refused
+    along with floats and booleans."""
+    if isinstance(_exact_json(obj), int):
+        return obj
+    if not isinstance(obj, str):
+        raise TypeError(f"expected an integer or a string, got {obj!r}")
+    digits = obj.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not a decimal integer: {obj!r}")
+    return int(obj)

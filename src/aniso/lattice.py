@@ -42,7 +42,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import AnisoError, _exact_json
+from .errors import AnisoError, _exact_int
 
 
 class LatticeError(AnisoError):
@@ -143,10 +143,9 @@ class IntMatrix:
     @staticmethod
     def from_json(obj) -> "IntMatrix":
         rows = obj if isinstance(obj, list) else obj["entries"]
-        m = IntMatrix.from_rows([_exact_json(x) for x in r] for r in rows)
+        m = IntMatrix.from_rows([_exact_int(x) for x in r] for r in rows)
         if (isinstance(obj, dict) and "rows" in obj
-                and (m.rows != int(_exact_json(obj["rows"]))
-                     or m.cols != int(_exact_json(obj["cols"])))):
+                and (m.rows != _exact_int(obj["rows"]) or m.cols != _exact_int(obj["cols"]))):
             raise LatticeError("declared shape disagrees with entries")
         return m
 

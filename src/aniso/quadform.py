@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import fieldmatrix
-from .errors import AnisoError, _exact_json
+from .errors import AnisoError, _exact_int
 from .integers import least_power
 from .lattice import closure
 from .scalars import (
@@ -172,9 +172,9 @@ class QuadraticForm:
         descriptor = descriptor_from_json(obj["field"])
         coeffs = {}
         for key, val in obj["coeffs"].items():
-            i, j = (int(part) for part in key.split(","))
+            i, j = (_exact_int(part) for part in key.split(","))
             coeffs[(i, j)] = element_from_json(val, descriptor)
-        return cls(descriptor, int(_exact_json(obj["dim"])), coeffs)
+        return cls(descriptor, _exact_int(obj["dim"]), coeffs)
 
 
 def associated_bilinear(q: QuadraticForm):
@@ -799,13 +799,12 @@ class RefutationReport:
     candidate: tuple
 
 
-def _polynomial_payload(elt: FieldElement) -> dict:
-    """Numerator dict of a polynomial element; requires denominator 1."""
+def _polynomial_payload(elt: FieldElement) -> tuple:
+    """The stored numerator of a polynomial element; requires denominator 1."""
     num, den = elt.payload
-    one = Field(elt.descriptor).one
-    if den != one.payload[1]:
+    if den != elt.descriptor.one()[1]:
         raise QuadFormError("candidate entries must be polynomials")
-    return dict(num)
+    return num
 
 
 def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
@@ -819,23 +818,22 @@ def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
         data = PfisterData(k)
     field = data.field
     entries = [field(x) for x in candidate]
-    dicts = [_polynomial_payload(x) for x in entries]
-    top = max((max((exp[k - 1] for exp in d), default=0) for d in dicts),
-              default=0)
+    nums = [_polynomial_payload(x) for x in entries]
+    top = max((exp[k - 1] for num in nums for exp, _ in num), default=0)
     small = PfisterData(k - 1) if k >= 2 else None
     small_field = small.field if small else Field(rationals())
 
     def leading(mask: int) -> FieldElement:
-        pieces = {exp[:k - 1]: coeff for exp, coeff in dicts[mask].items()
-                  if exp[k - 1] == top}
         total = small_field.zero
-        for exp, coeff in pieces.items():
+        for exp, coeff in nums[mask]:
+            if exp[k - 1] != top:
+                continue
             term = FieldElement(field.descriptor.base, Fraction(coeff))  # may be an int
             if small is None:
                 total = total + small_field(term)
             else:
                 mono = small_field.lift(term)
-                for i, e in enumerate(exp):
+                for i, e in enumerate(exp[:k - 1]):
                     mono = mono * small_field.vars()[i] ** e
                 total = total + mono
         return total

@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import ClassVar, Iterator, Optional, Union
 
-from .errors import AnisoError, _exact_json
+from .errors import AnisoError, _exact_int, _exact_json
 from .integers import _prime_factors, _split_prime_power, binary_power, least_power
 
 
@@ -659,7 +659,7 @@ class _FiniteField(FieldDescriptor):
         if len(_json_list(obj)) > self.m:
             raise ScalarError(f"{self!r} element has {len(obj)} coefficients, "
                               f"at most {self.m} allowed")
-        vals = [int(_exact_json(c)) % self.p for c in obj]
+        vals = [_exact_int(c) % self.p for c in obj]
         return tuple(vals + [0] * (self.m - len(vals)))
 
     def random_payload(self, rng, height, degree, terms):
@@ -733,7 +733,7 @@ class _PrimeField(_FiniteField):
     payload_to_json = render
 
     def payload_from_json(self, obj):
-        return int(_exact_json(obj)) % self.p
+        return _exact_int(obj) % self.p
 
     def random_payload(self, rng, height, degree, terms):
         return rng.randrange(self.p)
@@ -761,7 +761,7 @@ class _FunctionField(FieldDescriptor):
     @cached_property
     def _unit_den(self):
         """The canonical denominator 1: the constant polynomial."""
-        return _p_to_tuple({(0,) * len(self.variables): self._ops.one()})
+        return (((0,) * len(self.variables), self._ops.one()),)
 
     @property
     def characteristic(self) -> int:
@@ -778,8 +778,8 @@ class _FunctionField(FieldDescriptor):
         """The payload of the constant function c, a base payload."""
         if self._ops is not self.base:
             c = _integral(c)
-        num = {} if self.base.is_zero(c) else {(0,) * len(self.variables): c}
-        return (_p_to_tuple(num), self._unit_den)
+        num = () if self.base.is_zero(c) else (((0,) * len(self.variables), c),)
+        return (num, self._unit_den)
 
     def zero(self):
         return ((), self._unit_den)
@@ -802,13 +802,12 @@ class _FunctionField(FieldDescriptor):
             num = _t_add(bd, n1, n2)
             if d1 == self._unit_den:
                 return (num, d1)
-            return self.normalize(dict(num), dict(d1))
+            return self.normalize(num, d1)
         num = _t_add(bd, _t_mul(bd, n1, d2), _t_mul(bd, n2, d1))
-        return self.normalize(dict(num), dict(_t_mul(bd, d1, d2)))
+        return self.normalize(num, _t_mul(bd, d1, d2))
 
     def neg(self, x):
-        num, den = x
-        return (tuple((e, self._ops.neg(c)) for e, c in num), den)
+        return (_t_neg(self._ops, x[0]), x[1])
 
     def mul(self, x, y):
         (n1, d1), (n2, d2) = x, y
@@ -819,31 +818,28 @@ class _FunctionField(FieldDescriptor):
         num = _t_mul(bd, n1, n2)
         if d1 == one and d2 == one:
             return (num, one)
-        return self.normalize(dict(num), dict(_t_mul(bd, d1, d2)))
+        return self.normalize(num, _t_mul(bd, d1, d2))
 
     def _inv(self, x):
-        num, den = x
-        return self.normalize(dict(den), dict(num))
+        return self.normalize(x[1], x[0])
 
-    def normalize(self, num: dict, den: dict):
-        """The canonical payload of num/den: common factors cancelled and
-        the denominator monic."""
-        bd, nv = self._ops, len(self.variables)
+    def normalize(self, num: tuple, den: tuple):
+        """The canonical payload of the stored polynomials num/den: common
+        factors cancelled and the denominator monic."""
+        bd = self._ops
         if not den:
             raise DivisionByZero(f"zero denominator in {self!r}")
         if not num:
             return ((), self._unit_den)
-        if den != {(0,) * nv: bd.one()}:
-            g = _p_gcd(bd, num, den, nv)
-            if len(g) > 1 or max(g) != (0,) * nv:
-                num = _p_exact_div(bd, num, g)
-                den = _p_exact_div(bd, den, g)
-        _, lc = _p_lead(den)
+        if den != self._unit_den:
+            g = _t_gcd(bd, num, den)
+            if g != self._unit_den:
+                num, den = _t_exact_div(bd, num, g), _t_exact_div(bd, den, g)
+        lc = den[0][1]
         if lc != bd.one():
             inv = bd.inv(lc)
-            num = _p_scale(bd, num, inv)
-            den = _p_scale(bd, den, inv)
-        return (_p_to_tuple(num), _p_to_tuple(den))
+            num, den = _t_scale(bd, num, inv), _t_scale(bd, den, inv)
+        return (num, den)
 
     def render(self, x) -> str:
         num, den = x
@@ -864,21 +860,21 @@ class _FunctionField(FieldDescriptor):
 
     def payload_from_json(self, obj):
         if isinstance(_exact_json(obj), (int, str)):
-            return self.from_int(int(obj))
+            return self.from_int(_exact_int(obj))
         nv = len(self.variables)
 
         def poly(o):
             out = {}
             for key, c in o.items():
-                exps = tuple(int(x) for x in key.split(","))
+                exps = tuple(_exact_int(x) for x in key.split(","))
                 if len(exps) != nv or min(exps) < 0 or exps in out:
                     raise ScalarError(f"exponent key {key!r}: expected {nv} nonnegative "
                                       "exponents, each monomial once")
                 out[exps] = self._ops.payload_from_json(c)
-            return {e: c for e, c in out.items() if not self._ops.is_zero(c)}
+            return _p_to_tuple({e: c for e, c in out.items() if not self._ops.is_zero(c)})
 
         num = poly(obj["num"])
-        den = poly(obj["den"]) if "den" in obj else dict(self._unit_den)
+        den = poly(obj["den"]) if "den" in obj else self._unit_den
         return self.normalize(num, den)
 
     def random_payload(self, rng, height, degree, terms):
@@ -891,12 +887,12 @@ class _FunctionField(FieldDescriptor):
                 c = bd.random_payload(rng, height, degree, terms)
                 if not bd.is_zero(c):
                     out[exp] = c
-            return out
+            return _p_to_tuple(out)
 
         num = rand_poly(terms)
-        den = rand_poly(max(1, terms - 1)) or dict(self._unit_den)
+        den = rand_poly(max(1, terms - 1)) or self._unit_den
         if rng.random() < 0.5:
-            den = dict(self._unit_den)
+            den = self._unit_den
         return self.normalize(num, den)
 
     def zeta(self, order: int):
@@ -910,11 +906,8 @@ class _FunctionField(FieldDescriptor):
         return self.base.root_of_unity_log(num[0][1])
 
     def _kth_root(self, x, k: int):
-        bd, nv = self._ops, len(self.variables)
-        char = self.characteristic
-        num, den = dict(x[0]), dict(x[1])
-        rn = _poly_kth_root(bd, num, k, nv, char)
-        rd = None if rn is None else _poly_kth_root(bd, den, k, nv, char)
+        rn = _poly_kth_root(self._ops, x[0], k)
+        rd = None if rn is None else _poly_kth_root(self._ops, x[1], k)
         return None if rd is None else self.normalize(rn, rd)
 
 
@@ -951,9 +944,10 @@ def function_field(base: FieldDescriptor, variables) -> FieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials. Stored form (_t_*): a tuple of (exponent tuple,
-# nonzero base payload) in descending lex order, the declared variable order;
-# sums and products work on it. Dicts (_p_*) serve normalize and the gcd.
+# multivariate polynomials, one form: a tuple of (exponent tuple, nonzero
+# base payload) in descending lex order in the declared variable order, so
+# the leading term is A[0]. Every kernel takes and returns this form; only
+# the JSON and random readers gather terms in a dict and sort once.
 
 def _p_to_tuple(A: dict) -> tuple:
     return tuple(sorted(A.items(), reverse=True))
@@ -986,37 +980,10 @@ def _t_mul(bd, A, B) -> tuple:
     vector keeps lex order, and nonzero base payloads have a nonzero product."""
     if len(B) == 1:
         A, B = B, A
+    mul, add, is_zero = bd.mul, bd.add, bd.is_zero
     if len(A) == 1:
         (ea, ca), = A
-        return tuple([(tuple(map(operator.add, ea, eb)), bd.mul(ca, cb)) for eb, cb in B])
-    return _p_to_tuple(_p_mul_terms(bd, A, B))
-
-
-def _p_add(bd, A, B):
-    out = dict(A)
-    for e, c in B.items():
-        if e in out:
-            s = bd.add(out[e], c)
-            if bd.is_zero(s):
-                del out[e]
-            else:
-                out[e] = s
-        else:
-            out[e] = c
-    return out
-
-
-def _p_sub(bd, A, B):
-    return _p_add(bd, A, {e: bd.neg(c) for e, c in B.items()})
-
-
-def _p_mul(bd, A, B):
-    return _p_mul_terms(bd, A.items(), B.items())
-
-
-def _p_mul_terms(bd, A, B) -> dict:
-    """The product of two polynomials given as (exponent, payload) pairs."""
-    mul, add, is_zero = bd.mul, bd.add, bd.is_zero
+        return tuple([(tuple(map(operator.add, ea, eb)), mul(ca, cb)) for eb, cb in B])
     out = {}
     for ea, ca in A:
         for eb, cb in B:
@@ -1028,117 +995,110 @@ def _p_mul_terms(bd, A, B) -> dict:
                 out.pop(e, None)
             else:
                 out[e] = c
-    return out
+    return _p_to_tuple(out)
 
 
-def _p_scale(bd, A, c):
-    if bd.is_zero(c):
-        return {}
-    return {e: bd.mul(a, c) for e, a in A.items()}
+def _t_neg(bd, A) -> tuple:
+    return tuple([(e, bd.neg(c)) for e, c in A])
 
 
-def _p_deg(A, i) -> int:
-    return max((e[i] for e in A), default=0)
+def _t_sub(bd, A, B) -> tuple:
+    return _t_add(bd, A, _t_neg(bd, B))
 
 
-def _p_lead(A):
-    e = max(A)
-    return e, A[e]
+def _t_scale(bd, A, c) -> tuple:
+    """c A for a nonzero base payload c: the exponents keep their order."""
+    return tuple([(e, bd.mul(a, c)) for e, a in A])
 
 
-def _p_monic(bd, A):
-    if not A:
+def _t_monic(bd, A) -> tuple:
+    if not A or A[0][1] == bd.one():
         return A
-    _, c = _p_lead(A)
-    if c == bd.one():
-        return A
-    return _p_scale(bd, A, bd.inv(c))
+    return _t_scale(bd, A, bd.inv(A[0][1]))
 
 
-def _p_exact_div(bd, A, B):
-    # works over a field whenever B divides A; lex-greedy cancellation
-    if not B:
-        raise DivisionByZero("polynomial division by zero")
-    eb, cb = _p_lead(B)
-    inv_cb = bd.inv(cb)
-    R = dict(A)
-    Q = {}
-    while R:
-        e, c = _p_lead(R)
-        de = tuple(i - j for i, j in zip(e, eb))
-        if any(i < 0 for i in de):
+def _t_deg(A, i) -> int:
+    return max((e[i] for e, _ in A), default=0)
+
+
+def _t_slice(A, i, d, k) -> tuple:
+    """The terms of A with x_i to the power d, that power set to k; they
+    share e[i], so they keep A's order."""
+    return tuple([(e[:i] + (k,) + e[i + 1:], c) for e, c in A if e[i] == d])
+
+
+def _t_exact_div(bd, A, B) -> tuple:
+    """A / B over a field when B divides A, by lex-greedy cancellation of
+    leading terms; the quotient's terms come out in descending order. A
+    monic B, as every gcd and content is, needs no inverse."""
+    eb, cb = B[0]
+    inv_cb = None if cb == bd.one() else bd.inv(cb)
+    Q = []
+    while A:
+        e, c = A[0]
+        de = tuple(map(operator.sub, e, eb))
+        if min(de) < 0:
             raise ArithmeticError("polynomial division not exact")
-        qc = bd.mul(c, inv_cb)
-        Q[de] = qc
-        R = _p_sub(bd, R, _p_mul(bd, {de: qc}, B))
-    return Q
+        qc = c if inv_cb is None else bd.mul(c, inv_cb)
+        Q.append((de, qc))
+        A = _t_add(bd, A, _t_mul(bd, ((de, bd.neg(qc)),), B))
+    return tuple(Q)
 
 
-def _p_coeffs_in_var(A, i):
-    # split A by the power of variable i; coefficient polys keep arity with slot i zeroed
-    out = {}
-    for e, c in A.items():
-        key = e[i]
-        re = e[:i] + (0,) + e[i + 1:]
-        out.setdefault(key, {})[re] = c
-    return out
-
-
-def _p_content_pp(bd, A, i, nv):
-    coeffs = list(_p_coeffs_in_var(A, i).values())
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        cont = _p_gcd(bd, cont, c, nv)
-        if len(cont) == 1 and max(cont) == (0,) * nv:
+def _t_content_pp(bd, A, i):
+    """The monic content of A in x_i and A's primitive part. The content is
+    the gcd of the coefficients in x_i taken in their order of first
+    appearance in A, grouped in one pass: ascending powers of x_i give the
+    same content through larger intermediate gcds."""
+    groups = {}
+    for e, c in A:
+        groups.setdefault(e[i], []).append((e[:i] + (0,) + e[i + 1:], c))
+    cont, *rest = map(tuple, groups.values())
+    for c in rest:
+        cont = _t_gcd(bd, cont, c)
+        if len(cont) == 1 and not any(cont[0][0]):
             break
-    cont = _p_monic(bd, cont)
-    return cont, _p_exact_div(bd, A, cont)
+    cont = _t_monic(bd, cont)
+    return cont, _t_exact_div(bd, A, cont)
 
 
-def _p_prem(bd, A, B, i):
-    # pseudo-remainder of A by B in variable i
-    dB = _p_deg(B, i)
-    lcB = {e[:i] + (0,) + e[i + 1:]: c for e, c in B.items() if e[i] == dB}
-    R = dict(A)
-    nv = len(next(iter(B)))
-    while R and _p_deg(R, i) >= dB:
-        dR = _p_deg(R, i)
-        lcR = {e[:i] + (0,) + e[i + 1:]: c for e, c in R.items() if e[i] == dR}
-        shift = (0,) * i + (dR - dB,) + (0,) * (nv - i - 1)
-        R = _p_sub(bd, _p_mul(bd, lcB, R), _p_mul(bd, _p_mul(bd, lcR, {shift: bd.one()}), B))
-    return R
+def _t_prem(bd, A, B, i):
+    """The pseudo-remainder of A by B in x_i."""
+    dB = _t_deg(B, i)
+    lcB = _t_slice(B, i, dB, 0)
+    while A and (dA := _t_deg(A, i)) >= dB:
+        A = _t_sub(bd, _t_mul(bd, lcB, A), _t_mul(bd, _t_slice(A, i, dA, dA - dB), B))
+    return A
 
 
-def _p_gcd(bd, A, B, nv):
-    """gcd in base[x1..xnv], normalized with leading coefficient 1."""
-    if not A:
-        return _p_monic(bd, dict(B))
-    if not B:
-        return _p_monic(bd, dict(A))
+def _t_gcd(bd, A, B):
+    """The monic gcd in base[x1..xn]: the classical primitive
+    pseudo-remainder sequence in the first variable present, times the gcd
+    of the contents (Geddes-Czapor-Labahn, Algorithms for Computer Algebra,
+    ch. 7)."""
+    if not A or not B:
+        return _t_monic(bd, A or B)
     if len(A) == 1 or len(B) == 1:
         # gcd with a monomial: componentwise min over every exponent present
-        mins = None
-        for e in itertools.chain(A, B):
-            mins = e if mins is None else tuple(map(min, mins, e))
-        return {mins: bd.one()}
-    main = next((i for i in range(nv) if _p_deg(A, i) or _p_deg(B, i)), None)
-    if main is None:
-        return {(0,) * nv: bd.one()}
-    contA, ppA = _p_content_pp(bd, A, main, nv)
-    contB, ppB = _p_content_pp(bd, B, main, nv)
-    contG = _p_gcd(bd, contA, contB, nv)
+        mins = tuple(map(min, *(e for e, _ in itertools.chain(A, B))))
+        return ((mins, bd.one()),)
+    # A has two distinct exponents, so some variable occurs
+    main = next(i for i in range(len(A[0][0])) if _t_deg(A, i) or _t_deg(B, i))
+    contA, ppA = _t_content_pp(bd, A, main)
+    contB, ppB = _t_content_pp(bd, B, main)
+    contG = _t_gcd(bd, contA, contB)
     R0, R1 = ppA, ppB
-    if _p_deg(R0, main) < _p_deg(R1, main):
+    if _t_deg(R0, main) < _t_deg(R1, main):
         R0, R1 = R1, R0
     while R1:
-        R = _p_prem(bd, R0, R1, main)
+        R = _t_prem(bd, R0, R1, main)
         if R:
             # a monic primitive part keeps base-field coefficients bounded
-            R = _p_monic(bd, _p_content_pp(bd, R, main, nv)[1])
+            R = _t_monic(bd, _t_content_pp(bd, R, main)[1])
         R0, R1 = R1, R
-    if _p_deg(R0, main) > 0:
-        R0 = _p_content_pp(bd, R0, main, nv)[1]
-    return _p_monic(bd, _p_mul(bd, contG, R0))
+    if _t_deg(R0, main) > 0:
+        R0 = _t_content_pp(bd, R0, main)[1]
+    return _t_monic(bd, _t_mul(bd, contG, R0))
 
 
 # ---------------------------------------------------------------------------
@@ -1329,8 +1289,7 @@ class Field:
             raise ScalarError(f"unknown variable {name!r} in {d!r}")
         i = d.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(d.variables)))
-        num = _p_to_tuple({e: d._ops.one()})
-        return FieldElement(d, (num, d._unit_den))
+        return FieldElement(d, (((e, d._ops.one()),), d._unit_den))
 
     def vars(self) -> tuple[FieldElement, ...]:
         return tuple(self.var(n) for n in getattr(self.descriptor, "variables", ()))
@@ -1433,61 +1392,64 @@ def _fraction_kth_root(x: Fraction, k: int) -> Optional[Fraction]:
     return -r if neg else r
 
 
-def _p_kth_root(bd, A: dict, k: int, nv: int):
+def _t_kth_root(bd, A: tuple, k: int):
     """k-th root of a polynomial, char coprime to k, or None if there is none.
 
     Greedy on lex terms: each step cancels the leading term of A - G^k, so
-    the terms come strictly lex-decreasing. If a root R leading with rc
+    the terms come strictly lex-decreasing and each one is appended. If a root R leading with rc
     exists (roots differ by units), they are R's terms, which lie in the
     finite Newton box deg_{x_i} <= deg_{x_i}(A)/k. So a term outside the
     box proves that there is no root, and the loop ends inside it.
     """
-    le, lc = _p_lead(A)
+    le, lc = A[0]
     if any(e % k for e in le):
         return None
     rc = bd.kth_root(lc, k)
     if rc is None:
         return None
     ge = tuple(e // k for e in le)
-    G = {ge: rc}
+    G = ((ge, rc),)
     k_elem = bd.from_int(k)
     if bd.is_zero(k_elem):
         raise AssertionError("characteristic divides k in coprime branch")
     he = tuple(e * (k - 1) for e in ge)
     hc = bd.mul(k_elem, bd.power(rc, k - 1))
-    box = [max(e[i] for e in A) // k for i in range(nv)]
+    box = [_t_deg(A, i) // k for i in range(len(le))]
     while True:
         Gpow = G
         for _ in range(k - 1):
-            Gpow = _p_mul(bd, Gpow, G)
-        diff = _p_sub(bd, A, Gpow)
+            Gpow = _t_mul(bd, Gpow, G)
+        diff = _t_sub(bd, A, Gpow)
         if not diff:
             return G
-        de, dc = _p_lead(diff)
+        de, dc = diff[0]
         # next term t satisfies lt(diff) = k * lt(G)^(k-1) * t
         te = tuple(a - b for a, b in zip(de, he))
         if any(not 0 <= t <= b for t, b in zip(te, box)):
             return None
-        G[te] = bd.div(dc, hc)
+        G += ((te, bd.div(dc, hc)),)
 
 
-def _poly_kth_root(bd, A, k, nv, char):
+def _poly_kth_root(bd, A, k):
+    """A k-th root of a stored polynomial over the coefficient ops bd, or
+    None if there is none."""
     if not A:
-        return {}
+        return ()
+    char = bd.characteristic
     if char and k % char == 0:
-        # Frobenius branch: exponents divisible by char, coefficients have char-th roots
-        if any(e % char for exp in A for e in exp):
+        # Frobenius branch: exponents divisible by char, coefficients have
+        # char-th roots; dividing every exponent by char keeps their order
+        if any(e % char for exp, _ in A for e in exp):
             return None
-        root = {}
-        for e, c in A.items():
+        root = []
+        for e, c in A:
             rc = bd.kth_root(c, char)
             if rc is None:
                 return None
-            root[tuple(x // char for x in e)] = rc
-        if k == char:
-            return root
-        return _poly_kth_root(bd, root, k // char, nv, char)
-    return _p_kth_root(bd, A, k, nv)
+            root.append((tuple(x // char for x in e), rc))
+        root = tuple(root)
+        return root if k == char else _poly_kth_root(bd, root, k // char)
+    return _t_kth_root(bd, A, k)
 
 
 def kth_root(elt: FieldElement, k: int) -> Optional[FieldElement]:
@@ -1573,11 +1535,11 @@ def descriptor_from_json(obj) -> FieldDescriptor:
     if kind == "rationals":
         return rationals()
     if kind == "cyclotomic":
-        return cyclotomic(int(_exact_json(obj["n"])))
+        return cyclotomic(_exact_int(obj["n"]))
     if kind == "prime_field":
-        return prime_field(int(_exact_json(obj["p"])))
+        return prime_field(_exact_int(obj["p"]))
     if kind == "finite_field":
-        return finite_field(int(_exact_json(obj["p"])), int(_exact_json(obj["m"])))
+        return finite_field(_exact_int(obj["p"]), _exact_int(obj["m"]))
     if kind == "function_field":
         variables = _json_list(obj["variables"])
         if not all(isinstance(v, str) for v in variables):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import AnisoError, _exact_json
+from .errors import AnisoError, _exact_int
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
                       _kernel_from_smith, _stack_smith, closure, closure_cap,
                       group_closure)
@@ -116,9 +116,9 @@ class TorusModel:
         gens = [IntMatrix.from_json(g) for g in obj["theta_generators"]]
         order = obj.get("norm_group_order")
         return TorusModel(
-            int(_exact_json(obj["rank"])), gens, obj.get("label", ""),
-            characteristic=int(_exact_json(obj.get("characteristic", 0))),
-            norm_group_order=None if order is None else int(_exact_json(order)))
+            _exact_int(obj["rank"]), gens, obj.get("label", ""),
+            characteristic=_exact_int(obj.get("characteristic", 0)),
+            norm_group_order=None if order is None else _exact_int(order))
 
 
 def is_anisotropic(t: TorusModel) -> bool:

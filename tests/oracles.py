@@ -8,9 +8,12 @@ quotient, row bases through V^-1 and quotients through a second
 elimination. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
 arithmetic: Q(zeta_n) with one Fraction per coefficient, function-field
-sums and products through dicts, the reduced norm on FieldElements,
-dense integer and field matrix products, field matrix products and
-Pfister candidates built from FieldElements, and pairing values,
+polynomials as dicts (the _p_* kernels for sums, products, exact
+division, the primitive pseudo-remainder gcd and k-th roots, with
+normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
+norm on FieldElements, dense integer and field matrix products, field
+matrix products and Pfister candidates built from FieldElements, and
+pairing values,
 validation and the isotropic recursion over Fractions, with a solve per
 level, and the breadth-first closure over every given generator with the
 generator walk that certified finite matrix groups on top of it.
@@ -18,6 +21,7 @@ generator walk that certified finite matrix groups on top of it.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -33,8 +37,8 @@ from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
 from aniso.scalars import _prime_factors, _split_prime_power
 from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
-from aniso.scalars import (Field, FieldDescriptor, FieldElement, FieldTooLarge,
-                           ScalarError, _FiniteField, _json_list, _p_add, _p_mul,
+from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
+                           FieldTooLarge, ScalarError, _FiniteField, _json_list,
                            _p_to_tuple, _render_uni, _u_inverse, binary_power,
                            cyclotomic_polynomial, least_power, rationals)
 from aniso.torus import (CharDividesOrder, ExponentBoundReport, NotAnisotropic,
@@ -94,7 +98,226 @@ def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[
 
 
 # ---------------------------------------------------------------------------
-# function-field payloads through dicts
+# function-field payloads through dicts: the library's former polynomial
+# kernels on {exponent tuple: nonzero base payload}, normalize, the
+# primitive pseudo-remainder gcd and k-th roots on them, and sums and
+# products that sort back into stored tuples once
+
+def _p_add(bd, A, B):
+    out = dict(A)
+    for e, c in B.items():
+        if e in out:
+            s = bd.add(out[e], c)
+            if bd.is_zero(s):
+                del out[e]
+            else:
+                out[e] = s
+        else:
+            out[e] = c
+    return out
+
+
+def _p_sub(bd, A, B):
+    return _p_add(bd, A, {e: bd.neg(c) for e, c in B.items()})
+
+
+def _p_mul(bd, A, B):
+    out = {}
+    for ea, ca in A.items():
+        for eb, cb in B.items():
+            e = tuple(map(operator.add, ea, eb))
+            c = bd.mul(ca, cb)
+            if e in out:
+                c = bd.add(out[e], c)
+            if bd.is_zero(c):
+                out.pop(e, None)
+            else:
+                out[e] = c
+    return out
+
+
+def _p_scale(bd, A, c):
+    if bd.is_zero(c):
+        return {}
+    return {e: bd.mul(a, c) for e, a in A.items()}
+
+
+def _p_deg(A, i) -> int:
+    return max((e[i] for e in A), default=0)
+
+
+def _p_lead(A):
+    e = max(A)
+    return e, A[e]
+
+
+def _p_monic(bd, A):
+    if not A:
+        return A
+    _, c = _p_lead(A)
+    if c == bd.one():
+        return A
+    return _p_scale(bd, A, bd.inv(c))
+
+
+def _p_exact_div(bd, A, B):
+    # works over a field whenever B divides A; lex-greedy cancellation
+    if not B:
+        raise DivisionByZero("polynomial division by zero")
+    eb, cb = _p_lead(B)
+    inv_cb = bd.inv(cb)
+    R = dict(A)
+    Q = {}
+    while R:
+        e, c = _p_lead(R)
+        de = tuple(i - j for i, j in zip(e, eb))
+        if any(i < 0 for i in de):
+            raise ArithmeticError("polynomial division not exact")
+        qc = bd.mul(c, inv_cb)
+        Q[de] = qc
+        R = _p_sub(bd, R, _p_mul(bd, {de: qc}, B))
+    return Q
+
+
+def _p_coeffs_in_var(A, i):
+    # split A by the power of variable i; coefficient polys keep arity with slot i zeroed
+    out = {}
+    for e, c in A.items():
+        key = e[i]
+        re = e[:i] + (0,) + e[i + 1:]
+        out.setdefault(key, {})[re] = c
+    return out
+
+
+def _p_content_pp(bd, A, i, nv):
+    coeffs = list(_p_coeffs_in_var(A, i).values())
+    cont = coeffs[0]
+    for c in coeffs[1:]:
+        cont = _p_gcd(bd, cont, c, nv)
+        if len(cont) == 1 and max(cont) == (0,) * nv:
+            break
+    cont = _p_monic(bd, cont)
+    return cont, _p_exact_div(bd, A, cont)
+
+
+def _p_prem(bd, A, B, i):
+    # pseudo-remainder of A by B in variable i
+    dB = _p_deg(B, i)
+    lcB = {e[:i] + (0,) + e[i + 1:]: c for e, c in B.items() if e[i] == dB}
+    R = dict(A)
+    nv = len(next(iter(B)))
+    while R and _p_deg(R, i) >= dB:
+        dR = _p_deg(R, i)
+        lcR = {e[:i] + (0,) + e[i + 1:]: c for e, c in R.items() if e[i] == dR}
+        shift = (0,) * i + (dR - dB,) + (0,) * (nv - i - 1)
+        R = _p_sub(bd, _p_mul(bd, lcB, R), _p_mul(bd, _p_mul(bd, lcR, {shift: bd.one()}), B))
+    return R
+
+
+def _p_gcd(bd, A, B, nv):
+    """gcd in base[x1..xnv], normalized with leading coefficient 1."""
+    if not A:
+        return _p_monic(bd, dict(B))
+    if not B:
+        return _p_monic(bd, dict(A))
+    if len(A) == 1 or len(B) == 1:
+        # gcd with a monomial: componentwise min over every exponent present
+        mins = None
+        for e in itertools.chain(A, B):
+            mins = e if mins is None else tuple(map(min, mins, e))
+        return {mins: bd.one()}
+    main = next((i for i in range(nv) if _p_deg(A, i) or _p_deg(B, i)), None)
+    if main is None:
+        return {(0,) * nv: bd.one()}
+    contA, ppA = _p_content_pp(bd, A, main, nv)
+    contB, ppB = _p_content_pp(bd, B, main, nv)
+    contG = _p_gcd(bd, contA, contB, nv)
+    R0, R1 = ppA, ppB
+    if _p_deg(R0, main) < _p_deg(R1, main):
+        R0, R1 = R1, R0
+    while R1:
+        R = _p_prem(bd, R0, R1, main)
+        if R:
+            # a monic primitive part keeps base-field coefficients bounded
+            R = _p_monic(bd, _p_content_pp(bd, R, main, nv)[1])
+        R0, R1 = R1, R
+    if _p_deg(R0, main) > 0:
+        R0 = _p_content_pp(bd, R0, main, nv)[1]
+    return _p_monic(bd, _p_mul(bd, contG, R0))
+
+
+def _p_kth_root(bd, A: dict, k: int, nv: int):
+    """k-th root of a polynomial, char coprime to k, or None: greedy on lex
+    terms inside the Newton box deg_{x_i} <= deg_{x_i}(A)/k."""
+    le, lc = _p_lead(A)
+    if any(e % k for e in le):
+        return None
+    rc = bd.kth_root(lc, k)
+    if rc is None:
+        return None
+    ge = tuple(e // k for e in le)
+    G = {ge: rc}
+    k_elem = bd.from_int(k)
+    if bd.is_zero(k_elem):
+        raise AssertionError("characteristic divides k in coprime branch")
+    he = tuple(e * (k - 1) for e in ge)
+    hc = bd.mul(k_elem, bd.power(rc, k - 1))
+    box = [max(e[i] for e in A) // k for i in range(nv)]
+    while True:
+        Gpow = G
+        for _ in range(k - 1):
+            Gpow = _p_mul(bd, Gpow, G)
+        diff = _p_sub(bd, A, Gpow)
+        if not diff:
+            return G
+        de, dc = _p_lead(diff)
+        # next term t satisfies lt(diff) = k * lt(G)^(k-1) * t
+        te = tuple(a - b for a, b in zip(de, he))
+        if any(not 0 <= t <= b for t, b in zip(te, box)):
+            return None
+        G[te] = bd.div(dc, hc)
+
+
+def kth_root_by_dicts(bd, A: dict, k, nv, char):
+    """A k-th root of the dict polynomial A, or None if there is none."""
+    if not A:
+        return {}
+    if char and k % char == 0:
+        # Frobenius branch: exponents divisible by char, coefficients have char-th roots
+        if any(e % char for exp in A for e in exp):
+            return None
+        root = {}
+        for e, c in A.items():
+            rc = bd.kth_root(c, char)
+            if rc is None:
+                return None
+            root[tuple(x // char for x in e)] = rc
+        if k == char:
+            return root
+        return kth_root_by_dicts(bd, root, k // char, nv, char)
+    return _p_kth_root(bd, A, k, nv)
+
+
+def normalize_by_dicts(d, num: dict, den: dict):
+    """The canonical payload of num/den in the function field d, through the
+    dict gcd and exact division, sorted into stored tuples at the end."""
+    bd, nv = d._ops, len(d.variables)
+    if not den:
+        raise DivisionByZero(f"zero denominator in {d!r}")
+    if not num:
+        return ((), d.one()[1])
+    if den != {(0,) * nv: bd.one()}:
+        g = _p_gcd(bd, num, den, nv)
+        if len(g) > 1 or max(g) != (0,) * nv:
+            num = _p_exact_div(bd, num, g)
+            den = _p_exact_div(bd, den, g)
+    _, lc = _p_lead(den)
+    if lc != bd.one():
+        inv = bd.inv(lc)
+        num = _p_scale(bd, num, inv)
+        den = _p_scale(bd, den, inv)
+    return (_p_to_tuple(num), _p_to_tuple(den))
+
 
 def function_field_add_by_dicts(d, x, y):
     """x + y for payloads of the function field d, with both stored tuples
@@ -106,9 +329,9 @@ def function_field_add_by_dicts(d, x, y):
         num = _p_add(bd, n1, n2)
         if x[1] == d.one()[1]:
             return (_p_to_tuple(num), x[1])
-        return d.normalize(num, d1)
+        return normalize_by_dicts(d, num, d1)
     num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
-    return d.normalize(num, _p_mul(bd, d1, d2))
+    return normalize_by_dicts(d, num, _p_mul(bd, d1, d2))
 
 
 def function_field_mul_by_dicts(d, x, y):
@@ -119,7 +342,7 @@ def function_field_mul_by_dicts(d, x, y):
     one = d.one()[1]
     if x[1] == one and y[1] == one:
         return (_p_to_tuple(num), one)
-    return d.normalize(num, _p_mul(bd, dict(x[1]), dict(y[1])))
+    return normalize_by_dicts(d, num, _p_mul(bd, dict(x[1]), dict(y[1])))
 
 
 # ---------------------------------------------------------------------------

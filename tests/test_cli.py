@@ -44,6 +44,18 @@ def test_bounds_minkowski_and_torsion_paths():
     assert json.loads(out)["torsion_primes"] == ["2", "3"]
 
 
+def test_payload_integers_are_decimal_strings_and_flags_may_hold_spaces():
+    # int() read "0_2" as 2; a payload integer is -?[0-9]+ or a JSON integer
+    code, out = run_cli(["csa", "norm", "--input", "-"],
+                        stdin=json.dumps({"degree": "0_2", "element": {"1,0": "1"}}))
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "SchemaError", "path": "$.degree",
+        "message": "$.degree: not a decimal integer: '0_2'"}
+    # --types is a flag, not JSON: each rank is stripped before it is read
+    code, out = run_cli(["bounds", "--kind", "torsion", "--types", "A: 2, G: 2"])
+    assert code == 0 and json.loads(out)["types"] == ["A:2", "G:2"]
+
+
 def test_bounds_missing_parameter_is_structured():
     code, out = run_cli(["bounds", "--kind", "torus"])
     obj = json.loads(out)

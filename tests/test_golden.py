@@ -4,7 +4,8 @@ Each case runs one `aniso` command in-process and compares its stdout, byte
 for byte, with `tests/golden/<name>.out.json`. Inputs read from stdin live
 in `tests/golden/<name>.in.json`. Each `demo-<script>` case runs
 `demos/<script>.py` and compares its stdout with
-`tests/golden/demo-<script>.out.txt`. A case exits 0 unless EXIT_CODES
+`tests/golden/demo-<script>.out.txt`. The `csa norm` golden whose
+denominators are not monomials also has its field inversions counted. A case exits 0 unless EXIT_CODES
 names the error status it reports with. A change that is meant to alter
 one of these outputs rewrites its golden file with
 
@@ -35,6 +36,7 @@ CASES = {
     "quad-arf-f256-dim4": ["quad", "arf", "--input", "-", "--json"],
     "csa-torsion-p3-m3": ["csa", "torsion", "--p", "3", "--m", "3", "--json"],
     "csa-norm-cyclotomic3-fractional": ["csa", "norm", "--input", "-", "--json"],
+    "csa-norm-cyclotomic3-nonmonomial-den": ["csa", "norm", "--input", "-", "--json"],
     "csa-norm-dense-n5-fractional": ["csa", "norm", "--input", "-", "--json"],
     "csa-norm-degree-cap": ["csa", "norm", "--input", "-", "--json"],
     "torus-analyze-s4-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
@@ -82,6 +84,17 @@ def test_report_matches_golden(name):
     code, out = run_case(name)
     assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.out.json").read_text()
+
+
+def test_general_gcd_golden_inverts_at_most_65_times(monkeypatch):
+    # the one golden whose denominators in a, b are not monomials runs the
+    # primitive pseudo-remainder gcd; its base-field inversions count its
+    # work, one for each polynomial made monic
+    from aniso.scalars import _Cyclotomic
+    calls, inv = [], _Cyclotomic._inv
+    monkeypatch.setattr(_Cyclotomic, "_inv", lambda self, x: calls.append(x) or inv(self, x))
+    code, out = run_case("csa-norm-cyclotomic3-nonmonomial-den")
+    assert code == 0 and len(calls) <= 65
 
 
 def test_every_demo_has_a_golden():

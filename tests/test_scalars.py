@@ -16,8 +16,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
                            _fp_trim,
-                           _int_kth_root, _is_prime, _p_add,
-                           _p_mul, _u_gcd, _u_inverse, modulus_polynomial,
+                           _int_kth_root, _is_prime, _p_to_tuple, _t_add, _t_monic,
+                           _t_mul, _u_gcd, _u_inverse, modulus_polynomial,
                            binary_power,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
@@ -25,8 +25,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            function_field, is_kth_power, kth_root,
                            least_power, minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
-from oracles import (FractionCyclotomic, artin_schreier_image, cy_mul, cy_reduce,
-                     function_field_add_by_dicts, function_field_mul_by_dicts,
+from oracles import (FractionCyclotomic, _p_add, _p_mul, artin_schreier_image, cy_mul,
+                     cy_reduce, function_field_add_by_dicts, function_field_mul_by_dicts,
                      kth_roots_in_newton_box)
 
 
@@ -591,6 +591,50 @@ def test_descriptor_and_list_json_refuse_what_int_and_iteration_would_reinterpre
             QuadraticForm.from_json({**form, "dim": dim})
 
 
+# strings that are not -?[0-9]+; int() reads the first six as integers
+NOT_DECIMAL = ["1_0", " 1", "1 ", "+1", "\uff11", "1\u0661", "--1", "-", "", "0x1", "1e3", "1.0"]
+
+
+@pytest.mark.parametrize("text", NOT_DECIMAL, ids=repr)
+def test_payload_integers_refuse_what_int_would_read(text):
+    from aniso.cli import _generic_symbol_spec
+    from aniso.csa import AlgebraElement
+    from aniso.errors import _exact_int
+    from aniso.lattice import IntMatrix
+    from aniso.pairing import AlternatingPairing
+    from aniso.quadform import QuadraticForm
+    from aniso.torus import TorusModel
+    f3 = {"kind": "prime_field", "p": "3"}
+    minus_one = {"rows": "1", "cols": "1", "entries": [["-1"]]}
+    readers = [
+        lambda: _exact_int(text),
+        lambda: element_from_json({"num": {f"{text},0": "1"}}, function_field(rationals(), "ab")),
+        lambda: element_from_json(text, function_field(prime_field(5), "x")),
+        lambda: element_from_json(text, prime_field(13)),
+        lambda: element_from_json(["1", text], finite_field(2, 2)),
+        lambda: descriptor_from_json({"kind": "cyclotomic", "n": text}),
+        lambda: IntMatrix.from_json([[text]]),
+        lambda: IntMatrix.from_json({**minus_one, "rows": text}),
+        lambda: AlgebraElement.from_json(_generic_symbol_spec(2), {f"0,{text}": "1"}),
+        lambda: QuadraticForm.from_json({"field": f3, "dim": "2", "coeffs": {f"{text},0": "1"}}),
+        lambda: QuadraticForm.from_json({"field": f3, "dim": text, "coeffs": {}}),
+        lambda: TorusModel.from_json({"rank": text, "theta_generators": [minus_one]}),
+        lambda: AlternatingPairing.from_json({"invariant_factors": [text], "gram": [["0"]]}),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            read()
+
+
+def test_payload_integers_accept_json_ints_and_decimal_strings():
+    from aniso.errors import _exact_int
+    assert [_exact_int(x) for x in (7, -7, "12", "-12", "007", "-0", str(10 ** 40))] == \
+        [7, -7, 12, -12, 7, 0, 10 ** 40]
+    for obj in (True, 1.0, None, [1], {"1": 1}):
+        with pytest.raises(TypeError, match="expected an integer or a string"):
+            _exact_int(obj)
+
+
 def test_power_helpers():
     f7 = Field(prime_field(7))
     three = f7(3)
@@ -607,7 +651,7 @@ def _ff_add_generic(d, x, y):
     n1, d1 = dict(x[0]), dict(x[1])
     n2, d2 = dict(y[0]), dict(y[1])
     num = _p_add(bd, _p_mul(bd, n1, d2), _p_mul(bd, n2, d1))
-    return d.normalize(num, _p_mul(bd, d1, d2))
+    return d.normalize(_p_to_tuple(num), _p_to_tuple(_p_mul(bd, d1, d2)))
 
 
 def _ff_mul_generic(d, x, y):
@@ -615,7 +659,7 @@ def _ff_mul_generic(d, x, y):
     bd = d.base
     num = _p_mul(bd, dict(x[0]), dict(y[0]))
     den = _p_mul(bd, dict(x[1]), dict(y[1]))
-    return d.normalize(num, den)
+    return d.normalize(_p_to_tuple(num), _p_to_tuple(den))
 
 
 @pytest.mark.parametrize("descriptor", [
@@ -664,9 +708,9 @@ def _kernel_operands(descriptor, rng):
     # v0 + c, with c a nonzero constant, and the denominators drawn above
     den = {(1,) + (0,) * (nv - 1): bd.one(),
            (0,) * nv: Field(bd).random_element(rng, nonzero=True).payload}
-    xs.append(descriptor.normalize(dict(xs[2][0]) or {(0,) * nv: bd.one()}, den))
+    xs.append(descriptor.normalize(xs[2][0] or (((0,) * nv, bd.one()),), _p_to_tuple(den)))
     dens = [x[1] for x in xs if x[1] != unit]
-    xs += [descriptor.normalize(dict(monomial()), dict(d)) for d in dens[-2:]]
+    xs += [descriptor.normalize(monomial(), d) for d in dens[-2:]]
     xs += [descriptor.neg(x) for x in xs[2:6]]
     xs += [function_field_add_by_dicts(descriptor, (monomial(), unit), descriptor.neg(x))
            for x in xs[2:5]]
@@ -701,6 +745,74 @@ def test_stored_tuple_kernels_match_dict_oracles(base, nv):
                 zeros += kernel == descriptor.add and not got[0]
     # each operand against its negative, at least, and char p's p-fold sums
     assert zeros >= 4 + bool(descriptor.characteristic)
+
+
+SWEEP_FIELDS = [
+    (function_field(rationals(), ("a1", "a2", "a3")), 2),
+    (function_field(prime_field(5), ("x", "y")), 2),
+    (function_field(prime_field(3), ("X", "Y")), 2),
+    (function_field(finite_field(2, 2), ("x", "y")), 2),
+    (function_field(cyclotomic(5), ("a", "b")), 2),
+    (function_field(cyclotomic(3), ("v0", "v1", "v2")), 1),
+    (function_field(function_field(rationals(), ("a",)), ("b", "c")), 1),
+]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ScalarError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("descriptor,degree", SWEEP_FIELDS, ids=lambda d: repr(d))
+def test_tuple_normalize_and_kth_roots_match_dict_oracles(descriptor, degree):
+    from aniso.scalars import _poly_kth_root, _t_exact_div
+    from oracles import _p_exact_div, kth_root_by_dicts, normalize_by_dicts
+    field, bd = Field(descriptor), descriptor._ops
+    nv, p = len(descriptor.variables), descriptor.characteristic
+    rng = random.Random(1800 + SWEEP_FIELDS.index((descriptor, degree)))
+
+    def poly(nonzero=True):
+        return field.random_element(rng, degree=degree, terms=3, nonzero=nonzero).payload[0]
+
+    def oracle_normalize(num, den):
+        return normalize_by_dicts(descriptor, dict(num), dict(den))
+
+    # products over a shared factor whose denominators are not monomials
+    cases = [(poly(False), ()), ((), poly())]
+    for _ in range(12):
+        a, b, c = poly(), poly(), poly()
+        cases += [(_t_mul(bd, a, c), _t_mul(bd, b, c)), (a, b), (c, _t_mul(bd, c, c))]
+    assert sum(len(den) > 1 for _, den in cases) >= 12
+    for num, den in cases:
+        assert _outcome(descriptor.normalize, num, den) == _outcome(oracle_normalize, num, den)
+
+    def oracle_root(A, k):
+        root = kth_root_by_dicts(bd, dict(A), k, nv, p)
+        return root if root is None else _p_to_tuple(root)
+
+    # powers, which have a root, and powers plus a term, which may not; a
+    # monic polynomial has a leading coefficient with a root in every base
+    seen = set()
+    for k in sorted({2, 3} | ({p, 2 * p} if p else set())):
+        for a in (poly(), _t_monic(bd, poly()), _t_monic(bd, poly())):
+            power = binary_power(a, k, descriptor.one()[0], lambda x, y: _t_mul(bd, x, y))
+            for A in (power, _t_add(bd, power, a), a):
+                got = _outcome(_poly_kth_root, bd, A, k)
+                assert got == _outcome(oracle_root, A, k)
+                raised = got is not None and got[:1] and isinstance(got[0], type)
+                seen.add("none" if got is None else "raised" if raised else "root")
+    assert seen >= {"root", "none"}
+    if descriptor.base == cyclotomic(5):
+        assert "raised" in seen  # UndecidedPower for coefficients beyond roots of unity
+
+    one_more = _t_add(bd, poly(), descriptor.one()[0])
+    shifted = _t_mul(bd, one_more, field.vars()[0].payload[0])
+    not_exact = (ArithmeticError, "polynomial division not exact")
+    assert _outcome(_t_exact_div, bd, one_more, shifted) == not_exact
+    assert _outcome(_p_exact_div, bd, dict(one_more), dict(shifted)) == not_exact
 
 
 FINGERPRINT_FIELDS = (
@@ -797,8 +909,7 @@ def test_integral_coefficient_ops_match_fraction_ops():
         agree(d.mul(x, y), twin.mul(fx, fy))
         if not d.is_zero(y):
             agree(d.inv(y), twin.inv(fy))
-            agree(d.normalize(dict(x[0]), dict(y[0])),
-                  twin.normalize(dict(fx[0]), dict(fy[0])))
+            agree(d.normalize(x[0], y[0]), twin.normalize(fx[0], fy[0]))
 
 
 def test_integral_coefficients_are_ints_and_q_payloads_stay_fractions():
