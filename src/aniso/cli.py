@@ -13,11 +13,10 @@ import functools
 import json
 import random
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from . import bounds, csa, pairing, quadform, replay, torus
-from .errors import AnisoError, _exact_int, _exact_json
+from .errors import AnisoError, _exact_fraction, _exact_int
 from .scalars import (Field, cyclotomic, element_from_json, element_to_json,
                       function_field)
 
@@ -181,8 +180,8 @@ def _parse_pairing(obj: dict) -> pairing.AlternatingPairing:
         _expect(row, f"$.gram[{i}]", list, "a list")
         for j, v in enumerate(row):
             try:
-                Fraction(_exact_json(v))
-            except (ValueError, TypeError, ZeroDivisionError):
+                _exact_fraction(v)
+            except (ValueError, TypeError):
                 raise SchemaError(f"$.gram[{i}][{j}]",
                                   f"not a rational: {v!r}") from None
     return pairing.AlternatingPairing.from_json(obj)

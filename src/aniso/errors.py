@@ -27,3 +27,20 @@ def _exact_int(obj) -> int:
     if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"not a decimal integer: {obj!r}")
     return int(obj)
+
+
+def _exact_fraction(obj) -> "Fraction":
+    """obj as a Fraction: a JSON integer, or an ASCII string n or n/d with
+    n a decimal integer under _exact_int's rules and d a nonzero string of
+    decimal digits. "1_000", "1e3", " 3/4 ", "+1" and "1/0" raise
+    ValueError, floats and booleans TypeError."""
+    # imported here: the integer paths load this module without fractions
+    from fractions import Fraction
+    if isinstance(_exact_json(obj), int):
+        return Fraction(obj)
+    if not isinstance(obj, str):
+        raise TypeError(f"expected an integer or a string, got {obj!r}")
+    num, slash, den = obj.partition("/")
+    if slash and not (den.isascii() and den.isdigit() and den.strip("0")):
+        raise ValueError(f"not a rational with a positive denominator: {obj!r}")
+    return Fraction(_exact_int(num), int(den) if slash else 1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
-from .errors import AnisoError, _exact_int, _exact_json
+from .errors import AnisoError, _exact_fraction, _exact_int
 from .integers import _prime_factors, _split_prime_power, least_power
 from .lattice import (IntMatrix, _quotient, _vec_mat, abelian_quotient, closure,
                       integer_kernel)
@@ -159,7 +159,7 @@ class AlternatingPairing:
     @staticmethod
     def from_json(obj: dict) -> "AlternatingPairing":
         group = FiniteAbelianGroup([_exact_int(d) for d in obj["invariant_factors"]])
-        gram = [[Fraction(_exact_json(v)) for v in row] for row in obj["gram"]]
+        gram = [[_exact_fraction(v) for v in row] for row in obj["gram"]]
         return AlternatingPairing(group, gram)
 
 

@@ -108,33 +108,45 @@ class QuadraticForm:
         return self.coeffs.get((i, j), self.field.zero)
 
     def evaluate(self, vector: Sequence) -> FieldElement:
+        """q(vector) on payloads: the sum of c x_i x_j over the nonzero
+        terms, in coefficient order. An entry of another field raises
+        DescriptorMismatch, one that is no field element nor number
+        TypeError."""
         if len(vector) != self.dim:
             raise QuadFormError(f"vector length {len(vector)} != dim {self.dim}")
-        vec = [self.field(x) for x in vector]
-        total = self.field.zero
+        d = self.descriptor
+        vec = []
+        for x in vector:
+            e = self.field(x)
+            if e is NotImplemented:
+                raise TypeError(f"{x!r} is not an element of {d!r}")
+            vec.append(e.payload)
+        mul, add, is_zero = d.mul, d.add, d.is_zero
+        total = d.zero()
         for (i, j), c in self.coeffs.items():
-            total = total + c * vec[i] * vec[j]
-        return total
+            if not (is_zero(vec[i]) or is_zero(vec[j])):
+                total = add(total, mul(mul(c.payload, vec[i]), vec[j]))
+        return FieldElement(d, total)
 
     def transform(self, matrix) -> "QuadraticForm":
-        """The composed form x -> q(matrix @ x)."""
+        """The composed form x -> q(matrix @ x), on payloads; an entry of
+        another field raises DescriptorMismatch."""
         n = self.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise QuadFormError("change of basis has the wrong shape")
+        d = self.descriptor
+        mul, add, is_zero = d.mul, d.add, d.is_zero
+        supports = [[(k, x) for k, x in enumerate(row) if not is_zero(x)]
+                    for row in fieldmatrix._payload_rows(matrix, d)]
         out: dict = {}
         for (i, j), c in self.coeffs.items():
-            for k in range(n):
-                cik = matrix[i][k]
-                if cik.is_zero:
-                    continue
-                for l in range(n):
-                    cjl = matrix[j][l]
-                    if cjl.is_zero:
-                        continue
+            for k, cik in supports[i]:
+                ck = mul(c.payload, cik)
+                for l, cjl in supports[j]:
                     key = (k, l) if k <= l else (l, k)
-                    term = c * cik * cjl
-                    out[key] = out[key] + term if key in out else term
-        return QuadraticForm(self.descriptor, n, out)
+                    term = mul(ck, cjl)
+                    out[key] = add(out[key], term) if key in out else term
+        return QuadraticForm(d, n, {key: FieldElement(d, v) for key, v in out.items()})
 
     def scale(self, c) -> "QuadraticForm":
         c = self.field(c)
@@ -202,15 +214,19 @@ def is_nondegenerate(q: QuadraticForm) -> bool:
 
 
 def _bil(gram, x, y, field) -> FieldElement:
-    total = field.zero
-    for i, xi in enumerate(x):
-        if xi.is_zero:
+    """x^T gram y on payloads, summed over the nonzero terms in row order;
+    an entry of another field raises DescriptorMismatch."""
+    d = field.descriptor
+    mul, add, is_zero = d.mul, d.add, d.is_zero
+    xs, ys = fieldmatrix._payload_rows((x, y), d)
+    total = d.zero()
+    for xi, row in zip(xs, fieldmatrix._payload_rows(gram, d)):
+        if is_zero(xi):
             continue
-        for j, yj in enumerate(y):
-            if yj.is_zero or gram[i][j].is_zero:
-                continue
-            total = total + xi * gram[i][j] * yj
-    return total
+        for gij, yj in zip(row, ys):
+            if not (is_zero(yj) or is_zero(gij)):
+                total = add(total, mul(mul(xi, gij), yj))
+    return FieldElement(d, total)
 
 
 def _columns_matrix(vectors, n):

@@ -7,7 +7,9 @@ and per query instead of one per torus model, H¹ through a lattice
 quotient, row bases through V^-1 and quotients through a second
 elimination. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
-arithmetic: Q(zeta_n) with one Fraction per coefficient, function-field
+arithmetic: F_{p^m} by polynomial products and remainders, with its
+element scans for roots of unity, discrete logs and k-th roots, Q(zeta_n)
+with one Fraction per coefficient, function-field
 polynomials as dicts (the _p_* kernels for sums, products, exact
 division, the primitive pseudo-remainder gcd and k-th roots, with
 normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
@@ -37,10 +39,12 @@ from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
 from aniso.scalars import _prime_factors, _split_prime_power
 from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
+from aniso.integers import binary_power, least_power
 from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
-                           FieldTooLarge, ScalarError, _FiniteField, _json_list,
-                           _p_to_tuple, _render_uni, _u_inverse, binary_power,
-                           cyclotomic_polynomial, least_power, rationals)
+                           FieldTooLarge, RootOfUnityMissing, ScalarError,
+                           UndecidedPower, _FiniteField, _fp_mul, _fp_rem, _json_list,
+                           _p_to_tuple, _render_uni, _u_inverse, cyclotomic_polynomial,
+                           modulus_polynomial, prime_field, rationals)
 from aniso.torus import (CharDividesOrder, ExponentBoundReport, NotAnisotropic,
                          TorsionReport, TorusError, TorusModel)
 
@@ -95,6 +99,70 @@ def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[
         if r ** k == elt:
             roots.append(r)
     return roots
+
+
+# ---------------------------------------------------------------------------
+# finite fields by polynomials and scans: the library's former F_{p^m}
+# arithmetic, a product and a remainder in F_p[t] and an extended Euclid
+# for the inverse, and its former element scans for roots of unity,
+# discrete logs and k-th roots, which multiply with the field's own mul
+
+def _coefficients(d, x) -> list:
+    return [x] if d.kind == "prime_field" else list(x)
+
+
+def _from_coefficients(d, a: list):
+    a = a + [0] * (d.m - len(a))
+    return a[0] if d.kind == "prime_field" else tuple(a)
+
+
+def finite_field_mul_by_polynomials(d, x, y):
+    f = list(modulus_polynomial(d.p, d.m))
+    return _from_coefficients(d, _fp_rem(_fp_mul(_coefficients(d, x), _coefficients(d, y),
+                                                 d.p), f, d.p))
+
+
+def finite_field_inv_by_polynomials(d, x):
+    f = list(modulus_polynomial(d.p, d.m))
+    inverse = _u_inverse(prime_field(d.p), _coefficients(d, x), f)
+    return _from_coefficients(d, _fp_rem(inverse, f, d.p))
+
+
+def zeta_by_scan(d, order: int):
+    """The first element of the given order in element order, each
+    candidate's order found by multiplying up to order times."""
+    if (d.size() - 1) % order:
+        raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
+    one = d.one()
+    for x in d.payloads():
+        found = not d.is_zero(x) and least_power(x, d.mul, lambda a: a == one, order)
+        if found and found[0] == order:
+            return x
+    raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
+
+
+def root_of_unity_log_by_scan(d, x, cap: int = 65536) -> Optional[Fraction]:
+    """t / (q - 1) for x = zeta(q - 1)^t, by walking the powers of
+    zeta_by_scan(d, q - 1); None for zero."""
+    q = d.size()
+    if q > cap:
+        raise FieldTooLarge(f"discrete log capped at {cap} elements")
+    gen, acc = zeta_by_scan(d, q - 1), d.one()
+    for t in range(q - 1):
+        if x == acc:
+            return Fraction(t, q - 1)
+        acc = d.mul(acc, gen)
+    return None
+
+
+def kth_root_by_scan(d, x, k: int, cap: int = 4096):
+    """The first r in element order with r^k = x, or None."""
+    if d.size() > cap:
+        raise UndecidedPower(f"{k}-th roots in {d!r} are searched only up to {cap} elements")
+    for r in d.payloads():
+        if binary_power(r, k, d.one(), d.mul) == x:
+            return r
+    return None
 
 
 # ---------------------------------------------------------------------------

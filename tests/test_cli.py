@@ -56,6 +56,24 @@ def test_payload_integers_are_decimal_strings_and_flags_may_hold_spaces():
     assert code == 0 and json.loads(out)["types"] == ["A:2", "G:2"]
 
 
+@pytest.mark.parametrize("text", ["1_000", "1e3", " 3/4 ", "+1", "1/0"])
+def test_payload_rationals_are_decimal_strings(text):
+    # csa norm read "1_000" as 1000 and " 3/4 " as 3/4, and "1/0" escaped
+    # main as a ZeroDivisionError traceback; each is now a JSON error
+    def element(c):
+        return {"degree": "2", "element": {"0,0": {"num": {"0,0": [c]}}}}
+
+    code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(element("3/4")))
+    assert code == 0 and json.loads(out)["norm_repr"] == "(9/16)"
+    code, out = run_cli(["csa", "norm", "--input", "-"], stdin=json.dumps(element(text)))
+    assert code == 2 and json.loads(out)["error"]["path"] == "$.element"
+    gram = {"invariant_factors": ["2", "2"], "gram": [["0", text], ["0", "0"]]}
+    code, out = run_cli(["pairing", "isotropic", "--input", "-"], stdin=json.dumps(gram))
+    assert code == 2 and json.loads(out)["error"] == {
+        "type": "SchemaError", "path": "$.gram[0][1]",
+        "message": f"$.gram[0][1]: not a rational: {text!r}"}
+
+
 def test_bounds_missing_parameter_is_structured():
     code, out = run_cli(["bounds", "--kind", "torus"])
     obj = json.loads(out)

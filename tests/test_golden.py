@@ -97,6 +97,32 @@ def test_general_gcd_golden_inverts_at_most_65_times(monkeypatch):
     assert code == 0 and len(calls) <= 65
 
 
+def test_second_f256_arf_request_multiplies_no_polynomials(monkeypatch):
+    # once F_256 has built its log tables, products, inverses and powers are
+    # table lookups: no F_p[t] product runs on a second request
+    from aniso import scalars
+    run_case("quad-arf-f256-dim4")
+    calls, fp_mul = [], scalars._fp_mul
+    monkeypatch.setattr(scalars, "_fp_mul", lambda *args: calls.append(args) or fp_mul(*args))
+    code, out = run_case("quad-arf-f256-dim4")
+    assert code == 0 and out == (GOLDEN / "quad-arf-f256-dim4.out.json").read_text()
+    assert calls == []
+
+
+def test_dense_n4_norm_reduces_346_cyclotomic_products(monkeypatch):
+    # a product with a rational factor scales the other factor and skips the
+    # reduction mod Phi_4; the other products each reduce once. The count is
+    # exact: one warm-up request builds what later requests share
+    from aniso import scalars
+    run_case("csa-norm-dense-n4")
+    calls, reduce_ints = [], scalars._cy_reduce_ints
+    monkeypatch.setattr(scalars, "_cy_reduce_ints",
+                        lambda *args: calls.append(args) or reduce_ints(*args))
+    code, out = run_case("csa-norm-dense-n4")
+    assert code == 0 and out == (GOLDEN / "csa-norm-dense-n4.out.json").read_text()
+    assert len(calls) == 346
+
+
 def test_every_demo_has_a_golden():
     assert DEMO_CASES == sorted(path.name.removesuffix(".out.txt")
                                 for path in GOLDEN.glob("demo-*.out.txt"))

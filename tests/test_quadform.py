@@ -18,8 +18,8 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             is_nondegenerate, pfister_build,
                             pfister_group_closure, pfister_refute_point,
                             random_candidate)
-from aniso.scalars import (Field, FieldTooLarge, cyclotomic, finite_field,
-                           prime_field, rationals)
+from aniso.scalars import (DescriptorMismatch, Field, FieldTooLarge, cyclotomic,
+                           finite_field, prime_field, rationals)
 from oracles import (artin_schreier_image, enumerate_nondegenerate_forms,
                      forms_equivalent_bruteforce, random_candidate_by_elements,
                      represents_zero_exhaustive)
@@ -73,6 +73,28 @@ def test_bilinear_gram_oracles():
     field = Field(Q)
     assert g[0][0] == field(6) and g[1][1] == field(-10)
     assert g[0][1].is_zero
+
+
+def test_payload_loops_keep_their_exceptions_on_mixed_fields():
+    # evaluate, transform and _bil check descriptors once and run on
+    # payloads; an element of another field is still DescriptorMismatch and
+    # a value that is no element of the field still TypeError
+    q = form(F5, 2, {(0, 0): 1, (0, 1): 2, (1, 1): 3})
+    f3, f5 = Field(F3), Field(F5)
+    assert q.evaluate([1, 2]) == f5(2)
+    with pytest.raises(DescriptorMismatch):
+        q.evaluate([f3(1), 1])
+    for value in (Fraction(1, 2), "x"):
+        with pytest.raises(TypeError):
+            q.evaluate([value, 1])
+    with pytest.raises(DescriptorMismatch):
+        q.transform(fieldmatrix.identity(f3, 2))
+    gram = associated_bilinear(q)
+    assert _bil(gram, [f5(1), f5(2)], [f5(3), f5(1)], f5) == f5(2)
+    with pytest.raises(DescriptorMismatch):
+        _bil(gram, [f3(1), f3(1)], [f5(1), f5(1)], f5)
+    with pytest.raises(DescriptorMismatch):
+        _bil(associated_bilinear(form(F3, 2, {(0, 1): 1})), [f5(1)] * 2, [f5(1)] * 2, f5)
 
 
 def test_nondegeneracy():

@@ -15,19 +15,21 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            UndecidedPower,
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
-                           _fp_trim,
-                           _int_kth_root, _is_prime, _p_to_tuple, _t_add, _t_monic,
-                           _t_mul, _u_gcd, _u_inverse, modulus_polynomial,
-                           binary_power,
+                           _fp_trim, _int_kth_root, _is_prime, _p_to_tuple,
+                           _primes_upto, _t_add, _t_monic, _t_mul, _u_gcd, _u_inverse,
+                           modulus_polynomial,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
                            element_from_json, element_to_json, finite_field,
                            function_field, is_kth_power, kth_root,
-                           least_power, minimal_polynomial_of_constant,
+                           minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
+from aniso.integers import binary_power, least_power
 from oracles import (FractionCyclotomic, _p_add, _p_mul, artin_schreier_image, cy_mul,
-                     cy_reduce, function_field_add_by_dicts, function_field_mul_by_dicts,
-                     kth_roots_in_newton_box)
+                     cy_reduce, finite_field_inv_by_polynomials,
+                     finite_field_mul_by_polynomials, function_field_add_by_dicts,
+                     function_field_mul_by_dicts, kth_root_by_scan, kth_roots_in_newton_box,
+                     root_of_unity_log_by_scan, zeta_by_scan)
 
 
 def _all_fields():
@@ -425,10 +427,47 @@ def test_undecided_powers_raise_one_error():
     over = Field(function_field(cyclotomic(3), ("t",)))
     with pytest.raises(UndecidedPower):
         kth_root(over.lift(w) * over.var("t") ** 2, 2)
-    big = Field(finite_field(2, 13))
+    big = Field(finite_field(2, 17))  # past the log tables
     with pytest.raises(UndecidedPower):
         kth_root(big.generator(), 3)
     assert is_kth_power(big.generator(), 3) is None
+
+
+def test_f65536_tables_build_in_half_a_second_and_logs_take_a_millisecond():
+    # fresh descriptors, not the interned one, so each build is timed here;
+    # the faster of two builds is taken against a busy machine
+    builds = []
+    for _ in range(2):
+        d = _FiniteField(2, 16)
+        start = time.perf_counter()
+        d.root_of_unity_log(d.one())
+        builds.append(time.perf_counter() - start)
+    assert min(builds) < 0.5, builds
+    x, logs = d.generator(), []
+    for _ in range(5):
+        start = time.perf_counter()
+        d.root_of_unity_log(x)
+        logs.append(time.perf_counter() - start)
+    assert min(logs) < 1e-3, logs
+    z = d.zeta(65535)
+    assert z == zeta_by_scan(d, 65535) and d.root_of_unity_log(z) == Fraction(1, 65535)
+
+
+def test_finite_field_kth_roots_are_decided_up_to_the_table_limit():
+    # fields of 4097 to 65536 elements answer from their log tables, and only
+    # fields past them raise UndecidedPower: the least root in element order,
+    # or None when gcd(k, q - 1) does not divide the log
+    d = finite_field(2, 13)
+    x = d.generator()
+    r = d.kth_root(x, 3)
+    assert d.power(r, 3) == x and r == kth_root_by_scan(d, x, 3, cap=8192)
+    f = Field(finite_field(2, 16))
+    t = f.generator()
+    cube_free = next(y for y in (t, t + 1, t * t + 1) if root_of_unity_log(y) * 65535 % 3)
+    assert kth_root(cube_free, 3) is None and is_kth_power(cube_free, 3) is False
+    root = kth_root(cube_free ** 3, 3)
+    assert root ** 3 == cube_free ** 3 and is_kth_power(cube_free ** 3, 3) is True
+    assert root.payload == min(y.payload for y in (cube_free * f.zeta(3) ** j for j in range(3)))
 
 
 def test_cyclotomic_kth_roots_of_unit_times_rational():
@@ -476,6 +515,55 @@ def test_finite_field_roots_of_unity_log_matches_a_power_walk():
             assert root_of_unity_log(x) == logs.get(x)
     with pytest.raises(FieldTooLarge):
         root_of_unity_log(Field(finite_field(2, 17)).generator())
+    # past the tables zeta tests orders by powers of polynomials; 2^17 - 1 is
+    # prime, so the first element other than 0 and 1 has order 2^17 - 1
+    assert finite_field(2, 17).zeta(2 ** 17 - 1) == (0,) * 16 + (1,)
+
+
+def _finite_fields_upto(q_max: int) -> list:
+    fields = []
+    for p in _primes_upto(q_max):
+        fields.append(prime_field(p))
+        fields.extend(finite_field(p, m) for m in range(2, 64) if p ** m <= q_max)
+    return fields
+
+
+def test_finite_field_tables_match_the_polynomial_and_scan_oracles():
+    # the log/antilog tables against the polynomial arithmetic and the element
+    # scans they replaced, over every F_{p^m} with m >= 2 and q <= 4096, a
+    # seeded sample of the prime fields up to 4096 (a scan is O(q), so all
+    # 564 would take minutes) and four of them as finite_field(p, 1), with
+    # 1-tuple payloads: products, inverses and powers of seeded elements,
+    # zeta of every order dividing q - 1, discrete logs and k-th roots for
+    # k = 2..6
+    rng = random.Random(19)
+    fields = _finite_fields_upto(4096)
+    primes = [d for d in fields if d.kind == "prime_field"]
+    primes = primes[:4] + rng.sample(primes[4:], 12) + primes[-1:]
+    fields = [d for d in fields if d.kind == "finite_field"] + primes
+    fields += [finite_field(d.p, 1) for d in primes[:4]]
+    for d in fields:
+        q, one = d.size(), d.one()
+        nonzero = [x for x in d.payloads() if not d.is_zero(x)]
+        sample = [one, d.neg(one)] + rng.sample(nonzero, min(6, q - 1))
+
+        def mul(x, y):
+            return finite_field_mul_by_polynomials(d, x, y)
+
+        for x in sample:
+            for y in sample:
+                assert d.mul(x, y) == mul(x, y), (d, x, y)
+            assert d.mul(x, d.zero()) == d.mul(d.zero(), x) == d.zero()
+            assert d.inv(x) == finite_field_inv_by_polynomials(d, x), (d, x)
+            e = rng.randrange(3 * q)
+            assert d.power(x, e) == binary_power(x, e, one, mul), (d, x, e)
+        for order in (k for k in range(1, q) if (q - 1) % k == 0):
+            assert d.zeta(order) == zeta_by_scan(d, order), (d, order)
+        for x in sample[:3] + [d.zero()]:
+            assert d.root_of_unity_log(x) == root_of_unity_log_by_scan(d, x), (d, x)
+        for k in range(2, 7):
+            for x in sample[:3]:
+                assert d._kth_root(x, k) == kth_root_by_scan(d, x, k), (d, x, k)
 
 
 def test_artin_schreier_image_f2():
@@ -633,6 +721,35 @@ def test_payload_integers_accept_json_ints_and_decimal_strings():
     for obj in (True, 1.0, None, [1], {"1": 1}):
         with pytest.raises(TypeError, match="expected an integer or a string"):
             _exact_int(obj)
+
+
+@pytest.mark.parametrize("text", ["1_000", "1e3", " 3/4 ", "+1", "1/0"])
+def test_payload_rationals_are_decimal_strings(text):
+    # Fraction() read "1_000" and "1e3" as 1000, " 3/4 " as 3/4 and "+1" as
+    # 1, and "1/0" raised ZeroDivisionError; each reader now raises ValueError
+    from aniso.errors import _exact_fraction
+    from aniso.pairing import AlternatingPairing
+    readers = [
+        lambda: _exact_fraction(text),
+        lambda: element_from_json(text, rationals()),
+        lambda: element_from_json([text, "0"], cyclotomic(3)),
+        lambda: element_from_json({"num": {"1,0": text}}, function_field(rationals(), "ab")),
+        lambda: element_from_json({"num": {"0": [text, "1"]}}, function_field(cyclotomic(3), "x")),
+        lambda: AlternatingPairing.from_json({"invariant_factors": ["2", "2"],
+                                              "gram": [["0", text], ["0", "0"]]}),
+    ]
+    for read in readers:
+        with pytest.raises(ValueError):
+            read()
+
+
+def test_payload_rationals_accept_json_ints_and_decimal_fractions():
+    from aniso.errors import _exact_fraction
+    assert [_exact_fraction(x) for x in (7, -7, "12", "-3/4", "4/2", "007/010", "-0/5")] == \
+        [7, -7, 12, Fraction(-3, 4), 2, Fraction(7, 10), 0]
+    for obj in (True, 1.5, None, ["1"], {"1": 1}):
+        with pytest.raises(TypeError, match="expected an integer or a string"):
+            _exact_fraction(obj)
 
 
 def test_power_helpers():
