@@ -601,9 +601,11 @@ class _Cyclotomic(FieldDescriptor):
         raise UndecidedPower(f"{k}-th roots in {self!r} beyond roots of unity times rationals")
 
 
-# F_q with at most this many elements keeps log and antilog tables; a larger
-# field multiplies polynomials and refuses discrete logs and k-th roots
-_TABLE_LIMIT = 1 << 16
+# F_q with at most this many elements keeps log and antilog tables and
+# decides k-th roots; a larger field multiplies polynomials and refuses them
+_TABLE_LIMIT = 1 << 12
+# past the tables, a discrete log walks the powers of zeta(q - 1) up to here
+_LOG_SCAN_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True, repr=False)
@@ -617,11 +619,13 @@ class _FiniteField(FieldDescriptor):
     dict and an antilog list to the base zeta(q - 1), the first element of
     order q - 1 in payloads() order (Huber, IEEE Trans. Inf. Theory 36
     (1990)). mul, _inv and power are then lookups, and so are the roots of
-    unity, discrete logs and k-th roots. The tables of F_65536 hold 16.7
-    MiB (tracemalloc) and take about 0.2 s to build on one core of a 2-core
-    x86 machine; those of F_256 hold 44 KiB. A larger field multiplies
-    polynomials, raises FieldTooLarge for a discrete log and UndecidedPower
-    for a k-th root.
+    unity, discrete logs and k-th roots. The build walks the q - 2 powers
+    of the base by polynomial products: the tables of F_256 hold 45 KiB
+    (tracemalloc) and take 4 ms on one core of a 2-core x86 machine, those
+    of F_4096 hold 0.9 MiB and take 0.1 s. A larger field multiplies
+    polynomials, raises UndecidedPower for a k-th root, and finds a
+    discrete log by walking the powers of zeta(q - 1) up to
+    _LOG_SCAN_LIMIT elements and raises FieldTooLarge past it.
     """
 
     p: int
@@ -663,54 +667,15 @@ class _FiniteField(FieldDescriptor):
         primes = set(_prime_factors(n))
         base = next(x for x in self.payloads() if not self.is_zero(x) and all(
             binary_power(x, n // r, one, self._poly_mul) != one for r in primes))
-        exp, zero = self._powers(base, n), self.zero()
+        exp, zero = [one], self.zero()
+        for _ in range(n - 1):
+            exp.append(self._poly_mul(exp[-1], base))
         log = {x: e for e, x in enumerate(exp)}
         log[zero] = 2 * n
         return log, exp + exp + [zero] * (2 * n + 1), n
 
     def _poly_mul(self, x, y):
         return self._reduce(_fp_mul(list(x), list(y), self.p))
-
-    def _powers(self, g, n: int) -> list:
-        """[g^0, ..., g^(n-1)] for g of order n = q - 1.
-
-        Multiplying by t is a shift and one multiple of the modulus, so the
-        walk runs on w = t (on w = g when m = 1, where the modulus is t and
-        t is zero): its powers fill the subgroup H of index k = n / |H|, and
-        each coset g^j H is walked from g^j. g^k generates H, so g^k = w^r
-        with r its place in the walk, and w = g^s with s = k r^-1 mod |H|;
-        so the i-th step from g^j lands on g^(j + s i).
-        """
-        p, f, one = self.p, modulus_polynomial(self.p, self.m)[:-1], self.one()
-        on_g = self.m == 1
-
-        def step(x):
-            if on_g:
-                return self._poly_mul(x, g)
-            a, x = x[-1], (0,) + x[:-1]
-            if not a:
-                return x
-            if p == 2:
-                return tuple(map(operator.xor, x, f))
-            return tuple((u - a * c) % p for u, c in zip(x, f))
-
-        subgroup = [one]
-        while (x := step(subgroup[-1])) != one:
-            subgroup.append(x)
-        size = len(subgroup)
-        k = n // size
-        r = subgroup.index(binary_power(g, k, one, self._poly_mul))
-        s = k * pow(r, -1, size) % n
-        exp, rep, coset = [None] * n, one, subgroup
-        for j in range(k):
-            if j:
-                rep = self._poly_mul(rep, g)
-                coset = [rep]
-                for _ in range(size - 1):
-                    coset.append(step(coset[-1]))
-            for i, x in enumerate(coset):
-                exp[(j + s * i) % n] = x
-        return exp
 
     def from_int(self, k: int):
         return tuple([k % self.p] + [0] * (self.m - 1))
@@ -783,10 +748,18 @@ class _FiniteField(FieldDescriptor):
 
     def root_of_unity_log(self, x) -> Optional[Fraction]:
         tables = self._tables
-        if tables is None:
-            raise FieldTooLarge(f"discrete logs are tabled only up to {_TABLE_LIMIT} elements")
-        log, _, n = tables
-        return None if self.is_zero(x) else Fraction(log[x], n)
+        if tables is not None:
+            log, _, n = tables
+            return None if self.is_zero(x) else Fraction(log[x], n)
+        q = self.size()
+        if q > _LOG_SCAN_LIMIT:
+            raise FieldTooLarge(f"discrete log capped at {_LOG_SCAN_LIMIT} elements")
+        gen, acc = self.zeta(q - 1), self.one()
+        for t in range(q - 1):
+            if x == acc:
+                return Fraction(t, q - 1)
+            acc = self.mul(acc, gen)
+        return None
 
     def _kth_root(self, x, k: int):
         """The least root in element order: r^k = x for r = zeta^e exactly
@@ -794,7 +767,7 @@ class _FiniteField(FieldDescriptor):
         e, spaced (q - 1) / g apart, when g divides log x and none else."""
         tables = self._tables
         if tables is None:
-            raise UndecidedPower(f"{k}-th roots in {self!r} are decided only up to "
+            raise UndecidedPower(f"{k}-th roots in {self!r} are searched only up to "
                                  f"{_TABLE_LIMIT} elements")
         log, exp, n = tables
         g = math.gcd(k, n)

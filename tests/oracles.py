@@ -128,15 +128,22 @@ def finite_field_inv_by_polynomials(d, x):
     return _from_coefficients(d, _fp_rem(inverse, f, d.p))
 
 
+def _mul_by_polynomials(d):
+    return lambda x, y: finite_field_mul_by_polynomials(d, x, y)
+
+
+# the scans multiply by polynomials, not by d.mul, so that they check the
+# log tables instead of reading them
 def zeta_by_scan(d, order: int):
-    """The first element of the given order in element order, each
-    candidate's order found by multiplying up to order times."""
+    """The first element of the given order in element order: x has order
+    d when x^d = 1 and x^(d/r) != 1 for each prime r dividing d, each power
+    taken by polynomial products."""
     if (d.size() - 1) % order:
         raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
-    one = d.one()
+    one, mul, primes = d.one(), _mul_by_polynomials(d), set(_prime_factors(order))
     for x in d.payloads():
-        found = not d.is_zero(x) and least_power(x, d.mul, lambda a: a == one, order)
-        if found and found[0] == order:
+        if not d.is_zero(x) and binary_power(x, order, one, mul) == one and all(
+                binary_power(x, order // r, one, mul) != one for r in primes):
             return x
     raise RootOfUnityMissing(f"{d!r} has no element of order {order}")
 
@@ -147,22 +154,28 @@ def root_of_unity_log_by_scan(d, x, cap: int = 65536) -> Optional[Fraction]:
     q = d.size()
     if q > cap:
         raise FieldTooLarge(f"discrete log capped at {cap} elements")
-    gen, acc = zeta_by_scan(d, q - 1), d.one()
+    gen, acc, mul = zeta_by_scan(d, q - 1), d.one(), _mul_by_polynomials(d)
     for t in range(q - 1):
         if x == acc:
             return Fraction(t, q - 1)
-        acc = d.mul(acc, gen)
+        acc = mul(acc, gen)
     return None
 
 
-def kth_root_by_scan(d, x, k: int, cap: int = 4096):
-    """The first r in element order with r^k = x, or None."""
+def kth_roots_by_scan(d, xs, ks, cap: int = 4096) -> dict:
+    """{(x, k): the first r in element order with r^k = x, or None} for
+    each x in xs and k in ks, by one scan that takes r^1, ..., r^max(ks)
+    of every r."""
     if d.size() > cap:
-        raise UndecidedPower(f"{k}-th roots in {d!r} are searched only up to {cap} elements")
+        raise UndecidedPower(f"k-th roots in {d!r} are searched only up to {cap} elements")
+    mul, wanted, roots = _mul_by_polynomials(d), {(x, k) for x in xs for k in ks}, {}
     for r in d.payloads():
-        if binary_power(r, k, d.one(), d.mul) == x:
-            return r
-    return None
+        power = d.one()
+        for k in range(1, max(ks) + 1):
+            power = mul(power, r)
+            if (power, k) in wanted:
+                roots.setdefault((power, k), r)
+    return {key: roots.get(key) for key in wanted}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from aniso.integers import binary_power, least_power
 from oracles import (FractionCyclotomic, _p_add, _p_mul, artin_schreier_image, cy_mul,
                      cy_reduce, finite_field_inv_by_polynomials,
                      finite_field_mul_by_polynomials, function_field_add_by_dicts,
-                     function_field_mul_by_dicts, kth_root_by_scan, kth_roots_in_newton_box,
+                     function_field_mul_by_dicts, kth_roots_by_scan, kth_roots_in_newton_box,
                      root_of_unity_log_by_scan, zeta_by_scan)
 
 
@@ -427,47 +427,43 @@ def test_undecided_powers_raise_one_error():
     over = Field(function_field(cyclotomic(3), ("t",)))
     with pytest.raises(UndecidedPower):
         kth_root(over.lift(w) * over.var("t") ** 2, 2)
-    big = Field(finite_field(2, 17))  # past the log tables
+    big = Field(finite_field(2, 13))
     with pytest.raises(UndecidedPower):
         kth_root(big.generator(), 3)
     assert is_kth_power(big.generator(), 3) is None
 
 
-def test_f65536_tables_build_in_half_a_second_and_logs_take_a_millisecond():
-    # fresh descriptors, not the interned one, so each build is timed here;
-    # the faster of two builds is taken against a busy machine
-    builds = []
-    for _ in range(2):
-        d = _FiniteField(2, 16)
-        start = time.perf_counter()
-        d.root_of_unity_log(d.one())
-        builds.append(time.perf_counter() - start)
-    assert min(builds) < 0.5, builds
-    x, logs = d.generator(), []
-    for _ in range(5):
-        start = time.perf_counter()
-        d.root_of_unity_log(x)
-        logs.append(time.perf_counter() - start)
-    assert min(logs) < 1e-3, logs
-    z = d.zeta(65535)
-    assert z == zeta_by_scan(d, 65535) and d.root_of_unity_log(z) == Fraction(1, 65535)
+def test_f4096_tables_take_4186_products_and_later_lookups_take_none(monkeypatch):
+    # a fresh descriptor, not the interned one, so its whole build is counted
+    # once the modulus is known: the search for the base and the walk of its
+    # 4094 powers. Once built, logs, products, inverses, powers, roots of
+    # unity and k-th roots are lookups that multiply no polynomials
+    from aniso import scalars
+    modulus_polynomial(2, 12)
+    calls, fp_mul = [], scalars._fp_mul
+    monkeypatch.setattr(scalars, "_fp_mul", lambda *args: calls.append(args) or fp_mul(*args))
+    d = _FiniteField(2, 12)
+    assert d.root_of_unity_log(d.one()) == 0 and len(calls) == 4186
+    calls.clear()
+    x, z = d.generator(), d.zeta(4095)
+    assert d.root_of_unity_log(z) == Fraction(1, 4095)
+    d.root_of_unity_log(x), d.mul(x, z), d.inv(x), d.power(x, 1000), d._kth_root(x, 3)
+    assert calls == []
+    assert z == zeta_by_scan(d, 4095)
 
 
-def test_finite_field_kth_roots_are_decided_up_to_the_table_limit():
-    # fields of 4097 to 65536 elements answer from their log tables, and only
-    # fields past them raise UndecidedPower: the least root in element order,
-    # or None when gcd(k, q - 1) does not divide the log
+def test_finite_fields_past_the_tables_multiply_polynomials_and_walk_logs():
+    # F_8192 keeps no tables: products and inverses are the polynomial ones,
+    # a discrete log walks the powers of zeta(q - 1), and k-th roots raise
     d = finite_field(2, 13)
-    x = d.generator()
-    r = d.kth_root(x, 3)
-    assert d.power(r, 3) == x and r == kth_root_by_scan(d, x, 3, cap=8192)
-    f = Field(finite_field(2, 16))
-    t = f.generator()
-    cube_free = next(y for y in (t, t + 1, t * t + 1) if root_of_unity_log(y) * 65535 % 3)
-    assert kth_root(cube_free, 3) is None and is_kth_power(cube_free, 3) is False
-    root = kth_root(cube_free ** 3, 3)
-    assert root ** 3 == cube_free ** 3 and is_kth_power(cube_free ** 3, 3) is True
-    assert root.payload == min(y.payload for y in (cube_free * f.zeta(3) ** j for j in range(3)))
+    x, z = d.generator(), d.zeta(8191)
+    assert d._tables is None
+    assert d.mul(x, z) == finite_field_mul_by_polynomials(d, x, z)
+    assert d.inv(x) == finite_field_inv_by_polynomials(d, x)
+    w = d.power(z, 5)
+    assert d.root_of_unity_log(w) == Fraction(5, 8191) == root_of_unity_log_by_scan(d, w)
+    with pytest.raises(UndecidedPower):
+        d._kth_root(w, 3)
 
 
 def test_cyclotomic_kth_roots_of_unit_times_rational():
@@ -561,9 +557,8 @@ def test_finite_field_tables_match_the_polynomial_and_scan_oracles():
             assert d.zeta(order) == zeta_by_scan(d, order), (d, order)
         for x in sample[:3] + [d.zero()]:
             assert d.root_of_unity_log(x) == root_of_unity_log_by_scan(d, x), (d, x)
-        for k in range(2, 7):
-            for x in sample[:3]:
-                assert d._kth_root(x, k) == kth_root_by_scan(d, x, k), (d, x, k)
+        for (x, k), root in kth_roots_by_scan(d, sample[:3], range(2, 7)).items():
+            assert d._kth_root(x, k) == root, (d, x, k)
 
 
 def test_artin_schreier_image_f2():
