@@ -9,14 +9,14 @@ automorphisms, and pointless quadrics.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from . import fieldmatrix
 from .errors import AnisoError
 from .integers import _split_prime_power
-from .lattice import closure
+from .lattice import closure, closure_orders
 from .scalars import Field, FieldDescriptor, _is_prime, _primes_upto
 
 
@@ -142,17 +142,22 @@ class FiniteMatrixGroup:
         self.degree = n = len(self.elements[0])
         ident = fieldmatrix.identity(self.field, n)
         index = {}
-        for m in self.elements:
+        for pos, m in enumerate(self.elements):
             if len(m) != n or any(len(row) != n for row in m):
                 raise BoundsError("mixed matrix shapes in one group")
             if m in index:
                 raise BoundsError("duplicate element in group list")
-            index[m] = True
+            index[m] = pos
         if ident not in index:
             raise BoundsError("identity matrix missing")
-        closure(ident, self.elements, fieldmatrix.mat_mul, lambda x: x, len(self.elements),
-                BoundsError("element list is not closed under multiplication"),
-                _refuse_singular)
+        found, right = closure(ident, self.elements, fieldmatrix.mat_mul, lambda x: x,
+                               len(self.elements),
+                               BoundsError("element list is not closed under multiplication"),
+                               _refuse_singular)
+        at = [0] * len(found)  # found is the list, reordered breadth first
+        for c, m in enumerate(found):
+            at[index[m]] = c
+        self._cayley = right, at
 
     @classmethod
     def from_generators(cls, descriptor: FieldDescriptor, generators,
@@ -162,40 +167,38 @@ class FiniteMatrixGroup:
         ident = fieldmatrix.identity(Field(descriptor), len(generators[0]))
         gens = [fieldmatrix.mat_from_rows([list(r) for r in g])
                 for g in generators]
-        elements = closure(ident, gens, fieldmatrix.mat_mul, lambda m: m, cap,
-                           GroupTooLarge(f"closure exceeded cap {cap}"))
+        elements, right = closure(ident, gens, fieldmatrix.mat_mul, lambda m: m, cap,
+                                  GroupTooLarge(f"closure exceeded cap {cap}"))
         for g in gens:  # a closure is closed: only a singular generator is refused
             _refuse_singular(g)
         group = object.__new__(cls)
         group.descriptor, group.field, group.elements, group.degree = (
             descriptor, Field(descriptor), elements, len(ident))
+        group._cayley = right, range(len(elements))
         return group
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def element_orders(self) -> list[int]:
-        """The order of every element, in list order.
+    @functools.cached_property
+    def _cayley(self):
+        """(right, at): the Cayley graph of the closure of the list over its
+        kept generators (lattice.closure) and the closure index of each
+        listed element. The constructors record it; an object built around
+        a list that is no group finds the closure outgrowing the list."""
+        found, right = closure(fieldmatrix.identity(self.field, self.degree), self.elements,
+                               fieldmatrix.mat_mul, lambda m: m, self.order,
+                               BoundsError("element order exceeds the group order"))
+        index = {m: c for c, m in enumerate(found)}
+        return right, [index[m] for m in self.elements]
 
-        One power chain g, g^2, ..., g^k = 1 per element not yet met in
-        an earlier chain gives the orders of all its powers at once: g^j
-        has order k / gcd(j, k).
-        """
-        ident = fieldmatrix.identity(self.field, self.degree)
-        orders: dict = {}
-        for m in self.elements:
-            if m in orders:
-                continue
-            chain = [m]
-            while chain[-1] != ident:
-                if len(chain) == self.order:
-                    raise BoundsError("element order exceeds the group order")
-                chain.append(fieldmatrix.mat_mul(chain[-1], m))
-            k = len(chain)
-            for j, power in enumerate(chain, 1):
-                orders[power] = k // math.gcd(j, k)
-        return [orders[m] for m in self.elements]
+    def element_orders(self) -> list[int]:
+        """The order of every element, in list order, walked by index
+        through the Cayley graph (lattice.closure_orders), with no product."""
+        right, at = self._cayley
+        orders = closure_orders(right)
+        return [orders[c] for c in at]
 
 
 def _refuse_singular(m) -> None:

@@ -33,6 +33,8 @@ def _split_prime_power(n: int, p: int) -> tuple[int, int]:
 
 def binary_power(x, e: int, one, mul):
     """x**e for e >= 0 by square and multiply, starting from one."""
+    if e < 0:
+        raise ValueError(f"binary_power needs an exponent >= 0, got {e}")
     out = one
     while e:
         if e & 1:

@@ -254,7 +254,7 @@ def pairing_radical(p: AlternatingPairing) -> list[tuple[int, ...]]:
     group = p.group
     return sorted(closure(group.zero, _radical_generators(p), group.add,
                           lambda x: x, 4096,
-                          GroupTooLarge("radical exceeds 4096 elements")))
+                          GroupTooLarge("radical exceeds 4096 elements"))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import fieldmatrix
 from .errors import AnisoError, _exact_int
 from .integers import least_power
-from .lattice import closure
+from .lattice import cayley_table, closure, closure_orders
 from .scalars import (
     Field,
     FieldDescriptor,
@@ -767,7 +767,8 @@ def pfister_group_closure(k: int, cap: int = 4096) -> PfisterGroup:
     """Projective closure of the two isometries, with multiplication table.
 
     Elements are matrices normalized so the first nonzero entry is 1;
-    the table indexes products, and element orders are read off the table.
+    the table indexes products; it and the element orders are read off
+    the closure's Cayley graph, with no product past the closure.
     """
     if not 2 <= k <= 5:
         raise KTooLarge("closure needs 2 <= k <= 5")
@@ -779,29 +780,19 @@ def pfister_group_closure(k: int, cap: int = 4096) -> PfisterGroup:
     def mul(a, b):
         return fieldmatrix.projective_normalize(fieldmatrix.mat_mul(a, b))
 
-    elements = closure(ident, gens, mul, lambda m: m, cap,
-                       QuadFormError(f"closure exceeded the cap {cap}"))
-    index = {m: i for i, m in enumerate(elements)}
-    size = len(elements)
-    table = tuple(tuple(index[mul(a, b)] for b in elements) for a in elements)
-    sigma_index = index[gens[0]]
-    tau_index = index[gens[1]]
+    elements, right = closure(ident, gens, mul, lambda m: m, cap,
+                              QuadFormError(f"closure exceeded the cap {cap}"))
+    table = tuple(map(tuple, cayley_table(right)))
+    sigma_index = elements.index(gens[0])
+    tau_index = elements.index(gens[1])
     iota_index = 0
     for step in (sigma_index, tau_index, sigma_index, tau_index):
         iota_index = table[iota_index][step]
-    orders = []
-    for i in range(size):
-        j = i
-        order = 1
-        while j != 0:
-            j = table[j][i]
-            order += 1
-        orders.append(order)
     return PfisterGroup(
-        k=k, elements=tuple(elements), table=table, order=size,
+        k=k, elements=tuple(elements), table=table, order=len(elements),
         sigma_index=sigma_index, tau_index=tau_index, iota_index=iota_index,
         nonabelian=table[sigma_index][tau_index] != table[tau_index][sigma_index],
-        projective_orders=tuple(orders),
+        projective_orders=tuple(closure_orders(right)),
         order_bound=8 ** (2 ** k - 1))
 
 

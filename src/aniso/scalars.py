@@ -358,6 +358,9 @@ class FieldDescriptor:
         return self.mul(x, self.inv(y))
 
     def power(self, x, e: int):
+        """x^e; a negative e inverts first, so zero raises DivisionByZero."""
+        if e < 0:
+            return self.power(self.inv(x), -e)
         return binary_power(x, e, self.one(), self.mul)
 
     def kth_root(self, x, k: int):

@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError, _exact_int
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      _kernel_from_smith, _stack_smith, closure, closure_cap,
-                      group_closure)
+                      NotUnimodular, _kernel_from_smith, _stack_smith, cayley_table,
+                      closure, closure_cap, group_closure)
 
 
 class TorusError(AnisoError):
@@ -55,6 +55,11 @@ class BadGroupTable(TorusError):
     pass
 
 
+def _refuse_non_unimodular(gens: Sequence[IntMatrix]) -> None:
+    if any(abs(g.det()) != 1 for g in gens):
+        raise TorusError("generators must be invertible over the integers")
+
+
 class TorusModel:
     """Rank-n lattice with a finite action; immutable after construction.
 
@@ -74,17 +79,25 @@ class TorusModel:
         gens = tuple(theta_generators)
         if not gens:
             gens = (IntMatrix.identity(rank),)
-        for g in gens:
+        for k, g in enumerate(gens):
             if g.rows != rank or g.cols != rank:
+                _refuse_non_unimodular(gens[:k])
                 raise TorusError("generator size does not match rank")
-            if abs(g.det()) != 1:
-                raise TorusError("generators must be invertible over the integers")
         self.rank = rank
         self.theta_generators = gens
         self.label = label
         self.characteristic = characteristic
         self.norm_group_order = norm_group_order
-        self.theta_elements = group_closure(gens, cap)
+        # The closure admits each kept generator through int_inverse, in
+        # order, and a skipped one is a product of those admitted: so the
+        # first generator it refuses is the first one that is not unimodular.
+        try:
+            self.theta_elements = group_closure(gens, cap)
+        except NotUnimodular:
+            raise TorusError("generators must be invertible over the integers") from None
+        except ClosureCapExceeded:
+            _refuse_non_unimodular(gens)  # the generators past the cap go unchecked
+            raise
 
     @property
     def theta_order(self) -> int:
@@ -269,10 +282,9 @@ def table_from_permutation_generators(generators: Sequence[Sequence[int]],
     def compose(s, t):
         return tuple(s[t[i]] for i in range(m))
 
-    elements = closure(tuple(range(m)), gens, compose, lambda s: s, limit,
+    _, right = closure(tuple(range(m)), gens, compose, lambda s: s, limit,
                        ClosureCapExceeded(f"group exceeded cap {limit}"))
-    idx = {s: i for i, s in enumerate(elements)}
-    return [[idx[compose(s, t)] for t in elements] for s in elements]
+    return cayley_table(right)
 
 
 def norm_quotient_torus(table: Sequence[Sequence[int]],
@@ -300,8 +312,7 @@ def norm_quotient_torus(table: Sequence[Sequence[int]],
             if s != 0:
                 col[s - 1] -= 1
             cols.append(col)
-        return IntMatrix.from_rows([[cols[j][i] for j in range(rank)]
-                                    for i in range(rank)])
+        return IntMatrix(tuple(zip(*cols)))
 
     gens = [action_matrix(s) for s in range(1, n)]
     if not label:

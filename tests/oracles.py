@@ -31,8 +31,8 @@ from aniso import bounds, fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
 from aniso.errors import _exact_json
-from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _bareiss,
-                           _reduce_mod_rows, _smith_dv, _vec_mat, abelian_quotient,
+from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
+                           _bareiss, _reduce_mod_rows, _smith_dv, _vec_mat, abelian_quotient,
                            fixed_sublattice, group_closure, int_inverse, integer_kernel,
                            kernel_mod_d)
 from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
@@ -755,6 +755,77 @@ def int_matmul_dense(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b.entries))
     return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                            for row in a.entries))
+
+
+def smith_reduce_reference(m: IntMatrix):
+    """lattice._smith_reduce with every column operation over all rows and
+    the divisibility scan after every pivot, even one of ±1: the same pivot
+    rule, so the same (D, V, log)."""
+    a = [list(row) for row in m.entries]
+    rows, cols = m.rows, m.cols
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+    log: list[tuple[int, ...]] = []
+
+    def row_op(op):
+        log.append(op)
+        _apply_row_op(a, op)
+
+    def col_op(i, j, q):  # col_i -= q * col_j
+        for row in itertools.chain(a, v):
+            if row[j]:
+                row[i] -= q * row[j]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    t = 0
+    limit = min(rows, cols)
+    while t < limit:
+        best = 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, pi, pj = x, i, j
+            if best == 1:
+                break
+        if not best:
+            break
+        if pi != t:
+            row_op((pi, t))
+        if pj != t:
+            swap_cols(pj, t)
+        p = a[t][t]
+        reduced = False
+        for i in range(t + 1, rows):
+            if a[i][t]:
+                row_op((i, t, a[i][t] // p))
+                reduced = True
+        for j in range(t + 1, cols):
+            if a[t][j]:
+                col_op(j, t, a[t][j] // p)
+                reduced = True
+        if reduced:
+            continue
+        bad = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if a[i][j] % p:
+                    bad = i
+                    break
+            if bad is not None:
+                break
+        if bad is not None:
+            row_op((t, bad, -1))
+            continue
+        if a[t][t] < 0:
+            row_op((t,))
+        t += 1
+    return a, v, log
 
 
 def row_basis_by_inverse(rows, ambient: int) -> list[tuple[int, ...]]:

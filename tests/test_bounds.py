@@ -223,6 +223,32 @@ def test_closure_certificate_matches_all_products_oracle(name):
     assert rejected >= 6
 
 
+@pytest.mark.parametrize("name", ["Q", "Q(z5)", "F_3"])
+def test_element_orders_read_off_the_cayley_graph(name, monkeypatch):
+    # the constructors keep the closure's Cayley graph: its table is
+    # index[mat_mul(a, b)] over all pairs, and element orders walk it with
+    # no product, in list order whatever order the list was given in
+    from aniso.lattice import cayley_table
+    descriptor, ambient = _ambient_groups()[name]
+    rng = random.Random(1212)
+    for _ in range(5):
+        group = FiniteMatrixGroup.from_generators(
+            descriptor, rng.sample(ambient, rng.randint(1, 3)))
+        elements = list(group.elements)
+        rng.shuffle(elements)
+        shuffled = FiniteMatrixGroup(descriptor, elements)
+        for g in (group, shuffled):
+            right, at = g._cayley
+            index = {g.elements[pos]: c for pos, c in enumerate(at)}
+            listed = sorted(index, key=index.get)  # the elements in closure order
+            assert cayley_table(right) == [[index[fieldmatrix.mat_mul(a, b)] for b in listed]
+                                           for a in listed]
+            expected = element_orders_by_least_power(g)
+            monkeypatch.setattr(fieldmatrix, "mat_mul", None)  # no product from here
+            assert g.element_orders() == expected
+            monkeypatch.undo()
+
+
 def test_closure_certificate_costs_g_log_g_products(monkeypatch):
     f5 = Field(prime_field(5))
     o, z = f5.one, f5.zero

@@ -194,8 +194,8 @@ def test_closure_keeps_only_needed_generators():
             products.append(1)
             return a @ b
 
-        got = lattice.closure(ident, gens, mul, key, 10 ** 6, ClosureCapExceeded(),
-                              admitted.append)
+        got, right = lattice.closure(ident, gens, mul, key, 10 ** 6, ClosureCapExceeded(),
+                                     admitted.append)
         expected = closure_over_all_generators(ident, gens, IntMatrix.__matmul__, key,
                                                10 ** 6, ClosureCapExceeded())
         order = len(expected)
@@ -207,6 +207,8 @@ def test_closure_keeps_only_needed_generators():
         kept = [g for i, g in enumerate(gens) if key(g) not in reached[i]]
         assert admitted == kept and 2 ** len(kept) <= order
         assert len(products) <= 2 * order * len(kept)
+        index = {key(x): i for i, x in enumerate(got)}  # the graph of the last pass
+        assert right == [[index[key(x @ h)] for h in kept] for x in got]
         if all(g == ident or g in gens[:i]
                for i, g in enumerate(gens) if key(g) in reached[i]):
             identical += 1
@@ -215,13 +217,52 @@ def test_closure_keeps_only_needed_generators():
             reordered += got != expected
         if order > 1:
             for closing in (lambda c: lattice.closure(ident, gens, IntMatrix.__matmul__, key, c,
-                                                      ClosureCapExceeded()),
+                                                      ClosureCapExceeded())[0],
                             lambda c: closure_over_all_generators(
                                 ident, gens, IntMatrix.__matmul__, key, c, ClosureCapExceeded())):
                 assert len(closing(order)) == order
                 with pytest.raises(ClosureCapExceeded):
                     closing(order - 1)
     assert identical >= 10 and reordered >= 1
+
+
+def test_cayley_table_reads_every_product_off_the_closure():
+    # the table and the breadth-first parents from the graph alone agree
+    # with index[mul(a, b)] over all pairs, for matrix, signed-permutation
+    # conjugate and permutation groups, with and without skipped generators
+    from aniso.torus import table_from_permutation_generators
+    rng = random.Random(2020)
+    ambient = {n: _signed_permutations(n) for n in (2, 3)}
+    compose = lambda s, t: tuple(s[i] for i in t)
+    cases = []
+    for trial in range(24):
+        n = rng.choice((2, 3))
+        gens = rng.sample(ambient[n], rng.randint(1, 3))
+        if trial % 3 == 1:
+            p = _random_unimodular(rng, n)
+            p_inv = int_inverse(p)
+            gens = [p @ g @ p_inv for g in gens]
+        gens.insert(rng.randrange(len(gens) + 1), rng.choice(gens) @ rng.choice(gens))
+        cases.append((IntMatrix.identity(n), gens, IntMatrix.__matmul__))
+        m = rng.randint(1, 6)
+        perms = [tuple(rng.sample(range(m), m)) for _ in range(rng.randint(1, 3))]
+        cases.append((tuple(range(m)), perms, compose))
+    sizes = set()
+    for ident, gens, mul in cases:
+        elements, right = lattice.closure(ident, gens, mul, lambda x: x, 10 ** 6,
+                                          ClosureCapExceeded())
+        index = {x: i for i, x in enumerate(elements)}
+        table = lattice.cayley_table(right)
+        assert table == [[index[mul(a, b)] for b in elements] for a in elements]
+        parents = lattice.closure_parents(right)
+        kept = [elements[right[0][g]] for g in range(len(right[0]))]
+        assert parents[0] is None and all(
+            p < b and mul(elements[p], kept[g]) == elements[b]
+            for b, (p, g) in enumerate(parents[1:], 1))
+        if isinstance(ident, tuple):
+            assert table_from_permutation_generators(gens) == table
+        sizes.add(len(elements))
+    assert 1 in sizes and max(sizes) >= 24
 
 
 def test_abelian_quotient():
@@ -620,6 +661,18 @@ def test_u_free_smith_form_matches_on_the_s4_stack():
     stacked = _stack_shifted(norm_quotient_torus(symmetric_table(4)).theta_generators)
     assert (stacked.rows, stacked.cols) == (529, 23)
     _assert_u_free_matches_full(stacked)
+
+
+def test_lean_smith_reduction_matches_the_reference():
+    # skipping the divisibility scan under a ±1 pivot and the zero rows
+    # above the pivot changes no pivot, so D, V and the log are the same
+    from aniso.torus import norm_quotient_torus, symmetric_table
+    from oracles import smith_reduce_reference
+    matrices = _random_smith_inputs(random.Random(5151), 600) + _torus_torsion_stacks()
+    matrices.append(_stack_shifted(norm_quotient_torus(symmetric_table(4)).theta_generators))
+    assert (matrices[-1].rows, matrices[-1].cols) == (529, 23)
+    for m in matrices:
+        assert lattice._smith_reduce(m) == smith_reduce_reference(m)
 
 
 def test_smith_certificate_refuses_each_broken_part():

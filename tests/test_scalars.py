@@ -358,6 +358,35 @@ def test_function_field_gcd_terminates_over_cyclotomic_base():
     assert square / x == x
 
 
+def test_negative_powers_end():
+    # binary_power looped without end for e < 0 (e >>= 1 stays -1), and the
+    # descriptor's power passed e through; an alarm turns a hang into a failure
+    def give_up(signum, frame):
+        raise TimeoutError("a negative power did not end in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            binary_power(2, -1, 1, operator.mul)
+        assert rationals().power(Fraction(2), -3) == Fraction(1, 8)
+        rng = random.Random(77)
+        for d in _all_fields() + [finite_field(2, 13)]:  # F_8192 has no tables
+            field = Field(d)
+            x = field.random_element(rng)
+            if not x:
+                x = field.one
+            for e in (-1, -2, -5):
+                assert d.power(x.payload, e) == (x ** e).payload
+                assert FieldElement(d, d.power(x.payload, e)) * x ** -e == field.one
+            if d.kind != "prime_field":  # pow(0, -1, p) raises ValueError, as before
+                with pytest.raises(DivisionByZero):
+                    d.power(d.zero(), -1)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_lift_into_function_field():
     base = cyclotomic(4)
     tower = Field(function_field(base, ("s",)))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import random
@@ -7,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from aniso.lattice import IntMatrix
+from aniso import lattice
+from aniso.lattice import ClosureCapExceeded, IntMatrix
 from aniso.torus import (AveragingCertificate, BadGroupTable,
                          CharDividesOrder, NotAnisotropic, NotInvariant,
                          OrderMismatch, TorusError, TorusModel,
@@ -121,23 +123,81 @@ def test_norm_quotient_torsion_realizes_group_order():
     assert rep.group.exponent == 3
 
 
+def _count_closure_work(monkeypatch):
+    """Count the products the closure makes, the vector-matrix products
+    behind them, and the Bareiss eliminations (determinants, inverses)."""
+    counts = {"products": 0, "rows": 0, "bareiss": 0}
+    closure, vec_mat, bareiss = lattice.closure, lattice._vec_mat, lattice._bareiss
+
+    def counting_closure(identity, generators, mul, *rest):
+        def counting(a, b):
+            counts["products"] += 1
+            return mul(a, b)
+        return closure(identity, generators, counting, *rest)
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(lattice, "closure", counting_closure)
+    monkeypatch.setattr(lattice, "_vec_mat", counting("rows", vec_mat))
+    monkeypatch.setattr(lattice, "_bareiss", counting("bareiss", bareiss))
+    return counts
+
+
 def test_theta_closure_products(monkeypatch):
     # Θ is closed over the generators it needs: 86 products for S_4 (23
     # generators, |Θ| = 24) and 8 for Z_8 (7 generators), within
     # 2 |Θ| log2 |Θ|, where one product per element and given generator
-    # would be 552 and 56
-    products = []
-    matmul = IntMatrix.__matmul__
-
-    def counting(a, b):
-        products.append(1)
-        return matmul(a, b)
-
-    monkeypatch.setattr(IntMatrix, "__matmul__", counting)
-    for table, order, count in ((symmetric_table(4), 24, 86), (cyclic_table(8), 8, 8)):
-        products.clear()
+    # would be 552 and 56. Each product reads its rows from one dict per
+    # kept generator, so 72 and 8 rows are multiplied out, not 86 * 23 =
+    # 1,978 and 8 * 7 = 56; one Bareiss inverse per kept generator
+    counts = _count_closure_work(monkeypatch)
+    for table, order, products, rows, kept in ((symmetric_table(4), 24, 86, 72, 3),
+                                               (cyclic_table(8), 8, 8, 8, 1)):
+        counts.update(products=0, rows=0, bareiss=0)
         assert norm_quotient_torus(table).theta_order == order
-        assert len(products) == count <= 2 * order * math.floor(math.log2(order))
+        assert counts == {"products": products, "rows": rows, "bareiss": kept}
+        assert products <= 2 * order * math.floor(math.log2(order))
+
+
+def test_s5_norm_quotient_build(monkeypatch):
+    # |Θ| = 120 from 119 generators of size 119 x 119: 4 are kept, each
+    # inverted once by Bareiss (no determinant of the 115 others), and
+    # the 566 products multiply out 480 distinct rows
+    counts = _count_closure_work(monkeypatch)
+    model = norm_quotient_torus(symmetric_table(5))
+    assert (model.rank, model.theta_order) == (119, 120)
+    assert counts == {"products": 566, "rows": 480, "bareiss": 4}
+    digest = hashlib.sha256(repr([m.entries for m in model.theta_elements]).encode())
+    assert digest.hexdigest() == ("1396d9deba96807517c6e5093fab4131"
+                                  "fd70f185828c4b49436d5b8e089f85e6")
+
+
+def test_model_errors_keep_the_first_bad_generator_in_order():
+    # the determinant is left to the closure's inverse of each kept
+    # generator, but the error is still that of the first bad generator
+    bad_det, bad_shape = IntMatrix.from_rows([[2, 0], [0, 1]]), IntMatrix.from_rows([[1]])
+    unipotent, swap = IntMatrix.from_rows([[1, 1], [0, 1]]), IntMatrix.from_rows([[0, 1], [1, 0]])
+    singular = IntMatrix.from_rows([[1, 0], [0, 0]])
+    invertible = "generators must be invertible over the integers"
+    cases = [([bad_det, bad_shape], invertible),
+             ([swap, bad_det, bad_shape], invertible),
+             ([bad_shape, bad_det], "generator size does not match rank"),
+             ([swap, bad_shape, singular], "generator size does not match rank"),
+             ([swap, singular], invertible),
+             ([swap, swap, bad_det], invertible),
+             # the closure of [[1, 1], [0, 1]] passes the cap before the
+             # closure ever reaches [[2, 0], [0, 1]]
+             ([unipotent, bad_det], invertible)]
+    for gens, message in cases:
+        with pytest.raises(TorusError) as info:
+            TorusModel(2, gens)
+        assert type(info.value) is TorusError and str(info.value) == message
+    with pytest.raises(ClosureCapExceeded, match="closure exceeded cap 10000"):
+        TorusModel(2, [unipotent, swap])
 
 
 def test_averaging_certificate_rank_one():
