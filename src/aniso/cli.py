@@ -252,9 +252,11 @@ def _cmd_csa_norm(args) -> tuple[dict, int]:
     Berkowitz's recurrence takes O(n^4) products in K[u]/(u^n - a) of
     O(n^2) products in K = Q(zeta_n)(a, b) each. With every coefficient a
     nonzero integer that is about 2 s at n = 7, 5 s at n = 8 and 15 s at
-    n = 9, on one core of a 2-core x86 machine. A coefficient with a
-    denominator in a, b other than a monomial adds a polynomial gcd to
-    most additions. A larger degree raises DegreeTooLarge before Phi_n or
+    n = 9, on one core of a 2-core x86 machine. Denominators in a, b add
+    one gcd per coefficient, to multiply the element by D, the product of
+    the distinct denominators, and one to divide the result by D^n; the
+    recurrence itself then runs on polynomials, at a cost that grows with
+    their degrees. A larger degree raises DegreeTooLarge before Phi_n or
     the algebra is built.
     """
     obj = _load_payload(args.input)

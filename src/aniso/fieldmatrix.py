@@ -174,20 +174,6 @@ def mat_inverse(a: Matrix) -> Matrix:
     return tuple(tuple(row[n:]) for row in m)
 
 
-def solve_right(a: Matrix, b) -> tuple | None:
-    """One solution x of a @ x = b, or None. a need not be square."""
-    F = Field(mat_descriptor(a))
-    cols = len(a[0])
-    m = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots, _ = _gauss_jordan(m, cols)
-    if any(not row[cols].is_zero for row in m[len(pivots):]):
-        return None
-    x = [F.zero] * cols
-    for row, col in zip(m, pivots):
-        x[col] = row[cols]
-    return tuple(x)
-
-
 def nullspace(a: Matrix) -> list[tuple]:
     """Basis of the right kernel {x : a @ x = 0}, one vector per free column."""
     F = Field(mat_descriptor(a))

@@ -13,7 +13,8 @@ with one Fraction per coefficient, function-field
 polynomials as dicts (the _p_* kernels for sums, products, exact
 division, the primitive pseudo-remainder gcd and k-th roots, with
 normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
-norm on FieldElements, dense integer and field matrix products, field
+norm on FieldElements over the left regular representation, inverses in
+the algebra through an n^2 x n^2 linear system, dense integer and field matrix products, field
 matrix products and Pfister candidates built from FieldElements, and
 pairing values,
 validation and the isotropic recursion over Fractions, with a solve per
@@ -29,7 +30,7 @@ from typing import Iterator, Optional
 
 from aniso import bounds, fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
-from aniso.csa import AlgebraError, SymbolAlgebraSpec, regular_representation
+from aniso.csa import AlgebraElement, AlgebraError, NotInvertible, SymbolAlgebraSpec
 from aniso.errors import _exact_json
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
                            _bareiss, _reduce_mod_rows, _smith_dv, _vec_mat, abelian_quotient,
@@ -510,7 +511,72 @@ class FractionCyclotomic:
 
 
 # ---------------------------------------------------------------------------
-# reduced norms on FieldElements
+# reduced norms on FieldElements, and inverses through a linear system
+
+def regular_representation(x) -> list[list[list[FieldElement]]]:
+    """Matrix of left multiplication by x on the right-module basis v^j.
+
+    Entry [r][c] is a length-n coefficient list in u: x * v^c equals
+    sum_r v^r * (entry polynomial in u), using u^i v^t = z^{-it} v^t u^i.
+    """
+    spec = x.spec
+    if not isinstance(spec, SymbolAlgebraSpec):
+        raise AlgebraError("regular representation is for symbol algebras")
+    n = spec.degree
+    field = spec.field
+    mat = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
+    for (i, m), c in x.coefficients.items():
+        for col in range(n):
+            t = m + col
+            coeff = c
+            if t >= n:
+                t -= n
+                coeff = coeff * spec.b
+            # u^i v^t = z^{-i t} v^t u^i
+            coeff = coeff * spec.zeta_powers[(-i * t) % n]
+            mat[t][col][i] = mat[t][col][i] + coeff
+    return mat
+
+
+def solve_right(a: fieldmatrix.Matrix, b) -> Optional[tuple]:
+    """One solution x of a @ x = b, or None. a need not be square."""
+    F = Field(fieldmatrix.mat_descriptor(a))
+    cols = len(a[0])
+    m = [list(row) + [bv] for row, bv in zip(a, b)]
+    pivots, _ = fieldmatrix._gauss_jordan(m, cols)
+    if any(not row[cols].is_zero for row in m[len(pivots):]):
+        return None
+    x = [F.zero] * cols
+    for row, col in zip(m, pivots):
+        x[col] = row[cols]
+    return tuple(x)
+
+
+def algebra_inverse_by_solve(x) -> AlgebraElement:
+    """x^-1 as the solution y of x * y = 1, an n^2 x n^2 linear system over
+    the base field in the normal-form coordinates."""
+    spec = x.spec
+    n = spec.degree
+    if x.is_zero:
+        raise NotInvertible("zero has no inverse")
+    basis = [(i, j) for i in range(n) for j in range(n)]
+    pos = {key: t for t, key in enumerate(basis)}
+    cols = []
+    for key in basis:
+        prod = x * AlgebraElement(spec, {key: spec.field.one})
+        col = [spec.field.zero] * len(basis)
+        for k2, c in prod.coefficients.items():
+            col[pos[k2]] = c
+        cols.append(col)
+    mat = fieldmatrix.mat_from_rows([[cols[j][i] for j in range(len(basis))]
+                                     for i in range(len(basis))])
+    rhs = [spec.field.one if t == pos[(0, 0)] else spec.field.zero
+           for t in range(len(basis))]
+    sol = solve_right(mat, rhs)
+    if sol is None:
+        raise NotInvertible("element is a zero divisor")
+    return AlgebraElement(spec, {key: sol[t] for key, t in pos.items()})
+
 
 def _upoly_dot_by_elements(spec, fs, gs) -> list:
     """sum_i f_i g_i in K[u]/(u^n - a), for length-n coefficient lists in u.

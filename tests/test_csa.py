@@ -1,6 +1,9 @@
+import hashlib
 import itertools
+import json
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -13,12 +16,12 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        heisenberg_subgroup_elements,
                        inseparable_torsion_subgroup, norm_residue_class,
                        norm_residue_injectivity_check, reduced_norm,
-                       regular_representation, separability_check,
+                       separability_check,
                        weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
 from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
                            prime_field, rationals)
-from oracles import reduced_norm_by_elements
+from oracles import algebra_inverse_by_solve, reduced_norm_by_elements, regular_representation
 
 
 def generic_symbol(n):
@@ -205,6 +208,90 @@ def test_inverse_of_zero_raises():
     spec = rational_quaternions()
     with pytest.raises(NotInvertible):
         algebra_inverse(spec.zero)
+
+
+def test_weyl_monomials_invert():
+    # u v is a unit, yet (u v)(u^(p-1) v^(p-1)) is not scalar when vu - uv = 1
+    for p in (2, 3, 5):
+        spec = WeylModPSpec(p)
+        x = spec.u * spec.v
+        inv = algebra_inverse(x)
+        assert x * inv == spec.one
+        assert inv * x == spec.one
+
+
+def _inverse_oracle_cases():
+    """(spec, elements) pairs: seeded sparse elements with nonzero integer
+    coefficients over each base."""
+    f7, f11 = Field(prime_field(7)), Field(prime_field(11))
+    specs = [rational_quaternions(), generic_symbol(2), generic_symbol(3),
+             SymbolAlgebraSpec(prime_field(7), 3, f7(3), f7(5)),
+             SymbolAlgebraSpec(prime_field(11), 5, f11(2), f11(7)),
+             WeylModPSpec(2), WeylModPSpec(3)]
+    rng = random.Random(57)
+    for spec in specs:
+        n, top = spec.degree, spec.base.characteristic or 5
+        yield spec, [AlgebraElement(spec, {(rng.randrange(n), rng.randrange(n)):
+                                           spec.field.from_int(rng.randrange(1, top))
+                                           for _ in range(rng.randint(1, n + 1))})
+                     for _ in range(5)]
+
+
+def test_inverse_matches_linear_system_oracle():
+    for spec, elements in _inverse_oracle_cases():
+        for x in elements:
+            try:
+                expected = algebra_inverse_by_solve(x)
+            except NotInvertible as exc:
+                with pytest.raises(NotInvertible, match=str(exc)):
+                    algebra_inverse(x)
+                continue
+            assert algebra_inverse(x).coefficients == expected.coefficients, (spec, x)
+    spec = rational_quaternions()
+    x = spec.one + spec.u + spec.scalar(2) * spec.v
+    assert x ** -2 == algebra_inverse_by_solve(x * x)
+    # u^3 = 8 makes u - 2 a zero divisor
+    f3 = Field(cyclotomic(3))
+    spec = SymbolAlgebraSpec(cyclotomic(3), 3, f3(8), f3.generator())
+    for inverse in (algebra_inverse, algebra_inverse_by_solve):
+        with pytest.raises(NotInvertible, match="element is a zero divisor"):
+            inverse(spec.u - spec.scalar(2))
+
+
+def _dense_symbol_element(n):
+    """Every coefficient a nonzero integer in [-3, 3], drawn with seed n."""
+    spec = generic_symbol(n)
+    rng = random.Random(n)
+    return AlgebraElement(spec, {(i, j): spec.field.from_int(rng.choice([-3, -2, -1, 1, 2, 3]))
+                                 for i in range(n) for j in range(n)})
+
+
+def test_dense_inverses_of_degree_3_and_4_end():
+    # the n^2 x n^2 linear system ran for minutes on both; an alarm turns a
+    # slow path into a failure
+    def give_up(signum, frame):
+        raise TimeoutError("dense inverses did not finish in 10 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(10)
+    try:
+        x = _dense_symbol_element(3)
+        inv = algebra_inverse(x)
+        assert x * inv == inv * x == x.spec.one
+        digest = hashlib.sha256(json.dumps(inv.to_json()).encode()).hexdigest()
+        assert digest == "c19ec3d9198c08f1d8f9155a8439eae81f759035a58e08afa96437d931dfeb4a"
+        # Nrd(x) x^-1 has denominator 1, so its product with x runs no gcd
+        x = _dense_symbol_element(4)
+        nrm = reduced_norm(x)
+        assert x * (algebra_inverse(x) * nrm) == x.spec.scalar(nrm)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_reduced_norm_refuses_weyl_algebras():
+    with pytest.raises(AlgebraError, match="reduced norm implemented for symbol algebras"):
+        reduced_norm(WeylModPSpec(3).u)
 
 
 def algebra_multiply_two_loops(x, y):

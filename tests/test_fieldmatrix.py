@@ -6,12 +6,12 @@ import pytest
 
 from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
                                mat_det, mat_from_rows, mat_inverse, mat_mul,
-                               mat_pow, mat_rank, mat_scale, mat_vec, nullspace,
-                               solve_right)
+                               mat_pow, mat_rank, mat_scale, mat_vec, nullspace)
 from aniso.quadform import PfisterData
 from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
                            function_field, prime_field, rationals)
-from oracles import mat_mul_dense, mat_scale_by_elements, mat_vec_dense, products_by_elements
+from oracles import (mat_mul_dense, mat_scale_by_elements, mat_vec_dense, products_by_elements,
+                     solve_right)
 
 
 def _fraction_reduce(rows, ncols):

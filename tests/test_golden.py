@@ -12,8 +12,11 @@ one of these outputs rewrites its golden file with
     PYTHONPATH=src python tests/test_golden.py <name> ...
 """
 
+import hashlib
 import io
+import json
 import runpy
+import signal
 import sys
 from pathlib import Path
 
@@ -109,10 +112,12 @@ def test_second_f256_arf_request_multiplies_no_polynomials(monkeypatch):
     assert calls == []
 
 
-def test_dense_n4_norm_reduces_346_cyclotomic_products(monkeypatch):
+def test_dense_n4_norm_reduces_229_cyclotomic_products(monkeypatch):
     # a product with a rational factor scales the other factor and skips the
     # reduction mod Phi_4; the other products each reduce once. The count is
-    # exact: one warm-up request builds what later requests share
+    # exact: one warm-up request builds what later requests share. It is a
+    # property of the matrix the recurrence runs on: right multiplication,
+    # rows from v^3 down to v^0
     from aniso import scalars
     run_case("csa-norm-dense-n4")
     calls, reduce_ints = [], scalars._cy_reduce_ints
@@ -120,7 +125,33 @@ def test_dense_n4_norm_reduces_346_cyclotomic_products(monkeypatch):
                         lambda *args: calls.append(args) or reduce_ints(*args))
     code, out = run_case("csa-norm-dense-n4")
     assert code == 0 and out == (GOLDEN / "csa-norm-dense-n4.out.json").read_text()
-    assert len(calls) == 346
+    assert len(calls) == 229
+
+
+def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):
+    # the n5 golden with its one denominator set to b + 1/2 - z5: the
+    # recurrence runs on the element times its denominator, so no gcd runs
+    # per addition. It took 11 s without that; an alarm turns a slow path
+    # into a failure
+    obj = json.loads((GOLDEN / "csa-norm-dense-n5-fractional.in.json").read_text())
+    obj["element"]["2,3"]["den"] = {"0,0": ["1/2", "-1", "0", "0"],
+                                    "0,1": ["1", "0", "0", "0"]}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+
+    def give_up(signum, frame):
+        raise TimeoutError("the norm did not finish in 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        code = main(["csa", "norm", "--input", "-", "--json"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    digest = hashlib.sha256(sys.stdout.getvalue().encode()).hexdigest()
+    assert code == 0
+    assert digest == "426978b0e75e137b99928988e9cf025f903da2faba2a1bb78d29ab78a3cb85b3"
 
 
 def test_every_demo_has_a_golden():
