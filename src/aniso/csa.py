@@ -480,24 +480,19 @@ class ProjectiveOrderReport:
     divides_degree: Optional[bool]
 
 
-def finite_order_in_projective_units(x: AlgebraElement,
-                                     bound: Optional[int] = None,
-                                     division_assumed: bool = True) -> ProjectiveOrderReport:
-    """Smallest k with x^k scalar, searched up to bound (default degree²)."""
+def finite_order_in_projective_units(x: AlgebraElement) -> ProjectiveOrderReport:
+    """Smallest k <= degree² with x^k scalar."""
     spec = x.spec
     if x.is_zero:
         raise NotInvertible("zero is not a unit")
-    if bound is None:
-        bound = spec.degree ** 2
-    found = least_power(x, operator.mul, lambda a: a.is_scalar, bound)
+    found = least_power(x, operator.mul, lambda a: a.is_scalar, spec.degree ** 2)
     if found is None:
         return ProjectiveOrderReport(False, None, None, None)
     k, power = found
     s = power.scalar_part()
     if s.is_zero:
         raise NotInvertible("power collapsed to zero; not a unit")
-    divides = spec.degree % k == 0 if division_assumed else None
-    return ProjectiveOrderReport(True, k, s, divides)
+    return ProjectiveOrderReport(True, k, s, spec.degree % k == 0)
 
 
 def heisenberg_subgroup_elements(spec: SymbolAlgebraSpec) -> list[AlgebraElement]:

@@ -15,10 +15,10 @@ There is one Smith elimination. It acts on the working matrix and V, and
 logs each row operation instead of carrying the m x m matrix U. The pivot
 rule reads only the working matrix, so D and V are the same whether U is
 built or not. U's rows come from pushing the identity's rows backwards
-through the log: smith_normal_form pushes all m of them and keeps the full
-check U @ M @ V = D. The kernels and quotients here read only D, V
-and U's first r rows U_r (r the rank), so they never build U. The
-certificate of this path costs O(m n^2 + r |log| + n^3) and checks that:
+through the log. Every answer here reads only D, V and U's first r rows
+U_r (r the rank), so U is never built, and _smith_dv is the one Smith
+form and its one certificate. That certificate costs
+O(m n^2 + r |log| + n^3) and checks that:
 
 - V is unimodular (an n x n Bareiss determinant);
 - the diagonal of D is nonnegative and a divisibility chain;
@@ -205,28 +205,6 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
 # ---------------------------------------------------------------------------
 # Smith normal form
 
-@dataclass(frozen=True)
-class SNFResult:
-    U: IntMatrix
-    D: IntMatrix
-    V: IntMatrix
-
-    @property
-    def diagonal(self) -> tuple[int, ...]:
-        return tuple(self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
-
-    def verify(self, m: IntMatrix) -> bool:
-        if (self.U @ m @ self.V) != self.D:
-            return False
-        if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
-            return False
-        for i in range(self.D.rows):
-            for j in range(self.D.cols):
-                if i != j and self.D.entries[i][j]:
-                    return False
-        return _is_chain(self.diagonal)
-
-
 def _is_chain(diag: Sequence[int]) -> bool:
     """Nonnegative, zeros last, and each nonzero entry divides the next."""
     return all(s >= 0 for s in diag) and not any(
@@ -327,20 +305,6 @@ def _smith_reduce(m: IntMatrix):
     return a, v, log
 
 
-def smith_normal_form(m: IntMatrix) -> SNFResult:
-    """U @ m @ V = D with the documented pivot rule and divisibility chain.
-
-    U is the product of the elimination's logged row operations, all m of
-    its rows pushed backwards through the log as _pivot_rows does for r.
-    """
-    a, v, log = _smith_reduce(m)
-    result = SNFResult(IntMatrix.from_rows(_pivot_rows(log, m.rows, m.rows)),
-                       IntMatrix.from_rows(a),
-                       IntMatrix.from_rows(v))
-    assert result.verify(m), "internal SNF inconsistency"
-    return result
-
-
 def _pivot_rows(log: list[tuple[int, ...]], r: int, rows: int) -> list[tuple[int, ...]]:
     """The first r rows of U, the product of the logged row operations.
 
@@ -391,8 +355,7 @@ def _certify_smith(m: IntMatrix, diag: Sequence[int], v: IntMatrix,
 def _smith_dv(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, list[tuple[int, ...]]]:
     """Diagonal, V and U's first r rows of m's Smith form, certified.
 
-    The same elimination as smith_normal_form, so the same diagonal and V,
-    but the m x m matrix U is never built: the certificate needs only its
+    The m x m matrix U is never built: the certificate needs only its
     pivot rows, and so does every caller in this package.
     """
     a, v, log = _smith_reduce(m)

@@ -382,14 +382,18 @@ def _lex_sums(parts: Sequence[Sequence[int]]) -> list[int]:
     return sums
 
 
-def brute_force_isotropic_max(p: AlternatingPairing, order_cap: int = 4096,
-                              work_cap: int = 200000):
+_BRUTE_FORCE_ORDER_CAP = 4096
+_BRUTE_FORCE_WORK_CAP = 200000
+
+
+def brute_force_isotropic_max(p: AlternatingPairing):
     """(max order, witness subgroup elements) by closing isotropic subgroups.
 
     Walks the poset of isotropic subgroups upward from cyclic ones; every
     isotropic subgroup is reached since all its intermediate joins stay
-    inside it. work_cap bounds the number of join attempts and a
-    GroupTooLarge signals the exact answer was not reached.
+    inside it. GroupTooLarge signals the exact answer was not reached: the
+    group has more than _BRUTE_FORCE_ORDER_CAP elements, or the walk took
+    more than _BRUTE_FORCE_WORK_CAP join attempts.
 
     Elements are their lexicographic indices, so x + y has the mixed-radix
     index sum_i ((x_i + y_i) mod d_i) * stride_i, and one table row per
@@ -399,8 +403,8 @@ def brute_force_isotropic_max(p: AlternatingPairing, order_cap: int = 4096,
     """
     group = p.group
     _require_valid(p)
-    if group.order > order_cap:
-        raise GroupTooLarge(f"group order {group.order} exceeds cap {order_cap}")
+    if group.order > _BRUTE_FORCE_ORDER_CAP:
+        raise GroupTooLarge(f"group order {group.order} exceeds cap {_BRUTE_FORCE_ORDER_CAP}")
     factors = group.invariant_factors
     elems = list(group.elements())
     size = len(elems)
@@ -444,8 +448,8 @@ def brute_force_isotropic_max(p: AlternatingPairing, order_cap: int = 4096,
                 if mask >> x & 1:
                     continue
                 work += 1
-                if work > work_cap:
-                    raise GroupTooLarge(f"join attempts exceeded cap {work_cap}")
+                if work > _BRUTE_FORCE_WORK_CAP:
+                    raise GroupTooLarge(f"join attempts exceeded cap {_BRUTE_FORCE_WORK_CAP}")
                 if mask & ~orth[x]:
                     continue
                 # sub + <x> is the union of the cosets sub + t for the

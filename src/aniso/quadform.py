@@ -561,16 +561,14 @@ def extract_isotropic_from_order_p(g, q: QuadraticForm) -> tuple:
         raise NotOrderP("the identity has order 1")
     if not fieldmatrix.mat_eq(fieldmatrix.mat_pow(g, p), ident):
         raise NotOrderP(f"the map does not have order {p}")
-    nil = fieldmatrix.mat_sub(g, ident)
-    power = nil
-    s = 1
-    while not all(x.is_zero for row in power for x in row):
-        power = fieldmatrix.mat_mul(power, nil)
-        s += 1
-    # power == nil^s == 0; take the last nonzero power
-    top = nil
-    for _ in range(s - 2):
-        top = fieldmatrix.mat_mul(top, nil)
+    # top walks the powers of g - 1 (nonzero, as g is not the identity)
+    # and stops at the last nonzero one
+    nil = top = fieldmatrix.mat_sub(g, ident)
+    while True:
+        power = fieldmatrix.mat_mul(top, nil)
+        if all(x.is_zero for row in power for x in row):
+            break
+        top = power
     col = next(j for j in range(n)
                if any(not top[i][j].is_zero for i in range(n)))
     v1 = tuple(top[i][col] for i in range(n))

@@ -4,8 +4,9 @@ Most enumerate a whole finite space, so each of those keeps its own cap and
 raises before it starts a scan past it. Some are the longer derivations
 that the library replaced by reading one Smith form: a Smith form per d
 and per query instead of one per torus model, H¹ through a lattice
-quotient, row bases through V^-1 and quotients through a second
-elimination. None of them is part of the library: the library answers the
+quotient, row bases through V^-1, quotients through a second
+elimination, the Smith form with its full m x m U, and associativity of a
+group table over all n^3 triples. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
 arithmetic: F_{p^m} by polynomial products and remainders, with its
 element scans for roots of unity, discrete logs and k-th roots, Q(zeta_n)
@@ -25,6 +26,7 @@ generator walk that certified finite matrix groups on top of it.
 import itertools
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional
 
@@ -33,9 +35,9 @@ from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraElement, AlgebraError, NotInvertible, SymbolAlgebraSpec
 from aniso.errors import _exact_json
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
-                           _bareiss, _reduce_mod_rows, _smith_dv, _vec_mat, abelian_quotient,
-                           fixed_sublattice, group_closure, int_inverse, integer_kernel,
-                           kernel_mod_d)
+                           _bareiss, _is_chain, _pivot_rows, _reduce_mod_rows, _smith_dv,
+                           _smith_reduce, _vec_mat, abelian_quotient, fixed_sublattice,
+                           group_closure, int_inverse, integer_kernel, kernel_mod_d)
 from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
 from aniso.scalars import _prime_factors, _split_prime_power
@@ -46,8 +48,8 @@ from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
                            UndecidedPower, _FiniteField, _fp_mul, _fp_rem, _json_list,
                            _p_to_tuple, _render_uni, _u_inverse, cyclotomic_polynomial,
                            modulus_polynomial, prime_field, rationals)
-from aniso.torus import (CharDividesOrder, ExponentBoundReport, NotAnisotropic,
-                         TorsionReport, TorusError, TorusModel)
+from aniso.torus import (BadGroupTable, CharDividesOrder, ExponentBoundReport,
+                         NotAnisotropic, TorsionReport, TorusError, TorusModel)
 
 
 class EnumerationTooLarge(TorusError):
@@ -739,6 +741,30 @@ def exponent_bound_check_per_d(t: TorusModel, d_range: int) -> ExponentBoundRepo
                                tuple(rows), ok)
 
 
+def validate_group_table_by_triples(table) -> None:
+    """torus.validate_group_table with associativity checked on all n^3
+    triples, and the inverse scan after it."""
+    n = len(table)
+    if n < 1:
+        raise BadGroupTable("empty table")
+    for row in table:
+        if len(row) != n or any(not (0 <= x < n) for x in row):
+            raise BadGroupTable("table is not square over valid indices")
+    for i in range(n):
+        if table[0][i] != i or table[i][0] != i:
+            raise BadGroupTable("index 0 must act as the identity")
+        if sorted(table[i]) != list(range(n)) or sorted(r[i] for r in table) != list(range(n)):
+            raise BadGroupTable("table rows and columns must be permutations")
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    raise BadGroupTable("associativity fails")
+    for i in range(n):
+        if 0 not in table[i]:
+            raise BadGroupTable(f"element {i} has no inverse")
+
+
 # ---------------------------------------------------------------------------
 # field matrices
 
@@ -821,6 +847,40 @@ def int_matmul_dense(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     bt = tuple(zip(*b.entries))
     return IntMatrix(tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt)
                            for row in a.entries))
+
+
+@dataclass(frozen=True)
+class SNFResult:
+    U: IntMatrix
+    D: IntMatrix
+    V: IntMatrix
+
+    @property
+    def diagonal(self) -> tuple[int, ...]:
+        return tuple(self.D.entries[i][i] for i in range(min(self.D.rows, self.D.cols)))
+
+    def verify(self, m: IntMatrix) -> bool:
+        if (self.U @ m @ self.V) != self.D:
+            return False
+        if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
+            return False
+        for i in range(self.D.rows):
+            for j in range(self.D.cols):
+                if i != j and self.D.entries[i][j]:
+                    return False
+        return _is_chain(self.diagonal)
+
+
+def smith_normal_form(m: IntMatrix) -> SNFResult:
+    """U @ m @ V = D from lattice._smith_reduce, with the full m x m matrix
+    U (all m rows pushed backwards through the log, as _pivot_rows does
+    for r) and the full check U @ m @ V = D."""
+    a, v, log = _smith_reduce(m)
+    result = SNFResult(IntMatrix.from_rows(_pivot_rows(log, m.rows, m.rows)),
+                       IntMatrix.from_rows(a),
+                       IntMatrix.from_rows(v))
+    assert result.verify(m), "internal SNF inconsistency"
+    return result
 
 
 def smith_reduce_reference(m: IntMatrix):

@@ -84,6 +84,102 @@ def test_group_tables():
     assert len(symmetric_table(4)) == 24
 
 
+def _relabelled(table, rng):
+    """table with the labels 1..n-1 permuted at random; 0 stays the identity."""
+    n = len(table)
+    new = [0] + rng.sample(range(1, n), n - 1)
+    old = [0] * n
+    for i, x in enumerate(new):
+        old[x] = i
+    return [[new[table[old[a]][old[b]]] for b in range(n)] for a in range(n)]
+
+
+def _random_loop(n, rng):
+    """A random Latin square of order n whose row and column 0 are the
+    identity, filled row-major by backtracking over shuffled symbols."""
+    square = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(c):
+        if c == len(cells):
+            return True
+        i, j = cells[c]
+        used = set(square[i][:j]) | {square[k][j] for k in range(i)}
+        for x in rng.sample(range(n), n):
+            if x not in used:
+                square[i][j] = x
+                if fill(c + 1):
+                    return True
+        square[i][j] = None
+        return False
+
+    assert fill(0)
+    return square
+
+
+def _direct_product(a, b):
+    """The table of pairs (i, j), labelled i + len(a) j."""
+    n = len(a)
+    return [[a[x % n][y % n] + n * b[x // n][y // n] for y in range(n * len(b))]
+            for x in range(n * len(b))]
+
+
+def _validation_outcome(validate, table):
+    try:
+        validate(table)
+    except BadGroupTable as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_light_test_matches_the_triples_oracle():
+    from oracles import validate_group_table_by_triples
+    rng = random.Random(2222)
+    tables = [[], [[0, 1]], [[0, 1], [1, 1]], [[0, 1], [0, 1]], [[1, 0], [0, 1]]]
+    for base in [cyclic_table(n) for n in range(1, 9)] + [symmetric_table(3),
+                                                          symmetric_table(4)]:
+        for _ in range(5):
+            table = _relabelled(base, rng)
+            tables.append(table)
+            if len(table) > 2:  # two entries of a row swapped
+                broken = [row[:] for row in table]
+                i, j, k = rng.randrange(len(table)), *rng.sample(range(1, len(table)), 2)
+                broken[i][j], broken[i][k] = broken[i][k], broken[i][j]
+                tables.append(broken)
+    tables += [_random_loop(rng.randint(2, 7), rng) for _ in range(150)]
+    # C_c x M keeps 1 = (1, e) first, which associates with everything, so
+    # only a later kept generator can show that M does not; for c = 4 the
+    # labels 2 and 3 lie in <1>, so the kept generators are not labels 1..k
+    tables += [_direct_product(cyclic_table(c), _random_loop(rng.randint(5, 6), rng))
+               for c in (2, 4) for _ in range(5)]
+    outcomes = [_validation_outcome(validate_group_table, t) for t in tables]
+    assert outcomes == [_validation_outcome(validate_group_table_by_triples, t)
+                        for t in tables]
+    assert outcomes.count("ok") > 50 and outcomes.count("associativity fails") > 50
+    assert {"empty table", "table is not square over valid indices",
+            "index 0 must act as the identity",
+            "table rows and columns must be permutations"} <= set(outcomes)
+
+
+class _CountingRows(list):
+    """A table that counts its indexed row reads."""
+    reads = 0
+
+    def __getitem__(self, i):
+        _CountingRows.reads += 1
+        return super().__getitem__(i)
+
+
+def test_light_test_reads_s5_rows_per_closure_product():
+    # 3n reads in the identity and permutation checks, one per product of
+    # the closure (566 for the 4 kept generators), and none in Light's
+    # loop, which walks the rows; the triple loop read 6,912,480
+    table = _CountingRows(symmetric_table(5))
+    _CountingRows.reads = 0
+    validate_group_table(table)
+    assert _CountingRows.reads == 3 * 120 + 566 < 120 ** 3 // 4
+
+
 def test_table_from_permutation_generators():
     # 3-cycle generates Z/3
     table = table_from_permutation_generators([(1, 2, 0)], 3)
