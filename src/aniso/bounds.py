@@ -150,8 +150,7 @@ class FiniteMatrixGroup:
             index[m] = pos
         if ident not in index:
             raise BoundsError("identity matrix missing")
-        found, right = closure(ident, self.elements, fieldmatrix.mat_mul, lambda x: x,
-                               len(self.elements),
+        found, right = closure(ident, self.elements, fieldmatrix.mat_mul, len(self.elements),
                                BoundsError("element list is not closed under multiplication"),
                                _refuse_singular)
         at = [0] * len(found)  # found is the list, reordered breadth first
@@ -167,7 +166,7 @@ class FiniteMatrixGroup:
         ident = fieldmatrix.identity(Field(descriptor), len(generators[0]))
         gens = [fieldmatrix.mat_from_rows([list(r) for r in g])
                 for g in generators]
-        elements, right = closure(ident, gens, fieldmatrix.mat_mul, lambda m: m, cap,
+        elements, right = closure(ident, gens, fieldmatrix.mat_mul, cap,
                                   GroupTooLarge(f"closure exceeded cap {cap}"))
         for g in gens:  # a closure is closed: only a singular generator is refused
             _refuse_singular(g)
@@ -188,7 +187,7 @@ class FiniteMatrixGroup:
         listed element. The constructors record it; an object built around
         a list that is no group finds the closure outgrowing the list."""
         found, right = closure(fieldmatrix.identity(self.field, self.degree), self.elements,
-                               fieldmatrix.mat_mul, lambda m: m, self.order,
+                               fieldmatrix.mat_mul, self.order,
                                BoundsError("element order exceeds the group order"))
         index = {m: c for c, m in enumerate(found)}
         return right, [index[m] for m in self.elements]

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -59,6 +60,16 @@ class InvalidModulus(LatticeError):
 
 class ClosureCapExceeded(LatticeError):
     pass
+
+
+def _int_tuple(xs: Sequence[int], error: type = LatticeError) -> tuple[int, ...]:
+    """xs as a tuple of ints, read with operator.index: a float or Fraction
+    entry raises error naming it instead of being truncated by int()."""
+    try:
+        return tuple(map(operator.index, xs))
+    except TypeError:
+        bad = next((x for x in xs if not hasattr(x, "__index__")), xs)
+        raise error(f"entry {bad!r} is not an integer") from None
 
 
 DEFAULT_CLOSURE_CAP = 10000
@@ -88,7 +99,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Sequence[int]]) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(int(x) for x in r) for r in rows))
+        return IntMatrix(tuple(map(_int_tuple, rows)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -466,8 +477,8 @@ def _kernel_from_smith(diag: Sequence[int], v: IntMatrix, d: int):
 # ---------------------------------------------------------------------------
 # group closure
 
-def closure(identity, generators: Sequence, mul: Callable, key: Callable,
-            cap: int, error: Exception, admit: Callable = lambda g: None):
+def closure(identity, generators: Sequence, mul: Callable, cap: int,
+            error: Exception, admit: Callable = lambda g: None):
     """Elements generated from identity, breadth first, identity first, and
     their Cayley graph: (elements, right) with right[i][g] the index of
     elements[i] times the g-th kept generator.
@@ -476,9 +487,10 @@ def closure(identity, generators: Sequence, mul: Callable, key: Callable,
     and admit(g) does not raise; the closure then restarts from identity,
     multiplying each element found on the right by the kept generators in
     order, and right is the graph of that last pass, at no extra product.
-    key tells elements apart; error is raised when a new element would
-    exceed cap. When it skips only the identity and repeats, the list is
-    the breadth-first closure over all the generators, element for element.
+    Elements are told apart by == and hash; error is raised when a new
+    element would exceed cap. When it skips only the identity and repeats,
+    the list is the breadth-first closure over all the generators, element
+    for element.
 
     Lagrange's theorem bounds the cost: a finite closure of invertible
     elements is a group, so each kept generator at least doubles it, and
@@ -487,23 +499,22 @@ def closure(identity, generators: Sequence, mul: Callable, key: Callable,
     integer matrices group_closure also bounds the row products behind
     them by the orbits of the rows (see there).
     """
-    kept, seen, elements, right = [], {key(identity): 0}, [identity], [[]]
+    kept, seen, elements, right = [], {identity: 0}, [identity], [[]]
     for g in generators:
-        if key(g) in seen:
+        if g in seen:
             continue
         admit(g)
         kept.append(g)
-        seen, elements, right = {key(identity): 0}, [identity], []
+        seen, elements, right = {identity: 0}, [identity], []
         for x in elements:  # the list grows while it is walked: a FIFO queue
             row = []
             for h in kept:
                 y = mul(x, h)
-                k = key(y)
-                i = seen.get(k)
+                i = seen.get(y)
                 if i is None:
                     if len(elements) >= cap:
                         raise error
-                    i = seen[k] = len(elements)
+                    i = seen[y] = len(elements)
                     elements.append(y)
                 row.append(i)
             right.append(row)
@@ -597,7 +608,7 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
         return tuple(out)
 
     elements, _ = closure(IntMatrix.identity(generators[0].rows).entries,
-                          [g.entries for g in generators], mul, lambda m: m, cap,
+                          [g.entries for g in generators], mul, cap,
                           ClosureCapExceeded(f"closure exceeded cap {cap}"),
                           lambda h: int_inverse(IntMatrix(h)))
     return [IntMatrix(m) for m in elements]
@@ -610,10 +621,10 @@ def _row_smith(rows: Sequence[Sequence[int]], ambient: int):
     """Nonzero diagonal s_1 | ... | s_r, V and the basis U_r @ M of the
     lattice spanned by the rows M. U_r @ M = D_r @ V^-1, so a row x =
     c @ basis has x @ V = (s_1 c_1, ..., s_r c_r, 0, ..., 0)."""
-    rows = [tuple(int(x) for x in r) for r in rows if any(r)]
+    rows = [r for r in map(_int_tuple, rows) if any(r)]
     if not rows:
         return (), None, []
-    m = IntMatrix.from_rows(rows)
+    m = IntMatrix(tuple(rows))
     if m.cols != ambient:
         raise LatticeError("ambient dimension mismatch")
     diag, v, u_r = _smith_dv(m)
@@ -655,7 +666,7 @@ def _quotient(numerator_rows: Sequence[Sequence[int]],
     zero. Two Smith forms: the numerator's and C's.
     """
     num_diag, num_v, num = _row_smith(numerator_rows, ambient)
-    den = [tuple(int(x) for x in r) for r in denominator_rows if any(r)]
+    den = [r for r in map(_int_tuple, denominator_rows) if any(r)]
     if not num:
         return AbelianGroupStructure(()), [], [], None
     r = len(num)

@@ -252,8 +252,7 @@ def pairing_radical(p: AlternatingPairing) -> list[tuple[int, ...]]:
     GroupTooLarge when the radical has more than 4096 elements.
     """
     group = p.group
-    return sorted(closure(group.zero, _radical_generators(p), group.add,
-                          lambda x: x, 4096,
+    return sorted(closure(group.zero, _radical_generators(p), group.add, 4096,
                           GroupTooLarge("radical exceeds 4096 elements"))[0])
 
 

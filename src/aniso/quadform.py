@@ -12,7 +12,6 @@ finite isometry groups of pointless quadrics in dimension 2^k.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import fieldmatrix
@@ -466,24 +465,20 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
         u2, w2, g2 = blocks[t2]
         span = (u1, w1, u2, w2)
         iso = _first_isotropic(g1, g2, field)
-        g4 = [[field.zero] * 4 for _ in range(4)]
-        g4[0][1] = g4[1][0] = g4[2][3] = g4[3][2] = field.one
-        pair_row = [sum((iso[i] * g4[i][j] for i in range(4)), field.zero)
-                    for j in range(4)]
+        # the block Gram matrix pairs coordinates 0 with 1 and 2 with 3, so
+        # a vector's row against it swaps within each pair
+        pair_row = [iso[1], iso[0], iso[3], iso[2]]
         col = next(j for j in range(4) if not pair_row[j].is_zero)
         w0 = [field.zero] * 4
         w0[col] = pair_row[col].inverse()
         qv = _block_value(g1, g2, tuple(w0), field)
         mate = tuple(a + qv * b for a, b in zip(w0, iso))
-        comp_rows = [pair_row,
-                     [sum((mate[i] * g4[i][j] for i in range(4)), field.zero)
-                      for j in range(4)]]
+        comp_rows = [pair_row, [mate[1], mate[0], mate[3], mate[2]]]
         comp = fieldmatrix.nullspace(comp_rows)
         if len(comp) != 2:
             raise ConsistencyAlarm("orthogonal complement has wrong rank")
         z1, z2 = comp
-        b12 = sum((z1[i] * g4[i][j] * z2[j]
-                   for i in range(4) for j in range(4)), field.zero)
+        b12 = z1[0] * z2[1] + z1[1] * z2[0] + z1[2] * z2[3] + z1[3] * z2[2]
         if b12.is_zero:
             raise ConsistencyAlarm("complement block pairs to zero")
         z2 = tuple(x * b12.inverse() for x in z2)
@@ -778,7 +773,7 @@ def pfister_group_closure(k: int, cap: int = 4096) -> PfisterGroup:
     def mul(a, b):
         return fieldmatrix.projective_normalize(fieldmatrix.mat_mul(a, b))
 
-    elements, right = closure(ident, gens, mul, lambda m: m, cap,
+    elements, right = closure(ident, gens, mul, cap,
                               QuadFormError(f"closure exceeded the cap {cap}"))
     table = tuple(map(tuple, cayley_table(right)))
     sigma_index = elements.index(gens[0])
@@ -833,7 +828,7 @@ def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
         for exp, coeff in nums[mask]:
             if exp[k - 1] != top:
                 continue
-            term = FieldElement(field.descriptor.base, Fraction(coeff))  # may be an int
+            term = FieldElement(field.descriptor.base, coeff)
             if small is None:
                 total = total + small_field(term)
             else:

@@ -3,9 +3,9 @@
 Five kinds of coefficient fields, each with a canonical representation so
 that ``==`` on elements is plain representation equality:
 
-- ``rationals()``             stdlib Fraction; inside function fields over Q
-                              a coefficient is an int when it is integral
-                              and a reduced Fraction otherwise
+- ``rationals()``             an int when integral, else a reduced stdlib
+                              Fraction; function-field coefficients over Q
+                              are Q payloads too
 - ``cyclotomic(n)``           Q(z), z a primitive n-th root of unity;
                               (numerators, denominator): integers over one
                               positive integer in lowest terms, reduced mod
@@ -137,7 +137,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
         if n % d == 0:
             poly, rem = _u_divmod(rationals(), poly, cyclotomic_polynomial(d))
             assert not rem, "cyclotomic division must be exact"
-            poly = [int(c) for c in poly]
     return tuple(poly)
 
 
@@ -154,8 +153,8 @@ def _cy_normal(nums: tuple, den: int) -> tuple:
 
 
 def _cy_from_fractions(n: int, cs) -> tuple:
-    """The payload of the power-basis polynomial with Fraction coefficients
-    cs, of any length."""
+    """The payload of the power-basis polynomial with rational coefficients
+    cs (ints or Fractions), of any length."""
     den = math.lcm(*(c.denominator for c in cs))
     nums = [c.numerator * (den // c.denominator) for c in cs]
     return _cy_normal(_cy_reduce_ints(n, nums), den)
@@ -380,8 +379,17 @@ class FieldDescriptor:
         raise ScalarError(f"{self!r} has no distinguished generator")
 
 
+def _integral(x):
+    """x, an int or a Fraction, as an int when it is integral."""
+    return x if x.__class__ is int or x.denominator != 1 else x.numerator
+
+
 @dataclass(frozen=True, repr=False)
 class _Rationals(FieldDescriptor):
+    """Q: a payload is an int when integral and a reduced Fraction
+    otherwise. The two agree on ==, hash and str, so an integral value
+    keys and prints the same either way."""
+
     kind = "rationals"
     __hash__ = FieldDescriptor.__hash__
 
@@ -392,26 +400,26 @@ class _Rationals(FieldDescriptor):
         return {"kind": "rationals"}
 
     def from_int(self, k: int):
-        return Fraction(k)
+        return operator.index(k)
 
     def is_zero(self, x) -> bool:
         return x == 0
 
     def add(self, x, y):
-        return x + y
+        return _integral(x + y)
 
     def sub(self, x, y):
-        return x - y
+        return _integral(x - y)
 
     def neg(self, x):
         return -x
 
     def mul(self, x, y):
-        return x * y
+        return _integral(x * y)
 
     def _inv(self, x):
         # 1 / x on an int payload would be a float
-        return Fraction(1) / x
+        return _integral(Fraction(1) / x)
 
     def render(self, x) -> str:
         return str(x)
@@ -419,10 +427,10 @@ class _Rationals(FieldDescriptor):
     payload_to_json = render
 
     def payload_from_json(self, obj):
-        return _exact_fraction(obj)
+        return _integral(_exact_fraction(obj))
 
     def random_payload(self, rng, height, degree, terms):
-        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+        return _integral(Fraction(rng.randint(-height, height), rng.randint(1, height)))
 
     def zeta(self, order: int):
         if order == 2:
@@ -435,40 +443,6 @@ class _Rationals(FieldDescriptor):
         if x == -1:
             return Fraction(1, 2)
         return None
-
-    def _kth_root(self, x, k: int):
-        return _fraction_kth_root(x, k)
-
-
-def _integral(x):
-    """x, an int or a Fraction, as an int when it is integral."""
-    return x if x.__class__ is int or x.denominator != 1 else x.numerator
-
-
-class _IntegralRationals(_Rationals):
-    """Coefficient ops of function fields over Q, never an element's
-    descriptor: an int when integral, else a reduced Fraction. The two agree
-    on ==, hash and str, so payloads, keys and text are those of Q."""
-
-    sub = FieldDescriptor.sub
-
-    def from_int(self, k: int):
-        return k
-
-    def add(self, x, y):
-        return _integral(x + y)
-
-    def mul(self, x, y):
-        return _integral(x * y)
-
-    def _inv(self, x):
-        return _integral(Fraction(1) / x)
-
-    def payload_from_json(self, obj):
-        return _integral(super().payload_from_json(obj))
-
-    def random_payload(self, rng, height, degree, terms):
-        return _integral(super().random_payload(rng, height, degree, terms))
 
     def _kth_root(self, x, k: int):
         r = _fraction_kth_root(x, k)
@@ -544,8 +518,8 @@ class _Cyclotomic(FieldDescriptor):
         return (nums, 1) if den == 1 else _cy_normal(nums, den)
 
     def _inv(self, x):
-        phi = [Fraction(c) for c in cyclotomic_polynomial(self.n)]
-        return _cy_from_fractions(self.n, _u_inverse(rationals(), self.fractions(x), phi))
+        return _cy_from_fractions(self.n, _u_inverse(rationals(), self.fractions(x),
+                                                     cyclotomic_polynomial(self.n)))
 
     def generator(self):
         return self._payload([0, 1])
@@ -843,15 +817,9 @@ class _FunctionField(FieldDescriptor):
             raise ScalarError("function field variables must be distinct")
 
     @cached_property
-    def _ops(self) -> FieldDescriptor:
-        """The ops on stored coefficients: the base, or over Q the integral
-        rationals, which keep integral coefficients as ints."""
-        return _IntegralRationals() if type(self.base) is _Rationals else self.base
-
-    @cached_property
     def _unit_den(self):
         """The canonical denominator 1: the constant polynomial."""
-        return (((0,) * len(self.variables), self._ops.one()),)
+        return (((0,) * len(self.variables), self.base.one()),)
 
     @property
     def characteristic(self) -> int:
@@ -866,8 +834,6 @@ class _FunctionField(FieldDescriptor):
 
     def constant(self, c):
         """The payload of the constant function c, a base payload."""
-        if self._ops is not self.base:
-            c = _integral(c)
         num = () if self.base.is_zero(c) else (((0,) * len(self.variables), c),)
         return (num, self._unit_den)
 
@@ -878,7 +844,7 @@ class _FunctionField(FieldDescriptor):
         return (self._unit_den, self._unit_den)
 
     def from_int(self, k: int):
-        return self.constant(self._ops.from_int(k))
+        return self.constant(self.base.from_int(k))
 
     def is_zero(self, x) -> bool:
         return not x[0]
@@ -887,7 +853,7 @@ class _FunctionField(FieldDescriptor):
         (n1, d1), (n2, d2) = x, y
         if not n1 or not n2:
             return x if n1 else y
-        bd = self._ops
+        bd = self.base
         if d1 == d2:
             num = _t_add(bd, n1, n2)
             if d1 == self._unit_den:
@@ -897,14 +863,14 @@ class _FunctionField(FieldDescriptor):
         return self.normalize(num, _t_mul(bd, d1, d2))
 
     def neg(self, x):
-        return (_t_neg(self._ops, x[0]), x[1])
+        return (_t_neg(self.base, x[0]), x[1])
 
     def mul(self, x, y):
         (n1, d1), (n2, d2) = x, y
         one = self._unit_den
         if not n1 or not n2:
             return ((), one)
-        bd = self._ops
+        bd = self.base
         num = _t_mul(bd, n1, n2)
         if d1 == one and d2 == one:
             return (num, one)
@@ -916,7 +882,7 @@ class _FunctionField(FieldDescriptor):
     def normalize(self, num: tuple, den: tuple):
         """The canonical payload of the stored polynomials num/den: common
         factors cancelled and the denominator monic."""
-        bd = self._ops
+        bd = self.base
         if not den:
             raise DivisionByZero(f"zero denominator in {self!r}")
         if not num:
@@ -960,15 +926,15 @@ class _FunctionField(FieldDescriptor):
                 if len(exps) != nv or min(exps) < 0 or exps in out:
                     raise ScalarError(f"exponent key {key!r}: expected {nv} nonnegative "
                                       "exponents, each monomial once")
-                out[exps] = self._ops.payload_from_json(c)
-            return _p_to_tuple({e: c for e, c in out.items() if not self._ops.is_zero(c)})
+                out[exps] = self.base.payload_from_json(c)
+            return _p_to_tuple({e: c for e, c in out.items() if not self.base.is_zero(c)})
 
         num = poly(obj["num"])
         den = poly(obj["den"]) if "den" in obj else self._unit_den
         return self.normalize(num, den)
 
     def random_payload(self, rng, height, degree, terms):
-        bd, nv = self._ops, len(self.variables)
+        bd, nv = self.base, len(self.variables)
 
         def rand_poly(tmax):
             out = {}
@@ -996,8 +962,8 @@ class _FunctionField(FieldDescriptor):
         return self.base.root_of_unity_log(num[0][1])
 
     def _kth_root(self, x, k: int):
-        rn = _poly_kth_root(self._ops, x[0], k)
-        rd = None if rn is None else _poly_kth_root(self._ops, x[1], k)
+        rn = _poly_kth_root(self.base, x[0], k)
+        rd = None if rn is None else _poly_kth_root(self.base, x[1], k)
         return None if rd is None else self.normalize(rn, rd)
 
 
@@ -1378,7 +1344,7 @@ class Field:
             raise ScalarError(f"unknown variable {name!r} in {d!r}")
         i = d.variables.index(name)
         e = tuple(1 if j == i else 0 for j in range(len(d.variables)))
-        return FieldElement(d, (((e, d._ops.one()),), d._unit_den))
+        return FieldElement(d, (((e, d.base.one()),), d._unit_den))
 
     def vars(self) -> tuple[FieldElement, ...]:
         return tuple(self.var(n) for n in getattr(self.descriptor, "variables", ()))

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError, _exact_int
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      NotUnimodular, _kernel_from_smith, _stack_smith, cayley_table,
+                      NotUnimodular, _int_tuple, _kernel_from_smith, _stack_smith, cayley_table,
                       closure, closure_cap, group_closure)
 
 
@@ -168,8 +168,7 @@ def torsion_points(t: TorusModel, d: int) -> TorsionReport:
 
 def coset_order(vbar: Sequence[int], d: int) -> int:
     """Order of the class of vbar in (Z/d)^n."""
-    g = math.gcd(d, math.gcd(*[int(x) for x in vbar]) if any(vbar) else d)
-    return d // g
+    return d // math.gcd(d, *_int_tuple(vbar, TorusError))
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ def averaging_certificate(t: TorusModel, d: int,
         raise TorusError("coset vector length does not match rank")
     if not is_anisotropic(t):
         raise NotAnisotropic("certificate requires an anisotropic torus")
-    v = tuple(int(x) % d for x in vbar)
+    v = tuple(x % d for x in _int_tuple(vbar, TorusError))
     for g in t.theta_generators:
         if tuple(x % d for x in g.apply(v)) != v:
             raise NotInvariant(f"{v} is moved mod {d} by a generator")
@@ -247,7 +246,7 @@ def validate_group_table(table: Sequence[Sequence[int]]) -> None:
         if sorted(table[i]) != list(range(n)) or sorted(r[i] for r in table) != list(range(n)):
             raise BadGroupTable("table rows and columns must be permutations")
     # the labels are 0..n-1, so the cap n is never hit
-    elements, right = closure(0, range(n), lambda x, g: table[x][g], lambda x: x, n,
+    elements, right = closure(0, range(n), lambda x, g: table[x][g], n,
                               BadGroupTable("closure exceeded the table"))
     for g in (elements[i] for i in right[0]):
         times_g = [row[g] for row in table]  # y -> yg
@@ -290,7 +289,7 @@ def table_from_permutation_generators(generators: Sequence[Sequence[int]],
     def compose(s, t):
         return tuple(s[t[i]] for i in range(m))
 
-    _, right = closure(tuple(range(m)), gens, compose, lambda s: s, limit,
+    _, right = closure(tuple(range(m)), gens, compose, limit,
                        ClosureCapExceeded(f"group exceeded cap {limit}"))
     return cayley_table(right)
 

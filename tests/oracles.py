@@ -9,9 +9,9 @@ elimination, the Smith form with its full m x m U, and associativity of a
 group table over all n^3 triples. None of them is part of the library: the library answers the
 same questions in closed form. The rest are the library's former
 arithmetic: F_{p^m} by polynomial products and remainders, with its
-element scans for roots of unity, discrete logs and k-th roots, Q(zeta_n)
-with one Fraction per coefficient, function-field
-polynomials as dicts (the _p_* kernels for sums, products, exact
+element scans for roots of unity, discrete logs and k-th roots, Q with a
+Fraction for every value, Q(zeta_n) with one Fraction per coefficient,
+function-field polynomials as dicts (the _p_* kernels for sums, products, exact
 division, the primitive pseudo-remainder gcd and k-th roots, with
 normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
 norm on FieldElements over the left regular representation, inverses in
@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from aniso import bounds, fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraElement, AlgebraError, NotInvertible, SymbolAlgebraSpec
-from aniso.errors import _exact_json
+from aniso.errors import _exact_fraction, _exact_json
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
                            _bareiss, _is_chain, _pivot_rows, _reduce_mod_rows, _smith_dv,
                            _smith_reduce, _vec_mat, abelian_quotient, fixed_sublattice,
@@ -45,8 +45,9 @@ from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
 from aniso.integers import binary_power, least_power
 from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
-                           UndecidedPower, _FiniteField, _fp_mul, _fp_rem, _json_list,
-                           _p_to_tuple, _render_uni, _u_inverse, cyclotomic_polynomial,
+                           UndecidedPower, _FiniteField, _Rationals, _fp_mul, _fp_rem,
+                           _fraction_kth_root, _json_list, _p_to_tuple, _render_uni,
+                           _u_inverse, cyclotomic_polynomial,
                            modulus_polynomial, prime_field, rationals)
 from aniso.torus import (BadGroupTable, CharDividesOrder, ExponentBoundReport,
                          NotAnisotropic, TorsionReport, TorusError, TorusModel)
@@ -385,7 +386,7 @@ def kth_root_by_dicts(bd, A: dict, k, nv, char):
 def normalize_by_dicts(d, num: dict, den: dict):
     """The canonical payload of num/den in the function field d, through the
     dict gcd and exact division, sorted into stored tuples at the end."""
-    bd, nv = d._ops, len(d.variables)
+    bd, nv = d.base, len(d.variables)
     if not den:
         raise DivisionByZero(f"zero denominator in {d!r}")
     if not num:
@@ -460,6 +461,35 @@ def cy_mul(n, x, y):
                     out[i + j] += xi * yj
     den = dx * dy
     return tuple(Fraction(c, den) for c in cy_reduce(n, out))
+
+
+class FractionOnlyQ(_Rationals):
+    """Q with every payload a Fraction, integral or not: the rules the
+    rationals descriptor had before an integral value became an int."""
+
+    def from_int(self, k: int):
+        return Fraction(k)
+
+    def add(self, x, y):
+        return x + y
+
+    def sub(self, x, y):
+        return x - y
+
+    def mul(self, x, y):
+        return x * y
+
+    def _inv(self, x):
+        return Fraction(1) / x
+
+    def payload_from_json(self, obj):
+        return _exact_fraction(obj)
+
+    def random_payload(self, rng, height, degree, terms):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def _kth_root(self, x, k: int):
+        return _fraction_kth_root(x, k)
 
 
 class FractionCyclotomic:

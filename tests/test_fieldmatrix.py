@@ -15,8 +15,9 @@ from oracles import (mat_mul_dense, mat_scale_by_elements, mat_vec_dense, produc
 
 
 def _fraction_reduce(rows, ncols):
-    """Reduced echelon form of Fraction rows: (rows, pivots, det)."""
-    m = [list(r) for r in rows]
+    """Reduced echelon form of rational rows, read as Fractions: (rows,
+    pivots, det)."""
+    m = [[Fraction(x) for x in r] for r in rows]
     det = Fraction(1)
     pivots = []
     for col in range(ncols):

@@ -25,8 +25,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
 from aniso.integers import binary_power, least_power
-from oracles import (FractionCyclotomic, _p_add, _p_mul, artin_schreier_image, cy_mul,
-                     cy_reduce, finite_field_inv_by_polynomials,
+from oracles import (FractionCyclotomic, FractionOnlyQ, _p_add, _p_mul, artin_schreier_image,
+                     cy_mul, cy_reduce, finite_field_inv_by_polynomials,
                      finite_field_mul_by_polynomials, function_field_add_by_dicts,
                      function_field_mul_by_dicts, kth_roots_by_scan, kth_roots_in_newton_box,
                      root_of_unity_log_by_scan, zeta_by_scan)
@@ -911,7 +911,7 @@ def _outcome(fn, *args):
 def test_tuple_normalize_and_kth_roots_match_dict_oracles(descriptor, degree):
     from aniso.scalars import _poly_kth_root, _t_exact_div
     from oracles import _p_exact_div, kth_root_by_dicts, normalize_by_dicts
-    field, bd = Field(descriptor), descriptor._ops
+    field, bd = Field(descriptor), descriptor.base
     nv, p = len(descriptor.variables), descriptor.characteristic
     rng = random.Random(1800 + SWEEP_FIELDS.index((descriptor, degree)))
 
@@ -1025,11 +1025,10 @@ def _is_canonical_coefficient(c):
 
 
 def test_integral_coefficient_ops_match_fraction_ops():
-    # the same kernels with Q's own Fraction ops as the coefficient ops: the
-    # payloads and their text agree, the Fraction twin makes only Fractions
+    # the same kernels over the Fraction-only twin of Q: the payloads and
+    # their text agree, the Fraction twin makes only Fractions
     d = function_field(rationals(), ("a1", "a2", "a3"))
-    twin = _FunctionField(d.base, d.variables)
-    twin.__dict__["_ops"] = rationals()
+    twin = _FunctionField(FractionOnlyQ(), d.variables)
     rng = random.Random(1616)
     pool = [d.random_payload(rng, 5, 2, 2) for _ in range(14)]
     pool += [d.one(), d.from_int(-3), Field(d)(Fraction(5, 2)).payload]
@@ -1053,7 +1052,7 @@ def test_integral_coefficient_ops_match_fraction_ops():
             agree(d.normalize(x[0], y[0]), twin.normalize(fx[0], fy[0]))
 
 
-def test_integral_coefficients_are_ints_and_q_payloads_stay_fractions():
+def test_integral_coefficients_and_q_payloads_are_canonical():
     d = function_field(rationals(), ("a1", "a2"))
     F, q = Field(d), Field(rationals())
     a1, a2 = F.vars()
@@ -1074,14 +1073,77 @@ def test_integral_coefficients_are_ints_and_q_payloads_stay_fractions():
     qs = [q.zero, q.one, q.from_int(3), q(4), q(Fraction(4, 2)), q(2) * q(3), q(3) + q(1),
           q(2).inverse(), q.zeta(2), element_from_json("4", rationals()),
           q.random_element(rng), kth_root(q(9), 2), q(Fraction(1, 3)) * 3]
-    assert all(type(x.payload) is Fraction for x in qs)
+    assert all(_is_canonical_coefficient(x.payload) for x in qs), qs
+    assert any(type(x.payload) is int for x in qs)
 
 
 def test_rational_inverses_are_never_floats():
-    # an int payload is not canonical for Q, but it must not turn into a float
+    # 1 / x on an int payload would be a float; Fraction(-5) is not canonical
     for x in (3, -1, 1, Fraction(2, 3), Fraction(-5)):
         r = FieldElement(rationals(), x).inverse().payload
-        assert type(r) is Fraction and r * x == 1
+        assert _is_canonical_coefficient(r) and not isinstance(r, float) and r * x == 1
+
+
+def test_q_payloads_are_canonical_and_match_the_fraction_only_oracle():
+    # every way into Q and every operation on it, against the twin whose
+    # payloads are all Fractions: equal values, equal text, canonical payloads
+    q, twin = Field(rationals()), Field(FractionOnlyQ())
+    checked = 0
+
+    def agree(got, want):
+        nonlocal checked
+        checked += 1
+        if want is None:
+            assert got is None
+            return
+        assert _is_canonical_coefficient(got.payload), got.payload
+        assert type(want.payload) is Fraction
+        assert got.payload == want.payload and repr(got) == repr(want)
+        assert element_to_json(got)["value"] == element_to_json(want)["value"]
+
+    pool = [(q.from_int(k), twin.from_int(k)) for k in (-3, 0, 1, 6)]
+    pool += [(q(v), twin(v)) for v in (5, -7, True, False, Fraction(6, 3),
+                                       Fraction(-3, 4), Fraction(0), Fraction(9, 4))]
+    pool += [(element_from_json(o, rationals()), element_from_json(o, twin.descriptor))
+             for o in ("4/2", "-3/6", "7", 12, "0/5", "-8/27")]
+    rng, twin_rng = random.Random(2323), random.Random(2323)
+    pool += [(q.random_element(rng, height=h), twin.random_element(twin_rng, height=h))
+             for h in (1, 2, 3, 9) for _ in range(4)]
+    assert rng.random() == twin_rng.random()  # the same draws in the same order
+    for x, y in pool:
+        agree(x, y)
+    for (x, tx), (y, ty) in itertools.product(pool[::2], pool[1::3]):
+        agree(x + y, tx + ty)
+        agree(x - y, tx - ty)
+        agree(x * y, tx * ty)
+        if not y.is_zero:
+            agree(x / y, tx / ty)
+    for x, tx in pool:
+        for v in (2, -1, Fraction(3, 2), Fraction(-4, 2)):
+            agree(x + v, tx + v)
+            agree(v - x, v - tx)
+            agree(x * v, tx * v)
+            agree(x / v, tx / v)
+        for e in (0, 1, 2, 3):
+            agree(x ** e, tx ** e)
+        for k in (1, 2, 3):
+            agree(kth_root(x, k), kth_root(tx, k))
+            agree(kth_root(x ** k, k), kth_root(tx ** k, k))
+        if not x.is_zero:
+            agree(x.inverse(), tx.inverse())
+            agree(x ** -2, tx ** -2)
+            agree(1 / x, 1 / tx)
+    assert checked > 1500
+
+
+def test_booleans_coerce_to_int_payloads():
+    for F in (Field(rationals()), Field(function_field(rationals(), ("a",)))):
+        assert repr(F(True)) == "1" and repr(F(False)) == "0"
+        assert repr(F.from_int(True)) == "1"
+        assert F(True) == F.one and F(False) == F.zero
+    assert type(Field(rationals())(True).payload) is int
+    (_, c), = Field(function_field(rationals(), ("a",)))(True).payload[0]
+    assert type(c) is int
 
 
 def test_equal_descriptors_built_apart_hash_and_compare_equal():

@@ -2,8 +2,10 @@ import hashlib
 import math
 import os
 import random
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -312,6 +314,19 @@ def test_averaging_certificate_errors():
     split = TorusModel(1, [IntMatrix.identity(1)])
     with pytest.raises(NotAnisotropic):
         averaging_certificate(split, 2, (1,))
+
+
+def test_averaging_certificate_refuses_a_non_integer_lift():
+    # int() would certify the lift (1,) of the sign-flip model
+    with pytest.raises(TorusError, match=re.escape("entry 1.7 is not an integer")):
+        averaging_certificate(rank_one_nonsplit(), 2, (1.7,))
+
+
+def test_coset_order_refuses_non_integer_entries():
+    # int() would read (2.9, 0) as (2, 0), of order 3 mod 6
+    for bad in (2.9, Fraction(5, 2)):
+        with pytest.raises(TorusError, match=re.escape(f"entry {bad!r} is not an integer")):
+            coset_order((bad, 0), 6)
 
 
 def test_coset_order():
