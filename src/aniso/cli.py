@@ -229,7 +229,7 @@ def _cmd_pairing_fuzz(args) -> tuple[dict, int]:
         (0 if not failures else 1)
 
 
-# the largest degree for which a dense `csa norm` finishes in about 20 s
+# the largest degree for which a dense `csa norm` finishes in seconds
 NORM_MAX_DEGREE = 9
 # the largest --d-max for which `torus analyze` on the S_4 norm quotient
 # finishes in about 1.8 s in-process and prints about 8.6 MiB
@@ -247,17 +247,9 @@ def _generic_symbol_spec(degree: int) -> csa.SymbolAlgebraSpec:
 
 
 def _cmd_csa_norm(args) -> tuple[dict, int]:
-    """Reduced norm in the generic symbol algebra of degree n <= 9.
-
-    Berkowitz's recurrence takes O(n^4) products in K[u]/(u^n - a) of
-    O(n^2) products in K = Q(zeta_n)(a, b) each. With every coefficient a
-    nonzero integer that is about 2 s at n = 7, 5 s at n = 8 and 15 s at
-    n = 9, on one core of a 2-core x86 machine. Denominators in a, b add
-    one gcd per coefficient, to multiply the element by D, the product of
-    the distinct denominators, and one to divide the result by D^n; the
-    recurrence itself then runs on polynomials, at a cost that grows with
-    their degrees. A larger degree raises DegreeTooLarge before Phi_n or
-    the algebra is built.
+    """Reduced norm in the generic symbol algebra of degree n <= 9; its
+    cost is stated at csa.reduced_charpoly. A larger degree raises
+    DegreeTooLarge before Phi_n or the algebra is built.
     """
     obj = _load_payload(args.input)
     degree = _expect_int(_expect_key(obj, "$", "degree"), "$.degree")

@@ -320,24 +320,24 @@ def _upoly_dot(spec, fs, gs) -> list:
     """sum_i f_i g_i in K[u]/(u^n - a), for length-n lists in u of payloads
     of spec.base.
 
-    Terms past u^(n-1) are collected first and multiplied by a once per
-    coefficient.
+    The products are gathered by power of u and each power summed by one
+    spec.base.dot; u^(k+n) = a u^k adds the sum at u^(k+n) to u^k as one
+    more pair.
     """
     d, n = spec.base, spec.degree
-    add, mul, is_zero = d.add, d.mul, d.is_zero
-    out = [None] * (2 * n - 1)  # None: no term yet
+    is_zero = d.is_zero
+    terms = [[] for _ in range(2 * n - 1)]
     for f, g in zip(fs, gs):
         for i, ci in enumerate(f):
-            if is_zero(ci):
-                continue
-            for j, cj in enumerate(g):
-                if not is_zero(cj):
-                    term, acc = mul(ci, cj), out[i + j]
-                    out[i + j] = term if acc is None else add(acc, term)
-    zero, a = d.zero(), spec.a.payload
-    out = [zero if c is None else c for c in out]
-    return [out[k] if is_zero(out[k + n]) else add(out[k], mul(out[k + n], a))
-            for k in range(n - 1)] + [out[n - 1]]
+            if not is_zero(ci):
+                for j, cj in enumerate(g):
+                    if not is_zero(cj):
+                        terms[i + j].append((ci, cj))
+    a, zero = spec.a.payload, d.zero()
+    for k in range(n - 1):
+        if terms[k + n]:
+            terms[k].append((d.dot(terms[k + n]), a))
+    return [d.dot(t) if t else zero for t in terms[:n]]
 
 
 def _right_multiplication(x: AlgebraElement) -> list:
@@ -346,7 +346,7 @@ def _right_multiplication(x: AlgebraElement) -> list:
     normal form (spec.reorder and v^n = b), each entry a length-n list in
     u. Rows and columns run from v^(n-1) down to v^0, ending on the row of
     x itself, free of reorder factors: on the dense-n4 norm golden that
-    order reduces 229 cyclotomic products, the increasing one 348.
+    order reduces mod Phi_4 138 times, the increasing one 166.
     """
     spec = x.spec
     d, n = spec.base, spec.degree
@@ -386,6 +386,14 @@ def reduced_charpoly(x: AlgebraElement, constant_only: bool = False) -> list[Fie
     reducible and R has zero divisors. The recurrence runs on D x, D the
     product of the distinct coefficient denominators, whose entries have
     denominator 1 so that no gcd runs; c_i is divided by D^i at the end.
+
+    Over K = Q(zeta_n)(a, b) each coefficient of a product in R is one
+    K.dot, which reduces mod Phi_n once per monomial in a, b, not once
+    per product. A dense element with nonzero integer coefficients takes
+    about 1 s at n = 7, 2 s at n = 8 and 6.5 s at n = 9 (one core of a
+    2-core x86 machine); the gcds that clear and restore D add to that,
+    and the recurrence then runs on polynomials, at a cost that grows
+    with their degrees.
     """
     spec = x.spec
     n, d = spec.degree, spec.base

@@ -38,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from typing import ClassVar, Iterator, Optional, Union
 
 from .errors import AnisoError, _exact_fraction, _exact_int, _exact_json
@@ -321,7 +321,9 @@ class FieldDescriptor:
     A subclass defines from_int, is_zero, add, neg, mul, _inv, render,
     to_json, payload_to_json, payload_from_json, random_payload, zeta,
     root_of_unity_log and _kth_root on raw payloads; zero and one default
-    to from_int. Payloads are canonical, so == on them is field equality.
+    to from_int, and dot to a fold of add over mul, which a kind may
+    override with a fused sum of products. Payloads are canonical, so ==
+    on them is field equality.
     """
 
     kind: ClassVar[str]
@@ -355,6 +357,10 @@ class FieldDescriptor:
 
     def div(self, x, y):
         return self.mul(x, self.inv(y))
+
+    def dot(self, pairs):
+        """sum x y over a list of (x, y) payload pairs."""
+        return reduce(self.add, itertools.starmap(self.mul, pairs), self.zero())
 
     def power(self, x, e: int):
         """x^e; a negative e inverts first, so zero raises DivisionByZero."""
@@ -516,6 +522,22 @@ class _Cyclotomic(FieldDescriptor):
             nums = _cy_reduce_ints(self.n, out)
         den = dx * dy
         return (nums, 1) if den == 1 else _cy_normal(nums, den)
+
+    def dot(self, pairs):
+        """sum x y reduced mod Phi_n once: the convolutions, each scaled to
+        the lcm L of the denominator products, share one integer list."""
+        d = self._degree
+        L = math.lcm(*(dx * dy for (_, dx), (_, dy) in pairs))
+        out = [0] * (2 * d - 1)
+        for (xs, dx), (ys, dy) in pairs:
+            s = L // (dx * dy)
+            for i, a in enumerate(xs):
+                if a:
+                    a *= s
+                    for k, b in enumerate(ys, i):
+                        out[k] += a * b
+        nums = _cy_reduce_ints(self.n, out) if any(out[d:]) else tuple(out[:d])
+        return (nums, 1) if L == 1 else _cy_normal(nums, L)
 
     def _inv(self, x):
         return _cy_from_fractions(self.n, _u_inverse(rationals(), self.fractions(x),
@@ -876,6 +898,23 @@ class _FunctionField(FieldDescriptor):
             return (num, one)
         return self.normalize(num, _t_mul(bd, d1, d2))
 
+    def dot(self, pairs):
+        """sum x y; over two or more pairs with unit denominators, the base
+        products that land on one monomial are summed by one base.dot each
+        and sorted once."""
+        if len(pairs) < 2:
+            return super().dot(pairs)
+        one, groups = self._unit_den, {}
+        for (xn, xd), (yn, yd) in pairs:
+            if xd != one or yd != one:
+                return super().dot(pairs)
+            for ea, ca in xn:
+                for eb, cb in yn:
+                    groups.setdefault(tuple(map(operator.add, ea, eb)), []).append((ca, cb))
+        bd = self.base
+        return (_p_to_tuple({e: c for e, ps in groups.items()
+                             if not bd.is_zero(c := bd.dot(ps))}), one)
+
     def _inv(self, x):
         return self.normalize(x[1], x[0])
 
@@ -916,7 +955,10 @@ class _FunctionField(FieldDescriptor):
 
     def payload_from_json(self, obj):
         if isinstance(_exact_json(obj), (int, str)):
-            return self.from_int(_exact_int(obj))
+            if self.characteristic:
+                return self.from_int(_exact_int(obj))
+            r, bd = _exact_fraction(obj), self.base
+            return self.constant(bd.div(bd.from_int(r.numerator), bd.from_int(r.denominator)))
         nv = len(self.variables)
 
         def poly(o):

@@ -430,6 +430,15 @@ def function_field_mul_by_dicts(d, x, y):
     return normalize_by_dicts(d, num, _p_mul(bd, dict(x[1]), dict(y[1])))
 
 
+def dot_by_fold(d, pairs):
+    """sum x y over payload pairs, one mul and one add per pair: the oracle
+    for each kind's FieldDescriptor.dot."""
+    acc = d.zero()
+    for x, y in pairs:
+        acc = d.add(acc, d.mul(x, y))
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Q(zeta_n) payloads as tuples of Fractions, length deg(Phi_n)
 

@@ -5,8 +5,9 @@ for byte, with `tests/golden/<name>.out.json`. Inputs read from stdin live
 in `tests/golden/<name>.in.json`. Each `demo-<script>` case runs
 `demos/<script>.py` and compares its stdout with
 `tests/golden/demo-<script>.out.txt`. The `csa norm` golden whose
-denominators are not monomials also has its field inversions counted. A case exits 0 unless EXIT_CODES
-names the error status it reports with. A change that is meant to alter
+denominators are not monomials also has its field inversions counted, and
+the dense n = 4 and n = 5 ones their reductions mod Phi_n. A case exits 0
+unless EXIT_CODES names the error status it reports with. A change that is meant to alter
 one of these outputs rewrites its golden file with
 
     PYTHONPATH=src python tests/test_golden.py <name> ...
@@ -41,6 +42,7 @@ CASES = {
     "csa-norm-cyclotomic3-fractional": ["csa", "norm", "--input", "-", "--json"],
     "csa-norm-cyclotomic3-nonmonomial-den": ["csa", "norm", "--input", "-", "--json"],
     "csa-norm-dense-n5-fractional": ["csa", "norm", "--input", "-", "--json"],
+    "csa-norm-dense-n7": ["csa", "norm", "--input", "-", "--json"],
     "csa-norm-degree-cap": ["csa", "norm", "--input", "-", "--json"],
     "torus-analyze-s4-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
     "torus-analyze-c6-d30": ["torus", "analyze", "--input", "-", "--d-max", "30", "--json"],
@@ -112,20 +114,35 @@ def test_second_f256_arf_request_multiplies_no_polynomials(monkeypatch):
     assert calls == []
 
 
-def test_dense_n4_norm_reduces_229_cyclotomic_products(monkeypatch):
-    # a product with a rational factor scales the other factor and skips the
-    # reduction mod Phi_4; the other products each reduce once. The count is
-    # exact: one warm-up request builds what later requests share. It is a
-    # property of the matrix the recurrence runs on: right multiplication,
-    # rows from v^3 down to v^0
+def _count_cyclotomic_reductions(name, monkeypatch) -> int:
+    # one warm-up request builds what later requests share, so the count of
+    # the second one is exact
     from aniso import scalars
-    run_case("csa-norm-dense-n4")
+    run_case(name)
     calls, reduce_ints = [], scalars._cy_reduce_ints
     monkeypatch.setattr(scalars, "_cy_reduce_ints",
                         lambda *args: calls.append(args) or reduce_ints(*args))
-    code, out = run_case("csa-norm-dense-n4")
-    assert code == 0 and out == (GOLDEN / "csa-norm-dense-n4.out.json").read_text()
-    assert len(calls) == 229
+    code, out = run_case(name)
+    assert code == 0 and out == (GOLDEN / f"{name}.out.json").read_text()
+    return len(calls)
+
+
+def test_dense_n4_norm_reduces_138_cyclotomic_products(monkeypatch):
+    # each coefficient of each inner product in K[u]/(u^4 - a) is one
+    # fused sum of products: the integer convolutions of all products on
+    # one monomial of Q(z4)[a, b] share one list, reduced mod Phi_4 once,
+    # and not at all when no entry reaches degree 2. Reducing each product
+    # without a rational factor on its own took 229. The count covers the
+    # whole request, reading the element included, and is a property of
+    # the matrix the recurrence runs on: right multiplication, rows from
+    # v^3 down to v^0
+    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 138
+
+
+def test_dense_n5_fractional_norm_reduces_2285_cyclotomic_products(monkeypatch):
+    # the same fused sums over Q(z5)(a, b); one reduction per product took
+    # 14,610
+    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 2285
 
 
 def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):

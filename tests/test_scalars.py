@@ -26,7 +26,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            prime_field, rationals, root_of_unity_log)
 from aniso.integers import binary_power, least_power
 from oracles import (FractionCyclotomic, FractionOnlyQ, _p_add, _p_mul, artin_schreier_image,
-                     cy_mul, cy_reduce, finite_field_inv_by_polynomials,
+                     cy_mul, cy_reduce, dot_by_fold, finite_field_inv_by_polynomials,
                      finite_field_mul_by_polynomials, function_field_add_by_dicts,
                      function_field_mul_by_dicts, kth_roots_by_scan, kth_roots_in_newton_box,
                      root_of_unity_log_by_scan, zeta_by_scan)
@@ -822,6 +822,73 @@ def test_function_field_add_mul_match_generic_rule(descriptor):
             assert descriptor.mul(x.payload, y.payload) == \
                 _ff_mul_generic(descriptor, x.payload, y.payload)
     assert field.zero.payload == ((), field.one.payload[1])
+
+
+DOT_FIELDS = ([rationals()] + [cyclotomic(n) for n in (1, 3, 4, 5, 7, 9)]
+              + [prime_field(7), finite_field(3, 2), finite_field(2, 13)]
+              + [function_field(bd, ("a", "b"))
+                 for bd in (rationals(), cyclotomic(5), prime_field(5))])
+
+
+@pytest.mark.parametrize("d", DOT_FIELDS, ids=repr)
+def test_dot_matches_the_add_mul_fold(d):
+    # payload for payload, and repr too, so an int and an equal Fraction
+    # differ: the empty list, one pair, sums that cancel to zero, and seeded
+    # lists; in characteristic 0 with denominators (F_2^13 is past the tables)
+    rng = random.Random(2024)
+    field = Field(d)
+    xs = [d.zero(), d.one()] + [field.random_element(rng, terms=3).payload
+                                for _ in range(8)]
+    if not d.characteristic:
+        xs += [d.div(x, d.from_int(rng.randint(2, 12))) for x in xs[2:7]]
+        if d.kind == "rationals":
+            assert {type(x) for x in xs} == {int, Fraction}
+        half = d.inv(d.from_int(2))
+        assert d.dot([(half, d.one()), (d.one(), half)]) == d.one()
+    cases = [[], [(xs[2], xs[3])], [(xs[0], xs[4])]]
+    for x, y in zip(xs[2:], xs[3:]):
+        cases += [[(x, y), (d.neg(x), y)], [(x, y), (d.one(), d.neg(d.mul(x, y)))]]
+    pool = xs
+    if d.kind == "function_field":
+        # a sum over several distinct denominators runs multivariate gcds
+        # for seconds, so a seeded list holds at most one of them
+        unit = d.one()[1]
+        pool = [x for x in xs if x[1] == unit]
+        other = [x for x in xs if x[1] != unit]
+        assert len(pool) > 4 and other
+        for _ in range(20):
+            pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(1, 4))]
+            pairs.insert(rng.randint(0, len(pairs)), (rng.choice(other), rng.choice(pool)))
+            cases.append(pairs)
+    cases += [[(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randint(2, 6))]
+              for _ in range(30)]
+    for pairs in cases:
+        got, want = d.dot(pairs), dot_by_fold(d, pairs)
+        assert got == want and repr(got) == repr(want), pairs
+    assert repr(d.dot([])) == repr(d.zero())
+    for pairs in cases[3:3 + 2 * (len(xs) - 3)]:
+        assert repr(d.dot(pairs)) == repr(d.zero())
+
+
+def test_bare_rational_constants_read_over_function_fields():
+    # a bare string or integer is a constant: in characteristic 0 any
+    # decimal rational, as the base reads it; in characteristic p an
+    # integer, as F_p reads it
+    for bd, wrap in ((rationals(), str), (cyclotomic(3), lambda t: [t])):
+        d = function_field(bd, ("a",))
+        for text in ("1/2", "-3/4", "6/3", "0/5", "-7", 5, "007"):
+            spelled = element_from_json({"num": {"0": wrap(str(text))}}, d)
+            assert element_from_json(text, d) == spelled
+            assert repr(element_from_json(text, d)) == repr(spelled)
+        assert element_from_json("1/2", d) * 2 == Field(d).one
+        for text in ("1/0", "1_0", " 1/2", "1/-2", "1/2/3", "+1", "x", "1.5", ""):
+            with pytest.raises(ValueError):
+                element_from_json(text, d)
+    d = function_field(prime_field(5), ("a",))
+    assert repr(element_from_json("8", d)) == "3"
+    for text in ("1/2", "1_0", "x"):
+        with pytest.raises(ValueError, match="not a decimal integer"):
+            element_from_json(text, d)
 
 
 KERNEL_BASES = [rationals(), cyclotomic(3), cyclotomic(5), prime_field(7), finite_field(2, 2)]
