@@ -9,8 +9,7 @@ automorphisms, and pointless quadrics.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from . import fieldmatrix
@@ -40,6 +39,25 @@ class HypothesisFails(BoundsError):
     """The exponent hypothesis fails on some element of coprime order."""
 
 
+class BoundTooLarge(BoundsError):
+    """A bound with more than MAX_BOUND_DIGITS digits."""
+
+
+# Python's default limit for int-to-str conversion: every bound returned prints
+MAX_BOUND_DIGITS = 4300
+_BOUND_LIMIT = 10 ** MAX_BOUND_DIGITS
+
+
+def _power_bound(what: str, r: int, base: int, e: int) -> int:
+    """r * base^e for positive r and base, or BoundTooLarge when it reaches
+    10^MAX_BOUND_DIGITS: before the power is taken when the lower bound
+    2^(bits(r) - 1 + (bits(base) - 1) e) already reaches 2^bits(limit)."""
+    if r.bit_length() + (base.bit_length() - 1) * e <= _BOUND_LIMIT.bit_length():
+        if (value := r * base ** e) < _BOUND_LIMIT:
+            return value
+    raise BoundTooLarge(f"{what} has more than {MAX_BOUND_DIGITS} decimal digits")
+
+
 # ---------------------------------------------------------------------------
 # integer matrix group bounds
 
@@ -66,6 +84,8 @@ def minkowski_values(n: int) -> MinkowskiValues:
     """
     if n < 1:
         raise BoundsError("n must be positive")
+    what = f"upsilon_m for n = {n}"
+    _power_bound(what, 1, 2, n)  # 2^n divides upsilon_m: a large n is refused before the sieve
     upsilon_m = 1
     for p in _primes_upto(n + 1):
         exponent = 0
@@ -73,7 +93,7 @@ def minkowski_values(n: int) -> MinkowskiValues:
         while block <= n:
             exponent += n // block
             block *= p
-        upsilon_m *= p ** exponent
+        upsilon_m = _power_bound(what, upsilon_m, p, exponent)
     for p in _primes_upto(n + 1):
         if upsilon_m % p:
             raise BoundsError("internal consistency: missing prime factor")
@@ -179,18 +199,6 @@ class FiniteMatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @functools.cached_property
-    def _cayley(self):
-        """(right, at): the Cayley graph of the closure of the list over its
-        kept generators (lattice.closure) and the closure index of each
-        listed element. The constructors record it; an object built around
-        a list that is no group finds the closure outgrowing the list."""
-        found, right = closure(fieldmatrix.identity(self.field, self.degree), self.elements,
-                               fieldmatrix.mat_mul, self.order,
-                               BoundsError("element order exceeds the group order"))
-        index = {m: c for c, m in enumerate(found)}
-        return right, [index[m] for m in self.elements]
 
     def element_orders(self) -> list[int]:
         """The order of every element, in list order, walked by index
@@ -310,23 +318,24 @@ def _need(query: BoundQuery, *names: str) -> list[int]:
 def bound_calculator(query: BoundQuery) -> BoundResult:
     """The exact integer divisor bound for a supported scenario."""
     kind = query.kind
+    what = f"the {kind} bound"
     if kind == "torus":
         (n,) = _need(query, "n")
         um = minkowski_values(n).upsilon_m
-        return BoundResult(query, um ** n,
+        return BoundResult(query, _power_bound(what, 1, um, n),
                            f"order of a finite subgroup of an anisotropic "
                            f"rank-{n} torus divides {um}^{n}")
     if kind == "reductive_perfect":
         n, r, big_n = _need(query, "n", "r", "N")
         um = minkowski_values(n).upsilon_m
-        return BoundResult(query, r * um ** big_n,
+        return BoundResult(query, _power_bound(what, r, um, big_n),
                            f"order of a finite subgroup divides "
                            f"{r}*{um}^{big_n} for anisotropic reductive "
                            f"groups over perfect fields")
     if kind == "general_lag":
         n, r, big_n = _need(query, "n", "r", "N")
         um = minkowski_values(n).upsilon_m
-        return BoundResult(query, r * um ** big_n,
+        return BoundResult(query, _power_bound(what, r, um, big_n),
                            f"part of the subgroup order coprime to the "
                            f"characteristic divides {r}*{um}^{big_n}")
     if kind == "semisimple_char_p":
@@ -334,14 +343,14 @@ def bound_calculator(query: BoundQuery) -> BoundResult:
         if not _is_prime(p):
             raise BoundsError(f"parameter 'p' must be prime, got {p}")
         um = minkowski_values(n).upsilon_m
-        return BoundResult(query, r * um ** big_n,
+        return BoundResult(query, _power_bound(what, r, um, big_n),
                            f"subgroups split as a normal part of order "
                            f"coprime to {p} dividing {r}*{um}^{big_n}, "
                            f"extended by an abelian {p}-group of exponent "
                            f"at most {p}^{m}")
     if kind == "severi_brauer":
         (n,) = _need(query, "n")
-        return BoundResult(query, n * n,
+        return BoundResult(query, _power_bound(what, n, n, 1),
                            f"finite automorphism groups are abelian of "
                            f"exponent dividing {n} and order dividing "
                            f"{n}^2 when the algebra is division")
@@ -349,7 +358,7 @@ def bound_calculator(query: BoundQuery) -> BoundResult:
         (n,) = _need(query, "n")
         if n % 2 == 0 or n < 3:
             raise BoundsError("quadric_odd needs odd n >= 3")
-        return BoundResult(query, 2 ** (n - 1),
+        return BoundResult(query, _power_bound(what, 1, 2, n - 1),
                            f"finite automorphism groups of a pointless "
                            f"quadric in {n} variables are elementary "
                            f"abelian 2-groups of order dividing 2^{n - 1}")
@@ -357,7 +366,7 @@ def bound_calculator(query: BoundQuery) -> BoundResult:
         (n,) = _need(query, "n")
         if n % 2 or n < 4:
             raise BoundsError("quadric_even needs even n >= 4")
-        return BoundResult(query, 8 ** (n - 1),
+        return BoundResult(query, _power_bound(what, 1, 8, n - 1),
                            f"order of a finite automorphism group of a "
                            f"pointless quadric in {n} variables divides "
                            f"8^{n - 1}")

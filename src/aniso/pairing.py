@@ -28,6 +28,9 @@ from .lattice import (IntMatrix, _quotient, _vec_mat, abelian_quotient, closure,
 if TYPE_CHECKING:
     from .scalars import FieldElement
 
+# isotropic_subgroup factors the group exponent by trial division up to here
+_TRIAL_DIVISION_LIMIT = 1 << 20
+
 
 class PairingError(AnisoError):
     pass
@@ -281,7 +284,9 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
         return IsotropicSubgroup((), (), 1)
     gens_out: list[tuple[int, ...]] = []
     orders_out: list[int] = []
-    for ell in sorted(set(_prime_factors(group.exponent))):
+    undecided = GroupTooLarge(f"trial division to {_TRIAL_DIVISION_LIMIT} and Miller-Rabin "
+                              "leave the group exponent unfactored")
+    for ell in sorted(set(_prime_factors(group.exponent, _TRIAL_DIVISION_LIMIT, undecided))):
         part_factors = []
         embed = []  # embedding of the part's generators into the full group
         for j, d in enumerate(group.invariant_factors):

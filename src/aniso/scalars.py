@@ -42,7 +42,7 @@ from functools import cached_property, lru_cache, reduce
 from typing import ClassVar, Iterator, Optional, Union
 
 from .errors import AnisoError, _exact_fraction, _exact_int, _exact_json
-from .integers import _prime_factors, _split_prime_power, binary_power
+from .integers import _MR_LIMIT, _is_prime as _miller_rabin, _prime_factors, binary_power
 
 
 class ScalarError(AnisoError):
@@ -81,40 +81,10 @@ def _json_list(obj) -> list:
 
 
 # ---------------------------------------------------------------------------
-# primality and a prime sieve; factorisations, prime-power parts and powers
-# live in aniso.integers
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_13: the least strong pseudoprime to all of _MR_BASES
-_MR_LIMIT = 3317044064679887385961981
-
+# primality past integers._MR_LIMIT raising FieldTooLarge, and a prime sieve
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin with the first 13 primes as bases.
-
-    Exact for n < psi_13 = 3,317,044,064,679,887,385,961,981 (Sorenson and
-    Webster, Math. Comp. 86 (2017)); larger n raise FieldTooLarge. Costs
-    13 modular powers, so it is polynomial in the bit length of n.
-    """
-    if n < 2:
-        return False
-    if n >= _MR_LIMIT:
-        raise FieldTooLarge(f"primality is decided only below {_MR_LIMIT}")
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = _split_prime_power(n - 1, 2)
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return _miller_rabin(n, FieldTooLarge(f"primality is decided only below {_MR_LIMIT}"))
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -322,8 +292,9 @@ class FieldDescriptor:
     to_json, payload_to_json, payload_from_json, random_payload, zeta,
     root_of_unity_log and _kth_root on raw payloads; zero and one default
     to from_int, and dot to a fold of add over mul, which a kind may
-    override with a fused sum of products. Payloads are canonical, so ==
-    on them is field equality.
+    override with a fused sum of products. Every sum of products is a dot;
+    on stored polynomials it is _t_dot, the only place that groups products
+    by monomial. Payloads are canonical, so == on them is field equality.
     """
 
     kind: ClassVar[str]
@@ -359,8 +330,8 @@ class FieldDescriptor:
         return self.mul(x, self.inv(y))
 
     def dot(self, pairs):
-        """sum x y over a list of (x, y) payload pairs."""
-        return reduce(self.add, itertools.starmap(self.mul, pairs), self.zero())
+        """sum x y over a list of (x, y) payload pairs: one pair is one mul."""
+        return reduce(self.add, itertools.starmap(self.mul, pairs)) if pairs else self.zero()
 
     def power(self, x, e: int):
         """x^e; a negative e inverts first, so zero raises DivisionByZero."""
@@ -475,17 +446,17 @@ class _Cyclotomic(FieldDescriptor):
     def _degree(self) -> int:
         return _cy_reduction(self.n)[0]
 
-    def _payload(self, cs: list) -> tuple:
-        """The payload of integer power-basis coefficients cs."""
-        return (_cy_reduce_ints(self.n, cs), 1)
-
     def fractions(self, x) -> tuple[Fraction, ...]:
         """The power-basis coefficients of x as reduced Fractions."""
         nums, den = x
         return tuple(Fraction(c, den) for c in nums)
 
-    def from_int(self, k: int):
-        return self._payload([k])
+    def _rational(self, r):
+        """The payload of r, an int or a Fraction: a constant needs no
+        reduction, and r's own denominator is in lowest terms."""
+        return ((r.numerator,) + (0,) * (self._degree - 1), r.denominator)
+
+    from_int = _rational
 
     def is_zero(self, x) -> bool:
         return not any(x[0])
@@ -506,21 +477,13 @@ class _Cyclotomic(FieldDescriptor):
         return (tuple(-c for c in x[0]), x[1])
 
     def mul(self, x, y):
+        if not any(x[0][1:]):
+            x, y = y, x
+        if any(y[0][1:]):
+            return self.dot(((x, y),))
+        # a rational factor scales the other one's numerators
         (xs, dx), (ys, dy) = x, y
-        if not any(xs[1:]):
-            xs, ys = ys, xs
-        if not any(ys[1:]):
-            # a rational factor scales the other one's numerators
-            c = ys[0]
-            nums = tuple(a * c for a in xs)
-        else:
-            out = [0] * (len(xs) + len(ys) - 1)
-            for i, a in enumerate(xs):
-                if a:
-                    for k, b in enumerate(ys, i):
-                        out[k] += a * b
-            nums = _cy_reduce_ints(self.n, out)
-        den = dx * dy
+        nums, den = tuple(a * ys[0] for a in xs), dx * dy
         return (nums, 1) if den == 1 else _cy_normal(nums, den)
 
     def dot(self, pairs):
@@ -544,7 +507,7 @@ class _Cyclotomic(FieldDescriptor):
                                                      cyclotomic_polynomial(self.n)))
 
     def generator(self):
-        return self._payload([0, 1])
+        return (_cy_reduce_ints(self.n, [0, 1]), 1)
 
     def render(self, x) -> str:
         return _render_uni(self.fractions(x), f"z{self.n}")
@@ -579,9 +542,6 @@ class _Cyclotomic(FieldDescriptor):
                 return (Fraction(1, 2) + Fraction(j, self.n)) % 1
             acc = self.mul(acc, z)
         return None
-
-    def _rational(self, r: Fraction):
-        return ((r.numerator,) + (0,) * (self._degree - 1), r.denominator)
 
     def _kth_root(self, x, k: int):
         if self._degree == 1:
@@ -881,7 +841,7 @@ class _FunctionField(FieldDescriptor):
             if d1 == self._unit_den:
                 return (num, d1)
             return self.normalize(num, d1)
-        num = _t_add(bd, _t_mul(bd, n1, d2), _t_mul(bd, n2, d1))
+        num = _t_dot(bd, ((n1, d2), (n2, d1)))
         return self.normalize(num, _t_mul(bd, d1, d2))
 
     def neg(self, x):
@@ -899,21 +859,11 @@ class _FunctionField(FieldDescriptor):
         return self.normalize(num, _t_mul(bd, d1, d2))
 
     def dot(self, pairs):
-        """sum x y; over two or more pairs with unit denominators, the base
-        products that land on one monomial are summed by one base.dot each
-        and sorted once."""
-        if len(pairs) < 2:
+        """sum x y: over unit denominators, one _t_dot of the numerators."""
+        one = self._unit_den
+        if len(pairs) < 2 or any(xd != one or yd != one for (_, xd), (_, yd) in pairs):
             return super().dot(pairs)
-        one, groups = self._unit_den, {}
-        for (xn, xd), (yn, yd) in pairs:
-            if xd != one or yd != one:
-                return super().dot(pairs)
-            for ea, ca in xn:
-                for eb, cb in yn:
-                    groups.setdefault(tuple(map(operator.add, ea, eb)), []).append((ca, cb))
-        bd = self.base
-        return (_p_to_tuple({e: c for e, ps in groups.items()
-                             if not bd.is_zero(c := bd.dot(ps))}), one)
+        return (_t_dot(self.base, [(xn, yn) for (xn, _), (yn, _) in pairs]), one)
 
     def _inv(self, x):
         return self.normalize(x[1], x[0])
@@ -1072,36 +1022,32 @@ def _t_add(bd, A, B) -> tuple:
     return tuple(out) + A[i:] + B[j:]
 
 
+def _t_dot(bd, pairs) -> tuple:
+    """sum A B over pairs of stored polynomials: the base products that land
+    on one monomial are summed by one bd.dot each, and the sum is sorted
+    once. The only place that groups products by monomial."""
+    groups = {}
+    for A, B in pairs:
+        for ea, ca in A:
+            for eb, cb in B:
+                groups.setdefault(tuple(map(operator.add, ea, eb)), []).append((ca, cb))
+    return _p_to_tuple({e: c for e, ps in groups.items() if not bd.is_zero(c := bd.dot(ps))})
+
+
 def _t_mul(bd, A, B) -> tuple:
-    """A B on stored polynomials, sorted once. A one-term factor shifts the
-    exponents of the other in O(t) with no sort: adding a fixed exponent
-    vector keeps lex order, and nonzero base payloads have a nonzero product."""
+    """A B on stored polynomials. A one-term factor shifts the exponents of
+    the other in O(t) with no sort: adding a fixed exponent vector keeps lex
+    order, and nonzero base payloads have a nonzero product."""
     if len(B) == 1:
         A, B = B, A
-    mul, add, is_zero = bd.mul, bd.add, bd.is_zero
     if len(A) == 1:
         (ea, ca), = A
-        return tuple([(tuple(map(operator.add, ea, eb)), mul(ca, cb)) for eb, cb in B])
-    out = {}
-    for ea, ca in A:
-        for eb, cb in B:
-            e = tuple(map(operator.add, ea, eb))
-            c = mul(ca, cb)
-            if e in out:
-                c = add(out[e], c)
-            if is_zero(c):
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return _p_to_tuple(out)
+        return tuple([(tuple(map(operator.add, ea, eb)), bd.mul(ca, cb)) for eb, cb in B])
+    return _t_dot(bd, ((A, B),))
 
 
 def _t_neg(bd, A) -> tuple:
     return tuple([(e, bd.neg(c)) for e, c in A])
-
-
-def _t_sub(bd, A, B) -> tuple:
-    return _t_add(bd, A, _t_neg(bd, B))
 
 
 def _t_scale(bd, A, c) -> tuple:
@@ -1165,7 +1111,7 @@ def _t_prem(bd, A, B, i):
     dB = _t_deg(B, i)
     lcB = _t_slice(B, i, dB, 0)
     while A and (dA := _t_deg(A, i)) >= dB:
-        A = _t_sub(bd, _t_mul(bd, lcB, A), _t_mul(bd, _t_slice(A, i, dA, dA - dB), B))
+        A = _t_dot(bd, ((lcB, A), (_t_neg(bd, _t_slice(A, i, dA, dA - dB)), B)))
     return A
 
 
@@ -1516,7 +1462,7 @@ def _t_kth_root(bd, A: tuple, k: int):
         Gpow = G
         for _ in range(k - 1):
             Gpow = _t_mul(bd, Gpow, G)
-        diff = _t_sub(bd, A, Gpow)
+        diff = _t_add(bd, A, _t_neg(bd, Gpow))
         if not diff:
             return G
         de, dc = diff[0]

@@ -40,7 +40,7 @@ from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _appl
                            group_closure, int_inverse, integer_kernel, kernel_mod_d)
 from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
-from aniso.scalars import _prime_factors, _split_prime_power
+from aniso.integers import _prime_factors, _split_prime_power
 from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
 from aniso.integers import binary_power, least_power
 from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,

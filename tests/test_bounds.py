@@ -5,8 +5,9 @@ import random
 import pytest
 
 from aniso import fieldmatrix
-from aniso.bounds import (BoundQuery, BoundsError, FiniteMatrixGroup, GroupTooLarge,
-                          HypothesisFails, MissingParameter, UnknownType,
+from aniso.bounds import (MAX_BOUND_DIGITS, BoundQuery, BoundTooLarge, BoundsError,
+                          FiniteMatrixGroup, GroupTooLarge, HypothesisFails,
+                          MissingParameter, UnknownType,
                           bound_calculator, burnside_divisibility_check,
                           coprime_part, minkowski_values, pi1_order_split,
                           torsion_primes)
@@ -364,15 +365,15 @@ def test_long_lists_are_certified_closed():
 
 
 def test_element_orders_reject_an_element_of_infinite_order():
-    # the constructor refuses this list, so build the object around it:
-    # 2 has no order, and the power chain must not run forever
+    # the constructor refuses this list (test_long_lists_are_certified_closed),
+    # so build the object around it for the oracle: 2 has no order, and the
+    # power chain must not run forever
     q = Field(rationals())
     group = object.__new__(FiniteMatrixGroup)
     group.descriptor, group.field, group.degree = rationals(), q, 1
     group.elements = [((q(i),),) for i in range(1, 2002)]
-    for orders in (group.element_orders, lambda: element_orders_by_least_power(group)):
-        with pytest.raises(BoundsError, match="element order exceeds the group order"):
-            orders()
+    with pytest.raises(BoundsError, match="element order exceeds the group order"):
+        element_orders_by_least_power(group)
 
 
 def test_bound_calculator_examples():
@@ -380,6 +381,25 @@ def test_bound_calculator_examples():
     assert bound_calculator(BoundQuery("severi_brauer", n=5)).divisor_bound == 25
     assert bound_calculator(BoundQuery("quadric_even", n=4)).divisor_bound == 512
     assert bound_calculator(BoundQuery("quadric_odd", n=5)).divisor_bound == 16
+
+
+def test_bounds_at_the_digit_limit():
+    # 8^4761 has 4300 digits and prints; 8^4763 does not, nor upsilon_m past
+    # n = 1331, and no power is taken past what bit lengths rule out
+    assert bound_calculator(BoundQuery("quadric_even", n=4762)).divisor_bound == 8 ** 4761
+    assert len(str(8 ** 4761)) == MAX_BOUND_DIGITS
+    with pytest.raises(BoundTooLarge, match="quadric_even bound"):
+        bound_calculator(BoundQuery("quadric_even", n=4764))
+    assert len(str(minkowski_values(1331).upsilon_m)) <= MAX_BOUND_DIGITS
+    with pytest.raises(BoundTooLarge, match="upsilon_m for n = 1332"):
+        minkowski_values(1332)
+    with pytest.raises(BoundTooLarge):
+        bound_calculator(BoundQuery("general_lag", n=2, r=1, N=10 ** 100))
+    # (10^2150)^2 passes the bit-length test and is refused by the exact one
+    big = 10 ** 2150
+    assert bound_calculator(BoundQuery("severi_brauer", n=big - 1)).divisor_bound == (big - 1) ** 2
+    with pytest.raises(BoundTooLarge, match="severi_brauer bound"):
+        bound_calculator(BoundQuery("severi_brauer", n=big))
 
 
 def test_bound_calculator_torus_matches_table():

@@ -89,6 +89,35 @@ def test_bounds_semisimple_char_p_rejects_composite_p():
         assert json.loads(out)["error"]["type"] == "BoundsError"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--kind", "torus", "--n", "60"],
+    ["--kind", "quadric_even", "--n", "100000"],
+    ["--kind", "minkowski", "--n", "3000"],
+    ["--kind", "reductive_perfect", "--n", "2", "--r", "1", "--N", "1000000000"],
+    ["--kind", "minkowski", "--n", "100000000"],
+], ids=lambda argv: " ".join(argv[1::2]))
+def test_bounds_past_the_digit_limit_are_refused_up_front(argv):
+    # the first three ended in a ValueError traceback from int-to-str
+    # conversion, the last two ran the power 24^N and the sieve to n for
+    # more than 10 s
+    start = time.perf_counter()
+    code, out = run_cli(["bounds", *argv, "--json"])
+    assert time.perf_counter() - start < 1
+    assert code == 2 and json.loads(out)["error"]["type"] == "BoundTooLarge"
+
+
+def test_pairing_isotropic_refuses_an_exponent_it_cannot_factor():
+    # trial division to the square root of this prime ran for more than 10 s
+    big = 10 ** 48 + 7
+    payload = {"invariant_factors": [str(big)] * 2,
+               "gram": [["0", f"1/{big}"], [f"-1/{big}", "0"]]}
+    start = time.perf_counter()
+    code, out = run_cli(["pairing", "isotropic", "--input", "-", "--json"],
+                        stdin=json.dumps(payload))
+    assert time.perf_counter() - start < 1
+    assert code == 2 and json.loads(out)["error"]["type"] == "GroupTooLarge"
+
+
 def test_all_integers_are_strings():
     code, out = run_cli(["bounds", "--kind", "reductive_perfect",
                          "--n", "2", "--r", "2", "--N", "3"])

@@ -127,22 +127,25 @@ def _count_cyclotomic_reductions(name, monkeypatch) -> int:
     return len(calls)
 
 
-def test_dense_n4_norm_reduces_138_cyclotomic_products(monkeypatch):
+def test_dense_n4_norm_reduces_119_cyclotomic_products(monkeypatch):
     # each coefficient of each inner product in K[u]/(u^4 - a) is one
     # fused sum of products: the integer convolutions of all products on
     # one monomial of Q(z4)[a, b] share one list, reduced mod Phi_4 once,
     # and not at all when no entry reaches degree 2. Reducing each product
-    # without a rational factor on its own took 229. The count covers the
-    # whole request, reading the element included, and is a property of
-    # the matrix the recurrence runs on: right multiplication, rows from
-    # v^3 down to v^0
-    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 138
+    # without a rational factor on its own took 229; reducing the one-entry
+    # list of every from_int (zero, one, and one per coefficient normalized)
+    # took 19 more, 138. The count covers the whole request, reading the
+    # element included, and is a property of the matrix the recurrence
+    # runs on: right multiplication, rows from v^3 down to v^0
+    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 119
 
 
-def test_dense_n5_fractional_norm_reduces_2285_cyclotomic_products(monkeypatch):
+def test_dense_n5_fractional_norm_reduces_2243_cyclotomic_products(monkeypatch):
     # the same fused sums over Q(z5)(a, b); one reduction per product took
-    # 14,610
-    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 2285
+    # 14,610. 2,285 before from_int stopped reducing (39 calls) and a lone
+    # product became a one-pair dot, which skips the reduction when its
+    # convolution stays below degree 4 (3 calls)
+    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 2243
 
 
 def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):

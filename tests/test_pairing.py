@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from aniso.fieldmatrix import mat_from_rows
+from aniso.integers import _prime_factors
 from aniso.pairing import (AlternatingPairing, CommutatorNotScalar,
                            FiniteAbelianGroup, GroupTooLarge, InvalidPairing,
                            PairingError, brute_force_isotropic_max,
@@ -205,6 +206,33 @@ def test_radical_is_not_enumerated():
     with pytest.raises(InvalidPairing):
         is_perfect(AlternatingPairing(FiniteAbelianGroup([2, 2]),
                                       [[0, Fraction(1, 3)], [Fraction(2, 3), 0]]))
+
+
+def test_bounded_trial_division_matches_full_factoring():
+    # past the limit, the cofactor left is one prime or refused
+    for n in range(1, 20000):
+        full = _prime_factors(n)
+        large = [q for q in full if q > 7]
+        try:
+            got = _prime_factors(n, 7, LookupError("undecided"))
+        except LookupError:
+            assert len(large) >= 2, n
+        else:
+            assert got == full and len(large) <= 1, n
+
+
+def test_isotropic_subgroup_factors_the_exponent_within_its_bound():
+    # trial division stops at 2^20; a cofactor left above 2^40 counts only
+    # when Miller-Rabin decides it prime, so 2^61 - 1 answers at once, and
+    # two primes past 2^20 are refused (a prime past psi_13: test_cli)
+    def symplectic(n):
+        return AlternatingPairing(FiniteAbelianGroup([n, n]),
+                                  [[0, Fraction(1, n)], [Fraction(-1, n), 0]])
+
+    for n in (4294967291, 6 * (2 ** 61 - 1)):
+        assert isotropic_subgroup(symplectic(n)).order == n
+    with pytest.raises(GroupTooLarge, match="leave the group exponent unfactored"):
+        isotropic_subgroup(symplectic(1048583 * 1048589))
 
 
 def test_isotropic_subgroup_z4_oracle():

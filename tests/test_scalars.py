@@ -16,7 +16,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
                            _fp_trim, _int_kth_root, _is_prime, _p_to_tuple,
-                           _primes_upto, _t_add, _t_monic, _t_mul, _u_gcd, _u_inverse,
+                           _primes_upto, _t_add, _t_dot, _t_monic, _t_mul, _t_neg,
+                           _u_gcd, _u_inverse,
                            modulus_polynomial,
                            cyclotomic, cyclotomic_polynomial,
                            descriptor_from_json, descriptor_to_json,
@@ -953,6 +954,21 @@ def test_stored_tuple_kernels_match_dict_oracles(base, nv):
                 zeros += kernel == descriptor.add and not got[0]
     # each operand against its negative, at least, and char p's p-fold sums
     assert zeros >= 4 + bool(descriptor.characteristic)
+    # _t_dot on the raw numerators and denominators against a sum of dict
+    # products: seeded lists of 1-5 pairs, one-term factors among them, and
+    # each A B beside (-A) B, which cancels to ()
+    polys = list(dict.fromkeys(p for x in xs for p in x if p))
+    cases = [[(A, B), (_t_neg(base, A), B)] for A, B in zip(polys, polys[1:])]
+    cases += [[(rng.choice(polys), rng.choice(polys)) for _ in range(rng.randint(1, 5))]
+              for _ in range(40)]
+    assert {len(pairs) for pairs in cases} == {1, 2, 3, 4, 5}
+    assert any(len(A) == 1 and len(B) > 1 for pairs in cases[len(polys) - 1:] for A, B in pairs)
+    for pairs in cases:
+        want = {}
+        for A, B in pairs:
+            want = _p_add(base, want, _p_mul(base, dict(A), dict(B)))
+        assert _t_dot(base, pairs) == _p_to_tuple(want), pairs
+    assert all(_t_dot(base, pairs) == () for pairs in cases[:len(polys) - 1])
 
 
 SWEEP_FIELDS = [
