@@ -12,13 +12,16 @@ value in the working submatrix, ties broken by lowest row index then lowest
 column index. This makes every decomposition reproducible bit for bit.
 
 There is one Smith elimination. It acts on the working matrix and V, and
-logs each row operation instead of carrying the m x m matrix U. The pivot
+logs each row operation instead of carrying the m x m matrix U. Each
+operation costs the entries it changes: a row operation clearing the pivot
+column costs the pivot row's support, and a column operation costs the
+live rows, those nonzero in the pivot column, plus n for V. The pivot
 rule reads only the working matrix, so D and V are the same whether U is
 built or not. U's rows come from pushing the identity's rows backwards
-through the log. Every answer here reads only D, V and U's first r rows
-U_r (r the rank), so U is never built, and _smith_dv is the one Smith
-form and its one certificate. That certificate costs
-O(m n^2 + r |log| + n^3) and checks that:
+through the log, O(r) per step whose source column is not still zero.
+Every answer here reads only D, V and U's first r rows U_r (r the rank),
+so U is never built, and _smith_dv is the one Smith form and its one
+certificate. That certificate costs O(m n^2 + n^3) and checks that:
 
 - V is unimodular (an n x n Bareiss determinant);
 - the diagonal of D is nonnegative and a divisibility chain;
@@ -241,9 +244,13 @@ def _smith_reduce(m: IntMatrix):
     Returns the reduced matrix D = U @ m @ V and V, both as lists of rows,
     and the log of row operations whose product, in order, is U. The pivot
     rule reads only the working matrix, so D and V do not depend on
-    whether U is ever built. Rows above t are zero from column t on, so
-    column operations touch only rows t and below of the working matrix,
-    and a pivot of ±1 divides everything, so it skips the divisibility scan.
+    whether U is ever built, and every update skipped below would add
+    q * 0. Rows t and below are zero before column t, so a row operation
+    clearing column t reads only the pivot row's support from t on, found
+    at the round's first such operation. A column operation with source t
+    never changes column t, so it walks only V and the live rows, those
+    nonzero in column t after the row pass. A pivot of ±1 divides
+    everything, so it skips the divisibility scan.
     """
     a = [list(row) for row in m.entries]
     rows, cols = m.rows, m.cols
@@ -253,15 +260,6 @@ def _smith_reduce(m: IntMatrix):
     def row_op(op):
         log.append(op)
         _apply_row_op(a, op)
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for row in itertools.chain(a[t:], v):
-            if row[j]:
-                row[i] -= q * row[j]
-
-    def swap_cols(i, j):
-        for row in itertools.chain(a[t:], v):
-            row[i], row[j] = row[j], row[i]
 
     t = 0
     limit = min(rows, cols)
@@ -284,16 +282,30 @@ def _smith_reduce(m: IntMatrix):
         if pi != t:
             row_op((pi, t))
         if pj != t:
-            swap_cols(pj, t)
-        p = a[t][t]
-        reduced = False
+            for row in itertools.chain(a[t:], v):
+                row[pj], row[t] = row[t], row[pj]
+        top = a[t]
+        p = top[t]
+        live = support = None
         for i in range(t + 1, rows):
-            if a[i][t]:
-                row_op((i, t, a[i][t] // p))
-                reduced = True
+            row = a[i]
+            if row[t]:
+                q = row[t] // p
+                log.append((i, t, q))
+                if support is None:
+                    support = [j for j in range(t, cols) if top[j]]
+                    live = [top]
+                for j in support:
+                    row[j] -= q * top[j]
+                if row[t]:
+                    live.append(row)
+        reduced = support is not None
         for j in range(t + 1, cols):
-            if a[t][j]:
-                col_op(j, t, a[t][j] // p)
+            if top[j]:
+                q = top[j] // p
+                for row in itertools.chain(live or (top,), v):
+                    if row[t]:
+                        row[j] -= q * row[t]
                 reduced = True
         if reduced:
             continue
@@ -321,11 +333,15 @@ def _pivot_rows(log: list[tuple[int, ...]], r: int, rows: int) -> list[tuple[int
 
     U_r = [I_r | 0] @ E_k @ ... @ E_1, so I_r is pushed backwards through
     the log; right multiplication by each E is a column operation, done on
-    the transpose as the transposed row operation: O(r) per logged step.
+    the transpose as the transposed row operation, O(r) each. Columns r and
+    on start as one shared zero list; an operation whose source is still
+    that list, or a negation of it, would change nothing and is skipped.
     """
-    cols = [[int(i == c) for i in range(r)] for c in range(rows)]
+    zero = [0] * r
+    cols = [[int(i == c) for i in range(r)] for c in range(r)] + [zero] * (rows - r)
     for op in reversed(log):
-        _apply_row_op(cols, (op[1], op[0], op[2]) if len(op) == 3 else op)
+        if len(op) == 2 or cols[op[0]] is not zero:
+            _apply_row_op(cols, (op[1], op[0], op[2]) if len(op) == 3 else op)
     return [tuple(col[i] for col in cols) for i in range(r)]
 
 
@@ -392,11 +408,12 @@ def _stack_shifted(generators: Sequence[IntMatrix]) -> IntMatrix:
         raise LatticeError("need at least one generator")
     n = generators[0].cols
     rows = []
-    ident = IntMatrix.identity(n)
     for g in generators:
         if g.rows != n or g.cols != n:
             raise LatticeError("generators must be square of equal size")
-        rows.extend((g - ident).entries)
+        for i, row in enumerate(g.entries):
+            rows.append(list(row))
+            rows[-1][i] -= 1
     return IntMatrix.from_rows(rows)
 
 

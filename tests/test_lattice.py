@@ -697,6 +697,73 @@ def test_lean_smith_reduction_matches_the_reference():
         assert lattice._smith_reduce(m) == smith_reduce_reference(m)
 
 
+def _sparse_smith_inputs(rng):
+    """Seeded sparse matrices, about 10% dense with entries in ±{1, 2, 3, 6}:
+    wide ones up to 60 x 30, tall ones up to 150 x 10, and 1 x n rows."""
+    shapes = ([(rng.randint(2, 60), rng.randint(10, 30)) for _ in range(25)]
+              + [(rng.randint(20, 150), rng.randint(2, 10)) for _ in range(25)]
+              + [(1, n) for n in range(1, 41)])
+    return [IntMatrix(tuple(tuple(rng.choice((1, 2, 3, 6)) * rng.choice((1, -1))
+                                  if rng.random() < 0.1 else 0 for _ in range(c))
+                            for _ in range(r)))
+            for r, c in shapes]
+
+
+def test_sparse_smith_reduction_matches_the_reference(monkeypatch):
+    # a clearing row operation reads only the pivot row's support, column
+    # operations walk only the rows left nonzero in the pivot column, and
+    # the U_r push skips zero columns: every skipped update adds q * 0, so
+    # the log, D, V and U's first r rows are those of the full passes
+    import oracles
+    apply_row_op, remainders = oracles._apply_row_op, []
+
+    def spy(rows, op):  # a clearing operation (i, t, q) has i > t
+        apply_row_op(rows, op)
+        if len(op) == 3 and op[0] > op[1] and rows[op[0]][op[1]]:
+            remainders.append(op)
+
+    monkeypatch.setattr(oracles, "_apply_row_op", spy)
+    matrices = _sparse_smith_inputs(random.Random(2626))
+    with_remainders = 0
+    for m in matrices:
+        del remainders[:]
+        a, v, log = oracles.smith_reduce_reference(m)
+        with_remainders += bool(remainders)
+        assert lattice._smith_reduce(m) == (a, v, log)
+        diag, vm, u_r = _smith_dv(m)
+        assert diag == tuple(a[i][i] for i in range(min(m.rows, m.cols)))
+        assert vm.entries == tuple(map(tuple, v))
+        assert u_r == lattice._pivot_rows(log, m.rows, m.rows)[:len(u_r)]
+    assert with_remainders >= 10
+
+
+def test_the_smith_path_refuses_float_entries():
+    # V goes through IntMatrix.from_rows, which reads each entry with
+    # operator.index: a float that reaches V is refused, not truncated
+    for entries, message in ((((1.5, 2),), "entry -1.0 is not an integer"),
+                             (((3, 2.0),), "entry -2.0 is not an integer")):
+        with pytest.raises(LatticeError) as info:
+            integer_kernel(IntMatrix(entries))
+        assert type(info.value) is LatticeError and str(info.value) == message
+
+
+def test_stacked_shift_matches_the_matrix_difference():
+    from aniso.torus import cyclic_table, norm_quotient_torus, symmetric_table
+    for table in (cyclic_table(8), symmetric_table(4)):
+        gens = norm_quotient_torus(table).theta_generators
+        ident = IntMatrix.identity(gens[0].rows)
+        assert _stack_shifted(gens) == IntMatrix.from_rows(
+            [r for g in gens for r in (g - ident).entries])
+    square, wide = IntMatrix.from_rows([[0, 1], [1, 0]]), IntMatrix.from_rows([[1, 0]])
+    for gens, message in (([], "need at least one generator"),
+                          ([square, wide], "generators must be square of equal size"),
+                          ([wide], "generators must be square of equal size"),
+                          ([IntMatrix(((1.5, 0), (0, 1)))], "entry 0.5 is not an integer")):
+        with pytest.raises(LatticeError) as info:
+            _stack_shifted(gens)
+        assert type(info.value) is LatticeError and str(info.value) == message
+
+
 def test_smith_certificate_refuses_each_broken_part():
     # rank 3 of 4 rows: the last row is twice the first; D = diag(2, 6, 12)
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16], [4, 8, 8]])

@@ -3,6 +3,7 @@ import math
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -272,6 +273,29 @@ def test_s5_norm_quotient_build(monkeypatch):
     digest = hashlib.sha256(repr([m.entries for m in model.theta_elements]).encode())
     assert digest.hexdigest() == ("1396d9deba96807517c6e5093fab4131"
                                   "fd70f185828c4b49436d5b8e089f85e6")
+
+
+def test_s5_stack_smith_form_is_pinned():
+    # the 14,161 x 119 stack of the 119 given generators: the elimination
+    # costs the entries it changes, so the certified form takes about 2 s
+    # (over 6 s when every row operation walked whole rows and every
+    # column operation all rows); an alarm turns a slow path into a failure
+    def give_up(signum, frame):
+        raise TimeoutError("the S_5 Smith form did not finish in 15 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(15)
+    try:
+        model = norm_quotient_torus(symmetric_table(5))
+        diag, v = model.stack_smith
+        rows = exponent_bound_check(model, 30).rows
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    digest = hashlib.sha256(repr((diag, v.entries)).encode()).hexdigest()
+    assert digest == "6a17c3461c44c615fb6d039aa1f41d0c6aba7f0b2d06244b2466ea6a723faaca"
+    assert diag[-1] == 120
+    assert rows == tuple((d, math.gcd(120, d)) for d in range(2, 31))
 
 
 def test_model_errors_keep_the_first_bad_generator_in_order():
