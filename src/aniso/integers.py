@@ -11,6 +11,9 @@ from __future__ import annotations
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # psi_13: the least strong pseudoprime to all of _MR_BASES
 _MR_LIMIT = 3317044064679887385961981
+# isotropic_subgroup and a finite field's zeta factor an order by trial
+# division up to here, then leave the cofactor to _is_prime
+_TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 def _is_prime(n: int, undecided: Exception) -> bool:

@@ -21,15 +21,12 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import AnisoError, _exact_fraction, _exact_int
-from .integers import _prime_factors, _split_prime_power, least_power
-from .lattice import (IntMatrix, _quotient, _vec_mat, abelian_quotient, closure,
-                      integer_kernel)
+from .integers import _TRIAL_DIVISION_LIMIT, _prime_factors, _split_prime_power, least_power
+from .lattice import (IntMatrix, _int_tuple, _quotient, _vec_mat, abelian_quotient,
+                      closure, integer_kernel)
 
 if TYPE_CHECKING:
     from .scalars import FieldElement
-
-# isotropic_subgroup factors the group exponent by trial division up to here
-_TRIAL_DIVISION_LIMIT = 1 << 20
 
 
 class PairingError(AnisoError):
@@ -56,7 +53,7 @@ class FiniteAbelianGroup:
     """Elements are integer tuples, coordinate i taken mod the i-th factor."""
 
     def __init__(self, invariant_factors: Sequence[int]):
-        factors = tuple(int(d) for d in invariant_factors)
+        factors = _int_tuple(invariant_factors, PairingError)
         for d in factors:
             if d < 2:
                 raise PairingError("invariant factors must be >= 2")
@@ -143,6 +140,9 @@ class AlternatingPairing:
         k = group.ngens
         if len(gram) != k or any(len(row) != k for row in gram):
             raise InvalidPairing("gram shape does not match the generator count")
+        inexact = next((v for row in gram for v in row if isinstance(v, (bool, float))), None)
+        if inexact is not None:
+            raise InvalidPairing(f"gram entry {inexact!r} is not an int or a Fraction")
         self.group = group
         self.gram = tuple(tuple(Fraction(v) % 1 for v in row) for row in gram)
         self._den = math.lcm(*(v.denominator for row in self.gram for v in row))

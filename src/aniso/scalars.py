@@ -42,7 +42,8 @@ from functools import cached_property, lru_cache, reduce
 from typing import ClassVar, Iterator, Optional, Union
 
 from .errors import AnisoError, _exact_fraction, _exact_int, _exact_json
-from .integers import _MR_LIMIT, _is_prime as _miller_rabin, _prime_factors, binary_power
+from .integers import (_MR_LIMIT, _TRIAL_DIVISION_LIMIT, _is_prime as _miller_rabin,
+                       _prime_factors, binary_power)
 
 
 class ScalarError(AnisoError):
@@ -158,57 +159,25 @@ def _cy_reduce_ints(n: int, cs: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# F_p[t] helpers and the fixed irreducible-modulus table
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_rem(a, f, p):
-    a = list(a)
-    df = len(f) - 1
-    inv_lead = pow(f[-1], p - 2, p)
-    while len(a) - 1 >= df and a:
-        c = (a[-1] * inv_lead) % p
-        k = len(a) - 1 - df
-        for j in range(df + 1):
-            a[k + j] = (a[k + j] - c * f[j]) % p
-        _fp_trim(a)
-    return a
-
-
-def _fp_powmod(a, e, f, p):
-    return binary_power(_fp_rem(a, f, p), e, [1],
-                        lambda x, y: _fp_rem(_fp_mul(x, y, p), f, p))
-
+# Rabin's irreducibility test over F_p and the fixed irreducible-modulus table
 
 def _fp_is_irreducible(f, p):
+    """Rabin's test (SIAM J. Comput. 9 (1980)): the monic f of degree m
+    over F_p is irreducible exactly when x^(p^m) = x mod f and, for each
+    prime q dividing m, gcd(x^(p^(m/q)) - x, f) = 1."""
     m = len(f) - 1
     if m == 1:
         return True
-    x = [0, 1]
-    if _fp_powmod(x, p ** m, f, p) != x:
-        return False
-    fp = prime_field(p)
-    for q in set(_prime_factors(m)):
-        g = _fp_powmod(x, p ** (m // q), f, p)
-        g = _fp_trim([(gi - xi) % p for gi, xi in itertools.zip_longest(g, x, fillvalue=0)])
-        if len(_u_gcd(fp, g, f)) > 1:
-            return False
-    return True
+    fp, x = prime_field(p), [0, 1]
+
+    def mul_mod_f(a, b):
+        return _u_divmod(fp, _u_mul(fp, a, b), f)[1]
+
+    def frobenius_gap(k):  # x^(p^k) - x mod f
+        return _u_sub(fp, binary_power(x, p ** k, [1], mul_mod_f), x)
+
+    return not frobenius_gap(m) and all(
+        len(_u_gcd(fp, frobenius_gap(m // q), f)) == 1 for q in set(_prime_factors(m)))
 
 
 @lru_cache(maxsize=None)
@@ -233,6 +202,21 @@ def _u_trim(d, a: list) -> list:
     return a
 
 
+def _u_sub(d, a, b) -> list:
+    """a - b, trimmed."""
+    return _u_trim(d, [d.sub(x, y) for x, y in itertools.zip_longest(a, b, fillvalue=d.zero())])
+
+
+def _u_mul(d, a, b) -> list:
+    """The product of a and b, trimmed."""
+    out = [d.zero()] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if not d.is_zero(ai):
+            for k, bj in enumerate(b, i):
+                out[k] = d.add(out[k], d.mul(ai, bj))
+    return _u_trim(d, out)
+
+
 def _u_divmod(d, a, b):
     """(quotient, remainder) of a by b; b trimmed and nonzero.
 
@@ -243,12 +227,12 @@ def _u_divmod(d, a, b):
     monic = b[-1] == d.one()
     inv_lead = None if monic else d.inv(b[-1])
     q = [d.zero()] * max(0, len(a) - db)
-    while a and len(a) - 1 >= db:
-        c = a[-1] if monic else d.mul(a[-1], inv_lead)
-        k = len(a) - 1 - db
+    while len(a) > db:
+        # the leading term cancels exactly, so it is popped, not subtracted
+        c = a.pop() if monic else d.mul(a.pop(), inv_lead)
+        k = len(a) - db
         q[k] = c
-        for j in range(db + 1):
-            a[k + j] = d.sub(a[k + j], d.mul(c, b[j]))
+        a[k:] = [d.sub(x, d.mul(c, y)) for x, y in zip(a[k:], b)]
         _u_trim(d, a)
     return q, a
 
@@ -271,12 +255,7 @@ def _u_inverse(d, x, f) -> list:
     s0, s1 = [], [d.one()]
     while r1:
         q, r = _u_divmod(d, r0, r1)
-        s = s0 + [d.zero()] * max(0, len(q) + len(s1) - 1 - len(s0))
-        for i, qi in enumerate(q):
-            if not d.is_zero(qi):
-                for j, sj in enumerate(s1):
-                    s[i + j] = d.sub(s[i + j], d.mul(qi, sj))
-        r0, s0, r1, s1 = r1, s1, r, _u_trim(d, s)
+        r0, s0, r1, s1 = r1, s1, r, _u_sub(d, s0, _u_mul(d, q, s1))
     c = d.inv(r0[0])
     return [d.mul(si, c) for si in s0]
 
@@ -580,8 +559,8 @@ class _FiniteField(FieldDescriptor):
     (1990)). mul, _inv and power are then lookups, and so are the roots of
     unity, discrete logs and k-th roots. The build walks the q - 2 powers
     of the base by polynomial products: the tables of F_256 hold 45 KiB
-    (tracemalloc) and take 4 ms on one core of a 2-core x86 machine, those
-    of F_4096 hold 0.9 MiB and take 0.1 s. A larger field multiplies
+    (tracemalloc) and take 6 ms on one core of a 2-core x86 machine, those
+    of F_4096 hold 0.9 MiB and take 0.11 s. A larger field multiplies
     polynomials, raises UndecidedPower for a k-th root, and finds a
     discrete log by walking the powers of zeta(q - 1) up to
     _LOG_SCAN_LIMIT elements and raises FieldTooLarge past it.
@@ -610,7 +589,7 @@ class _FiniteField(FieldDescriptor):
 
     def _reduce(self, poly: list):
         """The payload of an F_p[t] coefficient list modulo the fixed modulus."""
-        red = _fp_rem(poly, list(modulus_polynomial(self.p, self.m)), self.p)
+        red = _u_divmod(prime_field(self.p), poly, modulus_polynomial(self.p, self.m))[1]
         return tuple(red + [0] * (self.m - len(red)))
 
     @cached_property
@@ -634,7 +613,7 @@ class _FiniteField(FieldDescriptor):
         return log, exp + exp + [zero] * (2 * n + 1), n
 
     def _poly_mul(self, x, y):
-        return self._reduce(_fp_mul(list(x), list(y), self.p))
+        return self._reduce(_u_mul(prime_field(self.p), x, y))
 
     def from_int(self, k: int):
         return tuple([k % self.p] + [0] * (self.m - 1))
@@ -697,10 +676,14 @@ class _FiniteField(FieldDescriptor):
 
     def zeta(self, order: int):
         """The first element of the given order in element order: x has
-        order d when x^d = 1 and x^(d/r) != 1 for each prime r dividing d."""
+        order d when x^d = 1 and x^(d/r) != 1 for each prime r dividing d.
+        The primes r come from trial division to _TRIAL_DIVISION_LIMIT and
+        Miller-Rabin; an order they leave unfactored raises FieldTooLarge."""
         if (self.size() - 1) % order:
             raise RootOfUnityMissing(f"{self!r} has no element of order {order}")
-        one, primes = self.one(), set(_prime_factors(order))
+        undecided = FieldTooLarge(f"trial division to {_TRIAL_DIVISION_LIMIT} and "
+                                  f"Miller-Rabin leave {order} unfactored")
+        one, primes = self.one(), set(_prime_factors(order, _TRIAL_DIVISION_LIMIT, undecided))
         return next(x for x in self.payloads() if not self.is_zero(x)
                     and self.power(x, order) == one
                     and all(self.power(x, order // r) != one for r in primes))
@@ -753,6 +736,9 @@ class _PrimeField(_FiniteField):
 
     def add(self, x, y):
         return (x + y) % self.p
+
+    def sub(self, x, y):
+        return (x - y) % self.p
 
     def neg(self, x):
         return (-x) % self.p

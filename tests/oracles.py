@@ -45,7 +45,7 @@ from aniso.quadform import QuadraticForm, _pfister_descriptor, is_nondegenerate
 from aniso.integers import binary_power, least_power
 from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
-                           UndecidedPower, _FiniteField, _Rationals, _fp_mul, _fp_rem,
+                           UndecidedPower, _FiniteField, _Rationals,
                            _fraction_kth_root, _json_list, _p_to_tuple, _render_uni,
                            _u_inverse, cyclotomic_polynomial,
                            modulus_polynomial, prime_field, rationals)
@@ -110,6 +110,36 @@ def kth_roots_in_newton_box(elt: FieldElement, k: int, cap: int = 4096) -> list[
 # arithmetic, a product and a remainder in F_p[t] and an extended Euclid
 # for the inverse, and its former element scans for roots of unity,
 # discrete logs and k-th roots, which multiply with the field's own mul
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % p
+    return _fp_trim(out)
+
+
+def _fp_rem(a, f, p):
+    a = list(a)
+    df = len(f) - 1
+    inv_lead = pow(f[-1], p - 2, p)
+    while len(a) - 1 >= df and a:
+        c = (a[-1] * inv_lead) % p
+        k = len(a) - 1 - df
+        for j in range(df + 1):
+            a[k + j] = (a[k + j] - c * f[j]) % p
+        _fp_trim(a)
+    return a
+
 
 def _coefficients(d, x) -> list:
     return [x] if d.kind == "prime_field" else list(x)

@@ -545,7 +545,7 @@ def _irreducible_by_trial_division(coeffs, p):
 
 def test_irreducibility_test_matches_trial_division():
     # the family above is drawn with Rabin's test from the scalar layer
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7):
         for degree in (1, 2, 3, 4):
             if p ** degree > 700:
                 continue

@@ -107,8 +107,8 @@ def test_second_f256_arf_request_multiplies_no_polynomials(monkeypatch):
     # table lookups: no F_p[t] product runs on a second request
     from aniso import scalars
     run_case("quad-arf-f256-dim4")
-    calls, fp_mul = [], scalars._fp_mul
-    monkeypatch.setattr(scalars, "_fp_mul", lambda *args: calls.append(args) or fp_mul(*args))
+    calls, u_mul = [], scalars._u_mul
+    monkeypatch.setattr(scalars, "_u_mul", lambda *args: calls.append(args) or u_mul(*args))
     code, out = run_case("quad-arf-f256-dim4")
     assert code == 0 and out == (GOLDEN / "quad-arf-f256-dim4.out.json").read_text()
     assert calls == []

@@ -358,6 +358,20 @@ def test_from_json_refuses_float_and_boolean_entries():
     assert back.gram == ((0, Fraction(1, 4)), (Fraction(3, 4), 0))
 
 
+def test_constructors_refuse_floats_and_booleans():
+    # int() read [2.9, 4.2] as Z/2 x Z/4, and Fraction() turned 0.5 and
+    # False into rationals, so this gram validated
+    with pytest.raises(PairingError, match="entry 2.9 is not an integer"):
+        FiniteAbelianGroup([2.9, 4.2])
+    group = FiniteAbelianGroup([2, 2])
+    for gram, bad in (([[0, 0.5], [0.5, False]], "0.5"),
+                      ([[0, Fraction(1, 2)], [Fraction(1, 2), False]], "False")):
+        with pytest.raises(InvalidPairing, match=f"entry {bad} is not an int or a Fraction"):
+            AlternatingPairing(group, gram)
+    for gram in ([[0, Fraction(1, 2)], [Fraction(1, 2), 0]], [[0, 1], [-1, 0]]):
+        assert validate_pairing(AlternatingPairing(group, gram))
+
+
 def test_gram_shape_validation():
     group = FiniteAbelianGroup([2, 2])
     with pytest.raises(InvalidPairing):

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 import json
@@ -15,7 +16,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            UndecidedPower,
                            _Cyclotomic, _FiniteField, _FunctionField,
                            _PrimeField, _Rationals,
-                           _fp_trim, _int_kth_root, _is_prime, _p_to_tuple,
+                           _int_kth_root, _is_prime, _p_to_tuple,
                            _primes_upto, _t_add, _t_dot, _t_monic, _t_mul, _t_neg,
                            _u_gcd, _u_inverse,
                            modulus_polynomial,
@@ -26,10 +27,11 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
 from aniso.integers import binary_power, least_power
-from oracles import (FractionCyclotomic, FractionOnlyQ, _p_add, _p_mul, artin_schreier_image,
-                     cy_mul, cy_reduce, dot_by_fold, finite_field_inv_by_polynomials,
-                     finite_field_mul_by_polynomials, function_field_add_by_dicts,
-                     function_field_mul_by_dicts, kth_roots_by_scan, kth_roots_in_newton_box,
+from oracles import (FractionCyclotomic, FractionOnlyQ, _fp_trim, _p_add, _p_mul,
+                     artin_schreier_image, cy_mul, cy_reduce, dot_by_fold,
+                     finite_field_inv_by_polynomials, finite_field_mul_by_polynomials,
+                     function_field_add_by_dicts, function_field_mul_by_dicts,
+                     kth_roots_by_scan, kth_roots_in_newton_box,
                      root_of_unity_log_by_scan, zeta_by_scan)
 
 
@@ -470,8 +472,8 @@ def test_f4096_tables_take_4186_products_and_later_lookups_take_none(monkeypatch
     # unity and k-th roots are lookups that multiply no polynomials
     from aniso import scalars
     modulus_polynomial(2, 12)
-    calls, fp_mul = [], scalars._fp_mul
-    monkeypatch.setattr(scalars, "_fp_mul", lambda *args: calls.append(args) or fp_mul(*args))
+    calls, u_mul = [], scalars._u_mul
+    monkeypatch.setattr(scalars, "_u_mul", lambda *args: calls.append(args) or u_mul(*args))
     d = _FiniteField(2, 12)
     assert d.root_of_unity_log(d.one()) == 0 and len(calls) == 4186
     calls.clear()
@@ -483,17 +485,62 @@ def test_f4096_tables_take_4186_products_and_later_lookups_take_none(monkeypatch
 
 
 def test_finite_fields_past_the_tables_multiply_polynomials_and_walk_logs():
-    # F_8192 keeps no tables: products and inverses are the polynomial ones,
-    # a discrete log walks the powers of zeta(q - 1), and k-th roots raise
-    d = finite_field(2, 13)
-    x, z = d.generator(), d.zeta(8191)
-    assert d._tables is None
-    assert d.mul(x, z) == finite_field_mul_by_polynomials(d, x, z)
-    assert d.inv(x) == finite_field_inv_by_polynomials(d, x)
-    w = d.power(z, 5)
-    assert d.root_of_unity_log(w) == Fraction(5, 8191) == root_of_unity_log_by_scan(d, w)
-    with pytest.raises(UndecidedPower):
-        d._kth_root(w, 3)
+    # F_8192 and F_6561 keep no tables: products and inverses are the
+    # polynomial ones, a discrete log walks the powers of zeta(q - 1), and
+    # k-th roots raise
+    for d in (finite_field(2, 13), finite_field(3, 8)):
+        n = d.size() - 1
+        x, z = d.generator(), d.zeta(n)
+        assert d._tables is None
+        assert d.mul(x, z) == finite_field_mul_by_polynomials(d, x, z)
+        assert d.inv(x) == finite_field_inv_by_polynomials(d, x)
+        w = d.power(z, 5)
+        assert d.root_of_unity_log(w) == Fraction(5, n) == root_of_unity_log_by_scan(d, w)
+        with pytest.raises(UndecidedPower):
+            d._kth_root(w, 3)
+
+
+@contextlib.contextmanager
+def _ends_within(seconds: int):
+    # the failure mode is a run without end, so an alarm at five times the
+    # budget stops it rather than hang the suite
+    def give_up(signum, frame):
+        raise TimeoutError(f"did not end in {5 * seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5 * seconds)
+    try:
+        start = time.perf_counter()
+        yield
+        assert time.perf_counter() - start < seconds
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_zeta_of_a_huge_prime_field_factors_its_order_by_bounded_trial_division():
+    # a safe prime near 2^62 and its prime (p - 1) / 2: trial division stops
+    # at 2^20 and Miller-Rabin decides the cofactor, so the order's only
+    # prime is found at once
+    p, order = 4611686018427394499, 2305843009213697249
+    with _ends_within(1):
+        z = Field(prime_field(p)).zeta(order)
+    assert z.payload != 1 and pow(z.payload, order, p) == 1
+
+
+def test_zeta_refuses_an_order_with_two_prime_factors_past_trial_division():
+    rng = random.Random(27)
+
+    def prime_in(lo, hi):
+        while True:
+            q = rng.randrange(lo, hi)
+            if _is_prime(q):
+                return q
+
+    q1, q2 = prime_in(1 << 20, 1 << 21), prime_in(1 << 20, 1 << 21)
+    p = next(p for p in range(2 * q1 * q2 + 1, 1 << 62, 2 * q1 * q2) if _is_prime(p))
+    with _ends_within(1), pytest.raises(FieldTooLarge, match="unfactored"):
+        Field(prime_field(p)).zeta(q1 * q2)
 
 
 def test_cyclotomic_kth_roots_of_unit_times_rational():
