@@ -143,11 +143,11 @@ def _cmd_torus_analyze(args) -> tuple[dict, int]:
 
     The cost is the closure of Θ (at most 2 |Θ| log2 |Θ| products under
     the 10,000 cap, each n row lookups, with one vector-matrix product per
-    distinct row and kept generator and one Bareiss inverse per kept
-    generator), one Smith form of the stacked g - 1 of the model (no cap;
-    each step costs the entries it changes, so a sparse stack stays cheap:
-    about 2 s for the 14,161 x 119 stack of S_5, see lattice), plus O(n^2)
-    per d to read the row off its diagonal and V. Before
+    distinct row and kept generator and one Bareiss determinant per kept
+    generator), one Smith form of the stacked g - 1 of the k <= log2 |Θ|
+    kept generators, k n rows (476 x 119 on the S_5 norm quotient, whose
+    whole report takes about 0.7 s in a fresh process), plus O(n^2) per d
+    to read the row off its diagonal and V. Before
     the payload is read, a --d-max below 2, which would ask for no row, is
     a SchemaError, and one above TORUS_MAX_D raises DRangeTooLarge.
     """

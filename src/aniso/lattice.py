@@ -157,28 +157,54 @@ class IntMatrix:
     @staticmethod
     def from_json(obj) -> "IntMatrix":
         rows = obj if isinstance(obj, list) else obj["entries"]
-        m = IntMatrix.from_rows([_exact_int(x) for x in r] for r in rows)
+        m = IntMatrix(tuple(map(_json_row, rows)))
         if (isinstance(obj, dict) and "rows" in obj
                 and (m.rows != _exact_int(obj["rows"]) or m.cols != _exact_int(obj["cols"]))):
             raise LatticeError("declared shape disagrees with entries")
         return m
 
 
+def _json_row(r) -> tuple[int, ...]:
+    """A JSON matrix row as ints, under _exact_int's rules. A row of ASCII
+    strings of digits and minus signs, or of ints alone, is read whole;
+    any other row, or one that int() refuses, is read entry by entry
+    through _exact_int, so every refusal keeps its type and message."""
+    try:
+        text = "".join(r)
+    except TypeError:  # an entry that is not a string
+        if all(type(x) is int for x in r):
+            return tuple(r)
+    else:
+        if text.isascii() and text.replace("-", "").isdigit():
+            try:
+                return tuple(map(int, r))
+            except ValueError:  # "", "-", "1-2", ...
+                pass
+    return tuple(_exact_int(x) for x in r)
+
+
 def int_inverse(m: IntMatrix) -> IntMatrix:
     """Inverse of a unimodular integer matrix."""
-    if m.rows != m.cols:
-        raise NotUnimodular("non-square matrix")
-    n = m.rows
+    n = m.cols
     a = [list(row) + [1 if i == j else 0 for j in range(n)]
          for i, row in enumerate(m.entries)]
+    _unimodular_bareiss(a, n)
+    # every pivot entry equals +-1 = its own inverse
+    return IntMatrix(tuple(tuple(row[i] * x for x in row[n:])
+                           for i, row in enumerate(a)))
+
+
+def _unimodular_bareiss(a: list[list[int]], n: int) -> None:
+    """Run _bareiss on the rows a over their first n columns, in place, and
+    raise NotUnimodular unless those columns form a square matrix of
+    determinant ±1."""
+    if len(a) != n:
+        raise NotUnimodular("non-square matrix")
     pivots, det = _bareiss(a, n)
     if len(pivots) < n:
         raise NotUnimodular("singular matrix")
     if abs(det) != 1:
         raise NotUnimodular("inverse is not integral")
-    # every pivot entry equals +-1 = its own inverse
-    return IntMatrix(tuple(tuple(row[i] * x for x in row[n:])
-                           for i, row in enumerate(a)))
 
 
 def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -592,8 +618,19 @@ def closure_orders(right: Sequence[Sequence[int]]) -> list[int]:
     return orders
 
 
-def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> list[IntMatrix]:
-    """Closure of the generated matrix group, identity first (see closure).
+class MatrixGroup(list):
+    """The elements group_closure found, identity first, as a list, with
+    kept: the given generators the closure kept, in order (at most log2
+    of the group's order), of which every element is a word."""
+
+    def __init__(self, elements: Iterable[IntMatrix], kept: Sequence[IntMatrix]):
+        super().__init__(elements)
+        self.kept = tuple(kept)
+
+
+def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> MatrixGroup:
+    """Closure of the generated matrix group, identity first, with the
+    generators it kept (see closure).
 
     Row i of x h is (row i of x) h, and row i of every element is e_i x,
     in the orbit of the unit row e_i under the group (Holt, Eick and
@@ -602,8 +639,9 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
     product with h: a product is n lookups, and the vector-matrix products
     are one per distinct (row, kept generator) pair, at most k times the
     sum of the n orbit sizes (480 for the 566 products of the S_5 norm
-    quotient, where one per row would be 67,354). A kept generator that is
-    not unimodular raises NotUnimodular (from int_inverse). Raises
+    quotient, where one per row would be 67,354). Each kept generator is
+    admitted by one n x n Bareiss determinant; one that is not unimodular
+    raises NotUnimodular, with int_inverse's messages. Raises
     ClosureCapExceeded past the cap (default 10000, override with the
     ANISO_CLOSURE_CAP variable).
     """
@@ -624,11 +662,12 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
             out.append(y)
         return tuple(out)
 
-    elements, _ = closure(IntMatrix.identity(generators[0].rows).entries,
-                          [g.entries for g in generators], mul, cap,
-                          ClosureCapExceeded(f"closure exceeded cap {cap}"),
-                          lambda h: int_inverse(IntMatrix(h)))
-    return [IntMatrix(m) for m in elements]
+    elements, right = closure(IntMatrix.identity(generators[0].rows).entries,
+                              [g.entries for g in generators], mul, cap,
+                              ClosureCapExceeded(f"closure exceeded cap {cap}"),
+                              lambda h: _unimodular_bareiss(list(map(list, h)), len(h[0])))
+    group = [IntMatrix(m) for m in elements]
+    return MatrixGroup(group, [group[i] for i in right[0]])
 
 
 # ---------------------------------------------------------------------------
@@ -754,14 +793,20 @@ def h1_of_theta_module(generators: Sequence[IntMatrix],
         H¹(Θ, L) = ⊕ Z/gcd(s_i, N) over the nonzero s_i,
 
     with N = |Θ| and s_1 | ... | s_n the Smith diagonal of the stacked
-    g - 1 (one Smith form). Proof: N kills H¹, so the sequence
+    g - 1 over the generators group_closure keeps (one Smith form, of
+    k n rows with k <= log2 N, not one per given generator). Every
+    generating set gives that diagonal: gh - 1 = g(h - 1) + (g - 1) and
+    g⁻¹ - 1 = -g⁻¹(g - 1), so the rows of any element's g - 1 lie in the
+    row lattice of the kept ones' stack, and the diagonal depends only on
+    the row lattice. When every generator is the identity none is kept,
+    and the stack is one zero n x n block. Proof: N kills H¹, so the sequence
     0 -> L -N-> L -> L/NL -> 0 gives H¹ ≅ (L/NL)^Θ / (L^Θ/NL^Θ), the
     classes fixed mod N modulo the fixed vectors. With v = V w, v is fixed
     mod N iff s_i w_i ≡ 0 (mod N) for every i, a subgroup Z/gcd(s_i, N) of
     the i-th coordinate mod N, and L^Θ is exactly the w with w_i = 0 where
     s_i ≠ 0, so it fills the coordinates with s_i = 0.
     """
-    order = len(group_closure(generators, cap))
-    diag, _ = _stack_smith(generators)
+    group = group_closure(generators, cap)
+    diag, _ = _stack_smith(group.kept or group[:1])
     return AbelianGroupStructure(tuple(
-        g for g in (math.gcd(s, order) for s in diag if s) if g > 1))
+        g for g in (math.gcd(s, len(group)) for s in diag if s) if g > 1))

@@ -7,10 +7,12 @@ never appears: all questions (anisotropy, torsion, exponent bounds) reduce
 to exact integer linear algebra, and this module imports no field
 arithmetic.
 
-Each model caches the one certified Smith form of its stacked g - 1 (Cohen,
-GTM 138, §2.4). Its diagonal s_1 | ... | s_n and V answer every question
-here for every modulus: anisotropy is "every s_i ≠ 0", and the d-torsion
-is read off in O(n^2) per d.
+Each model caches the one certified Smith form of the stacked g - 1 of the
+k <= log2 |Θ| generators its closure keeps (Cohen, GTM 138, §2.4). Every
+generating set of Θ stacks to the same row lattice (see
+lattice.h1_of_theta_module), so its diagonal s_1 | ... | s_n and V answer
+every question here for every modulus: anisotropy is "every s_i ≠ 0", and
+the d-torsion is read off in O(n^2) per d.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class TorusModel:
     scenario (0 if none); torsion orders are required to be coprime to it.
     norm_group_order is set by norm_quotient_torus and tightens the
     exponent bound that exponent_bound_check verifies. The Smith form of
-    the stacked g - 1 is computed on first use and kept (stack_smith).
+    the kept generators' stacked g - 1 is computed on first use and kept
+    (stack_smith).
     """
 
     def __init__(self, rank: int, theta_generators: Sequence[IntMatrix],
@@ -88,7 +91,7 @@ class TorusModel:
         self.label = label
         self.characteristic = characteristic
         self.norm_group_order = norm_group_order
-        # The closure admits each kept generator through int_inverse, in
+        # The closure admits each kept generator by its determinant, in
         # order, and a skipped one is a product of those admitted: so the
         # first generator it refuses is the first one that is not unimodular.
         try:
@@ -106,9 +109,14 @@ class TorusModel:
     @functools.cached_property
     def stack_smith(self) -> tuple[tuple[int, ...], IntMatrix]:
         """Diagonal s_1 | ... | s_n and V of the certified Smith form of the
-        given generators' stacked g - 1; the stack has at least n rows, so
-        the diagonal has length n."""
-        return _stack_smith(self.theta_generators)
+        stacked g - 1 of the kept generators, k n rows with k <= log2 |Θ|
+        (476 x 119 on the S_5 norm quotient, whose 119 given generators
+        stack to 14,161 rows), or one zero n x n block when none is kept.
+        The stack has at least n rows, so the diagonal has length n. The
+        given generators' stack has the same row lattice, so the same
+        diagonal, and this V serves it too: its rows times V lie in the
+        row lattice of D, which is that of the kept stack times V."""
+        return _stack_smith(self.theta_elements.kept or self.theta_elements[:1])
 
     def __repr__(self):
         tag = self.label or "torus"

@@ -166,6 +166,25 @@ def test_torus_analyze_refuses_float_and_boolean_entries():
         assert repr(entry) in error["message"]
 
 
+@pytest.mark.parametrize("entry, message", [
+    (1.5, "expected an integer or a string, got 1.5"),
+    (True, "expected an integer or a string, got True"),
+    ("1_0", "not a decimal integer: '1_0'"),
+    (" 1", "not a decimal integer: ' 1'"),
+    ("+1", "not a decimal integer: '+1'"),
+    ("1,2", "not a decimal integer: '1,2'"),
+    ("\u0661", "not a decimal integer: '\u0661'")])
+def test_torus_analyze_refuses_each_malformed_entry_by_name(entry, message):
+    # a row of decimal strings is read whole; any other row is read entry
+    # by entry, so each refusal names its entry as it did before
+    model = {"rank": "2", "theta_generators": [
+        {"rows": "2", "cols": "2", "entries": [["1", entry], ["0", "1"]]}]}
+    code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3", "--json"],
+                        stdin=json.dumps(model))
+    assert code == 2 and json.loads(out) == {"error": {
+        "type": "SchemaError", "path": "$", "message": f"$: bad torus model: {message}"}}
+
+
 def test_torus_analyze_refuses_float_and_boolean_scalars():
     # 2.5 used to be read as characteristic 2, which skipped the d = 2 row
     base = {"rank": "1",

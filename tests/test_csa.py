@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +20,7 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
 from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
                            prime_field, rationals)
+from deadline import deadline
 from oracles import algebra_inverse_by_solve, reduced_norm_by_elements, regular_representation
 
 
@@ -269,12 +269,7 @@ def _dense_symbol_element(n):
 def test_dense_inverses_of_degree_3_and_4_end():
     # the n^2 x n^2 linear system ran for minutes on both; an alarm turns a
     # slow path into a failure
-    def give_up(signum, frame):
-        raise TimeoutError("dense inverses did not finish in 10 s")
-
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(10)
-    try:
+    with deadline(10):
         x = _dense_symbol_element(3)
         inv = algebra_inverse(x)
         assert x * inv == inv * x == x.spec.one
@@ -284,9 +279,6 @@ def test_dense_inverses_of_degree_3_and_4_end():
         x = _dense_symbol_element(4)
         nrm = reduced_norm(x)
         assert x * (algebra_inverse(x) * nrm) == x.spec.scalar(nrm)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_reduced_norm_refuses_weyl_algebras():

@@ -17,13 +17,13 @@ import hashlib
 import io
 import json
 import runpy
-import signal
 import sys
 from pathlib import Path
 
 import pytest
 
 from aniso.cli import main
+from deadline import deadline
 
 GOLDEN = Path(__file__).parent / "golden"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -158,17 +158,8 @@ def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):
                                     "0,1": ["1", "0", "0", "0"]}
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(obj)))
     monkeypatch.setattr(sys, "stdout", io.StringIO())
-
-    def give_up(signum, frame):
-        raise TimeoutError("the norm did not finish in 5 s")
-
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(5)
-    try:
+    with deadline(5):
         code = main(["csa", "norm", "--input", "-", "--json"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     digest = hashlib.sha256(sys.stdout.getvalue().encode()).hexdigest()
     assert code == 0
     assert digest == "426978b0e75e137b99928988e9cf025f903da2faba2a1bb78d29ab78a3cb85b3"

@@ -68,6 +68,22 @@ def test_int_inverse_unimodular():
         int_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
 
 
+def test_the_closure_admit_refuses_as_int_inverse_does():
+    # the closure admits a kept generator by its determinant alone, with
+    # int_inverse's exception type and message
+    messages = []
+    for rows in ([[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 0, 0], [0, 1, 0]]):
+        m = IntMatrix.from_rows(rows)
+        with pytest.raises(NotUnimodular) as inverse:
+            int_inverse(m)
+        with pytest.raises(NotUnimodular) as admit:
+            group_closure([IntMatrix.identity(m.rows), m])
+        assert type(admit.value) is type(inverse.value)
+        messages.append((str(admit.value), str(inverse.value)))
+    assert messages == [("singular matrix",) * 2, ("inverse is not integral",) * 2,
+                        ("non-square matrix",) * 2]
+
+
 def test_snf_frozen_oracle():
     # classical worked example with normal form diag(2, 6, 12)
     m = IntMatrix.from_rows([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
@@ -611,25 +627,36 @@ def _augmentation_matrix(perm):
     return IntMatrix.from_rows(list(zip(*cols)))
 
 
-def _torus_torsion_stacks():
-    """Stacked matrices of the perfbench torus-torsion models: norm quotients
-    of the groups of order 2..8, each also relabelled, and small transitive
-    actions on augmentation lattices."""
+def _cycle(m, points):
+    perm = list(range(m))
+    for a, b in zip(points, points[1:] + points[:1]):
+        perm[a] = b
+    return tuple(perm)
+
+
+def _transitive_actions(m):
+    """The perfbench transitive actions of degree m, by name: generators
+    as permutations of {0..m-1}."""
+    full = _cycle(m, list(range(m)))
+    return {f"S{m}": [full, _cycle(m, [0, 1])],
+            f"D{m}": [full, tuple((-i) % m for i in range(m))],
+            f"C{m}": [full],
+            f"A{m}": ([_cycle(m, [0, 1, 2]), _cycle(m, list(range(1, m)))] if m % 2 == 0
+                      else [_cycle(m, [0, 1, 2]), full])}
+
+
+def _norm_quotient_models(seed):
+    """The perfbench norm-quotient tori: the groups of order 2..8, each on
+    its own table and on one relabelled by Random(seed)."""
     from aniso.torus import norm_quotient_torus, table_from_permutation_generators
 
-    def cycle(m, points):
-        perm = list(range(m))
-        for a, b in zip(points, points[1:] + points[:1]):
-            perm[a] = b
-        return tuple(perm)
-
-    groups = [[cycle(n, list(range(n)))] for n in range(2, 9)]
+    groups = [[_cycle(n, list(range(n)))] for n in range(2, 9)]
     groups += [[(1, 0, 3, 2), (2, 3, 0, 1)],                      # V_4
                [(1, 0, 2), (1, 2, 0)],                            # S_3
                [(1, 2, 3, 0), (0, 3, 2, 1)],                      # D_4
                [(2, 3, 1, 0, 6, 7, 5, 4), (4, 5, 7, 6, 1, 0, 2, 3)],  # Q_8
                [(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)]]          # Z_2 x Z_4
-    rng = random.Random(31)
+    rng = random.Random(seed)
     models = []
     for gens in groups:
         table = table_from_permutation_generators(gens)
@@ -641,16 +668,16 @@ def _torus_torsion_stacks():
                 relabelled[pi[i]][pi[j]] = pi[table[i][j]]
         models += [norm_quotient_torus(table), norm_quotient_torus(relabelled)]
     assert sorted({m.theta_order for m in models}) == list(range(2, 9))
-    stacks = [_stack_shifted(m.theta_generators) for m in models]
+    return models
+
+
+def _torus_torsion_stacks():
+    """Stacked matrices of the perfbench torus-torsion models: norm quotients
+    of the groups of order 2..8, each also relabelled, and small transitive
+    actions on augmentation lattices."""
+    stacks = [_stack_shifted(m.theta_generators) for m in _norm_quotient_models(31)]
     for m in range(3, 10):
-        full = cycle(m, list(range(m)))
-        actions = [[full, cycle(m, [0, 1])], [full, tuple((-i) % m for i in range(m))],
-                   [full]]
-        if m % 2 == 0:
-            actions.append([cycle(m, [0, 1, 2]), cycle(m, list(range(1, m)))])
-        else:
-            actions.append([cycle(m, [0, 1, 2]), full])
-        for gens in actions:
+        for gens in _transitive_actions(m).values():
             stacks.append(_stack_shifted([_augmentation_matrix(g) for g in gens]))
     return stacks
 
@@ -968,7 +995,7 @@ def test_a_torus_model_runs_one_smith_elimination(monkeypatch):
     reports = [torsion_points(model, d) for d in range(2, 31)]
     assert averaging_certificate(model, 6, reports[4].witnesses[-1]).holds
     assert exponent_bound_check(model, 30).all_pass
-    assert calls == [(25, 5)]
+    assert calls == [(10, 5)]  # the 2 kept generators' stack; all 5 stack to 25 rows
 
 
 def test_h1_and_the_s4_exponent_check_each_run_one_smith_elimination(monkeypatch):
@@ -986,9 +1013,44 @@ def test_h1_and_the_s4_exponent_check_each_run_one_smith_elimination(monkeypatch
     start = time.perf_counter()
     report = exponent_bound_check(s4, 30)
     elapsed = time.perf_counter() - start
-    assert calls == [(529, 23)] and report.all_pass
+    # the 3 kept generators' stack; all 23 stack to 529 rows
+    assert calls == [(69, 23)] and report.all_pass
     assert elapsed < 1.0  # about 0.04 s; a Smith form per d took 1.4 s
     for gens in _h1_test_actions():
+        n = gens[0].rows
+        kept = len(group_closure(gens).kept) or 1  # one zero block when none is kept
         calls.clear()
         h1_of_theta_module(gens)
-        assert calls == [(len(gens) * gens[0].rows, gens[0].rows)]
+        assert calls == [(kept * n, n)]
+
+
+def test_the_kept_stack_answers_for_the_given_stack():
+    # every generating set of Θ stacks its g - 1 to one row lattice, since
+    # gh - 1 = g(h - 1) + (g - 1) and g⁻¹ - 1 = -g⁻¹(g - 1): so the kept
+    # generators' Smith form has the given stack's diagonal, and its V puts
+    # every row of the given stack in D's row lattice
+    from aniso.torus import TorusModel, coset_order, torsion_points
+    models = _norm_quotient_models(71) + _norm_quotient_models(72)[1::2]
+    for name in ("S3", "S4", "S5", "S6", "A4", "A5", "D5", "D6", "D8", "C6", "C7", "C9"):
+        m = int(name[1:])
+        gens = [_augmentation_matrix(g) for g in _transitive_actions(m)[name]]
+        models.append(TorusModel(m - 1, gens, name))
+    identity_only = TorusModel(3, [IntMatrix.identity(3)] * 2)
+    assert identity_only.theta_elements.kept == ()
+    models.append(identity_only)
+    fewer = 0
+    for model in models:
+        n, gens = model.rank, model.theta_generators
+        diag, v = model.stack_smith
+        assert diag == lattice._stack_smith(gens)[0]
+        r = sum(1 for s in diag if s)
+        for row in _stack_shifted(gens).entries:
+            x = lattice._vec_mat(row, v.entries, n)
+            assert not any(x[r:]) and all(x[j] % diag[j] == 0 for j in range(r))
+        for d in range(2, 31):
+            report = torsion_points(model, d)
+            for f, w in zip(report.group.invariant_factors, report.witnesses, strict=True):
+                assert all(tuple(x % d for x in g.apply(w)) == w for g in gens)
+                assert coset_order(w, d) == f
+        fewer += len(model.theta_elements.kept) < len(gens)
+    assert len(models) == 49 and fewer > 30

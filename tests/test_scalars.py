@@ -5,7 +5,6 @@ import json
 import math
 import operator
 import random
-import signal
 import time
 from fractions import Fraction
 
@@ -27,6 +26,7 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
                            minimal_polynomial_of_constant,
                            prime_field, rationals, root_of_unity_log)
 from aniso.integers import binary_power, least_power
+from deadline import deadline
 from oracles import (FractionCyclotomic, FractionOnlyQ, _fp_trim, _p_add, _p_mul,
                      artin_schreier_image, cy_mul, cy_reduce, dot_by_fold,
                      finite_field_inv_by_polynomials, finite_field_mul_by_polynomials,
@@ -345,31 +345,18 @@ def test_function_field_gcd_terminates_over_cyclotomic_base():
     x = (c(136, 43) * a ** 2 * b + c(9, 87) * a + c(-10, -24) * b ** 2) \
         / (a ** 2 * b ** 2 + c(68, 76) * a)
 
-    def give_up(signum, frame):
-        raise TimeoutError("squaring did not finish in 10 s")
-
     # the failure mode is a run without end, so stop it rather than hang the suite
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(10)
-    try:
+    with deadline(10):
         start = time.perf_counter()
         square = x * x
         assert time.perf_counter() - start < 1.0
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     assert square / x == x
 
 
 def test_negative_powers_end():
     # binary_power looped without end for e < 0 (e >>= 1 stays -1), and the
     # descriptor's power passed e through; an alarm turns a hang into a failure
-    def give_up(signum, frame):
-        raise TimeoutError("a negative power did not end in 5 s")
-
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(5)
-    try:
+    with deadline(5):
         with pytest.raises(ValueError, match="exponent >= 0"):
             binary_power(2, -1, 1, operator.mul)
         assert rationals().power(Fraction(2), -3) == Fraction(1, 8)
@@ -385,9 +372,6 @@ def test_negative_powers_end():
             if d.kind != "prime_field":  # pow(0, -1, p) raises ValueError, as before
                 with pytest.raises(DivisionByZero):
                     d.power(d.zero(), -1)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_lift_into_function_field():
@@ -504,18 +488,10 @@ def test_finite_fields_past_the_tables_multiply_polynomials_and_walk_logs():
 def _ends_within(seconds: int):
     # the failure mode is a run without end, so an alarm at five times the
     # budget stops it rather than hang the suite
-    def give_up(signum, frame):
-        raise TimeoutError(f"did not end in {5 * seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(5 * seconds)
-    try:
+    with deadline(5 * seconds):
         start = time.perf_counter()
         yield
         assert time.perf_counter() - start < seconds
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_zeta_of_a_huge_prime_field_factors_its_order_by_bounded_trial_division():

@@ -1,9 +1,10 @@
 import hashlib
+import io
+import json
 import math
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from aniso import lattice
-from aniso.lattice import ClosureCapExceeded, IntMatrix
+from aniso.cli import main
+from aniso.lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix, _stack_smith,
+                           h1_of_theta_module)
 from aniso.torus import (AveragingCertificate, BadGroupTable,
                          CharDividesOrder, NotAnisotropic, NotInvariant,
                          OrderMismatch, TorusError, TorusModel,
@@ -21,6 +24,7 @@ from aniso.torus import (AveragingCertificate, BadGroupTable,
                          is_anisotropic, norm_quotient_torus, symmetric_table,
                          table_from_permutation_generators, torsion_points,
                          validate_group_table)
+from deadline import deadline
 from oracles import enumerate_invariant_cosets
 
 
@@ -252,7 +256,7 @@ def test_theta_closure_products(monkeypatch):
     # 2 |Θ| log2 |Θ|, where one product per element and given generator
     # would be 552 and 56. Each product reads its rows from one dict per
     # kept generator, so 72 and 8 rows are multiplied out, not 86 * 23 =
-    # 1,978 and 8 * 7 = 56; one Bareiss inverse per kept generator
+    # 1,978 and 8 * 7 = 56; one Bareiss determinant per kept generator
     counts = _count_closure_work(monkeypatch)
     for table, order, products, rows, kept in ((symmetric_table(4), 24, 86, 72, 3),
                                                (cyclic_table(8), 8, 8, 8, 1)):
@@ -264,7 +268,7 @@ def test_theta_closure_products(monkeypatch):
 
 def test_s5_norm_quotient_build(monkeypatch):
     # |Θ| = 120 from 119 generators of size 119 x 119: 4 are kept, each
-    # inverted once by Bareiss (no determinant of the 115 others), and
+    # admitted by one Bareiss determinant (none for the 115 others), and
     # the 566 products multiply out 480 distinct rows
     counts = _count_closure_work(monkeypatch)
     model = norm_quotient_torus(symmetric_table(5))
@@ -279,23 +283,35 @@ def test_s5_stack_smith_form_is_pinned():
     # the 14,161 x 119 stack of the 119 given generators: the elimination
     # costs the entries it changes, so the certified form takes about 2 s
     # (over 6 s when every row operation walked whole rows and every
-    # column operation all rows); an alarm turns a slow path into a failure
-    def give_up(signum, frame):
-        raise TimeoutError("the S_5 Smith form did not finish in 15 s")
-
-    previous = signal.signal(signal.SIGALRM, give_up)
-    signal.alarm(15)
-    try:
+    # column operation all rows); an alarm turns a slow path into a failure.
+    # The model reduces the 476 x 119 stack of its 4 kept generators, which
+    # has the same row lattice, and here the same diagonal and V
+    with deadline(15):
         model = norm_quotient_torus(symmetric_table(5))
-        diag, v = model.stack_smith
+        given = _stack_smith(model.theta_generators)
+        kept = model.stack_smith
         rows = exponent_bound_check(model, 30).rows
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    digest = hashlib.sha256(repr((diag, v.entries)).encode()).hexdigest()
-    assert digest == "6a17c3461c44c615fb6d039aa1f41d0c6aba7f0b2d06244b2466ea6a723faaca"
-    assert diag[-1] == 120
+    pin = "6a17c3461c44c615fb6d039aa1f41d0c6aba7f0b2d06244b2466ea6a723faaca"
+    for diag, v in (given, kept):
+        assert hashlib.sha256(repr((diag, v.entries)).encode()).hexdigest() == pin
+    assert len(model.theta_elements.kept) == 4
+    assert given[0][-1] == 120
     assert rows == tuple((d, math.gcd(120, d)) for d in range(2, 31))
+
+
+def test_s5_torus_analyze_report_is_pinned(monkeypatch):
+    # the report reads only the diagonal, so it is the one the full stack
+    # gave (2.4-4.1 s in a fresh process then, about 0.7 s on the kept
+    # stack); H¹ closes Θ again and reduces the kept stack alone
+    with deadline(5):
+        model = norm_quotient_torus(symmetric_table(5))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(model.to_json())))
+        monkeypatch.setattr(sys, "stdout", io.StringIO())
+        code = main(["torus", "analyze", "--d-max", "30", "--json", "--input", "-"])
+        h1 = h1_of_theta_module(model.theta_generators)
+    digest = hashlib.sha256(sys.stdout.getvalue().encode()).hexdigest()
+    assert code == 0 and digest.startswith("b58b21cd32d8e7e0")
+    assert h1 == AbelianGroupStructure((120,))
 
 
 def test_model_errors_keep_the_first_bad_generator_in_order():
