@@ -146,8 +146,8 @@ def _cmd_torus_analyze(args) -> tuple[dict, int]:
     distinct row and kept generator and one Bareiss determinant per kept
     generator), one Smith form of the stacked g - 1 of the k <= log2 |Θ|
     kept generators, k n rows (476 x 119 on the S_5 norm quotient, whose
-    whole report takes about 0.7 s in a fresh process), plus O(n^2) per d
-    to read the row off its diagonal and V. Before
+    whole report takes about 1.0–1.4 s in a fresh process), plus O(n^2)
+    per d to read the row off its diagonal and V. Before
     the payload is read, a --d-max below 2, which would ask for no row, is
     a SchemaError, and one above TORUS_MAX_D raises DRangeTooLarge.
     """

@@ -19,14 +19,14 @@ def _exact_int(obj) -> int:
     with an optional leading minus. Anything else raises TypeError or
     ValueError, so "1_0", " 1", "+1" and non-ASCII digits are refused
     along with floats and booleans."""
+    if isinstance(obj, str):
+        digits = obj.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a decimal integer: {obj!r}")
+        return int(obj)
     if isinstance(_exact_json(obj), int):
         return obj
-    if not isinstance(obj, str):
-        raise TypeError(f"expected an integer or a string, got {obj!r}")
-    digits = obj.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"not a decimal integer: {obj!r}")
-    return int(obj)
+    raise TypeError(f"expected an integer or a string, got {obj!r}")
 
 
 def _exact_fraction(obj) -> "Fraction":

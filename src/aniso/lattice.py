@@ -157,30 +157,11 @@ class IntMatrix:
     @staticmethod
     def from_json(obj) -> "IntMatrix":
         rows = obj if isinstance(obj, list) else obj["entries"]
-        m = IntMatrix(tuple(map(_json_row, rows)))
+        m = IntMatrix(tuple(tuple(map(_exact_int, r)) for r in rows))
         if (isinstance(obj, dict) and "rows" in obj
                 and (m.rows != _exact_int(obj["rows"]) or m.cols != _exact_int(obj["cols"]))):
             raise LatticeError("declared shape disagrees with entries")
         return m
-
-
-def _json_row(r) -> tuple[int, ...]:
-    """A JSON matrix row as ints, under _exact_int's rules. A row of ASCII
-    strings of digits and minus signs, or of ints alone, is read whole;
-    any other row, or one that int() refuses, is read entry by entry
-    through _exact_int, so every refusal keeps its type and message."""
-    try:
-        text = "".join(r)
-    except TypeError:  # an entry that is not a string
-        if all(type(x) is int for x in r):
-            return tuple(r)
-    else:
-        if text.isascii() and text.replace("-", "").isdigit():
-            try:
-                return tuple(map(int, r))
-            except ValueError:  # "", "-", "1-2", ...
-                pass
-    return tuple(_exact_int(x) for x in r)
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
@@ -628,6 +609,16 @@ class MatrixGroup(list):
         self.kept = tuple(kept)
 
 
+def _kept_stack_smith(group: MatrixGroup) -> tuple[tuple[int, ...], IntMatrix]:
+    """_stack_smith of the kept generators, k n rows with k <= log2 |group|,
+    or of the identity's zero n x n block when none is kept (every given
+    generator is the identity). Every generating set stacks g - 1 to the
+    same row lattice: gh - 1 = g(h - 1) + (g - 1) and g⁻¹ - 1 = -g⁻¹(g - 1).
+    So the diagonal is that of the given generators' stack, and the rows of
+    that stack times this V lie in the row lattice of D."""
+    return _stack_smith(group.kept or group[:1])
+
+
 def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> MatrixGroup:
     """Closure of the generated matrix group, identity first, with the
     generators it kept (see closure).
@@ -793,13 +784,11 @@ def h1_of_theta_module(generators: Sequence[IntMatrix],
         H¹(Θ, L) = ⊕ Z/gcd(s_i, N) over the nonzero s_i,
 
     with N = |Θ| and s_1 | ... | s_n the Smith diagonal of the stacked
-    g - 1 over the generators group_closure keeps (one Smith form, of
-    k n rows with k <= log2 N, not one per given generator). Every
-    generating set gives that diagonal: gh - 1 = g(h - 1) + (g - 1) and
-    g⁻¹ - 1 = -g⁻¹(g - 1), so the rows of any element's g - 1 lie in the
-    row lattice of the kept ones' stack, and the diagonal depends only on
-    the row lattice. When every generator is the identity none is kept,
-    and the stack is one zero n x n block. Proof: N kills H¹, so the sequence
+    g - 1 over the generators group_closure keeps (_kept_stack_smith: one
+    Smith form of k n rows with k <= log2 N, not one per given generator,
+    and the same diagonal as the given generators' stack).
+
+    Proof: N kills H¹, so the sequence
     0 -> L -N-> L -> L/NL -> 0 gives H¹ ≅ (L/NL)^Θ / (L^Θ/NL^Θ), the
     classes fixed mod N modulo the fixed vectors. With v = V w, v is fixed
     mod N iff s_i w_i ≡ 0 (mod N) for every i, a subgroup Z/gcd(s_i, N) of
@@ -807,6 +796,6 @@ def h1_of_theta_module(generators: Sequence[IntMatrix],
     s_i ≠ 0, so it fills the coordinates with s_i = 0.
     """
     group = group_closure(generators, cap)
-    diag, _ = _stack_smith(group.kept or group[:1])
+    diag, _ = _kept_stack_smith(group)
     return AbelianGroupStructure(tuple(
         g for g in (math.gcd(s, len(group)) for s in diag if s) if g > 1))

@@ -10,7 +10,7 @@ arithmetic.
 Each model caches the one certified Smith form of the stacked g - 1 of the
 k <= log2 |Θ| generators its closure keeps (Cohen, GTM 138, §2.4). Every
 generating set of Θ stacks to the same row lattice (see
-lattice.h1_of_theta_module), so its diagonal s_1 | ... | s_n and V answer
+lattice._kept_stack_smith), so its diagonal s_1 | ... | s_n and V answer
 every question here for every modulus: anisotropy is "every s_i ≠ 0", and
 the d-torsion is read off in O(n^2) per d.
 """
@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError, _exact_int
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      NotUnimodular, _int_tuple, _kernel_from_smith, _stack_smith, cayley_table,
-                      closure, closure_cap, group_closure)
+                      NotUnimodular, _int_tuple, _kept_stack_smith, _kernel_from_smith,
+                      cayley_table, closure, closure_cap, group_closure)
 
 
 class TorusError(AnisoError):
@@ -109,14 +109,12 @@ class TorusModel:
     @functools.cached_property
     def stack_smith(self) -> tuple[tuple[int, ...], IntMatrix]:
         """Diagonal s_1 | ... | s_n and V of the certified Smith form of the
-        stacked g - 1 of the kept generators, k n rows with k <= log2 |Θ|
-        (476 x 119 on the S_5 norm quotient, whose 119 given generators
-        stack to 14,161 rows), or one zero n x n block when none is kept.
-        The stack has at least n rows, so the diagonal has length n. The
-        given generators' stack has the same row lattice, so the same
-        diagonal, and this V serves it too: its rows times V lie in the
-        row lattice of D, which is that of the kept stack times V."""
-        return _stack_smith(self.theta_elements.kept or self.theta_elements[:1])
+        stacked g - 1 of the kept generators (lattice._kept_stack_smith):
+        476 x 119 on the S_5 norm quotient, whose 119 given generators
+        stack to 14,161 rows. The stack has at least n rows, so the
+        diagonal has length n, and it and V serve the given generators'
+        stack too."""
+        return _kept_stack_smith(self.theta_elements)
 
     def __repr__(self):
         tag = self.label or "torus"

@@ -167,16 +167,17 @@ def test_torus_analyze_refuses_float_and_boolean_entries():
 
 
 @pytest.mark.parametrize("entry, message", [
-    (1.5, "expected an integer or a string, got 1.5"),
-    (True, "expected an integer or a string, got True"),
     ("1_0", "not a decimal integer: '1_0'"),
     (" 1", "not a decimal integer: ' 1'"),
     ("+1", "not a decimal integer: '+1'"),
     ("1,2", "not a decimal integer: '1,2'"),
-    ("\u0661", "not a decimal integer: '\u0661'")])
+    ("\u0661", "not a decimal integer: '\u0661'"),
+    ("-", "not a decimal integer: '-'"),
+    ("", "not a decimal integer: ''"),
+    ("--1", "not a decimal integer: '--1'"),
+    ("1-2", "not a decimal integer: '1-2'")])
 def test_torus_analyze_refuses_each_malformed_entry_by_name(entry, message):
-    # a row of decimal strings is read whole; any other row is read entry
-    # by entry, so each refusal names its entry as it did before
+    # floats and booleans: test_torus_analyze_refuses_float_and_boolean_entries
     model = {"rank": "2", "theta_generators": [
         {"rows": "2", "cols": "2", "entries": [["1", entry], ["0", "1"]]}]}
     code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3", "--json"],

@@ -301,7 +301,7 @@ def test_s5_stack_smith_form_is_pinned():
 
 def test_s5_torus_analyze_report_is_pinned(monkeypatch):
     # the report reads only the diagonal, so it is the one the full stack
-    # gave (2.4-4.1 s in a fresh process then, about 0.7 s on the kept
+    # gave (2.4-4.1 s in a fresh process then, about 1.0-1.4 s on the kept
     # stack); H¹ closes Θ again and reduces the kept stack alone
     with deadline(5):
         model = norm_quotient_torus(symmetric_table(5))
