@@ -5,13 +5,10 @@ Ends with the refutation loop: random projective candidates never lie
 on the anisotropic diagonal form.
 """
 
-import random
-
 from aniso import fieldmatrix
 from aniso.quadform import (QuadraticForm, arf_invariant_class,
                             arf_normal_form, extract_isotropic_from_order_p,
-                            pfister_build, pfister_group_closure,
-                            pfister_refute_point, random_candidate)
+                            pfister_run)
 from aniso.scalars import Field, prime_field
 
 
@@ -37,20 +34,13 @@ def main():
     print(f"\norder-3 isometry of x^2+y^2+z^2 over F_3 yields the isotropic "
           f"vector {tuple(str(x) for x in vec)}")
 
-    data = pfister_build(3)
-    group = pfister_group_closure(3)
+    group, refuted = pfister_run(3, 25, seed=1)
     print(f"\n8-variable diagonal form over Q(a1,a2,a3): two projective "
           f"isometries close into a group of order {group.order} "
           f"(nonabelian: {group.nonabelian}, element orders "
           f"{sorted(set(group.projective_orders))})")
     print(f"  order divides the announced bound 8^7: "
-          f"{group.order_bound % group.order == 0}")
-
-    rng = random.Random(1)
-    refuted = sum(
-        1 for _ in range(25)
-        if not pfister_refute_point(3, random_candidate(3, rng),
-                                    data=data).value.is_zero)
+          f"{group.order_divides_bound}")
     print(f"  {refuted}/25 random projective candidates refuted: the form "
           "stays pointless")
 

@@ -336,24 +336,13 @@ def _cmd_quad_arf(args) -> tuple[dict, int]:
 
 
 def _cmd_quad_pfister(args) -> tuple[dict, int]:
-    data = quadform.pfister_build(args.k)
-    cap = 4096 if args.cap is None else args.cap
-    group = quadform.pfister_group_closure(args.k, cap=cap)
-    rng = random.Random(args.seed)
-    refuted = 0
-    for _ in range(args.trials):
-        candidate = quadform.random_candidate(args.k, rng)
-        report = quadform.pfister_refute_point(args.k, candidate, data=data)
-        if not report.value.is_zero:
-            refuted += 1
+    """The closure and the refutation trials of quadform.pfister_run. A
+    negative --trials is a SchemaError before any work."""
+    if args.trials < 0:
+        raise SchemaError("$.trials", f"--trials must be >= 0, got {args.trials}")
+    group, refuted = quadform.pfister_run(args.k, args.trials, args.seed, args.cap)
     ok = refuted == args.trials and group.order_divides_bound
-    return {"k": str(args.k), "dim": str(data.n),
-            "closure_order": str(group.order),
-            "closure_nonabelian": group.nonabelian,
-            "order_bound": str(group.order_bound),
-            "order_divides_bound": group.order_divides_bound,
-            "projective_orders": sorted({str(o)
-                                         for o in group.projective_orders}),
+    return {"k": str(args.k), "dim": str(2 ** args.k), **group.to_json(),
             "refutation_trials": str(args.trials),
             "candidates_refuted": str(refuted),
             "seed": str(args.seed)}, (0 if ok else 1)

@@ -14,6 +14,13 @@ def _exact_json(obj):
     return obj
 
 
+def _json_list(obj) -> list:
+    """obj itself if it is a JSON list: a string is refused, not iterated."""
+    if not isinstance(obj, list):
+        raise TypeError(f"expected a list, got {obj!r}")
+    return obj
+
+
 def _exact_int(obj) -> int:
     """obj as an int: a JSON integer, or an ASCII string of decimal digits
     with an optional leading minus. Anything else raises TypeError or

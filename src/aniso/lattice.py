@@ -39,6 +39,7 @@ abelian_quotient and the isotropic step of pairing) invert a V.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -46,7 +47,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import AnisoError, _exact_int
+from .errors import AnisoError, _exact_int, _json_list
 
 
 class LatticeError(AnisoError):
@@ -157,7 +158,7 @@ class IntMatrix:
     @staticmethod
     def from_json(obj) -> "IntMatrix":
         rows = obj if isinstance(obj, list) else obj["entries"]
-        m = IntMatrix(tuple(tuple(map(_exact_int, r)) for r in rows))
+        m = IntMatrix(tuple(tuple(map(_exact_int, _json_list(r))) for r in _json_list(rows)))
         if (isinstance(obj, dict) and "rows" in obj
                 and (m.rows != _exact_int(obj["rows"]) or m.cols != _exact_int(obj["cols"]))):
             raise LatticeError("declared shape disagrees with entries")
@@ -602,21 +603,22 @@ def closure_orders(right: Sequence[Sequence[int]]) -> list[int]:
 class MatrixGroup(list):
     """The elements group_closure found, identity first, as a list, with
     kept: the given generators the closure kept, in order (at most log2
-    of the group's order), of which every element is a word."""
+    of the group's order), of which every element is a word, and their
+    stack_smith, reduced on first use and kept."""
 
     def __init__(self, elements: Iterable[IntMatrix], kept: Sequence[IntMatrix]):
         super().__init__(elements)
         self.kept = tuple(kept)
 
-
-def _kept_stack_smith(group: MatrixGroup) -> tuple[tuple[int, ...], IntMatrix]:
-    """_stack_smith of the kept generators, k n rows with k <= log2 |group|,
-    or of the identity's zero n x n block when none is kept (every given
-    generator is the identity). Every generating set stacks g - 1 to the
-    same row lattice: gh - 1 = g(h - 1) + (g - 1) and g⁻¹ - 1 = -g⁻¹(g - 1).
-    So the diagonal is that of the given generators' stack, and the rows of
-    that stack times this V lie in the row lattice of D."""
-    return _stack_smith(group.kept or group[:1])
+    @functools.cached_property
+    def stack_smith(self) -> tuple[tuple[int, ...], IntMatrix]:
+        """_stack_smith of the kept generators, k n rows with k <= log2 |group|,
+        or of the identity's zero n x n block when none is kept (every given
+        generator is the identity). Every generating set stacks g - 1 to the
+        same row lattice: gh - 1 = g(h - 1) + (g - 1) and g⁻¹ - 1 = -g⁻¹(g - 1).
+        So the diagonal is that of the given generators' stack, and the rows
+        of that stack times this V lie in the row lattice of D."""
+        return _stack_smith(self.kept or self[:1])
 
 
 def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) -> MatrixGroup:
@@ -784,9 +786,9 @@ def h1_of_theta_module(generators: Sequence[IntMatrix],
         H¹(Θ, L) = ⊕ Z/gcd(s_i, N) over the nonzero s_i,
 
     with N = |Θ| and s_1 | ... | s_n the Smith diagonal of the stacked
-    g - 1 over the generators group_closure keeps (_kept_stack_smith: one
-    Smith form of k n rows with k <= log2 N, not one per given generator,
-    and the same diagonal as the given generators' stack).
+    g - 1 over the generators group_closure keeps (MatrixGroup.stack_smith:
+    one Smith form of k n rows with k <= log2 N, not one per given
+    generator, and the same diagonal as the given generators' stack).
 
     Proof: N kills H¹, so the sequence
     0 -> L -N-> L -> L/NL -> 0 gives H¹ ≅ (L/NL)^Θ / (L^Θ/NL^Θ), the
@@ -796,6 +798,6 @@ def h1_of_theta_module(generators: Sequence[IntMatrix],
     s_i ≠ 0, so it fills the coordinates with s_i = 0.
     """
     group = group_closure(generators, cap)
-    diag, _ = _kept_stack_smith(group)
+    diag, _ = group.stack_smith
     return AbelianGroupStructure(tuple(
         g for g in (math.gcd(s, len(group)) for s in diag if s) if g > 1))

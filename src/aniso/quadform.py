@@ -11,7 +11,9 @@ finite isometry groups of pointless quadrics in dimension 2^k.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 from . import fieldmatrix
@@ -700,7 +702,7 @@ class PfisterData:
         self.top_coefficient = _subset_coefficient(avars, self.n - 1,
                                                    self.field)
 
-    @property
+    @cached_property
     def sigma(self):
         """Negates the two singleton coordinates x_{1} and x_{2}."""
         if self.k < 2:
@@ -711,7 +713,7 @@ class PfisterData:
             rows[j][j] = -field.one if j in (1, 2) else field.one
         return fieldmatrix.mat_from_rows(rows)
 
-    @property
+    @cached_property
     def tau(self):
         """Sends x_I to a_(complement I) x_(complement I)."""
         field = self.field
@@ -722,18 +724,16 @@ class PfisterData:
             rows[j][full ^ j] = _subset_coefficient(avars, full ^ j, field)
         return fieldmatrix.mat_from_rows(rows)
 
-    @property
-    def tau_scaling(self) -> FieldElement:
-        return self.top_coefficient
 
-
+@lru_cache(maxsize=None)
 def pfister_build(k: int) -> PfisterData:
-    """The multiplier form with its two projective isometries, verified."""
+    """The multiplier form with its two projective isometries, verified,
+    once per k: every Pfister routine below reads this one build."""
     data = PfisterData(k)
     if k >= 2:
         if data.form.transform(data.sigma) != data.form:
             raise ConsistencyAlarm("sign map fails to preserve the form")
-        if data.form.transform(data.tau) != data.form.scale(data.tau_scaling):
+        if data.form.transform(data.tau) != data.form.scale(data.top_coefficient):
             raise ConsistencyAlarm("complement map has the wrong multiplier")
     return data
 
@@ -755,17 +755,26 @@ class PfisterGroup:
     def order_divides_bound(self) -> bool:
         return self.order_bound % self.order == 0
 
+    def to_json(self) -> dict:
+        return {"closure_order": str(self.order),
+                "closure_nonabelian": self.nonabelian,
+                "order_bound": str(self.order_bound),
+                "order_divides_bound": self.order_divides_bound,
+                "projective_orders": sorted({str(o) for o in self.projective_orders})}
 
-def pfister_group_closure(k: int, cap: int = 4096) -> PfisterGroup:
-    """Projective closure of the two isometries, with multiplication table.
+
+def pfister_group_closure(k: int, cap: Optional[int] = None) -> PfisterGroup:
+    """Projective closure of the two isometries under the cap (default
+    4096 elements), with multiplication table.
 
     Elements are matrices normalized so the first nonzero entry is 1;
     the table indexes products; it and the element orders are read off
     the closure's Cayley graph, with no product past the closure.
     """
+    data = pfister_build(k)
     if not 2 <= k <= 5:
         raise KTooLarge("closure needs 2 <= k <= 5")
-    data = pfister_build(k)
+    cap = 4096 if cap is None else cap
     ident = fieldmatrix.identity(data.field, data.n)
     gens = [fieldmatrix.projective_normalize(data.sigma),
             fieldmatrix.projective_normalize(data.tau)]
@@ -807,20 +816,18 @@ def _polynomial_payload(elt: FieldElement) -> tuple:
     return num
 
 
-def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
+def descent_step(k: int, candidate):
     """One level of the degree-descent on an alleged zero candidate.
 
     Splits off the top power of the last variable and returns the index of
     the surviving half (0 for subsets without the last element, 1 with it)
     together with the leading-coefficient tuple over one fewer variable.
     """
-    if data is None:
-        data = PfisterData(k)
-    field = data.field
+    field = pfister_build(k).field
     entries = [field(x) for x in candidate]
     nums = [_polynomial_payload(x) for x in entries]
     top = max((exp[k - 1] for num in nums for exp, _ in num), default=0)
-    small = PfisterData(k - 1) if k >= 2 else None
+    small = pfister_build(k - 1) if k >= 2 else None
     small_field = small.field if small else Field(rationals())
 
     def leading(mask: int) -> FieldElement:
@@ -846,16 +853,14 @@ def descent_step(k: int, candidate, data: Optional[PfisterData] = None):
     return 1, with_last
 
 
-def pfister_refute_point(k: int, candidate,
-                         data: Optional[PfisterData] = None) -> RefutationReport:
+def pfister_refute_point(k: int, candidate) -> RefutationReport:
     """Evaluate the multiplier form on a candidate point and refute it.
 
     A nonzero value refutes the candidate. A zero value is impossible for
     the pointless form, so it trips a loud consistency alarm carrying the
     degree-descent chain down to the one-variable parity contradiction.
     """
-    if data is None:
-        data = PfisterData(k)
+    data = pfister_build(k)
     field = data.field
     entries = tuple(field(x) for x in candidate)
     if len(entries) != data.n:
@@ -896,3 +901,14 @@ def random_candidate(k: int, rng, degree: int = 3, terms: int = 2) -> tuple:
             out.append(FieldElement(d, (num, unit)))
         if any(not x.is_zero for x in out):
             return tuple(out)
+
+
+def pfister_run(k: int, trials: int, seed: int,
+                cap: Optional[int] = None) -> tuple[PfisterGroup, int]:
+    """The closure under the cap, and the number of trials candidates
+    drawn from random.Random(seed) that are refuted."""
+    group = pfister_group_closure(k, cap)
+    rng = random.Random(seed)
+    refuted = sum(not pfister_refute_point(k, random_candidate(k, rng)).value.is_zero
+                  for _ in range(trials))
+    return group, refuted

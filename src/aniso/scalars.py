@@ -41,7 +41,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from typing import ClassVar, Iterator, Optional, Union
 
-from .errors import AnisoError, _exact_fraction, _exact_int, _exact_json
+from .errors import AnisoError, _exact_fraction, _exact_int, _exact_json, _json_list
 from .integers import (_MR_LIMIT, _TRIAL_DIVISION_LIMIT, _is_prime as _miller_rabin,
                        _prime_factors, binary_power)
 
@@ -72,13 +72,6 @@ class NotAlgebraic(ScalarError):
 
 class UndecidedPower(ScalarError):
     """k-th power recognition fell outside the decidable fragment."""
-
-
-def _json_list(obj) -> list:
-    """obj itself if it is a JSON list: a string is refused, not iterated."""
-    if not isinstance(obj, list):
-        raise TypeError(f"expected a list, got {obj!r}")
-    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -7,17 +7,16 @@ never appears: all questions (anisotropy, torsion, exponent bounds) reduce
 to exact integer linear algebra, and this module imports no field
 arithmetic.
 
-Each model caches the one certified Smith form of the stacked g - 1 of the
-k <= log2 |Θ| generators its closure keeps (Cohen, GTM 138, §2.4). Every
-generating set of Θ stacks to the same row lattice (see
-lattice._kept_stack_smith), so its diagonal s_1 | ... | s_n and V answer
-every question here for every modulus: anisotropy is "every s_i ≠ 0", and
-the d-torsion is read off in O(n^2) per d.
+Each model's closure of Θ caches the one certified Smith form of the
+stacked g - 1 of the k <= log2 |Θ| generators it keeps (Cohen, GTM 138,
+§2.4). Every generating set of Θ stacks to the same row lattice (see
+lattice.MatrixGroup.stack_smith), so its diagonal s_1 | ... | s_n and V
+answer every question here for every modulus: anisotropy is "every
+s_i ≠ 0", and the d-torsion is read off in O(n^2) per d.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +24,7 @@ from typing import Optional, Sequence
 
 from .errors import AnisoError, _exact_int
 from .lattice import (AbelianGroupStructure, ClosureCapExceeded, IntMatrix,
-                      NotUnimodular, _int_tuple, _kept_stack_smith, _kernel_from_smith,
+                      NotUnimodular, _int_tuple, _kernel_from_smith,
                       cayley_table, closure, closure_cap, group_closure)
 
 
@@ -68,9 +67,9 @@ class TorusModel:
     characteristic is the characteristic of the intended base field
     scenario (0 if none); torsion orders are required to be coprime to it.
     norm_group_order is set by norm_quotient_torus and tightens the
-    exponent bound that exponent_bound_check verifies. The Smith form of
-    the kept generators' stacked g - 1 is computed on first use and kept
-    (stack_smith).
+    exponent bound that exponent_bound_check verifies. Its closure
+    theta_elements keeps the Smith form of the kept generators' stacked
+    g - 1 (MatrixGroup.stack_smith).
     """
 
     def __init__(self, rank: int, theta_generators: Sequence[IntMatrix],
@@ -106,16 +105,6 @@ class TorusModel:
     def theta_order(self) -> int:
         return len(self.theta_elements)
 
-    @functools.cached_property
-    def stack_smith(self) -> tuple[tuple[int, ...], IntMatrix]:
-        """Diagonal s_1 | ... | s_n and V of the certified Smith form of the
-        stacked g - 1 of the kept generators (lattice._kept_stack_smith):
-        476 x 119 on the S_5 norm quotient, whose 119 given generators
-        stack to 14,161 rows. The stack has at least n rows, so the
-        diagonal has length n, and it and V serve the given generators'
-        stack too."""
-        return _kept_stack_smith(self.theta_elements)
-
     def __repr__(self):
         tag = self.label or "torus"
         return f"TorusModel({tag!r}, rank={self.rank}, theta order {self.theta_order})"
@@ -143,7 +132,7 @@ class TorusModel:
 def is_anisotropic(t: TorusModel) -> bool:
     """True iff no nonzero lattice vector is fixed by the whole action: the
     fixed vectors are V's columns at the zero diagonal entries."""
-    return all(t.stack_smith[0])
+    return all(t.theta_elements.stack_smith[0])
 
 
 @dataclass(frozen=True)
@@ -166,7 +155,7 @@ def torsion_points(t: TorusModel, d: int) -> TorsionReport:
     if t.characteristic and d % t.characteristic == 0:
         raise CharDividesOrder(
             f"torsion order {d} not coprime to characteristic {t.characteristic}")
-    structure, witnesses = _kernel_from_smith(*t.stack_smith, d)
+    structure, witnesses = _kernel_from_smith(*t.theta_elements.stack_smith, d)
     exponent = structure.exponent
     check = exponent is not None and t.theta_order % exponent == 0
     return TorsionReport(d, structure, tuple(witnesses), check)
@@ -352,7 +341,7 @@ def exponent_bound_check(t: TorusModel, d_range: int) -> ExponentBoundReport:
     is ⊕ Z/gcd(s_i, d) (see kernel_mod_d); s_i | s_n makes each gcd(s_i, d)
     divide gcd(s_n, d), so the largest order, the exponent, is gcd(s_n, d).
     """
-    diag, _ = t.stack_smith
+    diag, _ = t.theta_elements.stack_smith
     if not all(diag):
         raise NotAnisotropic("exponent bounds only hold for anisotropic tori")
     rows = []

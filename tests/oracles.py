@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 from aniso import bounds, fieldmatrix
 from aniso.bounds import BoundsError, FiniteMatrixGroup
 from aniso.csa import AlgebraElement, AlgebraError, NotInvertible, SymbolAlgebraSpec
-from aniso.errors import _exact_fraction, _exact_json
+from aniso.errors import _exact_fraction, _exact_json, _json_list
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
                            _bareiss, _is_chain, _pivot_rows, _reduce_mod_rows, _smith_dv,
                            _smith_reduce, _vec_mat, abelian_quotient, fixed_sublattice,
@@ -46,7 +46,7 @@ from aniso.integers import binary_power, least_power
 from aniso.scalars import (DivisionByZero, Field, FieldDescriptor, FieldElement,
                            FieldTooLarge, RootOfUnityMissing, ScalarError,
                            UndecidedPower, _FiniteField, _Rationals,
-                           _fraction_kth_root, _json_list, _p_to_tuple, _render_uni,
+                           _fraction_kth_root, _p_to_tuple, _render_uni,
                            _u_inverse, cyclotomic_polynomial,
                            modulus_polynomial, prime_field, rationals)
 from aniso.torus import (BadGroupTable, CharDividesOrder, ExponentBoundReport,

@@ -261,7 +261,7 @@ def test_criterion_9_pfister_k3():
     refuted = 0
     for _ in range(100):
         candidate = random_candidate(3, rng, degree=3)
-        if not pfister_refute_point(3, candidate, data=data).value.is_zero:
+        if not pfister_refute_point(3, candidate).value.is_zero:
             refuted += 1
     elapsed = time.perf_counter() - start
     ok = ok and refuted == 100 and elapsed < 60.0

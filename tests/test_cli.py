@@ -186,6 +186,20 @@ def test_torus_analyze_refuses_each_malformed_entry_by_name(entry, message):
         "type": "SchemaError", "path": "$", "message": f"$: bad torus model: {message}"}}
 
 
+@pytest.mark.parametrize("rank, entries, shown", [
+    ("2", ["01", "10"], "'01'"),
+    ("1", "1", "'1'")])
+def test_torus_analyze_refuses_string_rows(rank, entries, shown):
+    # a string is not iterated as a list: ["01", "10"] is not [[0, 1], [1, 0]]
+    model = {"rank": rank, "theta_generators": [
+        {"rows": rank, "cols": rank, "entries": entries}]}
+    code, out = run_cli(["torus", "analyze", "--input", "-", "--d-max", "3", "--json"],
+                        stdin=json.dumps(model))
+    assert code == 2 and json.loads(out) == {"error": {
+        "type": "SchemaError", "path": "$",
+        "message": f"$: bad torus model: expected a list, got {shown}"}}
+
+
 def test_torus_analyze_refuses_float_and_boolean_scalars():
     # 2.5 used to be read as characteristic 2, which skipped the d = 2 row
     base = {"rank": "1",
@@ -563,6 +577,21 @@ def test_quad_pfister_cap_zero_is_a_cap_error():
     assert code == 2
     assert json.loads(out)["error"] == {"type": "QuadFormError",
                                         "message": "closure exceeded the cap 0"}
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--k", "9"], {"type": "KTooLarge", "message": "supported range is 1 <= k <= 5"}),
+    (["--k", "1"], {"type": "KTooLarge", "message": "closure needs 2 <= k <= 5"}),
+    (["--cap", "5"], {"type": "QuadFormError", "message": "closure exceeded the cap 5"}),
+    (["--k", "9", "--trials", "-1"],
+     {"type": "SchemaError", "path": "$.trials",
+      "message": "$.trials: --trials must be >= 0, got -1"}),
+])
+def test_quad_pfister_errors_are_pinned(argv, error):
+    # the form is built before the closure, so k = 9 is the form's error;
+    # a negative --trials is refused before either
+    code, out = run_cli(["quad", "pfister", *argv, "--json"])
+    assert (code, json.loads(out)) == (2, {"error": error})
 
 
 def test_replay_ids_registry():

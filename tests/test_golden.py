@@ -13,12 +13,17 @@ one of these outputs rewrites its golden file with
     PYTHONPATH=src python tests/test_golden.py <name> ...
 """
 
+import copy
+import functools
 import hashlib
 import io
 import json
+import operator
+import re
 import runpy
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -60,11 +65,14 @@ EXIT_CODES = {"csa-norm-degree-cap": 2, "torus-analyze-d-max-cap": 2,
 DEMO_CASES = sorted(f"demo-{path.stem}" for path in DEMOS.glob("*.py"))
 
 
-def run_case(name: str) -> tuple[int, str]:
+def run_case(name: str, payload: Optional[str] = None) -> tuple[int, str]:
+    """Run case name on its golden input, or on payload when given."""
     stdin = GOLDEN / f"{name}.in.json"
     old_in, old_out = sys.stdin, sys.stdout
     sys.stdout = io.StringIO()
-    if stdin.exists():
+    if payload is not None:
+        sys.stdin = io.StringIO(payload)
+    elif stdin.exists():
         sys.stdin = io.StringIO(stdin.read_text())
     try:
         code = main(CASES[name])
@@ -89,6 +97,64 @@ def test_report_matches_golden(name):
     code, out = run_case(name)
     assert code == EXIT_CODES.get(name, 0)
     assert out == (GOLDEN / f"{name}.out.json").read_text()
+
+
+def _shape(path: tuple) -> tuple:
+    return tuple("*" if isinstance(key, int) or re.fullmatch(r"\d+,\d+", key) else key
+                 for key in path)
+
+
+def _first_fields(node, path: tuple = (), seen: Optional[set] = None):
+    """The path of each list or object inside node, the first of each
+    shape: list indices and "i,j" keys are one shape whatever they hold."""
+    seen = set() if seen is None else seen
+    for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+        if isinstance(child, (list, dict)):
+            here = path + (key,)
+            if _shape(here) not in seen:
+                seen.add(_shape(here))
+                yield here
+            yield from _first_fields(child, here, seen)
+
+
+def _at(node, keys):
+    return functools.reduce(operator.getitem, keys, node)
+
+
+# the csa norm coefficients, where a string such as "12" is a field element
+SCALAR_SHAPES = {("element", "*")}
+
+
+def _replacements(path: tuple, value) -> list:
+    """"12", unless a string is a field element there, {"a": "1"}, and for
+    a list of one-character strings those characters as one string, which
+    would be read as the list if it were iterated."""
+    out = [{"a": "1"}] if _shape(path) in SCALAR_SHAPES else ["12", {"a": "1"}]
+    if isinstance(value, list) and all(isinstance(x, str) and len(x) == 1 for x in value):
+        out.append("".join(value))
+    return out
+
+
+def test_malformed_shapes_are_json_errors():
+    # each list or object field of every golden input, replaced by a string
+    # (which must not be iterated as if it were a list) or by an object,
+    # is refused with a JSON error and exit 2, never a traceback
+    failures, runs = [], 0
+    for name in sorted(CASES):
+        source = GOLDEN / f"{name}.in.json"
+        if not source.exists():
+            continue
+        good = json.loads(source.read_text())
+        for path in _first_fields(good):
+            *parents, last = path
+            for bad in _replacements(path, _at(good, parents)[last]):
+                obj = copy.deepcopy(good)
+                _at(obj, parents)[last] = bad
+                code, out = run_case(name, json.dumps(obj))
+                runs += 1
+                if code != 2 or "error" not in json.loads(out):
+                    failures.append((name, path, bad, code))
+    assert failures == [] and runs == 111
 
 
 def test_general_gcd_golden_inverts_at_most_65_times(monkeypatch):

@@ -1041,7 +1041,7 @@ def test_the_kept_stack_answers_for_the_given_stack():
     fewer = 0
     for model in models:
         n, gens = model.rank, model.theta_generators
-        diag, v = model.stack_smith
+        diag, v = model.theta_elements.stack_smith
         assert diag == lattice._stack_smith(gens)[0]
         r = sum(1 for s in diag if s)
         for row in _stack_shifted(gens).entries:

@@ -17,7 +17,7 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             extract_isotropic_from_order_p, involution_check,
                             is_nondegenerate, pfister_build,
                             pfister_group_closure, pfister_refute_point,
-                            random_candidate)
+                            pfister_run, random_candidate)
 from aniso.scalars import (DescriptorMismatch, Field, FieldTooLarge, cyclotomic,
                            finite_field, prime_field, rationals)
 from oracles import (artin_schreier_image, enumerate_nondegenerate_forms,
@@ -370,6 +370,8 @@ def test_pfister_build_k2_and_k3():
         _ = pfister_build(1).sigma
     with pytest.raises(KTooLarge):
         pfister_build(6)
+    # one verified build per k, shared by every Pfister routine
+    assert pfister_build(3) is pfister_build(3)
 
 
 def test_pfister_closure_k3():
@@ -392,23 +394,38 @@ def test_pfister_closure_k2_is_abelian():
 
 
 def test_pfister_refutations():
-    data = pfister_build(3)
     rng = random.Random(0)
     for _ in range(20):
         candidate = random_candidate(3, rng)
-        report = pfister_refute_point(3, candidate, data=data)
+        report = pfister_refute_point(3, candidate)
         assert not report.value.is_zero
 
     with pytest.raises(AllZeroCandidate):
-        pfister_refute_point(3, (0,) * 8, data=data)
+        pfister_refute_point(3, (0,) * 8)
+
+
+def test_pfister_run_counts_what_a_loop_over_the_seed_refutes():
+    for k, trials, seed in ((2, 7, 3), (3, 12, 5)):
+        form, rng, by_hand = pfister_build(k).form, random.Random(seed), 0
+        for _ in range(trials):
+            by_hand += not form.evaluate(random_candidate(k, rng)).is_zero
+        group, refuted = pfister_run(k, trials, seed)
+        assert refuted == by_hand == trials
+        assert group == pfister_group_closure(k)
+        assert group.to_json() == {
+            "closure_order": str(group.order),
+            "closure_nonabelian": group.nonabelian,
+            "order_bound": str(8 ** (2 ** k - 1)),
+            "order_divides_bound": True,
+            "projective_orders": sorted({str(o) for o in group.projective_orders})}
+    assert pfister_run(3, 0, 0)[1] == 0
 
 
 def test_pfister_refutation_k1_parity():
     data = pfister_build(2)
     field = data.field
     a2 = field.vars()[1]
-    report = pfister_refute_point(2, (a2, field.zero, field.one, field.zero),
-                                  data=data)
+    report = pfister_refute_point(2, (a2, field.zero, field.one, field.zero))
     assert report.value == a2 * a2 + a2
 
 
@@ -417,8 +434,7 @@ def test_descent_step_keeps_leading_half():
     field = data.field
     a2 = field.vars()[1]
     # only the last-variable half carries the top power of a2
-    which, leading = descent_step(
-        2, (field.one, field.zero, a2, field.zero), data=data)
+    which, leading = descent_step(2, (field.one, field.zero, a2, field.zero))
     assert which in (0, 1)
     assert any(not x.is_zero for x in leading)
 

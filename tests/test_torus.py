@@ -289,7 +289,7 @@ def test_s5_stack_smith_form_is_pinned():
     with deadline(15):
         model = norm_quotient_torus(symmetric_table(5))
         given = _stack_smith(model.theta_generators)
-        kept = model.stack_smith
+        kept = model.theta_elements.stack_smith
         rows = exponent_bound_check(model, 30).rows
     pin = "6a17c3461c44c615fb6d039aa1f41d0c6aba7f0b2d06244b2466ea6a723faaca"
     for diag, v in (given, kept):
