@@ -34,6 +34,10 @@ class DRangeTooLarge(AnisoError):
     """torus analyze was asked for more rows than TORUS_MAX_D allows."""
 
 
+class TrialsTooLarge(AnisoError):
+    """quad pfister or pairing fuzz was asked for more than MAX_TRIALS trials."""
+
+
 def _expect(obj, path: str, kind, what: str):
     if not isinstance(obj, kind):
         raise SchemaError(path, f"expected {what}, got {type(obj).__name__}")
@@ -205,16 +209,23 @@ def _cmd_pairing_isotropic(args) -> tuple[dict, int]:
     }, 0
 
 
+def _check_trials(command: str, trials: int) -> None:
+    if trials < 0:
+        raise SchemaError("$.trials", f"--trials must be >= 0, got {trials}")
+    if trials > MAX_TRIALS:
+        raise TrialsTooLarge(f"{command} is capped at --trials {MAX_TRIALS}")
+
+
 def _cmd_pairing_fuzz(args) -> tuple[dict, int]:
     """Isotropic-subgroup property trials on seeded random pairings.
 
     Before any work, a --max-order below 2, which no group with a
-    generator fits, is a SchemaError, and so is a negative --trials.
+    generator fits, is a SchemaError, and so is a negative --trials; more
+    than MAX_TRIALS trials raise TrialsTooLarge.
     """
     if args.max_order < 2:
         raise SchemaError("$.max_order", f"--max-order must be >= 2, got {args.max_order}")
-    if args.trials < 0:
-        raise SchemaError("$.trials", f"--trials must be >= 0, got {args.trials}")
+    _check_trials("pairing fuzz", args.trials)
     rng = random.Random(args.seed)
     failures = []
     for trial in range(args.trials):
@@ -233,6 +244,9 @@ def _cmd_pairing_fuzz(args) -> tuple[dict, int]:
 
 # the largest degree for which a dense `csa norm` finishes in seconds
 NORM_MAX_DEGREE = 9
+# about 5 s of `quad pfister --k 5` candidates (0.5 ms each) or of
+# `pairing fuzz` trials (0.4 ms each), on one core of a 2-core x86 machine
+MAX_TRIALS = 10_000
 # the largest --d-max for which `torus analyze` on the S_4 norm quotient
 # finishes in about 1.8 s in-process and prints about 8.6 MiB
 TORUS_MAX_D = 100000
@@ -337,9 +351,9 @@ def _cmd_quad_arf(args) -> tuple[dict, int]:
 
 def _cmd_quad_pfister(args) -> tuple[dict, int]:
     """The closure and the refutation trials of quadform.pfister_run. A
-    negative --trials is a SchemaError before any work."""
-    if args.trials < 0:
-        raise SchemaError("$.trials", f"--trials must be >= 0, got {args.trials}")
+    negative --trials is a SchemaError and one above MAX_TRIALS raises
+    TrialsTooLarge, both before any work."""
+    _check_trials("quad pfister", args.trials)
     group, refuted = quadform.pfister_run(args.k, args.trials, args.seed, args.cap)
     ok = refuted == args.trials and group.order_divides_bound
     return {"k": str(args.k), "dim": str(2 ** args.k), **group.to_json(),

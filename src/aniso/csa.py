@@ -100,9 +100,8 @@ class SymbolAlgebraSpec(AlgebraSpec):
         self.field = field
         self.degree = degree
         self.zeta = field.zeta(degree)  # raises RootOfUnityMissing if absent
-        self.zeta_powers = [field.one]
-        for _ in range(degree - 1):
-            self.zeta_powers.append(self.zeta_powers[-1] * self.zeta)
+        self.zeta_powers = list(itertools.accumulate([self.zeta] * (degree - 1), operator.mul,
+                                                     initial=field.one))
         if a.descriptor != base or b.descriptor != base:
             raise SpecMismatch("parameters must live in the base field")
         if a.is_zero or b.is_zero:
@@ -271,24 +270,27 @@ class AlgebraElement:
 
 def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Product in normal form: u^i (v^j u^k) v^l, with v^j u^k reordered by
-    spec.reorder and powers past the box reduced through u^n = a, v^n = b."""
+    spec.reorder and powers past the box reduced through u^n = a, v^n = b:
+    each term is the payload pair (c d, f), f the reorder factor times a or
+    b per wrapped power, and each coefficient one base dot of its pairs."""
     spec = x.spec
     if spec != y.spec:
         raise SpecMismatch("elements from different algebras")
-    n = spec.degree
-    out: dict = {}
+    base, n = spec.base, spec.degree
+    mul, wrap_a, wrap_b = base.mul, spec.a.payload, spec.b.payload
+    pairs: dict = {}
     for (i, j), c in x.coefficients.items():
         for (k, l), d in y.coefficients.items():
-            cd = c * d
+            cd = mul(c.payload, d.payload)
             for t, factor in spec.reorder(j, k):
-                e, a, b = cd * factor, i + k - t, j + l - t
+                f, a, b = factor.payload, i + k - t, j + l - t
                 if a >= n:
-                    e, a = e * spec.a, a - n
+                    f, a = mul(f, wrap_a), a - n
                 if b >= n:
-                    e, b = e * spec.b, b - n
-                s = out.get((a, b))
-                out[(a, b)] = e if s is None else s + e
-    return AlgebraElement(spec, out)
+                    f, b = mul(f, wrap_b), b - n
+                pairs.setdefault((a, b), []).append((cd, f))
+    return AlgebraElement(spec, {key: FieldElement(base, base.dot(ps))
+                                 for key, ps in pairs.items()})
 
 
 def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
@@ -346,21 +348,23 @@ def _right_multiplication(x: AlgebraElement) -> list:
     normal form (spec.reorder and v^n = b), each entry a length-n list in
     u. Rows and columns run from v^(n-1) down to v^0, ending on the row of
     x itself, free of reorder factors: on the dense-n4 norm golden that
-    order reduces mod Phi_4 138 times, the increasing one 166.
+    order reduces mod Phi_4 119 times, the increasing one 147.
     """
     spec = x.spec
     d, n = spec.base, spec.degree
-    mul, add, b = d.mul, d.add, spec.b.payload
+    mul, b = d.mul, spec.b.payload
     mat = [[[d.zero()] * n for _ in range(n)] for _ in range(n)]
     for r in range(n):
-        row = mat[n - 1 - r]
+        pairs: dict = {}
         for (i, m), c in x.coefficients.items():
             for t, factor in spec.reorder(r, i):
-                e, col = mul(c.payload, factor.payload), r - t + m
+                f, col = factor.payload, r - t + m
                 if col >= n:
-                    e, col = mul(e, b), col - n
-                entry = row[n - 1 - col]
-                entry[i - t] = add(entry[i - t], e)
+                    f, col = mul(f, b), col - n
+                pairs.setdefault((n - 1 - col, i - t), []).append((c.payload, f))
+        row = mat[n - 1 - r]
+        for (col, k), ps in pairs.items():
+            row[col][k] = d.dot(ps)
     return mat
 
 
@@ -545,11 +549,10 @@ def weyl_split_verification(spec: WeylModPSpec) -> WeylSplitCertificate:
     X, Y = big.var("X"), big.var("Y")
     zero, one = big.zero, big.one
 
-    uprime = [[one if r == c + 1 else zero for c in range(p)] for r in range(p)]
-    vprime = [[big.from_int(c) if r == c - 1 else zero for c in range(p)]
-              for r in range(p)]
-    um = fieldmatrix.mat_from_rows(uprime)
-    vm = fieldmatrix.mat_from_rows(vprime)
+    um = fieldmatrix.mat_from_rows([[one if r == c + 1 else zero for c in range(p)]
+                                    for r in range(p)])
+    vm = fieldmatrix.mat_from_rows([[big.from_int(c) if r == c - 1 else zero for c in range(p)]
+                                    for r in range(p)])
     ident = fieldmatrix.identity(big, p)
     u_full = fieldmatrix.mat_add(um, fieldmatrix.mat_scale(ident, Y))
     v_full = fieldmatrix.mat_add(vm, fieldmatrix.mat_scale(ident, X))
@@ -575,9 +578,9 @@ def weyl_split_verification(spec: WeylModPSpec) -> WeylSplitCertificate:
         p=p,
         u_matrix=u_full,
         v_matrix=v_full,
-        u_power_is_y=fieldmatrix.mat_eq(u_pow, y_scalar),
-        v_power_is_x=fieldmatrix.mat_eq(v_pow, x_scalar),
-        commutator_is_one=fieldmatrix.mat_eq(comm, ident),
+        u_power_is_y=u_pow == y_scalar,
+        v_power_is_x=v_pow == x_scalar,
+        commutator_is_one=comm == ident,
         monomials_independent=rank == p * p)
 
 

@@ -8,8 +8,10 @@ Products and scalings check descriptors once per matrix and run on
 payload rows with the descriptor's own arithmetic. Products skip zeros:
 the nonzero entries of each row are listed once, so ``mat_mul``,
 ``mat_pow`` and ``mat_vec`` cost O(n²) zero tests plus one field product
-per pair of nonzero factors (O(n²) in all for a monomial matrix).
-Payloads are canonical, so the skipped terms change no output.
+per pair of nonzero factors (O(n²) in all for a monomial matrix), and
+each entry is one ``FieldDescriptor.dot`` of its pairs, so over Q(ζ_n) a
+dense n × n product reduces mod Φ_n n² times, not n³. Payloads are
+canonical, so the skipped terms change no output.
 """
 
 from __future__ import annotations
@@ -69,22 +71,23 @@ def _payload_rows(a: Matrix, d: FieldDescriptor) -> list[list]:
 
 
 def _products(a, b) -> Matrix:
-    """a @ b on payloads: each row of a adds x * b[k][j] into entry j for
-    each nonzero x = row[k] and nonzero b[k][j], in increasing k, so an
-    entry sums the nonzero pairs in row-by-column order, or is zero."""
+    """a @ b on payloads: each row of a lists the pairs (x, b[k][j]) of
+    nonzero x = row[k] and nonzero b[k][j] for entry j, in increasing k,
+    and an entry is one d.dot of its pairs, or zero when it has none."""
     d = a[0][0].descriptor
     pa, pb = _payload_rows(a, d), _payload_rows(b, d)
-    mul, add, is_zero = d.mul, d.add, d.is_zero
+    dot, is_zero = d.dot, d.is_zero
     supports = [[(j, y) for j, y in enumerate(row) if not is_zero(y)] for row in pb]
     zero, width = FieldElement(d, d.zero()), len(pb[0])
     out = []
     for row in pa:
-        acc = {}
+        pairs = {}
         for x, support in zip(row, supports):
             if not is_zero(x):
                 for j, y in support:
-                    acc[j] = add(acc[j], mul(x, y)) if j in acc else mul(x, y)
-        out.append(tuple(FieldElement(d, acc[j]) if j in acc else zero for j in range(width)))
+                    pairs.setdefault(j, []).append((x, y))
+        out.append(tuple([FieldElement(d, dot(pairs[j])) if j in pairs else zero
+                          for j in range(width)]))
     return tuple(out)
 
 
@@ -194,20 +197,9 @@ def nullspace(a: Matrix) -> list[tuple]:
 
 def scalar_of(a: Matrix) -> FieldElement | None:
     """The scalar c when a == c * identity, else None."""
-    n = len(a)
-    c = a[0][0]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                if a[i][j] != c:
-                    return None
-            elif not a[i][j].is_zero:
-                return None
-    return c
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
+    n, c = len(a), a[0][0]
+    scalar = all(a[i][j] == c if i == j else a[i][j].is_zero for i in range(n) for j in range(n))
+    return c if scalar else None
 
 
 def projective_normalize(a: Matrix) -> Matrix:

@@ -109,9 +109,9 @@ class QuadraticForm:
         return self.coeffs.get((i, j), self.field.zero)
 
     def evaluate(self, vector: Sequence) -> FieldElement:
-        """q(vector) on payloads: the sum of c x_i x_j over the nonzero
-        terms, in coefficient order. An entry of another field raises
-        DescriptorMismatch, one that is no field element nor number
+        """q(vector) on payloads: one d.dot of the pairs (c x_i, x_j) over
+        the nonzero terms, in coefficient order. An entry of another field
+        raises DescriptorMismatch, one that is no field element nor number
         TypeError."""
         if len(vector) != self.dim:
             raise QuadFormError(f"vector length {len(vector)} != dim {self.dim}")
@@ -122,32 +122,29 @@ class QuadraticForm:
             if e is NotImplemented:
                 raise TypeError(f"{x!r} is not an element of {d!r}")
             vec.append(e.payload)
-        mul, add, is_zero = d.mul, d.add, d.is_zero
-        total = d.zero()
-        for (i, j), c in self.coeffs.items():
-            if not (is_zero(vec[i]) or is_zero(vec[j])):
-                total = add(total, mul(mul(c.payload, vec[i]), vec[j]))
-        return FieldElement(d, total)
+        mul, is_zero = d.mul, d.is_zero
+        return FieldElement(d, d.dot([(mul(c.payload, vec[i]), vec[j])
+                                      for (i, j), c in self.coeffs.items()
+                                      if not (is_zero(vec[i]) or is_zero(vec[j]))]))
 
     def transform(self, matrix) -> "QuadraticForm":
-        """The composed form x -> q(matrix @ x), on payloads; an entry of
-        another field raises DescriptorMismatch."""
+        """The composed form x -> q(matrix @ x), on payloads: each
+        coefficient is one d.dot of the pairs (c m_ik, m_jl) that land on
+        it; an entry of another field raises DescriptorMismatch."""
         n = self.dim
         if len(matrix) != n or any(len(row) != n for row in matrix):
             raise QuadFormError("change of basis has the wrong shape")
         d = self.descriptor
-        mul, add, is_zero = d.mul, d.add, d.is_zero
+        mul, is_zero = d.mul, d.is_zero
         supports = [[(k, x) for k, x in enumerate(row) if not is_zero(x)]
                     for row in fieldmatrix._payload_rows(matrix, d)]
-        out: dict = {}
+        pairs: dict = {}
         for (i, j), c in self.coeffs.items():
             for k, cik in supports[i]:
                 ck = mul(c.payload, cik)
                 for l, cjl in supports[j]:
-                    key = (k, l) if k <= l else (l, k)
-                    term = mul(ck, cjl)
-                    out[key] = add(out[key], term) if key in out else term
-        return QuadraticForm(d, n, {key: FieldElement(d, v) for key, v in out.items()})
+                    pairs.setdefault((k, l) if k <= l else (l, k), []).append((ck, cjl))
+        return QuadraticForm(d, n, {key: FieldElement(d, d.dot(ps)) for key, ps in pairs.items()})
 
     def scale(self, c) -> "QuadraticForm":
         c = self.field(c)
@@ -196,18 +193,9 @@ def associated_bilinear(q: QuadraticForm):
     Symmetric always; in characteristic 2 the diagonal vanishes, so the
     matrix is alternating.
     """
-    n = q.dim
-    two = q.field.from_int(2)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(two * q.coeff(i, i))
-            else:
-                row.append(q.coeff(i, j))
-        rows.append(row)
-    return fieldmatrix.mat_from_rows(rows)
+    n, two = q.dim, q.field.from_int(2)
+    return fieldmatrix.mat_from_rows([[two * q.coeff(i, i) if i == j else q.coeff(i, j)
+                                       for j in range(n)] for i in range(n)])
 
 
 def is_nondegenerate(q: QuadraticForm) -> bool:
@@ -215,19 +203,17 @@ def is_nondegenerate(q: QuadraticForm) -> bool:
 
 
 def _bil(gram, x, y, field) -> FieldElement:
-    """x^T gram y on payloads, summed over the nonzero terms in row order;
-    an entry of another field raises DescriptorMismatch."""
+    """x^T gram y on payloads: one d.dot of the pairs (x_i g_ij, y_j) over
+    the nonzero terms in row order; an entry of another field raises
+    DescriptorMismatch."""
     d = field.descriptor
-    mul, add, is_zero = d.mul, d.add, d.is_zero
+    mul, is_zero = d.mul, d.is_zero
     xs, ys = fieldmatrix._payload_rows((x, y), d)
-    total = d.zero()
-    for xi, row in zip(xs, fieldmatrix._payload_rows(gram, d)):
-        if is_zero(xi):
-            continue
-        for gij, yj in zip(row, ys):
-            if not (is_zero(yj) or is_zero(gij)):
-                total = add(total, mul(mul(xi, gij), yj))
-    return FieldElement(d, total)
+    return FieldElement(d, d.dot([(mul(xi, gij), yj)
+                                  for xi, row in zip(xs, fieldmatrix._payload_rows(gram, d))
+                                  if not is_zero(xi)
+                                  for gij, yj in zip(row, ys)
+                                  if not (is_zero(yj) or is_zero(gij))]))
 
 
 def _columns_matrix(vectors, n):
@@ -278,10 +264,8 @@ def diagonalize(q: QuadraticForm) -> Diagonalization:
             basis[s] = [a - f * b for a, b in zip(basis[s], basis[t])]
     change = _columns_matrix(basis, n)
     diag = tuple(q.evaluate(vec) for vec in basis)
-    check = q.transform(change)
-    expected = QuadraticForm(q.descriptor, n,
-                             {(i, i): diag[i] for i in range(n)})
-    if check != expected:
+    expected = QuadraticForm(q.descriptor, n, {(i, i): diag[i] for i in range(n)})
+    if q.transform(change) != expected:
         raise ConsistencyAlarm("diagonalization verification failed")
     return Diagonalization(change_of_basis=change, diagonal=diag)
 
@@ -511,11 +495,7 @@ def arf_normal_form(q: QuadraticForm) -> ArfNormalForm:
         blocks[0] = (tuple(a + b for a, b in zip(u, w)), w, None)
         arf = field.zero
 
-    final = []
-    for u, w, _ in blocks:
-        final.append(u)
-        final.append(w)
-    change = _columns_matrix(final, n)
+    change = _columns_matrix([v for u, w, _ in blocks for v in (u, w)], n)
     canonical = canonical_char2_form(descriptor, n, arf)
     if q.transform(change) != canonical:
         raise ConsistencyAlarm("normal-form verification failed")
@@ -554,9 +534,9 @@ def extract_isotropic_from_order_p(g, q: QuadraticForm) -> tuple:
     if q.transform(g) != q:
         raise NotIsometry("the map does not preserve the form")
     ident = fieldmatrix.identity(q.field, n)
-    if fieldmatrix.mat_eq(g, ident):
+    if g == ident:
         raise NotOrderP("the identity has order 1")
-    if not fieldmatrix.mat_eq(fieldmatrix.mat_pow(g, p), ident):
+    if fieldmatrix.mat_pow(g, p) != ident:
         raise NotOrderP(f"the map does not have order {p}")
     # top walks the powers of g - 1 (nonzero, as g is not the identity)
     # and stops at the last nonzero one
@@ -587,14 +567,9 @@ class InvolutionReport:
 
 
 def _similitude_factor(g, q: QuadraticForm) -> FieldElement:
-    composed = q.transform(g)
-    key = min(q.coeffs)
-    base = q.coeffs[key]
-    top = composed.coeffs.get(key)
-    if top is None:
-        raise NotIsometry("the map does not preserve the form up to scalar")
-    lam = top / base
-    if composed != q.scale(lam):
+    composed, key = q.transform(g), min(q.coeffs)
+    lam = composed.coeffs[key] / q.coeffs[key] if key in composed.coeffs else None
+    if lam is None or composed != q.scale(lam):
         raise NotIsometry("the map does not preserve the form up to scalar")
     return lam
 
@@ -622,10 +597,9 @@ def involution_check(g, q: QuadraticForm,
     if found is None:
         raise OrderExceedsBound(f"no power up to {order_bound} is scalar")
     proj_order = found[0]
-    found = least_power(g, fieldmatrix.mat_mul,
-                        lambda a: fieldmatrix.mat_eq(a, ident), order_bound)
+    found = least_power(g, fieldmatrix.mat_mul, lambda a: a == ident, order_bound)
     lift_order = found[0] if found else None
-    squares = fieldmatrix.mat_eq(fieldmatrix.mat_pow(g, 2), ident)
+    squares = fieldmatrix.mat_pow(g, 2) == ident
 
     diagonalizable: Optional[bool] = None
     if lift_order is not None:

@@ -114,7 +114,7 @@ def _pfister_k3(seed: int):
     data = quadform.pfister_build(3)
     sigma, tau = data.sigma, data.tau
     ident = fieldmatrix.identity(data.field, data.n)
-    sigma_sq = fieldmatrix.mat_eq(fieldmatrix.mat_pow(sigma, 2), ident)
+    sigma_sq = fieldmatrix.mat_pow(sigma, 2) == ident
     tau_sq_scalar = fieldmatrix.scalar_of(fieldmatrix.mat_pow(tau, 2))
     tau_proj_involution = tau_sq_scalar is not None
     group, refuted = quadform.pfister_run(3, 100, seed)

@@ -264,9 +264,11 @@ class FieldDescriptor:
     to_json, payload_to_json, payload_from_json, random_payload, zeta,
     root_of_unity_log and _kth_root on raw payloads; zero and one default
     to from_int, and dot to a fold of add over mul, which a kind may
-    override with a fused sum of products. Every sum of products is a dot;
-    on stored polynomials it is _t_dot, the only place that groups products
-    by monomial. Payloads are canonical, so == on them is field equality.
+    override with a fused sum of products. Every sum of products is a dot,
+    in fieldmatrix, quadform and csa too; on stored polynomials it is
+    _t_dot, the only place that groups products by monomial, and _u_mul is
+    the one convolution outside dot. Payloads are canonical, so == on them
+    is field equality.
     """
 
     kind: ClassVar[str]
@@ -365,6 +367,13 @@ class _Rationals(FieldDescriptor):
 
     def mul(self, x, y):
         return _integral(x * y)
+
+    def dot(self, pairs):
+        """sum x y, made integral once."""
+        s = 0
+        for x, y in pairs:
+            s += x * y
+        return _integral(s)
 
     def _inv(self, x):
         # 1 / x on an int payload would be a float
@@ -741,6 +750,10 @@ class _PrimeField(_FiniteField):
 
     _poly_mul = mul
 
+    def dot(self, pairs):
+        """sum x y, reduced mod p once."""
+        return sum(itertools.starmap(operator.mul, pairs)) % self.p
+
     def _inv(self, x):
         return pow(x, self.p - 2, self.p)
 
@@ -838,9 +851,12 @@ class _FunctionField(FieldDescriptor):
         return self.normalize(num, _t_mul(bd, d1, d2))
 
     def dot(self, pairs):
-        """sum x y: over unit denominators, one _t_dot of the numerators."""
+        """sum x y: over unit denominators, one _t_dot of the numerators;
+        a lone pair is one mul."""
         one = self._unit_den
-        if len(pairs) < 2 or any(xd != one or yd != one for (_, xd), (_, yd) in pairs):
+        if len(pairs) == 1:
+            return self.mul(*pairs[0])
+        if not pairs or any(xd != one or yd != one for (_, xd), (_, yd) in pairs):
             return super().dot(pairs)
         return (_t_dot(self.base, [(xn, yn) for (xn, _), (yn, _) in pairs]), one)
 

@@ -16,7 +16,8 @@ division, the primitive pseudo-remainder gcd and k-th roots, with
 normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
 norm on FieldElements over the left regular representation, inverses in
 the algebra through an n^2 x n^2 linear system, dense integer and field matrix products, field
-matrix products and Pfister candidates built from FieldElements, and
+matrix products, quadratic-form values, substitutions and bilinear
+values, and Pfister candidates built from FieldElements, and
 pairing values,
 validation and the isotropic recursion over Fractions, with a solve per
 level, and the breadth-first closure over every given generator with the
@@ -518,6 +519,9 @@ class FractionOnlyQ(_Rationals):
     def mul(self, x, y):
         return x * y
 
+    # the fold of the add and mul above, not the int-making fused sum of Q
+    dot = FieldDescriptor.dot
+
     def _inv(self, x):
         return Fraction(1) / x
 
@@ -881,6 +885,45 @@ def products_by_elements(a, b):
 def mat_scale_by_elements(a, c):
     """c * a, one element product per entry."""
     return tuple(tuple(c * x for x in row) for row in a)
+
+
+# ---------------------------------------------------------------------------
+# quadratic-form sums on FieldElements, one + per term
+
+def evaluate_by_elements(q: QuadraticForm, vector) -> FieldElement:
+    """q(vector): c x_i x_j summed over the nonzero terms in coefficient
+    order."""
+    total = q.field.zero
+    for (i, j), c in q.coeffs.items():
+        if not (vector[i].is_zero or vector[j].is_zero):
+            total = total + c * vector[i] * vector[j]
+    return total
+
+
+def transform_by_elements(q: QuadraticForm, matrix) -> QuadraticForm:
+    """The form x -> q(matrix @ x): each term c m_ik m_jl added into the
+    coefficient of x_k x_l, the coefficients in order of first appearance."""
+    out: dict = {}
+    for (i, j), c in q.coeffs.items():
+        for k, cik in enumerate(matrix[i]):
+            if cik.is_zero:
+                continue
+            ck = c * cik
+            for l, cjl in enumerate(matrix[j]):
+                if not cjl.is_zero:
+                    key, term = (min(k, l), max(k, l)), ck * cjl
+                    out[key] = out[key] + term if key in out else term
+    return QuadraticForm(q.descriptor, q.dim, out)
+
+
+def bil_by_elements(gram, x, y, field) -> FieldElement:
+    """x^T gram y, summed over the nonzero terms in row order."""
+    total = field.zero
+    for xi, row in zip(x, gram):
+        for gij, yj in zip(row, y):
+            if not (xi.is_zero or gij.is_zero or yj.is_zero):
+                total = total + xi * gij * yj
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -244,11 +244,11 @@ def test_criterion_9_pfister_k3():
     data = pfister_build(3)
     sigma, tau = data.sigma, data.tau
     ident = fieldmatrix.identity(data.field, data.n)
-    ok = fieldmatrix.mat_eq(fieldmatrix.mat_pow(sigma, 2), ident)
+    ok = fieldmatrix.mat_pow(sigma, 2) == ident
     tau_sq = fieldmatrix.scalar_of(fieldmatrix.mat_pow(tau, 2))
     ok = ok and tau_sq is not None  # tau^2 = 1 projectively
-    ok = ok and not fieldmatrix.mat_eq(
-        fieldmatrix.mat_mul(sigma, tau), fieldmatrix.mat_mul(tau, sigma))
+    ok = ok and (fieldmatrix.mat_mul(sigma, tau)
+                  != fieldmatrix.mat_mul(tau, sigma))
     ok = ok and data.form.transform(tau) == data.form.scale(
         data.top_coefficient)
     group = pfister_group_closure(3)

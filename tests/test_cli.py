@@ -586,12 +586,30 @@ def test_quad_pfister_cap_zero_is_a_cap_error():
     (["--k", "9", "--trials", "-1"],
      {"type": "SchemaError", "path": "$.trials",
       "message": "$.trials: --trials must be >= 0, got -1"}),
+    (["--k", "9", "--trials", "10001"],
+     {"type": "TrialsTooLarge", "message": "quad pfister is capped at --trials 10000"}),
 ])
 def test_quad_pfister_errors_are_pinned(argv, error):
     # the form is built before the closure, so k = 9 is the form's error;
-    # a negative --trials is refused before either
+    # a negative --trials, or one above the cap, is refused before either
     code, out = run_cli(["quad", "pfister", *argv, "--json"])
     assert (code, json.loads(out)) == (2, {"error": error})
+
+
+def test_trials_above_the_cap_are_refused_before_any_work(monkeypatch):
+    # 10,000 trials take about 5 s at k = 5 or in pairing fuzz; one more is
+    # a named cap error, raised before any pairing or candidate is drawn
+    assert cli.MAX_TRIALS == 10_000
+    with monkeypatch.context() as patch:
+        patch.setattr(cli.pairing, "random_pairing", None)
+        patch.setattr(cli.quadform, "pfister_run", None)
+        for command in (["pairing", "fuzz"], ["quad", "pfister", "--k", "5"]):
+            for trials in ("10001", str(10 ** 12)):
+                code, out = run_cli([*command, "--trials", trials])
+                assert code == 2 and json.loads(out)["error"] == {
+                    "type": "TrialsTooLarge",
+                    "message": f"{' '.join(command[:2])} is capped at --trials 10000"}
+    cli._check_trials("pairing fuzz", cli.MAX_TRIALS)  # the cap itself is allowed
 
 
 def test_replay_ids_registry():

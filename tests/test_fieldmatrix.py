@@ -7,11 +7,11 @@ import pytest
 from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
                                mat_det, mat_from_rows, mat_inverse, mat_mul,
                                mat_pow, mat_rank, mat_scale, mat_vec, nullspace)
-from aniso.quadform import PfisterData
+from aniso.quadform import PfisterData, QuadraticForm
 from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
                            function_field, prime_field, rationals)
 from oracles import (mat_mul_dense, mat_scale_by_elements, mat_vec_dense, products_by_elements,
-                     solve_right)
+                     solve_right, transform_by_elements)
 
 
 def _fraction_reduce(rows, ncols):
@@ -296,3 +296,28 @@ def test_payload_products_match_the_element_products(descriptor):
         assert all(x.descriptor is descriptor for row in got for x in row)
         scalar = field.random_element(rng)
         assert mat_scale(a, scalar) == mat_scale_by_elements(a, scalar)
+
+
+def test_dense_q_zeta5_sums_reduce_once_per_entry(monkeypatch):
+    # each entry of a product, and each coefficient of a substituted form,
+    # is one Q(z5) dot: its convolutions share one integer list, reduced mod
+    # Phi_5 once. Reducing each product on its own took 27 for the 3 x 3
+    # product and 72 for the substitution, whose 18 factors c m_ik are still
+    # products of their own
+    from aniso import scalars
+    field, rng = Field(cyclotomic(5)), random.Random(5)
+
+    def entry():
+        return field.random_element(rng, nonzero=True)
+
+    a, b = (mat_from_rows([[entry() for _ in range(3)] for _ in range(3)]) for _ in range(2))
+    q = QuadraticForm(field.descriptor, 3, {(i, j): entry() for i in range(3) for j in range(i, 3)})
+    calls, reduce_ints = [], scalars._cy_reduce_ints
+    monkeypatch.setattr(scalars, "_cy_reduce_ints",
+                        lambda *args: calls.append(args) or reduce_ints(*args))
+    product = mat_mul(a, b)
+    assert len(calls) == 9
+    moved = q.transform(a)
+    assert len(calls) == 9 + 24
+    monkeypatch.undo()
+    assert product == mat_mul_dense(a, b) and moved == transform_by_elements(q, a)

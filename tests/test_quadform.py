@@ -19,10 +19,11 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             pfister_group_closure, pfister_refute_point,
                             pfister_run, random_candidate)
 from aniso.scalars import (DescriptorMismatch, Field, FieldTooLarge, cyclotomic,
-                           finite_field, prime_field, rationals)
-from oracles import (artin_schreier_image, enumerate_nondegenerate_forms,
-                     forms_equivalent_bruteforce, random_candidate_by_elements,
-                     represents_zero_exhaustive)
+                           finite_field, function_field, prime_field, rationals)
+from oracles import (artin_schreier_image, bil_by_elements, enumerate_nondegenerate_forms,
+                     evaluate_by_elements, forms_equivalent_bruteforce,
+                     random_candidate_by_elements, represents_zero_exhaustive,
+                     transform_by_elements)
 
 
 Q = rationals()
@@ -57,6 +58,32 @@ def test_transform_is_substitution():
     moved = q.transform(c)
     # substitute x -> x + 2y: x^2 + 4xy + 5y^2
     assert moved == form(Q, 2, {(0, 0): 1, (0, 1): 4, (1, 1): 5})
+
+
+@pytest.mark.parametrize("descriptor", [Q, cyclotomic(5), prime_field(7), finite_field(2, 4),
+                                        function_field(Q, ("a1", "a2"))], ids=repr)
+def test_payload_sums_match_the_element_folds(descriptor):
+    # evaluate, transform and _bil sum each entry with one dot of payload
+    # pairs; the element folds add one term at a time. Zeros are drawn
+    # often so that skipped terms and empty sums are exercised
+    field, rng = Field(descriptor), random.Random(3030)
+
+    def entry():
+        return field.zero if rng.random() < 0.3 else field.random_element(rng, height=5)
+
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        q = QuadraticForm(descriptor, n, {(i, j): entry() for i in range(n)
+                                          for j in range(i, n)})
+        matrix = tuple(tuple(entry() for _ in range(n)) for _ in range(n))
+        x, y = [entry() for _ in range(n)], [entry() for _ in range(n)]
+        got, want = q.evaluate(x), evaluate_by_elements(q, x)
+        assert got == want and repr(got) == repr(want)
+        got, want = q.transform(matrix), transform_by_elements(q, matrix)
+        assert got == want and list(got.coeffs) == list(want.coeffs)
+        assert repr(got) == repr(want)
+        got, want = _bil(matrix, x, y, field), bil_by_elements(matrix, x, y, field)
+        assert got == want and repr(got) == repr(want)
 
 
 def test_bilinear_gram_oracles():

@@ -849,7 +849,8 @@ def test_function_field_add_mul_match_generic_rule(descriptor):
 
 
 DOT_FIELDS = ([rationals()] + [cyclotomic(n) for n in (1, 3, 4, 5, 7, 9)]
-              + [prime_field(7), finite_field(3, 2), finite_field(2, 13)]
+              + [prime_field(2), prime_field(7), finite_field(2, 4), finite_field(3, 2),
+                 finite_field(2, 13)]
               + [function_field(bd, ("a", "b"))
                  for bd in (rationals(), cyclotomic(5), prime_field(5))])
 
