@@ -263,9 +263,10 @@ def _generic_symbol_spec(degree: int) -> csa.SymbolAlgebraSpec:
 
 
 def _cmd_csa_norm(args) -> tuple[dict, int]:
-    """Reduced norm in the generic symbol algebra of degree n <= 9; its
-    cost is stated at csa.reduced_charpoly. A larger degree raises
-    DegreeTooLarge before Phi_n or the algebra is built.
+    """Reduced norm in the generic symbol algebra of degree n <= 9, by
+    expansion in minors: at most n 2^(n-1) ring products, with timings
+    stated at csa.reduced_norm. A larger degree raises DegreeTooLarge
+    before Phi_n or the algebra is built.
     """
     obj = _load_payload(args.input)
     degree = _expect_int(_expect_key(obj, "$", "degree"), "$.degree")

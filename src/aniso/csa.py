@@ -137,6 +137,7 @@ class WeylModPSpec(AlgebraSpec):
         self.field = Field(self.base)
         self.a = self.field.var("y")  # u^p
         self.b = self.field.var("x")  # v^p
+        self._reorder: dict = {}  # (j, k) -> reorder(j, k), kept for this spec
 
     def __repr__(self):
         return f"WeylModPSpec(p={self.p})"
@@ -149,9 +150,14 @@ class WeylModPSpec(AlgebraSpec):
 
     def reorder(self, j: int, k: int) -> tuple:
         """v^j u^k = sum_t j!/(j-t)! C(k,t) u^(k-t) v^(j-t), as the terms
-        (t, factor); for j, k < p no factor is divisible by p."""
-        return tuple((t, self.field.from_int(math.perm(j, t) * math.comb(k, t)))
-                     for t in range(min(j, k) + 1))
+        (t, factor); for j, k < p no factor is divisible by p. Each (j, k)
+        is built once per spec."""
+        terms = self._reorder.get((j, k))
+        if terms is None:
+            terms = self._reorder[(j, k)] = tuple(
+                (t, self.field.from_int(math.perm(j, t) * math.comb(k, t)))
+                for t in range(min(j, k) + 1))
+        return terms
 
     def v_polynomial(self, coeffs: Sequence[int]) -> "AlgebraElement":
         """Element sum coeffs[j] v^j from prime-field integer coefficients."""
@@ -316,30 +322,34 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
-# reduced characteristic polynomial: Berkowitz on y -> y x over K[u]/(u^n - a)
+# reduced characteristic polynomial (Berkowitz) and reduced norm (minor
+# expansion) of y -> y x over K[u]/(u^n - a)
 
 def _upoly_dot(spec, fs, gs) -> list:
     """sum_i f_i g_i in K[u]/(u^n - a), for length-n lists in u of payloads
     of spec.base.
 
     The products are gathered by power of u and each power summed by one
-    spec.base.dot; u^(k+n) = a u^k adds the sum at u^(k+n) to u^k as one
-    more pair.
+    spec.base.dot: a product f_i g_j past u^(n-1) lands on u^(i+j-n) as
+    the pair (f_i a, g_j), since u^n = a, with f_i a made once per f_i.
     """
     d, n = spec.base, spec.degree
-    is_zero = d.is_zero
-    terms = [[] for _ in range(2 * n - 1)]
+    is_zero, mul, a = d.is_zero, d.mul, spec.a.payload
+    terms = [[] for _ in range(n)]
     for f, g in zip(fs, gs):
         for i, ci in enumerate(f):
             if not is_zero(ci):
+                wrapped = None
                 for j, cj in enumerate(g):
                     if not is_zero(cj):
-                        terms[i + j].append((ci, cj))
-    a, zero = spec.a.payload, d.zero()
-    for k in range(n - 1):
-        if terms[k + n]:
-            terms[k].append((d.dot(terms[k + n]), a))
-    return [d.dot(t) if t else zero for t in terms[:n]]
+                        if i + j < n:
+                            terms[i + j].append((ci, cj))
+                        else:
+                            if wrapped is None:
+                                wrapped = mul(ci, a)
+                            terms[i + j - n].append((wrapped, cj))
+    zero = d.zero()
+    return [d.dot(t) if t else zero for t in terms]
 
 
 def _right_multiplication(x: AlgebraElement) -> list:
@@ -347,8 +357,9 @@ def _right_multiplication(x: AlgebraElement) -> list:
     R = K[u]/(u^n - a): the row of v^r is v^r x = sum c v^r u^i v^m in
     normal form (spec.reorder and v^n = b), each entry a length-n list in
     u. Rows and columns run from v^(n-1) down to v^0, ending on the row of
-    x itself, free of reorder factors: on the dense-n4 norm golden that
-    order reduces mod Phi_4 119 times, the increasing one 147.
+    x itself, free of reorder factors, where _upoly_det's expansion
+    starts: on the dense-n4 norm golden that order reduces mod Phi_4 43
+    times, the increasing one 97.
     """
     spec = x.spec
     d, n = spec.base, spec.degree
@@ -378,9 +389,9 @@ def _common_denominator(spec, elements) -> FieldElement:
     return common
 
 
-def reduced_charpoly(x: AlgebraElement, constant_only: bool = False) -> list[FieldElement]:
+def reduced_charpoly(x: AlgebraElement) -> list[FieldElement]:
     """[1, c_1, ..., c_n] for the reduced characteristic polynomial
-    t^n + c_1 t^(n-1) + ... + c_n of x, or [c_n] alone if constant_only.
+    t^n + c_1 t^(n-1) + ... + c_n of x.
 
     It is det(t - M) for the matrix M of y -> y x over R = K[u]/(u^n - a),
     from Berkowitz's division-free recurrence (Inf. Process. Lett. 18
@@ -393,11 +404,7 @@ def reduced_charpoly(x: AlgebraElement, constant_only: bool = False) -> list[Fie
 
     Over K = Q(zeta_n)(a, b) each coefficient of a product in R is one
     K.dot, which reduces mod Phi_n once per monomial in a, b, not once
-    per product. A dense element with nonzero integer coefficients takes
-    about 1 s at n = 7, 2 s at n = 8 and 6.5 s at n = 9 (one core of a
-    2-core x86 machine); the gcds that clear and restore D add to that,
-    and the recurrence then runs on polynomials, at a cost that grows
-    with their degrees.
+    per product.
     """
     spec = x.spec
     n, d = spec.degree, spec.base
@@ -423,24 +430,77 @@ def reduced_charpoly(x: AlgebraElement, constant_only: bool = False) -> list[Fie
                 col = [_upoly_dot(spec, mat[r][:k], col) for r in range(k)]
             toeplitz.append(_upoly_dot(spec, row, col))
         toeplitz[1:] = [[neg(c) for c in f] for f in toeplitz[1:]]
-        # the norm needs only the constant term det(-M) of the last block
-        charpoly = [_upoly_dot(spec, toeplitz[i::-1], charpoly)
-                    for i in ([n] if constant_only and k == n - 1 else range(k + 2))]
+        charpoly = [_upoly_dot(spec, toeplitz[i::-1], charpoly) for i in range(k + 2)]
     assert all(d.is_zero(c) for f in charpoly for c in f[1:]), \
         "reduced characteristic polynomial must be scalar in the u-subfield"
     coefficients = [FieldElement(d, f[0]) for f in charpoly]
     if common.is_one:
         return coefficients
-    return [c / common ** i
-            for i, c in enumerate(coefficients, start=n + 1 - len(coefficients))]
+    return [c / common ** i for i, c in enumerate(coefficients)]
+
+
+def _upoly_det(spec, mat) -> list:
+    """det of an n x n matrix over R = K[u]/(u^n - a), n = spec.degree,
+    each entry a length-n list in u of payloads of spec.base.
+
+    Laplace expansion along each row from the last up, over memoized
+    minors (Rote, Division-free algorithms for the determinant and the
+    Pfaffian, 2001, section 2): the minors on the bottom k rows are kept
+    by their column bitmask, a missing mask standing for a zero minor, and
+    the minor on one more row and column set S is one _upoly_dot of the
+    pairs (+-entry of that row in column c, minor on S - c). That is at
+    most n 2^(n-1) entry-by-minor products in R, all products of one minor
+    sharing one fused dot, with at most C(n, n/2) minors held at a time.
+    Nothing is divided, so it is exact also when R has zero divisors.
+    """
+    d, n = spec.base, spec.degree
+    neg, is_zero = d.neg, d.is_zero
+
+    def nonzero(f):
+        return not all(map(is_zero, f))
+
+    minors = {1 << c: e for c, e in enumerate(mat[-1]) if nonzero(e)}
+    for r in range(n - 2, -1, -1):
+        row = [(1 << c, e, [neg(t) for t in e]) for c, e in enumerate(mat[r]) if nonzero(e)]
+        pairs: dict = {}
+        for mask, minor in minors.items():
+            for bit, e, minus_e in row:
+                if not mask & bit:
+                    # the sign of column c is (-1)^(columns of the minor left of c)
+                    fs, gs = pairs.setdefault(mask | bit, ([], []))
+                    fs.append(minus_e if (mask & (bit - 1)).bit_count() % 2 else e)
+                    gs.append(minor)
+        minors = {}
+        for mask, (fs, gs) in pairs.items():
+            f = _upoly_dot(spec, fs, gs)
+            if nonzero(f):
+                minors[mask] = f
+    return minors.get((1 << n) - 1, [d.zero()] * n)
 
 
 def reduced_norm(x: AlgebraElement) -> FieldElement:
-    """det M = (-1)^n c_n from reduced_charpoly; lands in the base field."""
-    if not isinstance(x.spec, SymbolAlgebraSpec):
+    """det M for M the matrix of y -> y x over R = K[u]/(u^n - a), by
+    _upoly_det; it lands in the base field. As in reduced_charpoly the
+    determinant is taken of D x, D the product of the distinct coefficient
+    denominators, and divided by D^n at the end.
+
+    Over Q(zeta_n)(a, b) a dense element with nonzero integer coefficients
+    takes about 0.02 s at n = 5, 0.06 s at n = 6, 0.35 s at n = 7, 1 s at
+    n = 8 and 4.5 s at n = 9 (one core of a 2-core x86 machine); the gcds
+    that clear and restore D add to that, and the expansion then runs on
+    polynomials, at a cost that grows with their degrees.
+    """
+    spec = x.spec
+    if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")
-    (last,) = reduced_charpoly(x, constant_only=True)
-    return last if x.spec.degree % 2 == 0 else -last
+    common = _common_denominator(spec, [x])
+    if not common.is_one:
+        x = x * common
+    det = _upoly_det(spec, _right_multiplication(x))
+    assert all(map(spec.base.is_zero, det[1:])), \
+        "reduced norm must be scalar in the u-subfield"
+    norm = FieldElement(spec.base, det[0])
+    return norm if common.is_one else norm / common ** spec.degree
 
 
 # ---------------------------------------------------------------------------

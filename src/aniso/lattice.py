@@ -148,7 +148,7 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise LatticeError("determinant of a non-square matrix")
-        pivots, det = _bareiss([list(row) for row in self.entries], self.cols)
+        pivots, det = _bareiss([list(row) for row in self.entries], self.cols, below_only=True)
         return det if len(pivots) == self.rows else 0
 
     def to_json(self) -> dict:
@@ -176,20 +176,21 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
                            for i, row in enumerate(a)))
 
 
-def _unimodular_bareiss(a: list[list[int]], n: int) -> None:
+def _unimodular_bareiss(a: list[list[int]], n: int, below_only: bool = False) -> None:
     """Run _bareiss on the rows a over their first n columns, in place, and
     raise NotUnimodular unless those columns form a square matrix of
     determinant ±1."""
     if len(a) != n:
         raise NotUnimodular("non-square matrix")
-    pivots, det = _bareiss(a, n)
+    pivots, det = _bareiss(a, n, below_only=below_only)
     if len(pivots) < n:
         raise NotUnimodular("singular matrix")
     if abs(det) != 1:
         raise NotUnimodular("inverse is not integral")
 
 
-def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
+def _bareiss(a: list[list[int]], ncols: int,
+             below_only: bool = False) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss) of the rows a, in place.
 
     Pivot rule: in each of the first ncols columns, the first row at or
@@ -200,6 +201,11 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     Returns the pivot columns and that common value signed by the row
     swaps, which is the determinant when the first ncols columns are
     square and nonsingular.
+
+    With below_only, only the rows below each pivot are eliminated, which
+    is all a determinant needs: the rows at and below the pivot, and so
+    the pivots and the value returned, are those of the full elimination,
+    while the rows above keep their earlier values.
     """
     pivots: list[int] = []
     prev, sign = 1, 1
@@ -215,7 +221,8 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
             sign = -sign
         top = a[k]
         p = top[col]
-        for i, row in enumerate(a):
+        for i in range(k + 1 if below_only else 0, len(a)):
+            row = a[i]
             f = row[col]
             if i != k and (f or p != prev):
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
@@ -658,7 +665,8 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
     elements, right = closure(IntMatrix.identity(generators[0].rows).entries,
                               [g.entries for g in generators], mul, cap,
                               ClosureCapExceeded(f"closure exceeded cap {cap}"),
-                              lambda h: _unimodular_bareiss(list(map(list, h)), len(h[0])))
+                              lambda h: _unimodular_bareiss(list(map(list, h)), len(h[0]),
+                                                            below_only=True))
     group = [IntMatrix(m) for m in elements]
     return MatrixGroup(group, [group[i] for i in right[0]])
 

@@ -672,7 +672,9 @@ def _upoly_dot_by_elements(spec, fs, gs) -> list:
 
 
 def reduced_norm_by_elements(x) -> FieldElement:
-    """The Berkowitz reduced norm of csa.reduced_norm, run on FieldElements."""
+    """The reduced norm by the Berkowitz recurrence of csa.reduced_charpoly,
+    run on FieldElements to its constant term: it checks that recurrence,
+    and the minor expansion of csa.reduced_norm against it."""
     spec = x.spec
     if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")

@@ -14,12 +14,12 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        finite_order_in_projective_units,
                        heisenberg_subgroup_elements,
                        inseparable_torsion_subgroup, norm_residue_class,
-                       norm_residue_injectivity_check, reduced_norm,
-                       separability_check,
+                       norm_residue_injectivity_check, reduced_charpoly,
+                       reduced_norm, separability_check,
                        weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
-from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, function_field,
-                           prime_field, rationals)
+from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, element_to_json,
+                           function_field, prime_field, rationals)
 from deadline import deadline
 from oracles import algebra_inverse_by_solve, reduced_norm_by_elements, regular_representation
 
@@ -161,7 +161,7 @@ def test_norm_matches_leibniz_oracle():
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_norm_matches_element_level_oracle(n):
-    """The payload-level recurrence against the same recurrence on
+    """The payload-level minor expansion against Berkowitz's recurrence on
     FieldElements, with fractional Q(zeta_n) coefficients and coefficients
     whose denominators in a, b are not 1."""
     spec = generic_symbol(n)
@@ -180,6 +180,60 @@ def test_norm_matches_element_level_oracle(n):
         coeffs[(rng.randrange(n), rng.randrange(n))] = a * Fraction(2, 3) / (b + z)
     x = AlgebraElement(spec, coeffs)
     assert reduced_norm(x) == reduced_norm_by_elements(x)
+
+
+def _shaped_element(spec, rng, shape, coefficient):
+    """"dense" (every u^i v^j), "u" (c0 + c1 u), "v" (c0 + c1 v) or
+    "monomial" (c u^i v^j), with nonzero coefficients drawn by coefficient(rng)."""
+    n = spec.degree
+    keys = {"dense": list(itertools.product(range(n), repeat=2)),
+            "u": [(0, 0), (1, 0)], "v": [(0, 0), (0, 1)],
+            "monomial": [(rng.randrange(n), rng.randrange(n))]}[shape]
+    return AlgebraElement(spec, {key: coefficient(rng) for key in keys})
+
+
+def _norm_by_charpoly(x):
+    last = reduced_charpoly(x)[-1]
+    return last if x.spec.degree % 2 == 0 else -last
+
+
+def test_norm_matches_the_charpoly_constant_term():
+    """The minor expansion of reduced_norm against the constant term of
+    the Berkowitz recurrence: u, v and monomial shapes at every degree,
+    dense ones to n = 5, fractional Q(zeta_n) coefficients, a denominator
+    that is not a monomial in a, b, and bases where u^n - a is reducible."""
+    rng = random.Random(31)
+    cases = []
+    for n in range(2, 10):
+        spec, base = generic_symbol(n), Field(cyclotomic(n))
+
+        def fractional(rng, spec=spec, base=base):
+            c = base.random_element(rng, height=3, nonzero=True) / rng.randint(1, 6)
+            return spec.field.lift(c)
+
+        for shape in ("u", "v", "monomial") + (("dense",) if n <= 5 else ()):
+            cases.append((_shaped_element(spec, rng, shape, fractional), f"n={n} {shape}"))
+    spec = generic_symbol(3)
+    a, b = spec.field.vars()
+    z = spec.field.lift(Field(cyclotomic(3)).generator())
+    x = spec.u * spec.v + spec.scalar(a * Fraction(2, 3) / (b + z)) + spec.v
+    cases.append((x, "n=3 over b + z"))
+    for spec, label in [case for case in _norm_oracle_specs() if " a=" in case[1]]:
+        for shape in ("u", "v", "monomial", "dense"):
+            x = _shaped_element(spec, rng, shape,
+                                lambda rng: spec.field.random_element(rng, height=3, nonzero=True))
+            cases.append((x, f"{label} {shape}"))
+        root = spec.field(2 if spec.degree == 3 else 3)
+        cases.append((spec.u - spec.scalar(root), f"{label} u - root"))
+    zero = []
+    for x, label in cases:
+        norm = reduced_norm(x)
+        assert norm == _norm_by_charpoly(x), label
+        if norm.is_zero:
+            zero.append(label)
+    # u^5 = 3^5 = 1 in F_11, so the drawn c0 + c1 u is a zero divisor too:
+    # -c0/c1 is one of the fifth roots of unity 1, 3, 4, 5, 9
+    assert zero == ["Q(z3) a=2^3 u - root", "F_11 a=3^5 u", "F_11 a=3^5 u - root"]
 
 
 def test_norm_zero_on_zero_divisors():
@@ -279,6 +333,16 @@ def test_dense_inverses_of_degree_3_and_4_end():
         x = _dense_symbol_element(4)
         nrm = reduced_norm(x)
         assert x * (algebra_inverse(x) * nrm) == x.spec.scalar(nrm)
+
+
+def test_dense_n6_norm_is_pinned():
+    # every coefficient a nonzero integer: the sha256 was taken on the
+    # Berkowitz recurrence's norm, 0.08 s there and 0.06 s by minors (one
+    # core of a 2-core x86 machine); an alarm turns a slow path into a failure
+    with deadline(10):
+        norm = reduced_norm(_dense_symbol_element(6))
+    digest = hashlib.sha256(json.dumps(element_to_json(norm)).encode()).hexdigest()
+    assert digest == "0d607b0777e0013a354ecadfcc3a53e8fbbc1521034681b8c41c17c33e8af398"
 
 
 def test_reduced_norm_refuses_weyl_algebras():

@@ -193,30 +193,31 @@ def _count_cyclotomic_reductions(name, monkeypatch) -> int:
     return len(calls)
 
 
-def test_dense_n4_norm_reduces_119_cyclotomic_products(monkeypatch):
-    # each coefficient of each inner product in K[u]/(u^4 - a) is one
+def test_dense_n4_norm_reduces_43_cyclotomic_products(monkeypatch):
+    # each coefficient of each entry-by-minor sum in K[u]/(u^4 - a) is one
     # fused sum of products: the integer convolutions of all products on
     # one monomial of Q(z4)[a, b] share one list, reduced mod Phi_4 once,
-    # and not at all when no entry reaches degree 2. Reducing each product
-    # without a rational factor on its own took 229; reducing the one-entry
-    # list of every from_int (zero, one, and one per coefficient normalized)
-    # took 19 more, 138. The count covers the whole request, reading the
-    # element included, and is a property of the matrix the recurrence
-    # runs on: right multiplication, rows from v^3 down to v^0
-    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 119
+    # and not at all when no entry reaches degree 2. A product past u^3
+    # joins the sum of its power of u times a: summed on its own, then
+    # times a, it took 59. The count covers the whole request, reading the
+    # element included, and is a property of the matrix the expansion runs
+    # on: right multiplication, rows from v^3 down to v^0, expanded from
+    # the row of v^0 up (97 from the row of v^3 down). Berkowitz's
+    # recurrence on the same matrix took 119; reducing each product
+    # without a rational factor on its own took 229
+    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 43
 
 
-def test_dense_n5_fractional_norm_reduces_2243_cyclotomic_products(monkeypatch):
-    # the same fused sums over Q(z5)(a, b); one reduction per product took
-    # 14,610. 2,285 before from_int stopped reducing (39 calls) and a lone
-    # product became a one-pair dot, which skips the reduction when its
-    # convolution stays below degree 4 (3 calls)
-    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 2243
+def test_dense_n5_fractional_norm_reduces_1210_cyclotomic_products(monkeypatch):
+    # the same fused sums over Q(z5)(a, b); 1,650 with the products past
+    # u^4 summed on their own, 2,243 by Berkowitz's recurrence, and 14,610
+    # with one reduction per product
+    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 1210
 
 
 def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):
     # the n5 golden with its one denominator set to b + 1/2 - z5: the
-    # recurrence runs on the element times its denominator, so no gcd runs
+    # expansion runs on the element times its denominator, so no gcd runs
     # per addition. It took 11 s without that; an alarm turns a slow path
     # into a failure
     obj = json.loads((GOLDEN / "csa-norm-dense-n5-fractional.in.json").read_text())

@@ -450,6 +450,28 @@ def test_integer_det_and_inverse_match_fraction_reference():
             assert m @ inv == IntMatrix.identity(m.rows)
 
 
+def test_forward_bareiss_keeps_the_gauss_jordan_pivots_and_determinant():
+    # the rows at and below each pivot are the same in both eliminations,
+    # so the pivot columns and the determinant are too; small entries and
+    # a row made a multiple of another make many of them singular
+    rng = random.Random(31)
+    singular = 0
+    for _ in range(2000):
+        n = rng.randint(1, 6)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            i, j = rng.sample(range(n), 2)
+            q = rng.randint(-2, 2)
+            rows[i] = [q * x for x in rows[j]]
+        full = lattice._bareiss([list(r) for r in rows], n)
+        forward = lattice._bareiss([list(r) for r in rows], n, below_only=True)
+        assert forward == full
+        det = IntMatrix.from_rows(rows).det()
+        assert det == (full[1] if len(full[0]) == n else 0)
+        singular += det == 0
+    assert singular > 400
+
+
 def test_norm_quotient_smith_certificate_is_unimodular():
     from aniso.torus import norm_quotient_torus, symmetric_table
     t = norm_quotient_torus(symmetric_table(3))

@@ -239,9 +239,9 @@ def _count_closure_work(monkeypatch):
         return closure(identity, generators, counting, *rest)
 
     def counting(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(lattice, "closure", counting_closure)
