@@ -300,30 +300,35 @@ def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
 
 
 def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
-    """Two-sided inverse by Cayley-Hamilton: the reduced characteristic
-    polynomial t^n + c_1 t^(n-1) + ... + c_n annihilates x, so x^-1 =
-    -(x^(n-1) + c_1 x^(n-2) + ... + c_(n-1)) / c_n, by Horner; c_n vanishes
-    exactly on zero divisors. Horner runs on D x as reduced_charpoly does,
-    so no gcd runs before the last scaling: x^-1 = D (D x)^-1.
+    """Two-sided inverse by the adjugate: for M the matrix of y -> y x over
+    R = K[u]/(u^n - a), y = e_(v^0) M^-1 solves y x = 1, its entries the
+    cofactors of M's v^0 column over det M, the reduced norm, which
+    vanishes exactly on zero divisors. _upoly_cofactors takes them on the
+    transpose of M with that column first: at most n 2^(n-1) ring products,
+    far fewer when M is sparse, plus the final scaling. As in reduced_norm
+    they are taken of D x, so no gcd runs before it: x^-1 = D (D x)^-1.
     """
     if x.is_zero:
         raise NotInvertible("zero has no inverse")
     spec = x.spec
+    d, n = spec.base, spec.degree
     common = _common_denominator(spec, [x])
     if not common.is_one:
         x = x * common
-    _, *head, last = reduced_charpoly(x)
-    if last.is_zero:
+    *columns, first = zip(*_right_multiplication(x))
+    cofactors = _upoly_cofactors(spec, [first, *columns])
+    det = _upoly_dot(spec, first, cofactors)
+    assert all(map(d.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
+    if d.is_zero(det[0]):
         raise NotInvertible("element is a zero divisor")
-    y = spec.one
-    for c in head:
-        y = y * x + spec.scalar(c)
-    return y * (-common / last)
+    # cofactor r belongs to row r of M, the row of v^(n-1-r)
+    y = AlgebraElement(spec, {(i, n - 1 - r): FieldElement(d, c)
+                              for r, f in enumerate(cofactors) for i, c in enumerate(f)})
+    return y * (common / FieldElement(d, det[0]))
 
 
 # ---------------------------------------------------------------------------
-# reduced characteristic polynomial (Berkowitz) and reduced norm (minor
-# expansion) of y -> y x over K[u]/(u^n - a)
+# cofactors of y -> y x over K[u]/(u^n - a): reduced norm and inverse
 
 def _upoly_dot(spec, fs, gs) -> list:
     """sum_i f_i g_i in K[u]/(u^n - a), for length-n lists in u of payloads
@@ -357,7 +362,7 @@ def _right_multiplication(x: AlgebraElement) -> list:
     R = K[u]/(u^n - a): the row of v^r is v^r x = sum c v^r u^i v^m in
     normal form (spec.reorder and v^n = b), each entry a length-n list in
     u. Rows and columns run from v^(n-1) down to v^0, ending on the row of
-    x itself, free of reorder factors, where _upoly_det's expansion
+    x itself, free of reorder factors, where reduced_norm's expansion
     starts: on the dense-n4 norm golden that order reduces mod Phi_4 43
     times, the increasing one 97.
     """
@@ -389,69 +394,21 @@ def _common_denominator(spec, elements) -> FieldElement:
     return common
 
 
-def reduced_charpoly(x: AlgebraElement) -> list[FieldElement]:
-    """[1, c_1, ..., c_n] for the reduced characteristic polynomial
-    t^n + c_1 t^(n-1) + ... + c_n of x.
+def _upoly_cofactors(spec, mat) -> list:
+    """The cofactors (-1)^c det(mat without row 0 and column c) of the first
+    row of an n x n matrix over R = K[u]/(u^n - a), n = spec.degree, each
+    entry a length-n list in u of payloads of spec.base; their _upoly_dot
+    with mat[0] is det mat.
 
-    It is det(t - M) for the matrix M of y -> y x over R = K[u]/(u^n - a),
-    from Berkowitz's division-free recurrence (Inf. Process. Lett. 18
-    (1984) 147-150), which grows the characteristic polynomial one leading
-    principal block at a time: O(n^4) products in R of O(n^2) field
-    products each. Nothing is divided, so it is exact also when u^n - a is
-    reducible and R has zero divisors. The recurrence runs on D x, D the
-    product of the distinct coefficient denominators, whose entries have
-    denominator 1 so that no gcd runs; c_i is divided by D^i at the end.
-
-    Over K = Q(zeta_n)(a, b) each coefficient of a product in R is one
-    K.dot, which reduces mod Phi_n once per monomial in a, b, not once
-    per product.
-    """
-    spec = x.spec
-    n, d = spec.degree, spec.base
-    common = _common_denominator(spec, [x])
-    if not common.is_one:
-        x = x * common
-    # the recurrence runs on payloads: every entry of the matrix lies in
-    # spec.base, so no descriptor check is needed past this point
-    mat = _right_multiplication(x)
-    neg = d.neg
-    one = [d.one()] + [d.zero()] * (n - 1)
-    # coefficients of det(t - M_k), highest power of t first, where M_k is
-    # the leading k x k block; M_{k+1} = [[M_k, col], [row, corner]]
-    charpoly = [one, [neg(c) for c in mat[0][0]]]
-    for k in range(1, n):
-        row = mat[k][:k]
-        col = [mat[r][k] for r in range(k)]
-        # first column of the Toeplitz factor:
-        # 1, -corner, -row col, -row M_k col, ..., -row M_k^(k-1) col
-        toeplitz = [one, mat[k][k]]
-        for step in range(k):
-            if step:
-                col = [_upoly_dot(spec, mat[r][:k], col) for r in range(k)]
-            toeplitz.append(_upoly_dot(spec, row, col))
-        toeplitz[1:] = [[neg(c) for c in f] for f in toeplitz[1:]]
-        charpoly = [_upoly_dot(spec, toeplitz[i::-1], charpoly) for i in range(k + 2)]
-    assert all(d.is_zero(c) for f in charpoly for c in f[1:]), \
-        "reduced characteristic polynomial must be scalar in the u-subfield"
-    coefficients = [FieldElement(d, f[0]) for f in charpoly]
-    if common.is_one:
-        return coefficients
-    return [c / common ** i for i, c in enumerate(coefficients)]
-
-
-def _upoly_det(spec, mat) -> list:
-    """det of an n x n matrix over R = K[u]/(u^n - a), n = spec.degree,
-    each entry a length-n list in u of payloads of spec.base.
-
-    Laplace expansion along each row from the last up, over memoized
-    minors (Rote, Division-free algorithms for the determinant and the
-    Pfaffian, 2001, section 2): the minors on the bottom k rows are kept
-    by their column bitmask, a missing mask standing for a zero minor, and
-    the minor on one more row and column set S is one _upoly_dot of the
-    pairs (+-entry of that row in column c, minor on S - c). That is at
-    most n 2^(n-1) entry-by-minor products in R, all products of one minor
-    sharing one fused dot, with at most C(n, n/2) minors held at a time.
-    Nothing is divided, so it is exact also when R has zero divisors.
+    Laplace expansion along each row from the last up to row 1, over
+    memoized minors (Rote, Division-free algorithms for the determinant
+    and the Pfaffian, 2001, section 2): the minors on the bottom k rows
+    are kept by their column bitmask, a missing mask standing for a zero
+    minor, and the minor on one more row and column set S is one
+    _upoly_dot of the pairs (+-entry of that row in column c, minor on
+    S - c). With det's last dot that is at most n 2^(n-1) entry-by-minor
+    products in R, with at most C(n, n/2) minors held at a time. Nothing
+    is divided, so it is exact also when R has zero divisors.
     """
     d, n = spec.base, spec.degree
     neg, is_zero = d.neg, d.is_zero
@@ -460,7 +417,7 @@ def _upoly_det(spec, mat) -> list:
         return not all(map(is_zero, f))
 
     minors = {1 << c: e for c, e in enumerate(mat[-1]) if nonzero(e)}
-    for r in range(n - 2, -1, -1):
+    for r in range(n - 2, 0, -1):
         row = [(1 << c, e, [neg(t) for t in e]) for c, e in enumerate(mat[r]) if nonzero(e)]
         pairs: dict = {}
         for mask, minor in minors.items():
@@ -475,14 +432,17 @@ def _upoly_det(spec, mat) -> list:
             f = _upoly_dot(spec, fs, gs)
             if nonzero(f):
                 minors[mask] = f
-    return minors.get((1 << n) - 1, [d.zero()] * n)
+    zero, full = [d.zero()] * n, (1 << n) - 1
+    cofactors = [minors.get(full ^ (1 << c), zero) for c in range(n)]
+    return [[neg(t) for t in f] if c % 2 else f for c, f in enumerate(cofactors)]
 
 
 def reduced_norm(x: AlgebraElement) -> FieldElement:
-    """det M for M the matrix of y -> y x over R = K[u]/(u^n - a), by
-    _upoly_det; it lands in the base field. As in reduced_charpoly the
-    determinant is taken of D x, D the product of the distinct coefficient
-    denominators, and divided by D^n at the end.
+    """det M for M the matrix of y -> y x over R = K[u]/(u^n - a), the
+    _upoly_dot of its first row with _upoly_cofactors; it lands in the base
+    field. The determinant is taken of D x, D the product of the distinct
+    coefficient denominators, whose entries have denominator 1 so that no
+    gcd runs, and divided by D^n at the end.
 
     Over Q(zeta_n)(a, b) a dense element with nonzero integer coefficients
     takes about 0.02 s at n = 5, 0.06 s at n = 6, 0.35 s at n = 7, 1 s at
@@ -496,9 +456,9 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
     common = _common_denominator(spec, [x])
     if not common.is_one:
         x = x * common
-    det = _upoly_det(spec, _right_multiplication(x))
-    assert all(map(spec.base.is_zero, det[1:])), \
-        "reduced norm must be scalar in the u-subfield"
+    mat = _right_multiplication(x)
+    det = _upoly_dot(spec, mat[0], _upoly_cofactors(spec, mat))
+    assert all(map(spec.base.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
     norm = FieldElement(spec.base, det[0])
     return norm if common.is_one else norm / common ** spec.degree
 

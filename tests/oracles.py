@@ -672,9 +672,11 @@ def _upoly_dot_by_elements(spec, fs, gs) -> list:
 
 
 def reduced_norm_by_elements(x) -> FieldElement:
-    """The reduced norm by the Berkowitz recurrence of csa.reduced_charpoly,
-    run on FieldElements to its constant term: it checks that recurrence,
-    and the minor expansion of csa.reduced_norm against it."""
+    """The reduced norm by Berkowitz's division-free recurrence (Inf.
+    Process. Lett. 18 (1984) 147-150), which grows det(t - M) one leading
+    principal block at a time, run on FieldElements to its constant term:
+    a second determinant of the regular representation, against which
+    the minor expansion of csa.reduced_norm is checked."""
     spec = x.spec
     if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")

@@ -14,9 +14,8 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        finite_order_in_projective_units,
                        heisenberg_subgroup_elements,
                        inseparable_torsion_subgroup, norm_residue_class,
-                       norm_residue_injectivity_check, reduced_charpoly,
-                       reduced_norm, separability_check,
-                       weyl_split_verification)
+                       norm_residue_injectivity_check, reduced_norm,
+                       separability_check, weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
 from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, element_to_json,
                            function_field, prime_field, rationals)
@@ -192,16 +191,11 @@ def _shaped_element(spec, rng, shape, coefficient):
     return AlgebraElement(spec, {key: coefficient(rng) for key in keys})
 
 
-def _norm_by_charpoly(x):
-    last = reduced_charpoly(x)[-1]
-    return last if x.spec.degree % 2 == 0 else -last
-
-
-def test_norm_matches_the_charpoly_constant_term():
-    """The minor expansion of reduced_norm against the constant term of
-    the Berkowitz recurrence: u, v and monomial shapes at every degree,
-    dense ones to n = 5, fractional Q(zeta_n) coefficients, a denominator
-    that is not a monomial in a, b, and bases where u^n - a is reducible."""
+def test_norm_sweep_matches_element_level_berkowitz():
+    """The minor expansion of reduced_norm against Berkowitz's recurrence
+    on FieldElements: u, v and monomial shapes at every degree, dense ones
+    to n = 5, fractional Q(zeta_n) coefficients, a denominator that is not
+    a monomial in a, b, and bases where u^n - a is reducible."""
     rng = random.Random(31)
     cases = []
     for n in range(2, 10):
@@ -228,7 +222,7 @@ def test_norm_matches_the_charpoly_constant_term():
     zero = []
     for x, label in cases:
         norm = reduced_norm(x)
-        assert norm == _norm_by_charpoly(x), label
+        assert norm == reduced_norm_by_elements(x), label
         if norm.is_zero:
             zero.append(label)
     # u^5 = 3^5 = 1 in F_11, so the drawn c0 + c1 u is a zero divisor too:
@@ -276,7 +270,10 @@ def test_weyl_monomials_invert():
 
 def _inverse_oracle_cases():
     """(spec, elements) pairs: seeded sparse elements with nonzero integer
-    coefficients over each base."""
+    coefficients over each base; two- and one-term elements of the Weyl
+    algebra at p = 5, where the linear system of a seeded element with three
+    terms can run for seconds; and one element whose coefficient
+    denominators multiply to D = b + z, so that the inverse is scaled by D."""
     f7, f11 = Field(prime_field(7)), Field(prime_field(11))
     specs = [rational_quaternions(), generic_symbol(2), generic_symbol(3),
              SymbolAlgebraSpec(prime_field(7), 3, f7(3), f7(5)),
@@ -289,6 +286,15 @@ def _inverse_oracle_cases():
                                            spec.field.from_int(rng.randrange(1, top))
                                            for _ in range(rng.randint(1, n + 1))})
                      for _ in range(5)]
+    spec = WeylModPSpec(5)
+    u, v, two, three = spec.u, spec.v, spec.field.from_int(2), spec.field.from_int(3)
+    yield spec, [u + v, u + v * v, u ** 2 + v ** 3, u ** 3 * v * two + v ** 4,
+                 u ** 4 * v ** 4 + spec.scalar(three), u * u * v]
+    spec = generic_symbol(3)
+    _, b = spec.field.vars()
+    z = Field(cyclotomic(3)).generator()
+    c = spec.field.lift(z * Fraction(2, 3) - Fraction(1, 2)) / (b + spec.field.lift(z))
+    yield spec, [spec.u * spec.v + spec.scalar(c) + spec.v]
 
 
 def test_inverse_matches_linear_system_oracle():
@@ -331,8 +337,20 @@ def test_dense_inverses_of_degree_3_and_4_end():
         assert digest == "c19ec3d9198c08f1d8f9155a8439eae81f759035a58e08afa96437d931dfeb4a"
         # Nrd(x) x^-1 has denominator 1, so its product with x runs no gcd
         x = _dense_symbol_element(4)
-        nrm = reduced_norm(x)
-        assert x * (algebra_inverse(x) * nrm) == x.spec.scalar(nrm)
+        inv, nrm = algebra_inverse(x), reduced_norm(x)
+        assert x * (inv * nrm) == x.spec.scalar(nrm)
+        digest = hashlib.sha256(json.dumps(inv.to_json()).encode()).hexdigest()
+        assert digest == "f32aea019816dfd1409c956e16912ffd7fd74873dc3f1420b4ade6ab28c3372e"
+
+
+def test_sparse_weyl_inverse_past_the_crossover_ends():
+    # at p = 23, p 2^(p-1) ring products would exceed p^4: the matrix of
+    # y -> y (u + v) is sparse, so its expansion must keep few minors
+    spec = WeylModPSpec(23)
+    x = spec.u + spec.v
+    with deadline(5):
+        inv = algebra_inverse(x)
+        assert x * inv == inv * x == spec.one
 
 
 def test_dense_n6_norm_is_pinned():
