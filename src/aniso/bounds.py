@@ -10,6 +10,7 @@ automorphisms, and pointless quadrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from . import fieldmatrix
@@ -151,6 +152,8 @@ class FiniteMatrixGroup:
 
     One lattice.closure over the list, refusing singular generators, reaches
     every element; it fits in len(elements) exactly when the list is a group.
+    The closure runs on payload matrices (fieldmatrix._mul), which hash with
+    no FieldElement; elements keeps the matrices in the API form.
     """
 
     def __init__(self, descriptor: FieldDescriptor, elements: Sequence):
@@ -160,19 +163,21 @@ class FiniteMatrixGroup:
         self.field = Field(descriptor)
         self.elements = list(elements)
         self.degree = n = len(self.elements[0])
-        ident = fieldmatrix.identity(self.field, n)
         index = {}
         for pos, m in enumerate(self.elements):
             if len(m) != n or any(len(row) != n for row in m):
                 raise BoundsError("mixed matrix shapes in one group")
-            if m in index:
+            key = fieldmatrix._payload_rows(m, descriptor)
+            if key in index:
                 raise BoundsError("duplicate element in group list")
-            index[m] = pos
+            index[key] = pos
+        ident = fieldmatrix._identity(descriptor, n)
         if ident not in index:
             raise BoundsError("identity matrix missing")
-        found, right = closure(ident, self.elements, fieldmatrix.mat_mul, len(self.elements),
+        found, right = closure(ident, list(index), partial(fieldmatrix._mul, descriptor),
+                               len(self.elements),
                                BoundsError("element list is not closed under multiplication"),
-                               _refuse_singular)
+                               partial(_refuse_singular, descriptor))
         at = [0] * len(found)  # found is the list, reordered breadth first
         for c, m in enumerate(found):
             at[index[m]] = c
@@ -183,18 +188,25 @@ class FiniteMatrixGroup:
                         cap: int = 100000) -> "FiniteMatrixGroup":
         if not generators:
             raise BoundsError("need at least one generator")
-        ident = fieldmatrix.identity(Field(descriptor), len(generators[0]))
-        gens = [fieldmatrix.mat_from_rows([list(r) for r in g])
+        gens = [fieldmatrix._payload_rows(fieldmatrix.mat_from_rows([list(r) for r in g]),
+                                          descriptor)
                 for g in generators]
-        elements, right = closure(ident, gens, fieldmatrix.mat_mul, cap,
+        ident = fieldmatrix._identity(descriptor, len(gens[0]))
+        elements, right = closure(ident, gens, partial(fieldmatrix._mul, descriptor), cap,
                                   GroupTooLarge(f"closure exceeded cap {cap}"))
         for g in gens:  # a closure is closed: only a singular generator is refused
-            _refuse_singular(g)
+            _refuse_singular(descriptor, g)
         group = object.__new__(cls)
-        group.descriptor, group.field, group.elements, group.degree = (
-            descriptor, Field(descriptor), elements, len(ident))
+        group.descriptor, group.field, group.degree = descriptor, Field(descriptor), len(ident)
+        group._closed = elements
         group._cayley = right, range(len(elements))
         return group
+
+    @cached_property
+    def elements(self) -> list:
+        """The closure's payload matrices in the API form, wrapped on first
+        use; the constructor keeps the list it is given."""
+        return [fieldmatrix._wrap(self.descriptor, m) for m in self._closed]
 
     @property
     def order(self) -> int:
@@ -208,8 +220,8 @@ class FiniteMatrixGroup:
         return [orders[c] for c in at]
 
 
-def _refuse_singular(m) -> None:
-    if fieldmatrix.mat_rank(m) < len(m):
+def _refuse_singular(d: FieldDescriptor, m) -> None:
+    if fieldmatrix._rank(d, m) < len(m):
         raise BoundsError("singular matrix in group list")
 
 
@@ -250,14 +262,15 @@ def burnside_divisibility_check(group: FiniteMatrixGroup, d: int,
     if d < 1:
         raise BoundsError("d must be positive")
     p = group.field.characteristic
+    orders = group.element_orders()  # no FieldElement: the group order is their count
     violating = []
-    for order in group.element_orders():
+    for order in orders:
         if p and order % p == 0:
             continue
         if d % order:
             violating.append(order)
     hypothesis = not violating
-    coprime = coprime_part(group.order, p)
+    coprime = coprime_part(len(orders), p)
     bound = d ** group.degree
     divides: Optional[bool] = None
     if hypothesis:
@@ -268,7 +281,7 @@ def burnside_divisibility_check(group: FiniteMatrixGroup, d: int,
     elif strict:
         raise HypothesisFails(f"element orders {sorted(set(violating))} "
                               f"do not divide {d}")
-    return BurnsideReport(group_order=group.order, degree=group.degree, d=d,
+    return BurnsideReport(group_order=len(orders), degree=group.degree, d=d,
                           characteristic=p, coprime_order=coprime,
                           bound=bound, hypothesis_holds=hypothesis,
                           violating_orders=tuple(sorted(set(violating))),

@@ -17,6 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Optional, Sequence
 
 from .errors import AnisoError, _exact_int
@@ -77,15 +78,15 @@ class AlgebraSpec:
         return AlgebraElement(self, {(0, 1): self.field.one})
 
     def scalar(self, c) -> "AlgebraElement":
-        c = self._coerce(c)
-        return AlgebraElement(self, {(0, 0): c} if not c.is_zero else {})
+        return AlgebraElement._from_payloads(self, {(0, 0): self._payload(c)})
 
-    def _coerce(self, c) -> FieldElement:
+    def _payload(self, c):
+        """The payload of a scalar c in the base field."""
         if isinstance(c, FieldElement):
-            if c.descriptor != self.base:
+            if c.descriptor is not self.base and c.descriptor != self.base:
                 raise SpecMismatch("scalar from a different field")
-            return c
-        return self.field(c)
+            return c.payload
+        return self.field.payload(c)
 
 
 class SymbolAlgebraSpec(AlgebraSpec):
@@ -102,6 +103,7 @@ class SymbolAlgebraSpec(AlgebraSpec):
         self.zeta = field.zeta(degree)  # raises RootOfUnityMissing if absent
         self.zeta_powers = list(itertools.accumulate([self.zeta] * (degree - 1), operator.mul,
                                                      initial=field.one))
+        self._reorder = [((0, z.payload),) for z in self.zeta_powers]
         if a.descriptor != base or b.descriptor != base:
             raise SpecMismatch("parameters must live in the base field")
         if a.is_zero or b.is_zero:
@@ -121,8 +123,9 @@ class SymbolAlgebraSpec(AlgebraSpec):
         return hash((self.base, self.degree, self.a, self.b))
 
     def reorder(self, j: int, k: int) -> tuple:
-        """v^j u^k = z^(jk) u^k v^j, as the single term (t, factor) = (0, z^(jk))."""
-        return ((0, self.zeta_powers[j * k % self.degree]),)
+        """v^j u^k = z^(jk) u^k v^j, as the single term (t, factor) = (0, z^(jk)),
+        the factor a payload."""
+        return self._reorder[j * k % self.degree]
 
 
 class WeylModPSpec(AlgebraSpec):
@@ -150,12 +153,12 @@ class WeylModPSpec(AlgebraSpec):
 
     def reorder(self, j: int, k: int) -> tuple:
         """v^j u^k = sum_t j!/(j-t)! C(k,t) u^(k-t) v^(j-t), as the terms
-        (t, factor); for j, k < p no factor is divisible by p. Each (j, k)
-        is built once per spec."""
+        (t, factor), the factor a payload; for j, k < p no factor is
+        divisible by p. Each (j, k) is built once per spec."""
         terms = self._reorder.get((j, k))
         if terms is None:
             terms = self._reorder[(j, k)] = tuple(
-                (t, self.field.from_int(math.perm(j, t) * math.comb(k, t)))
+                (t, self.base.from_int(math.perm(j, t) * math.comb(k, t)))
                 for t in range(min(j, k) + 1))
         return terms
 
@@ -171,47 +174,75 @@ class WeylModPSpec(AlgebraSpec):
 
 
 class AlgebraElement:
-    """Normal form sum c_{ij} u^i v^j, exponents inside the degree box."""
+    """Normal form sum c_{ij} u^i v^j, exponents inside the degree box.
 
-    __slots__ = ("spec", "coefficients")
+    The nonzero coefficients are kept as payloads of spec.base;
+    coefficients is a read-only view of them as FieldElements, built on
+    demand.
+    """
+
+    __slots__ = ("spec", "_terms")
 
     def __init__(self, spec, coefficients: dict):
         n = spec.degree
-        clean = {}
+        payload, is_zero = spec._payload, spec.base.is_zero
+        terms = {}
         for (i, j), c in coefficients.items():
             if not (0 <= i < n and 0 <= j < n):
                 raise AlgebraError("exponents outside the normal-form box")
-            if not c.is_zero:
-                clean[(i, j)] = c
+            c = payload(c)
+            if not is_zero(c):
+                terms[(i, j)] = c
         self.spec = spec
-        self.coefficients = clean
+        self._terms = terms
+
+    @classmethod
+    def _from_payloads(cls, spec, terms: dict) -> "AlgebraElement":
+        """The element with these payload coefficients, keyed inside the
+        box; zeros dropped."""
+        x = object.__new__(cls)
+        is_zero = spec.base.is_zero
+        x.spec = spec
+        x._terms = {key: c for key, c in terms.items() if not is_zero(c)}
+        return x
+
+    @property
+    def coefficients(self) -> MappingProxyType:
+        d = self.spec.base
+        return MappingProxyType({key: FieldElement(d, c) for key, c in self._terms.items()})
 
     # -------------------------------------------------- ring structure
     def __add__(self, other):
         self._check(other)
-        out = dict(self.coefficients)
-        for key, c in other.coefficients.items():
+        add = self.spec.base.add
+        out = dict(self._terms)
+        for key, c in other._terms.items():
             s = out.get(key)
-            out[key] = c if s is None else s + c
-        return AlgebraElement(self.spec, out)
+            out[key] = c if s is None else add(s, c)
+        return AlgebraElement._from_payloads(self.spec, out)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return AlgebraElement(self.spec,
-                              {k: -c for k, c in self.coefficients.items()})
+        neg = self.spec.base.neg
+        return AlgebraElement._from_payloads(self.spec,
+                                             {k: neg(c) for k, c in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, FieldElement) or isinstance(other, (int, Fraction)):
-            c = self.spec._coerce(other)
-            return AlgebraElement(self.spec,
-                                  {k: v * c for k, v in self.coefficients.items()})
+            return self._scaled(self.spec._payload(other))
         self._check(other)
         return algebra_multiply(self, other)
 
     def __rmul__(self, other):
         return self * other
+
+    def _scaled(self, c) -> "AlgebraElement":
+        """self times the base-field payload c."""
+        mul = self.spec.base.mul
+        return AlgebraElement._from_payloads(self.spec,
+                                             {k: mul(v, c) for k, v in self._terms.items()})
 
     def __pow__(self, e: int):
         if e < 0:
@@ -220,11 +251,10 @@ class AlgebraElement:
 
     def __eq__(self, other):
         return (isinstance(other, AlgebraElement) and self.spec == other.spec
-                and self.coefficients == other.coefficients)
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.spec, tuple(sorted(self.coefficients.items(),
-                                             key=lambda kv: kv[0]))))
+        return hash((self.spec, tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))))
 
     def _check(self, other):
         if not isinstance(other, AlgebraElement) or other.spec != self.spec:
@@ -233,32 +263,32 @@ class AlgebraElement:
     # -------------------------------------------------- structure queries
     @property
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self._terms
 
     def scalar_part(self) -> Optional[FieldElement]:
         """The base-field value when the element is scalar, else None."""
-        if not self.coefficients:
-            return self.spec.field.zero
-        if set(self.coefficients) == {(0, 0)}:
-            return self.coefficients[(0, 0)]
-        return None
+        if not self.is_scalar:
+            return None
+        d = self.spec.base
+        return FieldElement(d, self._terms.get((0, 0), d.zero()))
 
     @property
     def is_scalar(self) -> bool:
-        return self.scalar_part() is not None
+        return not self._terms or self._terms.keys() == {(0, 0)}
 
     def v_only(self) -> bool:
-        return all(i == 0 for i, _ in self.coefficients)
+        return all(i == 0 for i, _ in self._terms)
 
     def __repr__(self):
-        if not self.coefficients:
+        if not self._terms:
             return "0"
+        render = self.spec.base.render
         bits = []
-        for (i, j) in sorted(self.coefficients):
-            c = self.coefficients[(i, j)]
+        for (i, j) in sorted(self._terms):
+            c = render(self._terms[(i, j)])
             mono = "".join((f"u^{i}" if i > 1 else "u" * min(i, 1),
                             f"v^{j}" if j > 1 else "v" * min(j, 1)))
-            bits.append(f"({c!r}){mono}" if mono else f"({c!r})")
+            bits.append(f"({c}){mono}" if mono else f"({c})")
         return " + ".join(bits)
 
     def to_json(self) -> dict:
@@ -285,18 +315,17 @@ def algebra_multiply(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     base, n = spec.base, spec.degree
     mul, wrap_a, wrap_b = base.mul, spec.a.payload, spec.b.payload
     pairs: dict = {}
-    for (i, j), c in x.coefficients.items():
-        for (k, l), d in y.coefficients.items():
-            cd = mul(c.payload, d.payload)
-            for t, factor in spec.reorder(j, k):
-                f, a, b = factor.payload, i + k - t, j + l - t
+    for (i, j), c in x._terms.items():
+        for (k, l), d in y._terms.items():
+            cd = mul(c, d)
+            for t, f in spec.reorder(j, k):
+                a, b = i + k - t, j + l - t
                 if a >= n:
                     f, a = mul(f, wrap_a), a - n
                 if b >= n:
                     f, b = mul(f, wrap_b), b - n
                 pairs.setdefault((a, b), []).append((cd, f))
-    return AlgebraElement(spec, {key: FieldElement(base, base.dot(ps))
-                                 for key, ps in pairs.items()})
+    return AlgebraElement._from_payloads(spec, {key: base.dot(ps) for key, ps in pairs.items()})
 
 
 def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
@@ -313,8 +342,8 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
     spec = x.spec
     d, n = spec.base, spec.degree
     common = _common_denominator(spec, [x])
-    if not common.is_one:
-        x = x * common
+    if common != d.one():
+        x = x._scaled(common)
     *columns, first = zip(*_right_multiplication(x))
     cofactors = _upoly_cofactors(spec, [first, *columns])
     det = _upoly_dot(spec, first, cofactors)
@@ -322,9 +351,9 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
     if d.is_zero(det[0]):
         raise NotInvertible("element is a zero divisor")
     # cofactor r belongs to row r of M, the row of v^(n-1-r)
-    y = AlgebraElement(spec, {(i, n - 1 - r): FieldElement(d, c)
-                              for r, f in enumerate(cofactors) for i, c in enumerate(f)})
-    return y * (common / FieldElement(d, det[0]))
+    y = AlgebraElement._from_payloads(spec, {(i, n - 1 - r): c for r, f in enumerate(cofactors)
+                                             for i, c in enumerate(f)})
+    return y._scaled(d.div(common, det[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +401,26 @@ def _right_multiplication(x: AlgebraElement) -> list:
     mat = [[[d.zero()] * n for _ in range(n)] for _ in range(n)]
     for r in range(n):
         pairs: dict = {}
-        for (i, m), c in x.coefficients.items():
-            for t, factor in spec.reorder(r, i):
-                f, col = factor.payload, r - t + m
+        for (i, m), c in x._terms.items():
+            for t, f in spec.reorder(r, i):
+                col = r - t + m
                 if col >= n:
                     f, col = mul(f, b), col - n
-                pairs.setdefault((n - 1 - col, i - t), []).append((c.payload, f))
+                pairs.setdefault((n - 1 - col, i - t), []).append((c, f))
         row = mat[n - 1 - r]
         for (col, k), ps in pairs.items():
             row[col][k] = d.dot(ps)
     return mat
 
 
-def _common_denominator(spec, elements) -> FieldElement:
-    """Product of the distinct coefficient denominators of the elements
-    over a function-field base; 1 over any other base."""
-    one = common = spec.field.one
-    if spec.base.kind == "function_field":
-        for den in {c.payload[1] for g in elements for c in g.coefficients.values()}:
-            common = common * FieldElement(spec.base, (den, one.payload[1]))
+def _common_denominator(spec, elements):
+    """The payload of the product of the distinct coefficient denominators
+    of the elements over a function-field base; 1 over any other base."""
+    d = spec.base
+    common = one = d.one()
+    if d.kind == "function_field":
+        for den in {c[1] for g in elements for c in g._terms.values()}:
+            common = d.mul(common, (den, one[1]))
     return common
 
 
@@ -453,14 +483,17 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
     spec = x.spec
     if not isinstance(spec, SymbolAlgebraSpec):
         raise AlgebraError("reduced norm implemented for symbol algebras")
+    d = spec.base
     common = _common_denominator(spec, [x])
-    if not common.is_one:
-        x = x * common
+    if common != d.one():
+        x = x._scaled(common)
     mat = _right_multiplication(x)
     det = _upoly_dot(spec, mat[0], _upoly_cofactors(spec, mat))
-    assert all(map(spec.base.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
-    norm = FieldElement(spec.base, det[0])
-    return norm if common.is_one else norm / common ** spec.degree
+    assert all(map(d.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
+    norm = det[0]
+    if common != d.one():
+        norm = d.div(norm, d.power(common, spec.degree))
+    return FieldElement(d, norm)
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +598,23 @@ def weyl_split_verification(spec: WeylModPSpec) -> WeylSplitCertificate:
     p = spec.p
     if p > 7:
         raise PrimeTooLarge("split verification capped at p = 7")
-    big = Field(function_field(prime_field(p), ("X", "Y")))
-    X, Y = big.var("X"), big.var("Y")
-    zero, one = big.zero, big.one
+    d = function_field(prime_field(p), ("X", "Y"))
+    big = Field(d)
+    X, Y = big.var("X").payload, big.var("Y").payload
+    zero, one = d.zero(), d.one()
+    mul = functools.partial(fieldmatrix._mul, d)
 
-    um = fieldmatrix.mat_from_rows([[one if r == c + 1 else zero for c in range(p)]
-                                    for r in range(p)])
-    vm = fieldmatrix.mat_from_rows([[big.from_int(c) if r == c - 1 else zero for c in range(p)]
-                                    for r in range(p)])
-    ident = fieldmatrix.identity(big, p)
-    u_full = fieldmatrix.mat_add(um, fieldmatrix.mat_scale(ident, Y))
-    v_full = fieldmatrix.mat_add(vm, fieldmatrix.mat_scale(ident, X))
+    um = tuple(tuple(one if r == c + 1 else zero for c in range(p)) for r in range(p))
+    vm = tuple(tuple(d.from_int(c) if r == c - 1 else zero for c in range(p)) for r in range(p))
+    ident = fieldmatrix._identity(d, p)
+    u_full = fieldmatrix._add(d, um, fieldmatrix._scale(d, ident, Y))
+    v_full = fieldmatrix._add(d, vm, fieldmatrix._scale(d, ident, X))
 
-    u_pow = fieldmatrix.mat_pow(u_full, p)
-    v_pow = fieldmatrix.mat_pow(v_full, p)
-    y_scalar = fieldmatrix.mat_scale(ident, Y ** p)
-    x_scalar = fieldmatrix.mat_scale(ident, X ** p)
-    comm = fieldmatrix.mat_sub(fieldmatrix.mat_mul(v_full, u_full),
-                               fieldmatrix.mat_mul(u_full, v_full))
+    u_pow = fieldmatrix._power(d, u_full, p)
+    v_pow = fieldmatrix._power(d, v_full, p)
+    y_scalar = fieldmatrix._scale(d, ident, d.power(Y, p))
+    x_scalar = fieldmatrix._scale(d, ident, d.power(X, p))
+    comm = fieldmatrix._sub(d, mul(v_full, u_full), mul(u_full, v_full))
 
     rows = []
     acc_u = ident
@@ -590,14 +622,14 @@ def weyl_split_verification(spec: WeylModPSpec) -> WeylSplitCertificate:
         acc = acc_u
         for j in range(p):
             rows.append([acc[r][c] for r in range(p) for c in range(p)])
-            acc = fieldmatrix.mat_mul(acc, vm)
-        acc_u = fieldmatrix.mat_mul(acc_u, um)
-    rank = fieldmatrix.mat_rank(fieldmatrix.mat_from_rows(rows))
+            acc = mul(acc, vm)
+        acc_u = mul(acc_u, um)
+    rank = fieldmatrix._rank(d, rows)
 
     return WeylSplitCertificate(
         p=p,
-        u_matrix=u_full,
-        v_matrix=v_full,
+        u_matrix=fieldmatrix._wrap(d, u_full),
+        v_matrix=fieldmatrix._wrap(d, v_full),
         u_power_is_y=u_pow == y_scalar,
         v_power_is_x=v_pow == x_scalar,
         commutator_is_one=comm == ident,
@@ -642,7 +674,7 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
             raise ZeroPolynomial("zero polynomial supplied")
         if not g.v_only():
             raise AlgebraError("generators must be polynomials in v")
-    orders_ok = all((g ** p).scalar_part() is not None for g in gens)
+    orders_ok = all((g ** p).is_scalar for g in gens)
     commute = all(gens[i] * gens[j] == gens[j] * gens[i]
                   for i in range(len(gens)) for j in range(i + 1, len(gens)))
     if not orders_ok or not commute:
@@ -655,7 +687,7 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
         prod = spec.one
         for g, ei in zip(gens, e):
             prod = prod * g ** ei
-        if prod.scalar_part() is None:
+        if not prod.is_scalar:
             raise AlgebraError("a product with zero logarithmic derivative "
                                "is not scalar")
     return InseparableTorsionReport(p, tuple(gens), orders_ok, commute,
@@ -664,9 +696,9 @@ def inseparable_torsion_subgroup(spec: WeylModPSpec,
 
 def _v_derivative(g: AlgebraElement) -> AlgebraElement:
     """d/dv of a polynomial in v; it kills the base field F_p(x, y)."""
-    field = g.spec.field
-    return AlgebraElement(g.spec, {(0, j - 1): c * field.from_int(j)
-                                   for (_, j), c in g.coefficients.items() if j})
+    d = g.spec.base
+    return AlgebraElement._from_payloads(g.spec, {(0, j - 1): d.mul(c, d.from_int(j))
+                                                  for (_, j), c in g._terms.items() if j})
 
 
 def _fp_kernel(spec: WeylModPSpec, elements: Sequence[AlgebraElement]) -> list[list[int]]:
@@ -679,18 +711,18 @@ def _fp_kernel(spec: WeylModPSpec, elements: Sequence[AlgebraElement]) -> list[l
     m = len(elements)
     if not m:
         return []
-    one = spec.field.one
+    d = spec.base
+    unit = d.one()[1]
     common = _common_denominator(spec, elements)
-    fp = Field(prime_field(spec.p))
+    fp = prime_field(spec.p)
     rows: dict = {}
     for i, g in enumerate(elements):
-        for (_, j), c in g.coefficients.items():
-            num, den = (c * common).payload
-            assert den == one.payload[1], "denominators must clear"
+        for (_, j), c in g._terms.items():
+            num, den = d.mul(c, common)
+            assert den == unit, "denominators must clear"
             for monomial, coeff in num:
-                rows.setdefault((j, monomial), [fp.zero] * m)[i] = fp.from_int(coeff)
-    mat = fieldmatrix.mat_from_rows(list(rows.values()) or [[fp.zero] * m])
-    return [[c.payload for c in vec] for vec in fieldmatrix.nullspace(mat)]
+                rows.setdefault((j, monomial), [fp.zero()] * m)[i] = fp.from_int(coeff)
+    return [list(vec) for vec in fieldmatrix._nullspace(fp, list(rows.values()) or [[fp.zero()] * m])]
 
 
 def distinct_irreducible_family(spec: WeylModPSpec, m: int) -> list[AlgebraElement]:

@@ -547,13 +547,25 @@ def commutator_pairing_from_central_extension(
 
 
 def matrix_commutator_pairing(matrices: Sequence, order_bound: int = 64) -> CommutatorPairingResult:
-    """Commutator pairing for lifts given as square matrices over one field."""
+    """Commutator pairing for lifts given as square matrices over one field,
+    run on their payload rows."""
+    from functools import partial
+
     from . import fieldmatrix  # only here: the integer paths load no field layer
+    from .scalars import FieldElement
+    d = fieldmatrix.mat_descriptor(matrices[0]) if matrices else None
+    if any(fieldmatrix._square(m) != len(matrices[0]) for m in matrices):
+        raise fieldmatrix.MatrixError("shape mismatch")
+
+    def scalar_part(a):
+        c = fieldmatrix._scalar_of(d, a)
+        return None if c is None else FieldElement(d, c)
+
     return commutator_pairing_from_central_extension(
-        list(matrices),
-        mul=fieldmatrix.mat_mul,
-        inv=fieldmatrix.mat_inverse,
-        scalar_part=fieldmatrix.scalar_of,
+        [fieldmatrix._payload_rows(m, d) for m in matrices],
+        mul=partial(fieldmatrix._mul, d),
+        inv=partial(fieldmatrix._inverse, d),
+        scalar_part=scalar_part,
         order_bound=order_bound)
 
 

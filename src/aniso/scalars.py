@@ -1155,26 +1155,12 @@ class FieldElement:
         self.descriptor = descriptor
         self.payload = payload
 
-    def _coerce(self, other) -> "FieldElement":
-        d = self.descriptor
-        if isinstance(other, FieldElement):
-            if other.descriptor is not d and other.descriptor != d:
-                raise DescriptorMismatch(f"{other.descriptor!r} vs {d!r}")
-            return other
-        if isinstance(other, int):
-            return FieldElement(d, d.from_int(other))
-        if isinstance(other, Fraction) and d.characteristic == 0:
-            num = FieldElement(d, d.from_int(other.numerator))
-            den = FieldElement(d, d.from_int(other.denominator))
-            return num / den
-        return NotImplemented
-
     def _binary(self, other, op: str):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
-            return NotImplemented
         d = self.descriptor
-        return FieldElement(d, getattr(d, op)(self.payload, rhs.payload))
+        rhs = _payload(d, other)
+        if rhs is None:
+            return NotImplemented
+        return FieldElement(d, getattr(d, op)(self.payload, rhs))
 
     # the common case first: two elements sharing one (interned) descriptor
     def __add__(self, other):
@@ -1192,10 +1178,11 @@ class FieldElement:
         return self._binary(other, "sub")
 
     def __rsub__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
+        d = self.descriptor
+        lhs = _payload(d, other)
+        if lhs is None:
             return NotImplemented
-        return rhs - self
+        return FieldElement(d, d.sub(lhs, self.payload))
 
     def __mul__(self, other):
         d = self.descriptor
@@ -1209,10 +1196,11 @@ class FieldElement:
         return self._binary(other, "div")
 
     def __rtruediv__(self, other):
-        rhs = self._coerce(other)
-        if rhs is NotImplemented:
+        d = self.descriptor
+        lhs = _payload(d, other)
+        if lhs is None:
             return NotImplemented
-        return rhs / self
+        return FieldElement(d, d.div(lhs, self.payload))
 
     def __neg__(self):
         return FieldElement(self.descriptor, self.descriptor.neg(self.payload))
@@ -1239,9 +1227,8 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            rhs = _payload(self.descriptor, other)
+            return NotImplemented if rhs is None else self.payload == rhs
         if not isinstance(other, FieldElement):
             return NotImplemented
         d, e = self.descriptor, other.descriptor
@@ -1255,6 +1242,21 @@ class FieldElement:
 
     def __repr__(self):
         return self.descriptor.render(self.payload)
+
+
+def _payload(d: FieldDescriptor, value):
+    """The payload in d of an element of d, an int, or a Fraction when d has
+    characteristic 0; None for any other value. An element of another field
+    raises DescriptorMismatch."""
+    if isinstance(value, FieldElement):
+        if value.descriptor is not d and value.descriptor != d:
+            raise DescriptorMismatch(f"{value.descriptor!r} vs {d!r}")
+        return value.payload
+    if isinstance(value, int):
+        return d.from_int(value)
+    if isinstance(value, Fraction) and d.characteristic == 0:
+        return d.div(d.from_int(value.numerator), d.from_int(value.denominator))
+    return None
 
 
 def _render_uni(coeffs, var) -> str:
@@ -1316,8 +1318,21 @@ class Field:
     def from_int(self, k: int) -> FieldElement:
         return FieldElement(self.descriptor, self.descriptor.from_int(k))
 
+    def payload(self, value: _Coercible):
+        """The payload of self(value), built without a FieldElement."""
+        p = _payload(self.descriptor, value)
+        if p is None:
+            raise TypeError(f"{value!r} is not an element of {self.descriptor!r}")
+        return p
+
     def __call__(self, value: _Coercible) -> FieldElement:
-        return self.one._coerce(value)
+        """value as an element of this field: an element of it is returned as
+        it is, an int or (in characteristic 0) a Fraction converted, and any
+        other value raises TypeError."""
+        if isinstance(value, FieldElement):
+            self.payload(value)  # DescriptorMismatch for another field
+            return value
+        return FieldElement(self.descriptor, self.payload(value))
 
     def var(self, name: str) -> FieldElement:
         d = self.descriptor

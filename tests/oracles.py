@@ -15,7 +15,8 @@ function-field polynomials as dicts (the _p_* kernels for sums, products, exact
 division, the primitive pseudo-remainder gcd and k-th roots, with
 normalize_by_dicts and kth_root_by_dicts on top of them), the reduced
 norm on FieldElements over the left regular representation, inverses in
-the algebra through an n^2 x n^2 linear system, dense integer and field matrix products, field
+the algebra through an n^2 x n^2 linear system on the element-level
+Gauss-Jordan elimination, dense integer and field matrix products, field
 matrix products, quadratic-form values, substitutions and bilinear
 values, and Pfister candidates built from FieldElements, and
 pairing values,
@@ -613,12 +614,71 @@ def regular_representation(x) -> list[list[list[FieldElement]]]:
     return mat
 
 
+def gauss_jordan_by_elements(m: list[list], ncols: int) -> tuple[list[int], FieldElement]:
+    """Reduce the FieldElement rows m in place to reduced echelon form on
+    the first ncols columns, one element operation at a time.
+
+    Pivot rule: in each column, the first row at or below the current rank
+    with a nonzero entry. Pivot rows are scaled to a leading one, and each
+    row operation touches only the columns from the pivot on. Returns the
+    pivot columns and the product of the pivots signed by the row swaps.
+    """
+    det = Field(m[0][0].descriptor).one
+    pivots: list[int] = []
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            det = -det
+        det = det * m[rank][col]
+        inv = m[rank][col].inverse()
+        tail = [x * inv for x in m[rank][col:]]
+        m[rank][col:] = tail
+        for r, row in enumerate(m):
+            f = row[col]
+            if r != rank and not f.is_zero:
+                row[col:] = [x - f * y for x, y in zip(row[col:], tail)]
+        pivots.append(col)
+    return pivots, det
+
+
+def inverse_by_elements(a) -> Optional[tuple]:
+    """a^-1 by gauss_jordan_by_elements on [a | 1], or None when singular."""
+    F, n = Field(fieldmatrix.mat_descriptor(a)), len(a)
+    m = [list(row) + [F.one if i == j else F.zero for j in range(n)] for i, row in enumerate(a)]
+    if len(gauss_jordan_by_elements(m, n)[0]) < n:
+        return None
+    return tuple(tuple(row[n:]) for row in m)
+
+
+def nullspace_by_elements(a) -> list[tuple]:
+    """The right kernel read off gauss_jordan_by_elements, one vector per
+    free column."""
+    F, cols = Field(fieldmatrix.mat_descriptor(a)), len(a[0])
+    m = [list(row) for row in a]
+    pivots, _ = gauss_jordan_by_elements(m, cols)
+    basis = []
+    for free in range(cols):
+        if free not in pivots:
+            vec = [F.zero] * cols
+            vec[free] = F.one
+            for row, col in zip(m, pivots):
+                vec[col] = -row[free]
+            basis.append(tuple(vec))
+    return basis
+
+
 def solve_right(a: fieldmatrix.Matrix, b) -> Optional[tuple]:
     """One solution x of a @ x = b, or None. a need not be square."""
     F = Field(fieldmatrix.mat_descriptor(a))
     cols = len(a[0])
     m = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots, _ = fieldmatrix._gauss_jordan(m, cols)
+    pivots, _ = gauss_jordan_by_elements(m, cols)
     if any(not row[cols].is_zero for row in m[len(pivots):]):
         return None
     x = [F.zero] * cols

@@ -12,7 +12,7 @@ from aniso.bounds import (MAX_BOUND_DIGITS, BoundQuery, BoundTooLarge, BoundsErr
                           coprime_part, minkowski_values, pi1_order_split,
                           torsion_primes)
 from aniso.fieldmatrix import mat_from_rows
-from aniso.scalars import Field, cyclotomic, prime_field, rationals
+from aniso.scalars import Field, FieldElement, cyclotomic, prime_field, rationals
 from aniso.errors import AnisoError
 from oracles import (closed_under_all_products, element_orders_by_least_power,
                      group_order_by_closure_and_walk, group_order_by_walk,
@@ -246,6 +246,7 @@ def test_element_orders_read_off_the_cayley_graph(name, monkeypatch):
                                            for a in listed]
             expected = element_orders_by_least_power(g)
             monkeypatch.setattr(fieldmatrix, "mat_mul", None)  # no product from here
+            monkeypatch.setattr(fieldmatrix, "_mul", None)
             assert g.element_orders() == expected
             monkeypatch.undo()
 
@@ -256,13 +257,13 @@ def test_closure_certificate_costs_g_log_g_products(monkeypatch):
     elements = FiniteMatrixGroup.from_generators(
         prime_field(5), [((z, -o), (o, z)), ((o, o), (z, o))]).elements
     products = []
-    mat_mul = fieldmatrix.mat_mul
+    mul = fieldmatrix._mul  # the payload product seam the closure runs on
 
-    def counting(a, b):
+    def counting(d, a, b):
         products.append(1)
-        return mat_mul(a, b)
+        return mul(d, a, b)
 
-    monkeypatch.setattr(fieldmatrix, "mat_mul", counting)
+    monkeypatch.setattr(fieldmatrix, "_mul", counting)
     group = FiniteMatrixGroup(prime_field(5), elements)
     # SL_2(F_5): 120 elements, at most log2(120) generators, not 120^2 products
     assert group.order == 120
@@ -278,15 +279,46 @@ def test_from_generators_closes_once(monkeypatch):
     rows = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
     companion = mat_from_rows([[q(x) for x in row] for row in rows])
     products = []
-    mat_mul = fieldmatrix.mat_mul
+    mul = fieldmatrix._mul  # the payload product seam the closure runs on
 
-    def counting(a, b):
+    def counting(d, a, b):
         products.append(1)
-        return mat_mul(a, b)
+        return mul(d, a, b)
 
-    monkeypatch.setattr(fieldmatrix, "mat_mul", counting)
+    monkeypatch.setattr(fieldmatrix, "_mul", counting)
     assert FiniteMatrixGroup.from_generators(rationals(), [companion]).order == 12
     assert len(products) == 12
+
+
+def _companion_of_phi12():
+    q = Field(rationals())
+    rows = [[0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0]]
+    return mat_from_rows([[q(x) for x in row] for row in rows])
+
+
+def test_burnside_checks_build_and_hash_no_field_element(monkeypatch):
+    # the closure keys on payload matrices and the report reads only the
+    # Cayley graph: one check of C12 builds no FieldElement and hashes none
+    # (it built 124 and hashed 416 when the closure ran on FieldElements)
+    companion = _companion_of_phi12()
+    built, hashed = [], []
+    init, element_hash = FieldElement.__init__, FieldElement.__hash__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, d, p: built.append(1) or init(self, d, p))
+    monkeypatch.setattr(FieldElement, "__hash__",
+                        lambda self: hashed.append(1) or element_hash(self))
+    for d in (12, 6, 24):
+        report = burnside_divisibility_check(
+            FiniteMatrixGroup.from_generators(rationals(), [companion]), d)
+        assert report.group_order == 12 and report.hypothesis_holds == (d % 12 == 0)
+    assert (len(built), len(hashed)) == (0, 0)
+    group = FiniteMatrixGroup.from_generators(rationals(), [companion])
+    group.element_orders()
+    assert (len(built), len(hashed)) == (0, 0)
+    assert group.order == 12 and len(built) == 12 * 16  # the API form, on first use
+    monkeypatch.undo()
+    assert FiniteMatrixGroup(rationals(), group.elements).element_orders() == \
+        group.element_orders()
 
 
 def _outcome(build):

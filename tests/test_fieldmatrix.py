@@ -4,14 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity,
+from aniso import fieldmatrix
+from aniso.fieldmatrix import (MatrixError, NotInvertibleMatrix, identity, mat_add,
                                mat_det, mat_from_rows, mat_inverse, mat_mul,
-                               mat_pow, mat_rank, mat_scale, mat_vec, nullspace)
+                               mat_pow, mat_rank, mat_scale, mat_sub, mat_vec, nullspace,
+                               projective_normalize, scalar_of)
 from aniso.quadform import PfisterData, QuadraticForm
 from aniso.scalars import (DescriptorMismatch, Field, cyclotomic, finite_field,
                            function_field, prime_field, rationals)
-from oracles import (mat_mul_dense, mat_scale_by_elements, mat_vec_dense, products_by_elements,
-                     solve_right, transform_by_elements)
+from oracles import (gauss_jordan_by_elements, inverse_by_elements, mat_mul_dense,
+                     mat_scale_by_elements, mat_vec_dense, nullspace_by_elements,
+                     products_by_elements, solve_right, transform_by_elements)
+from test_scalars import SWEEP_FIELDS
 
 
 def _fraction_reduce(rows, ncols):
@@ -143,6 +147,73 @@ def test_shape_errors():
         for product in (mat_mul, mat_mul_dense):  # the former product raises alike
             with pytest.raises(MatrixError, match="shape mismatch"):
                 product(a, b)
+
+
+def test_sums_scalar_tests_and_powers_refuse_mismatched_shapes():
+    # mat_add and mat_sub zipped rows and entries, so a 2 x 2 plus a 3 x 3
+    # was a 2 x 2; scalar_of read [[1, 0, 1], [0, 1, 1]] as 1 and
+    # mat_pow(a, 0) of a 2 x 3 matrix was the 2 x 2 identity
+    F = Field(rationals())
+    wide = mat_from_rows([[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    for op in (mat_add, mat_sub):
+        for a, b in ((identity(F, 2), identity(F, 3)), (identity(F, 3), identity(F, 2)),
+                     (identity(F, 2), wide), (wide, mat_from_rows([[F(1), F(0), F(1)]]))):
+            with pytest.raises(MatrixError, match="shape mismatch"):
+                op(a, b)
+    with pytest.raises(MatrixError, match="shape mismatch"):
+        scalar_of(wide)
+    for e in (0, 1, 2, -1):
+        with pytest.raises(MatrixError, match="shape mismatch"):
+            mat_pow(wide, e)
+    two = mat_add(identity(F, 2), identity(F, 2))
+    assert two == ((F(2), F(0)), (F(0), F(2))) and scalar_of(two) == F(2)
+    assert mat_sub(wide, wide) == mat_from_rows([[F(0)] * 3] * 2)
+    assert mat_pow(two, 0) == identity(F, 2) and mat_pow(two, -1) == mat_inverse(two)
+    assert projective_normalize(two) == identity(F, 2)
+    assert projective_normalize(wide) is wide
+    with pytest.raises(MatrixError, match="zero matrix"):
+        projective_normalize(mat_sub(wide, wide))
+
+
+ELIMINATION_FIELDS = [(rationals(), 2), (cyclotomic(5), 2), (prime_field(7), 2),
+                      (finite_field(2, 4), 2)]
+
+
+@pytest.mark.parametrize("descriptor,degree", SWEEP_FIELDS + ELIMINATION_FIELDS, ids=repr)
+def test_payload_elimination_matches_the_element_oracle(descriptor, degree):
+    # the payload Gauss-Jordan against the former FieldElement routine on
+    # the same seeded rows: the same pivots, determinant and reduced rows,
+    # and so the same rank, inverse and kernel. Zeros are drawn often and
+    # every other matrix gets a dependent last row
+    cases = SWEEP_FIELDS + ELIMINATION_FIELDS
+    field, rng = Field(descriptor), random.Random(3300 + cases.index((descriptor, degree)))
+
+    def entry():
+        return field.zero if rng.random() < 0.3 else field.random_element(
+            rng, height=4, degree=degree, terms=1)
+
+    for trial in range(10):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 4)
+        m = [[entry() for _ in range(cols)] for _ in range(rows)]
+        if trial % 2 and rows > 1:
+            c = entry()
+            m[-1] = [x + c * y for x, y in zip(m[0], m[1])]
+        a = mat_from_rows(m)
+        by_elements = [list(row) for row in a]
+        pivots, det = gauss_jordan_by_elements(by_elements, cols)
+        reduced = [list(row) for row in fieldmatrix._payload_rows(a, descriptor)]
+        assert fieldmatrix._gauss_jordan(descriptor, reduced, cols) == (pivots, det.payload)
+        assert reduced == [[x.payload for x in row] for row in by_elements]
+        assert mat_rank(a) == len(pivots)
+        assert nullspace(a) == nullspace_by_elements(a)
+        if rows == cols:
+            assert mat_det(a) == (det if len(pivots) == rows else field.zero)
+            inverse = inverse_by_elements(a)
+            if inverse is None:
+                with pytest.raises(NotInvertibleMatrix, match="singular matrix"):
+                    mat_inverse(a)
+            else:
+                assert mat_inverse(a) == inverse
 
 
 def test_mat_vec_refuses_a_vector_of_the_wrong_length():

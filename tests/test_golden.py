@@ -180,6 +180,22 @@ def test_second_f256_arf_request_multiplies_no_polynomials(monkeypatch):
     assert calls == []
 
 
+def test_f16_arf_request_builds_30_field_elements(monkeypatch):
+    # the form, its Gram rows and the normal form run on payloads, so the
+    # FieldElements are the JSON edges: 9 coefficients read, and the Arf
+    # parameter, 4 canonical coefficients and 16 matrix entries written
+    # (434 when the reduction ran on FieldElements)
+    from aniso.scalars import FieldElement
+    run_case("quad-arf-f16-dim4")  # field tables built outside the count
+    built, init = [], FieldElement.__init__
+    monkeypatch.setattr(FieldElement, "__init__",
+                        lambda self, d, p: built.append(1) or init(self, d, p))
+    code, out = run_case("quad-arf-f16-dim4")
+    monkeypatch.undo()
+    assert code == 0 and out == (GOLDEN / "quad-arf-f16-dim4.out.json").read_text()
+    assert len(built) == 30
+
+
 def _count_cyclotomic_reductions(name, monkeypatch) -> int:
     # one warm-up request builds what later requests share, so the count of
     # the second one is exact

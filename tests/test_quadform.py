@@ -4,13 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from aniso import fieldmatrix
+from aniso import fieldmatrix, quadform
 from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             KTooLarge, NotIsometry, NotOrderP,
                             OrderExceedsBound, QuadFormError,
                             QuadraticForm, WrongCharacteristic,
-                            _artin_schreier_reduce, _bil, _block_value,
-                            _first_isotropic, _plane_block,
                             arf_invariant_class, arf_normal_form,
                             associated_bilinear, canonical_char2_form,
                             descent_step, diagonalize,
@@ -18,7 +16,7 @@ from aniso.quadform import (AllZeroCandidate, CharTwo, DegenerateForm,
                             is_nondegenerate, pfister_build,
                             pfister_group_closure, pfister_refute_point,
                             pfister_run, random_candidate)
-from aniso.scalars import (DescriptorMismatch, Field, FieldTooLarge, cyclotomic,
+from aniso.scalars import (DescriptorMismatch, Field, FieldElement, FieldTooLarge, cyclotomic,
                            finite_field, function_field, prime_field, rationals)
 from oracles import (artin_schreier_image, bil_by_elements, enumerate_nondegenerate_forms,
                      evaluate_by_elements, forms_equivalent_bruteforce,
@@ -31,6 +29,43 @@ F2 = prime_field(2)
 F3 = prime_field(3)
 F4 = finite_field(2, 2)
 F5 = prime_field(5)
+
+
+# The bilinear form and the characteristic-2 helpers run on payloads; these
+# call them on the payloads of FieldElement arguments, read through the
+# library's descriptor check, and read their results back as FieldElements
+# of the same field.
+
+def _elements(d, xs):
+    return tuple(FieldElement(d, x) for x in xs)
+
+
+def _artin_schreier_reduce(gamma, field):
+    d = field.descriptor
+    return _elements(d, quadform._artin_schreier_reduce(gamma.payload, d))
+
+
+def _block_value(g1, g2, c, field):
+    d = field.descriptor
+    return FieldElement(d, quadform._block_value(g1.payload, g2.payload,
+                                                 [x.payload for x in c], d))
+
+
+def _first_isotropic(g1, g2, field):
+    d = field.descriptor
+    return _elements(d, quadform._first_isotropic(g1.payload, g2.payload, d))
+
+
+def _bil(gram, x, y, field):
+    d = field.descriptor
+    xs, ys = fieldmatrix._payload_rows((x, y), d)
+    return FieldElement(d, quadform._bil(d, fieldmatrix._payload_rows(gram, d), xs, ys))
+
+
+def _plane_block(q, u, w):
+    d = q.descriptor
+    u, w, g = quadform._plane_block(q, [x.payload for x in u], [x.payload for x in w])
+    return _elements(d, u), _elements(d, w), None if g is None else FieldElement(d, g)
 
 
 def form(descriptor, dim, coeffs_ints):
@@ -48,6 +83,18 @@ def test_form_canonicalization_and_eval():
     assert q.evaluate((field(3), field(2))) == field(5)
     with pytest.raises(QuadFormError):
         QuadraticForm(Q, 2, {(1, 0): Field(Q).one})  # lower index pair
+
+
+def test_coefficients_that_are_no_field_elements_raise_type_error():
+    # the constructor read Field(d)(value) and died on its NotImplemented
+    # sentinel with AttributeError
+    for value in (Fraction(1, 2), "x", 2.5):
+        with pytest.raises(TypeError, match="is not an element of F_3"):
+            QuadraticForm(F3, 2, {(0, 0): value})
+    q = QuadraticForm(Q, 2, {(0, 0): Fraction(1, 2), (1, 1): 3})
+    assert q.coeffs == {(0, 0): Field(Q)(Fraction(1, 2)), (1, 1): Field(Q)(3)}
+    with pytest.raises(TypeError):
+        q.coeffs[(0, 1)] = Field(Q).one  # a read-only view
 
 
 def test_transform_is_substitution():

@@ -1243,6 +1243,22 @@ def test_q_payloads_are_canonical_and_match_the_fraction_only_oracle():
     assert checked > 1500
 
 
+def test_field_call_names_the_value_it_refuses():
+    # Field(d)(value) returned the NotImplemented sentinel for a value it
+    # could not convert, so a caller failed later with AttributeError
+    f3 = Field(prime_field(3))
+    for value in ("abc", Fraction(1, 2), 2.5, None):
+        with pytest.raises(TypeError) as info:
+            f3(value)
+        assert str(info.value) == f"{value!r} is not an element of {prime_field(3)!r}"
+        with pytest.raises(TypeError):
+            f3.payload(value)
+    assert Field(rationals())(Fraction(1, 2)).payload == Fraction(1, 2)
+    assert f3(5) == f3.from_int(2) and f3.payload(True) == 1
+    with pytest.raises(DescriptorMismatch):
+        f3(Field(prime_field(5)).one)
+
+
 def test_booleans_coerce_to_int_payloads():
     for F in (Field(rationals()), Field(function_field(rationals(), ("a",)))):
         assert repr(F(True)) == "1" and repr(F(False)) == "0"
