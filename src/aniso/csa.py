@@ -24,9 +24,9 @@ from .errors import AnisoError, _exact_int
 from . import fieldmatrix
 from .integers import binary_power, least_power
 from .scalars import (Field, FieldDescriptor, FieldElement, MinimalPolynomial,
-                      _fp_is_irreducible, _is_prime, element_from_json, element_to_json,
-                      function_field, is_kth_power, minimal_polynomial_power_relation,
-                      prime_field)
+                      _cy_normal, _cy_reduce_ints, _fp_is_irreducible, _is_prime, _p_to_tuple,
+                      element_from_json, element_to_json, function_field, is_kth_power,
+                      minimal_polynomial_power_relation, prime_field)
 
 
 class AlgebraError(AnisoError):
@@ -332,7 +332,7 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
     """Two-sided inverse by the adjugate: for M the matrix of y -> y x over
     R = K[u]/(u^n - a), y = e_(v^0) M^-1 solves y x = 1, its entries the
     cofactors of M's v^0 column over det M, the reduced norm, which
-    vanishes exactly on zero divisors. _upoly_cofactors takes them on the
+    vanishes exactly on zero divisors. _cofactors takes them over R on the
     transpose of M with that column first: at most n 2^(n-1) ring products,
     far fewer when M is sparse, plus the final scaling. As in reduced_norm
     they are taken of D x, so no gcd runs before it: x^-1 = D (D x)^-1.
@@ -345,7 +345,7 @@ def algebra_inverse(x: AlgebraElement) -> AlgebraElement:
     if common != d.one():
         x = x._scaled(common)
     *columns, first = zip(*_right_multiplication(x))
-    cofactors = _upoly_cofactors(spec, [first, *columns])
+    cofactors = _cofactors([first, *columns], *_upoly_ring(spec))
     det = _upoly_dot(spec, first, cofactors)
     assert all(map(d.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
     if d.is_zero(det[0]):
@@ -391,9 +391,9 @@ def _right_multiplication(x: AlgebraElement) -> list:
     R = K[u]/(u^n - a): the row of v^r is v^r x = sum c v^r u^i v^m in
     normal form (spec.reorder and v^n = b), each entry a length-n list in
     u. Rows and columns run from v^(n-1) down to v^0, ending on the row of
-    x itself, free of reorder factors, where reduced_norm's expansion
-    starts: on the dense-n4 norm golden that order reduces mod Phi_4 43
-    times, the increasing one 97.
+    x itself, free of reorder factors, where _cofactors starts: on
+    payloads, the dense-n4 norm golden reduced mod Phi_4 43 times in that
+    order and 97 in the increasing one.
     """
     spec = x.spec
     d, n = spec.base, spec.degree
@@ -424,31 +424,26 @@ def _common_denominator(spec, elements):
     return common
 
 
-def _upoly_cofactors(spec, mat) -> list:
+def _cofactors(mat, dot, neg, nonzero) -> list:
     """The cofactors (-1)^c det(mat without row 0 and column c) of the first
-    row of an n x n matrix over R = K[u]/(u^n - a), n = spec.degree, each
-    entry a length-n list in u of payloads of spec.base; their _upoly_dot
-    with mat[0] is det mat.
+    row of a square matrix over a commutative ring given by dot(fs, gs),
+    the sum of the products f g; neg and nonzero act on its elements. The
+    dot of mat[0] with them is det mat.
 
     Laplace expansion along each row from the last up to row 1, over
     memoized minors (Rote, Division-free algorithms for the determinant
     and the Pfaffian, 2001, section 2): the minors on the bottom k rows
     are kept by their column bitmask, a missing mask standing for a zero
-    minor, and the minor on one more row and column set S is one
-    _upoly_dot of the pairs (+-entry of that row in column c, minor on
-    S - c). With det's last dot that is at most n 2^(n-1) entry-by-minor
-    products in R, with at most C(n, n/2) minors held at a time. Nothing
-    is divided, so it is exact also when R has zero divisors.
+    minor, and the minor on one more row and column set S is one dot of
+    the pairs (+-entry of that row in column c, minor on S - c). With
+    det's last dot that is at most n 2^(n-1) entry-by-minor products, with
+    at most C(n, n/2) minors held at a time. Nothing is divided, so it is
+    exact also over a ring with zero divisors.
     """
-    d, n = spec.base, spec.degree
-    neg, is_zero = d.neg, d.is_zero
-
-    def nonzero(f):
-        return not all(map(is_zero, f))
-
+    n = len(mat)
     minors = {1 << c: e for c, e in enumerate(mat[-1]) if nonzero(e)}
     for r in range(n - 2, 0, -1):
-        row = [(1 << c, e, [neg(t) for t in e]) for c, e in enumerate(mat[r]) if nonzero(e)]
+        row = [(1 << c, e, neg(e)) for c, e in enumerate(mat[r]) if nonzero(e)]
         pairs: dict = {}
         for mask, minor in minors.items():
             for bit, e, minus_e in row:
@@ -459,26 +454,158 @@ def _upoly_cofactors(spec, mat) -> list:
                     gs.append(minor)
         minors = {}
         for mask, (fs, gs) in pairs.items():
-            f = _upoly_dot(spec, fs, gs)
+            f = dot(fs, gs)
             if nonzero(f):
                 minors[mask] = f
-    zero, full = [d.zero()] * n, (1 << n) - 1
+    zero, full = dot((), ()), (1 << n) - 1
     cofactors = [minors.get(full ^ (1 << c), zero) for c in range(n)]
-    return [[neg(t) for t in f] if c % 2 else f for c, f in enumerate(cofactors)]
+    return [neg(f) if c % 2 else f for c, f in enumerate(cofactors)]
+
+
+def _upoly_ring(spec) -> tuple:
+    """R = K[u]/(u^n - a) on length-n lists in u of payloads of spec.base,
+    as _cofactors takes a ring: (dot, neg, nonzero)."""
+    d = spec.base
+    return (functools.partial(_upoly_dot, spec), lambda f: [d.neg(t) for t in f],
+            lambda f: not all(map(d.is_zero, f)))
+
+
+def _packs(spec) -> bool:
+    """Whether the base is Q(z_m)(a, b) with u^n = a and v^n = b its two
+    variables, where reduced_norm expands on packed integers."""
+    d = spec.base
+    if d.kind != "function_field" or d.base.kind != "cyclotomic" or len(d.variables) != 2:
+        return False
+    one, unit = d.base.one(), d.one()[1]
+    return (spec.a.payload, spec.b.payload) == (((((1, 0), one),), unit),
+                                                ((((0, 1), one),), unit))
+
+
+# the most bits _packed_det lays out for det, about 5 times what a dense
+# n = 9 norm with integer coefficients in [-3, 3] takes; past it, as for
+# large powers of a or b, whose few terms spread over a wide box, the
+# expansion runs on payloads
+_PACKED_MAX_BITS = 1 << 22
+
+
+def _packed_det(spec, mat):
+    """The payload of det mat over Q(z_m)(a, b) when u^n = a and v^n = b are
+    its two variables and every entry has denominator 1: _cofactors run on
+    Kronecker-packed integers (von zur Gathen and Gerhard, Modern Computer
+    Algebra, section 8.4). None when det would take more than
+    _PACKED_MAX_BITS bits.
+
+    a -> u^n maps R = K[u]/(u^n - a) onto K[u], so L mat, L the lcm of the
+    Q(z_m) denominators, has its entries in Z[z][u, b], taken mod z^m - 1,
+    which Phi_m divides. The sum of c z^s u^i b^j packs into the int sum
+    of c 2^(w (s + (2m - 1)(i + U j))): z innermost, in cells of 2m - 1
+    slots that hold a product of two z-degrees below m, then u, then b.
+    U - 1, the sum of the rows' largest u-degrees, bounds the u-degree of
+    every minor. The l1 norm is submultiplicative, so no coefficient of a
+    minor, nor of a sum of entry-by-minor products, exceeds in size
+    B = prod over rows of sum_j |mat_ij|_1, and slots of w = bits(B) + 1
+    bits hold each one apart with its sign.
+
+    An element of that ring is a dict j -> its part at b^j, packed with
+    j = 0; {} is zero. A minor is {0: its whole packed int}, while an
+    entry keeps one part per power of b it holds: c b^3 then multiplies a
+    minor as a short int whose product is shifted by 3 U cells, not as an
+    int that spans them (a dense n = 6 norm with a^2 and b^3 in its
+    coefficients took 3.2 s with whole entries, 0.8 s with parts). Each
+    minor is one sum of int products, folded mod z^m - 1 by biasing every
+    slot to a nonnegative digit, adding the high half of each cell onto
+    its low half and removing the bias.
+
+    The determinant is unpacked once, by halves that skip the zero ones,
+    and each nonzero cell reduced mod Phi_m: one whose u-degree is not a
+    multiple of n must vanish, since det mat lies in K; the others are
+    the coefficients of a^(i/n) b^j, over L^n.
+    """
+    d, n = spec.base, spec.degree
+    m = d.base.n
+    rows = [[(col, k + n * ea, eb, nums, den) for col, e in enumerate(row)
+             for k, (num, _) in enumerate(e) if num for (ea, eb), (nums, den) in num]
+            for row in mat]
+    if not all(rows):
+        return d.zero()
+    L = math.lcm(*{den for row in rows for *_, den in row})
+    bound, ucells, bcells = 1, 1, 1
+    for row in rows:
+        bound *= sum(sum(map(abs, nums)) * (L // den) for *_, nums, den in row)
+        ucells += max(i for _, i, *_ in row)
+        bcells += max(j for _, _, j, *_ in row)
+    w = bound.bit_length() + 1
+    cell, cells = (2 * m - 1) * w, ucells * bcells
+    stride = cell * ucells  # of b
+    if cells * cell > _PACKED_MAX_BITS:
+        return None
+    packed = [[{} for _ in row] for row in mat]
+    for out, row in zip(packed, rows):
+        for col, i, j, nums, den in row:
+            scale, e = L // den, out[col]
+            e[j] = e.get(j, 0) + sum(c * scale << cell * i + w * s
+                                     for s, c in enumerate(nums) if c)
+    # the fold masks, over every cell of det: one 1 per cell, the low m and
+    # high m - 1 slots of each cell, 2^(w-1) in every slot, and the bias
+    # the fold leaves
+    ones = ((1 << cells * cell) - 1) // ((1 << cell) - 1)
+    low, high = ((1 << m * w) - 1) * ones, ((1 << (m - 1) * w) - 1 << m * w) * ones
+    bias = ((1 << cells * cell) - 1) // ((1 << w) - 1) << w - 1
+    left = (bias & low) + ((bias & high) >> m * w)
+
+    def dot(fs, gs):
+        by_b: dict = {}
+        for f, g in zip(fs, gs):
+            for k, y in g.items():
+                for j, e in f.items():
+                    by_b[j + k] = by_b.get(j + k, 0) + e * y
+        x = sum(v << stride * j for j, v in by_b.items()) + bias
+        x = (x & low) + ((x & high) >> m * w) - left
+        return {0: x} if x else {}
+
+    det = dot(packed[0], _cofactors(packed, dot, lambda f: {j: -e for j, e in f.items()}, bool))
+    terms, den, digit = {}, L ** n, (1 << w) - 1
+    half = bias & low & ((1 << cell) - 1)  # 2^(w-1) in each low slot of a cell
+
+    def unpack(x, first, count):
+        if not x:
+            return
+        if count > 1:
+            h = count // 2
+            bits = h * cell
+            lo = x & ((1 << bits) - 1)
+            if lo >> bits - 1:
+                lo -= 1 << bits
+            unpack(lo, first, h)
+            unpack((x - lo) >> bits, first + h, count - h)
+            return
+        x += half
+        nums = _cy_reduce_ints(m, [(x >> w * s & digit) - (1 << w - 1) for s in range(m)])
+        if any(nums):
+            j, i = divmod(first, ucells)
+            assert i % n == 0, "reduced norm must be scalar in the u-subfield"
+            terms[(i // n, j)] = _cy_normal(nums, den)
+
+    if det:
+        unpack(det[0], 0, cells)
+    return (_p_to_tuple(terms), d.one()[1])
 
 
 def reduced_norm(x: AlgebraElement) -> FieldElement:
-    """det M for M the matrix of y -> y x over R = K[u]/(u^n - a), the
-    _upoly_dot of its first row with _upoly_cofactors; it lands in the base
-    field. The determinant is taken of D x, D the product of the distinct
-    coefficient denominators, whose entries have denominator 1 so that no
-    gcd runs, and divided by D^n at the end.
+    """det M for M the matrix of y -> y x over R = K[u]/(u^n - a), the dot
+    of its first row with _cofactors; it lands in the base field. The
+    determinant is taken of D x, D the product of the distinct coefficient
+    denominators, whose entries have denominator 1 so that no gcd runs,
+    and divided by D^n at the end.
 
-    Over Q(zeta_n)(a, b) a dense element with nonzero integer coefficients
-    takes about 0.02 s at n = 5, 0.06 s at n = 6, 0.35 s at n = 7, 1 s at
-    n = 8 and 4.5 s at n = 9 (one core of a 2-core x86 machine); the gcds
-    that clear and restore D add to that, and the expansion then runs on
-    polynomials, at a cost that grows with their degrees.
+    Over Q(zeta_m)(a, b) with u^n = a and v^n = b its variables, the
+    generic algebra of `csa norm`, the expansion runs on Kronecker-packed
+    integers (_packed_det); over any other base, or past its size cap, on
+    lists in u of payloads. A dense element with nonzero integer coefficients takes
+    about 3 ms at n = 5, 0.01 s at n = 6, 0.06 s at n = 7, 0.3 s at n = 8
+    and 1.9 s at n = 9 (one core of a 2-core x86 machine; on payloads it
+    took 0.016, 0.05, 0.3, 0.9 and 3.9 s); the gcds that clear and
+    restore D add to that.
     """
     spec = x.spec
     if not isinstance(spec, SymbolAlgebraSpec):
@@ -488,9 +615,12 @@ def reduced_norm(x: AlgebraElement) -> FieldElement:
     if common != d.one():
         x = x._scaled(common)
     mat = _right_multiplication(x)
-    det = _upoly_dot(spec, mat[0], _upoly_cofactors(spec, mat))
-    assert all(map(d.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
-    norm = det[0]
+    norm = _packed_det(spec, mat) if _packs(spec) else None
+    if norm is None:
+        dot, neg, nonzero = _upoly_ring(spec)
+        det = dot(mat[0], _cofactors(mat, dot, neg, nonzero))
+        assert all(map(d.is_zero, det[1:])), "reduced norm must be scalar in the u-subfield"
+        norm = det[0]
     if common != d.one():
         norm = d.div(norm, d.power(common, spec.degree))
     return FieldElement(d, norm)

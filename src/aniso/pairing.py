@@ -125,7 +125,14 @@ class FiniteAbelianGroup:
 
 def _pair(gram: Sequence[Sequence[int]], x: Sequence[int], y: Sequence[int]) -> int:
     """sum_ij x_i gram_ij y_j: the numerator of the value on x and y."""
-    return sum(a * b for a, b in zip(_vec_mat(x, gram, len(y)), y))
+    return sum(map(operator.mul, _vec_mat(x, gram, len(y)), y))
+
+
+def _pair_all(gram: Sequence[Sequence[int]], vectors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """_pair(gram, a, b) for every a (rows) and b (columns) of vectors, each
+    row a @ gram taken once."""
+    rows = [_vec_mat(a, gram, len(gram)) for a in vectors]
+    return [[sum(map(operator.mul, row, b)) for b in vectors] for row in rows]
 
 
 class AlternatingPairing:
@@ -300,8 +307,8 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
         # part's exponent big: each value is killed by big, so value * big
         # is the integer (t mod den) * big / den
         big = part_factors[-1]
-        part_gram = [[_pair(p._num, a, b) % p._den * big // p._den for b in embed]
-                     for a in embed]
+        part_gram = [[t % p._den * big // p._den for t in row]
+                     for row in _pair_all(p._num, embed)]
         part_gens = _isotropic_primary(ell, part_factors, part_gram, big)
         for coeffs, order in part_gens:
             vec = group.zero
@@ -311,9 +318,8 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
             orders_out.append(order)
     total = math.prod(orders_out) if orders_out else 1
     result = IsotropicSubgroup(tuple(gens_out), tuple(orders_out), total)
-    for a in result.generators:
-        for b in result.generators:
-            assert _pair(p._num, a, b) % p._den == 0, "constructed subgroup is not isotropic"
+    assert not any(t % p._den for row in _pair_all(p._num, result.generators) for t in row), \
+        "constructed subgroup is not isotropic"
     assert (result.order * result.order) % group.order == 0, \
         "order-squared divisibility failed"
     return result
@@ -363,7 +369,7 @@ def _isotropic_primary(ell: int, factors: list[int], gram: list[list[int]],
 
     rest = [hs[i] for i in range(len(hs)) if i != split]
     rest_orders = [ms[i] for i in range(len(hs)) if i != split]
-    sub_gram = [[_pair(gram, a, b) % den for b in rest] for a in rest]
+    sub_gram = [[t % den for t in row] for row in _pair_all(gram, rest)]
     sub = _isotropic_primary(ell, rest_orders, sub_gram, den)
 
     out = [(tuple(g), big)]

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from aniso import csa
 from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        PrimeTooLarge, SpecMismatch, SymbolAlgebraSpec,
                        WeylModPSpec, ZeroPolynomial, algebra_inverse,
@@ -17,7 +18,7 @@ from aniso.csa import (AlgebraElement, AlgebraError, NotInvertible,
                        norm_residue_injectivity_check, reduced_norm,
                        separability_check, weyl_split_verification)
 from aniso.pairing import commutator_pairing_from_central_extension, is_perfect
-from aniso.scalars import (Field, _fp_is_irreducible, cyclotomic, element_to_json,
+from aniso.scalars import (Field, FieldElement, _fp_is_irreducible, cyclotomic, element_to_json,
                            function_field, prime_field, rationals)
 from deadline import deadline
 from oracles import algebra_inverse_by_solve, reduced_norm_by_elements, regular_representation
@@ -361,6 +362,139 @@ def test_dense_n6_norm_is_pinned():
         norm = reduced_norm(_dense_symbol_element(6))
     digest = hashlib.sha256(json.dumps(element_to_json(norm)).encode()).hexdigest()
     assert digest == "0d607b0777e0013a354ecadfcc3a53e8fbbc1521034681b8c41c17c33e8af398"
+
+
+def test_dense_n8_norm_is_pinned():
+    # the sha256 was taken on the expansion over payloads, 0.9 s there and
+    # 0.3 s on packed integers (one core of a 2-core x86 machine)
+    with deadline(10):
+        norm = reduced_norm(_dense_symbol_element(8))
+    digest = hashlib.sha256(json.dumps(element_to_json(norm)).encode()).hexdigest()
+    assert digest == "585e135b4cacfb2e2ed40b82d0d845468e02a1efd5d0492ecd4c398d310ebd7f"
+
+
+def _norm_by_payload_expansion(x):
+    """reduced_norm's expansion over lists in u of payloads, the path of
+    every base but the generic one, run on any symbol algebra."""
+    spec = x.spec
+    d = spec.base
+    common = csa._common_denominator(spec, [x])
+    mat = csa._right_multiplication(x._scaled(common))
+    dot, neg, nonzero = csa._upoly_ring(spec)
+    det = dot(mat[0], csa._cofactors(mat, dot, neg, nonzero))
+    assert all(map(d.is_zero, det[1:]))
+    return FieldElement(d, d.div(det[0], d.power(common, spec.degree)))
+
+
+def _packed_calls(monkeypatch) -> list:
+    calls, packed = [], csa._packed_det
+    monkeypatch.setattr(csa, "_packed_det", lambda *args: calls.append(1) or packed(*args))
+    return calls
+
+
+def test_packed_norm_sweep_matches_oracle_and_payload_expansion(monkeypatch):
+    """The expansion on Kronecker-packed integers against Berkowitz's
+    recurrence on FieldElements and the expansion on payloads, n = 2-7:
+    dense, u, v and monomial elements with rational Q(zeta_n)
+    coefficients, times 1, a^2, b^3 or a^2 b^3, some over a denominator
+    that is not a monomial. Dense elements at n = 6, 7 have constant
+    coefficients and are checked against the payload expansion only: with
+    factors a^2 and b^3 a dense n = 7 norm takes 8 s on either path."""
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(34)
+    count = 0
+    for n in range(2, 8):
+        spec, base = generic_symbol(n), Field(cyclotomic(n))
+        a, b = spec.field.vars()
+        z = spec.field.lift(base.generator())
+        dens = [b + Fraction(1, 2) - z, a * b + 2 * z]
+
+        def constant(rng, spec=spec, base=base):
+            c = base.random_element(rng, height=3, nonzero=True) / rng.randint(1, 6)
+            return spec.field.lift(c)
+
+        def coefficient(rng, constant=constant, factors=(1, a ** 2, b ** 3, a ** 2 * b ** 3)):
+            return constant(rng) * rng.choice(factors)
+
+        for shape in ("dense", "u", "v", "monomial"):
+            # a dense element over a non-monomial denominator runs gcds over Q(zeta_n)[a, b]
+            # in both oracles: kept to one such denominator, at n <= 3
+            for over in (None, *(dens if shape != "dense" else dens[:n <= 3])):
+                x = _shaped_element(spec, rng, shape,
+                                    constant if shape == "dense" and n > 5 else coefficient)
+                if over is not None:
+                    x = x * over.inverse()
+                label = f"n={n} {shape} over {over}"
+                norm = reduced_norm(x)
+                assert norm == _norm_by_payload_expansion(x), label
+                if shape != "dense" or n <= 5:
+                    assert norm == reduced_norm_by_elements(x), label
+                count += 1
+    assert len(calls) == count
+
+
+def test_packed_norm_reaches_its_bound(monkeypatch):
+    """c v, c with a 40-bit positive coefficient on every power of the
+    basis of Q(zeta_n): every entry of right multiplication is c or c b,
+    so the determinant mod z^n - 1 is (-1)^(n-1) c^n b with no cancellation,
+    and the l1 norms of its cells sum to the bound B = |c|_1^n the slot
+    width is computed from. At n = 2 the one cell holds -B itself, which
+    a width of one bit less would misread."""
+    rng = random.Random(40)
+    for n in range(2, 8):
+        spec, base = generic_symbol(n), Field(cyclotomic(n))
+        z = base.generator()
+        coeffs = [rng.randrange(1 << 40, 1 << 41) for _ in z.payload[0]]
+        c = spec.field.lift(sum((k * z ** s for s, k in enumerate(coeffs)), base.zero))
+        x = AlgebraElement(spec, {(0, 1): c})
+        cells, reduce_ints = [], csa._cy_reduce_ints
+        monkeypatch.setattr(csa, "_cy_reduce_ints",
+                            lambda m, cs: cells.append(list(cs)) or reduce_ints(m, cs))
+        norm = reduced_norm(x)
+        monkeypatch.undo()
+        bound = sum(coeffs) ** n
+        assert sum(abs(t) for cs in cells for t in cs) == bound, n
+        assert norm == (-1) ** (n - 1) * c ** n * spec.b, n
+        if n == 2:
+            assert cells == [[-bound, 0]]
+
+
+def test_packed_norm_leaves_a_wide_box_to_payloads(monkeypatch):
+    """a^k u at n = 3 has three terms, but packed they would span about 9k
+    cells: past csa._PACKED_MAX_BITS the expansion runs on payloads, and
+    Nrd(a^k u) = a^(3k) Nrd(u) = a^(3k + 1) at once."""
+    spec = generic_symbol(3)
+    a = spec.field.var("a")
+    returned, packed = [], csa._packed_det
+    monkeypatch.setattr(csa, "_packed_det",
+                        lambda *args: returned.append(packed(*args)) or returned[-1])
+    with deadline(5):
+        assert reduced_norm(spec.u * a ** 10 ** 6) == a ** (3 * 10 ** 6 + 1)
+        assert reduced_norm(spec.u * a ** 10 ** 3) == a ** (3 * 10 ** 3 + 1)
+    assert returned[0] is None and returned[1] is not None
+
+
+def test_norm_dispatch_keeps_the_payload_path_off_the_generic_algebra(monkeypatch):
+    """Only u^n = a, v^n = b over Q(zeta_m)(a, b) is packed: a = a + 1, or
+    the two variables swapped, run the expansion on payloads, while
+    Q(zeta_m) with m a proper multiple of n packs in cells of 2m - 1."""
+    calls = _packed_calls(monkeypatch)
+    rng = random.Random(3)
+    for m, n, packs in ((3, 3, False), (1, 2, True), (6, 3, True), (12, 4, True)):
+        base = function_field(cyclotomic(m), ("a", "b"))
+        field = Field(base)
+        a, b = field.vars()
+        z = field.lift(Field(cyclotomic(m)).generator())
+        specs = [SymbolAlgebraSpec(base, n, a, b)] if packs else \
+            [SymbolAlgebraSpec(base, n, a + 1, b), SymbolAlgebraSpec(base, n, b, a)]
+        for spec in specs:
+            for shape in ("dense", "u", "monomial"):
+                x = _shaped_element(spec, rng, shape,
+                                    lambda rng: field.lift(Field(cyclotomic(m)).random_element(
+                                        rng, height=3, nonzero=True)) * (a + z))
+                calls.clear()
+                assert reduced_norm(x) == reduced_norm_by_elements(x), (m, spec.a, shape)
+                assert calls == [1] * packs
 
 
 def test_reduced_norm_refuses_weyl_algebras():

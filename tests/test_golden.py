@@ -198,37 +198,43 @@ def test_f16_arf_request_builds_30_field_elements(monkeypatch):
 
 def _count_cyclotomic_reductions(name, monkeypatch) -> int:
     # one warm-up request builds what later requests share, so the count of
-    # the second one is exact
-    from aniso import scalars
+    # the second one is exact; csa binds the reduction by name for the
+    # packed determinant's cells, so both names are counted
+    from aniso import csa, scalars
     run_case(name)
     calls, reduce_ints = [], scalars._cy_reduce_ints
-    monkeypatch.setattr(scalars, "_cy_reduce_ints",
-                        lambda *args: calls.append(args) or reduce_ints(*args))
+
+    def counted(*args):
+        calls.append(args)
+        return reduce_ints(*args)
+
+    monkeypatch.setattr(scalars, "_cy_reduce_ints", counted)
+    monkeypatch.setattr(csa, "_cy_reduce_ints", counted)
     code, out = run_case(name)
     assert code == 0 and out == (GOLDEN / f"{name}.out.json").read_text()
     return len(calls)
 
 
-def test_dense_n4_norm_reduces_43_cyclotomic_products(monkeypatch):
-    # each coefficient of each entry-by-minor sum in K[u]/(u^4 - a) is one
-    # fused sum of products: the integer convolutions of all products on
-    # one monomial of Q(z4)[a, b] share one list, reduced mod Phi_4 once,
-    # and not at all when no entry reaches degree 2. A product past u^3
-    # joins the sum of its power of u times a: summed on its own, then
-    # times a, it took 59. The count covers the whole request, reading the
-    # element included, and is a property of the matrix the expansion runs
-    # on: right multiplication, rows from v^3 down to v^0, expanded from
-    # the row of v^0 up (97 from the row of v^3 down). Berkowitz's
-    # recurrence on the same matrix took 119; reducing each product
-    # without a rational factor on its own took 229
-    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 43
+def test_dense_n4_norm_reduces_47_cyclotomic_products(monkeypatch):
+    # the whole request: 19 reductions reading the element, none building
+    # right multiplication (its entries are integers times powers of z4),
+    # and one per nonzero cell of the packed determinant, whose expansion
+    # runs mod z^4 - 1 on integers and reduces nothing: 28 cells, the 16
+    # monomials a^i b^j of the norm and 12 cells whose u-degree is not a
+    # multiple of 4, each checked to vanish mod Phi_4. The expansion on
+    # payloads reduced 24 times, 43 in all; Berkowitz's recurrence took
+    # 119, and reducing each product without a rational factor on its own
+    # 229
+    assert _count_cyclotomic_reductions("csa-norm-dense-n4", monkeypatch) == 47
 
 
-def test_dense_n5_fractional_norm_reduces_1210_cyclotomic_products(monkeypatch):
-    # the same fused sums over Q(z5)(a, b); 1,650 with the products past
-    # u^4 summed on their own, 2,243 by Berkowitz's recurrence, and 14,610
-    # with one reduction per product
-    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 1210
+def test_dense_n5_fractional_norm_reduces_241_cyclotomic_products(monkeypatch):
+    # the same over Q(z5)(a, b) with fractional coefficients: 31 reading,
+    # 80 building right multiplication and 130 nonzero cells of the packed
+    # determinant. The expansion on payloads took 1,210 (1,650 with the
+    # products past u^4 summed on their own), Berkowitz's recurrence
+    # 2,243, and one reduction per product 14,610
+    assert _count_cyclotomic_reductions("csa-norm-dense-n5-fractional", monkeypatch) == 241
 
 
 def test_dense_n5_norm_with_a_nonmonomial_denominator_ends(monkeypatch):

@@ -479,3 +479,20 @@ def test_three_smith_forms_per_level(monkeypatch):
         # each level splits off exactly one generator
         assert counts["levels"] == len(sub.generators) >= 1
         assert counts["reductions"] == 3 * counts["levels"]
+
+
+@pytest.mark.parametrize("factors, entries, rows", [
+    ((3, 9, 27, 27), [(0, 1, "1/3"), (2, 3, "1/27")], 10),
+    ((2, 4, 12, 60, 60),
+     [(0, 1, "1/2"), (1, 2, "1/4"), (2, 3, "5/12"), (3, 4, "7/60"), (0, 4, "1/2")], 27),
+])
+def test_isotropic_subgroup_takes_each_row_once(monkeypatch, factors, entries, rows):
+    # the part gram, each level's sub-gram and the final isotropy check take
+    # x @ gram once per vector, not once per pair: 26 and 91 rows that way
+    from aniso import pairing
+    calls, vec_mat = [], pairing._vec_mat
+    monkeypatch.setattr(pairing, "_vec_mat", lambda *args: calls.append(1) or vec_mat(*args))
+    p = _pairing_from_entries(factors, entries)
+    sub = isotropic_subgroup(p)
+    assert len(calls) == rows
+    assert all(p.value(g, h) == 0 for g in sub.generators for h in sub.generators)
