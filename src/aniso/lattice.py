@@ -21,9 +21,16 @@ built or not. U's rows come from pushing the identity's rows backwards
 through the log, O(r) per step whose source column is not still zero.
 Every answer here reads only D, V and U's first r rows U_r (r the rank),
 so U is never built, and _smith_dv is the one Smith form and its one
-certificate. That certificate costs O(m n^2 + n^3) and checks that:
+certificate. Both run on rows of ints: an IntMatrix is the API form only,
+its entries read once where it enters (integer_kernel, and the stack
+behind fixed_sublattice, kernel_mod_d and MatrixGroup.stack_smith), as
+are the rows given to row_basis and abelian_quotient. The certificate
+costs O(m n^2 + n^3) and checks that:
 
-- V is unimodular (an n x n Bareiss determinant);
+- V is unimodular: an n x n Bareiss determinant, or, when the caller
+  needs V^-1 (only the quotient generators, _quotient, behind
+  abelian_quotient and the isotropic step of pairing, do), the
+  Gauss-Jordan of [V | I] that also yields V^-1;
 - the diagonal of D is nonnegative and a divisibility chain;
 - every row of M @ V lies in the row lattice of D: column j is divisible
   by d_j, and the columns from r on are zero;
@@ -33,8 +40,7 @@ The third check puts the row lattice of M @ V inside that of D. The fourth
 writes each basis row of D's row lattice as an integer combination of rows
 of M @ V. So the two row lattices are equal, and some unimodular U has
 U @ M @ V = D. Kernels, row bases, torsion and H¹ are read off that one
-certified form; only the quotient generators (_quotient, behind
-abelian_quotient and the isotropic step of pairing) invert a V.
+certified form.
 """
 
 from __future__ import annotations
@@ -165,17 +171,6 @@ class IntMatrix:
         return m
 
 
-def int_inverse(m: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix."""
-    n = m.cols
-    a = [list(row) + [1 if i == j else 0 for j in range(n)]
-         for i, row in enumerate(m.entries)]
-    _unimodular_bareiss(a, n)
-    # every pivot entry equals +-1 = its own inverse
-    return IntMatrix(tuple(tuple(row[i] * x for x in row[n:])
-                           for i, row in enumerate(a)))
-
-
 def _unimodular_bareiss(a: list[list[int]], n: int, below_only: bool = False) -> None:
     """Run _bareiss on the rows a over their first n columns, in place, and
     raise NotUnimodular unless those columns form a square matrix of
@@ -253,8 +248,8 @@ def _apply_row_op(rows: list[list[int]], op: tuple[int, ...]) -> None:
         rows[op[0]] = [-x for x in rows[op[0]]]
 
 
-def _smith_reduce(m: IntMatrix):
-    """The Smith elimination of m under the documented pivot rule.
+def _smith_reduce(m: Sequence[Sequence[int]]):
+    """The Smith elimination of the int rows m under the documented pivot rule.
 
     Returns the reduced matrix D = U @ m @ V and V, both as lists of rows,
     and the log of row operations whose product, in order, is U. The pivot
@@ -267,8 +262,8 @@ def _smith_reduce(m: IntMatrix):
     nonzero in column t after the row pass. A pivot of ±1 divides
     everything, so it skips the divisibility scan.
     """
-    a = [list(row) for row in m.entries]
-    rows, cols = m.rows, m.cols
+    a = [list(row) for row in m]
+    rows, cols = len(a), len(a[0])
     v = [[int(i == j) for j in range(cols)] for i in range(cols)]
     log: list[tuple[int, ...]] = []
 
@@ -357,7 +352,7 @@ def _pivot_rows(log: list[tuple[int, ...]], r: int, rows: int) -> list[tuple[int
     for op in reversed(log):
         if len(op) == 2 or cols[op[0]] is not zero:
             _apply_row_op(cols, (op[1], op[0], op[2]) if len(op) == 3 else op)
-    return [tuple(col[i] for col in cols) for i in range(r)]
+    return list(zip(*cols))
 
 
 def _vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> list[int]:
@@ -369,43 +364,53 @@ def _vec_mat(x: Sequence[int], rows: Sequence[Sequence[int]], width: int) -> lis
     return out
 
 
-def _certify_smith(m: IntMatrix, diag: Sequence[int], v: IntMatrix,
-                   u_r: Sequence[Sequence[int]]) -> None:
-    """Raise LatticeError unless some unimodular U has U @ m @ V = D.
+def _certify_smith(m: Sequence[Sequence[int]], diag: Sequence[int],
+                   v: Sequence[Sequence[int]], u_r: Sequence[Sequence[int]],
+                   inverse: bool = False) -> Optional[list[list[int]]]:
+    """Raise LatticeError unless some unimodular U has U @ m @ V = D; with
+    inverse, return V^-1.
 
-    D is the matrix of m's shape with the given diagonal, and u_r stands
-    for U's first r rows, r the number of nonzero diagonal entries. The
-    checks, and why they suffice, are in the module docstring.
+    m and V are int rows, D is the matrix of m's shape with the given
+    diagonal, and u_r stands for U's first r rows, r the number of nonzero
+    diagonal entries. V is proved unimodular by a determinant, eliminating
+    below each pivot only, or with inverse by the Gauss-Jordan of [V | I],
+    which leaves every pivot row ±1 times a row of V^-1. The other checks,
+    and why they suffice, are in the module docstring.
     """
-    n = m.cols
-    if abs(v.det()) != 1:
+    n = len(m[0])
+    # _bareiss replaces rows and never edits one, so V's rows can be shared
+    a = ([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(v)]
+         if inverse else list(v))
+    pivots, det = _bareiss(a, n, below_only=not inverse)
+    if len(a) != n or len(pivots) < n or abs(det) != 1:
         raise LatticeError("Smith certificate: V is not unimodular")
-    if len(diag) != min(m.rows, n) or not _is_chain(diag):
+    if len(diag) != min(len(m), n) or not _is_chain(diag):
         raise LatticeError("Smith certificate: D is not a divisibility chain")
     r = sum(1 for s in diag if s)
-    mv = [_vec_mat(row, v.entries, n) for row in m.entries]
+    mv = [_vec_mat(row, v, n) for row in m]
     for row in mv:
-        if any(x % diag[j] if j < r else x for j, x in enumerate(row)):
+        if any(row[r:]) or any(x % s for x, s in zip(row, diag[:r])):
             raise LatticeError("Smith certificate: a row of m @ V is not in D's row lattice")
     if len(u_r) != r or any(
-            len(urow) != m.rows
+            len(urow) != len(m)
             or _vec_mat(urow, mv, n) != [diag[i] if j == i else 0 for j in range(n)]
             for i, urow in enumerate(u_r)):
         raise LatticeError("Smith certificate: U's pivot rows do not map m @ V onto D")
+    # every pivot entry is the same ±1, its own inverse
+    return [[row[i] * x for x in row[n:]] for i, row in enumerate(a)] if inverse else None
 
 
-def _smith_dv(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, list[tuple[int, ...]]]:
-    """Diagonal, V and U's first r rows of m's Smith form, certified.
+def _smith_dv(m: Sequence[Sequence[int]], inverse: bool = False):
+    """Diagonal, V, U's first r rows and, with inverse, V^-1 (else None) of
+    the Smith form of the int rows m, certified; V and V^-1 as lists of rows.
 
     The m x m matrix U is never built: the certificate needs only its
     pivot rows, and so does every caller in this package.
     """
     a, v, log = _smith_reduce(m)
-    diag = tuple(a[i][i] for i in range(min(m.rows, m.cols)))
-    u_r = _pivot_rows(log, sum(1 for s in diag if s), m.rows)
-    vm = IntMatrix.from_rows(v)
-    _certify_smith(m, diag, vm, u_r)
-    return diag, vm, u_r
+    diag = tuple(a[i][i] for i in range(min(len(a), len(v))))
+    u_r = _pivot_rows(log, sum(1 for s in diag if s), len(a))
+    return diag, v, u_r, _certify_smith(m, diag, v, u_r, inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +418,13 @@ def _smith_dv(m: IntMatrix) -> tuple[tuple[int, ...], IntMatrix, list[tuple[int,
 
 def integer_kernel(m: IntMatrix) -> list[tuple[int, ...]]:
     """Basis (as rows) of {v : m @ v = 0}."""
-    diag, v, _ = _smith_dv(m)
-    rank = sum(1 for d in diag if d)
-    return [v.col(i) for i in range(rank, m.cols)]
+    return _kernel(tuple(map(_int_tuple, m.entries)))
+
+
+def _kernel(m: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """integer_kernel of the int rows m: the columns of V past the rank."""
+    diag, v, _, _ = _smith_dv(m)
+    return list(zip(*v))[sum(1 for d in diag if d):]
 
 
 def _stack_shifted(generators: Sequence[IntMatrix]) -> IntMatrix:
@@ -438,8 +447,8 @@ def _stack_smith(generators: Sequence[IntMatrix]) -> tuple[tuple[int, ...], IntM
     With v = V w, v is fixed by every generator, so by every word in them,
     iff every s_i w_i = 0, and fixed mod d iff every s_i w_i ≡ 0 (mod d).
     """
-    diag, v, _ = _smith_dv(_stack_shifted(generators))
-    return diag, v
+    diag, v, _, _ = _smith_dv(_stack_shifted(generators).entries)
+    return diag, IntMatrix(tuple(map(tuple, v)))
 
 
 def fixed_sublattice(generators: Sequence[IntMatrix]) -> list[tuple[int, ...]]:
@@ -641,7 +650,7 @@ def group_closure(generators: Sequence[IntMatrix], cap: Optional[int] = None) ->
     sum of the n orbit sizes (480 for the 566 products of the S_5 norm
     quotient, where one per row would be 67,354). Each kept generator is
     admitted by one n x n Bareiss determinant; one that is not unimodular
-    raises NotUnimodular, with int_inverse's messages. Raises
+    raises NotUnimodular, with _unimodular_bareiss's messages. Raises
     ClosureCapExceeded past the cap (default 10000, override with the
     ANISO_CLOSURE_CAP variable).
     """
@@ -681,10 +690,10 @@ def _row_smith(rows: Sequence[Sequence[int]], ambient: int):
     rows = [r for r in map(_int_tuple, rows) if any(r)]
     if not rows:
         return (), None, []
-    m = IntMatrix(tuple(rows))
-    if m.cols != ambient:
-        raise LatticeError("ambient dimension mismatch")
-    diag, v, u_r = _smith_dv(m)
+    if any(len(r) != ambient for r in rows):
+        raise LatticeError("ragged rows" if any(len(r) != len(rows[0]) for r in rows)
+                           else "ambient dimension mismatch")
+    diag, v, u_r, _ = _smith_dv(rows)
     return diag[:len(u_r)], v, [tuple(_vec_mat(u, rows, ambient)) for u in u_r]
 
 
@@ -701,7 +710,7 @@ def _reduce_mod_rows(v: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[in
         lead = next((i for i, x in enumerate(row) if x), None)
         if lead is None:
             continue
-        q = v[lead] // row[lead] if row[lead] else 0
+        q = v[lead] // row[lead]
         if q:
             v = [x - q * y for x, y in zip(v, row)]
     return tuple(v)
@@ -720,7 +729,8 @@ def _quotient(numerator_rows: Sequence[Sequence[int]],
     coordinates(x) gives the torsion coordinates of x, each reduced mod
     its invariant factor, or None when x is not in the numerator lattice;
     coordinates itself is None when the numerator or the denominator is
-    zero. Two Smith forms: the numerator's and C's.
+    zero. Two Smith forms: the numerator's and C's, whose certificate proves
+    V_c unimodular by the elimination that gives V_c^-1.
     """
     num_diag, num_v, num = _row_smith(numerator_rows, ambient)
     den = [r for r in map(_int_tuple, denominator_rows) if any(r)]
@@ -733,7 +743,7 @@ def _quotient(numerator_rows: Sequence[Sequence[int]],
     def num_coords(x):
         # x lies in the numerator lattice iff every (x @ V)_i / s_i is an
         # integer and (x @ V)_i = 0 from r on
-        xv = _vec_mat(x, num_v.entries, ambient)
+        xv = _vec_mat(x, num_v, ambient)
         if any(xv[r:]) or any(xv[i] % num_diag[i] for i in range(r)):
             return None
         return [xv[i] // num_diag[i] for i in range(r)]
@@ -744,12 +754,11 @@ def _quotient(numerator_rows: Sequence[Sequence[int]],
         if c is None:
             raise LatticeError("denominator lattice not contained in numerator lattice")
         coeff_rows.append(c)
-    diag, v, _ = _smith_dv(IntMatrix.from_rows(coeff_rows))
-    vinv = int_inverse(v)
+    diag, v, _, vinv = _smith_dv(coeff_rows, inverse=True)
     diag = list(diag) + [0] * (r - len(diag))
     torsion, free, factors, torsion_at = [], [], [], []
     for i in range(r):
-        gen = tuple(_vec_mat(vinv.row(i), num, ambient))
+        gen = tuple(_vec_mat(vinv[i], num, ambient))
         s = diag[i]
         if s == 0:
             free.append(gen)
@@ -762,7 +771,7 @@ def _quotient(numerator_rows: Sequence[Sequence[int]],
         c = num_coords(x)
         if c is None:
             return None
-        y = _vec_mat(c, v.entries, r)
+        y = _vec_mat(c, v, r)
         return [y[i] % diag[i] for i in torsion_at]
 
     structure = AbelianGroupStructure(tuple(factors), free_rank=len(free))

@@ -22,8 +22,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import AnisoError, _exact_fraction, _exact_int
 from .integers import _TRIAL_DIVISION_LIMIT, _prime_factors, _split_prime_power, least_power
-from .lattice import (IntMatrix, _int_tuple, _quotient, _vec_mat, abelian_quotient,
-                      closure, integer_kernel)
+from .lattice import _int_tuple, _kernel, _quotient, _vec_mat, abelian_quotient, closure
 
 if TYPE_CHECKING:
     from .scalars import FieldElement
@@ -210,6 +209,13 @@ def _require_valid(p: AlternatingPairing) -> None:
         raise InvalidPairing(check.message)
 
 
+def _combine(coeffs: Sequence[int], vectors: Sequence[Sequence[int]],
+             factors: Sequence[int]) -> tuple[int, ...]:
+    """sum_i coeffs_i vectors_i, each coordinate reduced once mod its factor."""
+    return tuple(sum(c * x[j] for c, x in zip(coeffs, vectors)) % d
+                 for j, d in enumerate(factors))
+
+
 def _units(k: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
@@ -230,7 +236,7 @@ def _orthogonal(gram: Sequence[Sequence[int]], den: int, big: int,
     rows = [[t % den * big // den for t in _vec_mat(v, gram, k)]
             + [big if col == j else 0 for col in range(len(vectors))]
             for j, v in enumerate(vectors)]
-    return [row[:k] for row in integer_kernel(IntMatrix.from_rows(rows))]
+    return [row[:k] for row in _kernel(rows)]
 
 
 def _radical_generators(p: AlternatingPairing) -> list[tuple[int, ...]]:
@@ -311,10 +317,7 @@ def isotropic_subgroup(p: AlternatingPairing) -> IsotropicSubgroup:
                      for row in _pair_all(p._num, embed)]
         part_gens = _isotropic_primary(ell, part_factors, part_gram, big)
         for coeffs, order in part_gens:
-            vec = group.zero
-            for c, e in zip(coeffs, embed):
-                vec = group.add(vec, group.scale(c, e))
-            gens_out.append(vec)
+            gens_out.append(_combine(coeffs, embed, group.invariant_factors))
             orders_out.append(order)
     total = math.prod(orders_out) if orders_out else 1
     result = IsotropicSubgroup(tuple(gens_out), tuple(orders_out), total)
@@ -334,13 +337,17 @@ def _isotropic_primary(ell: int, factors: list[int], gram: list[list[int]],
     Three Smith forms per level: one for the kernel of pairing against g,
     and the quotient's two. The relations diag(f_1 | ... | f_k), f_i >= 2,
     need none: the pivot rule does no operation on them, so they are their
-    own row basis, and reducing modulo them is group.reduce.
+    own row basis, and reducing modulo them is reducing each coordinate mod
+    its factor. Three integer eliminations per level too: the determinants
+    proving the first two Smith forms' V unimodular, and the Gauss-Jordan
+    of [V | I] that proves the third's and gives the quotient its V^-1.
+    Coefficient vectors are mapped back by one integer combination each,
+    reduced once.
     """
     k = len(factors)
     if k == 0:
         return []
-    group = FiniteAbelianGroup(factors)
-    big = group.exponent  # = ell^r, maximal element order
+    big = factors[-1]  # = ell^r, maximal element order
     # the lexicographically first element of order big: only zero precedes
     # it, and the last invariant factor is the largest
     g = (0,) * (k - 1) + (1,)
@@ -350,7 +357,7 @@ def _isotropic_primary(ell: int, factors: list[int], gram: list[list[int]],
     relations = [[factors[j] if i == j else 0 for j in range(k)] for i in range(k)]
     structure, torsion_gens, free_gens, coordinates = _quotient(kernel_rows, relations, k)
     assert not free_gens, "kernel quotient must be finite"
-    hs = [group.reduce(h) for h in torsion_gens]
+    hs = [tuple(x % f for x, f in zip(h, factors)) for h in torsion_gens]
     ms = list(structure.invariant_factors)
 
     if not hs:
@@ -372,13 +379,7 @@ def _isotropic_primary(ell: int, factors: list[int], gram: list[list[int]],
     sub_gram = [[t % den for t in row] for row in _pair_all(gram, rest)]
     sub = _isotropic_primary(ell, rest_orders, sub_gram, den)
 
-    out = [(tuple(g), big)]
-    for coeffs_sub, order in sub:
-        vec = group.zero
-        for c, h in zip(coeffs_sub, rest):
-            vec = group.add(vec, group.scale(c, h))
-        out.append((vec, order))
-    return out
+    return [(g, big)] + [(_combine(coeffs, rest, factors), order) for coeffs, order in sub]
 
 
 # ---------------------------------------------------------------------------

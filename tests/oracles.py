@@ -38,8 +38,8 @@ from aniso.csa import AlgebraElement, AlgebraError, NotInvertible, SymbolAlgebra
 from aniso.errors import _exact_fraction, _exact_json, _json_list
 from aniso.lattice import (AbelianGroupStructure, IntMatrix, LatticeError, _apply_row_op,
                            _bareiss, _is_chain, _pivot_rows, _reduce_mod_rows, _smith_dv,
-                           _smith_reduce, _vec_mat, abelian_quotient, fixed_sublattice,
-                           group_closure, int_inverse, integer_kernel, kernel_mod_d)
+                           _smith_reduce, _unimodular_bareiss, _vec_mat, abelian_quotient,
+                           fixed_sublattice, group_closure, integer_kernel, kernel_mod_d)
 from aniso.pairing import (AlternatingPairing, FiniteAbelianGroup, GroupTooLarge,
                            InvalidPairing, IsotropicSubgroup, ValidationResult)
 from aniso.integers import _prime_factors, _split_prime_power
@@ -1025,6 +1025,18 @@ def int_matmul_dense(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                            for row in a.entries))
 
 
+def int_inverse(m: IntMatrix) -> IntMatrix:
+    """Inverse of a unimodular integer matrix, by the Gauss-Jordan of [m | I];
+    the library's quotient certificate runs the same elimination on V."""
+    n = m.cols
+    a = [list(row) + [1 if i == j else 0 for j in range(n)]
+         for i, row in enumerate(m.entries)]
+    _unimodular_bareiss(a, n)
+    # every pivot entry equals +-1 = its own inverse
+    return IntMatrix(tuple(tuple(row[i] * x for x in row[n:])
+                           for i, row in enumerate(a)))
+
+
 @dataclass(frozen=True)
 class SNFResult:
     U: IntMatrix
@@ -1051,7 +1063,7 @@ def smith_normal_form(m: IntMatrix) -> SNFResult:
     """U @ m @ V = D from lattice._smith_reduce, with the full m x m matrix
     U (all m rows pushed backwards through the log, as _pivot_rows does
     for r) and the full check U @ m @ V = D."""
-    a, v, log = _smith_reduce(m)
+    a, v, log = _smith_reduce(m.entries)
     result = SNFResult(IntMatrix.from_rows(_pivot_rows(log, m.rows, m.rows)),
                        IntMatrix.from_rows(a),
                        IntMatrix.from_rows(v))
@@ -1138,8 +1150,8 @@ def row_basis_by_inverse(rows, ambient: int) -> list[tuple[int, ...]]:
     m = IntMatrix.from_rows(rows)
     if m.cols != ambient:
         raise LatticeError("ambient dimension mismatch")
-    diag, v, _ = _smith_dv(m)
-    vinv = int_inverse(v)
+    diag, v, _, _ = _smith_dv(m.entries)
+    vinv = int_inverse(IntMatrix.from_rows(v))
     out = []
     for i, s in enumerate(diag):
         if s:
@@ -1154,8 +1166,8 @@ def solve_left(a: IntMatrix, b) -> Optional[tuple[int, ...]]:
     # with y = x @ U^-1, x @ a = b reads y @ D = b @ V = c: solvable iff
     # d_i | c_i below the rank r and c_i = 0 from r on; taking y_i = 0
     # from r on, x = y @ U needs only U's first r rows
-    diag, v, u_r = _smith_dv(a)
-    c = _vec_mat(b, v.entries, a.cols)
+    diag, v, u_r, _ = _smith_dv(a.entries)
+    c = _vec_mat(b, v, a.cols)
     r = len(u_r)
     if any(c[i] % diag[i] for i in range(r)) or any(c[r:]):
         return None
@@ -1181,8 +1193,8 @@ def abelian_quotient_by_bareiss(numerator_rows, denominator_rows, ambient: int):
         raise LatticeError("denominator lattice not contained in numerator lattice")
     coeff_rows = [tuple(aug[i][r + t] // scale for i in range(r)) for t in range(len(den))]
     c = IntMatrix.from_rows(coeff_rows)
-    diag, v, _ = _smith_dv(c)
-    vinv = int_inverse(v)
+    diag, v, _, _ = _smith_dv(c.entries)
+    vinv = int_inverse(IntMatrix.from_rows(v))
     diag = list(diag) + [0] * (r - len(diag))
     torsion, free = [], []
     factors = []
