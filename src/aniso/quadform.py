@@ -341,27 +341,12 @@ def _block_value(gamma1, gamma2, c, d: FieldDescriptor):
                   (c3, c3), (c3, c4), (mul(gamma2, c4), c4)])
 
 
-def _char2_bits(x, d: FieldDescriptor) -> int:
-    """The coefficients of x in F_{2^m} as an m-bit integer, the constant
-    coefficient highest, so that integer order is the element order of
-    Field.elements()."""
-    coeffs = x if isinstance(x, tuple) else (x,)
-    return int("".join(str(b) for b in coeffs), 2)
-
-
-def _char2_element(bits: int, d: FieldDescriptor):
-    """The inverse of _char2_bits."""
-    if d.kind == "prime_field":
-        return bits
-    return tuple(bits >> (d.m - 1 - i) & 1 for i in range(d.m))
-
-
 def _artin_schreier_reduce(gamma, d: FieldDescriptor) -> tuple:
     """(r, c): r is the first element of gamma + {c^2 + c} in element
     order, and c the first element with gamma + c^2 + c = r.
 
     c -> c^2 + c is F_2-linear with kernel {0, 1}. An xor basis of its image
-    in the _char2_bits encoding, with distinct leading bits and each vector
+    on the m-bit int payloads, with distinct leading bits and each vector
     kept with a preimage, clears every leading bit that gamma can lose when
     applied from the highest lead down; what is left is the smallest
     element of the coset. The cost is m field products and O(m^2) word
@@ -369,21 +354,21 @@ def _artin_schreier_reduce(gamma, d: FieldDescriptor) -> tuple:
     """
     basis = {}
     for b in range(d.m):
-        e = _char2_element(1 << b, d)
-        img, pre = _char2_bits(d.add(d.mul(e, e), e), d), 1 << b
+        pre = 1 << b
+        img = d.mul(pre, pre) ^ pre
         while img and img.bit_length() in basis:
             b_img, b_pre = basis[img.bit_length()]
             img, pre = img ^ b_img, pre ^ b_pre
         if img:
             basis[img.bit_length()] = (img, pre)
-    r, c = _char2_bits(gamma, d), 0
+    r, c = gamma, 0
     for lead in sorted(basis, reverse=True):
         if r >> (lead - 1) & 1:
             b_img, b_pre = basis[lead]
             r, c = r ^ b_img, c ^ b_pre
     # c and c + 1 reach the same r; 1 (the highest bit) is in the kernel, so
     # no basis preimage uses it and c is the smaller of the two
-    return _char2_element(r, d), _char2_element(c, d)
+    return r, c
 
 
 def _first_isotropic(g1, g2, d: FieldDescriptor) -> tuple:
@@ -391,22 +376,21 @@ def _first_isotropic(g1, g2, d: FieldDescriptor) -> tuple:
     + x3^2 + x3 x4 + g2 x4^2 (g1, g2 nonzero) in the order of
     itertools.product(field.elements(), repeat=4).
 
-    With e1 the first nonzero element: the vectors (0, 0, c3, c4) come
-    first; (0, 0, 0, c4) is never a zero, and any zero of the second plane
-    scales to one with c3 = e1, so the second plane is isotropic exactly
-    when some (0, 0, e1, c4) is a zero. Writing c4 = e1 z / g2, that is
-    z^2 + z = g2, solved by _artin_schreier_reduce; the two roots z and
-    z + 1 give the two candidates for c4. Otherwise that plane is
-    anisotropic and, over a finite field, represents g1 e1^2; the first
-    zero then has c1 = 0, c2 = e1, c3 = 0 and g2 c4^2 = g1 e1^2, so
-    c4 = e1 sqrt(g1/g2).
+    Int order on payloads is element order, so the first nonzero element
+    e1 is the payload 1: the vectors (0, 0, c3, c4) come first;
+    (0, 0, 0, c4) is never a zero, and any zero of the second plane scales
+    to one with c3 = e1, so the second plane is isotropic exactly when some
+    (0, 0, e1, c4) is a zero. Writing c4 = e1 z / g2, that is z^2 + z = g2,
+    solved by _artin_schreier_reduce; the two roots z and z + 1 give the
+    two candidates for c4. Otherwise that plane is anisotropic and, over a
+    finite field, represents g1 e1^2; the first zero then has c1 = 0,
+    c2 = e1, c3 = 0 and g2 c4^2 = g1 e1^2, so c4 = e1 sqrt(g1/g2).
     """
-    e1, zero = _char2_element(1, d), d.zero()
+    e1, zero = 1, d.zero()
     mul, div = d.mul, d.div
     r, z = _artin_schreier_reduce(g2, d)
     if d.is_zero(r):
-        c4 = min(div(mul(e1, z), g2), div(mul(e1, d.add(z, d.one())), g2),
-                 key=lambda x: _char2_bits(x, d))
+        c4 = min(div(mul(e1, z), g2), div(mul(e1, d.add(z, d.one())), g2))
         return (zero, zero, e1, c4)
     return (zero, e1, zero, mul(e1, _sqrt_char2(div(g1, g2), d)))
 

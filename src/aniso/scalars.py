@@ -14,7 +14,8 @@ that ``==`` on elements is plain representation equality:
 - ``finite_field(p, m)``      F_p[t] mod a fixed irreducible polynomial: the
                               first monic irreducible of degree m in lex
                               order on the coefficient tuple (c_0..c_{m-1});
-                              deterministic, cached, reproducible bit-exactly
+                              deterministic, cached, reproducible bit-exactly;
+                              payload: the int with base-p digits c_0..c_{m-1}
 - ``function_field(base, v)`` rational functions over any base above;
                               reduced fractions of multivariate polynomials,
                               gcd(num, den) = 1, denominator monic under lex
@@ -550,22 +551,24 @@ _LOG_SCAN_LIMIT = 1 << 16
 
 @dataclass(frozen=True, repr=False)
 class _FiniteField(FieldDescriptor):
-    """F_{p^m} = F_p[t] mod modulus_polynomial(p, m); a payload is the
-    tuple (c_0, ..., c_{m-1}) of the reduced polynomial, each c_i in
-    range(p). Payloads must be canonical: the tables are keyed by them, so
-    a hand-built (0, 0, 0, 3) over F_16 raises KeyError.
+    """F_{p^m} = F_p[t] mod modulus_polynomial(p, m); a payload is the int
+    c_0 p^(m-1) + c_1 p^(m-2) + ... + c_{m-1} of the reduced polynomial
+    c_0 + c_1 t + ... + c_{m-1} t^(m-1), each c_i in range(p), so int order
+    is the element order of payloads() (Lidl-Niederreiter, Finite Fields).
+    Over p = 2 the sum is XOR and -x = x.
 
-    A field with q <= _TABLE_LIMIT elements builds, on first use, a log
-    dict and an antilog list to the base zeta(q - 1), the first element of
-    order q - 1 in payloads() order (Huber, IEEE Trans. Inf. Theory 36
-    (1990)). mul, _inv and power are then lookups, and so are the roots of
-    unity, discrete logs and k-th roots. The build walks the q - 2 powers
-    of the base by polynomial products: the tables of F_256 hold 45 KiB
-    (tracemalloc) and take 6 ms on one core of a 2-core x86 machine, those
-    of F_4096 hold 0.9 MiB and take 0.11 s. A larger field multiplies
-    polynomials, raises UndecidedPower for a k-th root, and finds a
-    discrete log by walking the powers of zeta(q - 1) up to
-    _LOG_SCAN_LIMIT elements and raises FieldTooLarge past it.
+    A field with q <= _TABLE_LIMIT elements builds, on first use, log and
+    antilog lists indexed by payload to the base zeta(q - 1), the first
+    element of order q - 1, and for odd p Zech logarithms Z(k) with
+    1 + g^k = g^Z(k) (Huber, IEEE Trans. Inf. Theory 36 (1990)): mul,
+    _inv, power, roots of unity, discrete logs and k-th roots are lookups,
+    and an odd-p sum is g^(log x + Z(log y - log x)). The build walks the
+    q - 2 powers of the base by polynomial products: the tables of F_256
+    hold 10 KiB (tracemalloc) and take 7 ms on one core of a 2-core x86
+    machine, those of F_4096 hold 0.4 MiB and take 0.14 s. A larger field
+    multiplies and adds coefficient lists, raises UndecidedPower for a k-th
+    root, and finds a discrete log by walking the powers of zeta(q - 1) up
+    to _LOG_SCAN_LIMIT elements and raises FieldTooLarge past it.
     """
 
     p: int
@@ -589,66 +592,107 @@ class _FiniteField(FieldDescriptor):
     def to_json(self) -> dict:
         return {"kind": "finite_field", "p": str(self.p), "m": str(self.m)}
 
+    def _digits(self, x) -> list:
+        """The coefficients [c_0, ..., c_{m-1}] of the payload x."""
+        p, m = self.p, self.m
+        return [x // p ** (m - 1 - i) % p for i in range(m)]
+
+    def _from_digits(self, cs) -> int:
+        """The payload of the coefficients [c_0, ..., c_k] in range(p), k < m."""
+        p, x = self.p, 0
+        for c in cs:
+            x = x * p + c
+        return x * p ** (self.m - len(cs))
+
     def _reduce(self, poly: list):
         """The payload of an F_p[t] coefficient list modulo the fixed modulus."""
-        red = _u_divmod(prime_field(self.p), poly, modulus_polynomial(self.p, self.m))[1]
-        return tuple(red + [0] * (self.m - len(red)))
+        return self._from_digits(
+            _u_divmod(prime_field(self.p), poly, modulus_polynomial(self.p, self.m))[1])
 
     @cached_property
     def _tables(self):
-        """(log, exp, q - 1) with exp[e] = zeta(q - 1)^e and log[exp[e]] = e
-        for 0 <= e < q - 1, or None above _TABLE_LIMIT elements. exp is
-        doubled, and log maps zero to 2(q - 1), past which exp holds zero,
-        so exp[log[x] + log[y]] is x * y for every x and y."""
+        """(log, exp, q - 1, zech) with exp[e] = zeta(q - 1)^e and
+        log[exp[e]] = e for 0 <= e < q - 1, or None above _TABLE_LIMIT
+        elements. exp is doubled, and log maps zero to 2(q - 1), past which
+        exp holds zero, so exp[log[x] + log[y]] is x * y for every x and y.
+        For odd p, exp[zech[k]] = 1 + exp[k] (zech[k] = 2(q - 1) where that
+        is zero); for p = 2, zech is None."""
         q = self.size()
         if q > _TABLE_LIMIT:
             return None
         n, one = q - 1, self.one()
         primes = set(_prime_factors(n))
-        base = next(x for x in self.payloads() if not self.is_zero(x) and all(
+        base = next(x for x in range(1, q) if all(
             binary_power(x, n // r, one, self._poly_mul) != one for r in primes))
-        exp, zero = [one], self.zero()
+        exp = [one]
         for _ in range(n - 1):
             exp.append(self._poly_mul(exp[-1], base))
-        log = {x: e for e, x in enumerate(exp)}
-        log[zero] = 2 * n
-        return log, exp + exp + [zero] * (2 * n + 1), n
+        log = [2 * n] * q
+        for e, x in enumerate(exp):
+            log[x] = e
+        # adding one adds one to the highest digit c_0, mod p
+        top = q - one
+        zech = [log[x + one if x < top else x - top] for x in exp] if self.p > 2 else None
+        return log, exp + exp + [0] * (2 * n + 1), n, zech
 
     def _poly_mul(self, x, y):
-        return self._reduce(_u_mul(prime_field(self.p), x, y))
+        return self._reduce(_u_mul(prime_field(self.p), self._digits(x), self._digits(y)))
 
     def from_int(self, k: int):
-        return tuple([k % self.p] + [0] * (self.m - 1))
+        return k % self.p * self.p ** (self.m - 1)
 
     def is_zero(self, x) -> bool:
-        return not any(x)
+        return not x
 
     def add(self, x, y):
-        return tuple((a + b) % self.p for a, b in zip(x, y))
+        if self.p == 2:
+            return x ^ y
+        if not x or not y:
+            return x or y
+        tables = self._tables
+        if tables is None:
+            p = self.p
+            return self._from_digits([(a + b) % p for a, b in
+                                      zip(self._digits(x), self._digits(y))])
+        log, exp, _, zech = tables
+        e = log[x]
+        # log y - log x lies in (-(q - 1), q - 1): a negative index wraps mod q - 1
+        return exp[e + zech[log[y] - e]]
 
     def neg(self, x):
-        return tuple((-a) % self.p for a in x)
+        return x if self.p == 2 else self.mul(x, self.from_int(-1))
 
     def mul(self, x, y):
         tables = self._tables
         if tables is None:
             return self._poly_mul(x, y)
-        log, exp, _ = tables
+        log, exp, _, _ = tables
         return exp[log[x] + log[y]]
+
+    def dot(self, pairs):
+        """sum x y: over p = 2 with tables, one XOR fold of antilog lookups."""
+        tables = self._tables
+        if self.p != 2 or tables is None:
+            return super().dot(pairs)
+        log, exp, _, _ = tables
+        s = 0
+        for x, y in pairs:
+            s ^= exp[log[x] + log[y]]
+        return s
 
     def _inv(self, x):
         tables = self._tables
         if tables is None:
-            return self._reduce(_u_inverse(prime_field(self.p), x,
-                                           modulus_polynomial(self.p, self.m)))
-        log, exp, n = tables
+            return self._from_digits(_u_inverse(prime_field(self.p), self._digits(x),
+                                                modulus_polynomial(self.p, self.m)))
+        log, exp, n, _ = tables
         return exp[n - log[x]]
 
     def power(self, x, e: int):
         tables = self._tables
         if tables is None or self.is_zero(x):
             return super().power(x, e)
-        log, exp, n = tables
+        log, exp, n, _ = tables
         return exp[log[x] * e % n]
 
     def generator(self):
@@ -658,23 +702,22 @@ class _FiniteField(FieldDescriptor):
         return self.p ** self.m
 
     def payloads(self) -> Iterator:
-        return itertools.product(range(self.p), repeat=self.m)
+        return iter(range(self.p ** self.m))
 
     def render(self, x) -> str:
-        return _render_uni(x, "t")
+        return _render_uni(self._digits(x), "t")
 
     def payload_to_json(self, x):
-        return [str(c) for c in x]
+        return [str(c) for c in self._digits(x)]
 
     def payload_from_json(self, obj):
         if len(_json_list(obj)) > self.m:
             raise ScalarError(f"{self!r} element has {len(obj)} coefficients, "
                               f"at most {self.m} allowed")
-        vals = [_exact_int(c) % self.p for c in obj]
-        return tuple(vals + [0] * (self.m - len(vals)))
+        return self._from_digits([_exact_int(c) % self.p for c in obj])
 
     def random_payload(self, rng, height, degree, terms):
-        return tuple(rng.randrange(self.p) for _ in range(self.m))
+        return self._from_digits([rng.randrange(self.p) for _ in range(self.m)])
 
     def zeta(self, order: int):
         """The first element of the given order in element order: x has
@@ -686,14 +729,13 @@ class _FiniteField(FieldDescriptor):
         undecided = FieldTooLarge(f"trial division to {_TRIAL_DIVISION_LIMIT} and "
                                   f"Miller-Rabin leave {order} unfactored")
         one, primes = self.one(), set(_prime_factors(order, _TRIAL_DIVISION_LIMIT, undecided))
-        return next(x for x in self.payloads() if not self.is_zero(x)
-                    and self.power(x, order) == one
+        return next(x for x in range(1, self.size()) if self.power(x, order) == one
                     and all(self.power(x, order // r) != one for r in primes))
 
     def root_of_unity_log(self, x) -> Optional[Fraction]:
         tables = self._tables
         if tables is not None:
-            log, _, n = tables
+            log, _, n, _ = tables
             return None if self.is_zero(x) else Fraction(log[x], n)
         q = self.size()
         if q > _LOG_SCAN_LIMIT:
@@ -713,7 +755,7 @@ class _FiniteField(FieldDescriptor):
         if tables is None:
             raise UndecidedPower(f"{k}-th roots in {self!r} are searched only up to "
                                  f"{_TABLE_LIMIT} elements")
-        log, exp, n = tables
+        log, exp, n, _ = tables
         g = math.gcd(k, n)
         if log[x] % g:
             return None
@@ -723,18 +765,12 @@ class _FiniteField(FieldDescriptor):
 
 
 class _PrimeField(_FiniteField):
-    """F_p: the finite field with m = 1 and bare int payloads."""
+    """F_p: the finite field with m = 1, mod-p operators and bare-string JSON."""
 
     kind = "prime_field"
 
     def to_json(self) -> dict:
         return {"kind": "prime_field", "p": str(self.p)}
-
-    def from_int(self, k: int):
-        return k % self.p
-
-    def is_zero(self, x) -> bool:
-        return x == 0
 
     def add(self, x, y):
         return (x + y) % self.p
@@ -762,19 +798,10 @@ class _PrimeField(_FiniteField):
 
     generator = FieldDescriptor.generator
 
-    def payloads(self) -> Iterator:
-        return iter(range(self.p))
-
-    def render(self, x) -> str:
-        return str(x)
-
-    payload_to_json = render
+    payload_to_json = staticmethod(str)
 
     def payload_from_json(self, obj):
         return _exact_int(obj) % self.p
-
-    def random_payload(self, rng, height, degree, terms):
-        return rng.randrange(self.p)
 
 
 @dataclass(frozen=True, repr=False)

@@ -144,12 +144,21 @@ def _fp_rem(a, f, p):
 
 
 def _coefficients(d, x) -> list:
-    return [x] if d.kind == "prime_field" else list(x)
+    """The coefficients [c_0, ..., c_{m-1}] of an F_{p^m} payload: its m
+    base-p digits, the constant coefficient highest."""
+    out = []
+    for _ in range(d.m):
+        x, c = divmod(x, d.p)
+        out.append(c)
+    return out[::-1]
 
 
 def _from_coefficients(d, a: list):
-    a = a + [0] * (d.m - len(a))
-    return a[0] if d.kind == "prime_field" else tuple(a)
+    """The payload of the coefficients a = [c_0, ..., c_k], k < m."""
+    x = 0
+    for c in a + [0] * (d.m - len(a)):
+        x = x * d.p + c
+    return x
 
 
 def finite_field_mul_by_polynomials(d, x, y):

@@ -28,6 +28,8 @@ from aniso.scalars import (DescriptorMismatch, DivisionByZero, Field, FieldEleme
 from aniso.integers import binary_power, least_power
 from deadline import deadline
 from oracles import (FractionCyclotomic, FractionOnlyQ, _fp_trim, _p_add, _p_mul,
+                     _coefficients as fq_coefficients,
+                     _from_coefficients as fq_from_coefficients,
                      artin_schreier_image, cy_mul, cy_reduce, dot_by_fold,
                      finite_field_inv_by_polynomials, finite_field_mul_by_polynomials,
                      function_field_add_by_dicts, function_field_mul_by_dicts,
@@ -566,7 +568,8 @@ def test_finite_field_roots_of_unity_log_matches_a_power_walk():
         root_of_unity_log(Field(finite_field(2, 17)).generator())
     # past the tables zeta tests orders by powers of polynomials; 2^17 - 1 is
     # prime, so the first element other than 0 and 1 has order 2^17 - 1
-    assert finite_field(2, 17).zeta(2 ** 17 - 1) == (0,) * 16 + (1,)
+    # (the payload 1 is the coefficient list (0, ..., 0, 1), that is t^16)
+    assert finite_field(2, 17).zeta(2 ** 17 - 1) == 1
 
 
 def _finite_fields_upto(q_max: int) -> list:
@@ -680,7 +683,7 @@ def test_payload_json_roundtrip_is_exact(descriptor):
 
 def test_payload_from_json_rejects_lossy_inputs():
     f4 = finite_field(2, 2)
-    assert element_from_json(["1"], f4).payload == (1, 0)  # short lists pad
+    assert element_from_json(["1"], f4).payload == 2  # short lists pad: (1, 0) in base 2
     with pytest.raises(ScalarError, match="coefficients"):
         element_from_json(["0", "0", "1"], f4)
     rational_functions = function_field(rationals(), ("t",))
@@ -1117,6 +1120,141 @@ def test_scalar_output_fingerprint():
     assert time.perf_counter() - start < 2
 
 
+# every finite field of ALL_FIELDS, F_4, F_16 and F_256 with their tables,
+# and F_6561 and F_8192 past them
+FINITE_FINGERPRINT_FIELDS = (
+    prime_field(2), prime_field(7), finite_field(2, 3), finite_field(3, 2),
+    finite_field(2, 2), finite_field(2, 4), finite_field(2, 8),
+    finite_field(3, 8), finite_field(2, 13),
+)
+# sha256 of _finite_field_fingerprint_text(), taken while F_{p^m} payloads
+# were coefficient tuples; it reads payloads only through JSON and render
+FINITE_FIELD_FINGERPRINT = "93f8159727e7470dcdb5a65172ceaa98ac5948fb35ba6692c0427319f8bbbe1f"
+
+
+def _raised(fn, *args):
+    """fn(*args), or the name and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ArithmeticError, ScalarError, TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _finite_field_fingerprint_text() -> str:
+    """Per finite field: the elements in payloads() order (up to 256), from_int,
+    zero, one and the generator, JSON reads of short, long, negative and
+    non-list inputs, seeded random draws with the RNG state after them, every
+    operator on seeded pairs, dot, zeta of the orders dividing q - 1 (two past
+    the tables), discrete logs and k-th roots for k = 1..6."""
+    lines = []
+    for index, d in enumerate(FINITE_FINGERPRINT_FIELDS):
+        field, q = Field(d), d.size()
+
+        def show(x):
+            if x is None or isinstance(x, str):
+                return str(x)
+            return json.dumps(d.payload_to_json(x)) + " " + d.render(x)
+
+        lines.append(repr(d))
+        elements = list(d.payloads()) if q <= 256 else None
+        if elements:
+            lines.append(" ".join(map(show, elements)))
+        lines.append(" ".join(show(d.from_int(k)) for k in range(-3, 9)))
+        lines.append(show(d.zero()) + " " + show(d.one()))
+        if d.kind == "finite_field":
+            lines.append(show(d.generator()))
+        m = d.m
+        for obj in (["1"], ["0", "1"], [str(-k) for k in range(1, m + 1)], ["5"] * m,
+                    [str(k) for k in range(m + 1)], "3"):
+            lines.append(show(_raised(d.payload_from_json, obj)))
+        rng = random.Random(3600 + index)
+        pool = [d.zero(), d.one(), d.neg(d.one())]
+        for nonzero in (False, True, False, True):
+            pool.append(field.random_element(rng, nonzero=nonzero).payload)
+        pool += [d.random_payload(rng, 9, 2, 2) for _ in range(4)]
+        lines.append(" ".join(map(show, pool)) + " " + str(rng.random()))
+        pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(30)]
+        for x, y in pairs:
+            row = [show(d.add(x, y)), show(d.sub(x, y)), show(d.neg(x)), show(d.mul(x, y)),
+                   show(_raised(d.div, x, y)), show(_raised(d.inv, x)),
+                   str(d.is_zero(x)), str(x == y)]
+            row += [show(_raised(d.power, x, e)) for e in (0, 1, 2, 5, q + 1, -1, -3)]
+            lines.append(" | ".join(row))
+        for k in (1, 2, 3):
+            lines.append(show(d.dot(pairs[:k])))
+        lines.append(show(d.dot(pairs)) + " " + show(d.dot([])))
+        orders = [k for k in range(1, q) if (q - 1) % k == 0]
+        if q > 4096:
+            orders = orders[:1] + orders[-1:]
+        for order in orders:
+            lines.append(f"zeta {order} " + show(_raised(d.zeta, order)))
+        z = d.zeta(q - 1)
+        logs = (elements or pool) if q <= 4096 else pool[:2] + [z, d.power(z, 5)]
+        lines.append(" ".join(str(_raised(d.root_of_unity_log, x)) for x in logs))
+        for x in (elements or pool)[:40]:
+            lines.append(" ".join(show(_raised(d.kth_root, x, k)) for k in range(1, 7)))
+    return "\n".join(lines) + "\n"
+
+
+def test_finite_field_fingerprint():
+    with deadline(20):
+        text = _finite_field_fingerprint_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == FINITE_FIELD_FINGERPRINT
+
+
+def _digitwise(d, op, *payloads):
+    """op on the coefficients mod p, one coefficient at a time, through the
+    digit helpers of the oracles."""
+    return fq_from_coefficients(d, [op(*cs) % d.p for cs in
+                                    zip(*(fq_coefficients(d, x) for x in payloads))])
+
+
+@pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_finite_field_sums_match_a_digitwise_oracle(p, m):
+    # every pair: XOR over p = 2, Zech logarithms over odd p
+    d = finite_field(p, m)
+    for x, y in itertools.product(d.payloads(), repeat=2):
+        assert d.add(x, y) == _digitwise(d, operator.add, x, y), (x, y)
+        assert d.sub(x, y) == _digitwise(d, operator.sub, x, y), (x, y)
+    for x in d.payloads():
+        assert d.neg(x) == _digitwise(d, operator.neg, x), x
+
+
+def test_finite_field_sums_past_the_tables_match_a_digitwise_oracle():
+    rng = random.Random(36)
+    for d in (finite_field(3, 8), finite_field(2, 13), finite_field(5, 6)):
+        assert d._tables is None
+        xs = [d.zero(), d.one()] + [d.random_payload(rng, 9, 2, 2) for _ in range(60)]
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            assert d.add(x, y) == _digitwise(d, operator.add, x, y), (d, x, y)
+            assert d.sub(x, y) == _digitwise(d, operator.sub, x, y), (d, x, y)
+            assert d.neg(x) == _digitwise(d, operator.neg, x), (d, x)
+
+
+@pytest.mark.parametrize("descriptor", FINITE_FINGERPRINT_FIELDS + (finite_field(7, 1),),
+                         ids=repr)
+def test_finite_field_payloads_are_ordered_ints(descriptor):
+    # payloads() runs in int order, and every operator, reader and draw
+    # returns an int in range(q)
+    d, q = descriptor, descriptor.size()
+    listed = list(itertools.islice(d.payloads(), 300))
+    assert listed == sorted(listed) == list(range(len(listed)))
+    rng = random.Random(37)
+    xs = [d.zero(), d.one(), d.from_int(-1), d.payload_from_json(["1"] * d.m)
+          if d.kind == "finite_field" else d.payload_from_json("-1")]
+    xs += [d.random_payload(rng, 9, 2, 2) for _ in range(12)]
+    if d.kind == "finite_field":
+        xs.append(d.generator())
+    made = list(xs)
+    for x, y in zip(xs, xs[1:] + xs[:1]):
+        made += [d.add(x, y), d.sub(x, y), d.neg(x), d.mul(x, y), d.power(x, 3),
+                 d.dot([(x, y), (y, x), (x, x)])]
+        if not d.is_zero(y):
+            made += [d.inv(y), d.div(x, y)]
+    assert all(type(z) is int and 0 <= z < q for z in made), d
+    assert all(type(z) is int for z in (d.zeta(q - 1), d.kth_root(d.one(), 1)))
+
+
 def _fraction_coefficients(x):
     """The function-field payload x with every coefficient a Fraction."""
     return tuple(tuple((e, Fraction(c)) for e, c in poly) for poly in x)
@@ -1440,13 +1578,14 @@ def test_finite_field_inverse_matches_old_euclid(p, m):
     d = finite_field(p, m)
     f = modulus_polynomial(p, m)
     for x in d.payloads():
-        if not any(x):
+        if not x:
             continue
-        expected = _gf_inv(x, p, m)
-        s = _u_inverse(prime_field(p), x, f)
+        cs = fq_coefficients(d, x)
+        expected = _gf_inv(cs, p, m)
+        s = _u_inverse(prime_field(p), cs, f)
         assert len(s) < len(f) and tuple(s + [0] * (m - len(s))) == expected, x
-        assert d.inv(x) == expected
-        assert d.mul(x, expected) == d.one()
+        assert d.inv(x) == fq_from_coefficients(d, list(expected))
+        assert d.mul(x, d.inv(x)) == d.one()
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 12])
